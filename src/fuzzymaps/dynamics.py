@@ -15,10 +15,21 @@ Update discipline, per component kind and operator:
 
 Components settle independently: once a component's state recurs it is
 frozen and carried unchanged while the others keep iterating.
+
+Each component's step (operator, cut, pin, and for RM components the
+transpose) is compiled once at the start of a run, and the run, the
+RM partner states and the fixed-point check all call that one step.
+Fuzzy circle components whose entries are all real and in {-1, 0, 1}
+compile to a bitmask kernel (int states, popcounts via int.bit_count,
+so Python 3.10+); every other component steps on Scalar tuples through
+apply_part. The Scalar path is the reference semantics, and a
+differential test holds the kernel to it: both produce the same Scalar
+records, outcomes and trace bytes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -34,6 +45,7 @@ from .special import (
     CM,
     DOMAIN_SIDE,
     OPS,
+    RANGE_SIDE,
     RM,
     SpecialMatrix,
     SpecialStateVector,
@@ -41,7 +53,14 @@ from .special import (
     other_side,
     render_part,
 )
-from .values import ONE, OrderPolicy, ThresholdMode, ZERO, threshold_scalar
+from .values import (
+    ONE,
+    OrderPolicy,
+    Scalar,
+    ThresholdMode,
+    ZERO,
+    threshold_scalar,
+)
 
 DEFAULT_MAX_STEPS = 10_000
 
@@ -245,52 +264,191 @@ def _validate_input(m: SpecialMatrix, x0: SpecialStateVector):
                     f"entries must be 0 or 1")
 
 
-class _ComponentRun:
-    """Mutable per-component iteration state."""
+# -- compiled steps ----------------------------------------------------------
 
-    def __init__(self, index, matrix, tag, start, seeded_side, mask_on, k,
-                 policy):
-        self.index = index
-        self.matrix = matrix
-        self.tag = tag
-        self.mode = _component_mode(tag, k)
+class _Step:
+    """One component's step rule (apply, cut, pin), built once per run.
+
+    `step(state, side)` advances a state that addresses `side` and returns
+    (raw, thresholded, updated, landing side). A CM component lands on the
+    seeded side every time; an RM component applies its matrix from the
+    domain side and its transpose from the range side. Only a landing on
+    the seeded side is pinned.
+
+    States are native to the step. `encode` and `decode` convert them from
+    and to the Scalar tuples that records and outcomes carry; `scalars`
+    does the same for a raw union part.
+    """
+
+    def __init__(self, kind, seeded_side, forward, backward):
+        # side -> (operand applied from that side, landing side, pinned?)
+        if kind == CM:
+            self.moves = {seeded_side: (forward, seeded_side, True)}
+        else:
+            self.moves = {
+                DOMAIN_SIDE: (forward, RANGE_SIDE,
+                              seeded_side == RANGE_SIDE),
+                RANGE_SIDE: (backward, DOMAIN_SIDE,
+                             seeded_side == DOMAIN_SIDE),
+            }
+
+
+class _ScalarStep(_Step):
+    """The reference semantics: Scalar tuples through apply_part."""
+
+    def __init__(self, matrix, tag, seeded_side, mode, pin_on, policy):
+        backward = transpose(matrix) if tag.kind == RM else None
+        super().__init__(tag.kind, seeded_side, matrix, backward)
+        self.op = tag.op
         self.policy = policy
+        self.mode = mode
+        self.pin_on = pin_on
+
+    def step(self, state, side):
+        mat, land, pinned = self.moves[side]
+        raw = apply_part(state, mat, self.op, self.policy)
+        thresholded = _threshold_part(raw, self.mode)
+        updated = _pin_part(thresholded, self.pin_on) if pinned \
+            else thresholded
+        return raw, thresholded, updated, land
+
+    @staticmethod
+    def encode(part):
+        return part
+
+    @staticmethod
+    def decode(state, side):
+        return state
+
+    @staticmethod
+    def scalars(raw):
+        return raw
+
+
+class _IntScalars(dict):
+    """The shared Scalar of each integer raw value, made on first use."""
+
+    def __missing__(self, n):
+        value = self[n] = Scalar(n)
+        return value
+
+
+_INT_SCALARS = _IntScalars()
+_BIT_SCALARS = (ZERO, ONE)
+
+
+class _BitmaskStep(_Step):
+    """Fuzzy circle step over {-1, 0, 1} weights on int bitmasks.
+
+    Bit i of a state is coordinate i. Each column j of the applied matrix
+    is a pair of masks (P_j, N_j) of its +1 and -1 rows, so
+    raw_j = |x & P_j| - |x & N_j|; the cut sets bit j when raw_j > k and
+    pinning ORs in the seed mask.
+    """
+
+    def __init__(self, kind, seeded_side, forward, backward, sizes, k,
+                 pin_on):
+        super().__init__(kind, seeded_side, forward, backward)
+        self.sizes = sizes  # side -> state length
+        self.k = k
+        self.pin = sum(1 << i for i in pin_on)
+        self.bits = tuple(1 << j for j in range(max(sizes.values())))
+
+    def step(self, x, side):
+        columns, land, pinned = self.moves[side]
+        raw = [(x & pos).bit_count() - (x & neg).bit_count()
+               for pos, neg in columns]
+        k = self.k
+        cut = sum([bit for r, bit in zip(raw, self.bits) if r > k])
+        return raw, cut, (cut | self.pin) if pinned else cut, land
+
+    @staticmethod
+    def encode(part):
+        return sum(1 << i for i, v in enumerate(part) if v == ONE)
+
+    def decode(self, x, side):
+        return tuple([_BIT_SCALARS[x >> i & 1]
+                      for i in range(self.sizes[side])])
+
+    @staticmethod
+    def scalars(raw):
+        return tuple(map(_INT_SCALARS.__getitem__, raw))
+
+
+def _bitmask_step(matrix, tag, seeded_side, k, pin_on):
+    """The bitmask kernel of a fuzzy circle component whose entries are all
+    real and in {-1, 0, 1}; None for any other component, which then runs
+    on the Scalar path."""
+    if tag.op != "circle" or tag.algebra != "fuzzy":
+        return None
+    rows, cols = matrix.rows, matrix.cols
+    # [P, N] masks per column of the matrix and per column of its transpose
+    col_masks = [[0, 0] for _ in range(cols)]
+    row_masks = [[0, 0] for _ in range(rows)]
+    for idx, entry in enumerate(matrix.entries):
+        if entry.indet_coeff:
+            return None
+        a = entry.real_part
+        if not a:
+            continue
+        if a == 1.0:
+            sign = 0
+        elif a == -1.0:
+            sign = 1
+        else:
+            return None
+        i, j = divmod(idx, cols)
+        col_masks[j][sign] |= 1 << i
+        row_masks[i][sign] |= 1 << j
+    forward = tuple(map(tuple, col_masks))
+    if tag.kind == CM:
+        return _BitmaskStep(CM, seeded_side, forward, None,
+                            {seeded_side: rows}, k, pin_on)
+    return _BitmaskStep(RM, seeded_side, forward,
+                        tuple(map(tuple, row_masks)),
+                        {DOMAIN_SIDE: rows, RANGE_SIDE: cols}, k, pin_on)
+
+
+def _compile_step(matrix, tag, seeded_side, k, pin_on, policy):
+    return (_bitmask_step(matrix, tag, seeded_side, k, pin_on)
+            or _ScalarStep(matrix, tag, seeded_side, _component_mode(tag, k),
+                           pin_on, policy))
+
+
+class _ComponentRun:
+    """Mutable per-component iteration state over its compiled step."""
+
+    def __init__(self, index, kind, rule, start, seeded_side):
+        self.index = index
+        self.kind = kind
+        self.rule = rule
         self.seeded_side = seeded_side
-        self.mask_on = mask_on if tag.op == "circle" else ()
-        self.cur = start
+        self.cur = rule.encode(start)  # native to the rule
+        self.part = start  # the Scalar form of cur
         self.cur_side = seeded_side  # space the current state addresses
         self.frozen = False
         self.outcome = None
         self.settled_step = 0
-        self.history = [start]
-        self.seen = {start: 0}
+        self.history = [self.cur]
+        self.seen = {self.cur: 0}
 
     # -- stepping ----------------------------------------------------------
-    def active_matrix(self):
-        if self.tag.kind == CM:
-            return self.matrix
-        if self.cur_side == DOMAIN_SIDE:
-            return self.matrix
-        return transpose(self.matrix)
-
     def step(self):
-        """Advance one application; returns (raw, thresholded, updated)."""
-        raw = apply_part(self.cur, self.active_matrix(), self.tag.op,
-                         self.policy)
-        thresholded = _threshold_part(raw, self.mode)
-        land_side = (self.seeded_side if self.tag.kind == CM
-                     else other_side(self.cur_side))
-        pinned = (land_side == self.seeded_side)
-        updated = _pin_part(thresholded, self.mask_on) if pinned \
-            else thresholded
+        """Advance one application; returns the Scalar forms of (raw,
+        thresholded, updated)."""
+        rule = self.rule
+        raw, thresholded, updated, land = rule.step(self.cur, self.cur_side)
+        thr_part = rule.decode(thresholded, land)
+        self.part = thr_part if updated is thresholded \
+            else rule.decode(updated, land)
         self.cur = updated
-        self.cur_side = land_side
-        return raw, thresholded, updated
+        self.cur_side = land
+        return rule.scalars(raw), thr_part, self.part
 
     def observe(self, step_index):
         """Record the new state for cycle detection when it is comparable
         (CM: every step; RM: seeded-side landings only)."""
-        if self.tag.kind == RM and self.cur_side != self.seeded_side:
+        if self.kind == RM and self.cur_side != self.seeded_side:
             return
         state = self.cur
         if state in self.seen:
@@ -302,25 +460,20 @@ class _ComponentRun:
             self.history.append(state)
 
     # -- outcomes ------------------------------------------------------------
-    def _partner(self, state):
-        """The opposite-side state an RM component derives from a
-        seeded-side state (threshold only; the far side is never pinned)."""
-        mat = self.matrix if self.seeded_side == DOMAIN_SIDE \
-            else transpose(self.matrix)
-        raw = apply_part(state, mat, self.tag.op, self.policy)
-        return _threshold_part(raw, self.mode)
-
     def _as_pair(self, state):
-        partner = self._partner(state)
-        if self.seeded_side == DOMAIN_SIDE:
-            return (state, partner)
-        return (partner, state)
+        # the opposite-side partner is the thresholded image of the
+        # seeded-side state; the far side is never pinned
+        _, partner, _, land = self.rule.step(state, self.seeded_side)
+        pair = (self.rule.decode(state, self.seeded_side),
+                self.rule.decode(partner, land))
+        return pair if self.seeded_side == DOMAIN_SIDE else pair[::-1]
 
     def _settle(self, cycle, step_index):
-        if self.tag.kind == RM:
+        if self.kind == RM:
             states = tuple(self._as_pair(s) for s in cycle)
         else:
-            states = tuple(cycle)
+            states = tuple(self.rule.decode(s, self.seeded_side)
+                           for s in cycle)
         if len(states) == 1:
             self.outcome = FixedPoint(states[0])
         else:
@@ -329,29 +482,25 @@ class _ComponentRun:
         self.settled_step = step_index
         self._verify()
 
+    def _advance(self, part, side):
+        """One full step of the compiled rule from the Scalar state
+        `part`, returned in Scalar form."""
+        _, _, updated, land = self.rule.step(self.rule.encode(part), side)
+        return self.rule.decode(updated, land)
+
     def _verify(self):
         """Post-hoc fixed-point check, independent of the detector: one
         explicit extra step from a reported fixed point must return it."""
         if not isinstance(self.outcome, FixedPoint):
             return
-        if self.tag.kind == CM:
+        if self.kind == CM:
             state = self.outcome.state
-            raw = apply_part(state, self.matrix, self.tag.op, self.policy)
-            nxt = _pin_part(_threshold_part(raw, self.mode), self.mask_on)
-            ok = nxt == state
+            ok = self._advance(state, self.seeded_side) == state
         else:
             domain_state, range_state = self.outcome.state
-            fwd = apply_part(domain_state, self.matrix, self.tag.op,
-                             self.policy)
-            back = apply_part(range_state, transpose(self.matrix),
-                              self.tag.op, self.policy)
-            fwd_t = _threshold_part(fwd, self.mode)
-            back_t = _threshold_part(back, self.mode)
-            if self.seeded_side == DOMAIN_SIDE:
-                back_t = _pin_part(back_t, self.mask_on)
-            else:
-                fwd_t = _pin_part(fwd_t, self.mask_on)
-            ok = fwd_t == range_state and back_t == domain_state
+            fwd = self._advance(domain_state, DOMAIN_SIDE)
+            back = self._advance(range_state, RANGE_SIDE)
+            ok = fwd == range_state and back == domain_state
         if not ok:
             raise RuntimeError(
                 f"internal error: component {self.index + 1} reported a "
@@ -363,6 +512,8 @@ def _run(m: SpecialMatrix, x0: SpecialStateVector, *, op=None,
          max_steps=DEFAULT_MAX_STEPS) -> HiddenPattern:
     if op is not None and op not in OPS:
         raise ValueError(f"unknown operator {op!r}")
+    if not math.isfinite(threshold_k):
+        raise InvalidInput(f"threshold k must be finite, got {threshold_k}")
     _validate_input(m, x0)
     mask = InputMask.from_state(x0)
     has_rm = any(tag.kind == RM for _, tag in m)
@@ -370,8 +521,10 @@ def _run(m: SpecialMatrix, x0: SpecialStateVector, *, op=None,
     for idx, (mat, tag) in enumerate(m):
         if op is not None and tag.op != op:
             tag = type(tag)(kind=tag.kind, algebra=tag.algebra, op=op)
-        runs.append(_ComponentRun(idx, mat, tag, x0.parts[idx], x0.side,
-                                  mask.on[idx], threshold_k, policy))
+        pin_on = mask.on[idx] if tag.op == "circle" else ()
+        rule = _compile_step(mat, tag, x0.side, threshold_k, pin_on, policy)
+        runs.append(_ComponentRun(idx, tag.kind, rule, x0.parts[idx],
+                                  x0.side))
     records = []
     steps_taken = 0
     for step in range(1, max_steps + 1):
@@ -381,9 +534,9 @@ def _run(m: SpecialMatrix, x0: SpecialStateVector, *, op=None,
         raw_parts, thr_parts, upd_parts = [], [], []
         for r in runs:
             if r.frozen:
-                raw_parts.append(r.cur)
-                thr_parts.append(r.cur)
-                upd_parts.append(r.cur)
+                raw_parts.append(r.part)
+                thr_parts.append(r.part)
+                upd_parts.append(r.part)
             else:
                 raw, thresholded, updated = r.step()
                 raw_parts.append(raw)

@@ -177,6 +177,8 @@ def minimal_solutions_bruteforce(q: Matrix, r, grid_step: float = 0.1, *,
     """
     r = _as_row(r, what="r")
     FreProblem(q, r)
+    if not 0.0 < grid_step <= 1.0:
+        raise DomainError(f"grid step {grid_step} is not in (0, 1]")
     steps = round(1.0 / grid_step)
     if steps < 1 or abs(steps * grid_step - 1.0) > 1e-9:
         raise DomainError(f"grid step {grid_step} does not divide 1 evenly")

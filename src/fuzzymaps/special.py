@@ -152,7 +152,7 @@ class SpecialStateVector:
     def __init__(self, parts, side=DOMAIN_SIDE):
         if side not in SIDES:
             raise ValueError(f"unknown side {side!r}")
-        packed = tuple(tuple(coerce(v) for v in part) for part in parts)
+        packed = tuple(tuple(map(coerce, part)) for part in parts)
         if not packed:
             raise EmptyUnion("a state union needs at least one part")
         for idx, part in enumerate(packed):

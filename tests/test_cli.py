@@ -103,6 +103,17 @@ def test_run_iteration_cap():
     assert "unsettled" in proc.stderr
 
 
+def test_run_rejects_non_finite_threshold():
+    for k in ("nan", "inf"):
+        proc = cli("run", "--model",
+                   FIXTURES / "single_square_signed.model",
+                   "--input", FIXTURES / "single_square_seed_b.vec",
+                   "--threshold-k", k)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: threshold k must be finite")
+        assert proc.stdout == ""
+
+
 def test_run_input_length_mismatch(tmp_path):
     vec = tmp_path / "short.vec"
     vec.write_text("domain 1 0 0\n")
@@ -186,6 +197,18 @@ def test_fre_budget_exceeded(tmp_path):
                "--minimal", "--grid-step", 0.01)
     assert proc.returncode == 6
     assert "budget" in proc.stderr
+
+
+def test_fre_zero_grid_step_is_a_validation_error(tmp_path):
+    q = tmp_path / "q.txt"
+    q.write_text("0.5\n")
+    r = tmp_path / "r.txt"
+    r.write_text("0.5\n")
+    proc = cli("fre", "--matrix", q, "--target", r,
+               "--minimal", "--grid-step", 0)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: grid step")
+    assert "Traceback" not in proc.stderr
 
 
 # ------------------------------------------------------------------ parsing

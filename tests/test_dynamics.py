@@ -5,7 +5,10 @@ rules before being frozen into assertions. Comments give the raw activation
 sums the thresholds are cutting.
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzymaps import (
     CM,
@@ -20,6 +23,7 @@ from fuzzymaps import (
     IterationCapExceeded,
     LimitCycle,
     Matrix,
+    ModeMismatch,
     NonCMComponent,
     NonRMComponent,
     NotYet,
@@ -30,11 +34,13 @@ from fuzzymaps import (
     make_special,
     make_state,
     parse_scalar,
+    render_trace,
     run_cm,
     run_mixed,
     run_rm,
     threshold_update,
 )
+from fuzzymaps import dynamics
 
 TRI = ValueDomain.TRI
 UNIT = ValueDomain.UNIT
@@ -533,3 +539,132 @@ def test_unknown_op_override_rejected():
     m = make_special([(A_SQ, ComponentTag())])
     with pytest.raises(ValueError):
         run_cm(m, seed([0, 1, 0, 0, 1]), op="convolve")
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_non_finite_threshold_rejected(k):
+    m = make_special([(A_SQ, ComponentTag())])
+    with pytest.raises(InvalidInput):
+        run_cm(m, seed([0, 1, 0, 0, 1]), threshold_k=k)
+
+
+# ------------------------------------- bitmask kernel vs the Scalar reference
+
+def _reference(fn):
+    """Call fn with the bitmask kernel switched off, so that every
+    component steps on the Scalar path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_bitmask_step", lambda *args: None)
+        return fn()
+
+
+def _kernel_used(fn):
+    """Call fn and return its result with whether every compiled step
+    was a bitmask kernel."""
+    picked = []
+    pick = dynamics._bitmask_step
+
+    def spy(*args):
+        step = pick(*args)
+        picked.append(step is not None)
+        return step
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_bitmask_step", spy)
+        result = fn()
+    return result, bool(picked) and all(picked)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except IterationCapExceeded as exc:
+        return exc
+
+
+def _assert_same_run(fast, ref, special, k):
+    if isinstance(ref, IterationCapExceeded):
+        assert isinstance(fast, IterationCapExceeded)
+        assert str(fast) == str(ref)
+        return
+    assert fast.outcomes == ref.outcomes
+    assert fast.steps == ref.steps
+    assert fast.settled_steps == ref.settled_steps
+    assert fast.trace == ref.trace
+    assert (render_trace(fast, special, threshold_k=k).encode()
+            == render_trace(ref, special, threshold_k=k).encode())
+
+
+@st.composite
+def tri_runs(draw):
+    """A union of 1-3 CM/RM components of 1-12 nodes over {-1, 0, 1},
+    a crisp seed on either side, a cut constant and a small step cap."""
+    side = draw(st.sampled_from([DOMAIN_SIDE, RANGE_SIDE]))
+    comps, parts = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from([CM, RM]))
+        rows = draw(st.integers(1, 12))
+        cols = rows if kind == CM else draw(st.integers(1, 12))
+        weights = draw(st.lists(st.sampled_from([-1, 0, 0, 1]),
+                                min_size=rows * cols, max_size=rows * cols))
+        comps.append((Matrix(rows, cols, weights, TRI),
+                      ComponentTag(kind=kind)))
+        size = cols if kind == RM and side == RANGE_SIDE else rows
+        parts.append(draw(st.lists(st.sampled_from([0, 1]), min_size=size,
+                                   max_size=size)))
+    k = draw(st.sampled_from([-1, 0, 0.5, 1, 2]))
+    max_steps = draw(st.integers(1, 12))
+    return make_special(comps), seed(*parts, side=side), k, max_steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(tri_runs())
+def test_bitmask_kernel_matches_scalar_reference(case):
+    special, x0, k, max_steps = case
+
+    def go():
+        return _outcome(lambda: run_mixed(special, x0, threshold_k=k,
+                                          max_steps=max_steps))
+
+    fast, used = _kernel_used(go)
+    assert used
+    _assert_same_run(fast, _reference(go), special, k)
+
+
+def test_real_weights_take_the_scalar_path():
+    weights = Matrix.from_rows([[0, 0.5, -1], [2, 0, 1], [1, -1, 0]])
+    assert weights.domain is ValueDomain.ANY
+    m = make_special([(weights, ComponentTag())])
+    x0 = seed([1, 0, 0])
+    for k in (0, 0.5, 1):
+        def go():
+            return run_cm(m, x0, threshold_k=k)
+        fast, used = _kernel_used(go)
+        assert not used
+        _assert_same_run(fast, _reference(go), m, k)
+    # the entries pick the kernel, not the declared domain
+    crisp_any = Matrix.from_rows([[0, 1, -1], [1, 0, 1], [1, -1, 0]])
+    _, used = _kernel_used(lambda: run_cm(
+        make_special([(crisp_any, ComponentTag())]), x0))
+    assert used
+
+
+def test_circle_override_on_unit_maxmin_takes_the_scalar_path():
+    levels = unitm([[0, 0.9, 0.3], [0.4, 0, 1], [0.7, 0.2, 0]])
+    m = make_special([(levels, ComponentTag(op="maxmin"))])
+    x0 = seed([1, 0, 0])
+
+    def go():
+        return run_cm(m, x0, op="circle")
+
+    fast, used = _kernel_used(go)
+    assert not used
+    _assert_same_run(fast, _reference(go), m, 0.0)
+    # raw circle sums keep their membership levels before the cut
+    assert fast.trace[0].raw.parts[0] == crisp([0, 0.9, 0.3])
+
+
+def test_fuzzy_tagged_indeterminate_entry_still_raises():
+    m = make_special([(ntri([[0, "I"], [1, 0]]), ComponentTag())])
+    with pytest.raises(ModeMismatch):
+        run_cm(m, seed([1, 0]))

@@ -1,5 +1,6 @@
 """Relational equations under max-min composition."""
 
+import math
 import random
 
 import pytest
@@ -180,6 +181,12 @@ def test_minimal_solutions_dominated_by_maximum():
 def test_minimal_solutions_grid_step_must_divide_one():
     with pytest.raises(DomainError):
         minimal_solutions_bruteforce(unit([[0.5]]), [0.5], grid_step=0.3)
+
+
+@pytest.mark.parametrize("step", [0, 0.0, math.nan, -0.1])
+def test_minimal_solutions_grid_step_must_be_positive(step):
+    with pytest.raises(DomainError):
+        minimal_solutions_bruteforce(unit([[0.5]]), [0.5], grid_step=step)
 
 
 def test_minimal_solutions_budget():
