@@ -60,7 +60,6 @@ from .matrices import (
     minmax_compose,
     row_vector,
     transpose,
-    vec_mat_maxmin,
     zeros,
 )
 from .special import (
@@ -75,10 +74,8 @@ from .special import (
     make_special,
     make_state,
     other_side,
-    plain_transpose,
     render_part,
     special_apply,
-    special_apply_mixed,
     special_transpose,
 )
 from .dynamics import (
@@ -87,13 +84,11 @@ from .dynamics import (
     InputMask,
     IterationRecord,
     LimitCycle,
-    NotYet,
     describe_outcome,
-    detect_cycle,
     run_cm,
     run_mixed,
     run_rm,
-    threshold_update,
+    validate_input,
 )
 from .models import (
     Model,
@@ -103,7 +98,6 @@ from .models import (
     combine_maps,
     diagonal_diagnostics,
     run,
-    validate_input,
 )
 from .fre import (
     FreProblem,

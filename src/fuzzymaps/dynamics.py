@@ -1,20 +1,25 @@
-"""The hidden-pattern engine: thresholding/updating of raw state unions and
-iteration to fixed points, limit cycles, and fixed binary pairs.
+"""The hidden-pattern engine: one step rule per component, iterated to a
+fixed point, a limit cycle, or a fixed binary pair.
 
-Update discipline, per component kind and operator:
+Each rule below is written once, and every entry point (run_cm, run_rm,
+run_mixed, and models.run through them) goes through it:
 
-* circle-operator components are thresholded onto {0,1} (fuzzy) or {0,1,I}
-  (neutrosophic) after every application, and the coordinates that were ON
-  in the user's initial vector are pinned back to 1 - but only when the
-  result lands on the seeded side. A square (CM) component lives entirely
-  in the seeded space, so it is pinned on every step; a rectangular (RM)
-  component is pinned only when it returns to the seeded side.
-* maxmin/minmax components pass through raw: no thresholding, no pinning.
-  Their values stay inside the finite set of stored inputs, so runs still
-  terminate.
-
-Components settle independently: once a component's state recurs it is
-frozen and carried unchanged while the others keep iterating.
+* Input: validate_input. A seed has one crisp {0,1} part per component,
+  all on one side. Square (CM) components have a single node space, their
+  domain, so they take domain-side seeds only; rectangular (RM)
+  components take either side.
+* Step: apply, cut, pin. Circle-operator components are cut onto {0,1}
+  (fuzzy) or {0,1,I} (neutrosophic) after every application, and the
+  coordinates that were ON in the seed are pinned back to 1 - but only
+  when the result lands on the seeded side. A CM component lands there on
+  every step; an RM component alternates its matrix with its transpose
+  and is pinned only when it returns to the seeded side. maxmin/minmax
+  components pass through raw: no cut, no pin. Their values stay inside
+  the finite set of stored inputs, so runs still terminate.
+* Recurrence: a component settles at its first recurring state on the
+  seeded side (Recurrence), and is then frozen and carried unchanged
+  while the others keep iterating. A one-state cycle is a FixedPoint,
+  a longer one a LimitCycle; trace verification uses the same rule.
 
 Each component's step (operator, cut, pin, and for RM components the
 transpose) is compiled once at the start of a run, and the run, the
@@ -33,12 +38,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
-    ComponentCountMismatch,
     InvalidInput,
     IterationCapExceeded,
     NonCMComponent,
     NonRMComponent,
-    ShapeMismatch,
 )
 from .matrices import transpose
 from .special import (
@@ -102,36 +105,37 @@ class LimitCycle:
     period: int
 
 
-class _NotYet:
-    _instance = None
+class Recurrence:
+    """First-recurrence detection, the rule that settles a component.
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    States are added in order from the seed on. The first state equal to
+    an earlier one closes the cycle that starts at that earlier state and
+    runs up to the state before the recurrence.
+    """
 
-    def __repr__(self):
-        return "NotYet"
+    __slots__ = ("states", "_index")
 
+    def __init__(self, first):
+        self.states = [first]
+        self._index = {first: 0}
 
-NotYet = _NotYet()
+    def add(self, state):
+        """Record `state`; return the index in `states` where the cycle it
+        closes starts, or None while every state is new."""
+        start = self._index.get(state)
+        if start is None:
+            self._index[state] = len(self.states)
+            self.states.append(state)
+        return start
 
-
-def detect_cycle(history):
-    """Classify a state history: the first recurrence of an earlier state
-    closes the run. Period = distance back to the match; period 1 is a
-    fixed point. Returns NotYet while all states are distinct."""
-    history = list(history)
-    if not history:
-        raise ValueError("history must be nonempty")
-    last = history[-1]
-    for j in range(len(history) - 1):
-        if history[j] == last:
-            period = (len(history) - 1) - j
-            if period == 1:
-                return FixedPoint(last)
-            return LimitCycle(tuple(history[j:len(history) - 1]), period)
-    return NotYet
+    @staticmethod
+    def outcome(cycle):
+        """The hidden pattern of one full cycle: FixedPoint for a single
+        state, LimitCycle for more."""
+        cycle = tuple(cycle)
+        if len(cycle) == 1:
+            return FixedPoint(cycle[0])
+        return LimitCycle(cycle, len(cycle))
 
 
 @dataclass(frozen=True)
@@ -201,40 +205,8 @@ def _pin_part(part, on_indices):
         return tuple(part)
     out = list(part)
     for idx in on_indices:
-        if idx >= len(out):
-            raise ShapeMismatch(
-                f"mask index {idx + 1} outside state of length {len(out)}")
         out[idx] = ONE
     return tuple(out)
-
-
-def threshold_update(raw: SpecialStateVector, mask: InputMask,
-                     mode) -> SpecialStateVector:
-    """Threshold every coordinate, then force the masked ON coordinates
-    back to 1 - but only when the raw union is on the masked side.
-
-    `mode` is a ThresholdMode applied to every part, or a per-part sequence
-    whose entries may be None to pass a part through untouched. Passthrough
-    parts are never pinned: cutting and pinning travel together.
-    """
-    if len(raw.parts) != len(mask.on):
-        raise ShapeMismatch(
-            f"state has {len(raw.parts)} parts, mask has {len(mask.on)}")
-    if isinstance(mode, ThresholdMode) or mode is None:
-        modes = [mode] * len(raw.parts)
-    else:
-        modes = list(mode)
-        if len(modes) != len(raw.parts):
-            raise ShapeMismatch(
-                f"state has {len(raw.parts)} parts, got {len(modes)} modes")
-    pin = raw.side == mask.side
-    parts = []
-    for part, part_mode, on in zip(raw.parts, modes, mask.on):
-        thresholded = _threshold_part(part, part_mode)
-        if pin and part_mode is not None:
-            thresholded = _pin_part(thresholded, on)
-        parts.append(thresholded)
-    return SpecialStateVector(parts, raw.side)
 
 
 def _component_mode(tag, k):
@@ -245,23 +217,29 @@ def _component_mode(tag, k):
     return ThresholdMode.fuzzy(k)
 
 
-def _validate_input(m: SpecialMatrix, x0: SpecialStateVector):
-    if len(x0) != len(m):
-        raise ComponentCountMismatch(
-            f"input has {len(x0)} parts, union has {len(m)} components")
-    for idx, ((mat, tag), part) in enumerate(zip(m, x0.parts)):
-        expected = mat.rows
-        if tag.kind == RM and x0.side != DOMAIN_SIDE:
-            expected = mat.cols
+def validate_input(m: SpecialMatrix, x: SpecialStateVector) -> list:
+    """Every way `x` is not a valid seed for a run of `m`, as messages
+    naming the component: the part count, a range-side seed of a square
+    component, each part's length on the seeded side, and entries other
+    than 0 and 1. Empty means valid."""
+    if len(x) != len(m):
+        return [f"input has {len(x)} parts, union has {len(m)} components"]
+    out = []
+    for idx, ((mat, tag), part) in enumerate(zip(m, x.parts)):
+        where = f"component {idx + 1}"
+        if tag.kind == CM and x.side != DOMAIN_SIDE:
+            out.append(f"{where}: square component has no {x.side} space")
+        expected = mat.cols if x.side == RANGE_SIDE and tag.kind == RM \
+            else mat.rows
         if len(part) != expected:
-            raise ShapeMismatch(
-                f"component {idx + 1}: input length {len(part)} does not "
-                f"match the {x0.side} space of {mat.rows}x{mat.cols}")
+            out.append(f"{where}: input length {len(part)} does not match "
+                       f"the {x.side} space of {mat.rows}x{mat.cols}")
+            continue
         for coord, value in enumerate(part):
             if value != ZERO and value != ONE:
-                raise InvalidInput(
-                    f"component {idx + 1}, coordinate {coord + 1}: input "
-                    f"entries must be 0 or 1")
+                out.append(f"{where}, coordinate {coord + 1}: non-crisp "
+                           f"input {value}; entries must be 0 or 1")
+    return out
 
 
 # -- compiled steps ----------------------------------------------------------
@@ -429,8 +407,7 @@ class _ComponentRun:
         self.frozen = False
         self.outcome = None
         self.settled_step = 0
-        self.history = [self.cur]
-        self.seen = {self.cur: 0}
+        self.recurrence = Recurrence(self.cur)
 
     # -- stepping ----------------------------------------------------------
     def step(self):
@@ -450,14 +427,9 @@ class _ComponentRun:
         (CM: every step; RM: seeded-side landings only)."""
         if self.kind == RM and self.cur_side != self.seeded_side:
             return
-        state = self.cur
-        if state in self.seen:
-            start = self.seen[state]
-            cycle = self.history[start:]
-            self._settle(cycle, step_index)
-        else:
-            self.seen[state] = len(self.history)
-            self.history.append(state)
+        start = self.recurrence.add(self.cur)
+        if start is not None:
+            self._settle(self.recurrence.states[start:], step_index)
 
     # -- outcomes ------------------------------------------------------------
     def _as_pair(self, state):
@@ -470,14 +442,10 @@ class _ComponentRun:
 
     def _settle(self, cycle, step_index):
         if self.kind == RM:
-            states = tuple(self._as_pair(s) for s in cycle)
+            states = [self._as_pair(s) for s in cycle]
         else:
-            states = tuple(self.rule.decode(s, self.seeded_side)
-                           for s in cycle)
-        if len(states) == 1:
-            self.outcome = FixedPoint(states[0])
-        else:
-            self.outcome = LimitCycle(states, len(states))
+            states = [self.rule.decode(s, self.seeded_side) for s in cycle]
+        self.outcome = Recurrence.outcome(states)
         self.frozen = True
         self.settled_step = step_index
         self._verify()
@@ -514,7 +482,9 @@ def _run(m: SpecialMatrix, x0: SpecialStateVector, *, op=None,
         raise ValueError(f"unknown operator {op!r}")
     if not math.isfinite(threshold_k):
         raise InvalidInput(f"threshold k must be finite, got {threshold_k}")
-    _validate_input(m, x0)
+    problems = validate_input(m, x0)
+    if problems:
+        raise InvalidInput("; ".join(problems))
     mask = InputMask.from_state(x0)
     has_rm = any(tag.kind == RM for _, tag in m)
     runs = []

@@ -8,6 +8,8 @@ is a flat tuple and the operations are straightforward loops.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .errors import DomainError, ShapeMismatch
 from .values import (
     OrderPolicy,
@@ -155,51 +157,62 @@ def elementwise_min(a: Matrix, b: Matrix,
     return Matrix(a.rows, a.cols, cells, domain_join(a.domain, b.domain))
 
 
+def operators(op: str, policy) -> tuple:
+    """The (inner, outer) scalar operators of a product: `circle` sums
+    products, `maxmin` takes the max of mins and `minmax` the min of
+    maxes, with min and max ordered under `policy`."""
+    if op == "circle":
+        return scalar_mul, scalar_add
+
+    def low(a, b):
+        return scalar_min(a, b, policy)
+
+    def high(a, b):
+        return scalar_max(a, b, policy)
+
+    if op == "maxmin":
+        return low, high
+    if op == "minmax":
+        return high, low
+    raise ValueError(f"unknown component op {op!r}")
+
+
+def fold_row(row, b: Matrix, inner, outer) -> tuple:
+    """One row against every column of `b`: entry j folds
+    inner(row[k], b[k, j]) over k with `outer`, from k = 0 up. The row
+    length must equal the row count of `b`."""
+    cells, cols = b.entries, b.cols
+    return tuple(reduce(outer, map(inner, row, cells[j::cols]))
+                 for j in range(cols))
+
+
+def _product(a: Matrix, b: Matrix, what, op, policy, domain) -> Matrix:
+    _require_inner(a, b, what)
+    inner, outer = operators(op, policy)
+    cells = []
+    for i in range(a.rows):
+        cells.extend(fold_row(a.row(i), b, inner, outer))
+    return Matrix(a.rows, b.cols, cells, domain)
+
+
 def maxmin_compose(p: Matrix, q: Matrix,
                    policy=OrderPolicy.BOOK_DEFAULT) -> Matrix:
     """r_ij = max over k of min(p_ik, q_kj)."""
-    _require_inner(p, q, "max-min composition")
-    cells = []
-    for i in range(p.rows):
-        prow = p.row(i)
-        for j in range(q.cols):
-            acc = scalar_min(prow[0], q.at(0, j), policy)
-            for k in range(1, p.cols):
-                acc = scalar_max(acc, scalar_min(prow[k], q.at(k, j), policy),
-                                 policy)
-            cells.append(acc)
-    return Matrix(p.rows, q.cols, cells, domain_join(p.domain, q.domain))
+    return _product(p, q, "max-min composition", "maxmin", policy,
+                    domain_join(p.domain, q.domain))
 
 
 def minmax_compose(p: Matrix, q: Matrix,
                    policy=OrderPolicy.BOOK_DEFAULT) -> Matrix:
     """c_ij = min over k of max(p_ik, q_kj)."""
-    _require_inner(p, q, "min-max composition")
-    cells = []
-    for i in range(p.rows):
-        prow = p.row(i)
-        for j in range(q.cols):
-            acc = scalar_max(prow[0], q.at(0, j), policy)
-            for k in range(1, p.cols):
-                acc = scalar_min(acc, scalar_max(prow[k], q.at(k, j), policy),
-                                 policy)
-            cells.append(acc)
-    return Matrix(p.rows, q.cols, cells, domain_join(p.domain, q.domain))
+    return _product(p, q, "min-max composition", "minmax", policy,
+                    domain_join(p.domain, q.domain))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Ordinary row-by-column product. The output carries no domain
     constraint: products routinely escape the input domains."""
-    _require_inner(a, b, "product")
-    cells = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        for j in range(b.cols):
-            acc = scalar_mul(arow[0], b.at(0, j))
-            for k in range(1, a.cols):
-                acc = scalar_add(acc, scalar_mul(arow[k], b.at(k, j)))
-            cells.append(acc)
-    return Matrix(a.rows, b.cols, cells, ValueDomain.ANY)
+    return _product(a, b, "product", "circle", None, ValueDomain.ANY)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -214,10 +227,3 @@ def transpose(a: Matrix) -> Matrix:
     cells = [a.at(i, j) for j in range(a.cols) for i in range(a.rows)]
     return Matrix(a.cols, a.rows, cells, a.domain)
 
-
-def vec_mat_maxmin(x: Matrix, a: Matrix,
-                   policy=OrderPolicy.BOOK_DEFAULT) -> Matrix:
-    """Max-min composition specialized to a 1xn row against an nxm matrix."""
-    if x.rows != 1:
-        raise ShapeMismatch(f"expected a row vector, got {x.rows}x{x.cols}")
-    return maxmin_compose(x, a, policy)

@@ -12,23 +12,17 @@ import enum
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import (
-    ClassViolation,
-    InvalidInput,
-    NonzeroDiagonal,
-    WrongEntryPoint,
-)
+from .errors import ClassViolation, NonzeroDiagonal, WrongEntryPoint
 from .dynamics import run_cm, run_mixed, run_rm
 from .matrices import Matrix, mat_add
 from .special import (
     CM,
-    DOMAIN_SIDE,
     RM,
     SpecialMatrix,
     SpecialStateVector,
     make_special,
 )
-from .values import ONE, ValueDomain, ZERO, _ancestors
+from .values import ValueDomain, ZERO, _ancestors
 
 
 class ModelClass(enum.Enum):
@@ -68,8 +62,6 @@ _CM_CLASSES = frozenset({ModelClass.SFCM, ModelClass.SMFCM, ModelClass.SNCM,
                          ModelClass.SMNCM, ModelClass.SFNCM})
 _RM_CLASSES = frozenset({ModelClass.SFRM, ModelClass.SMFRM, ModelClass.SNRM,
                          ModelClass.SMNRM, ModelClass.SFNRM})
-_MIX_CLASSES = frozenset({ModelClass.SMFCFRM, ModelClass.SMNCNRM,
-                          ModelClass.SMFCRNCRM, ModelClass.SSHM})
 
 
 @dataclass(frozen=True)
@@ -295,44 +287,14 @@ def combine_maps(matrices) -> Matrix:
     return reduce(mat_add, mats)
 
 
-def validate_input(model: Model, x: SpecialStateVector) -> list:
-    """Diagnostics for an initial vector against a model: component count,
-    per-side lengths, crisp {0,1} entries. Empty list means ok."""
-    out = []
-    if len(x) != len(model.matrix):
-        out.append(f"input has {len(x)} parts, model has "
-                   f"{len(model.matrix)} components")
-        return out
-    for idx, ((mat, tag), part) in enumerate(zip(model.matrix, x.parts)):
-        where = f"component {idx + 1}"
-        if tag.kind == CM:
-            if x.side != DOMAIN_SIDE:
-                out.append(f"{where}: square component has no "
-                           f"{x.side} space")
-            expected = mat.rows
-        else:
-            expected = mat.rows if x.side == DOMAIN_SIDE else mat.cols
-        if len(part) != expected:
-            out.append(f"{where}: input length {len(part)} does not match "
-                       f"the {x.side} space of {mat.rows}x{mat.cols}")
-            continue
-        for coord, value in enumerate(part):
-            if value != ZERO and value != ONE:
-                out.append(f"{where}, coordinate {coord + 1}: non-crisp "
-                           f"input {value}; entries must be 0 or 1")
-    return out
-
-
 def run(model: Model, x0: SpecialStateVector, *, op=None, policy=None,
         threshold_k=0.0, max_steps=None):
-    """Dispatch a validated model to the matching engine."""
+    """Dispatch a validated model to the matching engine, which validates
+    the seed (dynamics.validate_input)."""
     if model.model_class in FRE_CLASSES:
         raise WrongEntryPoint(
             f"{model.model_class.value} describes relational equations; "
             f"solve it with the fre module, not a dynamical run")
-    problems = validate_input(model, x0)
-    if problems:
-        raise InvalidInput("; ".join(problems))
     kwargs = {"op": op, "threshold_k": threshold_k}
     if policy is not None:
         kwargs["policy"] = policy

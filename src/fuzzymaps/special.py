@@ -16,17 +16,8 @@ from .errors import (
     NonSquareCM,
     ShapeMismatch,
 )
-from .matrices import Matrix, transpose
-from .values import (
-    OrderPolicy,
-    Scalar,
-    coerce,
-    render_scalar,
-    scalar_add,
-    scalar_max,
-    scalar_min,
-    scalar_mul,
-)
+from .matrices import Matrix, fold_row, operators, transpose
+from .values import OrderPolicy, coerce, render_scalar
 
 CM = "CM"    # square component iterated against itself
 RM = "RM"    # rectangular component alternated with its transpose
@@ -144,8 +135,9 @@ def classify(m: SpecialMatrix) -> str:
 
 class SpecialStateVector:
     """One state part per component, plus which space (domain or range)
-    the parts currently address. Only RM components distinguish the two
-    spaces; for CM components the single node space doubles as both."""
+    the parts currently address. Only RM components have both spaces; a
+    CM component has a single node space, which is its domain, so a
+    run seeds it on the domain side only."""
 
     __slots__ = ("parts", "side")
 
@@ -188,11 +180,6 @@ def make_state(parts, side=DOMAIN_SIDE) -> SpecialStateVector:
     return SpecialStateVector(parts, side)
 
 
-def plain_transpose(m: SpecialMatrix) -> SpecialMatrix:
-    """Transpose every component; tags are preserved."""
-    return SpecialMatrix([(transpose(mat), tag) for mat, tag in m])
-
-
 def special_transpose(m: SpecialMatrix) -> SpecialMatrix:
     """Transpose only the rectangular components; squares pass through.
 
@@ -205,38 +192,6 @@ def special_transpose(m: SpecialMatrix) -> SpecialMatrix:
     ])
 
 
-def _apply_circle(part, mat: Matrix):
-    out = []
-    for j in range(mat.cols):
-        acc = scalar_mul(part[0], mat.at(0, j))
-        for k in range(1, mat.rows):
-            acc = scalar_add(acc, scalar_mul(part[k], mat.at(k, j)))
-        out.append(acc)
-    return tuple(out)
-
-
-def _apply_maxmin(part, mat: Matrix, policy):
-    out = []
-    for j in range(mat.cols):
-        acc = scalar_min(part[0], mat.at(0, j), policy)
-        for k in range(1, mat.rows):
-            acc = scalar_max(acc, scalar_min(part[k], mat.at(k, j), policy),
-                             policy)
-        out.append(acc)
-    return tuple(out)
-
-
-def _apply_minmax(part, mat: Matrix, policy):
-    out = []
-    for j in range(mat.cols):
-        acc = scalar_max(part[0], mat.at(0, j), policy)
-        for k in range(1, mat.rows):
-            acc = scalar_min(acc, scalar_max(part[k], mat.at(k, j), policy),
-                             policy)
-        out.append(acc)
-    return tuple(out)
-
-
 def apply_part(part, mat: Matrix, op: str,
                policy=OrderPolicy.BOOK_DEFAULT):
     """Apply one state part against one matrix with the given operator.
@@ -245,13 +200,7 @@ def apply_part(part, mat: Matrix, op: str,
     if len(part) != mat.rows:
         raise ShapeMismatch(
             f"state length {len(part)} does not match {mat.rows}x{mat.cols}")
-    if op == "circle":
-        return _apply_circle(part, mat)
-    if op == "maxmin":
-        return _apply_maxmin(part, mat, policy)
-    if op == "minmax":
-        return _apply_minmax(part, mat, policy)
-    raise ValueError(f"unknown component op {op!r}")
+    return fold_row(part, mat, *operators(op, policy))
 
 
 def _result_side(x: SpecialStateVector, m: SpecialMatrix) -> str:
@@ -260,34 +209,19 @@ def _result_side(x: SpecialStateVector, m: SpecialMatrix) -> str:
     return x.side
 
 
-def special_apply(x: SpecialStateVector, m: SpecialMatrix, op: str,
+def special_apply(x: SpecialStateVector, m: SpecialMatrix, op=None,
                   policy=OrderPolicy.BOOK_DEFAULT) -> SpecialStateVector:
-    """Componentwise application of every part against its matrix using one
-    shared operator. Returns the raw (un-thresholded) state union."""
-    if len(x) != len(m):
-        raise ComponentCountMismatch(
-            f"state has {len(x)} parts, union has {len(m)} components")
-    out = []
-    for idx, ((mat, _tag), part) in enumerate(zip(m, x.parts)):
-        try:
-            out.append(apply_part(part, mat, op, policy))
-        except ShapeMismatch as exc:
-            raise ShapeMismatch(f"component {idx + 1}: {exc}") from None
-    return SpecialStateVector(out, _result_side(x, m))
-
-
-def special_apply_mixed(x: SpecialStateVector, m: SpecialMatrix,
-                        policy=OrderPolicy.BOOK_DEFAULT
-                        ) -> SpecialStateVector:
-    """Componentwise application where each component uses its own tagged
-    operator (circle, maxmin, or minmax)."""
+    """Componentwise application of every part against its matrix, using
+    `op` for every component, or each component's tagged operator when
+    `op` is None. Returns the raw (un-thresholded) state union."""
     if len(x) != len(m):
         raise ComponentCountMismatch(
             f"state has {len(x)} parts, union has {len(m)} components")
     out = []
     for idx, ((mat, tag), part) in enumerate(zip(m, x.parts)):
         try:
-            out.append(apply_part(part, mat, tag.op, policy))
+            out.append(apply_part(
+                part, mat, tag.op if op is None else op, policy))
         except ShapeMismatch as exc:
             raise ShapeMismatch(f"component {idx + 1}: {exc}") from None
     return SpecialStateVector(out, _result_side(x, m))

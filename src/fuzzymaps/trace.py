@@ -16,6 +16,7 @@ from .dynamics import (
     FixedPoint,
     HiddenPattern,
     LimitCycle,
+    Recurrence,
     describe_outcome,
 )
 from .errors import FuzzymapsError, ParseError
@@ -139,71 +140,76 @@ def parse_trace(text: str) -> dict:
         if not line:
             continue
         head, _, rest = line.partition(" ")
-        if head == "trace":
-            if rest.strip() != TRACE_VERSION:
-                raise TraceError(
-                    f"line {lineno}: unsupported trace version "
-                    f"{rest.strip()!r}")
-        elif head == "run":
-            fields = dict(_FIELD_RE.findall(rest))
-            side = fields.get("side")
-            if side not in ("domain", "range"):
-                raise TraceError(f"line {lineno}: bad or missing run side")
-        elif head == "component":
-            tokens = rest.split(None, 1)
-            idx = int(tokens[0]) - 1
-            fields = dict(_FIELD_RE.findall(tokens[1]))
-            if fields.get("kind") not in (CM, RM):
-                raise TraceError(f"line {lineno}: bad component kind")
-            kinds[idx] = fields["kind"]
-        elif head == "input":
-            tokens = rest.split(None, 1)
-            inputs[int(tokens[0]) - 1] = _parse_state(tokens[1].strip(),
-                                                      lineno)
-        elif head == "mask":
-            tokens = rest.split(None, 1)
-            body = tokens[1].strip()
-            if not (body.startswith("[") and body.endswith("]")):
-                raise TraceError(f"line {lineno}: bad mask")
-            coords = body[1:-1].split()
-            masks[int(tokens[0]) - 1] = tuple(int(c) - 1 for c in coords)
-        elif head == "step":
-            tokens = rest.split(None, 1)
-            fields = dict(_FIELD_RE.findall(tokens[1]))
-            steps.append({
-                "step": int(tokens[0]),
-                "component": int(fields["component"]) - 1,
-                "side": fields["side"],
-                "frozen": fields["frozen"] == "yes",
-                "raw": _parse_state(fields["raw"], lineno),
-                "thresholded": _parse_state(fields["thresholded"], lineno),
-                "updated": _parse_state(fields["updated"], lineno),
-            })
-        elif head == "final":
-            tokens = rest.split(None, 1)
-            idx = int(tokens[0]) - 1
-            fields = dict(_FIELD_RE.findall(tokens[1]))
-            shape = tokens[1].split()[0]
-            entry = {"shape": shape, "period": int(fields["period"]),
-                     "settled": int(fields["settled"])}
-            if shape == "fixed-point":
-                entry["state"] = _parse_state(fields["state"], lineno)
-            elif shape == "fixed-pair":
-                entry["domain"] = _parse_state(fields["domain"], lineno)
-                entry["range"] = _parse_state(fields["range"], lineno)
-            elif shape == "limit-cycle":
-                entry["states"] = _parse_states(fields["states"], lineno)
-            elif shape == "pair-cycle":
-                entry["domains"] = _parse_states(fields["domains"], lineno)
-                entry["ranges"] = _parse_states(fields["ranges"], lineno)
+        try:
+            if head == "trace":
+                if rest.strip() != TRACE_VERSION:
+                    raise TraceError(
+                        f"line {lineno}: unsupported trace version "
+                        f"{rest.strip()!r}")
+            elif head == "run":
+                fields = dict(_FIELD_RE.findall(rest))
+                side = fields.get("side")
+                if side not in ("domain", "range"):
+                    raise TraceError(f"line {lineno}: bad or missing run side")
+            elif head == "component":
+                tokens = rest.split(None, 1)
+                idx = int(tokens[0]) - 1
+                fields = dict(_FIELD_RE.findall(tokens[1]))
+                if fields.get("kind") not in (CM, RM):
+                    raise TraceError(f"line {lineno}: bad component kind")
+                kinds[idx] = fields["kind"]
+            elif head == "input":
+                tokens = rest.split(None, 1)
+                inputs[int(tokens[0]) - 1] = _parse_state(tokens[1].strip(),
+                                                          lineno)
+            elif head == "mask":
+                tokens = rest.split(None, 1)
+                body = tokens[1].strip()
+                if not (body.startswith("[") and body.endswith("]")):
+                    raise TraceError(f"line {lineno}: bad mask")
+                coords = body[1:-1].split()
+                masks[int(tokens[0]) - 1] = tuple(int(c) - 1 for c in coords)
+            elif head == "step":
+                tokens = rest.split(None, 1)
+                fields = dict(_FIELD_RE.findall(tokens[1]))
+                steps.append({
+                    "step": int(tokens[0]),
+                    "component": int(fields["component"]) - 1,
+                    "side": fields["side"],
+                    "frozen": fields["frozen"] == "yes",
+                    "raw": _parse_state(fields["raw"], lineno),
+                    "thresholded": _parse_state(fields["thresholded"], lineno),
+                    "updated": _parse_state(fields["updated"], lineno),
+                })
+            elif head == "final":
+                tokens = rest.split(None, 1)
+                idx = int(tokens[0]) - 1
+                fields = dict(_FIELD_RE.findall(tokens[1]))
+                shape = tokens[1].split()[0]
+                entry = {"shape": shape, "period": int(fields["period"]),
+                         "settled": int(fields["settled"])}
+                if shape == "fixed-point":
+                    entry["state"] = _parse_state(fields["state"], lineno)
+                elif shape == "fixed-pair":
+                    entry["domain"] = _parse_state(fields["domain"], lineno)
+                    entry["range"] = _parse_state(fields["range"], lineno)
+                elif shape == "limit-cycle":
+                    entry["states"] = _parse_states(fields["states"], lineno)
+                elif shape == "pair-cycle":
+                    entry["domains"] = _parse_states(fields["domains"], lineno)
+                    entry["ranges"] = _parse_states(fields["ranges"], lineno)
+                else:
+                    raise TraceError(f"line {lineno}: unknown final shape "
+                                     f"{shape!r}")
+                finals[idx] = entry
+            elif head == "end":
+                saw_end = True
             else:
-                raise TraceError(f"line {lineno}: unknown final shape "
-                                 f"{shape!r}")
-            finals[idx] = entry
-        elif head == "end":
-            saw_end = True
-        else:
-            raise TraceError(f"line {lineno}: unknown record {head!r}")
+                raise TraceError(f"line {lineno}: unknown record {head!r}")
+        except (ValueError, IndexError, KeyError):
+            # a missing field or token, or a number that does not parse
+            raise TraceError(
+                f"line {lineno}: malformed {head} record") from None
     if side is None:
         raise TraceError("trace has no run line")
     if not saw_end:
@@ -215,45 +221,36 @@ def parse_trace(text: str) -> dict:
 
 
 def _rebuild_outcome(kind, side, input_state, comp_steps):
-    """Re-detect one component's pattern from its recorded states."""
-    history = [input_state]
-    landing_steps = [0]
+    """Re-detect one component's pattern from its recorded states, with
+    the engine's own recurrence rule."""
+    recurrence = Recurrence(input_state)
+    landing_steps = [0]  # step of each state in recurrence.states
     opposite = {}
+    start = None
     for entry in comp_steps:
         if entry["frozen"]:
             continue
-        if entry["side"] == side:
-            history.append(entry["updated"])
-            landing_steps.append(entry["step"])
-        else:
+        if entry["side"] != side:
             opposite[entry["step"]] = entry["updated"]
-    seen = {history[0]: 0}
-    hit = None
-    for i in range(1, len(history)):
-        if history[i] in seen:
-            hit = (seen[history[i]], i)
+            continue
+        start = recurrence.add(entry["updated"])
+        if start is not None:
             break
-        seen[history[i]] = i
-    if hit is None:
+        landing_steps.append(entry["step"])
+    if start is None:
         raise TraceError("recorded states never recur; trace incomplete")
-    start, at = hit
-    cycle = history[start:at]
+    cycle = recurrence.states[start:]
     if kind == CM:
-        if len(cycle) == 1:
-            return FixedPoint(cycle[0])
-        return LimitCycle(tuple(cycle), len(cycle))
+        return Recurrence.outcome(cycle)
     pairs = []
-    for i in range(start, at):
-        partner_step = landing_steps[i] + 1
-        if partner_step not in opposite:
+    for state, step in zip(cycle, landing_steps[start:]):
+        partner = opposite.get(step + 1)
+        if partner is None:
             raise TraceError(
-                f"missing opposite-side state at step {partner_step}")
-        partner = opposite[partner_step]
-        pairs.append((history[i], partner) if side == "domain"
-                     else (partner, history[i]))
-    if len(pairs) == 1:
-        return FixedPoint(pairs[0])
-    return LimitCycle(tuple(pairs), len(pairs))
+                f"missing opposite-side state at step {step + 1}")
+        pairs.append((state, partner) if side == "domain"
+                     else (partner, state))
+    return Recurrence.outcome(pairs)
 
 
 def _recorded_outcome(entry):

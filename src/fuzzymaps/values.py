@@ -8,6 +8,7 @@ Scalar(3, 0) == Scalar(3) and hashes identically.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -358,7 +359,10 @@ _NUMBER_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 def _parse_number(text, original):
     if not _NUMBER_RE.match(text):
         raise ParseError(f"bad scalar {original!r}")
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ParseError(f"scalar {original!r} is out of range")
+    return value
 
 
 def _parse_coeff(coeff_txt, original):
@@ -372,7 +376,7 @@ def _parse_coeff(coeff_txt, original):
 def parse_scalar(text: str) -> Scalar:
     """Parse the scalar text syntax: `0.3`, `-1`, `I`, `2I`, `0.3+0.5I`,
     `7-I`, and the I-term-first form `7I-1`. Whitespace inside the token
-    is ignored."""
+    is ignored. A coefficient that overflows a float raises ParseError."""
     token = "".join(text.split())
     if not token:
         raise ParseError("empty scalar token")
@@ -400,7 +404,11 @@ def parse_scalar(text: str) -> Scalar:
 
 
 def _render_real(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
+    try:
+        integral = x == int(x)
+    except (OverflowError, ValueError):  # int() of inf or nan
+        raise DomainError(f"{x} is not a finite scalar") from None
+    if integral and abs(x) < 1e15:
         return str(int(x))
     return repr(x)
 
@@ -408,7 +416,7 @@ def _render_real(x: float) -> str:
 def render_scalar(x) -> str:
     """Canonical text form: integral values without a decimal point, pure
     multiples of I as `nI` (coefficient 1 rendered bare), mixed values as
-    `a+bI` / `a-bI`."""
+    `a+bI` / `a-bI`. An infinite or NaN coefficient raises DomainError."""
     x = coerce(x)
     a, b = x.real_part, x.indet_coeff
     if b == 0.0:

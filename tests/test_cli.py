@@ -157,6 +157,24 @@ def test_compose_mul_identity(tmp_path):
     assert proc.stdout == other.read_text()
 
 
+def test_compose_overflowing_entry_is_a_parse_error(tmp_path):
+    big = tmp_path / "big.txt"
+    big.write_text("1e400 0\n0 1\n")
+    proc = cli("compose", "--op", "add", big, big)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: line 1, col 1: scalar '1e400' is out "
+                           "of range\n")
+
+
+def test_compose_non_finite_result_is_a_validation_error(tmp_path):
+    big = tmp_path / "big.txt"
+    big.write_text("1e200 1e200\n1e200 1e200\n")
+    proc = cli("compose", "--op", "mul", big, big)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: inf is not a finite scalar\n"
+    assert proc.stdout == ""
+
+
 def test_compose_shape_mismatch():
     right = FIXTURES / "compose_pref_right.txt"
     proc = cli("compose", "--op", "maxmin", right, right)

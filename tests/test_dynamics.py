@@ -18,7 +18,6 @@ from fuzzymaps import (
     ComponentTag,
     FixedPoint,
     HiddenPattern,
-    InputMask,
     InvalidInput,
     IterationCapExceeded,
     LimitCycle,
@@ -26,11 +25,8 @@ from fuzzymaps import (
     ModeMismatch,
     NonCMComponent,
     NonRMComponent,
-    NotYet,
     Scalar,
-    ThresholdMode,
     ValueDomain,
-    detect_cycle,
     make_special,
     make_state,
     parse_scalar,
@@ -38,9 +34,9 @@ from fuzzymaps import (
     run_cm,
     run_mixed,
     run_rm,
-    threshold_update,
 )
 from fuzzymaps import dynamics
+from fuzzymaps.dynamics import Recurrence
 
 TRI = ValueDomain.TRI
 UNIT = ValueDomain.UNIT
@@ -70,55 +66,62 @@ def seed(*parts, side=DOMAIN_SIDE):
     return make_state([crisp(p) for p in parts], side=side)
 
 
-# ------------------------------------------------------------ threshold_update
+# ------------------------------------------------------------ cut and pin
 
 def test_threshold_update_pins_seeded_coordinates():
-    raw = make_state([[parse_scalar(t) for t in
-                       ("2I", "0", "0", "1", "1+I", "2I")]])
-    mask = InputMask(DOMAIN_SIDE, ((1, 3, 5),))
-    got = threshold_update(raw, mask, ThresholdMode.neutrosophic(0.0))
-    assert got.parts[0] == tuple(parse_scalar(t) for t in
-                                 ("I", "1", "0", "1", "I", "1"))
+    # neutrosophic square seeded at nodes 1 and 2: the raw pass gives
+    # [I 0 1+I 1]; the cut maps I and the tied 1+I to I, and the pin puts
+    # the seeded nodes back to 1 over an I and a 0
+    m = make_special([(ntri([[0, 0, 1, 1], ["I", 0, "I", 0],
+                             [0, 0, 0, 0], [0, 0, 0, 0]]),
+                       ComponentTag(algebra="neutrosophic"))])
+    got = run_cm(m, seed([1, 1, 0, 0]))
+    first = got.trace[0]
+    assert first.raw.parts[0] == tuple(parse_scalar(t) for t in
+                                       ("I", "0", "1+I", "1"))
+    assert first.thresholded.parts[0] == tuple(parse_scalar(t) for t in
+                                               ("I", "0", "I", "1"))
+    assert first.updated.parts[0] == tuple(parse_scalar(t) for t in
+                                           ("1", "1", "I", "1"))
 
 
 def test_threshold_update_skips_other_side():
-    raw = make_state([[Scalar(-1), Scalar(2)]], side=RANGE_SIDE)
-    mask = InputMask(DOMAIN_SIDE, ((0,),))
-    got = threshold_update(raw, mask, ThresholdMode.fuzzy(0.0))
-    # mask sits on the domain side, raw landed on the range side: no pin
-    assert got.parts[0] == crisp([0, 1])
+    # domain seed at coordinate 1; the range landing cuts its coordinate 1
+    # to 0 and stays unpinned, the domain landing after it is pinned
+    m = make_special([(tri([[-1, -1, 0], [0, 1, 1]]), ComponentTag(kind=RM))])
+    got = run_rm(m, seed([1, 0]))
+    to_range, to_domain = got.trace[0], got.trace[1]
+    assert to_range.side == RANGE_SIDE
+    assert to_range.thresholded.parts[0] == crisp([0, 0, 0])
+    assert to_range.updated.parts[0] == crisp([0, 0, 0])
+    assert to_domain.thresholded.parts[0] == crisp([0, 0])
+    assert to_domain.updated.parts[0] == crisp([1, 0])
+    assert got.outcomes[0] == FixedPoint((crisp([1, 0]), crisp([0, 0, 0])))
 
 
-def test_threshold_update_passthrough_mode():
-    raw = make_state([[Scalar(0.4), Scalar(2)]])
-    mask = InputMask(DOMAIN_SIDE, ((0,),))
-    got = threshold_update(raw, mask, None)
-    assert got.parts[0] == (Scalar(0.4), Scalar(2))
+# ------------------------------------------------------------- recurrence
 
+def first_pattern(history):
+    """Feed `history` to the recurrence rule in order; the pattern of the
+    first recurrence, or None while every state is new."""
+    recurrence = Recurrence(history[0])
+    for state in history[1:]:
+        start = recurrence.add(state)
+        if start is not None:
+            return Recurrence.outcome(recurrence.states[start:])
+    return None
 
-def test_threshold_update_rejects_bad_mask():
-    from fuzzymaps import ShapeMismatch
-    raw = make_state([[Scalar(1), Scalar(0)]])
-    with pytest.raises(ShapeMismatch):
-        threshold_update(raw, InputMask(DOMAIN_SIDE, ((5,),)),
-                         ThresholdMode.fuzzy(0.0))
-    with pytest.raises(ShapeMismatch):
-        threshold_update(raw, InputMask(DOMAIN_SIDE, ((0,), (1,))),
-                         ThresholdMode.fuzzy(0.0))
-
-
-# -------------------------------------------------------------- detect_cycle
 
 def test_detect_cycle_fixed_point():
     a, b = (Scalar(0),), (Scalar(1),)
-    assert detect_cycle([a, b, b]) == FixedPoint(b)
-    assert detect_cycle([a]) is NotYet
-    assert detect_cycle([a, b]) is NotYet
+    assert first_pattern([a, b, b]) == FixedPoint(b)
+    assert first_pattern([a]) is None
+    assert first_pattern([a, b]) is None
 
 
 def test_detect_cycle_period_two():
     a, b = (Scalar(0),), (Scalar(1),)
-    got = detect_cycle([a, b, a])
+    got = first_pattern([a, b, a])
     assert isinstance(got, LimitCycle)
     assert got.period == 2
     assert got.states == (a, b)
@@ -126,14 +129,9 @@ def test_detect_cycle_period_two():
 
 def test_detect_cycle_with_transient_prefix():
     a, b, c = (Scalar(0),), (Scalar(1),), (Scalar(0.5),)
-    got = detect_cycle([c, a, b, a])
+    got = first_pattern([c, a, b, a])
     assert got.period == 2
     assert got.states == (a, b)
-
-
-def test_detect_cycle_empty_history():
-    with pytest.raises(ValueError):
-        detect_cycle([])
 
 
 # --------------------------------------------------- single square signed map
@@ -501,6 +499,23 @@ def test_run_rejects_non_crisp_input():
                                Scalar(0), Scalar(0)]]))
 
 
+def test_run_mixed_rejects_range_seed_on_square_component():
+    m = make_special([(A_SQ, ComponentTag()),
+                      (B_RECT, ComponentTag(kind=RM))])
+    x = seed([0, 1, 0, 0, 1], [1, 0, 0, 1], side=RANGE_SIDE)
+    with pytest.raises(InvalidInput, match="component 1: square component "
+                                           "has no range space"):
+        run_mixed(m, x)
+
+
+def test_run_cm_rejects_wrong_length_or_count_with_invalid_input():
+    m = make_special([(A_SQ, ComponentTag())])
+    with pytest.raises(InvalidInput, match="input length 3"):
+        run_cm(m, seed([1, 0, 0]))
+    with pytest.raises(InvalidInput, match="input has 2 parts"):
+        run_cm(m, seed([0, 1, 0, 0, 1], [0, 1, 0, 0, 1]))
+
+
 def test_run_cm_rejects_rm_components():
     m = make_special([(B_RECT, ComponentTag(kind=RM))])
     with pytest.raises(NonCMComponent):
@@ -597,12 +612,15 @@ def _assert_same_run(fast, ref, special, k):
 
 @st.composite
 def tri_runs(draw):
-    """A union of 1-3 CM/RM components of 1-12 nodes over {-1, 0, 1},
-    a crisp seed on either side, a cut constant and a small step cap."""
+    """A union of 1-3 components of 1-12 nodes over {-1, 0, 1} (CM or RM
+    on the domain side, RM on the range side), a crisp seed, a cut
+    constant and a small step cap."""
     side = draw(st.sampled_from([DOMAIN_SIDE, RANGE_SIDE]))
     comps, parts = [], []
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from([CM, RM]))
+        # square components take domain-side seeds only
+        kind = draw(st.sampled_from([CM, RM] if side == DOMAIN_SIDE
+                                    else [RM]))
         rows = draw(st.integers(1, 12))
         cols = rows if kind == CM else draw(st.integers(1, 12))
         weights = draw(st.lists(st.sampled_from([-1, 0, 0, 1]),

@@ -24,7 +24,6 @@ from fuzzymaps import (
     parse_scalar,
     row_vector,
     transpose,
-    vec_mat_maxmin,
     zeros,
 )
 
@@ -164,15 +163,10 @@ def test_vec_mat_maxmin_expertise_scores():
               [0.7, 0, 1, 0.2, 0.6, 1, 0],
               [0.6, 0.8, 0.6, 0.3, 1, 0.2, 0.3]])
     m = row_vector([Scalar(v) for v in (1, 0, 0, 1, 0, 1, 1)], domain=UNIT)
-    back = vec_mat_maxmin(m, transpose(a))
+    back = maxmin_compose(m, transpose(a))
     assert [c.real_part for c in back.row(0)] == [0.8, 0.7, 1, 1, 0.6]
-    fwd = vec_mat_maxmin(back, a)
+    fwd = maxmin_compose(back, a)
     assert [c.real_part for c in fwd.row(0)] == [1, 0.7, 1, 1, 0.8, 1, 1]
-
-
-def test_vec_mat_maxmin_requires_row_vector():
-    with pytest.raises(ShapeMismatch):
-        vec_mat_maxmin(unit([[0.5], [0.5]]), unit([[0.5, 0.5]]))
 
 
 # ------------------------------------------------------------------ transpose

@@ -251,29 +251,32 @@ def test_validate_input_diagnostics():
                         [(F_SQ, CIRCLE_CM), (F_RECT, CIRCLE_RM)])
     ok = make_state([(Scalar(1), Scalar(0), Scalar(0)),
                      (Scalar(0), Scalar(1))])
-    assert validate_input(model, ok) == []
+    assert validate_input(model.matrix, ok) == []
     short = make_state([(Scalar(1), Scalar(0), Scalar(0))])
-    assert "2 components" in validate_input(model, short)[0]
+    assert "2 components" in validate_input(model.matrix, short)[0]
     wrong_len = make_state([(Scalar(1), Scalar(0)), (Scalar(0), Scalar(1))])
-    assert "component 1" in validate_input(model, wrong_len)[0]
+    assert "component 1" in validate_input(model.matrix, wrong_len)[0]
     fuzzy_entry = make_state([(Scalar(1), Scalar(0.4), Scalar(0)),
                               (Scalar(0), Scalar(1))])
-    problems = validate_input(model, fuzzy_entry)
+    problems = validate_input(model.matrix, fuzzy_entry)
     assert any("coordinate 2" in p for p in problems)
 
 
 def test_validate_input_square_has_no_range_space():
     model = build_model(ModelClass.SFCM, [(F_SQ, CIRCLE_CM)])
     x = make_state([(Scalar(1), Scalar(0), Scalar(0))], side=RANGE_SIDE)
-    problems = validate_input(model, x)
+    problems = validate_input(model.matrix, x)
     assert any("no range space" in p for p in problems)
     with pytest.raises(InvalidInput):
         run(model, x)
+    # the bare engine applies the same validator
+    with pytest.raises(InvalidInput):
+        run_cm(model.matrix, x)
 
 
 def test_range_side_input_lengths_use_columns():
     model = build_model(ModelClass.SFRM, [(F_RECT, CIRCLE_RM)])
     x = make_state([(Scalar(1), Scalar(0), Scalar(0))], side=RANGE_SIDE)
-    assert validate_input(model, x) == []
+    assert validate_input(model.matrix, x) == []
     pattern = run(model, x)
     assert pattern.side == RANGE_SIDE

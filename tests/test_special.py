@@ -4,6 +4,7 @@ import pytest
 
 from fuzzymaps import (
     CM,
+    I,
     ComponentCountMismatch,
     DOMAIN_SIDE,
     RANGE_SIDE,
@@ -18,14 +19,17 @@ from fuzzymaps import (
     ValueDomain,
     make_special,
     make_state,
+    mat_mul,
+    maxmin_compose,
+    minmax_compose,
     other_side,
     parse_scalar,
-    plain_transpose,
     render_part,
+    row_vector,
     special_apply,
-    special_apply_mixed,
     special_transpose,
 )
+from fuzzymaps.special import apply_part
 
 TRI = ValueDomain.TRI
 UNIT = ValueDomain.UNIT
@@ -112,19 +116,6 @@ def test_classification_table():
 
 # ------------------------------------------------------------------ transpose
 
-def test_plain_transpose_each_slot():
-    s = make_special([(sq(3), ComponentTag()),
-                      (rect(7, 2), ComponentTag(kind=RM)),
-                      (sq(4), ComponentTag()),
-                      (rect(3, 6), ComponentTag(kind=RM)),
-                      (rect(6, 5), ComponentTag(kind=RM))])
-    t = plain_transpose(s)
-    assert [m.shape for m in t.matrices] == [(3, 3), (2, 7), (4, 4), (6, 3),
-                                             (5, 6)]
-    # tags ride along unchanged
-    assert [g.kind for g in t.tags] == [CM, RM, CM, RM, RM]
-
-
 def test_special_transpose_matches_plain_for_shapes():
     s = make_special([(rect(2, 3), ComponentTag(kind=RM)),
                       (rect(4, 1), ComponentTag(kind=RM))])
@@ -197,7 +188,8 @@ def test_union_slots_do_not_interact():
 
 
 def test_special_apply_mixed_one_step():
-    # one circle square, one maxmin membership square - levels stay raw
+    # no op: each component uses its tagged operator - one circle square,
+    # one maxmin membership square whose levels stay raw
     c = tri([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     m = Matrix.from_rows(
         [[Scalar(v) for v in row]
@@ -207,7 +199,18 @@ def test_special_apply_mixed_one_step():
                       (m, ComponentTag(op="maxmin"))])
     x = make_state([[Scalar(1), Scalar(0), Scalar(0)],
                     [Scalar(0.5), Scalar(1), Scalar(0)]])
-    y = special_apply_mixed(x, s)
+    y = special_apply(x, s)
     assert y.parts[0] == (Scalar(0), Scalar(1), Scalar(0))
     # maxmin row: max(min(.5,.2),min(1,.8),min(0,.3)) etc.
     assert y.parts[1] == (Scalar(0.8), Scalar(0.5), Scalar(0.5))
+
+
+@pytest.mark.parametrize("op, product", [("circle", mat_mul),
+                                         ("maxmin", maxmin_compose),
+                                         ("minmax", minmax_compose)])
+def test_apply_part_is_one_row_of_the_product(op, product):
+    m = Matrix.from_rows([[Scalar(0.2), I, Scalar(1), Scalar(0)],
+                          [Scalar(0.7), Scalar(0.4), I, Scalar(1)],
+                          [Scalar(0), Scalar(0.9), Scalar(0.3), I]])
+    part = (Scalar(0.5), I, Scalar(1))
+    assert apply_part(part, m, op) == product(row_vector(part), m).row(0)

@@ -3,16 +3,27 @@
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzymaps import (
+    CM,
+    DOMAIN_SIDE,
+    I,
+    RANGE_SIDE,
+    RM,
+    ComponentTag,
     FixedPoint,
     LimitCycle,
+    Matrix,
     TraceError,
+    make_special,
+    make_state,
     parse_model_text,
     parse_trace,
     parse_vector_text,
     render_trace,
     run,
+    run_mixed,
     verify_trace,
 )
 
@@ -151,6 +162,29 @@ def test_parse_rejects_malformed_lines():
                               if not l.startswith("final")) + "\n")
 
 
+@pytest.mark.parametrize("prefix, edit", [
+    pytest.param("component 1 ",
+                 lambda l: l.replace("component 1", "component x"),
+                 id="component-index"),
+    pytest.param("component 1 ", lambda l: "component 1",
+                 id="component-no-fields"),
+    pytest.param("step 1 ", lambda l: l.replace(" side=domain", ""),
+                 id="step-no-side"),
+    pytest.param("step 1 ", lambda l: "step x", id="step-index"),
+    pytest.param("final 1 ", lambda l: "final 1", id="final-no-fields"),
+    pytest.param("final 1 ", lambda l: l.replace(" period=1", ""),
+                 id="final-no-period"),
+    pytest.param("input 1 ", lambda l: "input 1", id="input-no-state"),
+    pytest.param("mask 1 ", lambda l: "mask 1 [a]", id="mask-coordinate"),
+])
+def test_malformed_line_raises_trace_error_naming_it(prefix, edit):
+    lines = trace_of(*SQUARE).splitlines()
+    at = next(i for i, l in enumerate(lines) if l.startswith(prefix))
+    lines[at] = edit(lines[at])
+    with pytest.raises(TraceError, match=rf"^line {at + 1}: "):
+        parse_trace("\n".join(lines) + "\n")
+
+
 def test_trace_round_trip_preserves_step_data():
     mf, pattern = run_fixture(*LEVELS)
     text = render_trace(pattern, mf.model.matrix)
@@ -160,3 +194,46 @@ def test_trace_round_trip_preserves_step_data():
     assert first["thresholded"] == pattern.trace[0].thresholded.parts[0]
     assert first["updated"] == pattern.trace[0].updated.parts[0]
     assert not first["frozen"]
+
+
+# (algebra, operator) -> the entries a component of that kind draws from
+_ENTRIES = {
+    ("fuzzy", "circle"): [-1, 0, 0, 1],
+    ("neutrosophic", "circle"): [-1, 0, 0, 1, I],
+    ("fuzzy", "maxmin"): [0, 0.3, 0.6, 1],
+    ("fuzzy", "minmax"): [0, 0.3, 0.6, 1],
+    ("neutrosophic", "maxmin"): [0, 0.5, 1, I],
+}
+
+
+@st.composite
+def seeded_unions(draw):
+    """A union of 1-3 components of 1-5 nodes over every algebra/operator
+    pair, with a crisp seed on a valid side (CM or RM on the domain side,
+    RM on the range side) and a cut constant."""
+    side = draw(st.sampled_from([DOMAIN_SIDE, RANGE_SIDE]))
+    comps, parts = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from([CM, RM] if side == DOMAIN_SIDE
+                                    else [RM]))
+        algebra, op = draw(st.sampled_from(sorted(_ENTRIES)))
+        rows = draw(st.integers(1, 5))
+        cols = rows if kind == CM else draw(st.integers(1, 5))
+        entries = draw(st.lists(st.sampled_from(_ENTRIES[algebra, op]),
+                                min_size=rows * cols, max_size=rows * cols))
+        comps.append((Matrix(rows, cols, entries),
+                      ComponentTag(kind=kind, algebra=algebra, op=op)))
+        size = cols if kind == RM and side == RANGE_SIDE else rows
+        parts.append(draw(st.lists(st.sampled_from([0, 1]), min_size=size,
+                                   max_size=size)))
+    k = draw(st.sampled_from([-1, 0, 0.5, 1]))
+    return make_special(comps), make_state(parts, side=side), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeded_unions())
+def test_verify_trace_rederives_every_run(case):
+    special, x0, k = case
+    pattern = run_mixed(special, x0, threshold_k=k)
+    text = render_trace(pattern, special, threshold_k=k)
+    assert verify_trace(text) == pattern.outcomes

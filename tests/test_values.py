@@ -295,6 +295,20 @@ def test_parse_scalar_rejects_garbage():
             parse_scalar(bad)
 
 
+def test_parse_scalar_rejects_overflowing_literals():
+    for bad in ("1e400", "-1e400", "1e400I", "1+1e400I", "1e400I-1"):
+        with pytest.raises(ParseError, match="out of range"):
+            parse_scalar(bad)
+    assert parse_scalar("1e300") == Scalar(1e300)
+
+
+def test_render_scalar_rejects_non_finite_coefficients():
+    for bad in (Scalar(math.inf), Scalar(-math.inf), Scalar(math.nan),
+                Scalar(0, math.inf), Scalar(2, math.nan)):
+        with pytest.raises(DomainError, match="not a finite scalar"):
+            render_scalar(bad)
+
+
 def test_render_scalar_canonical():
     assert render_scalar(coerce(2)) == "2"
     assert render_scalar(coerce(0.5)) == "0.5"
