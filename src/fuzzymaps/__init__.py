@@ -85,6 +85,7 @@ from .dynamics import (
     IterationRecord,
     LimitCycle,
     describe_outcome,
+    outcome_shape,
     run_cm,
     run_mixed,
     run_rm,

@@ -141,29 +141,41 @@ class Recurrence:
 @dataclass(frozen=True)
 class IterationRecord:
     """One engine step: the raw union, its thresholded form, and the form
-    after pinning. `frozen` marks components that had already settled and
-    were carried unchanged through this step. `side` is where RM parts land
-    on this step (CM parts always sit on the seeded side)."""
+    after pinning, each a tuple of Scalar parts, one per component.
+    `frozen` marks components that had already settled and were carried
+    unchanged through this step. `side` is where RM parts land on this
+    step (CM parts always sit on the seeded side)."""
 
     step: int
     side: str
-    raw: SpecialStateVector
-    thresholded: SpecialStateVector
-    updated: SpecialStateVector
+    raw: tuple
+    thresholded: tuple
+    updated: tuple
     frozen: tuple
 
 
 @dataclass(frozen=True)
 class HiddenPattern:
-    """Run result: one outcome per component plus the full trace."""
+    """Run result: one outcome per component plus the full trace. The
+    seeded side, step count and input mask derive from `input` and
+    `trace`."""
 
     outcomes: tuple
     trace: tuple
-    mask: InputMask
-    side: str
-    steps: int
     settled_steps: tuple
     input: SpecialStateVector
+
+    @property
+    def side(self) -> str:
+        return self.input.side
+
+    @property
+    def steps(self) -> int:
+        return len(self.trace)
+
+    @property
+    def mask(self) -> InputMask:
+        return InputMask.from_state(self.input)
 
     def describe(self) -> str:
         lines = []
@@ -172,26 +184,30 @@ class HiddenPattern:
         return "\n".join(lines)
 
 
+def outcome_shape(outcome):
+    """Name the shape of `outcome` - fixed-point, fixed-pair, limit-cycle
+    or pair-cycle - and return it with one full cycle of its states in
+    iteration order. A fixed point's cycle is its one state; an RM state
+    is a (domain, range) pair of tuples, where a CM state is a flat tuple
+    of scalars."""
+    fixed = isinstance(outcome, FixedPoint)
+    cycle = (outcome.state,) if fixed else outcome.states
+    if isinstance(cycle[0][0], tuple):
+        return ("fixed-pair" if fixed else "pair-cycle"), cycle
+    return ("fixed-point" if fixed else "limit-cycle"), cycle
+
+
 def describe_outcome(outcome) -> str:
+    shape, cycle = outcome_shape(outcome)
+    if "pair" in shape:
+        body = " -> ".join(f"domain={render_part(d)} range={render_part(r)}"
+                           for d, r in cycle)
+    else:
+        body = " -> ".join(map(render_part, cycle))
+    name = shape.replace("-", " ")
     if isinstance(outcome, FixedPoint):
-        if _is_pair(outcome.state):
-            d, r = outcome.state
-            return (f"fixed pair: domain={render_part(d)} "
-                    f"range={render_part(r)}")
-        return f"fixed point: {render_part(outcome.state)}"
-    if _is_pair(outcome.states[0]):
-        body = " -> ".join(
-            f"domain={render_part(d)} range={render_part(r)}"
-            for d, r in outcome.states)
-        return f"pair cycle (period {outcome.period}): {body}"
-    body = " -> ".join(render_part(s) for s in outcome.states)
-    return f"limit cycle (period {outcome.period}): {body}"
-
-
-def _is_pair(state):
-    # RM outcomes are (domain_tuple, range_tuple); CM states are flat
-    # tuples of scalars, so a tuple first element marks a pair.
-    return len(state) == 2 and isinstance(state[0], tuple)
+        return f"{name}: {body}"
+    return f"{name} (period {outcome.period}): {body}"
 
 
 def _threshold_part(part, mode):
@@ -496,32 +512,21 @@ def _run(m: SpecialMatrix, x0: SpecialStateVector, *, op=None,
         runs.append(_ComponentRun(idx, tag.kind, rule, x0.parts[idx],
                                   x0.side))
     records = []
-    steps_taken = 0
     for step in range(1, max_steps + 1):
         if all(r.frozen for r in runs):
             break
         frozen_before = tuple(r.frozen for r in runs)
-        raw_parts, thr_parts, upd_parts = [], [], []
-        for r in runs:
-            if r.frozen:
-                raw_parts.append(r.part)
-                thr_parts.append(r.part)
-                upd_parts.append(r.part)
-            else:
-                raw, thresholded, updated = r.step()
-                raw_parts.append(raw)
-                thr_parts.append(thresholded)
-                upd_parts.append(updated)
+        raw, thresholded, updated = zip(*[
+            (r.part,) * 3 if r.frozen else r.step() for r in runs])
         side = other_side(x0.side) if (has_rm and step % 2 == 1) else x0.side
         records.append(IterationRecord(
             step=step,
             side=side,
-            raw=SpecialStateVector(raw_parts, side),
-            thresholded=SpecialStateVector(thr_parts, side),
-            updated=SpecialStateVector(upd_parts, side),
+            raw=raw,
+            thresholded=thresholded,
+            updated=updated,
             frozen=frozen_before,
         ))
-        steps_taken = step
         for r in runs:
             if not r.frozen:
                 r.observe(step)
@@ -533,9 +538,6 @@ def _run(m: SpecialMatrix, x0: SpecialStateVector, *, op=None,
     return HiddenPattern(
         outcomes=tuple(r.outcome for r in runs),
         trace=tuple(records),
-        mask=mask,
-        side=x0.side,
-        steps=steps_taken,
         settled_steps=tuple(r.settled_step for r in runs),
         input=x0,
     )

@@ -93,17 +93,6 @@ def _parse_size(token, lineno):
 
 
 @dataclass(frozen=True)
-class _RawComponent:
-    tag: ComponentTag
-    rows: int
-    cols: int
-    grid: tuple
-    row_labels: tuple  # or None
-    col_labels: tuple  # or None
-    expert: str  # or None
-
-
-@dataclass(frozen=True)
 class ParsedStructure:
     """Model file contents before class validation, so callers can report
     every diagnostic instead of stopping at the first."""

@@ -177,6 +177,10 @@ def minimal_solutions_bruteforce(q: Matrix, r, grid_step: float = 0.1, *,
     """
     r = _as_row(r, what="r")
     FreProblem(q, r)
+    # grid enumeration is real-valued: the same entry check solve_max makes
+    r_vals = [_checked(v, neutrosophic=False).real_part for v in r.row(0)]
+    q_cols = [[_checked(q.at(j, k), neutrosophic=False).real_part
+               for j in range(q.rows)] for k in range(q.cols)]
     if not 0.0 < grid_step <= 1.0:
         raise DomainError(f"grid step {grid_step} is not in (0, 1]")
     steps = round(1.0 / grid_step)
@@ -189,15 +193,6 @@ def minimal_solutions_bruteforce(q: Matrix, r, grid_step: float = 0.1, *,
         raise BudgetExceeded(
             f"grid enumeration needs {cost} steps, budget is {budget}")
     grid = [i / steps for i in range(points)]
-    q_cols = [[coerce(q.at(j, k)).real_part for j in range(m)]
-              for k in range(q.cols)]
-    r_vals = []
-    for v in r.row(0):
-        v = coerce(v)
-        if v.indet_coeff != 0.0:
-            raise ModeMismatch(
-                f"indeterminate target {v}: grid enumeration is real-valued")
-        r_vals.append(v.real_part)
     solutions = []
     for p in itertools.product(grid, repeat=m):
         ok = True

@@ -13,11 +13,10 @@ from __future__ import annotations
 import re
 
 from .dynamics import (
-    FixedPoint,
     HiddenPattern,
-    LimitCycle,
     Recurrence,
     describe_outcome,
+    outcome_shape,
 )
 from .errors import FuzzymapsError, ParseError
 from .special import CM, RM, SpecialMatrix, render_part
@@ -31,8 +30,13 @@ class TraceError(FuzzymapsError):
     recorded outcome."""
 
 
-def _fmt_state(part) -> str:
-    return render_part(part)
+# the state fields of a final line, by outcome shape
+_FINAL_FIELDS = {
+    "fixed-point": ("state",),
+    "fixed-pair": ("domain", "range"),
+    "limit-cycle": ("states",),
+    "pair-cycle": ("domains", "ranges"),
+}
 
 
 def _fmt_states(parts) -> str:
@@ -67,7 +71,7 @@ def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
         body = " ".join(str(c + 1) for c in coords)
         out.append(f"mask {idx + 1} [{body}]")
     for idx, part in enumerate(pattern.input.parts):
-        out.append(f"input {idx + 1} {_fmt_state(part)}")
+        out.append(f"input {idx + 1} {render_part(part)}")
     for record in pattern.trace:
         for idx, (mat, tag) in enumerate(special):
             side = pattern.side if tag.kind == CM else record.side
@@ -75,32 +79,16 @@ def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
             out.append(
                 f"step {record.step} component={idx + 1} side={side} "
                 f"frozen={frozen} "
-                f"raw={_fmt_state(record.raw.parts[idx])} "
-                f"thresholded={_fmt_state(record.thresholded.parts[idx])} "
-                f"updated={_fmt_state(record.updated.parts[idx])}")
+                f"raw={render_part(record.raw[idx])} "
+                f"thresholded={render_part(record.thresholded[idx])} "
+                f"updated={render_part(record.updated[idx])}")
     for idx, outcome in enumerate(pattern.outcomes):
-        settled = pattern.settled_steps[idx]
-        if isinstance(outcome, FixedPoint):
-            if isinstance(outcome.state[0], tuple):
-                d, r = outcome.state
-                out.append(f"final {idx + 1} fixed-pair period=1 "
-                           f"settled={settled} domain={_fmt_state(d)} "
-                           f"range={_fmt_state(r)}")
-            else:
-                out.append(f"final {idx + 1} fixed-point period=1 "
-                           f"settled={settled} "
-                           f"state={_fmt_state(outcome.state)}")
-        else:
-            if isinstance(outcome.states[0][0], tuple):
-                ds = _fmt_states([s[0] for s in outcome.states])
-                rs = _fmt_states([s[1] for s in outcome.states])
-                out.append(f"final {idx + 1} pair-cycle "
-                           f"period={outcome.period} settled={settled} "
-                           f"domains={ds} ranges={rs}")
-            else:
-                out.append(f"final {idx + 1} limit-cycle "
-                           f"period={outcome.period} settled={settled} "
-                           f"states={_fmt_states(outcome.states)}")
+        shape, cycle = outcome_shape(outcome)
+        columns = zip(*cycle) if "pair" in shape else (cycle,)
+        states = " ".join(f"{field}={_fmt_states(column)}" for field, column
+                          in zip(_FINAL_FIELDS[shape], columns))
+        out.append(f"final {idx + 1} {shape} period={outcome.period} "
+                   f"settled={pattern.settled_steps[idx]} {states}")
     out.append("end")
     return "\n".join(out) + "\n"
 
@@ -186,22 +174,24 @@ def parse_trace(text: str) -> dict:
                 idx = int(tokens[0]) - 1
                 fields = dict(_FIELD_RE.findall(tokens[1]))
                 shape = tokens[1].split()[0]
-                entry = {"shape": shape, "period": int(fields["period"]),
-                         "settled": int(fields["settled"])}
-                if shape == "fixed-point":
-                    entry["state"] = _parse_state(fields["state"], lineno)
-                elif shape == "fixed-pair":
-                    entry["domain"] = _parse_state(fields["domain"], lineno)
-                    entry["range"] = _parse_state(fields["range"], lineno)
-                elif shape == "limit-cycle":
-                    entry["states"] = _parse_states(fields["states"], lineno)
-                elif shape == "pair-cycle":
-                    entry["domains"] = _parse_states(fields["domains"], lineno)
-                    entry["ranges"] = _parse_states(fields["ranges"], lineno)
-                else:
+                if shape not in _FINAL_FIELDS:
                     raise TraceError(f"line {lineno}: unknown final shape "
                                      f"{shape!r}")
-                finals[idx] = entry
+                columns = [_parse_states(fields[field], lineno)
+                           for field in _FINAL_FIELDS[shape]]
+                cycle = tuple(zip(*columns)) if "pair" in shape \
+                    else columns[0]
+                outcome = Recurrence.outcome(cycle)
+                period = int(fields["period"])
+                if outcome_shape(outcome)[0] != shape \
+                        or outcome.period != period \
+                        or len({len(c) for c in columns}) != 1:
+                    raise TraceError(
+                        f"line {lineno}: {shape} period={period} does not "
+                        f"fit its recorded states")
+                finals[idx] = {"shape": shape, "period": period,
+                               "settled": int(fields["settled"]),
+                               "outcome": outcome}
             elif head == "end":
                 saw_end = True
             else:
@@ -253,18 +243,6 @@ def _rebuild_outcome(kind, side, input_state, comp_steps):
     return Recurrence.outcome(pairs)
 
 
-def _recorded_outcome(entry):
-    shape = entry["shape"]
-    if shape == "fixed-point":
-        return FixedPoint(entry["state"])
-    if shape == "fixed-pair":
-        return FixedPoint((entry["domain"], entry["range"]))
-    if shape == "limit-cycle":
-        return LimitCycle(entry["states"], entry["period"])
-    return LimitCycle(tuple(zip(entry["domains"], entry["ranges"])),
-                      entry["period"])
-
-
 def verify_trace(text: str) -> tuple:
     """Re-derive every component's final pattern from the recorded step
     states and check it against the recorded finals. Returns the verified
@@ -276,7 +254,7 @@ def verify_trace(text: str) -> tuple:
         comp_steps.sort(key=lambda e: e["step"])
         rebuilt = _rebuild_outcome(data["kinds"][idx], data["side"],
                                    data["inputs"][idx], comp_steps)
-        recorded = _recorded_outcome(data["finals"][idx])
+        recorded = data["finals"][idx]["outcome"]
         if rebuilt != recorded:
             raise TraceError(
                 f"component {idx + 1}: recorded final "

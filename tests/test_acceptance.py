@@ -123,9 +123,9 @@ def test_criterion_05_shared_seed_saturates_within_three_steps():
     _, pattern = run_fixture("five_expert_shared_square.model",
                              "five_expert_shared_seed.vec")
     # combined activation levels before the cut, second pass, first expert
-    assert pattern.trace[1].raw.parts[0] == (3, 3, 2, 2, 1)
+    assert pattern.trace[1].raw[0] == (3, 3, 2, 2, 1)
     third = pattern.trace[2].updated
-    assert all(v == 1 for part in third.parts for v in part)
+    assert all(v == 1 for part in third for v in part)
     all_ones = FixedPoint((1, 1, 1, 1, 1))
     assert pattern.outcomes == (all_ones,) * 5
 

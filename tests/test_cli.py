@@ -229,6 +229,19 @@ def test_fre_zero_grid_step_is_a_validation_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_fre_minimal_rejects_indeterminate_matrix_entry(tmp_path):
+    q = tmp_path / "q.txt"
+    q.write_text("I\n0.1\n")
+    r = tmp_path / "r.txt"
+    r.write_text("0.3\n")
+    proc = cli("fre", "--matrix", q, "--target", r,
+               "--neutrosophic", "--minimal")
+    assert proc.returncode == 3
+    assert "solvable: yes" in proc.stdout
+    assert "minimal:" not in proc.stdout
+    assert proc.stderr.startswith("error: indeterminate value I")
+
+
 # ------------------------------------------------------------------ parsing
 
 def test_missing_required_arguments():

@@ -77,11 +77,11 @@ def test_threshold_update_pins_seeded_coordinates():
                        ComponentTag(algebra="neutrosophic"))])
     got = run_cm(m, seed([1, 1, 0, 0]))
     first = got.trace[0]
-    assert first.raw.parts[0] == tuple(parse_scalar(t) for t in
+    assert first.raw[0] == tuple(parse_scalar(t) for t in
                                        ("I", "0", "1+I", "1"))
-    assert first.thresholded.parts[0] == tuple(parse_scalar(t) for t in
+    assert first.thresholded[0] == tuple(parse_scalar(t) for t in
                                                ("I", "0", "I", "1"))
-    assert first.updated.parts[0] == tuple(parse_scalar(t) for t in
+    assert first.updated[0] == tuple(parse_scalar(t) for t in
                                            ("1", "1", "I", "1"))
 
 
@@ -92,10 +92,10 @@ def test_threshold_update_skips_other_side():
     got = run_rm(m, seed([1, 0]))
     to_range, to_domain = got.trace[0], got.trace[1]
     assert to_range.side == RANGE_SIDE
-    assert to_range.thresholded.parts[0] == crisp([0, 0, 0])
-    assert to_range.updated.parts[0] == crisp([0, 0, 0])
-    assert to_domain.thresholded.parts[0] == crisp([0, 0])
-    assert to_domain.updated.parts[0] == crisp([1, 0])
+    assert to_range.thresholded[0] == crisp([0, 0, 0])
+    assert to_range.updated[0] == crisp([0, 0, 0])
+    assert to_domain.thresholded[0] == crisp([0, 0])
+    assert to_domain.updated[0] == crisp([1, 0])
     assert got.outcomes[0] == FixedPoint((crisp([1, 0]), crisp([0, 0, 0])))
 
 
@@ -158,7 +158,7 @@ def test_square_map_three_node_seed():
     got = run_cm(m, seed([1, 0, 1, 0, 1]))
     # raw pass gives [1 -1 1 0 -1]; cut and re-pin keeps the seed
     assert got.outcomes[0] == FixedPoint(crisp([1, 0, 1, 0, 1]))
-    assert got.trace[0].raw.parts[0] == crisp([1, -1, 1, 0, -1])
+    assert got.trace[0].raw[0] == crisp([1, -1, 1, 0, -1])
 
 
 def test_all_zero_input_is_fixed():
@@ -171,7 +171,7 @@ def test_seeded_coordinates_stay_on_every_step():
     m = make_special([(A_SQ, ComponentTag())])
     got = run_cm(m, seed([0, 1, 0, 0, 1]))
     for rec in got.trace:
-        part = rec.updated.parts[0]
+        part = rec.updated[0]
         assert part[1] == Scalar(1)
         assert part[4] == Scalar(1)
 
@@ -244,16 +244,16 @@ def test_five_expert_union_intermediate_raws():
              [0, 1, 0, 0, 0], [0, 0, 1, 0, 0])
     got = run_cm(m, x)
     first = got.trace[0]
-    assert [p for p in first.raw.parts] == [
+    assert [p for p in first.raw] == [
         crisp([1, 0, 1, 1, 0]), crisp([0, 1, 1, 0, 1]),
         crisp([1, 0, 0, 1, 0]), crisp([-1, 0, 1, 0, 0]),
         crisp([0, 1, 0, -1, 0])]
-    assert [p for p in first.updated.parts] == [
+    assert [p for p in first.updated] == [
         crisp([1, 1, 1, 1, 0]), crisp([1, 1, 1, 0, 1]),
         crisp([1, 0, 1, 1, 0]), crisp([0, 1, 1, 0, 0]),
         crisp([0, 1, 1, 0, 0])]
     second = got.trace[1]
-    assert [p for p in second.raw.parts] == [
+    assert [p for p in second.raw] == [
         crisp([1, 2, 1, 0, 0]), crisp([-1, 1, 1, 0, 1]),
         crisp([1, 2, 0, 2, 1]), crisp([-1, 0, 1, 1, 0]),
         crisp([1, 1, -1, -1, 0])]
@@ -277,9 +277,9 @@ def test_shared_node_union_lights_everything():
     ones = FixedPoint(crisp([1, 1, 1, 1, 1]))
     assert all(out == ones for out in got.outcomes)
     # second raw pass on the first expert map: column sums over lit nodes
-    assert got.trace[1].raw.parts[0] == crisp([3, 3, 2, 2, 1])
+    assert got.trace[1].raw[0] == crisp([3, 3, 2, 2, 1])
     # every component reads all-ones by the third cut state
-    for part in got.trace[2].updated.parts:
+    for part in got.trace[2].updated:
         assert part == crisp([1, 1, 1, 1, 1])
 
 
@@ -370,14 +370,14 @@ def test_six_component_mixture_full_run():
              [0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1],
              [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0])
     got = run_mixed(m, x)
-    first = got.trace[0].updated.parts
+    first = got.trace[0].updated
     assert first[0] == crisp([1, 0, 0, 1, 1, 0, 0, 0])
     assert first[1] == crisp([1, 0, 1, 0, 1, 0])
     assert first[2] == crisp([0, 1, 0, 1, 0, 0, 0])
     assert first[3] == crisp([0, 0, 0, 1, 0])
     assert first[4] == crisp([0, 1, 0, 0])
     assert first[5] == crisp([1, 1, 0, 0])
-    second = got.trace[1].updated.parts
+    second = got.trace[1].updated
     assert second[0] == crisp([1, 0, 0, 1, 1, 1, 0, 0])
     assert second[1] == crisp([1, 0, 1, 1, 1, 0])
     assert second[2] == crisp([1, 1, 0, 1, 0, 0, 0])
@@ -430,27 +430,27 @@ def test_mixed_operator_first_steps():
     m = make_special(OPMIX_COMPONENTS)
     got = run_mixed(m, opmix_seed())
     first = got.trace[0]
-    assert first.raw.parts[0] == crisp([0, 1, -1, 0, 0])
-    assert first.raw.parts[1] == tuple(Scalar(v) for v in
+    assert first.raw[0] == crisp([0, 1, -1, 0, 0])
+    assert first.raw[1] == tuple(Scalar(v) for v in
                                        (0.3, 0.7, 0, 0.5, 0, 0.7))
-    assert first.raw.parts[2] == crisp([0, 1, 1, 0])
-    assert first.raw.parts[3] == tuple(Scalar(v) for v in
+    assert first.raw[2] == crisp([0, 1, 1, 0])
+    assert first.raw[3] == tuple(Scalar(v) for v in
                                        (0.9, 0.7, 0.6, 1, 0.7))
-    assert first.raw.parts[4] == crisp([0, 0, 1, 0, 1, 0, 1, 0, 0])
+    assert first.raw[4] == crisp([0, 0, 1, 0, 1, 0, 1, 0, 0])
     # only the circle components get cut and pinned
-    assert first.updated.parts[0] == crisp([1, 1, 0, 0, 0])
-    assert first.updated.parts[1] == first.raw.parts[1]
-    assert first.updated.parts[2] == crisp([0, 1, 1, 0])
-    assert first.updated.parts[3] == first.raw.parts[3]
-    assert first.updated.parts[4] == first.raw.parts[4]
+    assert first.updated[0] == crisp([1, 1, 0, 0, 0])
+    assert first.updated[1] == first.raw[1]
+    assert first.updated[2] == crisp([0, 1, 1, 0])
+    assert first.updated[3] == first.raw[3]
+    assert first.updated[4] == first.raw[4]
     second = got.trace[1]
-    assert second.raw.parts[1] == (Scalar(0), Scalar(0), Scalar(0.2))
-    assert second.raw.parts[2] == crisp([-1, 1, 1, 1, 1, 2])
-    assert second.updated.parts[2] == crisp([0, 1, 1, 1, 1, 1])
-    assert second.raw.parts[3] == tuple(Scalar(v) for v in
+    assert second.raw[1] == (Scalar(0), Scalar(0), Scalar(0.2))
+    assert second.raw[2] == crisp([-1, 1, 1, 1, 1, 2])
+    assert second.updated[2] == crisp([0, 1, 1, 1, 1, 1])
+    assert second.raw[3] == tuple(Scalar(v) for v in
                                         (0.9, 1, 0.9, 0.7, 1))
-    assert second.raw.parts[4] == crisp([2, 0, 0, 3, 1, 0])
-    assert second.updated.parts[4] == crisp([1, 0, 0, 1, 1, 0])
+    assert second.raw[4] == crisp([2, 0, 0, 3, 1, 0])
+    assert second.updated[4] == crisp([1, 0, 0, 1, 1, 0])
 
 
 def test_mixed_operator_outcomes():
@@ -484,8 +484,8 @@ def test_level_components_are_never_pinned():
     got = run_mixed(m, opmix_seed())
     # the maxmin square was seeded at coords 2 and 5 but its updated states
     # drift freely (0.7 at coord 2 on step two)
-    assert got.trace[1].updated.parts[3][1] == Scalar(1)
-    assert got.trace[2].updated.parts[3][1] == Scalar(0.7)
+    assert got.trace[1].updated[3][1] == Scalar(1)
+    assert got.trace[2].updated[3][1] == Scalar(0.7)
 
 
 # ------------------------------------------------------------------ validation
@@ -547,7 +547,7 @@ def test_op_override_replaces_tagged_operator():
     x = make_state([[Scalar(1), Scalar(0)]])
     got = run_cm(m, x, op="maxmin", max_steps=50)
     # maxmin pass keeps membership levels, so no 0/1 cutting happens
-    assert got.trace[0].raw.parts[0] == (Scalar(0), Scalar(0.9))
+    assert got.trace[0].raw[0] == (Scalar(0), Scalar(0.9))
 
 
 def test_unknown_op_override_rejected():
@@ -679,7 +679,7 @@ def test_circle_override_on_unit_maxmin_takes_the_scalar_path():
     assert not used
     _assert_same_run(fast, _reference(go), m, 0.0)
     # raw circle sums keep their membership levels before the cut
-    assert fast.trace[0].raw.parts[0] == crisp([0, 0.9, 0.3])
+    assert fast.trace[0].raw[0] == crisp([0, 0.9, 0.3])
 
 
 def test_fuzzy_tagged_indeterminate_entry_still_raises():

@@ -201,6 +201,19 @@ def test_minimal_solutions_reject_indeterminate_target():
         minimal_solutions_bruteforce(q, [parse_scalar("I")])
 
 
+@pytest.mark.parametrize("q, r, error", [
+    ([["I"], ["0.1"]], ["0.3"], ModeMismatch),
+    ([["1.5", "0.6"], ["0.4", "0.3"]], ["0.4", "0.3"], DomainError),
+    ([["0.9", "0.6"], ["0.4", "0.3"]], ["0.4", "2"], DomainError),
+])
+def test_minimal_solutions_check_every_entry(q, r, error):
+    # the same entry check as solve_max, on Q as well as r
+    q = Matrix.from_rows([[parse_scalar(v) for v in row] for row in q],
+                         domain=ValueDomain.ANY)
+    with pytest.raises(error):
+        minimal_solutions_bruteforce(q, [parse_scalar(v) for v in r])
+
+
 # ------------------------------------------------------ neutrosophic extension
 
 def test_extension_solves_pure_indeterminate_target():

@@ -143,6 +143,88 @@ def test_tampered_step_is_rejected():
         verify_trace(doctored)
 
 
+def _one_component(kind, rows, algebra="fuzzy"):
+    matrix = Matrix(len(rows), len(rows[0]), [v for row in rows for v in row])
+    return make_special([(matrix, ComponentTag(kind=kind, algebra=algebra))])
+
+
+# one run of each outcome shape: union, domain seed, describe() text and
+# trace final line of its single component
+OUTCOME_SHAPES = [
+    pytest.param(
+        _one_component(CM, [[0, -1], [1, 0]]), [0, 1],
+        "fixed point: [1 1]",
+        "final 1 fixed-point period=1 settled=2 state=[1 1]",
+        id="fixed-point"),
+    pytest.param(
+        _one_component(RM, [[0, -1], [-1, -1]]), [0, 1],
+        "fixed pair: domain=[0 1] range=[0 0]",
+        "final 1 fixed-pair period=1 settled=2 domain=[0 1] range=[0 0]",
+        id="fixed-pair"),
+    pytest.param(
+        _one_component(CM, [[0, 0, 1], [0, 0, -1], [0, 1, 0]]), [1, 0, 0],
+        "limit cycle (period 4): [1 0 0] -> [1 0 1] -> [1 1 1] -> [1 1 0]",
+        "final 1 limit-cycle period=4 settled=4 "
+        "states=[1 0 0]|[1 0 1]|[1 1 1]|[1 1 0]",
+        id="limit-cycle"),
+    pytest.param(
+        _one_component(RM, [[0, 0, 0, 0, 1, -1],
+                            [0, I, -1, 1, -1, I],
+                            [0, -1, 0, 1, I, I],
+                            [1, -1, I, 1, -1, 0],
+                            [1, 0, 1, 1, 1, -1]], algebra="neutrosophic"),
+        [0, 1, 0, 1, 1],
+        "pair cycle (period 2): domain=[0 1 I 1 1] range=[1 0 I 1 1 1] "
+        "-> domain=[0 1 1 1 1] range=[1 1 I 1 1 1]",
+        "final 1 pair-cycle period=2 settled=6 "
+        "domains=[0 1 I 1 1]|[0 1 1 1 1] ranges=[1 0 I 1 1 1]|[1 1 I 1 1 1]",
+        id="pair-cycle"),
+]
+
+
+@pytest.mark.parametrize("special, seed, described, final", OUTCOME_SHAPES)
+def test_each_outcome_shape_describes_renders_and_verifies(
+        special, seed, described, final):
+    pattern = run_mixed(special, make_state([seed]))
+    assert pattern.describe() == f"component 1: {described}"
+    text = render_trace(pattern, special)
+    assert final in text.splitlines()
+    assert parse_trace(text)["finals"][0]["outcome"] == pattern.outcomes[0]
+    assert verify_trace(text) == pattern.outcomes
+
+
+@pytest.mark.parametrize("special, seed, described, final", OUTCOME_SHAPES)
+def test_changed_final_period_is_rejected(special, seed, described, final):
+    text = render_trace(run_mixed(special, make_state([seed])), special)
+    period = final.split()[3]  # period=1, 2 or 4
+    for wrong in ("period=0", "period=3", "period=5"):
+        with pytest.raises(TraceError, match="does not fit"):
+            verify_trace(text.replace(final, final.replace(period, wrong)))
+
+
+@pytest.mark.parametrize("special, seed, described, final",
+                         OUTCOME_SHAPES[:2])
+def test_fixed_final_relabelled_as_cycle_is_rejected(
+        special, seed, described, final):
+    # one state recorded as a period-1 cycle is a fixed point, not a cycle
+    text = render_trace(run_mixed(special, make_state([seed])), special)
+    relabelled = final
+    for fixed, cycle in (("fixed-point", "limit-cycle"), ("state=", "states="),
+                         ("fixed-pair", "pair-cycle"), ("domain=", "domains="),
+                         ("range=", "ranges=")):
+        relabelled = relabelled.replace(fixed, cycle)
+    with pytest.raises(TraceError, match="does not fit"):
+        verify_trace(text.replace(final, relabelled))
+
+
+def test_pair_cycle_with_an_unpaired_state_is_rejected():
+    special, seed, _, final = OUTCOME_SHAPES[3].values
+    text = render_trace(run_mixed(special, make_state([seed])), special)
+    unpaired = final.replace(" ranges=", "|[0 1 I 1 1] ranges=")
+    with pytest.raises(TraceError, match="does not fit"):
+        verify_trace(text.replace(final, unpaired))
+
+
 def test_parse_rejects_malformed_lines():
     good = trace_of(*SQUARE)
     with pytest.raises(TraceError):
@@ -190,9 +272,9 @@ def test_trace_round_trip_preserves_step_data():
     text = render_trace(pattern, mf.model.matrix)
     data = parse_trace(text)
     first = data["steps"][0]
-    assert first["raw"] == pattern.trace[0].raw.parts[0]
-    assert first["thresholded"] == pattern.trace[0].thresholded.parts[0]
-    assert first["updated"] == pattern.trace[0].updated.parts[0]
+    assert first["raw"] == pattern.trace[0].raw[0]
+    assert first["thresholded"] == pattern.trace[0].thresholded[0]
+    assert first["updated"] == pattern.trace[0].updated[0]
     assert not first["frozen"]
 
 
