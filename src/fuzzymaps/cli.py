@@ -178,8 +178,7 @@ def cmd_fre(args) -> int:
             cols = " ".join(str(k + 1) for k in bad)
             print(f"necessary-condition: fails at column(s) {cols}")
     if args.minimal:
-        minimal = minimal_solutions_bruteforce(q, r,
-                                               grid_step=args.grid_step)
+        minimal = minimal_solutions_bruteforce(q, r)
         if minimal:
             for vec in minimal:
                 print("minimal: " +
@@ -235,10 +234,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="Q membership matrix file")
     p_fre.add_argument("--target", required=True,
                        help="target vector r file (one row)")
-    p_fre.add_argument("--grid-step", type=float, default=0.1,
-                       help="grid pitch for minimal-solution enumeration")
     p_fre.add_argument("--minimal", action="store_true",
-                       help="also enumerate minimal grid solutions")
+                       help="also print every minimal solution, exactly "
+                            "(real-valued inputs only)")
     p_fre.add_argument("--neutrosophic", action="store_true",
                        help="allow indeterminate memberships")
     p_fre.set_defaults(fn=cmd_fre)

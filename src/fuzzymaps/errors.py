@@ -69,7 +69,8 @@ class WrongEntryPoint(FuzzymapsError):
 
 
 class BudgetExceeded(FuzzymapsError):
-    """A brute-force enumeration would exceed the configured budget."""
+    """An enumeration (the covers behind the minimal solutions of a
+    relational equation) would exceed the configured budget."""
 
 
 class ParseError(FuzzymapsError):

@@ -3,8 +3,8 @@
 The maximum candidate is closed-form: sigma(q, r) = r when q > r else 1,
 and p-hat_j = min over k of sigma(q_jk, r_k). The system is solvable
 exactly when p-hat itself satisfies it, and then every solution sits below
-p-hat entrywise. Minimal solutions have no closed form here; a grid
-brute-force oracle stands in for them.
+p-hat entrywise. The minimal solutions are derived exactly from p-hat as
+the irredundant covers of the columns (real-valued inputs only).
 
 Indeterminate entries are an opt-in extension (`neutrosophic=True`):
 comparisons lift through the coefficient ordering on reals and pure
@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
+from math import prod
 
 from .errors import (
     BudgetExceeded,
@@ -81,13 +82,13 @@ def _gt(a: Scalar, b: Scalar) -> bool:
     return a != b and scalar_max(a, b) == a and scalar_min(a, b) == b
 
 
+def _sigma(q: Scalar, r: Scalar) -> Scalar:
+    return r if _gt(q, r) else ONE
+
+
 def sigma(q, r, *, neutrosophic: bool = False) -> Scalar:
     """The residuation kernel: r when q exceeds r, else 1."""
-    q = _checked(q, neutrosophic)
-    r = _checked(r, neutrosophic)
-    if _gt(q, r):
-        return r
-    return ONE
+    return _sigma(_checked(q, neutrosophic), _checked(r, neutrosophic))
 
 
 def _as_row(values, *, what: str) -> Matrix:
@@ -116,13 +117,8 @@ def solve_max(q: Matrix, r, *, neutrosophic: bool = False) -> FreSolution:
     r_vals = [_checked(v, neutrosophic) for v in r.row(0)]
     q_vals = [[_checked(q.at(j, k), neutrosophic) for k in range(q.cols)]
               for j in range(q.rows)]
-    p_hat = []
-    for j in range(q.rows):
-        best = ONE
-        for k in range(q.cols):
-            best = scalar_min(best, sigma(q_vals[j][k], r_vals[k],
-                                          neutrosophic=neutrosophic))
-        p_hat.append(best)
+    p_hat = [reduce(scalar_min, map(_sigma, row, r_vals), ONE)
+             for row in q_vals]
     p_row = row_vector(p_hat, domain=ValueDomain.ANY)
     residual = maxmin_compose(p_row, q)
     solvable = all(
@@ -167,55 +163,51 @@ def check_necessary(q: Matrix, r) -> bool:
     return not failing_columns(q, r)
 
 
-def minimal_solutions_bruteforce(q: Matrix, r, grid_step: float = 0.1, *,
+def minimal_solutions_bruteforce(q: Matrix, r, *,
                                  budget: int = 5_000_000) -> tuple:
-    """Oracle-grade enumeration of minimal grid solutions.
+    """Every minimal solution, exactly, derived from p-hat (Sanchez 1976).
 
-    Walks every vector on the grid {0, grid_step, ..., 1}^m, keeps those
-    solving the system, and filters to the entrywise-minimal ones. The
-    work bound m*(points**m) must stay within `budget`.
+    Each column k with r_k > 0 must be reached by some j in
+    J_k = {j : min(p-hat_j, q_jk) = r_k}. One choice of j per column (a
+    cover) gives a candidate holding at j the largest r_k assigned to j
+    and 0 elsewhere; the entrywise-minimal candidates are the minimal
+    solutions. The number of covers, the product of the |J_k|, must stay
+    within `budget`. Real-valued only: an indeterminate entry raises
+    ModeMismatch.
     """
     r = _as_row(r, what="r")
-    FreProblem(q, r)
-    # grid enumeration is real-valued: the same entry check solve_max makes
-    r_vals = [_checked(v, neutrosophic=False).real_part for v in r.row(0)]
-    q_cols = [[_checked(q.at(j, k), neutrosophic=False).real_part
-               for j in range(q.rows)] for k in range(q.cols)]
-    if not 0.0 < grid_step <= 1.0:
-        raise DomainError(f"grid step {grid_step} is not in (0, 1]")
-    steps = round(1.0 / grid_step)
-    if steps < 1 or abs(steps * grid_step - 1.0) > 1e-9:
-        raise DomainError(f"grid step {grid_step} does not divide 1 evenly")
-    m = q.rows
-    points = steps + 1
-    cost = m * points ** m
-    if cost > budget:
+    try:
+        solution = solve_max(q, r)
+    except ModeMismatch:
+        raise ModeMismatch(
+            "minimal-solution enumeration is real-valued; Q and r must "
+            "hold no indeterminate value") from None
+    if not solution.solvable:
+        return ()
+    p_hat = [v.real_part for v in solution.max_solution.row(0)]
+    targets, options = [], []
+    for k, target in enumerate(r.row(0)):
+        rk = target.real_part
+        if rk > 0.0:
+            targets.append(rk)
+            options.append([
+                j for j, pj in enumerate(p_hat)
+                if abs(min(pj, q.at(j, k).real_part) - rk) <= RESIDUAL_TOL])
+    covers = prod(len(js) for js in options)
+    if covers > budget:
         raise BudgetExceeded(
-            f"grid enumeration needs {cost} steps, budget is {budget}")
-    grid = [i / steps for i in range(points)]
-    solutions = []
-    for p in itertools.product(grid, repeat=m):
-        ok = True
-        for k, col in enumerate(q_cols):
-            reach = 0.0
-            for pj, qj in zip(p, col):
-                v = pj if pj < qj else qj
-                if v > reach:
-                    reach = v
-            if abs(reach - r_vals[k]) > RESIDUAL_TOL:
-                ok = False
-                break
-        if ok:
-            solutions.append(p)
-    solutions.sort(key=lambda p: (sum(p), p))
+            f"minimal-solution enumeration needs {covers} covers, budget "
+            f"is {budget}")
+    candidates = set()
+    for cover in itertools.product(*options):
+        p = [0.0] * len(p_hat)
+        for j, rk in zip(cover, targets):
+            p[j] = max(p[j], rk)
+        candidates.add(tuple(p))
     minimal = []
-    for p in solutions:
-        dominated = False
-        for small in minimal:
-            if all(a <= b for a, b in zip(small, p)):
-                dominated = True
-                break
-        if not dominated:
+    for p in sorted(candidates, key=lambda p: (sum(p), p)):
+        if not any(all(a <= b for a, b in zip(small, p))
+                   for small in minimal):
             minimal.append(p)
     return tuple(row_vector(list(p), domain=ValueDomain.UNIT)
                  for p in sorted(minimal))

@@ -206,27 +206,39 @@ def test_fre_unsolvable_names_column(tmp_path):
     assert "necessary-condition: fails at column(s) 1" in proc.stdout
 
 
-def test_fre_budget_exceeded(tmp_path):
+def test_fre_minimal_off_the_grid(tmp_path):
     q = tmp_path / "q.txt"
-    q.write_text("0.5 0.5\n" * 4)
+    q.write_text("0.9 0.6\n0.4 0.3\n")
     r = tmp_path / "r.txt"
-    r.write_text("0.5 0.5\n")
-    proc = cli("fre", "--matrix", q, "--target", r,
-               "--minimal", "--grid-step", 0.01)
+    r.write_text("0.35 0.3\n")
+    proc = cli("fre", "--matrix", q, "--target", r, "--minimal")
+    assert proc.returncode == 0
+    assert proc.stdout == ("max-solution: 0.3 0.35\n"
+                           "solvable: yes\n"
+                           "residual: 0.35 0.3\n"
+                           "minimal: 0 0.35\n")
+
+
+def test_fre_budget_exceeded(tmp_path):
+    # every row reaches every column: 8**8 covers
+    q = tmp_path / "q.txt"
+    q.write_text("1 1 1 1 1 1 1 1\n" * 8)
+    r = tmp_path / "r.txt"
+    r.write_text("0.5 0.5 0.5 0.5 0.5 0.5 0.5 0.5\n")
+    proc = cli("fre", "--matrix", q, "--target", r, "--minimal")
     assert proc.returncode == 6
     assert "budget" in proc.stderr
 
 
-def test_fre_zero_grid_step_is_a_validation_error(tmp_path):
+def test_fre_grid_step_is_not_an_option(tmp_path):
     q = tmp_path / "q.txt"
     q.write_text("0.5\n")
     r = tmp_path / "r.txt"
     r.write_text("0.5\n")
     proc = cli("fre", "--matrix", q, "--target", r,
-               "--minimal", "--grid-step", 0)
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("error: grid step")
-    assert "Traceback" not in proc.stderr
+               "--minimal", "--grid-step", 0.1)
+    assert proc.returncode == 2
+    assert "--grid-step" in proc.stderr
 
 
 def test_fre_minimal_rejects_indeterminate_matrix_entry(tmp_path):
@@ -239,7 +251,9 @@ def test_fre_minimal_rejects_indeterminate_matrix_entry(tmp_path):
     assert proc.returncode == 3
     assert "solvable: yes" in proc.stdout
     assert "minimal:" not in proc.stdout
-    assert proc.stderr.startswith("error: indeterminate value I")
+    assert proc.stderr.startswith("error: minimal-solution enumeration is "
+                                  "real-valued")
+    assert "neutrosophic=True" not in proc.stderr
 
 
 # ------------------------------------------------------------------ parsing

@@ -1,10 +1,10 @@
 """Relational equations under max-min composition."""
 
-import math
+import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fuzzymaps import (
     BudgetExceeded,
@@ -32,6 +32,7 @@ from fuzzymaps import (
     solve_max,
     solve_special,
 )
+from fuzzymaps.fre import RESIDUAL_TOL
 
 UNIT = ValueDomain.UNIT
 
@@ -178,26 +179,37 @@ def test_minimal_solutions_dominated_by_maximum():
                 <= sol.max_solution.at(0, j).real_part
 
 
-def test_minimal_solutions_grid_step_must_divide_one():
-    with pytest.raises(DomainError):
-        minimal_solutions_bruteforce(unit([[0.5]]), [0.5], grid_step=0.3)
+def test_minimal_solutions_off_the_grid():
+    # p-hat = (0.3, 0.35) solves it; the minimal solution needs 0.35,
+    # which no 0.1 grid holds
+    q = unit([[0.9, 0.6], [0.4, 0.3]])
+    assert solve_max(q, [0.35, 0.3]).solvable
+    assert [vals(p) for p in minimal_solutions_bruteforce(q, [0.35, 0.3])] \
+        == [[0, 0.35]]
 
 
-@pytest.mark.parametrize("step", [0, 0.0, math.nan, -0.1])
-def test_minimal_solutions_grid_step_must_be_positive(step):
-    with pytest.raises(DomainError):
-        minimal_solutions_bruteforce(unit([[0.5]]), [0.5], grid_step=step)
+def test_minimal_solutions_zero_target_is_the_zero_vector():
+    # a column with r_k = 0 needs no cover, so the one candidate is 0
+    q = unit([[0.8, 0.2], [0.3, 0.6]])
+    mins = minimal_solutions_bruteforce(q, [0, 0], budget=1)
+    assert [vals(p) for p in mins] == [[0, 0]]
 
 
 def test_minimal_solutions_budget():
-    q = unit([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
+    # every j reaches every column: 8**8 covers, above the default budget
+    q = unit([[1.0] * 8] * 8)
+    with pytest.raises(BudgetExceeded, match="covers"):
+        minimal_solutions_bruteforce(q, [0.5] * 8)
+    small = unit([[1.0] * 3] * 3)  # 27 covers
     with pytest.raises(BudgetExceeded):
-        minimal_solutions_bruteforce(q, [0.5, 0.5], grid_step=0.01)
+        minimal_solutions_bruteforce(small, [0.5] * 3, budget=26)
+    assert len(minimal_solutions_bruteforce(small, [0.5] * 3,
+                                            budget=27)) == 3
 
 
 def test_minimal_solutions_reject_indeterminate_target():
     q = Matrix.from_rows([[Scalar(1)]], domain=ValueDomain.NEUTRO_UNIT)
-    with pytest.raises(ModeMismatch):
+    with pytest.raises(ModeMismatch, match="real-valued"):
         minimal_solutions_bruteforce(q, [parse_scalar("I")])
 
 
@@ -212,6 +224,64 @@ def test_minimal_solutions_check_every_entry(q, r, error):
                          domain=ValueDomain.ANY)
     with pytest.raises(error):
         minimal_solutions_bruteforce(q, [parse_scalar(v) for v in r])
+
+
+def _maxmin(p, q_rows):
+    return [max(min(pj, row[k]) for pj, row in zip(p, q_rows))
+            for k in range(len(q_rows[0]))]
+
+
+@st.composite
+def fre_systems(draw, value):
+    """A system p o Q = r with m, s <= 4; half of them take r = p o Q for
+    a drawn p, so that they are solvable."""
+    m, s = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    q_rows = [[draw(value) for _ in range(s)] for _ in range(m)]
+    if draw(st.booleans()):
+        r = _maxmin([draw(value) for _ in range(m)], q_rows)
+    else:
+        r = [draw(value) for _ in range(s)]
+    return q_rows, r
+
+
+def _grid_minimal(q_rows, r):
+    """Plain-float oracle: every point of {0, 0.1, ..., 1}^m solving the
+    system, filtered to the entrywise-minimal ones."""
+    grid = [t / 10 for t in range(11)]
+    sols = [p for p in itertools.product(grid, repeat=len(q_rows))
+            if _maxmin(p, q_rows) == r]
+    minimal = []
+    for p in sorted(sols, key=sum):  # a dominated point sorts later
+        if not any(all(a <= b for a, b in zip(o, p)) for o in minimal):
+            minimal.append(p)
+    return sorted(minimal)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fre_systems(st.integers(0, 10).map(lambda t: t / 10)))
+def test_minimal_solutions_match_grid_oracle(system):
+    q_rows, r = system
+    found = minimal_solutions_bruteforce(unit(q_rows), r)
+    assert [tuple(vals(p)) for p in found] == _grid_minimal(q_rows, r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fre_systems(st.floats(0, 1)))
+def test_minimal_solutions_off_grid_are_minimal_solutions(system):
+    q_rows, r = system
+    q = unit(q_rows)
+    found = [vals(p) for p in minimal_solutions_bruteforce(q, r)]
+    sol = solve_max(q, r)
+    assert bool(found) == sol.solvable
+    p_hat = vals(sol.max_solution)
+    for p in found:
+        assert all(abs(a - b) <= RESIDUAL_TOL
+                   for a, b in zip(_maxmin(p, q_rows), r))
+        assert all(a <= b + RESIDUAL_TOL for a, b in zip(p, p_hat))
+    for i, a in enumerate(found):
+        for b in found[i + 1:]:
+            assert not all(x <= y for x, y in zip(a, b))
+            assert not all(x >= y for x, y in zip(a, b))
 
 
 # ------------------------------------------------------ neutrosophic extension
