@@ -24,6 +24,7 @@ from .errors import (
     OrderUndefined,
     ParseError,
     ShapeMismatch,
+    TraceError,
     WrongEntryPoint,
 )
 from .values import (
@@ -40,17 +41,14 @@ from .values import (
     domain_join,
     parse_scalar,
     render_scalar,
-    scalar_add,
     scalar_max,
     scalar_min,
-    scalar_mul,
     tconorm,
     threshold_scalar,
     tnorm,
 )
 from .matrices import (
     Matrix,
-    col_vector,
     elementwise_max,
     elementwise_min,
     identity,
@@ -70,9 +68,6 @@ from .special import (
     RM,
     SpecialMatrix,
     SpecialStateVector,
-    classify,
-    make_special,
-    make_state,
     other_side,
     render_part,
     special_apply,
@@ -101,13 +96,11 @@ from .models import (
     run,
 )
 from .fre import (
-    FreProblem,
     FreSolution,
     check_necessary,
     failing_columns,
     minimal_solutions_bruteforce,
     sigma,
-    solve_matrix,
     solve_max,
     solve_special,
 )
@@ -121,6 +114,6 @@ from .fileformats import (
     serialize_model,
     serialize_vector,
 )
-from .trace import TraceError, parse_trace, render_trace, verify_trace
+from .trace import parse_trace, render_trace, verify_trace
 
 __version__ = "1.0.0"

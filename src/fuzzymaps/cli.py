@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes (stable, scripted against):
-    0  success
-    2  unreadable or malformed input (files or command line)
+Exit codes (stable, scripted against): 0 on success, 2 for an unreadable
+file or bad usage, and otherwise the `exit_code` of the raised error
+class (see fuzzymaps.errors):
+    2  malformed input (files or command line)
     3  validation failure (class rules, domains, bad initial vectors)
     4  shape or component-count mismatch
     5  iteration cap exceeded
@@ -15,24 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    BudgetExceeded,
-    ClassViolation,
-    ComponentCountMismatch,
-    DomainError,
-    EmptyUnion,
-    FuzzymapsError,
-    InvalidInput,
-    IterationCapExceeded,
-    ModeMismatch,
-    NonCMComponent,
-    NonRMComponent,
-    NonSquareCM,
-    NonzeroDiagonal,
-    ParseError,
-    ShapeMismatch,
-    WrongEntryPoint,
-)
+from .errors import FuzzymapsError
 from .fileformats import (
     parse_matrix_text,
     parse_model_structure,
@@ -51,37 +35,13 @@ from .matrices import (
     transpose,
 )
 from .models import class_diagnostics, diagonal_diagnostics, run
-from .special import classify, make_special
+from .special import SpecialMatrix
 from .trace import render_trace
 from .values import OrderPolicy, render_scalar
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
-EXIT_SHAPE = 4
-EXIT_CAP = 5
-EXIT_BUDGET = 6
-EXIT_OTHER = 7
-
-_VALIDATION_ERRORS = (ClassViolation, NonzeroDiagonal, InvalidInput,
-                      NonSquareCM, NonCMComponent, NonRMComponent,
-                      WrongEntryPoint, DomainError, ModeMismatch,
-                      EmptyUnion)
-_SHAPE_ERRORS = (ShapeMismatch, ComponentCountMismatch)
-
-
-def _exit_code(exc) -> int:
-    if isinstance(exc, (ParseError, OSError)):
-        return EXIT_PARSE
-    if isinstance(exc, _VALIDATION_ERRORS):
-        return EXIT_VALIDATION
-    if isinstance(exc, _SHAPE_ERRORS):
-        return EXIT_SHAPE
-    if isinstance(exc, IterationCapExceeded):
-        return EXIT_CAP
-    if isinstance(exc, BudgetExceeded):
-        return EXIT_BUDGET
-    return EXIT_OTHER
 
 
 def _read(path: str) -> str:
@@ -100,12 +60,12 @@ def cmd_validate(args) -> int:
               f"{mat.domain.value} {mat.rows}x{mat.cols}")
     problems = []
     try:
-        special = make_special(raw.components)
+        special = SpecialMatrix(raw.components)
     except FuzzymapsError as exc:
         problems.append(str(exc))
         special = None
     if special is not None:
-        print(f"classification: {classify(special)}")
+        print(f"classification: {special.classification}")
         problems.extend(diagonal_diagnostics(special))
         problems.extend(class_diagnostics(raw.model_class, special))
     if problems:
@@ -131,7 +91,7 @@ def cmd_run(args) -> int:
             model_class=model.model_class, name=model_file.name)
         with open(args.trace, "w", encoding="utf-8") as handle:
             handle.write(text)
-    print(f"classification: {classify(model.matrix)}")
+    print(f"classification: {model.matrix.classification}")
     print(pattern.describe())
     print(f"steps: {pattern.steps}")
     return EXIT_OK
@@ -250,7 +210,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (FuzzymapsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return EXIT_PARSE if isinstance(exc, OSError) else exc.exit_code
 
 
 if __name__ == "__main__":

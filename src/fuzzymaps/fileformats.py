@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .matrices import Matrix
 from .models import Model, ModelClass, build_model
 from .special import (
@@ -207,9 +207,9 @@ def parse_model_structure(text: str) -> ParsedStructure:
             pos += 1
         try:
             matrix = Matrix.from_rows(grid, domain=domain)
-        except Exception as exc:
-            raise ParseError(f"component {index}: {exc}",
-                             line=lineno) from None
+        except DomainError as exc:
+            raise DomainError(
+                f"line {lineno}: component {index}: {exc}") from None
         tag = ComponentTag(kind=kind, algebra=algebra, op=op)
         components.append((matrix, tag))
         if kind == CM:

@@ -40,23 +40,6 @@ RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class FreProblem:
-    """Find p with maxmin(p, q) = r; q is m x s, r is 1 x s, p is 1 x m."""
-
-    q: Matrix
-    r: Matrix
-
-    def __post_init__(self):
-        if self.r.rows != 1:
-            raise ShapeMismatch(f"r must be a row vector, got "
-                                f"{self.r.rows}x{self.r.cols}")
-        if self.r.cols != self.q.cols:
-            raise ShapeMismatch(
-                f"r has {self.r.cols} entries but q has {self.q.cols} "
-                f"columns")
-
-
-@dataclass(frozen=True)
 class FreSolution:
     max_solution: Matrix
     solvable: bool
@@ -91,14 +74,16 @@ def sigma(q, r, *, neutrosophic: bool = False) -> Scalar:
     return _sigma(_checked(q, neutrosophic), _checked(r, neutrosophic))
 
 
-def _as_row(values, *, what: str) -> Matrix:
-    if isinstance(values, Matrix):
-        if values.rows != 1:
-            raise ShapeMismatch(
-                f"{what} must be a row vector, got "
-                f"{values.rows}x{values.cols}")
-        return values
-    return row_vector(list(values), domain=ValueDomain.ANY)
+def _target_row(q: Matrix, r) -> Matrix:
+    """r as a 1 x s row matrix, for q of shape m x s (p is then 1 x m)."""
+    if not isinstance(r, Matrix):
+        r = row_vector(list(r), domain=ValueDomain.ANY)
+    if r.rows != 1:
+        raise ShapeMismatch(f"r must be a row vector, got {r.rows}x{r.cols}")
+    if r.cols != q.cols:
+        raise ShapeMismatch(
+            f"r has {r.cols} entries but q has {q.cols} columns")
+    return r
 
 
 def _close(a: Scalar, b: Scalar) -> bool:
@@ -112,8 +97,7 @@ def solve_max(q: Matrix, r, *, neutrosophic: bool = False) -> FreSolution:
     solvable is decided by substituting the candidate back in: when even
     the maximum candidate misses r, no solution exists at all.
     """
-    r = _as_row(r, what="r")
-    FreProblem(q, r)  # shape checks
+    r = _target_row(q, r)
     r_vals = [_checked(v, neutrosophic) for v in r.row(0)]
     q_vals = [[_checked(q.at(j, k), neutrosophic) for k in range(q.cols)]
               for j in range(q.rows)]
@@ -127,24 +111,10 @@ def solve_max(q: Matrix, r, *, neutrosophic: bool = False) -> FreSolution:
                        residual=residual)
 
 
-def solve_matrix(q: Matrix, big_r: Matrix, *,
-                 neutrosophic: bool = False) -> tuple:
-    """Row-partitioned form: each row of big_r is an independent problem
-    against the same q. Returns one FreSolution per row."""
-    if big_r.cols != q.cols:
-        raise ShapeMismatch(
-            f"R has {big_r.cols} columns but q has {q.cols}")
-    return tuple(
-        solve_max(q, row_vector(list(big_r.row(i)), domain=ValueDomain.ANY),
-                  neutrosophic=neutrosophic)
-        for i in range(big_r.rows))
-
-
 def failing_columns(q: Matrix, r) -> tuple:
     """0-based columns where even the column maximum falls short of r -
     each one certifies unsolvability on its own."""
-    r = _as_row(r, what="r")
-    FreProblem(q, r)
+    r = _target_row(q, r)
     out = []
     for k in range(q.cols):
         col_max = reduce(scalar_max, (q.at(j, k) for j in range(q.rows)))
@@ -175,7 +145,7 @@ def minimal_solutions_bruteforce(q: Matrix, r, *,
     within `budget`. Real-valued only: an indeterminate entry raises
     ModeMismatch.
     """
-    r = _as_row(r, what="r")
+    r = _target_row(q, r)
     try:
         solution = solve_max(q, r)
     except ModeMismatch:

@@ -8,6 +8,7 @@ is a flat tuple and the operations are straightforward loops.
 
 from __future__ import annotations
 
+import operator
 from functools import reduce
 
 from .errors import DomainError, ShapeMismatch
@@ -18,10 +19,8 @@ from .values import (
     coerce,
     domain_join,
     render_scalar,
-    scalar_add,
     scalar_max,
     scalar_min,
-    scalar_mul,
 )
 
 
@@ -114,11 +113,6 @@ def row_vector(values, domain=ValueDomain.ANY) -> Matrix:
     return Matrix(1, len(values), values, domain)
 
 
-def col_vector(values, domain=ValueDomain.ANY) -> Matrix:
-    values = list(values)
-    return Matrix(len(values), 1, values, domain)
-
-
 def zeros(rows, cols, domain=ValueDomain.ANY) -> Matrix:
     return Matrix(rows, cols, [Scalar(0)] * (rows * cols), domain)
 
@@ -162,7 +156,7 @@ def operators(op: str, policy) -> tuple:
     products, `maxmin` takes the max of mins and `minmax` the min of
     maxes, with min and max ordered under `policy`."""
     if op == "circle":
-        return scalar_mul, scalar_add
+        return operator.mul, operator.add
 
     def low(a, b):
         return scalar_min(a, b, policy)
@@ -219,7 +213,7 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     """Entrywise sum (the combined-map construction). Unconstrained output
     domain: sums of opinions escape {-1,0,1} by design."""
     _require_same_shape(a, b, "sum")
-    cells = [scalar_add(x, y) for x, y in zip(a.entries, b.entries)]
+    cells = list(map(operator.add, a.entries, b.entries))
     return Matrix(a.rows, a.cols, cells, ValueDomain.ANY)
 
 

@@ -20,7 +20,6 @@ from .special import (
     RM,
     SpecialMatrix,
     SpecialStateVector,
-    make_special,
 )
 from .values import ValueDomain, ZERO, _ancestors
 
@@ -57,11 +56,6 @@ class ModelClass(enum.Enum):
 # dynamical systems; they are built here but solved by the fre module.
 FRE_CLASSES = frozenset(
     {ModelClass.SFRE, ModelClass.SMFRE, ModelClass.SNRE, ModelClass.SMNRE})
-
-_CM_CLASSES = frozenset({ModelClass.SFCM, ModelClass.SMFCM, ModelClass.SNCM,
-                         ModelClass.SMNCM, ModelClass.SFNCM})
-_RM_CLASSES = frozenset({ModelClass.SFRM, ModelClass.SMFRM, ModelClass.SNRM,
-                         ModelClass.SMNRM, ModelClass.SFNRM})
 
 
 @dataclass(frozen=True)
@@ -263,7 +257,7 @@ def build_model(model_class: ModelClass, components, labels=None,
     if isinstance(model_class, str):
         model_class = ModelClass.parse(model_class)
     special = components if isinstance(components, SpecialMatrix) \
-        else make_special(components)
+        else SpecialMatrix(components)
     diagonal_problems = diagonal_diagnostics(special)
     if diagonal_problems:
         raise NonzeroDiagonal("; ".join(diagonal_problems))
@@ -300,8 +294,9 @@ def run(model: Model, x0: SpecialStateVector, *, op=None, policy=None,
         kwargs["policy"] = policy
     if max_steps is not None:
         kwargs["max_steps"] = max_steps
-    if model.model_class in _CM_CLASSES:
+    kinds = _RULES[model.model_class].kinds
+    if kinds == _CM_ONLY:
         return run_cm(model.matrix, x0, **kwargs)
-    if model.model_class in _RM_CLASSES:
+    if kinds == _RM_ONLY:
         return run_rm(model.matrix, x0, **kwargs)
     return run_mixed(model.matrix, x0, **kwargs)

@@ -125,14 +125,6 @@ def _classify(components) -> str:
     return f"special {alg} {shape}"
 
 
-def make_special(components) -> SpecialMatrix:
-    return SpecialMatrix(components)
-
-
-def classify(m: SpecialMatrix) -> str:
-    return m.classification
-
-
 class SpecialStateVector:
     """One state part per component, plus which space (domain or range)
     the parts currently address. Only RM components have both spaces; a
@@ -176,19 +168,15 @@ def render_part(part) -> str:
     return "[" + " ".join(render_scalar(v) for v in part) + "]"
 
 
-def make_state(parts, side=DOMAIN_SIDE) -> SpecialStateVector:
-    return SpecialStateVector(parts, side)
-
-
 def special_transpose(m: SpecialMatrix) -> SpecialMatrix:
-    """Transpose only the rectangular components; squares pass through.
+    """Transpose only the RM components; CM components pass through.
 
-    This is the transpose a mixed run uses on its return step: square
-    components keep multiplying by their own matrix while rectangular
-    components flip between their two spaces.
+    This is the transpose a mixed run uses on its return step: CM
+    components keep multiplying by their own matrix while RM components,
+    square or not, flip between their two spaces.
     """
     return SpecialMatrix([
-        (mat if mat.is_square else transpose(mat), tag) for mat, tag in m
+        (transpose(mat) if tag.kind == RM else mat, tag) for mat, tag in m
     ])
 
 

@@ -18,16 +18,11 @@ from .dynamics import (
     describe_outcome,
     outcome_shape,
 )
-from .errors import FuzzymapsError, ParseError
+from .errors import ParseError, TraceError
 from .special import CM, RM, SpecialMatrix, render_part
 from .values import parse_scalar, render_scalar
 
 TRACE_VERSION = "1"
-
-
-class TraceError(FuzzymapsError):
-    """A trace file that is malformed or does not support its own
-    recorded outcome."""
 
 
 # the state fields of a final line, by outcome shape

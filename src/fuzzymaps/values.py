@@ -220,14 +220,6 @@ class ThresholdMode:
         return cls("neutrosophic", float(k))
 
 
-def scalar_add(a, b) -> Scalar:
-    return coerce(a) + coerce(b)
-
-
-def scalar_mul(a, b) -> Scalar:
-    return coerce(a) * coerce(b)
-
-
 def _order_pair(a: Scalar, b: Scalar, policy: OrderPolicy):
     """Return (min, max) under the policy. Raises on mixed operands."""
     if a.is_mixed or b.is_mixed:

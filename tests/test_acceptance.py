@@ -22,12 +22,12 @@ from fuzzymaps import (
     Matrix,
     OrderPolicy,
     Scalar,
+    SpecialMatrix,
+    SpecialStateVector,
     TCONORM_KINDS,
     TNORM_KINDS,
     ValueDomain,
     check_necessary,
-    make_special,
-    make_state,
     mat_mul,
     maxmin_compose,
     minmax_compose,
@@ -216,11 +216,11 @@ def test_criterion_10_random_systems_terminate_below_cap():
             rows = [[Scalar(0) if i == j else rng.choice(entries)
                      for j in range(6)] for i in range(6)]
             mat = Matrix.from_rows(rows, domain=domain)
-            special = make_special([(mat, ComponentTag(algebra=algebra))])
+            special = SpecialMatrix([(mat, ComponentTag(algebra=algebra))])
             coords = [rng.randint(0, 1) for _ in range(6)]
             if not any(coords):
                 coords[rng.randrange(6)] = 1
-            state = make_state((tuple(Scalar(c) for c in coords),))
+            state = SpecialStateVector((tuple(Scalar(c) for c in coords),))
             pattern = run_cm(special, state)
             assert pattern.steps < 10_000
             if any(isinstance(o, LimitCycle) for o in pattern.outcomes):

@@ -1,4 +1,5 @@
-"""End-to-end CLI tests driven through subprocess."""
+"""End-to-end CLI tests driven through subprocess, plus the exit code of
+every error class."""
 
 from __future__ import annotations
 
@@ -6,9 +7,21 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
+import fuzzymaps
+from fuzzymaps import cli as cli_module
 from fuzzymaps import verify_trace
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+# a tri component holding 0.5: a domain failure, not a parse error
+OUT_OF_DOMAIN_MODEL = ("model SFCM\n"
+                       "component 1 CM fuzzy circle tri 2x2\n"
+                       "0 0.5\n1 0\nend\n")
+OUT_OF_DOMAIN_ERROR = ("error: line 4: component 1: entry (1,2) = 0.5 is "
+                       "outside domain tri\n")
 
 
 def cli(*args, **kwargs):
@@ -44,6 +57,15 @@ def test_validate_unreadable_file(tmp_path):
     proc = cli("validate", "--model", bad)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: line 1:")
+
+
+def test_validate_entry_outside_domain_is_a_validation_error(tmp_path):
+    model = tmp_path / "dom.model"
+    model.write_text(OUT_OF_DOMAIN_MODEL)
+    proc = cli("validate", "--model", model)
+    assert proc.returncode == 3
+    assert proc.stderr == OUT_OF_DOMAIN_ERROR
+    assert proc.stdout == ""
 
 
 def test_validate_missing_file(tmp_path):
@@ -123,6 +145,17 @@ def test_run_input_length_mismatch(tmp_path):
     assert "input length 3" in proc.stderr
 
 
+def test_run_entry_outside_domain_is_a_validation_error(tmp_path):
+    model = tmp_path / "dom.model"
+    model.write_text(OUT_OF_DOMAIN_MODEL)
+    vec = tmp_path / "x.vec"
+    vec.write_text("domain 1 0\n")
+    proc = cli("run", "--model", model, "--input", vec)
+    assert proc.returncode == 3
+    assert proc.stderr == OUT_OF_DOMAIN_ERROR
+    assert proc.stdout == ""
+
+
 def test_run_rejects_relational_classes(tmp_path):
     model = tmp_path / "rel.model"
     model.write_text("model SFRE\n"
@@ -172,6 +205,15 @@ def test_compose_non_finite_result_is_a_validation_error(tmp_path):
     proc = cli("compose", "--op", "mul", big, big)
     assert proc.returncode == 3
     assert proc.stderr == "error: inf is not a finite scalar\n"
+    assert proc.stdout == ""
+
+
+def test_compose_unordered_value_is_an_engine_error(tmp_path):
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text("1+I 0\n0 1\n")
+    proc = cli("compose", "--op", "maxmin", mixed, mixed)
+    assert proc.returncode == 7
+    assert proc.stderr == "error: 1+I has no defined order\n"
     assert proc.stdout == ""
 
 
@@ -262,3 +304,52 @@ def test_missing_required_arguments():
     proc = cli("run")
     assert proc.returncode == 2
     assert "--model" in proc.stderr
+
+
+# ---------------------------------------------------------------- exit codes
+
+# every error class with the code the CLI exits with when it is raised
+EXIT_CODES = {
+    fuzzymaps.FuzzymapsError: 7,
+    fuzzymaps.ParseError: 2,
+    fuzzymaps.ClassViolation: 3,
+    fuzzymaps.NonzeroDiagonal: 3,
+    fuzzymaps.InvalidInput: 3,
+    fuzzymaps.NonSquareCM: 3,
+    fuzzymaps.NonCMComponent: 3,
+    fuzzymaps.NonRMComponent: 3,
+    fuzzymaps.WrongEntryPoint: 3,
+    fuzzymaps.DomainError: 3,
+    fuzzymaps.ModeMismatch: 3,
+    fuzzymaps.EmptyUnion: 3,
+    fuzzymaps.ShapeMismatch: 4,
+    fuzzymaps.ComponentCountMismatch: 4,
+    fuzzymaps.IterationCapExceeded: 5,
+    fuzzymaps.BudgetExceeded: 6,
+    fuzzymaps.OrderUndefined: 7,
+    fuzzymaps.TraceError: 7,
+}
+
+
+def _error_classes(cls=fuzzymaps.FuzzymapsError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+def test_every_error_class_has_a_pinned_exit_code():
+    assert set(_error_classes()) == set(EXIT_CODES)
+    assert fuzzymaps.trace.TraceError is fuzzymaps.TraceError
+
+
+@pytest.mark.parametrize("error, code", EXIT_CODES.items(),
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_main_exits_with_the_error_class_code(monkeypatch, capsys, error,
+                                              code):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli_module, "cmd_validate", fail)
+    assert error.exit_code == code
+    assert cli_module.main(["validate", "--model", "any.model"]) == code
+    assert capsys.readouterr().err == "error: boom\n"

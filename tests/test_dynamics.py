@@ -27,8 +27,8 @@ from fuzzymaps import (
     NonRMComponent,
     Scalar,
     ValueDomain,
-    make_special,
-    make_state,
+    SpecialMatrix,
+    SpecialStateVector,
     parse_scalar,
     render_trace,
     run_cm,
@@ -63,7 +63,7 @@ def crisp(vals):
 
 
 def seed(*parts, side=DOMAIN_SIDE):
-    return make_state([crisp(p) for p in parts], side=side)
+    return SpecialStateVector([crisp(p) for p in parts], side=side)
 
 
 # ------------------------------------------------------------ cut and pin
@@ -72,9 +72,9 @@ def test_threshold_update_pins_seeded_coordinates():
     # neutrosophic square seeded at nodes 1 and 2: the raw pass gives
     # [I 0 1+I 1]; the cut maps I and the tied 1+I to I, and the pin puts
     # the seeded nodes back to 1 over an I and a 0
-    m = make_special([(ntri([[0, 0, 1, 1], ["I", 0, "I", 0],
-                             [0, 0, 0, 0], [0, 0, 0, 0]]),
-                       ComponentTag(algebra="neutrosophic"))])
+    m = SpecialMatrix([(ntri([[0, 0, 1, 1], ["I", 0, "I", 0],
+                              [0, 0, 0, 0], [0, 0, 0, 0]]),
+                        ComponentTag(algebra="neutrosophic"))])
     got = run_cm(m, seed([1, 1, 0, 0]))
     first = got.trace[0]
     assert first.raw[0] == tuple(parse_scalar(t) for t in
@@ -88,7 +88,7 @@ def test_threshold_update_pins_seeded_coordinates():
 def test_threshold_update_skips_other_side():
     # domain seed at coordinate 1; the range landing cuts its coordinate 1
     # to 0 and stays unpinned, the domain landing after it is pinned
-    m = make_special([(tri([[-1, -1, 0], [0, 1, 1]]), ComponentTag(kind=RM))])
+    m = SpecialMatrix([(tri([[-1, -1, 0], [0, 1, 1]]), ComponentTag(kind=RM))])
     got = run_rm(m, seed([1, 0]))
     to_range, to_domain = got.trace[0], got.trace[1]
     assert to_range.side == RANGE_SIDE
@@ -141,20 +141,20 @@ A_SQ = tri([[0, 1, 0, -1, 0], [-1, 0, -1, 0, 1], [0, -1, 0, 1, -1],
 
 
 def test_square_map_two_node_seed():
-    m = make_special([(A_SQ, ComponentTag())])
+    m = SpecialMatrix([(A_SQ, ComponentTag())])
     got = run_cm(m, seed([0, 1, 0, 0, 1]))
     assert got.outcomes[0] == FixedPoint(crisp([0, 1, 0, 0, 1]))
     assert got.steps == 1
 
 
 def test_square_map_single_node_seed():
-    m = make_special([(A_SQ, ComponentTag())])
+    m = SpecialMatrix([(A_SQ, ComponentTag())])
     got = run_cm(m, seed([0, 0, 1, 0, 0]))
     assert got.outcomes[0] == FixedPoint(crisp([0, 0, 1, 1, 0]))
 
 
 def test_square_map_three_node_seed():
-    m = make_special([(A_SQ, ComponentTag())])
+    m = SpecialMatrix([(A_SQ, ComponentTag())])
     got = run_cm(m, seed([1, 0, 1, 0, 1]))
     # raw pass gives [1 -1 1 0 -1]; cut and re-pin keeps the seed
     assert got.outcomes[0] == FixedPoint(crisp([1, 0, 1, 0, 1]))
@@ -162,13 +162,13 @@ def test_square_map_three_node_seed():
 
 
 def test_all_zero_input_is_fixed():
-    m = make_special([(A_SQ, ComponentTag())])
+    m = SpecialMatrix([(A_SQ, ComponentTag())])
     got = run_cm(m, seed([0, 0, 0, 0, 0]))
     assert got.outcomes[0] == FixedPoint(crisp([0, 0, 0, 0, 0]))
 
 
 def test_seeded_coordinates_stay_on_every_step():
-    m = make_special([(A_SQ, ComponentTag())])
+    m = SpecialMatrix([(A_SQ, ComponentTag())])
     got = run_cm(m, seed([0, 1, 0, 0, 1]))
     for rec in got.trace:
         part = rec.updated[0]
@@ -183,7 +183,7 @@ B_RECT = tri([[1, -1, 0, 1], [0, 1, 0, 0], [-1, 0, 1, 0], [0, 0, 0, -1],
 
 
 def test_rect_map_domain_seed_settles_to_pair():
-    m = make_special([(B_RECT, ComponentTag(kind=RM))])
+    m = SpecialMatrix([(B_RECT, ComponentTag(kind=RM))])
     got = run_rm(m, seed([1, 0, 1, 0, 1, 1]))
     out = got.outcomes[0]
     assert isinstance(out, FixedPoint)
@@ -193,7 +193,7 @@ def test_rect_map_domain_seed_settles_to_pair():
 
 
 def test_rect_map_range_seed_settles_to_pair():
-    m = make_special([(B_RECT, ComponentTag(kind=RM))])
+    m = SpecialMatrix([(B_RECT, ComponentTag(kind=RM))])
     got = run_rm(m, seed([1, 0, 0, 1], side=RANGE_SIDE))
     dom, rng = got.outcomes[0].state
     assert dom == crisp([1, 0, 0, 0, 0, 1])
@@ -202,7 +202,7 @@ def test_rect_map_range_seed_settles_to_pair():
 
 
 def test_rm_alternates_sides_in_trace():
-    m = make_special([(B_RECT, ComponentTag(kind=RM))])
+    m = SpecialMatrix([(B_RECT, ComponentTag(kind=RM))])
     got = run_rm(m, seed([1, 0, 1, 0, 1, 1]))
     sides = [rec.side for rec in got.trace]
     assert sides[0] == RANGE_SIDE
@@ -226,7 +226,7 @@ T_UNION = [
 
 
 def test_five_expert_union_settles_componentwise():
-    m = make_special([(t, ComponentTag()) for t in T_UNION])
+    m = SpecialMatrix([(t, ComponentTag()) for t in T_UNION])
     x = seed([0, 1, 0, 0, 0], [1, 0, 0, 0, 1], [0, 0, 1, 0, 0],
              [0, 1, 0, 0, 0], [0, 0, 1, 0, 0])
     got = run_cm(m, x)
@@ -239,7 +239,7 @@ def test_five_expert_union_settles_componentwise():
 
 
 def test_five_expert_union_intermediate_raws():
-    m = make_special([(t, ComponentTag()) for t in T_UNION])
+    m = SpecialMatrix([(t, ComponentTag()) for t in T_UNION])
     x = seed([0, 1, 0, 0, 0], [1, 0, 0, 0, 1], [0, 0, 1, 0, 0],
              [0, 1, 0, 0, 0], [0, 0, 1, 0, 0])
     got = run_cm(m, x)
@@ -272,7 +272,7 @@ def test_shared_node_union_lights_everything():
         tri([[0, 0, 0, 1, 1], [1, 0, 0, 0, 1], [0, 0, 0, 1, 1],
              [1, 1, 0, 0, 0], [0, 0, 1, 1, 0]]),
     ]
-    m = make_special([(t, ComponentTag()) for t in ms])
+    m = SpecialMatrix([(t, ComponentTag()) for t in ms])
     got = run_cm(m, seed(*([[0, 1, 0, 0, 0]] * 5)))
     ones = FixedPoint(crisp([1, 1, 1, 1, 1]))
     assert all(out == ones for out in got.outcomes)
@@ -292,7 +292,7 @@ def test_varied_size_union_lights_everything():
         tri([[0, 1, 1, 1, 0, 1], [1, 0, 0, 1, 0, 1], [0, 0, 0, 0, 1, 1],
              [1, 1, 0, 0, 0, 1], [0, 0, 1, 1, 0, 1], [0, 1, 1, 1, 1, 0]]),
     ]
-    m = make_special([(t, ComponentTag()) for t in ms])
+    m = SpecialMatrix([(t, ComponentTag()) for t in ms])
     got = run_cm(m, seed([1, 0, 0, 0], [0, 1, 0, 0, 0], [1, 0, 0, 0],
                          [1, 0, 0, 0, 0, 0]))
     for out, n in zip(got.outcomes, (4, 5, 4, 6)):
@@ -315,7 +315,7 @@ R_UNION = [
 
 
 def test_three_expert_rect_union_pairs():
-    m = make_special([(r, ComponentTag(kind=RM)) for r in R_UNION])
+    m = SpecialMatrix([(r, ComponentTag(kind=RM)) for r in R_UNION])
     got = run_rm(m, seed(*([[1, 0, 0, 0, 0, 0, 0, 0]] * 3)))
     want = [
         ([1, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1]),
@@ -365,7 +365,7 @@ MIX_COMPONENTS = [
 def test_six_component_mixture_full_run():
     # note the two squares here keep their published self-loops; the bare
     # engine does not police diagonals
-    m = make_special(MIX_COMPONENTS)
+    m = SpecialMatrix(MIX_COMPONENTS)
     x = seed([1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0],
              [0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1],
              [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0])
@@ -427,7 +427,7 @@ def opmix_seed():
 
 
 def test_mixed_operator_first_steps():
-    m = make_special(OPMIX_COMPONENTS)
+    m = SpecialMatrix(OPMIX_COMPONENTS)
     got = run_mixed(m, opmix_seed())
     first = got.trace[0]
     assert first.raw[0] == crisp([0, 1, -1, 0, 0])
@@ -454,7 +454,7 @@ def test_mixed_operator_first_steps():
 
 
 def test_mixed_operator_outcomes():
-    m = make_special(OPMIX_COMPONENTS)
+    m = SpecialMatrix(OPMIX_COMPONENTS)
     got = run_mixed(m, opmix_seed())
     c1 = got.outcomes[0]
     assert isinstance(c1, LimitCycle)
@@ -480,7 +480,7 @@ def test_mixed_operator_outcomes():
 
 
 def test_level_components_are_never_pinned():
-    m = make_special(OPMIX_COMPONENTS)
+    m = SpecialMatrix(OPMIX_COMPONENTS)
     got = run_mixed(m, opmix_seed())
     # the maxmin square was seeded at coords 2 and 5 but its updated states
     # drift freely (0.7 at coord 2 on step two)
@@ -491,17 +491,17 @@ def test_level_components_are_never_pinned():
 # ------------------------------------------------------------------ validation
 
 def test_run_rejects_non_crisp_input():
-    m = make_special([(A_SQ, ComponentTag())])
+    m = SpecialMatrix([(A_SQ, ComponentTag())])
     with pytest.raises(InvalidInput):
         run_cm(m, seed([0.5, 0, 0, 0, 0]))
     with pytest.raises(InvalidInput):
-        run_cm(m, make_state([[parse_scalar("I"), Scalar(0), Scalar(0),
-                               Scalar(0), Scalar(0)]]))
+        run_cm(m, SpecialStateVector([[parse_scalar("I"), Scalar(0),
+                                       Scalar(0), Scalar(0), Scalar(0)]]))
 
 
 def test_run_mixed_rejects_range_seed_on_square_component():
-    m = make_special([(A_SQ, ComponentTag()),
-                      (B_RECT, ComponentTag(kind=RM))])
+    m = SpecialMatrix([(A_SQ, ComponentTag()),
+                       (B_RECT, ComponentTag(kind=RM))])
     x = seed([0, 1, 0, 0, 1], [1, 0, 0, 1], side=RANGE_SIDE)
     with pytest.raises(InvalidInput, match="component 1: square component "
                                            "has no range space"):
@@ -509,7 +509,7 @@ def test_run_mixed_rejects_range_seed_on_square_component():
 
 
 def test_run_cm_rejects_wrong_length_or_count_with_invalid_input():
-    m = make_special([(A_SQ, ComponentTag())])
+    m = SpecialMatrix([(A_SQ, ComponentTag())])
     with pytest.raises(InvalidInput, match="input length 3"):
         run_cm(m, seed([1, 0, 0]))
     with pytest.raises(InvalidInput, match="input has 2 parts"):
@@ -517,25 +517,25 @@ def test_run_cm_rejects_wrong_length_or_count_with_invalid_input():
 
 
 def test_run_cm_rejects_rm_components():
-    m = make_special([(B_RECT, ComponentTag(kind=RM))])
+    m = SpecialMatrix([(B_RECT, ComponentTag(kind=RM))])
     with pytest.raises(NonCMComponent):
         run_cm(m, seed([1, 0, 1, 0, 1, 1]))
 
 
 def test_run_rm_rejects_cm_components():
-    m = make_special([(A_SQ, ComponentTag())])
+    m = SpecialMatrix([(A_SQ, ComponentTag())])
     with pytest.raises(NonRMComponent):
         run_rm(m, seed([0, 1, 0, 0, 1]))
 
 
 def test_iteration_cap():
-    m = make_special(OPMIX_COMPONENTS)
+    m = SpecialMatrix(OPMIX_COMPONENTS)
     with pytest.raises(IterationCapExceeded):
         run_mixed(m, opmix_seed(), max_steps=2)
 
 
 def test_replay_is_deterministic():
-    m = make_special(OPMIX_COMPONENTS)
+    m = SpecialMatrix(OPMIX_COMPONENTS)
     a = run_mixed(m, opmix_seed())
     b = run_mixed(m, opmix_seed())
     assert a == b
@@ -543,22 +543,22 @@ def test_replay_is_deterministic():
 
 def test_op_override_replaces_tagged_operator():
     sq = unitm([[0, 0.9], [0.4, 0]])
-    m = make_special([(sq, ComponentTag(op="circle"))])
-    x = make_state([[Scalar(1), Scalar(0)]])
+    m = SpecialMatrix([(sq, ComponentTag(op="circle"))])
+    x = SpecialStateVector([[Scalar(1), Scalar(0)]])
     got = run_cm(m, x, op="maxmin", max_steps=50)
     # maxmin pass keeps membership levels, so no 0/1 cutting happens
     assert got.trace[0].raw[0] == (Scalar(0), Scalar(0.9))
 
 
 def test_unknown_op_override_rejected():
-    m = make_special([(A_SQ, ComponentTag())])
+    m = SpecialMatrix([(A_SQ, ComponentTag())])
     with pytest.raises(ValueError):
         run_cm(m, seed([0, 1, 0, 0, 1]), op="convolve")
 
 
 @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
 def test_non_finite_threshold_rejected(k):
-    m = make_special([(A_SQ, ComponentTag())])
+    m = SpecialMatrix([(A_SQ, ComponentTag())])
     with pytest.raises(InvalidInput):
         run_cm(m, seed([0, 1, 0, 0, 1]), threshold_k=k)
 
@@ -632,7 +632,7 @@ def tri_runs(draw):
                                    max_size=size)))
     k = draw(st.sampled_from([-1, 0, 0.5, 1, 2]))
     max_steps = draw(st.integers(1, 12))
-    return make_special(comps), seed(*parts, side=side), k, max_steps
+    return SpecialMatrix(comps), seed(*parts, side=side), k, max_steps
 
 
 @settings(max_examples=300, deadline=None)
@@ -652,7 +652,7 @@ def test_bitmask_kernel_matches_scalar_reference(case):
 def test_real_weights_take_the_scalar_path():
     weights = Matrix.from_rows([[0, 0.5, -1], [2, 0, 1], [1, -1, 0]])
     assert weights.domain is ValueDomain.ANY
-    m = make_special([(weights, ComponentTag())])
+    m = SpecialMatrix([(weights, ComponentTag())])
     x0 = seed([1, 0, 0])
     for k in (0, 0.5, 1):
         def go():
@@ -663,13 +663,13 @@ def test_real_weights_take_the_scalar_path():
     # the entries pick the kernel, not the declared domain
     crisp_any = Matrix.from_rows([[0, 1, -1], [1, 0, 1], [1, -1, 0]])
     _, used = _kernel_used(lambda: run_cm(
-        make_special([(crisp_any, ComponentTag())]), x0))
+        SpecialMatrix([(crisp_any, ComponentTag())]), x0))
     assert used
 
 
 def test_circle_override_on_unit_maxmin_takes_the_scalar_path():
     levels = unitm([[0, 0.9, 0.3], [0.4, 0, 1], [0.7, 0.2, 0]])
-    m = make_special([(levels, ComponentTag(op="maxmin"))])
+    m = SpecialMatrix([(levels, ComponentTag(op="maxmin"))])
     x0 = seed([1, 0, 0])
 
     def go():
@@ -683,6 +683,6 @@ def test_circle_override_on_unit_maxmin_takes_the_scalar_path():
 
 
 def test_fuzzy_tagged_indeterminate_entry_still_raises():
-    m = make_special([(ntri([[0, "I"], [1, 0]]), ComponentTag())])
+    m = SpecialMatrix([(ntri([[0, "I"], [1, 0]]), ComponentTag())])
     with pytest.raises(ModeMismatch):
         run_cm(m, seed([1, 0]))

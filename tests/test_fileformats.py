@@ -6,12 +6,13 @@ import pytest
 
 from fuzzymaps import (
     DOMAIN_SIDE,
+    DomainError,
     ModelFile,
     ParseError,
     RANGE_SIDE,
     Scalar,
-    make_state,
     parse_matrix_text,
+    parse_model_structure,
     parse_model_text,
     parse_scalar,
     parse_vector_text,
@@ -153,6 +154,17 @@ def test_wide_row_rejected():
     bad = GOOD_MODEL.replace("0 1\n-1 0", "0 1 1\n-1 0")
     with pytest.raises(ParseError):
         parse_model_text(bad)
+
+
+def test_entry_outside_declared_domain_is_a_domain_error():
+    # a domain failure is a validation error, not a parse error; the
+    # message still names the line and component that hold the entry
+    bad = GOOD_MODEL.replace("-1 0\n", "-1 0.5\n")
+    for parse in (parse_model_structure, parse_model_text):
+        with pytest.raises(DomainError) as err:
+            parse(bad)
+        assert str(err.value) == ("line 6: component 1: entry (2,2) = 0.5 "
+                                  "is outside domain tri")
 
 
 def test_empty_file():

@@ -11,24 +11,22 @@ from fuzzymaps import (
     ComponentCountMismatch,
     ComponentTag,
     DomainError,
-    FreProblem,
     FreSolution,
     Matrix,
     ModeMismatch,
     RM,
     Scalar,
     ShapeMismatch,
+    SpecialMatrix,
     ValueDomain,
     check_necessary,
     failing_columns,
     identity,
-    make_special,
     maxmin_compose,
     minimal_solutions_bruteforce,
     parse_scalar,
     row_vector,
     sigma,
-    solve_matrix,
     solve_max,
     solve_special,
 )
@@ -112,7 +110,7 @@ def test_solve_max_shape_checks():
     with pytest.raises(ShapeMismatch):
         solve_max(unit([[0.5, 0.5]]), [0.5])
     with pytest.raises(ShapeMismatch):
-        FreProblem(unit([[0.5]]), unit([[0.5], [0.5]]))
+        solve_max(unit([[0.5]]), unit([[0.5], [0.5]]))
 
 
 def test_solve_max_rejects_indeterminate_without_flag():
@@ -136,24 +134,6 @@ def test_forward_compose_is_always_solvable():
         for j in range(m):
             assert sol.max_solution.at(0, j).real_part \
                 >= p0.at(0, j).real_part
-
-
-# ---------------------------------------------------------------- solve_matrix
-
-def test_solve_matrix_rows_are_independent():
-    q = unit([[0.9, 0.6], [0.4, 0.3]])
-    big_r = unit([[0.4, 0.3], [0.9, 0.9]])
-    first, second = solve_matrix(q, big_r)
-    assert first.solvable
-    assert vals(first.max_solution) == [0.3, 1]
-    assert not second.solvable  # no column reaches 0.9
-    alone = solve_max(q, [0.4, 0.3])
-    assert first.max_solution == alone.max_solution
-
-
-def test_solve_matrix_width_check():
-    with pytest.raises(ShapeMismatch):
-        solve_matrix(unit([[0.5, 0.5]]), unit([[0.5]]))
 
 
 # ---------------------------------------------------------- minimal solutions
@@ -316,7 +296,7 @@ def test_solve_special_slot_by_slot():
     fuzzy_q = unit([[0.9, 0.6], [0.4, 0.3]])
     neutro_q = Matrix.from_rows([[Scalar(1)]],
                                 domain=ValueDomain.NEUTRO_UNIT)
-    special = make_special([
+    special = SpecialMatrix([
         (fuzzy_q, ComponentTag(kind=RM, op="maxmin")),
         (neutro_q, ComponentTag(kind=RM, algebra="neutrosophic",
                                 op="maxmin")),
@@ -328,14 +308,14 @@ def test_solve_special_slot_by_slot():
 
 
 def test_solve_special_count_check():
-    special = make_special(
+    special = SpecialMatrix(
         [(unit([[0.5]]), ComponentTag(kind=RM, op="maxmin"))])
     with pytest.raises(ComponentCountMismatch):
         solve_special(special, [[0.5], [0.5]])
 
 
 def test_solve_special_names_failing_component():
-    special = make_special(
+    special = SpecialMatrix(
         [(unit([[0.5]]), ComponentTag(kind=RM, op="maxmin"))])
     with pytest.raises(ShapeMismatch) as err:
         solve_special(special, [[0.5, 0.5]])

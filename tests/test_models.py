@@ -21,8 +21,8 @@ from fuzzymaps import (
     class_diagnostics,
     combine_maps,
     diagonal_diagnostics,
-    make_special,
-    make_state,
+    SpecialMatrix,
+    SpecialStateVector,
     parse_scalar,
     run,
     run_cm,
@@ -142,7 +142,7 @@ def test_class_predicates_reject(cls):
     if cls in (ModelClass.SMFCRNCRM, ModelClass.SSHM):
         # free-operator classes still check the value-domain pairing
         comps = REJECTED[cls]
-        special = make_special(comps)
+        special = SpecialMatrix(comps)
         problems = class_diagnostics(cls, special)
         assert problems
         assert any("needs" in p for p in problems)
@@ -153,12 +153,12 @@ def test_class_predicates_reject(cls):
 
 def test_domain_pairing_diagnostics():
     # a circle component over membership values makes no sense
-    special = make_special([(F_REL, CIRCLE_RM)])
+    special = SpecialMatrix([(F_REL, CIRCLE_RM)])
     problems = class_diagnostics(ModelClass.SMFRM, special)
     assert len(problems) == 1
     assert "needs tri" in problems[0]
     # and a maxmin component over signed tags is equally wrong
-    special = make_special([(F_RECT, MAXMIN_RM)])
+    special = SpecialMatrix([(F_RECT, MAXMIN_RM)])
     problems = class_diagnostics(ModelClass.SMFRE, special)
     assert any("needs unit" in p for p in problems)
 
@@ -168,7 +168,7 @@ def test_neutro_domain_may_carry_fuzzy_values():
     plain = m([["0", "1"], ["-1", "0"]], NTRI)
     assert class_diagnostics(
         ModelClass.SMNCM,
-        make_special([(plain, CIRCLE_NCM)])) == []
+        SpecialMatrix([(plain, CIRCLE_NCM)])) == []
 
 
 def test_diagonal_rule_applies_to_circle_squares_only():
@@ -179,9 +179,9 @@ def test_diagonal_rule_applies_to_circle_squares_only():
     # membership squares keep their diagonals
     rel_sq = m([[0.9, 0.2], [0.3, 0.4]], UNIT)
     assert diagonal_diagnostics(
-        make_special([(rel_sq, ComponentTag(op="maxmin"))])) == []
+        SpecialMatrix([(rel_sq, ComponentTag(op="maxmin"))])) == []
     # rectangular components are never checked
-    assert diagonal_diagnostics(make_special([(F_RECT, CIRCLE_RM)])) == []
+    assert diagonal_diagnostics(SpecialMatrix([(F_RECT, CIRCLE_RM)])) == []
 
 
 def test_diagonal_reported_before_class_problems():
@@ -235,13 +235,13 @@ def test_combine_maps_sums_and_cancels():
 
 def test_run_dispatch_matches_bare_engine():
     model = build_model(ModelClass.SFCM, [(F_SQ, CIRCLE_CM)])
-    x = make_state([(Scalar(1), Scalar(0), Scalar(0))])
+    x = SpecialStateVector([(Scalar(1), Scalar(0), Scalar(0))])
     assert run(model, x) == run_cm(model.matrix, x)
 
 
 def test_run_refuses_relational_classes():
     model = build_model(ModelClass.SFRE, [(F_REL, MAXMIN_RM)])
-    x = make_state([(Scalar(1), Scalar(0))])
+    x = SpecialStateVector([(Scalar(1), Scalar(0))])
     with pytest.raises(WrongEntryPoint):
         run(model, x)
 
@@ -249,22 +249,24 @@ def test_run_refuses_relational_classes():
 def test_validate_input_diagnostics():
     model = build_model(ModelClass.SMFCFRM,
                         [(F_SQ, CIRCLE_CM), (F_RECT, CIRCLE_RM)])
-    ok = make_state([(Scalar(1), Scalar(0), Scalar(0)),
-                     (Scalar(0), Scalar(1))])
+    ok = SpecialStateVector([(Scalar(1), Scalar(0), Scalar(0)),
+                             (Scalar(0), Scalar(1))])
     assert validate_input(model.matrix, ok) == []
-    short = make_state([(Scalar(1), Scalar(0), Scalar(0))])
+    short = SpecialStateVector([(Scalar(1), Scalar(0), Scalar(0))])
     assert "2 components" in validate_input(model.matrix, short)[0]
-    wrong_len = make_state([(Scalar(1), Scalar(0)), (Scalar(0), Scalar(1))])
+    wrong_len = SpecialStateVector([(Scalar(1), Scalar(0)),
+                                    (Scalar(0), Scalar(1))])
     assert "component 1" in validate_input(model.matrix, wrong_len)[0]
-    fuzzy_entry = make_state([(Scalar(1), Scalar(0.4), Scalar(0)),
-                              (Scalar(0), Scalar(1))])
+    fuzzy_entry = SpecialStateVector([(Scalar(1), Scalar(0.4), Scalar(0)),
+                                      (Scalar(0), Scalar(1))])
     problems = validate_input(model.matrix, fuzzy_entry)
     assert any("coordinate 2" in p for p in problems)
 
 
 def test_validate_input_square_has_no_range_space():
     model = build_model(ModelClass.SFCM, [(F_SQ, CIRCLE_CM)])
-    x = make_state([(Scalar(1), Scalar(0), Scalar(0))], side=RANGE_SIDE)
+    x = SpecialStateVector([(Scalar(1), Scalar(0), Scalar(0))],
+                           side=RANGE_SIDE)
     problems = validate_input(model.matrix, x)
     assert any("no range space" in p for p in problems)
     with pytest.raises(InvalidInput):
@@ -276,7 +278,8 @@ def test_validate_input_square_has_no_range_space():
 
 def test_range_side_input_lengths_use_columns():
     model = build_model(ModelClass.SFRM, [(F_RECT, CIRCLE_RM)])
-    x = make_state([(Scalar(1), Scalar(0), Scalar(0))], side=RANGE_SIDE)
+    x = SpecialStateVector([(Scalar(1), Scalar(0), Scalar(0))],
+                           side=RANGE_SIDE)
     assert validate_input(model.matrix, x) == []
     pattern = run(model, x)
     assert pattern.side == RANGE_SIDE

@@ -17,8 +17,7 @@ from fuzzymaps import (
     ShapeMismatch,
     SpecialStateVector,
     ValueDomain,
-    make_special,
-    make_state,
+    SpecialMatrix,
     mat_mul,
     maxmin_compose,
     minmax_compose,
@@ -26,6 +25,7 @@ from fuzzymaps import (
     parse_scalar,
     render_part,
     row_vector,
+    run_mixed,
     special_apply,
     special_transpose,
 )
@@ -75,16 +75,16 @@ def test_other_side():
 
 def test_empty_union_rejected():
     with pytest.raises(EmptyUnion):
-        make_special([])
+        SpecialMatrix([])
 
 
 def test_cm_component_must_be_square():
     with pytest.raises(NonSquareCM):
-        make_special([(rect(2, 3), ComponentTag())])
+        SpecialMatrix([(rect(2, 3), ComponentTag())])
 
 
 def test_rm_component_any_shape():
-    s = make_special([(rect(2, 3), ComponentTag(kind=RM))])
+    s = SpecialMatrix([(rect(2, 3), ComponentTag(kind=RM))])
     assert len(s) == 1
 
 
@@ -111,30 +111,46 @@ def test_classification_table():
          "special fuzzy and neutrosophic mixed matrix"),
     ]
     for comps, want in cases:
-        assert make_special(comps).classification == want
+        assert SpecialMatrix(comps).classification == want
 
 
 # ------------------------------------------------------------------ transpose
 
 def test_special_transpose_matches_plain_for_shapes():
-    s = make_special([(rect(2, 3), ComponentTag(kind=RM)),
-                      (rect(4, 1), ComponentTag(kind=RM))])
+    s = SpecialMatrix([(rect(2, 3), ComponentTag(kind=RM)),
+                       (rect(4, 1), ComponentTag(kind=RM))])
     assert [m.shape for m in special_transpose(s).matrices] == [(3, 2),
                                                                 (1, 4)]
 
 
 def test_transpose_involution_on_union():
-    s = make_special([(tri([[0, 1], [-1, 0]]), ComponentTag()),
-                      (tri([[1, 0, -1]]), ComponentTag(kind=RM))])
+    s = SpecialMatrix([(tri([[0, 1], [-1, 0]]), ComponentTag()),
+                       (tri([[1, 0, -1]]), ComponentTag(kind=RM))])
     back = special_transpose(special_transpose(s))
     assert back.matrices == s.matrices
     assert back.tags == s.tags
 
 
+def test_special_transpose_flips_square_rm_like_the_engine():
+    # a square RM component still alternates with its transpose, so two
+    # applies through special_transpose land on the engine's step-2 raw
+    s = SpecialMatrix([(tri([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+                        ComponentTag(kind=RM)),
+                       (tri([[0, 1], [1, 0]]), ComponentTag())])
+    x = SpecialStateVector([[Scalar(1), Scalar(0), Scalar(0)],
+                            [Scalar(1), Scalar(0)]])
+    first, second = run_mixed(s, x).trace[:2]
+    y = SpecialStateVector(first.updated, side=first.side)
+    back = special_apply(y, special_transpose(s))
+    assert back.parts == second.raw
+    assert back.parts[0] == (Scalar(1), Scalar(0), Scalar(0))
+
+
 # --------------------------------------------------------------------- states
 
 def test_make_state_and_render():
-    x = make_state([[Scalar(0), Scalar(1)], [Scalar(1)]], side=DOMAIN_SIDE)
+    x = SpecialStateVector([[Scalar(0), Scalar(1)], [Scalar(1)]],
+                           side=DOMAIN_SIDE)
     assert isinstance(x, SpecialStateVector)
     assert x.side == DOMAIN_SIDE
     assert render_part(x.parts[0]) == "[0 1]"
@@ -144,16 +160,16 @@ def test_make_state_and_render():
 # ---------------------------------------------------------------------- apply
 
 def test_special_apply_cm_keeps_side():
-    m = make_special([(tri([[0, 1], [1, 0]]), ComponentTag())])
-    x = make_state([[Scalar(1), Scalar(0)]])
+    m = SpecialMatrix([(tri([[0, 1], [1, 0]]), ComponentTag())])
+    x = SpecialStateVector([[Scalar(1), Scalar(0)]])
     y = special_apply(x, m, "circle")
     assert y.side == DOMAIN_SIDE
     assert y.parts[0] == (Scalar(0), Scalar(1))
 
 
 def test_special_apply_rm_flips_side():
-    m = make_special([(tri([[1, 0, 1], [0, 1, 0]]), ComponentTag(kind=RM))])
-    x = make_state([[Scalar(1), Scalar(0)]], side=DOMAIN_SIDE)
+    m = SpecialMatrix([(tri([[1, 0, 1], [0, 1, 0]]), ComponentTag(kind=RM))])
+    x = SpecialStateVector([[Scalar(1), Scalar(0)]], side=DOMAIN_SIDE)
     y = special_apply(x, m, "circle")
     assert y.side == RANGE_SIDE
     assert y.parts[0] == (Scalar(1), Scalar(0), Scalar(1))
@@ -164,12 +180,13 @@ def test_special_apply_rm_flips_side():
 
 
 def test_apply_checks_component_count_and_length():
-    m = make_special([(sq(2), ComponentTag())])
+    m = SpecialMatrix([(sq(2), ComponentTag())])
     with pytest.raises(ComponentCountMismatch):
-        special_apply(make_state([[Scalar(0), Scalar(1)], [Scalar(1)]]),
-                      m, "circle")
+        special_apply(
+            SpecialStateVector([[Scalar(0), Scalar(1)], [Scalar(1)]]),
+            m, "circle")
     with pytest.raises(ShapeMismatch):
-        special_apply(make_state([[Scalar(0), Scalar(1), Scalar(1)]]),
+        special_apply(SpecialStateVector([[Scalar(0), Scalar(1), Scalar(1)]]),
                       m, "circle")
 
 
@@ -177,12 +194,12 @@ def test_union_slots_do_not_interact():
     a = tri([[0, 1], [1, 0]])
     b = tri([[0, -1], [-1, 0]])
     joint = special_apply(
-        make_state([[Scalar(1), Scalar(0)], [Scalar(1), Scalar(0)]]),
-        make_special([(a, ComponentTag()), (b, ComponentTag())]), "circle")
-    alone0 = special_apply(make_state([[Scalar(1), Scalar(0)]]),
-                           make_special([(a, ComponentTag())]), "circle")
-    alone1 = special_apply(make_state([[Scalar(1), Scalar(0)]]),
-                           make_special([(b, ComponentTag())]), "circle")
+        SpecialStateVector([[Scalar(1), Scalar(0)], [Scalar(1), Scalar(0)]]),
+        SpecialMatrix([(a, ComponentTag()), (b, ComponentTag())]), "circle")
+    alone0 = special_apply(SpecialStateVector([[Scalar(1), Scalar(0)]]),
+                           SpecialMatrix([(a, ComponentTag())]), "circle")
+    alone1 = special_apply(SpecialStateVector([[Scalar(1), Scalar(0)]]),
+                           SpecialMatrix([(b, ComponentTag())]), "circle")
     assert joint.parts[0] == alone0.parts[0]
     assert joint.parts[1] == alone1.parts[0]
 
@@ -195,10 +212,10 @@ def test_special_apply_mixed_one_step():
         [[Scalar(v) for v in row]
          for row in [[0.2, 0.9, 0.1], [0.8, 0.1, 0.5], [0.3, 0.3, 0.7]]],
         domain=UNIT)
-    s = make_special([(c, ComponentTag()),
-                      (m, ComponentTag(op="maxmin"))])
-    x = make_state([[Scalar(1), Scalar(0), Scalar(0)],
-                    [Scalar(0.5), Scalar(1), Scalar(0)]])
+    s = SpecialMatrix([(c, ComponentTag()),
+                       (m, ComponentTag(op="maxmin"))])
+    x = SpecialStateVector([[Scalar(1), Scalar(0), Scalar(0)],
+                            [Scalar(0.5), Scalar(1), Scalar(0)]])
     y = special_apply(x, s)
     assert y.parts[0] == (Scalar(0), Scalar(1), Scalar(0))
     # maxmin row: max(min(.5,.2),min(1,.8),min(0,.3)) etc.

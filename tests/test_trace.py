@@ -16,8 +16,8 @@ from fuzzymaps import (
     LimitCycle,
     Matrix,
     TraceError,
-    make_special,
-    make_state,
+    SpecialMatrix,
+    SpecialStateVector,
     parse_model_text,
     parse_trace,
     parse_vector_text,
@@ -145,7 +145,7 @@ def test_tampered_step_is_rejected():
 
 def _one_component(kind, rows, algebra="fuzzy"):
     matrix = Matrix(len(rows), len(rows[0]), [v for row in rows for v in row])
-    return make_special([(matrix, ComponentTag(kind=kind, algebra=algebra))])
+    return SpecialMatrix([(matrix, ComponentTag(kind=kind, algebra=algebra))])
 
 
 # one run of each outcome shape: union, domain seed, describe() text and
@@ -185,7 +185,7 @@ OUTCOME_SHAPES = [
 @pytest.mark.parametrize("special, seed, described, final", OUTCOME_SHAPES)
 def test_each_outcome_shape_describes_renders_and_verifies(
         special, seed, described, final):
-    pattern = run_mixed(special, make_state([seed]))
+    pattern = run_mixed(special, SpecialStateVector([seed]))
     assert pattern.describe() == f"component 1: {described}"
     text = render_trace(pattern, special)
     assert final in text.splitlines()
@@ -195,7 +195,8 @@ def test_each_outcome_shape_describes_renders_and_verifies(
 
 @pytest.mark.parametrize("special, seed, described, final", OUTCOME_SHAPES)
 def test_changed_final_period_is_rejected(special, seed, described, final):
-    text = render_trace(run_mixed(special, make_state([seed])), special)
+    x = SpecialStateVector([seed])
+    text = render_trace(run_mixed(special, x), special)
     period = final.split()[3]  # period=1, 2 or 4
     for wrong in ("period=0", "period=3", "period=5"):
         with pytest.raises(TraceError, match="does not fit"):
@@ -207,7 +208,8 @@ def test_changed_final_period_is_rejected(special, seed, described, final):
 def test_fixed_final_relabelled_as_cycle_is_rejected(
         special, seed, described, final):
     # one state recorded as a period-1 cycle is a fixed point, not a cycle
-    text = render_trace(run_mixed(special, make_state([seed])), special)
+    x = SpecialStateVector([seed])
+    text = render_trace(run_mixed(special, x), special)
     relabelled = final
     for fixed, cycle in (("fixed-point", "limit-cycle"), ("state=", "states="),
                          ("fixed-pair", "pair-cycle"), ("domain=", "domains="),
@@ -219,7 +221,8 @@ def test_fixed_final_relabelled_as_cycle_is_rejected(
 
 def test_pair_cycle_with_an_unpaired_state_is_rejected():
     special, seed, _, final = OUTCOME_SHAPES[3].values
-    text = render_trace(run_mixed(special, make_state([seed])), special)
+    x = SpecialStateVector([seed])
+    text = render_trace(run_mixed(special, x), special)
     unpaired = final.replace(" ranges=", "|[0 1 I 1 1] ranges=")
     with pytest.raises(TraceError, match="does not fit"):
         verify_trace(text.replace(final, unpaired))
@@ -309,7 +312,7 @@ def seeded_unions(draw):
         parts.append(draw(st.lists(st.sampled_from([0, 1]), min_size=size,
                                    max_size=size)))
     k = draw(st.sampled_from([-1, 0, 0.5, 1]))
-    return make_special(comps), make_state(parts, side=side), k
+    return SpecialMatrix(comps), SpecialStateVector(parts, side=side), k
 
 
 @settings(max_examples=200, deadline=None)
