@@ -17,13 +17,15 @@ run_mixed, and models.run through them) goes through it:
   components pass through raw: no cut, no pin. Their values stay inside
   the finite set of stored inputs, so runs still terminate.
 * Recurrence: a component settles at its first recurring state on the
-  seeded side (Recurrence), and is then frozen and carried unchanged
-  while the others keep iterating. A one-state cycle is a FixedPoint,
-  a longer one a LimitCycle; trace verification uses the same rule.
+  seeded side, and is then frozen and carried unchanged while the others
+  keep iterating. An RM state is paired with its unpinned far-side
+  landing one step later. A one-state cycle is a FixedPoint, a longer
+  one a LimitCycle. Recurrence holds this rule, and trace verification
+  drives it too.
 
 Each component's step (operator, cut, pin, and for RM components the
-transpose) is compiled once at the start of a run, and the run, the
-RM partner states and the fixed-point check all call that one step.
+transpose) is compiled once at the start of a run, and the run and the
+fixed-point check both call that one step.
 Fuzzy circle components whose entries are all real and in {-1, 0, 1}
 compile to a bitmask kernel (int states, popcounts via int.bit_count,
 so Python 3.10+); every other component steps on Scalar tuples through
@@ -106,27 +108,39 @@ class LimitCycle:
 
 
 class Recurrence:
-    """First-recurrence detection, the rule that settles a component.
+    """First-recurrence detection and pairing, the rule that settles a
+    component.
 
-    States are added in order from the seed on. The first state equal to
-    an earlier one closes the cycle that starts at that earlier state and
-    runs up to the state before the recurrence.
+    Every state a component reaches is added in step order from the seed
+    on, with its step and the side it lands on. Only seeded-side states
+    are compared: the first one equal to an earlier one closes the cycle
+    that starts at that earlier state and runs up to the state before the
+    recurrence. A far-side landing (RM components only) is never pinned;
+    it is kept as the partner of the seeded-side state one step earlier,
+    and an RM cycle closes as (domain, range) pairs.
     """
 
-    __slots__ = ("states", "_index")
+    __slots__ = ("side", "seen", "partners")
 
-    def __init__(self, first):
-        self.states = [first]
-        self._index = {first: 0}
+    def __init__(self, side, first):
+        self.side = side
+        self.seen = {first: 0}  # seeded-side state -> step, in step order
+        self.partners = {}  # step -> far-side landing
 
-    def add(self, state):
-        """Record `state`; return the index in `states` where the cycle it
-        closes starts, or None while every state is new."""
-        start = self._index.get(state)
-        if start is None:
-            self._index[state] = len(self.states)
-            self.states.append(state)
-        return start
+    def add(self, step, side, state):
+        """Record `state`, reached at `step` on `side`; return the cycle it
+        closes, or None while every seeded-side state is new."""
+        if side != self.side:
+            self.partners[step] = state
+            return None
+        start = self.seen.setdefault(state, step)
+        if start == step:
+            return None
+        cycle = [(s, t) for s, t in self.seen.items() if t >= start]
+        if not self.partners:  # a CM component has no far side
+            return [s for s, _ in cycle]
+        pairs = [(s, self.partners[t + 1]) for s, t in cycle]
+        return pairs if self.side == DOMAIN_SIDE else [p[::-1] for p in pairs]
 
     @staticmethod
     def outcome(cycle):
@@ -157,12 +171,11 @@ class IterationRecord:
 @dataclass(frozen=True)
 class HiddenPattern:
     """Run result: one outcome per component plus the full trace. The
-    seeded side, step count and input mask derive from `input` and
-    `trace`."""
+    seeded side, step count, settle steps and input mask derive from
+    `input` and `trace`."""
 
     outcomes: tuple
     trace: tuple
-    settled_steps: tuple
     input: SpecialStateVector
 
     @property
@@ -172,6 +185,13 @@ class HiddenPattern:
     @property
     def steps(self) -> int:
         return len(self.trace)
+
+    @property
+    def settled_steps(self) -> tuple:
+        """Per component, the step it settled at: the number of records
+        in which it is not frozen."""
+        return tuple(column.count(False)
+                     for column in zip(*(r.frozen for r in self.trace)))
 
     @property
     def mask(self) -> InputMask:
@@ -420,10 +440,8 @@ class _ComponentRun:
         self.cur = rule.encode(start)  # native to the rule
         self.part = start  # the Scalar form of cur
         self.cur_side = seeded_side  # space the current state addresses
-        self.frozen = False
-        self.outcome = None
-        self.settled_step = 0
-        self.recurrence = Recurrence(self.cur)
+        self.outcome = None  # set when the component settles
+        self.recurrence = Recurrence(seeded_side, self.cur)
 
     # -- stepping ----------------------------------------------------------
     def step(self):
@@ -439,31 +457,18 @@ class _ComponentRun:
         return rule.scalars(raw), thr_part, self.part
 
     def observe(self, step_index):
-        """Record the new state for cycle detection when it is comparable
-        (CM: every step; RM: seeded-side landings only)."""
-        if self.kind == RM and self.cur_side != self.seeded_side:
+        """Feed the new state to the recurrence rule; settle on the cycle
+        it closes, in Scalar form."""
+        cycle = self.recurrence.add(step_index, self.cur_side, self.cur)
+        if cycle is None:
             return
-        start = self.recurrence.add(self.cur)
-        if start is not None:
-            self._settle(self.recurrence.states[start:], step_index)
-
-    # -- outcomes ------------------------------------------------------------
-    def _as_pair(self, state):
-        # the opposite-side partner is the thresholded image of the
-        # seeded-side state; the far side is never pinned
-        _, partner, _, land = self.rule.step(state, self.seeded_side)
-        pair = (self.rule.decode(state, self.seeded_side),
-                self.rule.decode(partner, land))
-        return pair if self.seeded_side == DOMAIN_SIDE else pair[::-1]
-
-    def _settle(self, cycle, step_index):
+        decode = self.rule.decode
         if self.kind == RM:
-            states = [self._as_pair(s) for s in cycle]
+            cycle = [(decode(d, DOMAIN_SIDE), decode(r, RANGE_SIDE))
+                     for d, r in cycle]
         else:
-            states = [self.rule.decode(s, self.seeded_side) for s in cycle]
-        self.outcome = Recurrence.outcome(states)
-        self.frozen = True
-        self.settled_step = step_index
+            cycle = [decode(s, self.seeded_side) for s in cycle]
+        self.outcome = Recurrence.outcome(cycle)
         self._verify()
 
     def _advance(self, part, side):
@@ -513,32 +518,25 @@ def _run(m: SpecialMatrix, x0: SpecialStateVector, *, op=None,
                                   x0.side))
     records = []
     for step in range(1, max_steps + 1):
-        if all(r.frozen for r in runs):
+        frozen = tuple(r.outcome is not None for r in runs)
+        if all(frozen):
             break
-        frozen_before = tuple(r.frozen for r in runs)
         raw, thresholded, updated = zip(*[
-            (r.part,) * 3 if r.frozen else r.step() for r in runs])
+            (r.part,) * 3 if f else r.step() for r, f in zip(runs, frozen)])
         side = other_side(x0.side) if (has_rm and step % 2 == 1) else x0.side
-        records.append(IterationRecord(
-            step=step,
-            side=side,
-            raw=raw,
-            thresholded=thresholded,
-            updated=updated,
-            frozen=frozen_before,
-        ))
-        for r in runs:
-            if not r.frozen:
+        records.append(IterationRecord(step, side, raw, thresholded,
+                                       updated, frozen))
+        for r, f in zip(runs, frozen):
+            if not f:
                 r.observe(step)
-    if not all(r.frozen for r in runs):
-        pending = [str(r.index + 1) for r in runs if not r.frozen]
+    pending = [str(r.index + 1) for r in runs if r.outcome is None]
+    if pending:
         raise IterationCapExceeded(
             f"components {', '.join(pending)} still unsettled after "
             f"{max_steps} steps")
     return HiddenPattern(
         outcomes=tuple(r.outcome for r in runs),
         trace=tuple(records),
-        settled_steps=tuple(r.settled_step for r in runs),
         input=x0,
     )
 

@@ -27,12 +27,14 @@ Matrix file: rows of scalar tokens, nothing else.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import DomainError, ParseError
 from .matrices import Matrix
 from .models import Model, ModelClass, build_model
 from .special import (
+    ALGEBRAS,
     CM,
     ComponentTag,
     KINDS,
@@ -53,28 +55,33 @@ class ModelFile:
 
 
 def _lines(text):
-    """Significant (lineno, content) pairs; comments and blanks dropped."""
+    """Significant (lineno, content) pairs; comments and blanks dropped.
+    The content keeps its leading whitespace, so columns count from the
+    start of the line."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         body = raw.split("#", 1)[0].rstrip()
         if body.strip():
-            out.append((lineno, body.strip()))
+            out.append((lineno, body))
     return out
 
 
-def _scalar_row(line, lineno, expected, where):
-    tokens = line.split()
-    if len(tokens) != expected:
+def _scalar_row(line, lineno, expected=None, where="", skip=0):
+    """The scalars of `line` after its first `skip` tokens. A count other
+    than `expected` (when given) or a bad token raises ParseError; a bad
+    token is reported at its column in the line."""
+    tokens = list(re.finditer(r"\S+", line))[skip:]
+    if expected is not None and len(tokens) != expected:
         raise ParseError(
             f"{where}: expected {expected} entries, got {len(tokens)}",
             line=lineno)
     out = []
     for token in tokens:
         try:
-            out.append(parse_scalar(token))
+            out.append(parse_scalar(token.group()))
         except ParseError as exc:
             raise ParseError(exc.message, line=lineno,
-                             col=line.index(token) + 1) from None
+                             col=token.start() + 1) from None
     return out
 
 
@@ -100,8 +107,8 @@ class ParsedStructure:
     model_class: ModelClass
     name: str
     components: tuple  # of (Matrix, ComponentTag)
-    labels: tuple  # per component, or None entries
-    experts: tuple  # per component, or None entries
+    labels: tuple  # per component: (rows,) or (rows, cols), None if absent
+    experts: tuple  # per component, None if absent
 
 
 def parse_model_structure(text: str) -> ParsedStructure:
@@ -153,7 +160,7 @@ def parse_model_structure(text: str) -> ParsedStructure:
             raise ParseError(f"unknown component kind {tokens[2]!r}",
                              line=lineno)
         algebra = tokens[3].lower()
-        if algebra not in ("fuzzy", "neutrosophic"):
+        if algebra not in ALGEBRAS:
             raise ParseError(f"unknown algebra {tokens[3]!r}", line=lineno)
         op = tokens[4].lower()
         if op not in OPS:
@@ -214,12 +221,8 @@ def parse_model_structure(text: str) -> ParsedStructure:
         components.append((matrix, tag))
         if kind == CM:
             labels.append((row_labels,) if row_labels else None)
-        elif row_labels or col_labels:
-            labels.append((
-                row_labels or tuple(f"d{i + 1}" for i in range(rows)),
-                col_labels or tuple(f"r{j + 1}" for j in range(cols))))
         else:
-            labels.append(None)
+            labels.append((row_labels, col_labels))
         experts.append(expert)
     else:
         raise ParseError("missing `end` terminator", line=lines[-1][0])
@@ -234,13 +237,8 @@ def parse_model_structure(text: str) -> ParsedStructure:
 def parse_model_text(text: str) -> ModelFile:
     """Parse and fully validate a model file."""
     raw = parse_model_structure(text)
-    experts = None
-    if any(e is not None for e in raw.experts):
-        experts = tuple(
-            e if e is not None else f"expert {i + 1}"
-            for i, e in enumerate(raw.experts))
     model = build_model(raw.model_class, raw.components,
-                        labels=raw.labels, experts=experts)
+                        labels=raw.labels, experts=raw.experts)
     return ModelFile(name=raw.name, model=model)
 
 
@@ -285,14 +283,7 @@ def parse_vector_text(text: str) -> SpecialStateVector:
                 f"a run is seeded on exactly one side", line=lineno)
         if len(tokens) < 2:
             raise ParseError("side tag with no entries", line=lineno)
-        entries = []
-        for token in tokens[1:]:
-            try:
-                entries.append(parse_scalar(token))
-            except ParseError as exc:
-                raise ParseError(exc.message, line=lineno,
-                                 col=line.index(token) + 1) from None
-        parts.append(entries)
+        parts.append(_scalar_row(line, lineno, skip=1))
     return SpecialStateVector(parts, side)
 
 

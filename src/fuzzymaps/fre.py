@@ -119,10 +119,7 @@ def failing_columns(q: Matrix, r) -> tuple:
     for k in range(q.cols):
         col_max = reduce(scalar_max, (q.at(j, k) for j in range(q.rows)))
         target = coerce(r.at(0, k))
-        dominates = col_max == target or (
-            scalar_max(col_max, target) == col_max
-            and scalar_min(col_max, target) == target)
-        if not dominates:
+        if not (col_max == target or _gt(col_max, target)):
             out.append(k)
     return tuple(out)
 

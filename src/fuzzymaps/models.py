@@ -237,8 +237,9 @@ def _normalize_labels(special: SpecialMatrix, labels) -> tuple:
                 raise ClassViolation(
                     f"{where}: rectangular components take "
                     f"(row labels, column labels)")
-            rows = tuple(str(n) for n in group[0])
-            cols = tuple(str(n) for n in group[1])
+            # a missing half takes its default names
+            rows, cols = (default if names is None else tuple(map(str, names))
+                          for names, default in zip(group, defaults[idx]))
             if len(rows) != mat.rows or len(cols) != mat.cols:
                 raise ClassViolation(
                     f"{where}: {len(rows)}x{len(cols)} labels for a "
@@ -265,9 +266,9 @@ def build_model(model_class: ModelClass, components, labels=None,
     if problems:
         raise ClassViolation("; ".join(problems))
     if experts is None:
-        experts = tuple(f"expert {i + 1}" for i in range(len(special)))
-    else:
-        experts = tuple(str(e) for e in experts)
+        experts = (None,) * len(special)
+    experts = tuple(f"expert {i + 1}" if e is None else str(e)
+                    for i, e in enumerate(experts))
     return Model(model_class=model_class, matrix=special,
                  labels=_normalize_labels(special, labels), experts=experts)
 

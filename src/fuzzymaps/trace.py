@@ -19,8 +19,9 @@ from .dynamics import (
     outcome_shape,
 )
 from .errors import ParseError, TraceError
-from .special import CM, RM, SpecialMatrix, render_part
-from .values import parse_scalar, render_scalar
+from .special import (CM, KINDS, RM, SIDES, SpecialMatrix, other_side,
+                      render_part)
+from .values import ONE, parse_scalar, render_scalar
 
 TRACE_VERSION = "1"
 
@@ -77,13 +78,14 @@ def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
                 f"raw={render_part(record.raw[idx])} "
                 f"thresholded={render_part(record.thresholded[idx])} "
                 f"updated={render_part(record.updated[idx])}")
+    settled = pattern.settled_steps
     for idx, outcome in enumerate(pattern.outcomes):
         shape, cycle = outcome_shape(outcome)
         columns = zip(*cycle) if "pair" in shape else (cycle,)
         states = " ".join(f"{field}={_fmt_states(column)}" for field, column
                           in zip(_FINAL_FIELDS[shape], columns))
         out.append(f"final {idx + 1} {shape} period={outcome.period} "
-                   f"settled={pattern.settled_steps[idx]} {states}")
+                   f"settled={settled[idx]} {states}")
     out.append("end")
     return "\n".join(out) + "\n"
 
@@ -109,8 +111,9 @@ def _parse_states(text: str, lineno: int):
 
 
 def parse_trace(text: str) -> dict:
-    """Structural parse into a dict: side, kinds, inputs, steps, finals.
-    Raises TraceError on malformed input."""
+    """Structural parse into a dict: side, the run line's step and
+    component counts, kinds, inputs, masks, steps, finals. Raises
+    TraceError on malformed input."""
     side = None
     kinds = {}
     inputs = {}
@@ -132,13 +135,14 @@ def parse_trace(text: str) -> dict:
             elif head == "run":
                 fields = dict(_FIELD_RE.findall(rest))
                 side = fields.get("side")
-                if side not in ("domain", "range"):
+                if side not in SIDES:
                     raise TraceError(f"line {lineno}: bad or missing run side")
+                counts = int(fields["steps"]), int(fields["components"])
             elif head == "component":
                 tokens = rest.split(None, 1)
                 idx = int(tokens[0]) - 1
                 fields = dict(_FIELD_RE.findall(tokens[1]))
-                if fields.get("kind") not in (CM, RM):
+                if fields.get("kind") not in KINDS:
                     raise TraceError(f"line {lineno}: bad component kind")
                 kinds[idx] = fields["kind"]
             elif head == "input":
@@ -201,59 +205,66 @@ def parse_trace(text: str) -> dict:
         raise TraceError("trace has no end line")
     if set(kinds) != set(inputs) or set(kinds) != set(finals):
         raise TraceError("component, input, and final lines disagree")
-    return {"side": side, "kinds": kinds, "inputs": inputs, "masks": masks,
-            "steps": steps, "finals": finals}
-
-
-def _rebuild_outcome(kind, side, input_state, comp_steps):
-    """Re-detect one component's pattern from its recorded states, with
-    the engine's own recurrence rule."""
-    recurrence = Recurrence(input_state)
-    landing_steps = [0]  # step of each state in recurrence.states
-    opposite = {}
-    start = None
-    for entry in comp_steps:
-        if entry["frozen"]:
-            continue
-        if entry["side"] != side:
-            opposite[entry["step"]] = entry["updated"]
-            continue
-        start = recurrence.add(entry["updated"])
-        if start is not None:
-            break
-        landing_steps.append(entry["step"])
-    if start is None:
-        raise TraceError("recorded states never recur; trace incomplete")
-    cycle = recurrence.states[start:]
-    if kind == CM:
-        return Recurrence.outcome(cycle)
-    pairs = []
-    for state, step in zip(cycle, landing_steps[start:]):
-        partner = opposite.get(step + 1)
-        if partner is None:
-            raise TraceError(
-                f"missing opposite-side state at step {step + 1}")
-        pairs.append((state, partner) if side == "domain"
-                     else (partner, state))
-    return Recurrence.outcome(pairs)
+    return {"side": side, "run_steps": counts[0], "components": counts[1],
+            "kinds": kinds, "inputs": inputs, "masks": masks, "steps": steps,
+            "finals": finals}
 
 
 def verify_trace(text: str) -> tuple:
     """Re-derive every component's final pattern from the recorded step
-    states and check it against the recorded finals. Returns the verified
-    outcomes in component order."""
+    states with the engine's recurrence rule, and check it, its settle
+    step, the run line's counts and the masks against the trace. Returns
+    the verified outcomes in component order."""
     data = parse_trace(text)
+    side, n, steps = data["side"], data["components"], data["run_steps"]
+    # sizes are compared first, so no list is built from an untrusted count
+    kinds = sorted(data["kinds"])
+    if len(kinds) != n or kinds != list(range(n)):
+        raise TraceError(f"run line says components={n}, but the trace "
+                         f"has {len(data['kinds'])} component lines")
+    entries = sorted(data["steps"], key=lambda e: (e["component"], e["step"]))
+    keys = [(e["component"], e["step"]) for e in entries]
+    if len(keys) != n * steps or keys != [
+            (c, t) for c in range(n) for t in range(1, steps + 1)]:
+        raise TraceError(f"run line says steps={steps}, but the step lines "
+                         f"are not one per component per step 1..{steps}")
     outcomes = []
-    for idx in sorted(data["kinds"]):
-        comp_steps = [e for e in data["steps"] if e["component"] == idx]
-        comp_steps.sort(key=lambda e: e["step"])
-        rebuilt = _rebuild_outcome(data["kinds"][idx], data["side"],
-                                   data["inputs"][idx], comp_steps)
-        recorded = data["finals"][idx]["outcome"]
-        if rebuilt != recorded:
+    for idx in range(n):
+        where = f"component {idx + 1}"
+        state = data["inputs"][idx]
+        if data["masks"].get(idx) != tuple(
+                i for i, v in enumerate(state) if v == ONE):
+            raise TraceError(f"{where}: mask does not match its input")
+        recurrence = Recurrence(side, state)
+        rm = data["kinds"][idx] == RM
+        comp_steps = entries[idx * steps:(idx + 1) * steps]
+        for entry in comp_steps:
+            # an RM component lands on the far side on odd steps
+            far = rm and entry["step"] % 2 == 1
+            if entry["side"] != (other_side(side) if far else side):
+                raise TraceError(f"{where}: step {entry['step']} lands on "
+                                 f"the wrong side")
+            cycle = recurrence.add(entry["step"], entry["side"],
+                                   entry["updated"])
+            if cycle is not None:
+                closed = entry["step"]
+                break
+        else:
+            raise TraceError(f"{where}: recorded states never recur; trace "
+                             f"incomplete")
+        final = data["finals"][idx]
+        unfrozen = [e["step"] for e in comp_steps if not e["frozen"]]
+        if final["settled"] != closed \
+                or unfrozen != list(range(1, closed + 1)):
             raise TraceError(
-                f"component {idx + 1}: recorded final "
-                f"({describe_outcome(recorded)}) does not match the "
+                f"{where}: settled={final['settled']} with {len(unfrozen)} "
+                f"unfrozen step lines, but its states first recur at step "
+                f"{closed}")
+        rebuilt = Recurrence.outcome(cycle)
+        if rebuilt != final["outcome"]:
+            raise TraceError(
+                f"{where}: recorded final "
+                f"({describe_outcome(final['outcome'])}) does not match the "
                 f"states in the trace ({describe_outcome(rebuilt)})")
         outcomes.append(rebuilt)
     return tuple(outcomes)

@@ -102,13 +102,14 @@ def test_threshold_update_skips_other_side():
 # ------------------------------------------------------------- recurrence
 
 def first_pattern(history):
-    """Feed `history` to the recurrence rule in order; the pattern of the
-    first recurrence, or None while every state is new."""
-    recurrence = Recurrence(history[0])
-    for state in history[1:]:
-        start = recurrence.add(state)
-        if start is not None:
-            return Recurrence.outcome(recurrence.states[start:])
+    """Feed `history` (all on the domain side, one state per step) to the
+    recurrence rule in order; the pattern of the first recurrence, or None
+    while every state is new."""
+    recurrence = Recurrence(DOMAIN_SIDE, history[0])
+    for step, state in enumerate(history[1:], 1):
+        cycle = recurrence.add(step, DOMAIN_SIDE, state)
+        if cycle is not None:
+            return Recurrence.outcome(cycle)
     return None
 
 

@@ -119,6 +119,15 @@ def test_bad_scalar_reports_line_and_column():
     assert "line 8, col 3" in str(err.value)
 
 
+def test_missing_rect_label_half_takes_its_default_names():
+    text = GOOD_MODEL.replace("component 2 RM fuzzy circle tri 2x3\n",
+                              "component 2 RM fuzzy circle tri 2x3\n"
+                              "cols x y z\n")
+    model = parse_model_text(text).model
+    assert model.labels[1] == (("d1", "d2"), ("x", "y", "z"))
+    assert model.experts == ("chief planner", "expert 2")
+
+
 def test_bad_size_token():
     bad = GOOD_MODEL.replace("2x3", "2by3")
     with pytest.raises(ParseError):
@@ -205,6 +214,20 @@ def test_vector_bad_entry_position():
         parse_vector_text("domain 0 ? 1\n")
     assert err.value.line == 1
     assert err.value.col == 10
+
+
+@pytest.mark.parametrize("parse, text, col", [
+    # the bad token also occurs inside an earlier token
+    (parse_matrix_text, "1e0 e0\n", 5),
+    (parse_vector_text, "domain 1e0 e0\n", 12),
+    # leading whitespace counts toward the column
+    (parse_matrix_text, "   0 x\n", 6),
+    (parse_vector_text, "  domain 0 x\n", 12),
+])
+def test_bad_scalar_column_counts_in_the_raw_line(parse, text, col):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (1, col)
 
 
 # ------------------------------------------------------------ matrix format

@@ -143,6 +143,47 @@ def test_tampered_step_is_rejected():
         verify_trace(doctored)
 
 
+@pytest.mark.parametrize("pair, line, old, new", [
+    pytest.param(SQUARE, "run ", "steps=1 ", "steps=99 ", id="run-steps"),
+    pytest.param(SQUARE, "run ", "components=1", "components=9",
+                 id="run-components"),
+    pytest.param(SQUARE, "mask 1 ", "[2 5]", "[1 3]", id="mask"),
+    pytest.param(RECT, "step 1 ", "side=range", "side=domain",
+                 id="step-side"),
+])
+def test_restated_fact_that_disagrees_is_rejected(pair, line, old, new):
+    # each field restates what the other lines already record
+    text = trace_of(*pair)
+    target = next(l for l in text.splitlines() if l.startswith(line))
+    doctored = text.replace(target, target.replace(old, new, 1))
+    assert doctored != text
+    with pytest.raises(TraceError):
+        verify_trace(doctored)
+
+
+def test_unfrozen_step_after_settling_is_rejected():
+    mf, pattern = run_fixture(*MIXED)
+    text = render_trace(pattern, mf.model.matrix)
+    idx = pattern.settled_steps.index(min(pattern.settled_steps))
+    target = next(l for l in text.splitlines()
+                  if l.startswith(f"step {min(pattern.settled_steps) + 1} "
+                                  f"component={idx + 1} "))
+    assert "frozen=yes" in target
+    doctored = text.replace(target, target.replace("frozen=yes", "frozen=no"))
+    with pytest.raises(TraceError, match=f"component {idx + 1}: settled="):
+        verify_trace(doctored)
+
+
+def test_settled_field_is_checked():
+    text = trace_of(*SQUARE)
+    final = next(l for l in text.splitlines() if l.startswith("final 1 "))
+    settled = final.split()[4]
+    assert settled == "settled=1"
+    for wrong in ("settled=999", "settled=0", "settled=2"):
+        with pytest.raises(TraceError, match="settled="):
+            verify_trace(text.replace(final, final.replace(settled, wrong)))
+
+
 def _one_component(kind, rows, algebra="fuzzy"):
     matrix = Matrix(len(rows), len(rows[0]), [v for row in rows for v in row])
     return SpecialMatrix([(matrix, ComponentTag(kind=kind, algebra=algebra))])
