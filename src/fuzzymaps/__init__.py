@@ -76,7 +76,6 @@ from .special import (
 from .dynamics import (
     FixedPoint,
     HiddenPattern,
-    InputMask,
     IterationRecord,
     LimitCycle,
     describe_outcome,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .dynamics import DEFAULT_MAX_STEPS
 from .errors import FuzzymapsError
 from .fileformats import (
     parse_matrix_text,
@@ -35,13 +36,16 @@ from .matrices import (
     transpose,
 )
 from .models import class_diagnostics, diagonal_diagnostics, run
-from .special import SpecialMatrix
+from .special import OPS, SpecialMatrix
 from .trace import render_trace
 from .values import OrderPolicy, render_scalar
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
+
+_POLICIES = [policy.value for policy in OrderPolicy]
+_DEFAULT_POLICY = OrderPolicy.BOOK_DEFAULT.value
 
 
 def _read(path: str) -> str:
@@ -167,14 +171,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--input", required=True,
                        help="initial state vector file")
     p_run.add_argument("--trace", help="write the full trace here")
-    p_run.add_argument("--op", choices=["circle", "maxmin", "minmax"],
+    p_run.add_argument("--op", choices=OPS,
                        help="override every component's operator")
-    p_run.add_argument("--order-policy", default="book",
-                       choices=["book", "indeterminacy"],
+    p_run.add_argument("--order-policy", default=_DEFAULT_POLICY,
+                       choices=_POLICIES,
                        help="how min/max treat indeterminate values")
     p_run.add_argument("--threshold-k", type=float, default=0.0,
                        help="cut constant (strictly greater passes)")
-    p_run.add_argument("--max-steps", type=int, default=10_000,
+    p_run.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS,
                        help="iteration safety cap")
     p_run.set_defaults(fn=cmd_run)
 
@@ -182,8 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "compose", help="combine two matrices with a chosen operation")
     p_compose.add_argument("--op", required=True,
                            choices=sorted(_COMPOSE_OPS))
-    p_compose.add_argument("--order-policy", default="book",
-                           choices=["book", "indeterminacy"])
+    p_compose.add_argument("--order-policy", default=_DEFAULT_POLICY,
+                           choices=_POLICIES)
     p_compose.add_argument("a", help="left matrix file")
     p_compose.add_argument("b", help="right matrix file")
     p_compose.set_defaults(fn=cmd_compose)

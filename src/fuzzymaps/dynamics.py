@@ -10,12 +10,13 @@ run_mixed, and models.run through them) goes through it:
   components take either side.
 * Step: apply, cut, pin. Circle-operator components are cut onto {0,1}
   (fuzzy) or {0,1,I} (neutrosophic) after every application, and the
-  coordinates that were ON in the seed are pinned back to 1 - but only
-  when the result lands on the seeded side. A CM component lands there on
-  every step; an RM component alternates its matrix with its transpose
-  and is pinned only when it returns to the seeded side. maxmin/minmax
-  components pass through raw: no cut, no pin. Their values stay inside
-  the finite set of stored inputs, so runs still terminate.
+  coordinates that were ON in the seed (on_coordinates) are pinned back
+  to 1 - but only when the result lands on the seeded side. A CM
+  component lands there on every step; an RM component alternates its
+  matrix with its transpose and is pinned only when it returns to the
+  seeded side. maxmin/minmax components pass through raw: no cut, no
+  pin. Their values stay inside the finite set of stored inputs, so runs
+  still terminate.
 * Recurrence: a component settles at its first recurring state on the
   seeded side, and is then frozen and carried unchanged while the others
   keep iterating. An RM state is paired with its unpinned far-side
@@ -24,8 +25,10 @@ run_mixed, and models.run through them) goes through it:
   drives it too.
 
 Each component's step (operator, cut, pin, and for RM components the
-transpose) is compiled once at the start of a run, and the run and the
-fixed-point check both call that one step.
+transpose) is compiled once at the start of a run, and the run calls only
+that one step. A test (tests/test_trace.py) steps every reported cycle
+again through the public Scalar operations, which the bitmask kernel
+does not use.
 Fuzzy circle components whose entries are all real and in {-1, 0, 1}
 compile to a bitmask kernel (int states, popcounts via int.bit_count,
 so Python 3.10+); every other component steps on Scalar tuples through
@@ -49,7 +52,6 @@ from .matrices import transpose
 from .special import (
     CM,
     DOMAIN_SIDE,
-    OPS,
     RANGE_SIDE,
     RM,
     SpecialMatrix,
@@ -70,20 +72,10 @@ from .values import (
 DEFAULT_MAX_STEPS = 10_000
 
 
-@dataclass(frozen=True)
-class InputMask:
-    """Which coordinates were ON in the user's initial vector (0-based,
-    per component) and which side received the input."""
-
-    side: str
-    on: tuple  # tuple of sorted tuples of int
-
-    @classmethod
-    def from_state(cls, state: SpecialStateVector) -> "InputMask":
-        on = tuple(
-            tuple(i for i, v in enumerate(part) if v == ONE)
-            for part in state.parts)
-        return cls(side=state.side, on=on)
+def on_coordinates(part) -> tuple:
+    """The 0-based coordinates that are ON (equal to 1) in a crisp seed
+    part: the coordinates a circle step pins."""
+    return tuple(i for i, v in enumerate(part) if v == ONE)
 
 
 @dataclass(frozen=True)
@@ -158,7 +150,7 @@ class IterationRecord:
     after pinning, each a tuple of Scalar parts, one per component.
     `frozen` marks components that had already settled and were carried
     unchanged through this step. `side` is where RM parts land on this
-    step (CM parts always sit on the seeded side)."""
+    step (CM parts and frozen parts always sit on the seeded side)."""
 
     step: int
     side: str
@@ -194,8 +186,9 @@ class HiddenPattern:
                      for column in zip(*(r.frozen for r in self.trace)))
 
     @property
-    def mask(self) -> InputMask:
-        return InputMask.from_state(self.input)
+    def mask(self) -> tuple:
+        """Per component, the 0-based coordinates ON in the seed."""
+        return tuple(map(on_coordinates, self.input.parts))
 
     def describe(self) -> str:
         lines = []
@@ -245,14 +238,6 @@ def _pin_part(part, on_indices):
     return tuple(out)
 
 
-def _component_mode(tag, k):
-    if tag.op != "circle":
-        return None  # maxmin/minmax parts flow raw
-    if tag.algebra == "neutrosophic":
-        return ThresholdMode.neutrosophic(k)
-    return ThresholdMode.fuzzy(k)
-
-
 def validate_input(m: SpecialMatrix, x: SpecialStateVector) -> list:
     """Every way `x` is not a valid seed for a run of `m`, as messages
     naming the component: the part count, a range-side seed of a square
@@ -289,9 +274,10 @@ class _Step:
     domain side and its transpose from the range side. Only a landing on
     the seeded side is pinned.
 
-    States are native to the step. `encode` and `decode` convert them from
-    and to the Scalar tuples that records and outcomes carry; `scalars`
-    does the same for a raw union part.
+    States are native to the step. `seed` gives the native form of the
+    crisp seed part, `decode` turns a state back into the Scalar tuple
+    that records and outcomes carry, and `scalars` does the same for a raw
+    union part.
     """
 
     def __init__(self, kind, seeded_side, forward, backward):
@@ -310,12 +296,14 @@ class _Step:
 class _ScalarStep(_Step):
     """The reference semantics: Scalar tuples through apply_part."""
 
-    def __init__(self, matrix, tag, seeded_side, mode, pin_on, policy):
+    def __init__(self, matrix, tag, seeded_side, k, pin_on, policy):
         backward = transpose(matrix) if tag.kind == RM else None
         super().__init__(tag.kind, seeded_side, matrix, backward)
         self.op = tag.op
         self.policy = policy
-        self.mode = mode
+        # maxmin/minmax parts flow raw
+        self.mode = ThresholdMode(tag.algebra, k) if tag.op == "circle" \
+            else None
         self.pin_on = pin_on
 
     def step(self, state, side):
@@ -327,7 +315,7 @@ class _ScalarStep(_Step):
         return raw, thresholded, updated, land
 
     @staticmethod
-    def encode(part):
+    def seed(part):
         return part
 
     @staticmethod
@@ -376,9 +364,8 @@ class _BitmaskStep(_Step):
         cut = sum([bit for r, bit in zip(raw, self.bits) if r > k])
         return raw, cut, (cut | self.pin) if pinned else cut, land
 
-    @staticmethod
-    def encode(part):
-        return sum(1 << i for i, v in enumerate(part) if v == ONE)
+    def seed(self, part):
+        return self.pin  # a crisp seed's ON bits are exactly its pin mask
 
     def decode(self, x, side):
         return tuple([_BIT_SCALARS[x >> i & 1]
@@ -425,19 +412,17 @@ def _bitmask_step(matrix, tag, seeded_side, k, pin_on):
 
 def _compile_step(matrix, tag, seeded_side, k, pin_on, policy):
     return (_bitmask_step(matrix, tag, seeded_side, k, pin_on)
-            or _ScalarStep(matrix, tag, seeded_side, _component_mode(tag, k),
-                           pin_on, policy))
+            or _ScalarStep(matrix, tag, seeded_side, k, pin_on, policy))
 
 
 class _ComponentRun:
     """Mutable per-component iteration state over its compiled step."""
 
-    def __init__(self, index, kind, rule, start, seeded_side):
-        self.index = index
+    def __init__(self, kind, rule, start, seeded_side):
         self.kind = kind
         self.rule = rule
         self.seeded_side = seeded_side
-        self.cur = rule.encode(start)  # native to the rule
+        self.cur = rule.seed(start)  # native to the rule
         self.part = start  # the Scalar form of cur
         self.cur_side = seeded_side  # space the current state addresses
         self.outcome = None  # set when the component settles
@@ -469,53 +454,24 @@ class _ComponentRun:
         else:
             cycle = [decode(s, self.seeded_side) for s in cycle]
         self.outcome = Recurrence.outcome(cycle)
-        self._verify()
-
-    def _advance(self, part, side):
-        """One full step of the compiled rule from the Scalar state
-        `part`, returned in Scalar form."""
-        _, _, updated, land = self.rule.step(self.rule.encode(part), side)
-        return self.rule.decode(updated, land)
-
-    def _verify(self):
-        """Post-hoc fixed-point check, independent of the detector: one
-        explicit extra step from a reported fixed point must return it."""
-        if not isinstance(self.outcome, FixedPoint):
-            return
-        if self.kind == CM:
-            state = self.outcome.state
-            ok = self._advance(state, self.seeded_side) == state
-        else:
-            domain_state, range_state = self.outcome.state
-            fwd = self._advance(domain_state, DOMAIN_SIDE)
-            back = self._advance(range_state, RANGE_SIDE)
-            ok = fwd == range_state and back == domain_state
-        if not ok:
-            raise RuntimeError(
-                f"internal error: component {self.index + 1} reported a "
-                f"fixed point that does not map to itself")
 
 
 def _run(m: SpecialMatrix, x0: SpecialStateVector, *, op=None,
          policy=OrderPolicy.BOOK_DEFAULT, threshold_k=0.0,
          max_steps=DEFAULT_MAX_STEPS) -> HiddenPattern:
-    if op is not None and op not in OPS:
-        raise ValueError(f"unknown operator {op!r}")
     if not math.isfinite(threshold_k):
         raise InvalidInput(f"threshold k must be finite, got {threshold_k}")
     problems = validate_input(m, x0)
     if problems:
         raise InvalidInput("; ".join(problems))
-    mask = InputMask.from_state(x0)
     has_rm = any(tag.kind == RM for _, tag in m)
     runs = []
-    for idx, (mat, tag) in enumerate(m):
+    for (mat, tag), part in zip(m, x0.parts):
         if op is not None and tag.op != op:
             tag = type(tag)(kind=tag.kind, algebra=tag.algebra, op=op)
-        pin_on = mask.on[idx] if tag.op == "circle" else ()
+        pin_on = on_coordinates(part) if tag.op == "circle" else ()
         rule = _compile_step(mat, tag, x0.side, threshold_k, pin_on, policy)
-        runs.append(_ComponentRun(idx, tag.kind, rule, x0.parts[idx],
-                                  x0.side))
+        runs.append(_ComponentRun(tag.kind, rule, part, x0.side))
     records = []
     for step in range(1, max_steps + 1):
         frozen = tuple(r.outcome is not None for r in runs)
@@ -529,7 +485,8 @@ def _run(m: SpecialMatrix, x0: SpecialStateVector, *, op=None,
         for r, f in zip(runs, frozen):
             if not f:
                 r.observe(step)
-    pending = [str(r.index + 1) for r in runs if r.outcome is None]
+    pending = [str(idx + 1) for idx, r in enumerate(runs)
+               if r.outcome is None]
     if pending:
         raise IterationCapExceeded(
             f"components {', '.join(pending)} still unsettled after "

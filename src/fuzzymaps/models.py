@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import ClassViolation, NonzeroDiagonal, WrongEntryPoint
-from .dynamics import run_cm, run_mixed, run_rm
+from .dynamics import DEFAULT_MAX_STEPS, run_cm, run_mixed, run_rm
 from .matrices import Matrix, mat_add
 from .special import (
     CM,
@@ -21,7 +21,7 @@ from .special import (
     SpecialMatrix,
     SpecialStateVector,
 )
-from .values import ValueDomain, ZERO, _ancestors
+from .values import OrderPolicy, ValueDomain, ZERO, _ancestors
 
 
 class ModelClass(enum.Enum):
@@ -282,22 +282,16 @@ def combine_maps(matrices) -> Matrix:
     return reduce(mat_add, mats)
 
 
-def run(model: Model, x0: SpecialStateVector, *, op=None, policy=None,
-        threshold_k=0.0, max_steps=None):
+def run(model: Model, x0: SpecialStateVector, *, op=None,
+        policy=OrderPolicy.BOOK_DEFAULT, threshold_k=0.0,
+        max_steps=DEFAULT_MAX_STEPS):
     """Dispatch a validated model to the matching engine, which validates
     the seed (dynamics.validate_input)."""
     if model.model_class in FRE_CLASSES:
         raise WrongEntryPoint(
             f"{model.model_class.value} describes relational equations; "
             f"solve it with the fre module, not a dynamical run")
-    kwargs = {"op": op, "threshold_k": threshold_k}
-    if policy is not None:
-        kwargs["policy"] = policy
-    if max_steps is not None:
-        kwargs["max_steps"] = max_steps
     kinds = _RULES[model.model_class].kinds
-    if kinds == _CM_ONLY:
-        return run_cm(model.matrix, x0, **kwargs)
-    if kinds == _RM_ONLY:
-        return run_rm(model.matrix, x0, **kwargs)
-    return run_mixed(model.matrix, x0, **kwargs)
+    engine = {_CM_ONLY: run_cm, _RM_ONLY: run_rm}.get(kinds, run_mixed)
+    return engine(model.matrix, x0, op=op, policy=policy,
+                  threshold_k=threshold_k, max_steps=max_steps)

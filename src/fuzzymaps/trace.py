@@ -16,12 +16,13 @@ from .dynamics import (
     HiddenPattern,
     Recurrence,
     describe_outcome,
+    on_coordinates,
     outcome_shape,
 )
 from .errors import ParseError, TraceError
 from .special import (CM, KINDS, RM, SIDES, SpecialMatrix, other_side,
                       render_part)
-from .values import ONE, parse_scalar, render_scalar
+from .values import parse_scalar, render_scalar
 
 TRACE_VERSION = "1"
 
@@ -63,18 +64,19 @@ def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
         if experts is not None:
             fields.append(f"expert=[{experts[idx]}]")
         out.append(f"component {idx + 1} " + " ".join(fields))
-    for idx, coords in enumerate(pattern.mask.on):
+    for idx, coords in enumerate(pattern.mask):
         body = " ".join(str(c + 1) for c in coords)
         out.append(f"mask {idx + 1} [{body}]")
     for idx, part in enumerate(pattern.input.parts):
         out.append(f"input {idx + 1} {render_part(part)}")
     for record in pattern.trace:
         for idx, (mat, tag) in enumerate(special):
-            side = pattern.side if tag.kind == CM else record.side
-            frozen = "yes" if record.frozen[idx] else "no"
+            # a CM part, or a frozen one, sits on the seeded side
+            frozen = record.frozen[idx]
+            side = pattern.side if tag.kind == CM or frozen else record.side
             out.append(
                 f"step {record.step} component={idx + 1} side={side} "
-                f"frozen={frozen} "
+                f"frozen={'yes' if frozen else 'no'} "
                 f"raw={render_part(record.raw[idx])} "
                 f"thresholded={render_part(record.thresholded[idx])} "
                 f"updated={render_part(record.updated[idx])}")
@@ -213,8 +215,8 @@ def parse_trace(text: str) -> dict:
 def verify_trace(text: str) -> tuple:
     """Re-derive every component's final pattern from the recorded step
     states with the engine's recurrence rule, and check it, its settle
-    step, the run line's counts and the masks against the trace. Returns
-    the verified outcomes in component order."""
+    step, the frozen steps after it, the run line's counts and the masks
+    against the trace. Returns the verified outcomes in component order."""
     data = parse_trace(text)
     side, n, steps = data["side"], data["components"], data["run_steps"]
     # sizes are compared first, so no list is built from an untrusted count
@@ -229,11 +231,11 @@ def verify_trace(text: str) -> tuple:
         raise TraceError(f"run line says steps={steps}, but the step lines "
                          f"are not one per component per step 1..{steps}")
     outcomes = []
+    last = 0  # the largest settle step, where the engine stops
     for idx in range(n):
         where = f"component {idx + 1}"
         state = data["inputs"][idx]
-        if data["masks"].get(idx) != tuple(
-                i for i, v in enumerate(state) if v == ONE):
+        if data["masks"].get(idx) != on_coordinates(state):
             raise TraceError(f"{where}: mask does not match its input")
         recurrence = Recurrence(side, state)
         rm = data["kinds"][idx] == RM
@@ -260,6 +262,16 @@ def verify_trace(text: str) -> tuple:
                 f"{where}: settled={final['settled']} with {len(unfrozen)} "
                 f"unfrozen step lines, but its states first recur at step "
                 f"{closed}")
+        # a frozen part is carried unchanged on the seeded side
+        settled_state = comp_steps[closed - 1]["updated"]
+        for entry in comp_steps[closed:]:
+            if entry["side"] != side or any(
+                    entry[f] != settled_state
+                    for f in ("raw", "thresholded", "updated")):
+                raise TraceError(
+                    f"{where}: frozen step {entry['step']} does not carry "
+                    f"the state settled at step {closed} on the {side} side")
+        last = max(last, closed)
         rebuilt = Recurrence.outcome(cycle)
         if rebuilt != final["outcome"]:
             raise TraceError(
@@ -267,4 +279,7 @@ def verify_trace(text: str) -> tuple:
                 f"({describe_outcome(final['outcome'])}) does not match the "
                 f"states in the trace ({describe_outcome(rebuilt)})")
         outcomes.append(rebuilt)
+    if last != steps:
+        raise TraceError(f"run line says steps={steps}, but every component "
+                         f"has settled by step {last}")
     return tuple(outcomes)

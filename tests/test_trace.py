@@ -9,6 +9,7 @@ from fuzzymaps import (
     CM,
     DOMAIN_SIDE,
     I,
+    ONE,
     RANGE_SIDE,
     RM,
     ComponentTag,
@@ -18,14 +19,18 @@ from fuzzymaps import (
     TraceError,
     SpecialMatrix,
     SpecialStateVector,
+    ThresholdMode,
     parse_model_text,
     parse_trace,
     parse_vector_text,
     render_trace,
     run,
     run_mixed,
+    threshold_scalar,
+    transpose,
     verify_trace,
 )
+from fuzzymaps.special import apply_part
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -171,6 +176,65 @@ def test_unfrozen_step_after_settling_is_rejected():
     assert "frozen=yes" in target
     doctored = text.replace(target, target.replace("frozen=yes", "frozen=no"))
     with pytest.raises(TraceError, match=f"component {idx + 1}: settled="):
+        verify_trace(doctored)
+
+
+def _mixed_step_line(text, step, component):
+    return next(l for l in text.splitlines()
+                if l.startswith(f"step {step} component={component} "))
+
+
+def test_frozen_rm_part_sits_on_the_seeded_side():
+    # component 4 (RM 8x5) settled at step 2 and is carried on the domain
+    # side, though step 3 lands the unfrozen RM parts on the range side
+    mf, pattern = run_fixture(*MIXED)
+    text = render_trace(pattern, mf.model.matrix)
+    assert _mixed_step_line(text, 3, 4) == (
+        "step 3 component=4 side=domain frozen=yes "
+        "raw=[0 0 0 0 0 0 0 1] thresholded=[0 0 0 0 0 0 0 1] "
+        "updated=[0 0 0 0 0 0 0 1]")
+    assert _mixed_step_line(text, 3, 5).startswith(
+        "step 3 component=5 side=range frozen=no ")
+
+
+@pytest.mark.parametrize("step, old, new", [
+    pytest.param(3, "raw=[0 0 0 0 0 0 0 1]", "raw=[0 0 0 0 0 0 0 5]",
+                 id="raw"),
+    pytest.param(3, "thresholded=[0 0 0 0 0 0 0 1]",
+                 "thresholded=[1 0 0 0 0 0 0 1]", id="thresholded"),
+    pytest.param(3, "updated=[0 0 0 0 0 0 0 1]", "updated=[1 1 1 1 1 1 1 1]",
+                 id="updated"),
+    pytest.param(4, "side=domain", "side=range", id="side"),
+])
+def test_frozen_line_that_changes_its_part_is_rejected(step, old, new):
+    mf, pattern = run_fixture(*MIXED)
+    text = render_trace(pattern, mf.model.matrix)
+    target = _mixed_step_line(text, step, 4)
+    doctored = text.replace(target, target.replace(old, new))
+    assert doctored != text
+    with pytest.raises(TraceError, match=f"component 4: frozen step {step} "):
+        verify_trace(doctored)
+
+
+def test_step_after_every_component_settled_is_rejected():
+    # the engine stops at the first step where every component is frozen,
+    # so an extra, well-formed all-frozen step must not verify
+    mf, pattern = run_fixture(*MIXED)
+    text = render_trace(pattern, mf.model.matrix)
+    steps = pattern.steps
+    lines = [_mixed_step_line(text, steps, idx + 1)
+             for idx in range(len(pattern.outcomes))]
+    extra = []
+    for idx, line in enumerate(lines):
+        state = line.split("updated=")[1]
+        extra.append(f"step {steps + 1} component={idx + 1} side=domain "
+                     f"frozen=yes raw={state} thresholded={state} "
+                     f"updated={state}")
+    doctored = text.replace(lines[-1], "\n".join([lines[-1], *extra]))
+    doctored = doctored.replace(f"steps={steps} ", f"steps={steps + 1} ")
+    with pytest.raises(TraceError, match=f"steps={steps + 1}, but every "
+                                         f"component has settled by step "
+                                         f"{steps}"):
         verify_trace(doctored)
 
 
@@ -363,3 +427,78 @@ def test_verify_trace_rederives_every_run(case):
     pattern = run_mixed(special, x0, threshold_k=k)
     text = render_trace(pattern, special, threshold_k=k)
     assert verify_trace(text) == pattern.outcomes
+
+
+def _public_step(state, matrix, tag, k, pin):
+    """One apply -> cut -> pin step through the public Scalar operations,
+    not the engine's compiled step; `pin` lists the coordinates set to 1."""
+    out = list(apply_part(state, matrix, tag.op))
+    if tag.op == "circle":
+        mode = ThresholdMode(tag.algebra, k)
+        out = [threshold_scalar(v, mode) for v in out]
+        for i in pin:
+            out[i] = ONE
+    return tuple(out)
+
+
+def _assert_cycles_step(special, x0, k, pattern):
+    """Every state of every reported cycle steps to the next one, and each
+    cycle starts at the first state of the seed's orbit that it holds."""
+    for (matrix, tag), seed, outcome in zip(special, x0.parts,
+                                            pattern.outcomes):
+        cycle = outcome.states if isinstance(outcome, LimitCycle) \
+            else (outcome.state,)
+        pin = [i for i, v in enumerate(seed) if v == ONE]
+        if tag.kind == CM:
+            seeded = list(cycle)
+
+            def advance(state):
+                return _public_step(state, matrix, tag, k, pin)
+        else:
+            # seeded-side state -> unpinned far-side partner -> next
+            # seeded-side state, pinned
+            there, back = (matrix, transpose(matrix))
+            if x0.side == RANGE_SIDE:
+                there, back = back, there
+                cycle = [pair[::-1] for pair in cycle]
+            seeded = [s for s, _ in cycle]
+            for s, far in cycle:
+                assert _public_step(s, there, tag, k, ()) == far
+
+            def advance(state):
+                far = _public_step(state, there, tag, k, ())
+                return _public_step(far, back, tag, k, pin)
+        for t, state in enumerate(seeded):
+            assert advance(state) == seeded[(t + 1) % len(seeded)]
+        state = seed
+        for _ in range(pattern.steps + 1):
+            if state in seeded:
+                break
+            state = advance(state)
+        assert state == seeded[0]
+
+
+def _range_seeded(special):
+    # the transposed union seeded on its range side mirrors the original
+    (matrix, tag), = special
+    return SpecialMatrix([(transpose(matrix), tag)])
+
+
+@pytest.mark.parametrize("special, x0", [
+    *[pytest.param(p.values[0], SpecialStateVector([p.values[1]]), id=p.id)
+      for p in OUTCOME_SHAPES],
+    *[pytest.param(_range_seeded(p.values[0]),
+                   SpecialStateVector([p.values[1]], side=RANGE_SIDE),
+                   id=f"range-seeded-{p.id}")
+      for p in OUTCOME_SHAPES if "pair" in p.id],
+])
+def test_each_outcome_shape_steps_to_itself(special, x0):
+    _assert_cycles_step(special, x0, 0.0, run_mixed(special, x0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeded_unions())
+def test_every_reported_cycle_steps_to_its_next_state(case):
+    special, x0, k = case
+    pattern = run_mixed(special, x0, threshold_k=k)
+    _assert_cycles_step(special, x0, k, pattern)
