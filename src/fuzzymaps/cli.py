@@ -14,10 +14,11 @@ class (see fuzzymaps.errors):
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .dynamics import DEFAULT_MAX_STEPS
-from .errors import FuzzymapsError
+from .errors import DomainError, FuzzymapsError
 from .fileformats import (
     parse_matrix_text,
     parse_model_structure,
@@ -53,8 +54,18 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _report_invalid(problems) -> int:
+    for problem in problems:
+        print(f"problem: {problem}")
+    print("invalid")
+    return EXIT_VALIDATION
+
+
 def cmd_validate(args) -> int:
-    raw = parse_model_structure(_read(args.model))
+    try:
+        raw = parse_model_structure(_read(args.model))
+    except DomainError as exc:  # an entry outside its declared domain
+        return _report_invalid([exc])
     print(f"class: {raw.model_class.value}")
     if raw.name:
         print(f"name: {raw.name}")
@@ -73,10 +84,7 @@ def cmd_validate(args) -> int:
         problems.extend(diagonal_diagnostics(special))
         problems.extend(class_diagnostics(raw.model_class, special))
     if problems:
-        for problem in problems:
-            print(f"problem: {problem}")
-        print("invalid")
-        return EXIT_VALIDATION
+        return _report_invalid(problems)
     print("valid")
     return EXIT_OK
 
@@ -152,7 +160,10 @@ def cmd_fre(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later `main` call in the process."""
     parser = argparse.ArgumentParser(
         prog="fuzzymaps",
         description="Multi-expert fuzzy/neutrosophic map runner and "
@@ -163,7 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "validate", help="check a model file against its class rules")
     p_validate.add_argument("--model", required=True,
                             help="model file path")
-    p_validate.set_defaults(fn=cmd_validate)
 
     p_run = sub.add_parser(
         "run", help="iterate a model to its hidden pattern")
@@ -180,7 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="cut constant (strictly greater passes)")
     p_run.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS,
                        help="iteration safety cap")
-    p_run.set_defaults(fn=cmd_run)
 
     p_compose = sub.add_parser(
         "compose", help="combine two matrices with a chosen operation")
@@ -190,7 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            choices=_POLICIES)
     p_compose.add_argument("a", help="left matrix file")
     p_compose.add_argument("b", help="right matrix file")
-    p_compose.set_defaults(fn=cmd_compose)
 
     p_fre = sub.add_parser(
         "fre", help="solve p o Q = r for the maximum p")
@@ -203,15 +211,16 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(real-valued inputs only)")
     p_fre.add_argument("--neutrosophic", action="store_true",
                        help="allow indeterminate memberships")
-    p_fre.set_defaults(fn=cmd_fre)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # looked up per call, so the shared parser holds no command function
+    command = {"validate": cmd_validate, "run": cmd_run,
+               "compose": cmd_compose, "fre": cmd_fre}[args.command]
     try:
-        return args.fn(args)
+        return command(args)
     except (FuzzymapsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE if isinstance(exc, OSError) else exc.exit_code

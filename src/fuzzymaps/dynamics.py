@@ -27,14 +27,22 @@ run_mixed, and models.run through them) goes through it:
 Each component's step (operator, cut, pin, and for RM components the
 transpose) is compiled once at the start of a run, and the run calls only
 that one step. A test (tests/test_trace.py) steps every reported cycle
-again through the public Scalar operations, which the bitmask kernel
-does not use.
-Fuzzy circle components whose entries are all real and in {-1, 0, 1}
-compile to a bitmask kernel (int states, popcounts via int.bit_count,
-so Python 3.10+); every other component steps on Scalar tuples through
-apply_part. The Scalar path is the reference semantics, and a
-differential test holds the kernel to it: both produce the same Scalar
-records, outcomes and trace bytes.
+again through the public Scalar operations, which the kernels do not use.
+_compile_step takes the first kernel in _KERNELS that accepts the
+component, else the Scalar reference:
+
+* bitmask: fuzzy circle components whose entries are all real and in
+  {-1, 0, 1}; int states, popcounts via int.bit_count (so Python 3.10+),
+  column masks built once per matrix and kept on it;
+* float level: fuzzy maxmin/minmax components whose entries are all
+  finite reals; float-tuple states, one C-level max/min call per entry;
+* Scalar reference (_ScalarStep): every other component, on Scalar
+  tuples through apply_part. Neutrosophic maxmin/minmax stay here, where
+  the order policy applies.
+
+Differential tests hold each kernel to the reference, which they select
+by emptying _KERNELS: all produce the same Scalar records, outcomes and
+trace bytes.
 """
 
 from __future__ import annotations
@@ -342,9 +350,9 @@ _BIT_SCALARS = (ZERO, ONE)
 class _BitmaskStep(_Step):
     """Fuzzy circle step over {-1, 0, 1} weights on int bitmasks.
 
-    Bit i of a state is coordinate i. Each column j of the applied matrix
-    is a pair of masks (P_j, N_j) of its +1 and -1 rows, so
-    raw_j = |x & P_j| - |x & N_j|; the cut sets bit j when raw_j > k and
+    Bit i of a state is coordinate i. The applied matrix is a pair of mask
+    tuples (P, N): P[j] and N[j] hold the +1 and -1 rows of column j, so
+    raw_j = |x & P[j]| - |x & N[j]|; the cut sets bit j when raw_j > k and
     pinning ORs in the seed mask.
     """
 
@@ -357,9 +365,9 @@ class _BitmaskStep(_Step):
         self.bits = tuple(1 << j for j in range(max(sizes.values())))
 
     def step(self, x, side):
-        columns, land, pinned = self.moves[side]
-        raw = [(x & pos).bit_count() - (x & neg).bit_count()
-               for pos, neg in columns]
+        (pos, neg), land, pinned = self.moves[side]
+        raw = [(x & p).bit_count() - (x & n).bit_count()
+               for p, n in zip(pos, neg)]
         k = self.k
         cut = sum([bit for r, bit in zip(raw, self.bits) if r > k])
         return raw, cut, (cut | self.pin) if pinned else cut, land
@@ -376,43 +384,116 @@ class _BitmaskStep(_Step):
         return tuple(map(_INT_SCALARS.__getitem__, raw))
 
 
+def _sign_masks(matrix, by_rows):
+    """(P, N) of `matrix`: per column (per row when `by_rows`), the bitmask
+    of its +1 entries and that of its -1 entries. None unless every entry
+    is real and in {-1, 0, 1}."""
+    rows, cols = matrix.rows, matrix.cols
+    pos = [0] * (rows if by_rows else cols)
+    neg = pos[:]
+    for idx, entry in enumerate(matrix.entries):
+        a = entry.real_part
+        if entry.indet_coeff or a not in (-1.0, 0.0, 1.0):
+            return None
+        if a:
+            i, j = divmod(idx, cols)
+            if by_rows:
+                i, j = j, i
+            (pos if a > 0 else neg)[j] |= 1 << i
+    return tuple(pos), tuple(neg)
+
+
+def _column_masks(matrix):
+    return _sign_masks(matrix, False)
+
+
+def _row_masks(matrix):
+    return _sign_masks(matrix, True)
+
+
 def _bitmask_step(matrix, tag, seeded_side, k, pin_on):
     """The bitmask kernel of a fuzzy circle component whose entries are all
-    real and in {-1, 0, 1}; None for any other component, which then runs
-    on the Scalar path."""
+    real and in {-1, 0, 1}; None for any other component. The masks are
+    built once per matrix and kept on it; a CM component builds none for
+    the transpose."""
     if tag.op != "circle" or tag.algebra != "fuzzy":
         return None
-    rows, cols = matrix.rows, matrix.cols
-    # [P, N] masks per column of the matrix and per column of its transpose
-    col_masks = [[0, 0] for _ in range(cols)]
-    row_masks = [[0, 0] for _ in range(rows)]
-    for idx, entry in enumerate(matrix.entries):
-        if entry.indet_coeff:
-            return None
-        a = entry.real_part
-        if not a:
-            continue
-        if a == 1.0:
-            sign = 0
-        elif a == -1.0:
-            sign = 1
-        else:
-            return None
-        i, j = divmod(idx, cols)
-        col_masks[j][sign] |= 1 << i
-        row_masks[i][sign] |= 1 << j
-    forward = tuple(map(tuple, col_masks))
+    forward = matrix._memo(_column_masks)
+    if forward is None:
+        return None
     if tag.kind == CM:
         return _BitmaskStep(CM, seeded_side, forward, None,
-                            {seeded_side: rows}, k, pin_on)
+                            {seeded_side: matrix.rows}, k, pin_on)
     return _BitmaskStep(RM, seeded_side, forward,
-                        tuple(map(tuple, row_masks)),
-                        {DOMAIN_SIDE: rows, RANGE_SIDE: cols}, k, pin_on)
+                        matrix._memo(_row_masks),
+                        {DOMAIN_SIDE: matrix.rows, RANGE_SIDE: matrix.cols},
+                        k, pin_on)
+
+
+class _LevelStep(_Step):
+    """Fuzzy max-min or min-max step over real entries on float tuples.
+
+    A state is the tuple of its coordinates' real parts, and the applied
+    matrix is a tuple of its columns as float tuples, so raw_j is one
+    C-level call, max(map(min, x, column_j)) for max-min. Parts flow raw:
+    no cut, no pin. Every raw value is a seed value (0 or 1) or a matrix
+    entry, so `values` maps each float back to its Scalar.
+    """
+
+    def __init__(self, kind, seeded_side, forward, backward, op, values):
+        super().__init__(kind, seeded_side, forward, backward)
+        self.inner, self.outer = (min, max) if op == "maxmin" else (max, min)
+        self.values = values  # float -> Scalar
+
+    def step(self, x, side):
+        columns, land, _ = self.moves[side]
+        inner, outer = self.inner, self.outer
+        raw = tuple([outer(map(inner, x, col)) for col in columns])
+        return raw, raw, raw, land
+
+    @staticmethod
+    def seed(part):
+        return tuple([v.real_part for v in part])
+
+    def decode(self, x, side):
+        return self.scalars(x)
+
+    def scalars(self, raw):
+        return tuple(map(self.values.__getitem__, raw))
+
+
+def _level_step(matrix, tag, seeded_side, k, pin_on):
+    """The float kernel of a fuzzy maxmin/minmax component whose entries are
+    all finite reals; None for any other component. Neutrosophic level
+    components stay on the Scalar path, where the order policy applies."""
+    if tag.op == "circle" or tag.algebra != "fuzzy":
+        return None
+    entries = matrix.entries
+    reals = tuple([e.real_part for e in entries])
+    if any(e.indet_coeff for e in entries) \
+            or not all(map(math.isfinite, reals)):
+        return None
+    cols = matrix.cols
+    columns = tuple(reals[j::cols] for j in range(cols))
+    rows = None
+    if tag.kind == RM:  # the columns of the transpose
+        rows = tuple(reals[i:i + cols] for i in range(0, len(reals), cols))
+    values = {0.0: ZERO, 1.0: ONE}
+    values.update(zip(reals, entries))
+    return _LevelStep(tag.kind, seeded_side, columns, rows, tag.op, values)
+
+
+# The specialized kernels, tried in order before the Scalar reference.
+# Emptying this tuple runs every component on the reference.
+_KERNELS = (_bitmask_step, _level_step)
 
 
 def _compile_step(matrix, tag, seeded_side, k, pin_on, policy):
-    return (_bitmask_step(matrix, tag, seeded_side, k, pin_on)
-            or _ScalarStep(matrix, tag, seeded_side, k, pin_on, policy))
+    for build in _KERNELS:
+        step = build(matrix, tag, seeded_side, k, pin_on)
+        if step is not None:
+            return step
+    return _ScalarStep(matrix, tag, seeded_side, k, pin_on, policy)
 
 
 class _ComponentRun:
@@ -439,7 +520,9 @@ class _ComponentRun:
             else rule.decode(updated, land)
         self.cur = updated
         self.cur_side = land
-        return rule.scalars(raw), thr_part, self.part
+        # a part that flows raw is its own thresholded form
+        raw_part = thr_part if raw is thresholded else rule.scalars(raw)
+        return raw_part, thr_part, self.part
 
     def observe(self, step_index):
         """Feed the new state to the recurrence rule; settle on the cycle

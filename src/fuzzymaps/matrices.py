@@ -31,7 +31,7 @@ class Matrix:
     construction. Indexing is 0-based.
     """
 
-    __slots__ = ("rows", "cols", "domain", "entries")
+    __slots__ = ("rows", "cols", "domain", "entries", "_memos")
 
     def __init__(self, rows, cols, entries, domain=ValueDomain.ANY):
         rows = int(rows)
@@ -52,9 +52,24 @@ class Matrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "entries", cells)
+        object.__setattr__(self, "_memos", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    def _memo(self, build):
+        """`build(self)`, computed on the first call with `build` and kept
+        on the matrix: derived data, such as a step kernel's column masks,
+        that depends only on the entries. Not part of the value."""
+        memos = self._memos
+        if memos is None:
+            memos = {}
+            object.__setattr__(self, "_memos", memos)
+        try:
+            return memos[build]
+        except KeyError:
+            value = memos[build] = build(self)
+            return value
 
     @classmethod
     def from_rows(cls, rows, domain=ValueDomain.ANY) -> "Matrix":

@@ -365,10 +365,28 @@ def _parse_coeff(coeff_txt, original):
     return _parse_number(coeff_txt, original)
 
 
+# parse_scalar's memo: token text -> the one shared Scalar it parses to.
+# Scalar is immutable, so equal tokens can share an object (tuple
+# comparisons then succeed on identity). Bounded: once full it only reads.
+_LITERAL_LIMIT = 4096
+_LITERALS = {}
+
+
 def parse_scalar(text: str) -> Scalar:
     """Parse the scalar text syntax: `0.3`, `-1`, `I`, `2I`, `0.3+0.5I`,
     `7-I`, and the I-term-first form `7I-1`. Whitespace inside the token
-    is ignored. A coefficient that overflows a float raises ParseError."""
+    is ignored. A coefficient that overflows a float raises ParseError.
+    Equal tokens share one Scalar object while the memo (_LITERALS) has
+    room."""
+    value = _LITERALS.get(text)
+    if value is None:
+        value = _parse_scalar(text)  # a ParseError is never memoized
+        if len(_LITERALS) < _LITERAL_LIMIT:
+            _LITERALS[text] = value
+    return value
+
+
+def _parse_scalar(text):
     token = "".join(text.split())
     if not token:
         raise ParseError("empty scalar token")

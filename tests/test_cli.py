@@ -64,8 +64,9 @@ def test_validate_entry_outside_domain_is_a_validation_error(tmp_path):
     model.write_text(OUT_OF_DOMAIN_MODEL)
     proc = cli("validate", "--model", model)
     assert proc.returncode == 3
-    assert proc.stderr == OUT_OF_DOMAIN_ERROR
-    assert proc.stdout == ""
+    assert proc.stdout == ("problem: line 4: component 1: entry (1,2) = 0.5 "
+                           "is outside domain tri\ninvalid\n")
+    assert proc.stderr == ""
 
 
 def test_validate_missing_file(tmp_path):
@@ -304,6 +305,36 @@ def test_missing_required_arguments():
     proc = cli("run")
     assert proc.returncode == 2
     assert "--model" in proc.stderr
+
+
+def test_consecutive_main_calls_share_no_state(capsys, tmp_path):
+    model = FIXTURES / "mixed_operator_union.model"
+    seed = FIXTURES / "mixed_operator_seed.vec"
+
+    def call(*argv):
+        code = cli_module.main([str(a) for a in argv])
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    default_run = call("run", "--model", model, "--input", seed)
+    assert default_run[0] == 0
+    overridden = call("run", "--model", model, "--input", seed, "--op",
+                      "minmax", "--threshold-k", "0.5", "--max-steps", "3",
+                      "--trace", tmp_path / "t.trace")
+    assert overridden != default_run
+    assert call("validate", "--model", model)[2] == ""
+    assert call("fre", "--matrix", FIXTURES / "fre_q.txt", "--target",
+                FIXTURES / "fre_r.txt", "--minimal")[0] == 0
+    # the options of earlier calls are gone from the next one
+    assert call("run", "--model", model, "--input", seed) == default_run
+    assert call("fre", "--matrix", FIXTURES / "fre_q.txt", "--target",
+                FIXTURES / "fre_r.txt")[1].count("minimal:") == 0
+    with pytest.raises(SystemExit):
+        cli_module.main(["compose", "--op", "nope", "a", "b"])
+    capsys.readouterr()
+    assert call("run", "--model", model, "--input", seed) == default_run
+    args = cli_module._build_parser().parse_args(["validate", "--model", "m"])
+    assert vars(args) == {"command": "validate", "model": "m"}
 
 
 # ---------------------------------------------------------------- exit codes

@@ -40,6 +40,7 @@ from fuzzymaps.dynamics import Recurrence
 
 TRI = ValueDomain.TRI
 UNIT = ValueDomain.UNIT
+BIPOLAR = ValueDomain.BIPOLAR
 NTRI = ValueDomain.NEUTRO_TRI
 
 
@@ -564,29 +565,28 @@ def test_non_finite_threshold_rejected(k):
         run_cm(m, seed([0, 1, 0, 0, 1]), threshold_k=k)
 
 
-# ------------------------------------- bitmask kernel vs the Scalar reference
+# --------------------------------------- step kernels vs the Scalar reference
 
 def _reference(fn):
-    """Call fn with the bitmask kernel switched off, so that every
+    """Call fn with every specialized kernel switched off, so that every
     component steps on the Scalar path."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_bitmask_step", lambda *args: None)
+        mp.setattr(dynamics, "_KERNELS", ())
         return fn()
 
 
-def _kernel_used(fn):
-    """Call fn and return its result with whether every compiled step
-    was a bitmask kernel."""
+def _kernel_used(fn, kernel=dynamics._bitmask_step):
+    """Call fn and return its result with whether `kernel` compiled every
+    component's step."""
     picked = []
-    pick = dynamics._bitmask_step
 
     def spy(*args):
-        step = pick(*args)
+        step = kernel(*args)
         picked.append(step is not None)
         return step
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_bitmask_step", spy)
+        mp.setattr(dynamics, "_KERNELS", (spy,))
         result = fn()
     return result, bool(picked) and all(picked)
 
@@ -598,7 +598,7 @@ def _outcome(fn):
         return exc
 
 
-def _assert_same_run(fast, ref, special, k):
+def _assert_same_run(fast, ref, special, k, op=None):
     if isinstance(ref, IterationCapExceeded):
         assert isinstance(fast, IterationCapExceeded)
         assert str(fast) == str(ref)
@@ -607,8 +607,8 @@ def _assert_same_run(fast, ref, special, k):
     assert fast.steps == ref.steps
     assert fast.settled_steps == ref.settled_steps
     assert fast.trace == ref.trace
-    assert (render_trace(fast, special, threshold_k=k).encode()
-            == render_trace(ref, special, threshold_k=k).encode())
+    assert (render_trace(fast, special, threshold_k=k, op=op).encode()
+            == render_trace(ref, special, threshold_k=k, op=op).encode())
 
 
 @st.composite
@@ -648,6 +648,68 @@ def test_bitmask_kernel_matches_scalar_reference(case):
     fast, used = _kernel_used(go)
     assert used
     _assert_same_run(fast, _reference(go), special, k)
+
+
+_LEVELS = {UNIT: [0, 0.2, 0.5, 0.7, 1], BIPOLAR: [-1, -0.4, 0, 0.3, 1]}
+
+
+@st.composite
+def level_runs(draw):
+    """A fuzzy union of 1-3 maxmin/minmax components of 1-6 nodes over
+    UNIT or BIPOLAR entries (CM or RM on the domain side, RM on the range
+    side), a crisp seed, an optional --op override (which may also turn a
+    circle component into a level one) and a small step cap."""
+    side = draw(st.sampled_from([DOMAIN_SIDE, RANGE_SIDE]))
+    override = draw(st.sampled_from([None, "maxmin", "minmax"]))
+    ops = ["maxmin", "minmax"] + (["circle"] if override else [])
+    comps, parts = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from([CM, RM] if side == DOMAIN_SIDE
+                                    else [RM]))
+        rows = draw(st.integers(1, 6))
+        cols = rows if kind == CM else draw(st.integers(1, 6))
+        domain = draw(st.sampled_from([UNIT, BIPOLAR]))
+        low = -1.0 if domain is BIPOLAR else 0.0
+        entry = st.one_of(st.sampled_from(_LEVELS[domain]),
+                          st.floats(low, 1.0))
+        entries = draw(st.lists(entry, min_size=rows * cols,
+                                max_size=rows * cols))
+        comps.append((Matrix(rows, cols, entries, domain),
+                      ComponentTag(kind=kind, op=draw(st.sampled_from(ops)))))
+        size = cols if kind == RM and side == RANGE_SIDE else rows
+        parts.append(draw(st.lists(st.sampled_from([0, 1]), min_size=size,
+                                   max_size=size)))
+    max_steps = draw(st.integers(1, 12))
+    return SpecialMatrix(comps), seed(*parts, side=side), override, max_steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_runs())
+def test_level_kernel_matches_scalar_reference(case):
+    special, x0, override, max_steps = case
+
+    def go():
+        return _outcome(lambda: run_mixed(special, x0, op=override,
+                                          max_steps=max_steps))
+
+    fast, used = _kernel_used(go, dynamics._level_step)
+    assert used
+    _assert_same_run(fast, _reference(go), special, 0.0, override)
+
+
+def test_neutrosophic_and_indeterminate_levels_take_the_scalar_path():
+    levels = ntri([[0, "I"], [1, 0]])
+    real_levels = unitm([[0, 0.4], [0.9, 0]])
+    for matrix, algebra in ((levels, "fuzzy"), (real_levels, "neutrosophic")):
+        m = SpecialMatrix([(matrix, ComponentTag(algebra=algebra,
+                                                 op="maxmin"))])
+
+        def go():
+            return run_cm(m, seed([1, 0]))
+
+        fast, used = _kernel_used(go, dynamics._level_step)
+        assert not used
+        _assert_same_run(fast, _reference(go), m, 0.0)
 
 
 def test_real_weights_take_the_scalar_path():

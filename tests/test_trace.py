@@ -1,6 +1,7 @@
 """Trace serialization, parsing, and independent verification."""
 
 import pathlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from fuzzymaps import (
     parse_vector_text,
     render_trace,
     run,
+    outcome_shape,
     run_mixed,
     threshold_scalar,
     transpose,
@@ -394,6 +396,10 @@ _ENTRIES = {
     ("fuzzy", "minmax"): [0, 0.3, 0.6, 1],
     ("neutrosophic", "maxmin"): [0, 0.5, 1, I],
 }
+# Only neutrosophic circle RM components were seen to close pair cycles:
+# about 1 in 6 random ones of 2-5 nodes a side over these entries, 1 in
+# 16 over the pool above. Half of all RM draws are of this kind.
+_RM_CYCLING = ("neutrosophic", "circle"), [-1, 1, I]
 
 
 @st.composite
@@ -406,11 +412,17 @@ def seeded_unions(draw):
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from([CM, RM] if side == DOMAIN_SIDE
                                     else [RM]))
-        algebra, op = draw(st.sampled_from(sorted(_ENTRIES)))
-        rows = draw(st.integers(1, 5))
-        cols = rows if kind == CM else draw(st.integers(1, 5))
-        entries = draw(st.lists(st.sampled_from(_ENTRIES[algebra, op]),
-                                min_size=rows * cols, max_size=rows * cols))
+        low = 1
+        if kind == RM and draw(st.booleans()):
+            (algebra, op), pool = _RM_CYCLING
+            low = 2
+        else:
+            algebra, op = draw(st.sampled_from(sorted(_ENTRIES)))
+            pool = _ENTRIES[algebra, op]
+        rows = draw(st.integers(low, 5))
+        cols = rows if kind == CM else draw(st.integers(low, 5))
+        entries = draw(st.lists(st.sampled_from(pool), min_size=rows * cols,
+                                max_size=rows * cols))
         comps.append((Matrix(rows, cols, entries),
                       ComponentTag(kind=kind, algebra=algebra, op=op)))
         size = cols if kind == RM and side == RANGE_SIDE else rows
@@ -496,9 +508,16 @@ def test_each_outcome_shape_steps_to_itself(special, x0):
     _assert_cycles_step(special, x0, 0.0, run_mixed(special, x0))
 
 
-@settings(max_examples=200, deadline=None)
-@given(seeded_unions())
-def test_every_reported_cycle_steps_to_its_next_state(case):
-    special, x0, k = case
-    pattern = run_mixed(special, x0, threshold_k=k)
-    _assert_cycles_step(special, x0, k, pattern)
+def test_every_reported_cycle_steps_to_its_next_state():
+    shapes = Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seeded_unions())
+    def check(case):
+        special, x0, k = case
+        pattern = run_mixed(special, x0, threshold_k=k)
+        _assert_cycles_step(special, x0, k, pattern)
+        shapes.update(outcome_shape(o)[0] for o in pattern.outcomes)
+
+    check()
+    assert shapes["pair-cycle"], shapes  # the draws reach RM pair cycles

@@ -3,8 +3,9 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from fuzzymaps import values
 from fuzzymaps import (
     I,
     coerce,
@@ -345,3 +346,37 @@ def test_multiplication_commutes(a, b):
 def test_standard_norms_match_min_max(a, b):
     assert tnorm("standard", a, b) == coerce(min(a, b))
     assert tconorm("standard", a, b) == coerce(max(a, b))
+
+
+# tokens: canonical renderings, and strings over the token alphabet, of
+# which many are malformed
+tokens = st.one_of(scalars.map(render_scalar),
+                   st.text("0123456789.+-eEI ", max_size=8))
+
+
+def test_parse_scalar_memo_matches_a_fresh_parse():
+    @settings(max_examples=400, deadline=None)
+    @given(tokens)
+    def check(token):
+        try:
+            fresh = values._parse_scalar(token)
+        except ParseError as exc:
+            for _ in range(2):  # an invalid token raises on every call
+                with pytest.raises(ParseError) as again:
+                    parse_scalar(token)
+                assert again.value.message == exc.message
+            assert token not in values._LITERALS
+        else:
+            got = parse_scalar(token)
+            assert (got.real_part, got.indet_coeff) == (fresh.real_part,
+                                                        fresh.indet_coeff)
+            if token in values._LITERALS:  # memoized: one shared object
+                assert parse_scalar(token) is got
+        assert len(values._LITERALS) <= values._LITERAL_LIMIT
+
+    # a small bound, so that the memo fills up during the run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(values, "_LITERALS", {})
+        mp.setattr(values, "_LITERAL_LIMIT", 16)
+        check()
+        assert len(values._LITERALS) == 16
