@@ -1,22 +1,24 @@
 """The hidden-pattern engine: one step rule per component, iterated to a
 fixed point, a limit cycle, or a fixed binary pair.
 
-Each rule below is written once, and every entry point (run_cm, run_rm,
-run_mixed, and models.run through them) goes through it:
+Each rule below is written once, and every entry point goes through it:
+run_mixed runs, and run_cm, run_rm and models.run reach it.
 
 * Input: validate_input. A seed has one crisp {0,1} part per component,
   all on one side. Square (CM) components have a single node space, their
   domain, so they take domain-side seeds only; rectangular (RM)
   components take either side.
+* Schedule: landing_side. A CM component lands on the seeded side every
+  step; an RM component alternates its matrix with its transpose, so it
+  lands on the far side after an odd number of steps. The run,
+  Recurrence, render_trace and verify_trace all take sides from it.
 * Step: apply, cut, pin. Circle-operator components are cut onto {0,1}
   (fuzzy) or {0,1,I} (neutrosophic) after every application, and the
   coordinates that were ON in the seed (on_coordinates) are pinned back
-  to 1 - but only when the result lands on the seeded side. A CM
-  component lands there on every step; an RM component alternates its
-  matrix with its transpose and is pinned only when it returns to the
-  seeded side. maxmin/minmax components pass through raw: no cut, no
-  pin. Their values stay inside the finite set of stored inputs, so runs
-  still terminate.
+  to 1 - but only on a step that lands on the seeded side.
+  maxmin/minmax components pass through raw: no cut, no pin. Their
+  values stay inside the finite set of stored inputs, so runs still
+  terminate.
 * Recurrence: a component settles at its first recurring state on the
   seeded side, and is then frozen and carried unchanged while the others
   keep iterating. An RM state is paired with its unpinned far-side
@@ -24,10 +26,11 @@ run_mixed, and models.run through them) goes through it:
   one a LimitCycle. Recurrence holds this rule, and trace verification
   drives it too.
 
-Each component's step (operator, cut, pin, and for RM components the
-transpose) is compiled once at the start of a run, and the run calls only
-that one step. A test (tests/test_trace.py) steps every reported cycle
-again through the public Scalar operations, which the kernels do not use.
+Each component's step is compiled once at the start of a run into a
+kernel that only applies and cuts per side (the matrix from the domain,
+its transpose from the range), and the run calls only that one step. A
+test (tests/test_trace.py) steps every reported cycle again through the
+public Scalar operations, which the kernels do not use.
 _compile_step takes the first kernel in _KERNELS that accepts the
 component, else the Scalar reference:
 
@@ -107,37 +110,48 @@ class LimitCycle:
     period: int
 
 
+def landing_side(kind, seeded_side, step) -> str:
+    """The side a part of `kind`, seeded on `seeded_side`, sits on after
+    `step` steps: an RM part alternates its matrix with its transpose, so
+    it is on the far side after an odd number of steps; a CM part never
+    leaves the seeded side. A step that lands on the seeded side pins."""
+    if kind == RM and step % 2:
+        return other_side(seeded_side)
+    return seeded_side
+
+
 class Recurrence:
     """First-recurrence detection and pairing, the rule that settles a
     component.
 
-    Every state a component reaches is added in step order from the seed
-    on, with its step and the side it lands on. Only seeded-side states
-    are compared: the first one equal to an earlier one closes the cycle
-    that starts at that earlier state and runs up to the state before the
-    recurrence. A far-side landing (RM components only) is never pinned;
-    it is kept as the partner of the seeded-side state one step earlier,
-    and an RM cycle closes as (domain, range) pairs.
+    Every state a component of `kind` reaches is added in step order from
+    the seed on, and landing_side tells where it lands. Only seeded-side
+    states are compared: the first one equal to an earlier one closes the
+    cycle that starts at that earlier state and runs up to the state
+    before the recurrence. A far-side landing (RM components only) is
+    never pinned; it is kept as the partner of the seeded-side state one
+    step earlier, and an RM cycle closes as (domain, range) pairs.
     """
 
-    __slots__ = ("side", "seen", "partners")
+    __slots__ = ("kind", "side", "seen", "partners")
 
-    def __init__(self, side, first):
+    def __init__(self, kind, side, first):
+        self.kind = kind
         self.side = side
         self.seen = {first: 0}  # seeded-side state -> step, in step order
         self.partners = {}  # step -> far-side landing
 
-    def add(self, step, side, state):
-        """Record `state`, reached at `step` on `side`; return the cycle it
-        closes, or None while every seeded-side state is new."""
-        if side != self.side:
+    def add(self, step, state):
+        """Record `state`, reached at `step`; return the cycle it closes,
+        or None while every seeded-side state is new."""
+        if landing_side(self.kind, self.side, step) != self.side:
             self.partners[step] = state
             return None
         start = self.seen.setdefault(state, step)
         if start == step:
             return None
         cycle = [(s, t) for s, t in self.seen.items() if t >= start]
-        if not self.partners:  # a CM component has no far side
+        if self.kind == CM:
             return [s for s, _ in cycle]
         pairs = [(s, self.partners[t + 1]) for s, t in cycle]
         return pairs if self.side == DOMAIN_SIDE else [p[::-1] for p in pairs]
@@ -157,11 +171,10 @@ class IterationRecord:
     """One engine step: the raw union, its thresholded form, and the form
     after pinning, each a tuple of Scalar parts, one per component.
     `frozen` marks components that had already settled and were carried
-    unchanged through this step. `side` is where RM parts land on this
-    step (CM parts and frozen parts always sit on the seeded side)."""
+    unchanged through this step. A record's step is its position in the
+    trace, from 1; landing_side gives where each unfrozen part sits, and
+    a frozen part sits on the seeded side."""
 
-    step: int
-    side: str
     raw: tuple
     thresholded: tuple
     updated: tuple
@@ -231,21 +244,6 @@ def describe_outcome(outcome) -> str:
     return f"{name} (period {outcome.period}): {body}"
 
 
-def _threshold_part(part, mode):
-    if mode is None:
-        return tuple(part)
-    return tuple(threshold_scalar(v, mode) for v in part)
-
-
-def _pin_part(part, on_indices):
-    if not on_indices:
-        return tuple(part)
-    out = list(part)
-    for idx in on_indices:
-        out[idx] = ONE
-    return tuple(out)
-
-
 def validate_input(m: SpecialMatrix, x: SpecialStateVector) -> list:
     """Every way `x` is not a valid seed for a run of `m`, as messages
     naming the component: the part count, a range-side seed of a square
@@ -272,55 +270,40 @@ def validate_input(m: SpecialMatrix, x: SpecialStateVector) -> list:
 
 
 # -- compiled steps ----------------------------------------------------------
+#
+# A kernel is one component's step (apply, cut, pin), built once per run.
+# It keeps its operand per side: the matrix, applied from the domain, and
+# for an RM component its transpose, applied from the range.
+# `step(state, side, pin)` applies the operand of the side `state`
+# addresses, cuts, pins when told, and returns (raw, thresholded,
+# updated); landing_side decides `pin`. States are native to the kernel:
+# `seed` makes one from the crisp seed part, `decode` turns a state on a
+# side back into the Scalar tuple that records and outcomes carry, and
+# `scalars` does the same for a raw part.
 
-class _Step:
-    """One component's step rule (apply, cut, pin), built once per run.
-
-    `step(state, side)` advances a state that addresses `side` and returns
-    (raw, thresholded, updated, landing side). A CM component lands on the
-    seeded side every time; an RM component applies its matrix from the
-    domain side and its transpose from the range side. Only a landing on
-    the seeded side is pinned.
-
-    States are native to the step. `seed` gives the native form of the
-    crisp seed part, `decode` turns a state back into the Scalar tuple
-    that records and outcomes carry, and `scalars` does the same for a raw
-    union part.
-    """
-
-    def __init__(self, kind, seeded_side, forward, backward):
-        # side -> (operand applied from that side, landing side, pinned?)
-        if kind == CM:
-            self.moves = {seeded_side: (forward, seeded_side, True)}
-        else:
-            self.moves = {
-                DOMAIN_SIDE: (forward, RANGE_SIDE,
-                              seeded_side == RANGE_SIDE),
-                RANGE_SIDE: (backward, DOMAIN_SIDE,
-                             seeded_side == DOMAIN_SIDE),
-            }
-
-
-class _ScalarStep(_Step):
+class _ScalarStep:
     """The reference semantics: Scalar tuples through apply_part."""
 
-    def __init__(self, matrix, tag, seeded_side, k, pin_on, policy):
-        backward = transpose(matrix) if tag.kind == RM else None
-        super().__init__(tag.kind, seeded_side, matrix, backward)
+    def __init__(self, matrix, tag, k, pin_on, policy):
+        self.operands = {DOMAIN_SIDE: matrix, RANGE_SIDE:
+                         transpose(matrix) if tag.kind == RM else None}
         self.op = tag.op
         self.policy = policy
-        # maxmin/minmax parts flow raw
         self.mode = ThresholdMode(tag.algebra, k) if tag.op == "circle" \
             else None
         self.pin_on = pin_on
 
-    def step(self, state, side):
-        mat, land, pinned = self.moves[side]
-        raw = apply_part(state, mat, self.op, self.policy)
-        thresholded = _threshold_part(raw, self.mode)
-        updated = _pin_part(thresholded, self.pin_on) if pinned \
-            else thresholded
-        return raw, thresholded, updated, land
+    def step(self, state, side, pin):
+        raw = apply_part(state, self.operands[side], self.op, self.policy)
+        if self.mode is None:  # maxmin/minmax parts flow raw
+            return raw, raw, raw
+        thresholded = tuple([threshold_scalar(v, self.mode) for v in raw])
+        if not (pin and self.pin_on):
+            return raw, thresholded, thresholded
+        updated = list(thresholded)
+        for i in self.pin_on:
+            updated[i] = ONE
+        return raw, thresholded, tuple(updated)
 
     @staticmethod
     def seed(part):
@@ -347,30 +330,29 @@ _INT_SCALARS = _IntScalars()
 _BIT_SCALARS = (ZERO, ONE)
 
 
-class _BitmaskStep(_Step):
+class _BitmaskStep:
     """Fuzzy circle step over {-1, 0, 1} weights on int bitmasks.
 
-    Bit i of a state is coordinate i. The applied matrix is a pair of mask
-    tuples (P, N): P[j] and N[j] hold the +1 and -1 rows of column j, so
-    raw_j = |x & P[j]| - |x & N[j]|; the cut sets bit j when raw_j > k and
-    pinning ORs in the seed mask.
+    Bit i of a state is coordinate i. The applied operand is a pair of
+    mask tuples (P, N): P[j] and N[j] hold the +1 and -1 rows of column j,
+    so raw_j = |x & P[j]| - |x & N[j]|; the cut sets bit j when raw_j > k
+    and pinning ORs in the seed mask.
     """
 
-    def __init__(self, kind, seeded_side, forward, backward, sizes, k,
-                 pin_on):
-        super().__init__(kind, seeded_side, forward, backward)
+    def __init__(self, operands, sizes, k, pin_on):
+        self.operands = operands
         self.sizes = sizes  # side -> state length
         self.k = k
         self.pin = sum(1 << i for i in pin_on)
         self.bits = tuple(1 << j for j in range(max(sizes.values())))
 
-    def step(self, x, side):
-        (pos, neg), land, pinned = self.moves[side]
+    def step(self, x, side, pin):
+        pos, neg = self.operands[side]
         raw = [(x & p).bit_count() - (x & n).bit_count()
                for p, n in zip(pos, neg)]
         k = self.k
         cut = sum([bit for r, bit in zip(raw, self.bits) if r > k])
-        return raw, cut, (cut | self.pin) if pinned else cut, land
+        return raw, cut, (cut | self.pin) if pin else cut
 
     def seed(self, part):
         return self.pin  # a crisp seed's ON bits are exactly its pin mask
@@ -411,7 +393,7 @@ def _row_masks(matrix):
     return _sign_masks(matrix, True)
 
 
-def _bitmask_step(matrix, tag, seeded_side, k, pin_on):
+def _bitmask_step(matrix, tag, k, pin_on):
     """The bitmask kernel of a fuzzy circle component whose entries are all
     real and in {-1, 0, 1}; None for any other component. The masks are
     built once per matrix and kept on it; a CM component builds none for
@@ -421,35 +403,32 @@ def _bitmask_step(matrix, tag, seeded_side, k, pin_on):
     forward = matrix._memo(_column_masks)
     if forward is None:
         return None
-    if tag.kind == CM:
-        return _BitmaskStep(CM, seeded_side, forward, None,
-                            {seeded_side: matrix.rows}, k, pin_on)
-    return _BitmaskStep(RM, seeded_side, forward,
-                        matrix._memo(_row_masks),
+    backward = matrix._memo(_row_masks) if tag.kind == RM else None
+    return _BitmaskStep({DOMAIN_SIDE: forward, RANGE_SIDE: backward},
                         {DOMAIN_SIDE: matrix.rows, RANGE_SIDE: matrix.cols},
                         k, pin_on)
 
 
-class _LevelStep(_Step):
+class _LevelStep:
     """Fuzzy max-min or min-max step over real entries on float tuples.
 
     A state is the tuple of its coordinates' real parts, and the applied
-    matrix is a tuple of its columns as float tuples, so raw_j is one
-    C-level call, max(map(min, x, column_j)) for max-min. Parts flow raw:
-    no cut, no pin. Every raw value is a seed value (0 or 1) or a matrix
-    entry, so `values` maps each float back to its Scalar.
+    operand is a tuple of columns as float tuples, so raw_j is one C-level
+    call, max(map(min, x, column_j)) for max-min. Parts flow raw: no cut,
+    no pin. Every raw value is a seed value (0 or 1) or a matrix entry, so
+    `values` maps each float back to its Scalar.
     """
 
-    def __init__(self, kind, seeded_side, forward, backward, op, values):
-        super().__init__(kind, seeded_side, forward, backward)
+    def __init__(self, operands, op, values):
+        self.operands = operands
         self.inner, self.outer = (min, max) if op == "maxmin" else (max, min)
         self.values = values  # float -> Scalar
 
-    def step(self, x, side):
-        columns, land, _ = self.moves[side]
+    def step(self, x, side, pin):
         inner, outer = self.inner, self.outer
-        raw = tuple([outer(map(inner, x, col)) for col in columns])
-        return raw, raw, raw, land
+        raw = tuple([outer(map(inner, x, col))
+                     for col in self.operands[side]])
+        return raw, raw, raw
 
     @staticmethod
     def seed(part):
@@ -462,7 +441,7 @@ class _LevelStep(_Step):
         return tuple(map(self.values.__getitem__, raw))
 
 
-def _level_step(matrix, tag, seeded_side, k, pin_on):
+def _level_step(matrix, tag, k, pin_on):
     """The float kernel of a fuzzy maxmin/minmax component whose entries are
     all finite reals; None for any other component. Neutrosophic level
     components stay on the Scalar path, where the order policy applies."""
@@ -480,7 +459,8 @@ def _level_step(matrix, tag, seeded_side, k, pin_on):
         rows = tuple(reals[i:i + cols] for i in range(0, len(reals), cols))
     values = {0.0: ZERO, 1.0: ONE}
     values.update(zip(reals, entries))
-    return _LevelStep(tag.kind, seeded_side, columns, rows, tag.op, values)
+    return _LevelStep({DOMAIN_SIDE: columns, RANGE_SIDE: rows}, tag.op,
+                      values)
 
 
 # The specialized kernels, tried in order before the Scalar reference.
@@ -488,12 +468,12 @@ def _level_step(matrix, tag, seeded_side, k, pin_on):
 _KERNELS = (_bitmask_step, _level_step)
 
 
-def _compile_step(matrix, tag, seeded_side, k, pin_on, policy):
+def _compile_step(matrix, tag, k, pin_on, policy):
     for build in _KERNELS:
-        step = build(matrix, tag, seeded_side, k, pin_on)
+        step = build(matrix, tag, k, pin_on)
         if step is not None:
             return step
-    return _ScalarStep(matrix, tag, seeded_side, k, pin_on, policy)
+    return _ScalarStep(matrix, tag, k, pin_on, policy)
 
 
 class _ComponentRun:
@@ -505,55 +485,55 @@ class _ComponentRun:
         self.seeded_side = seeded_side
         self.cur = rule.seed(start)  # native to the rule
         self.part = start  # the Scalar form of cur
-        self.cur_side = seeded_side  # space the current state addresses
+        self.side = seeded_side  # space the current state addresses
         self.outcome = None  # set when the component settles
-        self.recurrence = Recurrence(seeded_side, self.cur)
+        self.recurrence = Recurrence(kind, seeded_side, self.cur)
 
-    # -- stepping ----------------------------------------------------------
-    def step(self):
-        """Advance one application; returns the Scalar forms of (raw,
-        thresholded, updated)."""
-        rule = self.rule
-        raw, thresholded, updated, land = rule.step(self.cur, self.cur_side)
+    def step(self, step):
+        """Take step number `step`, landing and pinning as landing_side
+        says, and settle on the cycle the new state closes; returns the
+        Scalar forms of (raw, thresholded, updated)."""
+        rule, seeded = self.rule, self.seeded_side
+        land = landing_side(self.kind, seeded, step)
+        raw, thresholded, updated = rule.step(self.cur, self.side,
+                                              land == seeded)
         thr_part = rule.decode(thresholded, land)
         self.part = thr_part if updated is thresholded \
             else rule.decode(updated, land)
         self.cur = updated
-        self.cur_side = land
+        self.side = land
+        cycle = self.recurrence.add(step, updated)
+        if cycle is not None:
+            decode = rule.decode
+            if self.kind == RM:
+                cycle = [(decode(d, DOMAIN_SIDE), decode(r, RANGE_SIDE))
+                         for d, r in cycle]
+            else:
+                cycle = [decode(s, seeded) for s in cycle]
+            self.outcome = Recurrence.outcome(cycle)
         # a part that flows raw is its own thresholded form
         raw_part = thr_part if raw is thresholded else rule.scalars(raw)
         return raw_part, thr_part, self.part
 
-    def observe(self, step_index):
-        """Feed the new state to the recurrence rule; settle on the cycle
-        it closes, in Scalar form."""
-        cycle = self.recurrence.add(step_index, self.cur_side, self.cur)
-        if cycle is None:
-            return
-        decode = self.rule.decode
-        if self.kind == RM:
-            cycle = [(decode(d, DOMAIN_SIDE), decode(r, RANGE_SIDE))
-                     for d, r in cycle]
-        else:
-            cycle = [decode(s, self.seeded_side) for s in cycle]
-        self.outcome = Recurrence.outcome(cycle)
 
-
-def _run(m: SpecialMatrix, x0: SpecialStateVector, *, op=None,
-         policy=OrderPolicy.BOOK_DEFAULT, threshold_k=0.0,
-         max_steps=DEFAULT_MAX_STEPS) -> HiddenPattern:
+def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *, op=None,
+              policy=OrderPolicy.BOOK_DEFAULT, threshold_k=0.0,
+              max_steps=DEFAULT_MAX_STEPS) -> HiddenPattern:
+    """Run an arbitrary CM/RM mixture: square components advance against
+    their own matrix every step while rectangular ones alternate sides."""
     if not math.isfinite(threshold_k):
         raise InvalidInput(f"threshold k must be finite, got {threshold_k}")
+    if max_steps < 1:
+        raise InvalidInput(f"max steps must be at least 1, got {max_steps}")
     problems = validate_input(m, x0)
     if problems:
         raise InvalidInput("; ".join(problems))
-    has_rm = any(tag.kind == RM for _, tag in m)
     runs = []
     for (mat, tag), part in zip(m, x0.parts):
         if op is not None and tag.op != op:
             tag = type(tag)(kind=tag.kind, algebra=tag.algebra, op=op)
         pin_on = on_coordinates(part) if tag.op == "circle" else ()
-        rule = _compile_step(mat, tag, x0.side, threshold_k, pin_on, policy)
+        rule = _compile_step(mat, tag, threshold_k, pin_on, policy)
         runs.append(_ComponentRun(tag.kind, rule, part, x0.side))
     records = []
     for step in range(1, max_steps + 1):
@@ -561,13 +541,8 @@ def _run(m: SpecialMatrix, x0: SpecialStateVector, *, op=None,
         if all(frozen):
             break
         raw, thresholded, updated = zip(*[
-            (r.part,) * 3 if f else r.step() for r, f in zip(runs, frozen)])
-        side = other_side(x0.side) if (has_rm and step % 2 == 1) else x0.side
-        records.append(IterationRecord(step, side, raw, thresholded,
-                                       updated, frozen))
-        for r, f in zip(runs, frozen):
-            if not f:
-                r.observe(step)
+            (r.part,) * 3 if f else r.step(step) for r, f in zip(runs, frozen)])
+        records.append(IterationRecord(raw, thresholded, updated, frozen))
     pending = [str(idx + 1) for idx, r in enumerate(runs)
                if r.outcome is None]
     if pending:
@@ -588,8 +563,8 @@ def run_cm(m: SpecialMatrix, x0: SpecialStateVector, *, op=None,
     for idx, (_, tag) in enumerate(m):
         if tag.kind != CM:
             raise NonCMComponent(f"component {idx + 1} is tagged {tag.kind}")
-    return _run(m, x0, op=op, policy=policy, threshold_k=threshold_k,
-                max_steps=max_steps)
+    return run_mixed(m, x0, op=op, policy=policy,
+                     threshold_k=threshold_k, max_steps=max_steps)
 
 
 def run_rm(m: SpecialMatrix, x0: SpecialStateVector, *, op=None,
@@ -600,14 +575,6 @@ def run_rm(m: SpecialMatrix, x0: SpecialStateVector, *, op=None,
     for idx, (_, tag) in enumerate(m):
         if tag.kind != RM:
             raise NonRMComponent(f"component {idx + 1} is tagged {tag.kind}")
-    return _run(m, x0, op=op, policy=policy, threshold_k=threshold_k,
-                max_steps=max_steps)
+    return run_mixed(m, x0, op=op, policy=policy,
+                     threshold_k=threshold_k, max_steps=max_steps)
 
-
-def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *, op=None,
-              policy=OrderPolicy.BOOK_DEFAULT, threshold_k=0.0,
-              max_steps=DEFAULT_MAX_STEPS) -> HiddenPattern:
-    """Run an arbitrary CM/RM mixture: square components advance against
-    their own matrix every step while rectangular ones alternate sides."""
-    return _run(m, x0, op=op, policy=policy, threshold_k=threshold_k,
-                max_steps=max_steps)

@@ -57,6 +57,9 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):  # the memos are not part of the value
+        return Matrix, (self.rows, self.cols, self.entries, self.domain)
+
     def _memo(self, build):
         """`build(self)`, computed on the first call with `build` and kept
         on the matrix: derived data, such as a step kernel's column masks,

@@ -77,6 +77,9 @@ class SpecialMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("SpecialMatrix is immutable")
 
+    def __reduce__(self):
+        return SpecialMatrix, (self.components,)
+
     def __len__(self):
         return len(self.components)
 
@@ -147,6 +150,9 @@ class SpecialStateVector:
 
     def __setattr__(self, name, value):
         raise AttributeError("SpecialStateVector is immutable")
+
+    def __reduce__(self):
+        return SpecialStateVector, (self.parts, self.side)
 
     def __len__(self):
         return len(self.parts)

@@ -16,12 +16,12 @@ from .dynamics import (
     HiddenPattern,
     Recurrence,
     describe_outcome,
+    landing_side,
     on_coordinates,
     outcome_shape,
 )
 from .errors import ParseError, TraceError
-from .special import (CM, KINDS, RM, SIDES, SpecialMatrix, other_side,
-                      render_part)
+from .special import KINDS, SIDES, SpecialMatrix, render_part
 from .values import parse_scalar, render_scalar
 
 TRACE_VERSION = "1"
@@ -69,13 +69,14 @@ def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
         out.append(f"mask {idx + 1} [{body}]")
     for idx, part in enumerate(pattern.input.parts):
         out.append(f"input {idx + 1} {render_part(part)}")
-    for record in pattern.trace:
+    for step, record in enumerate(pattern.trace, 1):
         for idx, (mat, tag) in enumerate(special):
-            # a CM part, or a frozen one, sits on the seeded side
+            # a frozen part is carried on the seeded side
             frozen = record.frozen[idx]
-            side = pattern.side if tag.kind == CM or frozen else record.side
+            side = pattern.side if frozen \
+                else landing_side(tag.kind, pattern.side, step)
             out.append(
-                f"step {record.step} component={idx + 1} side={side} "
+                f"step {step} component={idx + 1} side={side} "
                 f"frozen={'yes' if frozen else 'no'} "
                 f"raw={render_part(record.raw[idx])} "
                 f"thresholded={render_part(record.thresholded[idx])} "
@@ -94,6 +95,15 @@ def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
 
 _FIELD_RE = re.compile(
     r"([\w-]+)=((?:\[[^\]]*\])(?:\|\[[^\]]*\])*|\S+)")
+# the one bracketed field of a run or component line, a model or expert
+# name: free text, which may hold brackets and `key=` of its own. No other
+# field there has a bracket, so it runs from the first `[` to the last `]`.
+_FREE_TEXT_RE = re.compile(r"[\w-]+=\[.*\]")
+
+
+def _engine_fields(text: str) -> dict:
+    """The engine-written fields of a run or component line."""
+    return dict(_FIELD_RE.findall(_FREE_TEXT_RE.sub("", text, count=1)))
 
 
 def _parse_state(text: str, lineno: int):
@@ -135,7 +145,7 @@ def parse_trace(text: str) -> dict:
                         f"line {lineno}: unsupported trace version "
                         f"{rest.strip()!r}")
             elif head == "run":
-                fields = dict(_FIELD_RE.findall(rest))
+                fields = _engine_fields(rest)
                 side = fields.get("side")
                 if side not in SIDES:
                     raise TraceError(f"line {lineno}: bad or missing run side")
@@ -143,7 +153,7 @@ def parse_trace(text: str) -> dict:
             elif head == "component":
                 tokens = rest.split(None, 1)
                 idx = int(tokens[0]) - 1
-                fields = dict(_FIELD_RE.findall(tokens[1]))
+                fields = _engine_fields(tokens[1])
                 if fields.get("kind") not in KINDS:
                     raise TraceError(f"line {lineno}: bad component kind")
                 kinds[idx] = fields["kind"]
@@ -237,17 +247,14 @@ def verify_trace(text: str) -> tuple:
         state = data["inputs"][idx]
         if data["masks"].get(idx) != on_coordinates(state):
             raise TraceError(f"{where}: mask does not match its input")
-        recurrence = Recurrence(side, state)
-        rm = data["kinds"][idx] == RM
+        kind = data["kinds"][idx]
+        recurrence = Recurrence(kind, side, state)
         comp_steps = entries[idx * steps:(idx + 1) * steps]
         for entry in comp_steps:
-            # an RM component lands on the far side on odd steps
-            far = rm and entry["step"] % 2 == 1
-            if entry["side"] != (other_side(side) if far else side):
+            if entry["side"] != landing_side(kind, side, entry["step"]):
                 raise TraceError(f"{where}: step {entry['step']} lands on "
                                  f"the wrong side")
-            cycle = recurrence.add(entry["step"], entry["side"],
-                                   entry["updated"])
+            cycle = recurrence.add(entry["step"], entry["updated"])
             if cycle is not None:
                 closed = entry["step"]
                 break

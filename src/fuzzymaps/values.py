@@ -35,6 +35,9 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        return Scalar, (self.real_part, self.indet_coeff)
+
     # -- variant predicates -------------------------------------------------
     @property
     def is_real(self):
@@ -84,6 +87,9 @@ class Scalar:
                 and self.indet_coeff == other.indet_coeff)
 
     def __hash__(self):
+        # a real scalar equals its float, so it hashes like it
+        if not self.indet_coeff:
+            return hash(self.real_part)
         return hash((self.real_part, self.indet_coeff))
 
     def __repr__(self):

@@ -126,6 +126,17 @@ def test_run_iteration_cap():
     assert "unsettled" in proc.stderr
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_run_rejects_a_step_cap_below_one(cap):
+    # no run settles in under one step: bad input, not a cap exceeded
+    proc = cli("run", "--model", FIXTURES / "single_square_signed.model",
+               "--input", FIXTURES / "single_square_seed_b.vec",
+               "--max-steps", cap)
+    assert proc.returncode == 3
+    assert proc.stderr == f"error: max steps must be at least 1, got {cap}\n"
+    assert proc.stdout == ""
+
+
 def test_run_rejects_non_finite_threshold():
     for k in ("nan", "inf"):
         proc = cli("run", "--model",

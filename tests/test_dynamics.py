@@ -30,13 +30,14 @@ from fuzzymaps import (
     SpecialMatrix,
     SpecialStateVector,
     parse_scalar,
+    parse_trace,
     render_trace,
     run_cm,
     run_mixed,
     run_rm,
 )
 from fuzzymaps import dynamics
-from fuzzymaps.dynamics import Recurrence
+from fuzzymaps.dynamics import Recurrence, landing_side
 
 TRI = ValueDomain.TRI
 UNIT = ValueDomain.UNIT
@@ -92,7 +93,7 @@ def test_threshold_update_skips_other_side():
     m = SpecialMatrix([(tri([[-1, -1, 0], [0, 1, 1]]), ComponentTag(kind=RM))])
     got = run_rm(m, seed([1, 0]))
     to_range, to_domain = got.trace[0], got.trace[1]
-    assert to_range.side == RANGE_SIDE
+    assert "step 1 component=1 side=range " in render_trace(got, m)
     assert to_range.thresholded[0] == crisp([0, 0, 0])
     assert to_range.updated[0] == crisp([0, 0, 0])
     assert to_domain.thresholded[0] == crisp([0, 0])
@@ -102,13 +103,31 @@ def test_threshold_update_skips_other_side():
 
 # ------------------------------------------------------------- recurrence
 
+@pytest.mark.parametrize("kind, seeded, step, side", [
+    (CM, DOMAIN_SIDE, 1, DOMAIN_SIDE),
+    (CM, DOMAIN_SIDE, 2, DOMAIN_SIDE),
+    (CM, RANGE_SIDE, 1, RANGE_SIDE),
+    (CM, RANGE_SIDE, 2, RANGE_SIDE),
+    (RM, DOMAIN_SIDE, 1, RANGE_SIDE),
+    (RM, DOMAIN_SIDE, 2, DOMAIN_SIDE),
+    (RM, RANGE_SIDE, 1, DOMAIN_SIDE),
+    (RM, RANGE_SIDE, 2, RANGE_SIDE),
+    (RM, DOMAIN_SIDE, 7, RANGE_SIDE),
+    (RM, RANGE_SIDE, 10, RANGE_SIDE),
+])
+def test_landing_side(kind, seeded, step, side):
+    # an RM part is on the far side after an odd number of steps; a CM
+    # part never leaves the seeded side
+    assert landing_side(kind, seeded, step) == side
+
+
 def first_pattern(history):
-    """Feed `history` (all on the domain side, one state per step) to the
+    """Feed `history` (a CM component's states, one per step) to the
     recurrence rule in order; the pattern of the first recurrence, or None
     while every state is new."""
-    recurrence = Recurrence(DOMAIN_SIDE, history[0])
+    recurrence = Recurrence(CM, DOMAIN_SIDE, history[0])
     for step, state in enumerate(history[1:], 1):
-        cycle = recurrence.add(step, DOMAIN_SIDE, state)
+        cycle = recurrence.add(step, state)
         if cycle is not None:
             return Recurrence.outcome(cycle)
     return None
@@ -206,9 +225,10 @@ def test_rect_map_range_seed_settles_to_pair():
 def test_rm_alternates_sides_in_trace():
     m = SpecialMatrix([(B_RECT, ComponentTag(kind=RM))])
     got = run_rm(m, seed([1, 0, 1, 0, 1, 1]))
-    sides = [rec.side for rec in got.trace]
-    assert sides[0] == RANGE_SIDE
-    assert sides[1] == DOMAIN_SIDE
+    sides = [s["side"] for s in parse_trace(render_trace(got, m))["steps"]]
+    assert sides[:2] == [RANGE_SIDE, DOMAIN_SIDE]
+    # the part lengths alternate with them: range 4, domain 6
+    assert [len(rec.updated[0]) for rec in got.trace[:2]] == [4, 6]
 
 
 # ------------------------------------------------- five-expert square unions
@@ -563,6 +583,16 @@ def test_non_finite_threshold_rejected(k):
     m = SpecialMatrix([(A_SQ, ComponentTag())])
     with pytest.raises(InvalidInput):
         run_cm(m, seed([0, 1, 0, 0, 1]), threshold_k=k)
+
+
+@pytest.mark.parametrize("engine", [run_cm, run_mixed])
+@pytest.mark.parametrize("cap", [0, -3])
+def test_step_cap_below_one_rejected(engine, cap):
+    m = SpecialMatrix([(A_SQ, ComponentTag())])
+    with pytest.raises(InvalidInput, match=f"at least 1, got {cap}$"):
+        engine(m, seed([0, 1, 0, 0, 1]), max_steps=cap)
+    # one step is enough for a seed that is already fixed
+    assert engine(m, seed([0, 1, 0, 0, 1]), max_steps=1).steps == 1
 
 
 # --------------------------------------- step kernels vs the Scalar reference

@@ -1,5 +1,8 @@
 """Union-of-components structure: tags, classification, transposes, apply."""
 
+import copy
+import pickle
+
 import pytest
 
 from fuzzymaps import (
@@ -29,6 +32,7 @@ from fuzzymaps import (
     special_apply,
     special_transpose,
 )
+from fuzzymaps.dynamics import landing_side
 from fuzzymaps.special import apply_part
 
 TRI = ValueDomain.TRI
@@ -49,6 +53,39 @@ def rect(r, c):
 
 
 # ---------------------------------------------------------------------- tags
+
+@pytest.mark.parametrize("value", [
+    pytest.param(parse_scalar("0.5-2I"), id="Scalar"),
+    pytest.param(Matrix(2, 2, [0, 1, I, -1], ValueDomain.NEUTRO_TRI),
+                 id="Matrix"),
+    pytest.param(SpecialMatrix([
+        (Matrix(2, 2, [0, 1, -1, 0], TRI), ComponentTag()),
+        (Matrix(1, 3, [1, 0, I]), ComponentTag(kind=RM,
+                                               algebra="neutrosophic"))]),
+        id="SpecialMatrix"),
+    pytest.param(SpecialStateVector([[1, 0], [I]], side=RANGE_SIDE),
+                 id="SpecialStateVector"),
+])
+@pytest.mark.parametrize("clone", [
+    pytest.param(copy.copy, id="copy"),
+    pytest.param(copy.deepcopy, id="deepcopy"),
+    pytest.param(lambda v: pickle.loads(pickle.dumps(v)), id="pickle"),
+])
+def test_values_copy_and_pickle(value, clone):
+    got = clone(value)
+    assert type(got) is type(value)
+    assert got == value
+    assert hash(got) == hash(value)
+    assert repr(got) == repr(value)
+
+
+def test_matrix_clone_leaves_its_memos_behind():
+    m = Matrix(1, 2, [0, 1])
+    assert m._memo(lambda matrix: matrix.cols) == 2
+    for got in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert got == m
+        assert got._memos is None
+
 
 def test_tag_defaults():
     t = ComponentTag()
@@ -140,7 +177,8 @@ def test_special_transpose_flips_square_rm_like_the_engine():
     x = SpecialStateVector([[Scalar(1), Scalar(0), Scalar(0)],
                             [Scalar(1), Scalar(0)]])
     first, second = run_mixed(s, x).trace[:2]
-    y = SpecialStateVector(first.updated, side=first.side)
+    y = SpecialStateVector(first.updated,
+                           side=landing_side(RM, DOMAIN_SIDE, 1))
     back = special_apply(y, special_transpose(s))
     assert back.parts == second.raw
     assert back.parts[0] == (Scalar(1), Scalar(0), Scalar(0))

@@ -128,6 +128,24 @@ def test_metadata_is_optional():
     assert verify_trace(bare) == pattern.outcomes
 
 
+@pytest.mark.parametrize("name, expert", [
+    pytest.param("demo] steps=7 [", "expert 1", id="name-steps"),
+    pytest.param("demo] side=range [", "expert 1", id="name-side"),
+    pytest.param("demo", "zz] kind=RM [", id="expert-kind"),
+])
+def test_free_text_cannot_restate_engine_fields(name, expert):
+    # a model or expert name is free text: whatever it holds, the run and
+    # component fields come from the engine's own text
+    mf, pattern = run_fixture(*SQUARE)
+    text = render_trace(pattern, mf.model.matrix, experts=[expert],
+                        name=name)
+    assert f"[{name}]" in text and f"expert=[{expert}]" in text
+    assert verify_trace(text) == pattern.outcomes
+    data = parse_trace(text)
+    assert (data["side"], data["run_steps"], data["kinds"]) == (
+        DOMAIN_SIDE, pattern.steps, {0: CM})
+
+
 def test_tampered_final_is_rejected():
     text = trace_of(*SQUARE)
     doctored = text.replace("state=[0 1 0 0 1]", "state=[1 1 0 0 1]")

@@ -77,6 +77,20 @@ def test_real_scalar_equals_plain_value():
     assert Scalar(0, 0) == ZERO
 
 
+def test_real_scalar_hashes_like_its_number():
+    # equal values hash alike, so a Scalar and its number are one set key
+    assert hash(Scalar(1)) == hash(1)
+    assert hash(Scalar(0.5)) == hash(0.5)
+    assert hash(Scalar(-0.0)) == hash(0)
+    assert 1 in {Scalar(1)}
+    assert Scalar(0.5) in {0.5}
+    assert {Scalar(2): "a"}[2.0] == "a"
+    # indeterminate values keep their pair hash and stay apart from reals
+    assert hash(Scalar(1, 1)) == hash(Scalar(1.0, 1.0))
+    assert Scalar(0, 1) not in {0, 1}
+    assert len({I, ZERO, ONE, Scalar(1, 1)}) == 4
+
+
 def test_is_mixed():
     assert Scalar(2, 3).is_mixed
     assert not Scalar(2, 0).is_mixed
