@@ -70,8 +70,6 @@ from .special import (
     SpecialStateVector,
     other_side,
     render_part,
-    special_apply,
-    special_transpose,
 )
 from .dynamics import (
     FixedPoint,
@@ -90,7 +88,6 @@ from .models import (
     ModelClass,
     build_model,
     class_diagnostics,
-    combine_maps,
     diagonal_diagnostics,
     run,
 )

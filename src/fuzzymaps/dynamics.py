@@ -7,7 +7,8 @@ run_mixed runs, and run_cm, run_rm and models.run reach it.
 * Input: validate_input. A seed has one crisp {0,1} part per component,
   all on one side. Square (CM) components have a single node space, their
   domain, so they take domain-side seeds only; rectangular (RM)
-  components take either side.
+  components take either side. side_length gives a part's length on a
+  side, and trace verification asks it too.
 * Schedule: landing_side. A CM component lands on the seeded side every
   step; an RM component alternates its matrix with its transpose, so it
   lands on the far side after an odd number of steps. The run,
@@ -63,6 +64,7 @@ from .matrices import transpose
 from .special import (
     CM,
     DOMAIN_SIDE,
+    OPS,
     RANGE_SIDE,
     RM,
     SpecialMatrix,
@@ -118,6 +120,15 @@ def landing_side(kind, seeded_side, step) -> str:
     if kind == RM and step % 2:
         return other_side(seeded_side)
     return seeded_side
+
+
+def side_length(kind, side, rows, cols):
+    """The length of a part of a rows x cols component of `kind` on
+    `side`: rows on the domain, cols on an RM component's range, and None
+    on a CM component's range, a space it does not have."""
+    if side == DOMAIN_SIDE:
+        return rows
+    return cols if kind == RM else None
 
 
 class Recurrence:
@@ -254,10 +265,10 @@ def validate_input(m: SpecialMatrix, x: SpecialStateVector) -> list:
     out = []
     for idx, ((mat, tag), part) in enumerate(zip(m, x.parts)):
         where = f"component {idx + 1}"
-        if tag.kind == CM and x.side != DOMAIN_SIDE:
+        expected = side_length(tag.kind, x.side, mat.rows, mat.cols)
+        if expected is None:
             out.append(f"{where}: square component has no {x.side} space")
-        expected = mat.cols if x.side == RANGE_SIDE and tag.kind == RM \
-            else mat.rows
+            continue
         if len(part) != expected:
             out.append(f"{where}: input length {len(part)} does not match "
                        f"the {x.side} space of {mat.rows}x{mat.cols}")
@@ -525,6 +536,8 @@ def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *, op=None,
         raise InvalidInput(f"threshold k must be finite, got {threshold_k}")
     if max_steps < 1:
         raise InvalidInput(f"max steps must be at least 1, got {max_steps}")
+    if op is not None and op not in OPS:
+        raise InvalidInput(f"unknown component op {op!r}")
     problems = validate_input(m, x0)
     if problems:
         raise InvalidInput("; ".join(problems))

@@ -50,7 +50,8 @@ class NonSquareCM(FuzzymapsError):
 
 
 class ComponentCountMismatch(FuzzymapsError):
-    """Two unions (or a state and a union) have different component counts."""
+    """solve_special got a different number of targets than the union has
+    components."""
 
     exit_code = 4
 

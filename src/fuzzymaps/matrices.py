@@ -228,8 +228,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    """Entrywise sum (the combined-map construction). Unconstrained output
-    domain: sums of opinions escape {-1,0,1} by design."""
+    """Entrywise sum. Unconstrained output domain: sums of opinions escape
+    {-1,0,1} by design."""
     _require_same_shape(a, b, "sum")
     cells = list(map(operator.add, a.entries, b.entries))
     return Matrix(a.rows, a.cols, cells, ValueDomain.ANY)

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import ClassViolation, NonzeroDiagonal, WrongEntryPoint
 from .dynamics import DEFAULT_MAX_STEPS, run_cm, run_mixed, run_rm
-from .matrices import Matrix, mat_add
 from .special import (
     CM,
     RM,
@@ -271,15 +269,6 @@ def build_model(model_class: ModelClass, components, labels=None,
                     for i, e in enumerate(experts))
     return Model(model_class=model_class, matrix=special,
                  labels=_normalize_labels(special, labels), experts=experts)
-
-
-def combine_maps(matrices) -> Matrix:
-    """Entrywise sum of equally shaped opinion matrices (the combined-map
-    construction; opposite opinions cancel)."""
-    mats = list(matrices)
-    if not mats:
-        raise ValueError("need at least one matrix")
-    return reduce(mat_add, mats)
 
 
 def run(model: Model, x0: SpecialStateVector, *, op=None,

@@ -1,22 +1,19 @@
-"""Component unions: ordered tuples of tagged matrices that all operations
-treat componentwise.
+"""Component unions: ordered tuples of tagged matrices, a run's seed, and
+the one per-component operation, apply_part.
 
 The union symbol in this layer is purely structural. A union is a product
 of independent systems, one per expert; it is never a set union, and equal
-components may legally repeat.
+components may legally repeat. Nothing here steps a whole union: each
+component lands on its own side (dynamics.landing_side), so a run's
+records are the only view of a union step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    ComponentCountMismatch,
-    EmptyUnion,
-    NonSquareCM,
-    ShapeMismatch,
-)
-from .matrices import Matrix, fold_row, operators, transpose
+from .errors import EmptyUnion, NonSquareCM, ShapeMismatch
+from .matrices import Matrix, fold_row, operators
 from .values import OrderPolicy, coerce, render_scalar
 
 CM = "CM"    # square component iterated against itself
@@ -129,10 +126,10 @@ def _classify(components) -> str:
 
 
 class SpecialStateVector:
-    """One state part per component, plus which space (domain or range)
-    the parts currently address. Only RM components have both spaces; a
-    CM component has a single node space, which is its domain, so a
-    run seeds it on the domain side only."""
+    """A run's seed: one state part per component, plus the side (domain
+    or range) every part is seeded on. Only RM components have both
+    spaces; a CM component has a single node space, which is its domain,
+    so a run seeds it on the domain side only."""
 
     __slots__ = ("parts", "side")
 
@@ -174,18 +171,6 @@ def render_part(part) -> str:
     return "[" + " ".join(render_scalar(v) for v in part) + "]"
 
 
-def special_transpose(m: SpecialMatrix) -> SpecialMatrix:
-    """Transpose only the RM components; CM components pass through.
-
-    This is the transpose a mixed run uses on its return step: CM
-    components keep multiplying by their own matrix while RM components,
-    square or not, flip between their two spaces.
-    """
-    return SpecialMatrix([
-        (transpose(mat) if tag.kind == RM else mat, tag) for mat, tag in m
-    ])
-
-
 def apply_part(part, mat: Matrix, op: str,
                policy=OrderPolicy.BOOK_DEFAULT):
     """Apply one state part against one matrix with the given operator.
@@ -195,27 +180,3 @@ def apply_part(part, mat: Matrix, op: str,
         raise ShapeMismatch(
             f"state length {len(part)} does not match {mat.rows}x{mat.cols}")
     return fold_row(part, mat, *operators(op, policy))
-
-
-def _result_side(x: SpecialStateVector, m: SpecialMatrix) -> str:
-    if any(tag.kind == RM for _, tag in m):
-        return other_side(x.side)
-    return x.side
-
-
-def special_apply(x: SpecialStateVector, m: SpecialMatrix, op=None,
-                  policy=OrderPolicy.BOOK_DEFAULT) -> SpecialStateVector:
-    """Componentwise application of every part against its matrix, using
-    `op` for every component, or each component's tagged operator when
-    `op` is None. Returns the raw (un-thresholded) state union."""
-    if len(x) != len(m):
-        raise ComponentCountMismatch(
-            f"state has {len(x)} parts, union has {len(m)} components")
-    out = []
-    for idx, ((mat, tag), part) in enumerate(zip(m, x.parts)):
-        try:
-            out.append(apply_part(
-                part, mat, tag.op if op is None else op, policy))
-        except ShapeMismatch as exc:
-            raise ShapeMismatch(f"component {idx + 1}: {exc}") from None
-    return SpecialStateVector(out, _result_side(x, m))

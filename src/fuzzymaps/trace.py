@@ -19,6 +19,7 @@ from .dynamics import (
     landing_side,
     on_coordinates,
     outcome_shape,
+    side_length,
 )
 from .errors import ParseError, TraceError
 from .special import KINDS, SIDES, SpecialMatrix, render_part
@@ -124,10 +125,11 @@ def _parse_states(text: str, lineno: int):
 
 def parse_trace(text: str) -> dict:
     """Structural parse into a dict: side, the run line's step and
-    component counts, kinds, inputs, masks, steps, finals. Raises
-    TraceError on malformed input."""
+    component counts, kinds, (rows, cols) shapes, inputs, masks, steps,
+    finals. Raises TraceError on malformed input."""
     side = None
     kinds = {}
+    shapes = {}
     inputs = {}
     masks = {}
     steps = []
@@ -157,6 +159,7 @@ def parse_trace(text: str) -> dict:
                 if fields.get("kind") not in KINDS:
                     raise TraceError(f"line {lineno}: bad component kind")
                 kinds[idx] = fields["kind"]
+                shapes[idx] = int(fields["rows"]), int(fields["cols"])
             elif head == "input":
                 tokens = rest.split(None, 1)
                 inputs[int(tokens[0]) - 1] = _parse_state(tokens[1].strip(),
@@ -218,15 +221,29 @@ def parse_trace(text: str) -> dict:
     if set(kinds) != set(inputs) or set(kinds) != set(finals):
         raise TraceError("component, input, and final lines disagree")
     return {"side": side, "run_steps": counts[0], "components": counts[1],
-            "kinds": kinds, "inputs": inputs, "masks": masks, "steps": steps,
-            "finals": finals}
+            "kinds": kinds, "shapes": shapes, "inputs": inputs,
+            "masks": masks, "steps": steps, "finals": finals}
+
+
+def _check_lengths(where, parts, kind, side, shape):
+    """Raise TraceError unless each of `parts` has the length side_length
+    gives a component of `kind` and (rows, cols) `shape` on `side`."""
+    expected = side_length(kind, side, *shape)
+    if expected is None:
+        raise TraceError(f"{where}: a square component has no {side} space")
+    for part in parts:
+        if len(part) != expected:
+            raise TraceError(
+                f"{where}: length {len(part)} does not match the {side} "
+                f"space of {shape[0]}x{shape[1]}")
 
 
 def verify_trace(text: str) -> tuple:
     """Re-derive every component's final pattern from the recorded step
     states with the engine's recurrence rule, and check it, its settle
-    step, the frozen steps after it, the run line's counts and the masks
-    against the trace. Returns the verified outcomes in component order."""
+    step, the frozen steps after it, the run line's counts, the masks,
+    and every part's length on its side against the trace. Returns the
+    verified outcomes in component order."""
     data = parse_trace(text)
     side, n, steps = data["side"], data["components"], data["run_steps"]
     # sizes are compared first, so no list is built from an untrusted count
@@ -247,13 +264,17 @@ def verify_trace(text: str) -> tuple:
         state = data["inputs"][idx]
         if data["masks"].get(idx) != on_coordinates(state):
             raise TraceError(f"{where}: mask does not match its input")
-        kind = data["kinds"][idx]
+        kind, shape = data["kinds"][idx], data["shapes"][idx]
+        _check_lengths(f"{where} input", (state,), kind, side, shape)
         recurrence = Recurrence(kind, side, state)
         comp_steps = entries[idx * steps:(idx + 1) * steps]
         for entry in comp_steps:
             if entry["side"] != landing_side(kind, side, entry["step"]):
                 raise TraceError(f"{where}: step {entry['step']} lands on "
                                  f"the wrong side")
+            _check_lengths(f"{where} step {entry['step']}",
+                           (entry["raw"], entry["thresholded"],
+                            entry["updated"]), kind, entry["side"], shape)
             cycle = recurrence.add(entry["step"], entry["updated"])
             if cycle is not None:
                 closed = entry["step"]
@@ -279,6 +300,8 @@ def verify_trace(text: str) -> tuple:
                     f"{where}: frozen step {entry['step']} does not carry "
                     f"the state settled at step {closed} on the {side} side")
         last = max(last, closed)
+        # built from the length-checked input and step parts, so a final
+        # state of any other length does not match it
         rebuilt = Recurrence.outcome(cycle)
         if rebuilt != final["outcome"]:
             raise TraceError(

@@ -574,7 +574,7 @@ def test_op_override_replaces_tagged_operator():
 
 def test_unknown_op_override_rejected():
     m = SpecialMatrix([(A_SQ, ComponentTag())])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="unknown component op"):
         run_cm(m, seed([0, 1, 0, 0, 1]), op="convolve")
 
 

@@ -202,6 +202,22 @@ def test_mat_add_componentwise():
             assert got.at(i, j) == want.at(i, j)
 
 
+def test_mat_add_sums_and_cancels():
+    # summing opinion matrices: opposite opinions cancel, and a fuzzy and
+    # a neutrosophic opinion tally into a mixed value
+    a = Matrix.from_rows([[Scalar(0), Scalar(1)], [Scalar(-1), Scalar(0)]],
+                         domain=TRI)
+    b = Matrix.from_rows([[Scalar(0), Scalar(-1)], [Scalar(1), Scalar(0)]],
+                         domain=TRI)
+    combined = mat_add(a, b)
+    assert combined.at(0, 1) == Scalar(0)
+    assert combined.at(1, 0) == Scalar(0)
+    c = Matrix.from_rows([[Scalar(0), parse_scalar("I")],
+                          [Scalar(1), Scalar(0)]],
+                         domain=ValueDomain.NEUTRO_TRI)
+    assert mat_add(a, c).at(0, 1) == parse_scalar("1+I")
+
+
 def test_mat_mul_annihilating_product():
     a = neutro([["7+I", "I"], ["I", "-6I"]])
     b = neutro([["7-I", "0"], ["I", "0"]])

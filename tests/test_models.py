@@ -19,7 +19,6 @@ from fuzzymaps import (
     WrongEntryPoint,
     build_model,
     class_diagnostics,
-    combine_maps,
     diagonal_diagnostics,
     SpecialMatrix,
     SpecialStateVector,
@@ -220,17 +219,11 @@ def test_custom_labels_checked_per_component():
                     labels=[("a", "b", "c"), ("d", "e", "f")])
 
 
-def test_combine_maps_sums_and_cancels():
-    a = m([[0, 1], [-1, 0]], TRI)
-    b = m([[0, -1], [1, 0]], TRI)
-    combined = combine_maps([a, b])
-    assert combined.at(0, 1) == Scalar(0)
-    assert combined.at(1, 0) == Scalar(0)
-    c = m([["0", "I"], ["1", "0"]], NTRI)
-    tallied = combine_maps([a, c])
-    assert tallied.at(0, 1) == parse_scalar("1+I")
-    with pytest.raises(ValueError):
-        combine_maps([])
+def test_run_rejects_unknown_op_override():
+    model = build_model(ModelClass.SFCM, [(F_SQ, CIRCLE_CM)])
+    x = SpecialStateVector([(Scalar(1), Scalar(0), Scalar(0))])
+    with pytest.raises(InvalidInput, match="unknown component op"):
+        run(model, x, op="convolve")
 
 
 def test_run_dispatch_matches_bare_engine():

@@ -1,4 +1,5 @@
-"""Union-of-components structure: tags, classification, transposes, apply."""
+"""Union-of-components structure: tags, classification, seeds, and the
+per-component transpose and apply that a run steps each part with."""
 
 import copy
 import pickle
@@ -8,12 +9,12 @@ import pytest
 from fuzzymaps import (
     CM,
     I,
-    ComponentCountMismatch,
     DOMAIN_SIDE,
     RANGE_SIDE,
     RM,
     ComponentTag,
     EmptyUnion,
+    InvalidInput,
     Matrix,
     NonSquareCM,
     Scalar,
@@ -29,8 +30,7 @@ from fuzzymaps import (
     render_part,
     row_vector,
     run_mixed,
-    special_apply,
-    special_transpose,
+    transpose,
 )
 from fuzzymaps.dynamics import landing_side
 from fuzzymaps.special import apply_part
@@ -154,34 +154,36 @@ def test_classification_table():
 # ------------------------------------------------------------------ transpose
 
 def test_special_transpose_matches_plain_for_shapes():
+    # each RM component's transpose flips its shape
     s = SpecialMatrix([(rect(2, 3), ComponentTag(kind=RM)),
                        (rect(4, 1), ComponentTag(kind=RM))])
-    assert [m.shape for m in special_transpose(s).matrices] == [(3, 2),
-                                                                (1, 4)]
+    assert [transpose(m).shape for m in s.matrices] == [(3, 2), (1, 4)]
 
 
 def test_transpose_involution_on_union():
+    # transposing twice gives every component's matrix back
     s = SpecialMatrix([(tri([[0, 1], [-1, 0]]), ComponentTag()),
                        (tri([[1, 0, -1]]), ComponentTag(kind=RM))])
-    back = special_transpose(special_transpose(s))
-    assert back.matrices == s.matrices
-    assert back.tags == s.tags
+    assert tuple(transpose(transpose(m)) for m in s.matrices) == s.matrices
 
 
-def test_special_transpose_flips_square_rm_like_the_engine():
-    # a square RM component still alternates with its transpose, so two
-    # applies through special_transpose land on the engine's step-2 raw
+def test_each_part_returns_through_its_own_sides_operand():
+    # each part of a mixed union lands on its own side: a square RM part
+    # on the range, still alternating with its transpose, and the CM part
+    # on the domain. One apply_part from there gives the step-2 raw part.
     s = SpecialMatrix([(tri([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
                         ComponentTag(kind=RM)),
                        (tri([[0, 1], [1, 0]]), ComponentTag())])
     x = SpecialStateVector([[Scalar(1), Scalar(0), Scalar(0)],
                             [Scalar(1), Scalar(0)]])
     first, second = run_mixed(s, x).trace[:2]
-    y = SpecialStateVector(first.updated,
-                           side=landing_side(RM, DOMAIN_SIDE, 1))
-    back = special_apply(y, special_transpose(s))
-    assert back.parts == second.raw
-    assert back.parts[0] == (Scalar(1), Scalar(0), Scalar(0))
+    sides = [landing_side(tag.kind, DOMAIN_SIDE, 1) for tag in s.tags]
+    assert sides == [RANGE_SIDE, DOMAIN_SIDE]
+    for (mat, tag), side, part, raw in zip(s, sides, first.updated,
+                                           second.raw):
+        operand = transpose(mat) if side == RANGE_SIDE else mat
+        assert apply_part(part, operand, tag.op) == raw
+    assert second.raw[0] == (Scalar(1), Scalar(0), Scalar(0))
 
 
 # --------------------------------------------------------------------- states
@@ -197,54 +199,54 @@ def test_make_state_and_render():
 
 # ---------------------------------------------------------------------- apply
 
-def test_special_apply_cm_keeps_side():
+def test_cm_part_steps_on_its_own_side():
     m = SpecialMatrix([(tri([[0, 1], [1, 0]]), ComponentTag())])
     x = SpecialStateVector([[Scalar(1), Scalar(0)]])
-    y = special_apply(x, m, "circle")
-    assert y.side == DOMAIN_SIDE
-    assert y.parts[0] == (Scalar(0), Scalar(1))
+    assert landing_side(CM, DOMAIN_SIDE, 1) == DOMAIN_SIDE
+    assert run_mixed(m, x).trace[0].raw[0] == (Scalar(0), Scalar(1))
 
 
-def test_special_apply_rm_flips_side():
-    m = SpecialMatrix([(tri([[1, 0, 1], [0, 1, 0]]), ComponentTag(kind=RM))])
+def test_rm_part_lands_on_the_far_side_and_returns():
+    mat = tri([[1, 0, 1], [0, 1, 0]])
+    m = SpecialMatrix([(mat, ComponentTag(kind=RM))])
     x = SpecialStateVector([[Scalar(1), Scalar(0)]], side=DOMAIN_SIDE)
-    y = special_apply(x, m, "circle")
-    assert y.side == RANGE_SIDE
-    assert y.parts[0] == (Scalar(1), Scalar(0), Scalar(1))
-    # the return trip runs against the transposed union
-    back = special_apply(y, special_transpose(m), "circle")
-    assert back.side == DOMAIN_SIDE
-    assert len(back.parts[0]) == 2
+    first, second = run_mixed(m, x).trace[:2]
+    assert landing_side(RM, DOMAIN_SIDE, 1) == RANGE_SIDE
+    assert first.raw[0] == (Scalar(1), Scalar(0), Scalar(1))
+    # the return trip runs against the transpose
+    assert landing_side(RM, DOMAIN_SIDE, 2) == DOMAIN_SIDE
+    assert len(second.raw[0]) == 2
+    assert apply_part(first.updated[0], transpose(mat), "circle") \
+        == second.raw[0]
 
 
 def test_apply_checks_component_count_and_length():
+    # the part count is the run's seed check; a part's length, apply_part's
     m = SpecialMatrix([(sq(2), ComponentTag())])
-    with pytest.raises(ComponentCountMismatch):
-        special_apply(
-            SpecialStateVector([[Scalar(0), Scalar(1)], [Scalar(1)]]),
-            m, "circle")
+    with pytest.raises(InvalidInput, match="input has 2 parts"):
+        run_mixed(m, SpecialStateVector([[Scalar(0), Scalar(1)],
+                                         [Scalar(1)]]))
     with pytest.raises(ShapeMismatch):
-        special_apply(SpecialStateVector([[Scalar(0), Scalar(1), Scalar(1)]]),
-                      m, "circle")
+        apply_part((Scalar(0), Scalar(1), Scalar(1)), sq(2), "circle")
 
 
 def test_union_slots_do_not_interact():
     a = tri([[0, 1], [1, 0]])
     b = tri([[0, -1], [-1, 0]])
-    joint = special_apply(
-        SpecialStateVector([[Scalar(1), Scalar(0)], [Scalar(1), Scalar(0)]]),
-        SpecialMatrix([(a, ComponentTag()), (b, ComponentTag())]), "circle")
-    alone0 = special_apply(SpecialStateVector([[Scalar(1), Scalar(0)]]),
-                           SpecialMatrix([(a, ComponentTag())]), "circle")
-    alone1 = special_apply(SpecialStateVector([[Scalar(1), Scalar(0)]]),
-                           SpecialMatrix([(b, ComponentTag())]), "circle")
-    assert joint.parts[0] == alone0.parts[0]
-    assert joint.parts[1] == alone1.parts[0]
+    seed = [Scalar(1), Scalar(0)]
+    joint = run_mixed(
+        SpecialMatrix([(a, ComponentTag()), (b, ComponentTag())]),
+        SpecialStateVector([seed, seed])).trace[0]
+    alone0 = run_mixed(SpecialMatrix([(a, ComponentTag())]),
+                       SpecialStateVector([seed])).trace[0]
+    alone1 = run_mixed(SpecialMatrix([(b, ComponentTag())]),
+                       SpecialStateVector([seed])).trace[0]
+    assert joint.raw[0] == alone0.raw[0]
+    assert joint.raw[1] == alone1.raw[0]
 
 
-def test_special_apply_mixed_one_step():
-    # no op: each component uses its tagged operator - one circle square,
-    # one maxmin membership square whose levels stay raw
+def test_each_component_applies_its_tagged_operator():
+    # one circle square, one maxmin membership square whose levels stay raw
     c = tri([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     m = Matrix.from_rows(
         [[Scalar(v) for v in row]
@@ -254,10 +256,11 @@ def test_special_apply_mixed_one_step():
                        (m, ComponentTag(op="maxmin"))])
     x = SpecialStateVector([[Scalar(1), Scalar(0), Scalar(0)],
                             [Scalar(0.5), Scalar(1), Scalar(0)]])
-    y = special_apply(x, s)
-    assert y.parts[0] == (Scalar(0), Scalar(1), Scalar(0))
+    y = [apply_part(part, mat, tag.op)
+         for (mat, tag), part in zip(s, x.parts)]
+    assert y[0] == (Scalar(0), Scalar(1), Scalar(0))
     # maxmin row: max(min(.5,.2),min(1,.8),min(0,.3)) etc.
-    assert y.parts[1] == (Scalar(0.8), Scalar(0.5), Scalar(0.5))
+    assert y[1] == (Scalar(0.8), Scalar(0.5), Scalar(0.5))
 
 
 @pytest.mark.parametrize("op, product", [("circle", mat_mul),

@@ -84,6 +84,7 @@ def test_parse_trace_structure():
     data = parse_trace(trace_of(*SQUARE))
     assert data["side"] == "domain"
     assert data["kinds"] == {0: "CM"}
+    assert data["shapes"] == {0: (5, 5)}
     assert data["masks"] == {0: (1, 4)}
     assert data["inputs"][0] == tuple(
         0 if i not in (1, 4) else 1 for i in range(5))
@@ -183,6 +184,47 @@ def test_restated_fact_that_disagrees_is_rejected(pair, line, old, new):
     doctored = text.replace(target, target.replace(old, new, 1))
     assert doctored != text
     with pytest.raises(TraceError):
+        verify_trace(doctored)
+
+
+def test_square_component_seeded_on_the_range_is_rejected():
+    # a CM component has no range space, however consistently every line
+    # of the trace restates that side
+    doctored = trace_of(*SQUARE).replace("side=domain", "side=range")
+    with pytest.raises(TraceError, match="no range space"):
+        verify_trace(doctored)
+
+
+_LENGTH = "component 1 {}: length"
+_MISMATCH = "recorded final .* does not match"
+
+
+@pytest.mark.parametrize("pair, line, old, new, message", [
+    pytest.param(SQUARE, "component 1 ", "rows=5 cols=5", "rows=7 cols=2",
+                 _LENGTH.format("input"), id="component-shape"),
+    pytest.param(SQUARE, "input 1 ", "[0 1 0 0 1]", "[0 1 0 0 1 0]",
+                 _LENGTH.format("input"), id="input"),
+    pytest.param(SQUARE, "step 1 ", "raw=[0", "raw=[0 0",
+                 _LENGTH.format("step 1"), id="raw"),
+    pytest.param(SQUARE, "step 1 ", "thresholded=[0", "thresholded=[0 0",
+                 _LENGTH.format("step 1"), id="thresholded"),
+    pytest.param(SQUARE, "step 1 ", "updated=[0", "updated=[0 0",
+                 _LENGTH.format("step 1"), id="updated"),
+    pytest.param(SQUARE, "final 1 ", "state=[0", "state=[0 0", _MISMATCH,
+                 id="final"),
+    pytest.param(RECT, "step 3 ", "raw=[1", "raw=[1 1",
+                 _LENGTH.format("step 3"), id="range-raw"),
+    pytest.param(RECT, "final 1 ", "range=[1", "range=[1 1", _MISMATCH,
+                 id="final-range"),
+])
+def test_part_of_the_wrong_length_is_rejected(pair, line, old, new, message):
+    # every part is as long as its component's space on its side; a final
+    # state is held to the checked step parts it must equal
+    text = trace_of(*pair)
+    target = next(l for l in text.splitlines() if l.startswith(line))
+    doctored = text.replace(target, target.replace(old, new, 1))
+    assert doctored != text
+    with pytest.raises(TraceError, match=message):
         verify_trace(doctored)
 
 
