@@ -37,7 +37,7 @@ from .matrices import (
     transpose,
 )
 from .models import class_diagnostics, diagonal_diagnostics, run
-from .special import OPS, SpecialMatrix
+from .special import SpecialMatrix
 from .trace import render_trace
 from .values import OrderPolicy, render_scalar
 
@@ -94,13 +94,13 @@ def cmd_run(args) -> int:
     x0 = parse_vector_text(_read(args.input))
     policy = OrderPolicy.parse(args.order_policy)
     model = model_file.model
-    pattern = run(model, x0, op=args.op, policy=policy,
+    pattern = run(model, x0, policy=policy,
                   threshold_k=args.threshold_k, max_steps=args.max_steps)
     if args.trace:
         text = render_trace(
             pattern, model.matrix, experts=model.experts, policy=policy,
-            threshold_k=args.threshold_k, op=args.op,
-            model_class=model.model_class, name=model_file.name)
+            threshold_k=args.threshold_k, model_class=model.model_class,
+            name=model_file.name)
         with open(args.trace, "w", encoding="utf-8") as handle:
             handle.write(text)
     print(f"classification: {model.matrix.classification}")
@@ -181,8 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--input", required=True,
                        help="initial state vector file")
     p_run.add_argument("--trace", help="write the full trace here")
-    p_run.add_argument("--op", choices=OPS,
-                       help="override every component's operator")
     p_run.add_argument("--order-policy", default=_DEFAULT_POLICY,
                        choices=_POLICIES,
                        help="how min/max treat indeterminate values")

@@ -2,7 +2,8 @@
 fixed point, a limit cycle, or a fixed binary pair.
 
 Each rule below is written once, and every entry point goes through it:
-run_mixed runs, and run_cm, run_rm and models.run reach it.
+run_mixed runs, and run_cm, run_rm and models.run forward their options
+to it. Each component is applied with the operator its tag declares.
 
 * Input: validate_input. A seed has one crisp {0,1} part per component,
   all on one side. Square (CM) components have a single node space, their
@@ -64,7 +65,6 @@ from .matrices import transpose
 from .special import (
     CM,
     DOMAIN_SIDE,
-    OPS,
     RANGE_SIDE,
     RM,
     SpecialMatrix,
@@ -527,24 +527,22 @@ class _ComponentRun:
         return raw_part, thr_part, self.part
 
 
-def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *, op=None,
+def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *,
               policy=OrderPolicy.BOOK_DEFAULT, threshold_k=0.0,
               max_steps=DEFAULT_MAX_STEPS) -> HiddenPattern:
     """Run an arbitrary CM/RM mixture: square components advance against
-    their own matrix every step while rectangular ones alternate sides."""
+    their own matrix every step while rectangular ones alternate sides,
+    each with the operator its tag declares. The run options `policy`,
+    `threshold_k` (the cut) and `max_steps` (the cap) are declared here."""
     if not math.isfinite(threshold_k):
         raise InvalidInput(f"threshold k must be finite, got {threshold_k}")
     if max_steps < 1:
         raise InvalidInput(f"max steps must be at least 1, got {max_steps}")
-    if op is not None and op not in OPS:
-        raise InvalidInput(f"unknown component op {op!r}")
     problems = validate_input(m, x0)
     if problems:
         raise InvalidInput("; ".join(problems))
     runs = []
     for (mat, tag), part in zip(m, x0.parts):
-        if op is not None and tag.op != op:
-            tag = type(tag)(kind=tag.kind, algebra=tag.algebra, op=op)
         pin_on = on_coordinates(part) if tag.op == "circle" else ()
         rule = _compile_step(mat, tag, threshold_k, pin_on, policy)
         runs.append(_ComponentRun(tag.kind, rule, part, x0.side))
@@ -569,25 +567,20 @@ def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *, op=None,
     )
 
 
-def run_cm(m: SpecialMatrix, x0: SpecialStateVector, *, op=None,
-           policy=OrderPolicy.BOOK_DEFAULT, threshold_k=0.0,
-           max_steps=DEFAULT_MAX_STEPS) -> HiddenPattern:
+def run_cm(m: SpecialMatrix, x0: SpecialStateVector,
+           **options) -> HiddenPattern:
     """Iterate a union of square components to its hidden pattern."""
     for idx, (_, tag) in enumerate(m):
         if tag.kind != CM:
             raise NonCMComponent(f"component {idx + 1} is tagged {tag.kind}")
-    return run_mixed(m, x0, op=op, policy=policy,
-                     threshold_k=threshold_k, max_steps=max_steps)
+    return run_mixed(m, x0, **options)
 
 
-def run_rm(m: SpecialMatrix, x0: SpecialStateVector, *, op=None,
-           policy=OrderPolicy.BOOK_DEFAULT, threshold_k=0.0,
-           max_steps=DEFAULT_MAX_STEPS) -> HiddenPattern:
+def run_rm(m: SpecialMatrix, x0: SpecialStateVector,
+           **options) -> HiddenPattern:
     """Alternate rectangular components with their transposes until each
     settles into a fixed binary pair (or a cycle of pairs)."""
     for idx, (_, tag) in enumerate(m):
         if tag.kind != RM:
             raise NonRMComponent(f"component {idx + 1} is tagged {tag.kind}")
-    return run_mixed(m, x0, op=op, policy=policy,
-                     threshold_k=threshold_k, max_steps=max_steps)
-
+    return run_mixed(m, x0, **options)

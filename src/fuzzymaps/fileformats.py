@@ -123,8 +123,8 @@ def parse_model_structure(text: str) -> ParsedStructure:
                          line=lineno)
     try:
         model_class = ModelClass.parse(head_tokens[1])
-    except ValueError as exc:
-        raise ParseError(str(exc), line=lineno) from None
+    except ParseError as exc:
+        raise ParseError(exc.message, line=lineno) from None
     name = " ".join(head_tokens[2:])
     pos += 1
 

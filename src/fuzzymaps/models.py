@@ -11,15 +11,20 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import ClassViolation, NonzeroDiagonal, WrongEntryPoint
-from .dynamics import DEFAULT_MAX_STEPS, run_cm, run_mixed, run_rm
+from .errors import (
+    ClassViolation,
+    NonzeroDiagonal,
+    ParseError,
+    WrongEntryPoint,
+)
+from .dynamics import run_cm, run_mixed, run_rm
 from .special import (
     CM,
     RM,
     SpecialMatrix,
     SpecialStateVector,
 )
-from .values import OrderPolicy, ValueDomain, ZERO, _ancestors
+from .values import ValueDomain, ZERO, _ancestors
 
 
 class ModelClass(enum.Enum):
@@ -47,7 +52,7 @@ class ModelClass(enum.Enum):
         try:
             return cls[text.strip().upper()]
         except KeyError:
-            raise ValueError(f"unknown model class {text!r}") from None
+            raise ParseError(f"unknown model class {text!r}") from None
 
 
 # Classes whose components describe relational equations rather than
@@ -271,16 +276,13 @@ def build_model(model_class: ModelClass, components, labels=None,
                  labels=_normalize_labels(special, labels), experts=experts)
 
 
-def run(model: Model, x0: SpecialStateVector, *, op=None,
-        policy=OrderPolicy.BOOK_DEFAULT, threshold_k=0.0,
-        max_steps=DEFAULT_MAX_STEPS):
+def run(model: Model, x0: SpecialStateVector, **options):
     """Dispatch a validated model to the matching engine, which validates
-    the seed (dynamics.validate_input)."""
+    the seed (dynamics.validate_input), with the options of run_mixed."""
     if model.model_class in FRE_CLASSES:
         raise WrongEntryPoint(
             f"{model.model_class.value} describes relational equations; "
             f"solve it with the fre module, not a dynamical run")
     kinds = _RULES[model.model_class].kinds
     engine = {_CM_ONLY: run_cm, _RM_ONLY: run_rm}.get(kinds, run_mixed)
-    return engine(model.matrix, x0, op=op, policy=policy,
-                  threshold_k=threshold_k, max_steps=max_steps)
+    return engine(model.matrix, x0, **options)

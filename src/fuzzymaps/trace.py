@@ -22,7 +22,7 @@ from .dynamics import (
     side_length,
 )
 from .errors import ParseError, TraceError
-from .special import KINDS, SIDES, SpecialMatrix, render_part
+from .special import CM, KINDS, SIDES, SpecialMatrix, render_part
 from .values import parse_scalar, render_scalar
 
 TRACE_VERSION = "1"
@@ -42,10 +42,11 @@ def _fmt_states(parts) -> str:
 
 
 def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
-                 experts=None, policy=None, threshold_k=0.0, op=None,
+                 experts=None, policy=None, threshold_k=0.0,
                  model_class=None, name="") -> str:
-    """Serialize a run result. `special` supplies the component tags; the
-    optional model metadata is embedded for audit but not needed for
+    """Serialize a run result. `special` supplies the component tags,
+    whose operators the run applied. The run line ends at `threshold-k=`;
+    its model metadata is embedded for audit but not needed for
     verification."""
     out = [f"trace {TRACE_VERSION}"]
     run_fields = [f"side={pattern.side}", f"steps={pattern.steps}",
@@ -57,7 +58,6 @@ def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
     if policy is not None:
         run_fields.append(f"policy={policy.value}")
     run_fields.append(f"threshold-k={render_scalar(threshold_k)}")
-    run_fields.append(f"op={op if op is not None else 'tagged'}")
     out.append("run " + " ".join(run_fields))
     for idx, (mat, tag) in enumerate(special):
         fields = [f"kind={tag.kind}", f"algebra={tag.algebra}",
@@ -241,11 +241,14 @@ def _check_lengths(where, parts, kind, side, shape):
 def verify_trace(text: str) -> tuple:
     """Re-derive every component's final pattern from the recorded step
     states with the engine's recurrence rule, and check it, its settle
-    step, the frozen steps after it, the run line's counts, the masks,
-    and every part's length on its side against the trace. Returns the
-    verified outcomes in component order."""
+    step, the frozen steps after it, the run line's counts (one component
+    or more), the masks, square CM shapes and every part's length on its
+    side against the trace. Returns the verified outcomes in order."""
     data = parse_trace(text)
     side, n, steps = data["side"], data["components"], data["run_steps"]
+    if n < 1:
+        raise TraceError(f"run line says components={n}, but a union has "
+                         f"at least one component")
     # sizes are compared first, so no list is built from an untrusted count
     kinds = sorted(data["kinds"])
     if len(kinds) != n or kinds != list(range(n)):
@@ -266,6 +269,9 @@ def verify_trace(text: str) -> tuple:
             raise TraceError(f"{where}: mask does not match its input")
         kind, shape = data["kinds"][idx], data["shapes"][idx]
         _check_lengths(f"{where} input", (state,), kind, side, shape)
+        if kind == CM and shape[0] != shape[1]:
+            raise TraceError(f"{where}: a CM component must be square, got "
+                             f"{shape[0]}x{shape[1]}")
         recurrence = Recurrence(kind, side, state)
         comp_steps = entries[idx * steps:(idx + 1) * steps]
         for entry in comp_steps:

@@ -329,10 +329,10 @@ def test_consecutive_main_calls_share_no_state(capsys, tmp_path):
 
     default_run = call("run", "--model", model, "--input", seed)
     assert default_run[0] == 0
-    overridden = call("run", "--model", model, "--input", seed, "--op",
-                      "minmax", "--threshold-k", "0.5", "--max-steps", "3",
-                      "--trace", tmp_path / "t.trace")
-    assert overridden != default_run
+    optioned = call("run", "--model", model, "--input", seed,
+                    "--order-policy", "indeterminacy", "--threshold-k", "0.5",
+                    "--max-steps", "3", "--trace", tmp_path / "t.trace")
+    assert optioned != default_run
     assert call("validate", "--model", model)[2] == ""
     assert call("fre", "--matrix", FIXTURES / "fre_q.txt", "--target",
                 FIXTURES / "fre_r.txt", "--minimal")[0] == 0

@@ -563,21 +563,6 @@ def test_replay_is_deterministic():
     assert a == b
 
 
-def test_op_override_replaces_tagged_operator():
-    sq = unitm([[0, 0.9], [0.4, 0]])
-    m = SpecialMatrix([(sq, ComponentTag(op="circle"))])
-    x = SpecialStateVector([[Scalar(1), Scalar(0)]])
-    got = run_cm(m, x, op="maxmin", max_steps=50)
-    # maxmin pass keeps membership levels, so no 0/1 cutting happens
-    assert got.trace[0].raw[0] == (Scalar(0), Scalar(0.9))
-
-
-def test_unknown_op_override_rejected():
-    m = SpecialMatrix([(A_SQ, ComponentTag())])
-    with pytest.raises(InvalidInput, match="unknown component op"):
-        run_cm(m, seed([0, 1, 0, 0, 1]), op="convolve")
-
-
 @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
 def test_non_finite_threshold_rejected(k):
     m = SpecialMatrix([(A_SQ, ComponentTag())])
@@ -628,7 +613,7 @@ def _outcome(fn):
         return exc
 
 
-def _assert_same_run(fast, ref, special, k, op=None):
+def _assert_same_run(fast, ref, special, k):
     if isinstance(ref, IterationCapExceeded):
         assert isinstance(fast, IterationCapExceeded)
         assert str(fast) == str(ref)
@@ -637,8 +622,8 @@ def _assert_same_run(fast, ref, special, k, op=None):
     assert fast.steps == ref.steps
     assert fast.settled_steps == ref.settled_steps
     assert fast.trace == ref.trace
-    assert (render_trace(fast, special, threshold_k=k, op=op).encode()
-            == render_trace(ref, special, threshold_k=k, op=op).encode())
+    assert (render_trace(fast, special, threshold_k=k).encode()
+            == render_trace(ref, special, threshold_k=k).encode())
 
 
 @st.composite
@@ -687,11 +672,8 @@ _LEVELS = {UNIT: [0, 0.2, 0.5, 0.7, 1], BIPOLAR: [-1, -0.4, 0, 0.3, 1]}
 def level_runs(draw):
     """A fuzzy union of 1-3 maxmin/minmax components of 1-6 nodes over
     UNIT or BIPOLAR entries (CM or RM on the domain side, RM on the range
-    side), a crisp seed, an optional --op override (which may also turn a
-    circle component into a level one) and a small step cap."""
+    side), a crisp seed and a small step cap."""
     side = draw(st.sampled_from([DOMAIN_SIDE, RANGE_SIDE]))
-    override = draw(st.sampled_from([None, "maxmin", "minmax"]))
-    ops = ["maxmin", "minmax"] + (["circle"] if override else [])
     comps, parts = [], []
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from([CM, RM] if side == DOMAIN_SIDE
@@ -704,27 +686,27 @@ def level_runs(draw):
                           st.floats(low, 1.0))
         entries = draw(st.lists(entry, min_size=rows * cols,
                                 max_size=rows * cols))
+        op = draw(st.sampled_from(["maxmin", "minmax"]))
         comps.append((Matrix(rows, cols, entries, domain),
-                      ComponentTag(kind=kind, op=draw(st.sampled_from(ops)))))
+                      ComponentTag(kind=kind, op=op)))
         size = cols if kind == RM and side == RANGE_SIDE else rows
         parts.append(draw(st.lists(st.sampled_from([0, 1]), min_size=size,
                                    max_size=size)))
     max_steps = draw(st.integers(1, 12))
-    return SpecialMatrix(comps), seed(*parts, side=side), override, max_steps
+    return SpecialMatrix(comps), seed(*parts, side=side), max_steps
 
 
 @settings(max_examples=300, deadline=None)
 @given(level_runs())
 def test_level_kernel_matches_scalar_reference(case):
-    special, x0, override, max_steps = case
+    special, x0, max_steps = case
 
     def go():
-        return _outcome(lambda: run_mixed(special, x0, op=override,
-                                          max_steps=max_steps))
+        return _outcome(lambda: run_mixed(special, x0, max_steps=max_steps))
 
     fast, used = _kernel_used(go, dynamics._level_step)
     assert used
-    _assert_same_run(fast, _reference(go), special, 0.0, override)
+    _assert_same_run(fast, _reference(go), special, 0.0)
 
 
 def test_neutrosophic_and_indeterminate_levels_take_the_scalar_path():
@@ -760,13 +742,14 @@ def test_real_weights_take_the_scalar_path():
     assert used
 
 
-def test_circle_override_on_unit_maxmin_takes_the_scalar_path():
+def test_circle_on_unit_levels_takes_the_scalar_path():
+    # a bare union checks no class rule, so a unit square may be circle
     levels = unitm([[0, 0.9, 0.3], [0.4, 0, 1], [0.7, 0.2, 0]])
-    m = SpecialMatrix([(levels, ComponentTag(op="maxmin"))])
+    m = SpecialMatrix([(levels, ComponentTag(op="circle"))])
     x0 = seed([1, 0, 0])
 
     def go():
-        return run_cm(m, x0, op="circle")
+        return run_cm(m, x0)
 
     fast, used = _kernel_used(go)
     assert not used

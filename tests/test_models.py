@@ -14,6 +14,7 @@ from fuzzymaps import (
     Model,
     ModelClass,
     NonzeroDiagonal,
+    ParseError,
     Scalar,
     ValueDomain,
     WrongEntryPoint,
@@ -59,8 +60,10 @@ MAXMIN_NRM = ComponentTag(kind=RM, algebra="neutrosophic", op="maxmin")
 def test_model_class_parse():
     assert ModelClass.parse("sfcm") is ModelClass.SFCM
     assert ModelClass.parse(" SSHM ") is ModelClass.SSHM
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="unknown model class 'SXYZ'"):
         ModelClass.parse("SXYZ")
+    with pytest.raises(ParseError):
+        build_model("SFXM", [(F_SQ, CIRCLE_CM)])
 
 
 ACCEPTED = {
@@ -217,13 +220,6 @@ def test_custom_labels_checked_per_component():
     with pytest.raises(ClassViolation):
         build_model(ModelClass.SFCM, [(F_SQ, CIRCLE_CM)],
                     labels=[("a", "b", "c"), ("d", "e", "f")])
-
-
-def test_run_rejects_unknown_op_override():
-    model = build_model(ModelClass.SFCM, [(F_SQ, CIRCLE_CM)])
-    x = SpecialStateVector([(Scalar(1), Scalar(0), Scalar(0))])
-    with pytest.raises(InvalidInput, match="unknown component op"):
-        run(model, x, op="convolve")
 
 
 def test_run_dispatch_matches_bare_engine():

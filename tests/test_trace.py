@@ -64,7 +64,7 @@ def test_square_trace_layout():
     assert lines[1].startswith("run side=domain steps=")
     assert "class=SFCM" in lines[1]
     assert "name=[single-square-signed]" in lines[1]
-    assert "threshold-k=0 op=tagged" in lines[1]
+    assert lines[1].endswith(" threshold-k=0")
     assert lines[2].startswith(
         "component 1 kind=CM algebra=fuzzy op=circle rows=5 cols=5")
     assert "expert=[expert 1]" in lines[2]
@@ -202,6 +202,9 @@ _MISMATCH = "recorded final .* does not match"
 @pytest.mark.parametrize("pair, line, old, new, message", [
     pytest.param(SQUARE, "component 1 ", "rows=5 cols=5", "rows=7 cols=2",
                  _LENGTH.format("input"), id="component-shape"),
+    pytest.param(SQUARE, "component 1 ", "rows=5 cols=5", "rows=5 cols=7",
+                 "component 1: a CM component must be square, got 5x7",
+                 id="cm-not-square"),
     pytest.param(SQUARE, "input 1 ", "[0 1 0 0 1]", "[0 1 0 0 1 0]",
                  _LENGTH.format("input"), id="input"),
     pytest.param(SQUARE, "step 1 ", "raw=[0", "raw=[0 0",
@@ -226,6 +229,13 @@ def test_part_of_the_wrong_length_is_rejected(pair, line, old, new, message):
     assert doctored != text
     with pytest.raises(TraceError, match=message):
         verify_trace(doctored)
+
+
+def test_run_without_components_is_rejected():
+    # a union is never empty, so no engine writes components=0
+    with pytest.raises(TraceError, match="components=0, but a union has at "
+                                         "least one component"):
+        verify_trace("trace 1\nrun side=domain steps=0 components=0\nend\n")
 
 
 def test_unfrozen_step_after_settling_is_rejected():
