@@ -532,12 +532,14 @@ def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *,
               max_steps=DEFAULT_MAX_STEPS) -> HiddenPattern:
     """Run an arbitrary CM/RM mixture: square components advance against
     their own matrix every step while rectangular ones alternate sides,
-    each with the operator its tag declares. The run options `policy`,
-    `threshold_k` (the cut) and `max_steps` (the cap) are declared here."""
+    each with the operator its tag declares. The run options `policy`
+    (an OrderPolicy or its text), `threshold_k` (the cut) and `max_steps`
+    (the cap) are declared and checked here."""
     if not math.isfinite(threshold_k):
         raise InvalidInput(f"threshold k must be finite, got {threshold_k}")
     if max_steps < 1:
         raise InvalidInput(f"max steps must be at least 1, got {max_steps}")
+    policy = OrderPolicy.parse(policy)
     problems = validate_input(m, x0)
     if problems:
         raise InvalidInput("; ".join(problems))

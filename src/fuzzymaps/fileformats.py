@@ -33,16 +33,7 @@ from dataclasses import dataclass
 from .errors import DomainError, ParseError
 from .matrices import Matrix
 from .models import Model, ModelClass, build_model
-from .special import (
-    ALGEBRAS,
-    CM,
-    ComponentTag,
-    KINDS,
-    OPS,
-    RM,
-    SIDES,
-    SpecialStateVector,
-)
+from .special import CM, ComponentTag, RM, SIDES, SpecialStateVector
 from .values import ValueDomain, parse_scalar, render_scalar
 
 
@@ -155,17 +146,9 @@ def parse_model_structure(text: str) -> ParsedStructure:
             raise ParseError(
                 f"component index {index} out of order, expected "
                 f"{len(components) + 1}", line=lineno)
-        kind = tokens[2].upper()
-        if kind not in KINDS:
-            raise ParseError(f"unknown component kind {tokens[2]!r}",
-                             line=lineno)
-        algebra = tokens[3].lower()
-        if algebra not in ALGEBRAS:
-            raise ParseError(f"unknown algebra {tokens[3]!r}", line=lineno)
-        op = tokens[4].lower()
-        if op not in OPS:
-            raise ParseError(f"unknown operator {tokens[4]!r}", line=lineno)
         try:
+            tag = ComponentTag(kind=tokens[2].upper(),
+                               algebra=tokens[3].lower(), op=tokens[4].lower())
             domain = ValueDomain.parse(tokens[5].lower())
         except ParseError as exc:
             raise ParseError(exc.message, line=lineno) from None
@@ -185,7 +168,7 @@ def parse_model_structure(text: str) -> ParsedStructure:
                         line=lineno)
                 row_labels = names
             elif head == "cols":
-                if kind == CM:
+                if tag.kind == CM:
                     raise ParseError(
                         "cols labels only apply to RM components",
                         line=lineno)
@@ -217,9 +200,8 @@ def parse_model_structure(text: str) -> ParsedStructure:
         except DomainError as exc:
             raise DomainError(
                 f"line {lineno}: component {index}: {exc}") from None
-        tag = ComponentTag(kind=kind, algebra=algebra, op=op)
         components.append((matrix, tag))
-        if kind == CM:
+        if tag.kind == CM:
             labels.append((row_labels,) if row_labels else None)
         else:
             labels.append((row_labels, col_labels))

@@ -29,8 +29,10 @@ from .matrices import Matrix, maxmin_compose, row_vector
 from .special import SpecialMatrix
 from .values import (
     ONE,
+    OrderPolicy,
     Scalar,
     ValueDomain,
+    _order_pair,
     coerce,
     scalar_max,
     scalar_min,
@@ -62,7 +64,7 @@ def _checked(value, neutrosophic: bool) -> Scalar:
 
 def _gt(a: Scalar, b: Scalar) -> bool:
     # strict domination under the coefficient ordering
-    return a != b and scalar_max(a, b) == a and scalar_min(a, b) == b
+    return a != b and _order_pair(a, b, OrderPolicy.BOOK_DEFAULT) == (b, a)
 
 
 def _sigma(q: Scalar, r: Scalar) -> Scalar:
@@ -91,6 +93,17 @@ def _close(a: Scalar, b: Scalar) -> bool:
             and abs(a.indet_coeff - b.indet_coeff) <= RESIDUAL_TOL)
 
 
+def _max_candidate(q: Matrix, r: Matrix, neutrosophic: bool):
+    """The checked entries of q (as rows) and of the target row r, and
+    p-hat, the maximum candidate, as a list of Scalars."""
+    r_vals = [_checked(v, neutrosophic) for v in r.row(0)]
+    q_vals = [[_checked(q.at(j, k), neutrosophic) for k in range(q.cols)]
+              for j in range(q.rows)]
+    p_hat = [reduce(scalar_min, map(_sigma, row, r_vals), ONE)
+             for row in q_vals]
+    return q_vals, r_vals, p_hat
+
+
 def solve_max(q: Matrix, r, *, neutrosophic: bool = False) -> FreSolution:
     """Closed-form maximum candidate plus a verification pass.
 
@@ -98,11 +111,7 @@ def solve_max(q: Matrix, r, *, neutrosophic: bool = False) -> FreSolution:
     the maximum candidate misses r, no solution exists at all.
     """
     r = _target_row(q, r)
-    r_vals = [_checked(v, neutrosophic) for v in r.row(0)]
-    q_vals = [[_checked(q.at(j, k), neutrosophic) for k in range(q.cols)]
-              for j in range(q.rows)]
-    p_hat = [reduce(scalar_min, map(_sigma, row, r_vals), ONE)
-             for row in q_vals]
+    _, r_vals, p_hat = _max_candidate(q, r, neutrosophic)
     p_row = row_vector(p_hat, domain=ValueDomain.ANY)
     residual = maxmin_compose(p_row, q)
     solvable = all(
@@ -139,27 +148,27 @@ def minimal_solutions_bruteforce(q: Matrix, r, *,
     cover) gives a candidate holding at j the largest r_k assigned to j
     and 0 elsewhere; the entrywise-minimal candidates are the minimal
     solutions. The number of covers, the product of the |J_k|, must stay
-    within `budget`. Real-valued only: an indeterminate entry raises
-    ModeMismatch.
+    within `budget`. p-hat o Q <= r always holds, so a column is reached
+    exactly when some j attains r_k: an unsolvable system leaves some J_k
+    empty, hence no cover, and returns (). Real-valued only: an
+    indeterminate entry raises ModeMismatch.
     """
     r = _target_row(q, r)
     try:
-        solution = solve_max(q, r)
+        q_vals, r_vals, p_hat = _max_candidate(q, r, False)
     except ModeMismatch:
         raise ModeMismatch(
             "minimal-solution enumeration is real-valued; Q and r must "
             "hold no indeterminate value") from None
-    if not solution.solvable:
-        return ()
-    p_hat = [v.real_part for v in solution.max_solution.row(0)]
+    p_hat = [v.real_part for v in p_hat]
     targets, options = [], []
-    for k, target in enumerate(r.row(0)):
+    for k, target in enumerate(r_vals):
         rk = target.real_part
         if rk > 0.0:
             targets.append(rk)
             options.append([
                 j for j, pj in enumerate(p_hat)
-                if abs(min(pj, q.at(j, k).real_part) - rk) <= RESIDUAL_TOL])
+                if abs(min(pj, q_vals[j][k].real_part) - rk) <= RESIDUAL_TOL])
     covers = prod(len(js) for js in options)
     if covers > budget:
         raise BudgetExceeded(

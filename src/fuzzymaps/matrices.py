@@ -16,12 +16,14 @@ from .values import (
     OrderPolicy,
     Scalar,
     ValueDomain,
+    _order_pair,
     coerce,
     domain_join,
+    parse_name,
     render_scalar,
-    scalar_max,
-    scalar_min,
 )
+
+OPS = ("circle", "maxmin", "minmax")
 
 
 class Matrix:
@@ -155,38 +157,41 @@ def _require_inner(a: Matrix, b: Matrix, what):
             f"and {b.rows}x{b.cols}")
 
 
+def _entrywise(a: Matrix, b: Matrix, what, end, policy) -> Matrix:
+    """The `end` (0 for min, 1 for max) of each pair of entries."""
+    _require_same_shape(a, b, what)
+    policy = OrderPolicy.parse(policy)
+    cells = [_order_pair(x, y, policy)[end]
+             for x, y in zip(a.entries, b.entries)]
+    return Matrix(a.rows, a.cols, cells, domain_join(a.domain, b.domain))
+
+
 def elementwise_max(a: Matrix, b: Matrix,
                     policy=OrderPolicy.BOOK_DEFAULT) -> Matrix:
-    _require_same_shape(a, b, "Max")
-    cells = [scalar_max(x, y, policy) for x, y in zip(a.entries, b.entries)]
-    return Matrix(a.rows, a.cols, cells, domain_join(a.domain, b.domain))
+    return _entrywise(a, b, "Max", 1, policy)
 
 
 def elementwise_min(a: Matrix, b: Matrix,
                     policy=OrderPolicy.BOOK_DEFAULT) -> Matrix:
-    _require_same_shape(a, b, "Min")
-    cells = [scalar_min(x, y, policy) for x, y in zip(a.entries, b.entries)]
-    return Matrix(a.rows, a.cols, cells, domain_join(a.domain, b.domain))
+    return _entrywise(a, b, "Min", 0, policy)
 
 
-def operators(op: str, policy) -> tuple:
+def operators(op, policy) -> tuple:
     """The (inner, outer) scalar operators of a product: `circle` sums
     products, `maxmin` takes the max of mins and `minmax` the min of
-    maxes, with min and max ordered under `policy`."""
-    if op == "circle":
+    maxes, with min and max ordered under `policy`, which is parsed here
+    once."""
+    if parse_name(op, OPS, "operator") == "circle":
         return operator.mul, operator.add
+    policy = OrderPolicy.parse(policy)
 
     def low(a, b):
-        return scalar_min(a, b, policy)
+        return _order_pair(coerce(a), coerce(b), policy)[0]
 
     def high(a, b):
-        return scalar_max(a, b, policy)
+        return _order_pair(coerce(a), coerce(b), policy)[1]
 
-    if op == "maxmin":
-        return low, high
-    if op == "minmax":
-        return high, low
-    raise ValueError(f"unknown component op {op!r}")
+    return (low, high) if op == "maxmin" else (high, low)
 
 
 def fold_row(row, b: Matrix, inner, outer) -> tuple:

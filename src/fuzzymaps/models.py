@@ -11,12 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import (
-    ClassViolation,
-    NonzeroDiagonal,
-    ParseError,
-    WrongEntryPoint,
-)
+from .errors import ClassViolation, NonzeroDiagonal, WrongEntryPoint
 from .dynamics import run_cm, run_mixed, run_rm
 from .special import (
     CM,
@@ -24,7 +19,7 @@ from .special import (
     SpecialMatrix,
     SpecialStateVector,
 )
-from .values import ValueDomain, ZERO, _ancestors
+from .values import ValueDomain, ZERO, _ancestors, parse_name
 
 
 class ModelClass(enum.Enum):
@@ -48,11 +43,12 @@ class ModelClass(enum.Enum):
     SSHM = "SSHM"
 
     @classmethod
-    def parse(cls, text: str) -> "ModelClass":
-        try:
-            return cls[text.strip().upper()]
-        except KeyError:
-            raise ParseError(f"unknown model class {text!r}") from None
+    def parse(cls, value) -> "ModelClass":
+        """The class `value` is or spells: a member, or its code in any
+        case with surrounding blanks (` sfcm`)."""
+        if isinstance(value, str):
+            value = value.strip().upper()
+        return parse_name(value, cls, "model class")
 
 
 # Classes whose components describe relational equations rather than
@@ -251,15 +247,16 @@ def _normalize_labels(special: SpecialMatrix, labels) -> tuple:
     return tuple(groups)
 
 
-def build_model(model_class: ModelClass, components, labels=None,
+def build_model(model_class, components, labels=None,
                 experts=None) -> Model:
     """Validate a union against a class predicate and wrap it.
 
-    `components` is a SpecialMatrix or a sequence of (Matrix, ComponentTag)
-    pairs. Every square component must carry a zero diagonal.
+    `model_class` is a ModelClass or its code (ModelClass.parse).
+    `components` is a SpecialMatrix or a sequence of (Matrix,
+    ComponentTag) pairs. Every square component must carry a zero
+    diagonal.
     """
-    if isinstance(model_class, str):
-        model_class = ModelClass.parse(model_class)
+    model_class = ModelClass.parse(model_class)
     special = components if isinstance(components, SpecialMatrix) \
         else SpecialMatrix(components)
     diagonal_problems = diagonal_diagnostics(special)

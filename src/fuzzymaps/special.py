@@ -13,15 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyUnion, NonSquareCM, ShapeMismatch
-from .matrices import Matrix, fold_row, operators
-from .values import OrderPolicy, coerce, render_scalar
+from .matrices import OPS, Matrix, fold_row, operators
+from .values import ALGEBRAS, OrderPolicy, coerce, parse_name, render_scalar
 
 CM = "CM"    # square component iterated against itself
 RM = "RM"    # rectangular component alternated with its transpose
 
 KINDS = (CM, RM)
-ALGEBRAS = ("fuzzy", "neutrosophic")
-OPS = ("circle", "maxmin", "minmax")
 
 DOMAIN_SIDE = "domain"
 RANGE_SIDE = "range"
@@ -42,12 +40,9 @@ class ComponentTag:
     op: str = "circle"
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown component kind {self.kind!r}")
-        if self.algebra not in ALGEBRAS:
-            raise ValueError(f"unknown algebra {self.algebra!r}")
-        if self.op not in OPS:
-            raise ValueError(f"unknown component op {self.op!r}")
+        parse_name(self.kind, KINDS, "component kind")
+        parse_name(self.algebra, ALGEBRAS, "algebra")
+        parse_name(self.op, OPS, "operator")
 
 
 class SpecialMatrix:
@@ -134,8 +129,7 @@ class SpecialStateVector:
     __slots__ = ("parts", "side")
 
     def __init__(self, parts, side=DOMAIN_SIDE):
-        if side not in SIDES:
-            raise ValueError(f"unknown side {side!r}")
+        parse_name(side, SIDES, "side")
         packed = tuple(tuple(map(coerce, part)) for part in parts)
         if not packed:
             raise EmptyUnion("a state union needs at least one part")

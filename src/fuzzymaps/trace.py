@@ -23,7 +23,7 @@ from .dynamics import (
 )
 from .errors import ParseError, TraceError
 from .special import CM, KINDS, SIDES, SpecialMatrix, render_part
-from .values import parse_scalar, render_scalar
+from .values import OrderPolicy, parse_scalar, render_scalar
 
 TRACE_VERSION = "1"
 
@@ -45,7 +45,8 @@ def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
                  experts=None, policy=None, threshold_k=0.0,
                  model_class=None, name="") -> str:
     """Serialize a run result. `special` supplies the component tags,
-    whose operators the run applied. The run line ends at `threshold-k=`;
+    whose operators the run applied; `policy`, an OrderPolicy or its
+    text, is recorded when given. The run line ends at `threshold-k=`;
     its model metadata is embedded for audit but not needed for
     verification."""
     out = [f"trace {TRACE_VERSION}"]
@@ -56,7 +57,7 @@ def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
     if name:
         run_fields.append(f"name=[{name}]")
     if policy is not None:
-        run_fields.append(f"policy={policy.value}")
+        run_fields.append(f"policy={OrderPolicy.parse(policy).value}")
     run_fields.append(f"threshold-k={render_scalar(threshold_k)}")
     out.append("run " + " ".join(run_fields))
     for idx, (mat, tag) in enumerate(special):

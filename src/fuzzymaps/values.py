@@ -114,6 +114,24 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
 
+ALGEBRAS = ("fuzzy", "neutrosophic")
+
+
+def parse_name(value, names, what):
+    """The name in the closed vocabulary `names` that `value` is or
+    spells: a member of an Enum `names`, given as itself or by its text
+    value, or one of a tuple of names. Anything else raises
+    ParseError("unknown <what> ...")."""
+    if isinstance(names, type):
+        if isinstance(value, names):
+            return value
+        for member in names:
+            if member.value == value:
+                return member
+    elif value in names:
+        return value
+    raise ParseError(f"unknown {what} {value!r}")
+
 
 class ValueDomain(Enum):
     """Entry domains a matrix can be declared over."""
@@ -148,11 +166,9 @@ class ValueDomain(Enum):
                         ValueDomain.STATE_TRI)
 
     @classmethod
-    def parse(cls, tag: str) -> "ValueDomain":
-        for member in cls:
-            if member.value == tag:
-                return member
-        raise ParseError(f"unknown value domain {tag!r}")
+    def parse(cls, value) -> "ValueDomain":
+        """The domain `value` is or spells (`tri`, `unit`, ...)."""
+        return parse_name(value, cls, "value domain")
 
 
 # Containment lattice used to type operation results. ANY is the top.
@@ -198,11 +214,9 @@ class OrderPolicy(Enum):
     INDETERMINACY_DOMINANT = "indeterminacy"
 
     @classmethod
-    def parse(cls, tag: str) -> "OrderPolicy":
-        for member in cls:
-            if member.value == tag:
-                return member
-        raise ParseError(f"unknown order policy {tag!r}")
+    def parse(cls, value) -> "OrderPolicy":
+        """The policy `value` is or spells (`book`, `indeterminacy`)."""
+        return parse_name(value, cls, "order policy")
 
 
 @dataclass(frozen=True)
@@ -214,16 +228,7 @@ class ThresholdMode:
     k: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("fuzzy", "neutrosophic"):
-            raise ValueError(f"unknown threshold kind {self.kind!r}")
-
-    @classmethod
-    def fuzzy(cls, k=0.0):
-        return cls("fuzzy", float(k))
-
-    @classmethod
-    def neutrosophic(cls, k=0.0):
-        return cls("neutrosophic", float(k))
+        parse_name(self.kind, ALGEBRAS, "threshold kind")
 
 
 def _order_pair(a: Scalar, b: Scalar, policy: OrderPolicy):
@@ -249,12 +254,12 @@ def _order_pair(a: Scalar, b: Scalar, policy: OrderPolicy):
     return (real, indet) if mr < mi else (indet, real)
 
 
-def scalar_min(a, b, policy: OrderPolicy = OrderPolicy.BOOK_DEFAULT) -> Scalar:
-    return _order_pair(coerce(a), coerce(b), policy)[0]
+def scalar_min(a, b, policy=OrderPolicy.BOOK_DEFAULT) -> Scalar:
+    return _order_pair(coerce(a), coerce(b), OrderPolicy.parse(policy))[0]
 
 
-def scalar_max(a, b, policy: OrderPolicy = OrderPolicy.BOOK_DEFAULT) -> Scalar:
-    return _order_pair(coerce(a), coerce(b), policy)[1]
+def scalar_max(a, b, policy=OrderPolicy.BOOK_DEFAULT) -> Scalar:
+    return _order_pair(coerce(a), coerce(b), OrderPolicy.parse(policy))[1]
 
 
 def threshold_scalar(x, mode: ThresholdMode) -> Scalar:
@@ -309,8 +314,7 @@ def _norm_operand(x, what):
 def tnorm(kind, a, b) -> Scalar:
     """Intersection operators on [0,1] extended with I. Every kind absorbs
     indeterminacy: the result is I whenever either operand is."""
-    if kind not in TNORM_KINDS:
-        raise ValueError(f"unknown t-norm kind {kind!r}")
+    parse_name(kind, TNORM_KINDS, "t-norm kind")
     va = _norm_operand(a, "t-norm")
     vb = _norm_operand(b, "t-norm")
     if va is None or vb is None:
@@ -331,8 +335,7 @@ def tnorm(kind, a, b) -> Scalar:
 
 def tconorm(kind, a, b) -> Scalar:
     """Union operators dual to tnorm; I absorbs here as well."""
-    if kind not in TCONORM_KINDS:
-        raise ValueError(f"unknown t-conorm kind {kind!r}")
+    parse_name(kind, TCONORM_KINDS, "t-conorm kind")
     va = _norm_operand(a, "t-conorm")
     vb = _norm_operand(b, "t-conorm")
     if va is None or vb is None:

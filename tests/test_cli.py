@@ -69,6 +69,14 @@ def test_validate_entry_outside_domain_is_a_validation_error(tmp_path):
     assert proc.stderr == ""
 
 
+def test_validate_unknown_operator_is_a_parse_error_at_its_line():
+    proc = cli("validate", "--model",
+               FIXTURES / "unknown_operator_bad.model")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: line 2: unknown operator 'convolve'\n"
+    assert proc.stdout == ""
+
+
 def test_validate_missing_file(tmp_path):
     proc = cli("validate", "--model", tmp_path / "nope.model")
     assert proc.returncode == 2

@@ -17,6 +17,7 @@ from fuzzymaps import (
     InvalidInput,
     Matrix,
     NonSquareCM,
+    ParseError,
     Scalar,
     ShapeMismatch,
     SpecialStateVector,
@@ -95,11 +96,11 @@ def test_tag_defaults():
 
 
 def test_tag_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="unknown component kind 'XY'"):
         ComponentTag(kind="XY")
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="unknown algebra 'classical'"):
         ComponentTag(algebra="classical")
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="unknown operator 'convolve'"):
         ComponentTag(op="convolve")
 
 

@@ -152,20 +152,20 @@ def test_order_policy_parse():
 # ---------------------------------------------------------------- thresholds
 
 def test_fuzzy_threshold_is_strict():
-    mode = ThresholdMode.fuzzy(0.0)
+    mode = ThresholdMode("fuzzy", 0.0)
     assert threshold_scalar(coerce(0.5), mode) == ONE
     assert threshold_scalar(ZERO, mode) == ZERO
     assert threshold_scalar(coerce(-1), mode) == ZERO
 
 
 def test_fuzzy_threshold_rejects_indeterminate_input():
-    mode = ThresholdMode.fuzzy(0.0)
+    mode = ThresholdMode("fuzzy", 0.0)
     with pytest.raises(ModeMismatch):
         threshold_scalar(I, mode)
 
 
 def test_neutrosophic_threshold_pure_parts():
-    mode = ThresholdMode.neutrosophic(0.0)
+    mode = ThresholdMode("neutrosophic", 0.0)
     assert threshold_scalar(coerce(2), mode) == ONE
     assert threshold_scalar(coerce(-2), mode) == ZERO
     assert threshold_scalar(Scalar(0, 3), mode) == I
@@ -175,7 +175,7 @@ def test_neutrosophic_threshold_pure_parts():
 def test_neutrosophic_threshold_mixed_dominant_part_wins():
     # the larger coefficient is cut like a real; only an exact tie keeps
     # the indeterminacy
-    mode = ThresholdMode.neutrosophic(0.0)
+    mode = ThresholdMode("neutrosophic", 0.0)
     assert threshold_scalar(Scalar(2, 1), mode) == ONE
     assert threshold_scalar(Scalar(-2, 1), mode) == ONE
     assert threshold_scalar(Scalar(1, 3), mode) == ONE
@@ -184,16 +184,16 @@ def test_neutrosophic_threshold_mixed_dominant_part_wins():
 
 
 def test_neutrosophic_threshold_tied_parts_give_indeterminate():
-    mode = ThresholdMode.neutrosophic(0.0)
+    mode = ThresholdMode("neutrosophic", 0.0)
     assert threshold_scalar(Scalar(1, 1), mode) == I
     assert threshold_scalar(Scalar(2, 2 + 1e-12), mode) == I
 
 
 def test_threshold_level_shifts_cut():
-    assert threshold_scalar(coerce(0.5), ThresholdMode.fuzzy(0.5)) == ZERO
-    assert threshold_scalar(coerce(0.6), ThresholdMode.fuzzy(0.5)) == ONE
-    assert threshold_scalar(Scalar(0, 0.4), ThresholdMode.neutrosophic(0.5)) == ZERO
-    assert threshold_scalar(Scalar(0, 0.6), ThresholdMode.neutrosophic(0.5)) == I
+    assert threshold_scalar(coerce(0.5), ThresholdMode("fuzzy", 0.5)) == ZERO
+    assert threshold_scalar(coerce(0.6), ThresholdMode("fuzzy", 0.5)) == ONE
+    assert threshold_scalar(Scalar(0, 0.4), ThresholdMode("neutrosophic", 0.5)) == ZERO
+    assert threshold_scalar(Scalar(0, 0.6), ThresholdMode("neutrosophic", 0.5)) == I
 
 
 # ------------------------------------------------------------- domain lattice
@@ -276,9 +276,9 @@ def test_norms_reject_mixed_values():
 
 
 def test_unknown_norm_kind():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="unknown t-norm kind 'fancy'"):
         tnorm("fancy", 0.3, 0.3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="unknown t-conorm kind 'fancy'"):
         tconorm("fancy", 0.3, 0.3)
 
 
