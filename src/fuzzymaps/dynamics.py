@@ -39,6 +39,12 @@ component, else the Scalar reference:
 * bitmask: fuzzy circle components whose entries are all real and in
   {-1, 0, 1}; int states, popcounts via int.bit_count (so Python 3.10+),
   column masks built once per matrix and kept on it;
+* trit: neutrosophic circle components whose entries are all in
+  {-1, 0, 1, I}; states are pairs of int bitmasks (the 1 and the I
+  coordinates), raw values t + sI have exact integer parts, popcounts
+  over the bitmask kernel's per-matrix masks plus a mask of the I
+  entries, and the cut is threshold_scalar, once per distinct raw value
+  in a run;
 * float level: fuzzy maxmin/minmax components whose entries are all
   finite reals; float-tuple states, one C-level max/min call per entry;
 * Scalar reference (_ScalarStep): every other component, on Scalar
@@ -74,11 +80,13 @@ from .special import (
     render_part,
 )
 from .values import (
+    I,
     ONE,
     OrderPolicy,
     Scalar,
     ThresholdMode,
     ZERO,
+    _check_threshold_k,
     threshold_scalar,
 )
 
@@ -274,7 +282,7 @@ def validate_input(m: SpecialMatrix, x: SpecialStateVector) -> list:
                        f"the {x.side} space of {mat.rows}x{mat.cols}")
             continue
         for coord, value in enumerate(part):
-            if value != ZERO and value != ONE:
+            if value.indet_coeff or value.real_part not in (0.0, 1.0):
                 out.append(f"{where}, coordinate {coord + 1}: non-crisp "
                            f"input {value}; entries must be 0 or 1")
     return out
@@ -330,10 +338,12 @@ class _ScalarStep:
 
 
 class _IntScalars(dict):
-    """The shared Scalar of each integer raw value, made on first use."""
+    """The shared Scalar of each raw circle value t + sI with integer t and
+    s, keyed by the number t + sj: an int for the fuzzy kernel's reals, a
+    complex for the neutrosophic one. Made on first use."""
 
     def __missing__(self, n):
-        value = self[n] = Scalar(n)
+        value = self[n] = Scalar(n.real, n.imag)
         return value
 
 
@@ -344,10 +354,10 @@ _BIT_SCALARS = (ZERO, ONE)
 class _BitmaskStep:
     """Fuzzy circle step over {-1, 0, 1} weights on int bitmasks.
 
-    Bit i of a state is coordinate i. The applied operand is a pair of
-    mask tuples (P, N): P[j] and N[j] hold the +1 and -1 rows of column j,
-    so raw_j = |x & P[j]| - |x & N[j]|; the cut sets bit j when raw_j > k
-    and pinning ORs in the seed mask.
+    Bit i of a state is coordinate i. The applied operand holds the mask
+    tuples (P, N, Im) of _sign_masks: P[j] and N[j] hold the +1 and -1 rows
+    of column j, so raw_j = |x & P[j]| - |x & N[j]|; the cut sets bit j
+    when raw_j > k and pinning ORs in the seed mask. Im is all 0 here.
     """
 
     def __init__(self, operands, sizes, k, pin_on):
@@ -358,7 +368,7 @@ class _BitmaskStep:
         self.bits = tuple(1 << j for j in range(max(sizes.values())))
 
     def step(self, x, side, pin):
-        pos, neg = self.operands[side]
+        pos, neg, _ = self.operands[side]
         raw = [(x & p).bit_count() - (x & n).bit_count()
                for p, n in zip(pos, neg)]
         k = self.k
@@ -378,22 +388,30 @@ class _BitmaskStep:
 
 
 def _sign_masks(matrix, by_rows):
-    """(P, N) of `matrix`: per column (per row when `by_rows`), the bitmask
-    of its +1 entries and that of its -1 entries. None unless every entry
-    is real and in {-1, 0, 1}."""
+    """(P, N, Im) of `matrix`: per column (per row when `by_rows`), the
+    bitmask of its +1 entries, that of its -1 entries and that of its I
+    entries. None unless every entry is in {-1, 0, 1, I}."""
     rows, cols = matrix.rows, matrix.cols
     pos = [0] * (rows if by_rows else cols)
     neg = pos[:]
+    ind = pos[:]
     for idx, entry in enumerate(matrix.entries):
-        a = entry.real_part
-        if entry.indet_coeff or a not in (-1.0, 0.0, 1.0):
+        a, b = entry.real_part, entry.indet_coeff
+        if b:
+            if a or b != 1.0:
+                return None
+            masks = ind
+        elif a in (-1.0, 1.0):
+            masks = pos if a > 0 else neg
+        elif a:
             return None
-        if a:
-            i, j = divmod(idx, cols)
-            if by_rows:
-                i, j = j, i
-            (pos if a > 0 else neg)[j] |= 1 << i
-    return tuple(pos), tuple(neg)
+        else:
+            continue
+        i, j = divmod(idx, cols)
+        if by_rows:
+            i, j = j, i
+        masks[j] |= 1 << i
+    return tuple(pos), tuple(neg), tuple(ind)
 
 
 def _column_masks(matrix):
@@ -404,20 +422,99 @@ def _row_masks(matrix):
     return _sign_masks(matrix, True)
 
 
-def _bitmask_step(matrix, tag, k, pin_on):
-    """The bitmask kernel of a fuzzy circle component whose entries are all
-    real and in {-1, 0, 1}; None for any other component. The masks are
-    built once per matrix and kept on it; a CM component builds none for
-    the transpose."""
-    if tag.op != "circle" or tag.algebra != "fuzzy":
+def _circle_masks(matrix, tag, algebra):
+    """The (P, N, Im) masks of an `algebra` circle component per side, the
+    matrix's columns for the domain and, on an RM component, its rows for
+    the range; None for any other component or an entry outside
+    {-1, 0, 1, I}. The masks are built once per matrix and kept on it."""
+    if tag.op != "circle" or tag.algebra != algebra:
         return None
     forward = matrix._memo(_column_masks)
     if forward is None:
         return None
     backward = matrix._memo(_row_masks) if tag.kind == RM else None
-    return _BitmaskStep({DOMAIN_SIDE: forward, RANGE_SIDE: backward},
+    return {DOMAIN_SIDE: forward, RANGE_SIDE: backward}
+
+
+def _bitmask_step(matrix, tag, k, pin_on):
+    """The bitmask kernel of a fuzzy circle component whose entries are all
+    real and in {-1, 0, 1}; None for any other component."""
+    masks = _circle_masks(matrix, tag, "fuzzy")
+    if masks is None or any(masks[DOMAIN_SIDE][2]):
+        return None
+    return _BitmaskStep(masks,
                         {DOMAIN_SIDE: matrix.rows, RANGE_SIDE: matrix.cols},
                         k, pin_on)
+
+
+_TRIT_SCALARS = (ZERO, ONE, I)  # by code: x1 bit + 2 * xI bit
+
+
+class _CutCodes(dict):
+    """One run's cut of each raw value t + sj, by values.threshold_scalar,
+    as a code: 0 for 0, 1 for 1, 2 for I. Made on first use."""
+
+    def __init__(self, mode):
+        super().__init__()
+        self.mode = mode
+
+    def __missing__(self, n):
+        value = self[n] = _TRIT_SCALARS.index(
+            threshold_scalar(_INT_SCALARS[n], self.mode))
+        return value
+
+
+class _TritStep(_BitmaskStep):
+    """Neutrosophic circle step over {-1, 0, 1, I} weights on pairs of int
+    bitmasks.
+
+    A {0, 1, I} state is the pair (x1, xI): the bitmask of its 1
+    coordinates and that of its I coordinates. The applied operand holds
+    the mask tuples (P, N, Im) of _sign_masks, the +1, -1 and I rows of
+    each column. As I * I = I, raw_j = t + sI with
+    t = |x1 & P[j]| - |x1 & N[j]| and
+    s = |x1 & Im[j]| + |xI & P[j]| - |xI & N[j]| + |xI & Im[j]|, both
+    exact integers.
+    The cut is values.threshold_scalar, once per distinct raw value, and
+    pinning sets the seed's bits to 1.
+    """
+
+    def __init__(self, operands, sizes, mode, pin_on):
+        super().__init__(operands, sizes, mode.k, pin_on)
+        self.cut = _CutCodes(mode)
+
+    def step(self, x, side, pin):
+        x1, xi = x
+        raw = [complex((x1 & p).bit_count() - (x1 & n).bit_count(),
+                       (x1 & m).bit_count() + (xi & p).bit_count()
+                       - (xi & n).bit_count() + (xi & m).bit_count())
+               for p, n, m in zip(*self.operands[side])]
+        codes = list(map(self.cut.__getitem__, raw))
+        bits = self.bits
+        cut = (sum([bit for c, bit in zip(codes, bits) if c == 1]),
+               sum([bit for c, bit in zip(codes, bits) if c == 2]))
+        if not pin:
+            return raw, cut, cut
+        return raw, cut, (cut[0] | self.pin, cut[1] & ~self.pin)
+
+    def seed(self, part):
+        return self.pin, 0  # a crisp seed's ON bits are exactly its pin mask
+
+    def decode(self, x, side):
+        x1, xi = x
+        return tuple([_TRIT_SCALARS[(x1 >> i & 1) | (xi >> i & 1) << 1]
+                      for i in range(self.sizes[side])])
+
+
+def _trit_step(matrix, tag, k, pin_on):
+    """The bitmask-pair kernel of a neutrosophic circle component whose
+    entries are all in {-1, 0, 1, I}; None for any other component."""
+    masks = _circle_masks(matrix, tag, "neutrosophic")
+    if masks is None:
+        return None
+    return _TritStep(masks,
+                     {DOMAIN_SIDE: matrix.rows, RANGE_SIDE: matrix.cols},
+                     ThresholdMode(tag.algebra, k), pin_on)
 
 
 class _LevelStep:
@@ -476,7 +573,7 @@ def _level_step(matrix, tag, k, pin_on):
 
 # The specialized kernels, tried in order before the Scalar reference.
 # Emptying this tuple runs every component on the reference.
-_KERNELS = (_bitmask_step, _level_step)
+_KERNELS = (_bitmask_step, _trit_step, _level_step)
 
 
 def _compile_step(matrix, tag, k, pin_on, policy):
@@ -535,8 +632,9 @@ def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *,
     each with the operator its tag declares. The run options `policy`
     (an OrderPolicy or its text), `threshold_k` (the cut) and `max_steps`
     (the cap) are declared and checked here."""
-    if not math.isfinite(threshold_k):
-        raise InvalidInput(f"threshold k must be finite, got {threshold_k}")
+    _check_threshold_k(threshold_k)
+    if isinstance(max_steps, bool) or not isinstance(max_steps, int):
+        raise InvalidInput(f"max steps must be an int, got {max_steps!r}")
     if max_steps < 1:
         raise InvalidInput(f"max steps must be at least 1, got {max_steps}")
     policy = OrderPolicy.parse(policy)

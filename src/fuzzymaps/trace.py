@@ -6,6 +6,10 @@ render like `[0 1 I]` using the scalar text syntax, several states joined
 by `|`. The format is deterministic: the same run options yield the same
 bytes, and a trace alone is enough to re-derive (and thus audit) the
 final hidden pattern.
+
+A run repeats a few states many times, so each call renders each
+distinct state once (render_trace) and parses each distinct bracketed
+state text once (parse_trace).
 """
 
 from __future__ import annotations
@@ -37,8 +41,12 @@ _FINAL_FIELDS = {
 }
 
 
-def _fmt_states(parts) -> str:
-    return "|".join(render_part(p) for p in parts)
+class _PartTexts(dict):
+    """One render's text of each distinct part, rendered on first use."""
+
+    def __missing__(self, part):
+        text = self[part] = render_part(part)
+        return text
 
 
 def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
@@ -49,6 +57,7 @@ def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
     text, is recorded when given. The run line ends at `threshold-k=`;
     its model metadata is embedded for audit but not needed for
     verification."""
+    text = _PartTexts().__getitem__
     out = [f"trace {TRACE_VERSION}"]
     run_fields = [f"side={pattern.side}", f"steps={pattern.steps}",
                   f"components={len(special)}"]
@@ -70,24 +79,30 @@ def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
         body = " ".join(str(c + 1) for c in coords)
         out.append(f"mask {idx + 1} [{body}]")
     for idx, part in enumerate(pattern.input.parts):
-        out.append(f"input {idx + 1} {render_part(part)}")
+        out.append(f"input {idx + 1} {text(part)}")
     for step, record in enumerate(pattern.trace, 1):
         for idx, (mat, tag) in enumerate(special):
             # a frozen part is carried on the seeded side
             frozen = record.frozen[idx]
             side = pattern.side if frozen \
                 else landing_side(tag.kind, pattern.side, step)
+            # the three parts are often one object: a frozen or level
+            # part, or a cut that pinning left alone
+            raw, cut, new = (record.raw[idx], record.thresholded[idx],
+                             record.updated[idx])
+            raw_text = text(raw)
+            cut_text = raw_text if cut is raw else text(cut)
+            new_text = cut_text if new is cut else text(new)
             out.append(
                 f"step {step} component={idx + 1} side={side} "
-                f"frozen={'yes' if frozen else 'no'} "
-                f"raw={render_part(record.raw[idx])} "
-                f"thresholded={render_part(record.thresholded[idx])} "
-                f"updated={render_part(record.updated[idx])}")
+                f"frozen={'yes' if frozen else 'no'} raw={raw_text} "
+                f"thresholded={cut_text} updated={new_text}")
     settled = pattern.settled_steps
     for idx, outcome in enumerate(pattern.outcomes):
         shape, cycle = outcome_shape(outcome)
         columns = zip(*cycle) if "pair" in shape else (cycle,)
-        states = " ".join(f"{field}={_fmt_states(column)}" for field, column
+        states = " ".join(f"{field}={'|'.join(map(text, column))}"
+                          for field, column
                           in zip(_FINAL_FIELDS[shape], columns))
         out.append(f"final {idx + 1} {shape} period={outcome.period} "
                    f"settled={settled[idx]} {states}")
@@ -108,7 +123,17 @@ def _engine_fields(text: str) -> dict:
     return dict(_FIELD_RE.findall(_FREE_TEXT_RE.sub("", text, count=1)))
 
 
-def _parse_state(text: str, lineno: int):
+def _parse_state(text: str, lineno: int, states: dict):
+    """The state `text` spells, parsed once per trace: `states` maps each
+    bracketed text parsed so far to its tuple. A text that fails to parse
+    is never kept; its TraceError names the line it first appears on."""
+    state = states.get(text)
+    if state is None:
+        state = states[text] = _parse_state_text(text, lineno)
+    return state
+
+
+def _parse_state_text(text, lineno):
     if not (text.startswith("[") and text.endswith("]")):
         raise TraceError(f"line {lineno}: bad state {text!r}")
     body = text[1:-1].strip()
@@ -120,8 +145,9 @@ def _parse_state(text: str, lineno: int):
         raise TraceError(f"line {lineno}: {exc}") from None
 
 
-def _parse_states(text: str, lineno: int):
-    return tuple(_parse_state(chunk, lineno) for chunk in text.split("|"))
+def _parse_states(text: str, lineno: int, states: dict):
+    return tuple(_parse_state(chunk, lineno, states)
+                 for chunk in text.split("|"))
 
 
 def parse_trace(text: str) -> dict:
@@ -135,6 +161,7 @@ def parse_trace(text: str) -> dict:
     masks = {}
     steps = []
     finals = {}
+    states = {}  # bracketed state text -> its parsed tuple
     saw_end = False
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -164,7 +191,7 @@ def parse_trace(text: str) -> dict:
             elif head == "input":
                 tokens = rest.split(None, 1)
                 inputs[int(tokens[0]) - 1] = _parse_state(tokens[1].strip(),
-                                                          lineno)
+                                                          lineno, states)
             elif head == "mask":
                 tokens = rest.split(None, 1)
                 body = tokens[1].strip()
@@ -180,9 +207,11 @@ def parse_trace(text: str) -> dict:
                     "component": int(fields["component"]) - 1,
                     "side": fields["side"],
                     "frozen": fields["frozen"] == "yes",
-                    "raw": _parse_state(fields["raw"], lineno),
-                    "thresholded": _parse_state(fields["thresholded"], lineno),
-                    "updated": _parse_state(fields["updated"], lineno),
+                    "raw": _parse_state(fields["raw"], lineno, states),
+                    "thresholded": _parse_state(fields["thresholded"],
+                                                lineno, states),
+                    "updated": _parse_state(fields["updated"], lineno,
+                                            states),
                 })
             elif head == "final":
                 tokens = rest.split(None, 1)
@@ -192,7 +221,7 @@ def parse_trace(text: str) -> dict:
                 if shape not in _FINAL_FIELDS:
                     raise TraceError(f"line {lineno}: unknown final shape "
                                      f"{shape!r}")
-                columns = [_parse_states(fields[field], lineno)
+                columns = [_parse_states(fields[field], lineno, states)
                            for field in _FINAL_FIELDS[shape]]
                 cycle = tuple(zip(*columns)) if "pair" in shape \
                     else columns[0]

@@ -13,7 +13,13 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, ModeMismatch, OrderUndefined, ParseError
+from .errors import (
+    DomainError,
+    InvalidInput,
+    ModeMismatch,
+    OrderUndefined,
+    ParseError,
+)
 
 # Absolute tolerance for the t = s tie rule in neutrosophic thresholding.
 # Stored values are short decimals, so exact ties are intended ties.
@@ -219,16 +225,25 @@ class OrderPolicy(Enum):
         return parse_name(value, cls, "order policy")
 
 
+def _check_threshold_k(k):
+    """Raise InvalidInput unless the cut constant `k` is a finite real
+    number: an int or a float, but not a bool."""
+    if isinstance(k, bool) or not isinstance(k, (int, float)) \
+            or not math.isfinite(k):
+        raise InvalidInput(f"threshold k must be finite and real, got {k!r}")
+
+
 @dataclass(frozen=True)
 class ThresholdMode:
     """Cut rule for raw activation values. kind is 'fuzzy' or 'neutrosophic';
-    k is the cut constant (strict inequality, default 0)."""
+    k is the cut constant (strict inequality, default 0), a finite real."""
 
     kind: str
     k: float = 0.0
 
     def __post_init__(self):
         parse_name(self.kind, ALGEBRAS, "threshold kind")
+        _check_threshold_k(self.k)
 
 
 def _order_pair(a: Scalar, b: Scalar, policy: OrderPolicy):

@@ -112,6 +112,10 @@ def test_run_writes_verifiable_trace(tmp_path):
     text = trace.read_text()
     assert text.startswith("trace 1\n")
     assert verify_trace(text)  # raises TraceError if inconsistent
+    # byte for byte the golden trace of this run, whose CM and RM
+    # neutrosophic circle components step on the trit kernel
+    assert trace.read_bytes() == (FIXTURES / "six_model_mixture.trace"
+                                  ).read_bytes()
 
 
 def test_run_trace_is_reproducible(tmp_path):

@@ -29,10 +29,13 @@ from fuzzymaps import (
     ValueDomain,
     SpecialMatrix,
     SpecialStateVector,
+    ThresholdMode,
+    build_model,
     parse_scalar,
     parse_trace,
     render_trace,
     run_cm,
+    run,
     run_mixed,
     run_rm,
 )
@@ -43,6 +46,7 @@ TRI = ValueDomain.TRI
 UNIT = ValueDomain.UNIT
 BIPOLAR = ValueDomain.BIPOLAR
 NTRI = ValueDomain.NEUTRO_TRI
+INDET = parse_scalar("I")
 
 
 def tri(rows):
@@ -514,11 +518,12 @@ def test_level_components_are_never_pinned():
 
 def test_run_rejects_non_crisp_input():
     m = SpecialMatrix([(A_SQ, ComponentTag())])
-    with pytest.raises(InvalidInput):
-        run_cm(m, seed([0.5, 0, 0, 0, 0]))
-    with pytest.raises(InvalidInput):
-        run_cm(m, SpecialStateVector([[parse_scalar("I"), Scalar(0),
-                                       Scalar(0), Scalar(0), Scalar(0)]]))
+    for text in ("0.5", "I", "1+I", "-1", "2"):
+        x0 = SpecialStateVector([[parse_scalar(text)] + [Scalar(0)] * 4])
+        with pytest.raises(InvalidInput) as info:
+            run_cm(m, x0)
+        assert str(info.value) == (f"component 1, coordinate 1: non-crisp "
+                                   f"input {text}; entries must be 0 or 1")
 
 
 def test_run_mixed_rejects_range_seed_on_square_component():
@@ -568,6 +573,23 @@ def test_non_finite_threshold_rejected(k):
     m = SpecialMatrix([(A_SQ, ComponentTag())])
     with pytest.raises(InvalidInput):
         run_cm(m, seed([0, 1, 0, 0, 1]), threshold_k=k)
+
+
+SFCM_2 = build_model("SFCM", [(tri([[0, 1], [1, 0]]), ComponentTag())])
+
+
+@pytest.mark.parametrize("probe", [
+    pytest.param(lambda x: run(SFCM_2, x, threshold_k="0.5"), id="k-text"),
+    pytest.param(lambda x: run(SFCM_2, x, threshold_k=None), id="k-none"),
+    pytest.param(lambda x: run(SFCM_2, x, threshold_k=True), id="k-bool"),
+    pytest.param(lambda x: run(SFCM_2, x, max_steps="5"), id="cap-text"),
+    pytest.param(lambda x: run(SFCM_2, x, max_steps=2.5), id="cap-float"),
+    pytest.param(lambda x: ThresholdMode("fuzzy", "x"), id="mode-k-text"),
+])
+def test_run_option_of_a_wrong_type_is_invalid_input(probe):
+    # a finite real k (not a bool) and an int cap, else exit code 3
+    with pytest.raises(InvalidInput):
+        probe(seed([1, 0]))
 
 
 @pytest.mark.parametrize("engine", [run_cm, run_mixed])
@@ -627,22 +649,22 @@ def _assert_same_run(fast, ref, special, k):
 
 
 @st.composite
-def tri_runs(draw):
-    """A union of 1-3 components of 1-12 nodes over {-1, 0, 1} (CM or RM
-    on the domain side, RM on the range side), a crisp seed, a cut
-    constant and a small step cap."""
+def circle_runs(draw, weights, domain, algebra, nodes):
+    """A circle union of 1-3 components of 1-`nodes` nodes over `weights`
+    (CM or RM on the domain side, RM on the range side), a crisp seed, a
+    cut constant and a small step cap."""
     side = draw(st.sampled_from([DOMAIN_SIDE, RANGE_SIDE]))
     comps, parts = [], []
     for _ in range(draw(st.integers(1, 3))):
         # square components take domain-side seeds only
         kind = draw(st.sampled_from([CM, RM] if side == DOMAIN_SIDE
                                     else [RM]))
-        rows = draw(st.integers(1, 12))
-        cols = rows if kind == CM else draw(st.integers(1, 12))
-        weights = draw(st.lists(st.sampled_from([-1, 0, 0, 1]),
+        rows = draw(st.integers(1, nodes))
+        cols = rows if kind == CM else draw(st.integers(1, nodes))
+        entries = draw(st.lists(st.sampled_from(weights),
                                 min_size=rows * cols, max_size=rows * cols))
-        comps.append((Matrix(rows, cols, weights, TRI),
-                      ComponentTag(kind=kind)))
+        comps.append((Matrix(rows, cols, entries, domain),
+                      ComponentTag(kind=kind, algebra=algebra)))
         size = cols if kind == RM and side == RANGE_SIDE else rows
         parts.append(draw(st.lists(st.sampled_from([0, 1]), min_size=size,
                                    max_size=size)))
@@ -651,18 +673,52 @@ def tri_runs(draw):
     return SpecialMatrix(comps), seed(*parts, side=side), k, max_steps
 
 
-@settings(max_examples=300, deadline=None)
-@given(tri_runs())
-def test_bitmask_kernel_matches_scalar_reference(case):
+def tri_runs():
+    """Fuzzy circle unions over {-1, 0, 1}, of 1-12 nodes."""
+    return circle_runs([-1, 0, 0, 1], TRI, "fuzzy", 12)
+
+
+def trit_runs():
+    """Neutrosophic circle unions over {-1, 0, 1, I}, of 1-10 nodes."""
+    return circle_runs([-1, 0, 0, 1, INDET], NTRI, "neutrosophic", 10)
+
+
+def _assert_circle_kernel_matches(case, kernel):
     special, x0, k, max_steps = case
 
     def go():
         return _outcome(lambda: run_mixed(special, x0, threshold_k=k,
                                           max_steps=max_steps))
 
-    fast, used = _kernel_used(go)
+    fast, used = _kernel_used(go, kernel)
     assert used
     _assert_same_run(fast, _reference(go), special, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tri_runs())
+def test_bitmask_kernel_matches_scalar_reference(case):
+    _assert_circle_kernel_matches(case, dynamics._bitmask_step)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trit_runs())
+def test_trit_kernel_matches_scalar_reference(case):
+    _assert_circle_kernel_matches(case, dynamics._trit_step)
+
+
+def test_neutrosophic_circle_off_the_trits_takes_the_scalar_path():
+    # a bare union checks no class rule, so any entry may be circle
+    for odd in ("2I", "0.5"):
+        weights = Matrix.from_rows([[0, parse_scalar(odd)], [INDET, 1]])
+        m = SpecialMatrix([(weights, ComponentTag(algebra="neutrosophic"))])
+
+        def go():
+            return run_cm(m, seed([1, 0]))
+
+        fast, used = _kernel_used(go, dynamics._trit_step)
+        assert not used
+        _assert_same_run(fast, _reference(go), m, 0.0)
 
 
 _LEVELS = {UNIT: [0, 0.2, 0.5, 0.7, 1], BIPOLAR: [-1, -0.4, 0, 0.3, 1]}

@@ -447,6 +447,18 @@ def test_malformed_line_raises_trace_error_naming_it(prefix, edit):
         parse_trace("\n".join(lines) + "\n")
 
 
+def test_bad_state_on_many_lines_names_the_first():
+    # a state text that fails to parse is never kept for the lines after it
+    lines = trace_of(*MIXED).splitlines()
+    step = next(l for l in lines if l.startswith("step 2 "))
+    state = step.split(" updated=")[1]
+    first = next(i for i, l in enumerate(lines) if state in l)
+    assert sum(state in l for l in lines) > 1
+    bad = "\n".join(lines).replace(state, state[:-1] + " 1+]") + "\n"
+    with pytest.raises(TraceError, match=rf"^line {first + 1}: "):
+        parse_trace(bad)
+
+
 def test_trace_round_trip_preserves_step_data():
     mf, pattern = run_fixture(*LEVELS)
     text = render_trace(pattern, mf.model.matrix)
