@@ -8,8 +8,9 @@ to it. Each component is applied with the operator its tag declares.
 * Input: validate_input. A seed has one crisp {0,1} part per component,
   all on one side. Square (CM) components have a single node space, their
   domain, so they take domain-side seeds only; rectangular (RM)
-  components take either side. side_length gives a part's length on a
-  side, and trace verification asks it too.
+  components take either side. part_problem checks a part's side and
+  length, seed_problems adds the crisp check, and trace verification
+  asks both too.
 * Schedule: landing_side. A CM component lands on the seeded side every
   step; an RM component alternates its matrix with its transpose, so it
   lands on the far side after an odd number of steps. The run,
@@ -130,13 +131,30 @@ def landing_side(kind, seeded_side, step) -> str:
     return seeded_side
 
 
-def side_length(kind, side, rows, cols):
-    """The length of a part of a rows x cols component of `kind` on
-    `side`: rows on the domain, cols on an RM component's range, and None
-    on a CM component's range, a space it does not have."""
-    if side == DOMAIN_SIDE:
-        return rows
-    return cols if kind == RM else None
+def part_problem(part, kind, side, rows, cols, what="length"):
+    """The problem with `part` as a part of a rows x cols component of
+    `kind` on `side`, or None: a CM component has no range space, and a
+    part is as long as its space, rows on the domain and cols on an RM
+    component's range. `what` names the length in the message."""
+    expected = rows if side == DOMAIN_SIDE else cols if kind == RM else None
+    if expected is None:
+        return f"square component has no {side} space"
+    if len(part) != expected:
+        return (f"{what} {len(part)} does not match the {side} space of "
+                f"{rows}x{cols}")
+    return None
+
+
+def seed_problems(where, part, kind, side, rows, cols) -> list:
+    """Every way `part` is not a seed part of a rows x cols component of
+    `kind` on `side`, as messages naming `where`: its side or length
+    (part_problem), else each entry other than 0 and 1."""
+    problem = part_problem(part, kind, side, rows, cols, "input length")
+    if problem is not None:
+        return [f"{where}: {problem}"]
+    return [f"{where}, coordinate {coord + 1}: non-crisp input {value}; "
+            f"entries must be 0 or 1" for coord, value in enumerate(part)
+            if value.indet_coeff or value.real_part not in (0.0, 1.0)]
 
 
 class Recurrence:
@@ -265,26 +283,14 @@ def describe_outcome(outcome) -> str:
 
 def validate_input(m: SpecialMatrix, x: SpecialStateVector) -> list:
     """Every way `x` is not a valid seed for a run of `m`, as messages
-    naming the component: the part count, a range-side seed of a square
-    component, each part's length on the seeded side, and entries other
-    than 0 and 1. Empty means valid."""
+    naming the component: the part count, else each part's
+    seed_problems on the seeded side. Empty means valid."""
     if len(x) != len(m):
         return [f"input has {len(x)} parts, union has {len(m)} components"]
     out = []
     for idx, ((mat, tag), part) in enumerate(zip(m, x.parts)):
-        where = f"component {idx + 1}"
-        expected = side_length(tag.kind, x.side, mat.rows, mat.cols)
-        if expected is None:
-            out.append(f"{where}: square component has no {x.side} space")
-            continue
-        if len(part) != expected:
-            out.append(f"{where}: input length {len(part)} does not match "
-                       f"the {x.side} space of {mat.rows}x{mat.cols}")
-            continue
-        for coord, value in enumerate(part):
-            if value.indet_coeff or value.real_part not in (0.0, 1.0):
-                out.append(f"{where}, coordinate {coord + 1}: non-crisp "
-                           f"input {value}; entries must be 0 or 1")
+        out += seed_problems(f"component {idx + 1}", part, tag.kind, x.side,
+                             mat.rows, mat.cols)
     return out
 
 

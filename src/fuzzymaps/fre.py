@@ -22,6 +22,7 @@ from .errors import (
     BudgetExceeded,
     ComponentCountMismatch,
     DomainError,
+    InvalidInput,
     ModeMismatch,
     ShapeMismatch,
 )
@@ -148,11 +149,13 @@ def minimal_solutions_bruteforce(q: Matrix, r, *,
     cover) gives a candidate holding at j the largest r_k assigned to j
     and 0 elsewhere; the entrywise-minimal candidates are the minimal
     solutions. The number of covers, the product of the |J_k|, must stay
-    within `budget`. p-hat o Q <= r always holds, so a column is reached
-    exactly when some j attains r_k: an unsolvable system leaves some J_k
-    empty, hence no cover, and returns (). Real-valued only: an
-    indeterminate entry raises ModeMismatch.
+    within `budget`, an int (else InvalidInput). p-hat o Q <= r always
+    holds, so a column is reached exactly when some j attains r_k: an
+    unsolvable system leaves some J_k empty, hence no cover, and returns
+    (). Real-valued only: an indeterminate entry raises ModeMismatch.
     """
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise InvalidInput(f"budget must be an int, got {budget!r}")
     r = _target_row(q, r)
     try:
         q_vals, r_vals, p_hat = _max_candidate(q, r, False)

@@ -27,7 +27,8 @@ OPS = ("circle", "maxmin", "minmax")
 
 
 class Matrix:
-    """Immutable rows x cols matrix of Scalars declared over a ValueDomain.
+    """Immutable rows x cols matrix of Scalars declared over a ValueDomain
+    (a member or its text, such as `unit`).
 
     Entries are checked against the domain's membership predicate at
     construction. Indexing is 0-based.
@@ -36,6 +37,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "domain", "entries", "_memos")
 
     def __init__(self, rows, cols, entries, domain=ValueDomain.ANY):
+        domain = ValueDomain.parse(domain)
         rows = int(rows)
         cols = int(cols)
         if rows < 1 or cols < 1:

@@ -23,11 +23,19 @@ from .dynamics import (
     landing_side,
     on_coordinates,
     outcome_shape,
-    side_length,
+    part_problem,
+    seed_problems,
 )
-from .errors import ParseError, TraceError
-from .special import CM, KINDS, SIDES, SpecialMatrix, render_part
-from .values import OrderPolicy, parse_scalar, render_scalar
+from .errors import FuzzymapsError, ShapeMismatch, TraceError
+from .models import ModelClass
+from .special import CM, SIDES, ComponentTag, SpecialMatrix, render_part
+from .values import (
+    OrderPolicy,
+    _check_threshold_k,
+    parse_name,
+    parse_scalar,
+    render_scalar,
+)
 
 TRACE_VERSION = "1"
 
@@ -53,16 +61,23 @@ def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
                  experts=None, policy=None, threshold_k=0.0,
                  model_class=None, name="") -> str:
     """Serialize a run result. `special` supplies the component tags,
-    whose operators the run applied; `policy`, an OrderPolicy or its
-    text, is recorded when given. The run line ends at `threshold-k=`;
-    its model metadata is embedded for audit but not needed for
-    verification."""
+    whose operators the run applied, and `experts` their names, one per
+    component; `policy` and `model_class`, each a member or its text, are
+    recorded when given. The run line ends at `threshold-k=`; its model
+    metadata is embedded for audit but not needed for verification."""
+    _check_threshold_k(threshold_k)
+    count = len(pattern.outcomes)
+    if len(special) != count:
+        raise ShapeMismatch(f"union has {len(special)} components, run has "
+                            f"{count}")
+    if experts is not None and len(experts) != count:
+        raise ShapeMismatch(f"{len(experts)} experts for {count} components")
     text = _PartTexts().__getitem__
     out = [f"trace {TRACE_VERSION}"]
     run_fields = [f"side={pattern.side}", f"steps={pattern.steps}",
                   f"components={len(special)}"]
     if model_class is not None:
-        run_fields.append(f"class={model_class.value}")
+        run_fields.append(f"class={ModelClass.parse(model_class).value}")
     if name:
         run_fields.append(f"name=[{name}]")
     if policy is not None:
@@ -123,37 +138,27 @@ def _engine_fields(text: str) -> dict:
     return dict(_FIELD_RE.findall(_FREE_TEXT_RE.sub("", text, count=1)))
 
 
-def _parse_state(text: str, lineno: int, states: dict):
+def _parse_state(text: str, states: dict):
     """The state `text` spells, parsed once per trace: `states` maps each
     bracketed text parsed so far to its tuple. A text that fails to parse
-    is never kept; its TraceError names the line it first appears on."""
+    is never kept, so its error names the line it first appears on."""
     state = states.get(text)
     if state is None:
-        state = states[text] = _parse_state_text(text, lineno)
+        if not (text.startswith("[") and text.endswith("]")):
+            raise TraceError(f"bad state {text!r}")
+        state = states[text] = tuple(map(parse_scalar, text[1:-1].split()))
     return state
 
 
-def _parse_state_text(text, lineno):
-    if not (text.startswith("[") and text.endswith("]")):
-        raise TraceError(f"line {lineno}: bad state {text!r}")
-    body = text[1:-1].strip()
-    if not body:
-        return tuple()
-    try:
-        return tuple(parse_scalar(tok) for tok in body.split())
-    except ParseError as exc:
-        raise TraceError(f"line {lineno}: {exc}") from None
-
-
-def _parse_states(text: str, lineno: int, states: dict):
-    return tuple(_parse_state(chunk, lineno, states)
-                 for chunk in text.split("|"))
+def _parse_states(text: str, states: dict):
+    return tuple(_parse_state(chunk, states) for chunk in text.split("|"))
 
 
 def parse_trace(text: str) -> dict:
     """Structural parse into a dict: side, the run line's step and
     component counts, kinds, (rows, cols) shapes, inputs, masks, steps,
-    finals. Raises TraceError on malformed input."""
+    finals. Each name, and the run's k, is read with the engine's own
+    rule. Raises TraceError, naming the line, on malformed input."""
     side = None
     kinds = {}
     shapes = {}
@@ -172,31 +177,34 @@ def parse_trace(text: str) -> dict:
             if head == "trace":
                 if rest.strip() != TRACE_VERSION:
                     raise TraceError(
-                        f"line {lineno}: unsupported trace version "
-                        f"{rest.strip()!r}")
+                        f"unsupported trace version {rest.strip()!r}")
             elif head == "run":
                 fields = _engine_fields(rest)
-                side = fields.get("side")
-                if side not in SIDES:
-                    raise TraceError(f"line {lineno}: bad or missing run side")
+                side = parse_name(fields["side"], SIDES, "side")
                 counts = int(fields["steps"]), int(fields["components"])
+                if "class" in fields:
+                    ModelClass.parse(fields["class"])
+                if "policy" in fields:
+                    OrderPolicy.parse(fields["policy"])
+                if "threshold-k" in fields:
+                    k = parse_scalar(fields["threshold-k"])
+                    _check_threshold_k(k.real_part if k.is_real else k)
             elif head == "component":
                 tokens = rest.split(None, 1)
                 idx = int(tokens[0]) - 1
                 fields = _engine_fields(tokens[1])
-                if fields.get("kind") not in KINDS:
-                    raise TraceError(f"line {lineno}: bad component kind")
-                kinds[idx] = fields["kind"]
+                kinds[idx] = ComponentTag(fields["kind"], fields["algebra"],
+                                          fields["op"]).kind
                 shapes[idx] = int(fields["rows"]), int(fields["cols"])
             elif head == "input":
                 tokens = rest.split(None, 1)
                 inputs[int(tokens[0]) - 1] = _parse_state(tokens[1].strip(),
-                                                          lineno, states)
+                                                          states)
             elif head == "mask":
                 tokens = rest.split(None, 1)
                 body = tokens[1].strip()
                 if not (body.startswith("[") and body.endswith("]")):
-                    raise TraceError(f"line {lineno}: bad mask")
+                    raise TraceError("bad mask")
                 coords = body[1:-1].split()
                 masks[int(tokens[0]) - 1] = tuple(int(c) - 1 for c in coords)
             elif head == "step":
@@ -206,12 +214,12 @@ def parse_trace(text: str) -> dict:
                     "step": int(tokens[0]),
                     "component": int(fields["component"]) - 1,
                     "side": fields["side"],
-                    "frozen": fields["frozen"] == "yes",
-                    "raw": _parse_state(fields["raw"], lineno, states),
+                    "frozen": parse_name(fields["frozen"], ("yes", "no"),
+                                         "frozen flag") == "yes",
+                    "raw": _parse_state(fields["raw"], states),
                     "thresholded": _parse_state(fields["thresholded"],
-                                                lineno, states),
-                    "updated": _parse_state(fields["updated"], lineno,
-                                            states),
+                                                states),
+                    "updated": _parse_state(fields["updated"], states),
                 })
             elif head == "final":
                 tokens = rest.split(None, 1)
@@ -219,9 +227,8 @@ def parse_trace(text: str) -> dict:
                 fields = dict(_FIELD_RE.findall(tokens[1]))
                 shape = tokens[1].split()[0]
                 if shape not in _FINAL_FIELDS:
-                    raise TraceError(f"line {lineno}: unknown final shape "
-                                     f"{shape!r}")
-                columns = [_parse_states(fields[field], lineno, states)
+                    raise TraceError(f"unknown final shape {shape!r}")
+                columns = [_parse_states(fields[field], states)
                            for field in _FINAL_FIELDS[shape]]
                 cycle = tuple(zip(*columns)) if "pair" in shape \
                     else columns[0]
@@ -230,20 +237,22 @@ def parse_trace(text: str) -> dict:
                 if outcome_shape(outcome)[0] != shape \
                         or outcome.period != period \
                         or len({len(c) for c in columns}) != 1:
-                    raise TraceError(
-                        f"line {lineno}: {shape} period={period} does not "
-                        f"fit its recorded states")
+                    raise TraceError(f"{shape} period={period} does not "
+                                     f"fit its recorded states")
                 finals[idx] = {"shape": shape, "period": period,
                                "settled": int(fields["settled"]),
                                "outcome": outcome}
             elif head == "end":
                 saw_end = True
             else:
-                raise TraceError(f"line {lineno}: unknown record {head!r}")
+                raise TraceError(f"unknown record {head!r}")
         except (ValueError, IndexError, KeyError):
             # a missing field or token, or a number that does not parse
             raise TraceError(
                 f"line {lineno}: malformed {head} record") from None
+        except FuzzymapsError as exc:
+            # a rule of the trace format or of the engine that the line breaks
+            raise TraceError(f"line {lineno}: {exc}") from None
     if side is None:
         raise TraceError("trace has no run line")
     if not saw_end:
@@ -255,25 +264,13 @@ def parse_trace(text: str) -> dict:
             "masks": masks, "steps": steps, "finals": finals}
 
 
-def _check_lengths(where, parts, kind, side, shape):
-    """Raise TraceError unless each of `parts` has the length side_length
-    gives a component of `kind` and (rows, cols) `shape` on `side`."""
-    expected = side_length(kind, side, *shape)
-    if expected is None:
-        raise TraceError(f"{where}: a square component has no {side} space")
-    for part in parts:
-        if len(part) != expected:
-            raise TraceError(
-                f"{where}: length {len(part)} does not match the {side} "
-                f"space of {shape[0]}x{shape[1]}")
-
-
 def verify_trace(text: str) -> tuple:
     """Re-derive every component's final pattern from the recorded step
     states with the engine's recurrence rule, and check it, its settle
     step, the frozen steps after it, the run line's counts (one component
-    or more), the masks, square CM shapes and every part's length on its
-    side against the trace. Returns the verified outcomes in order."""
+    or more), the masks, square CM shapes, every part's side and length
+    (part_problem) and crisp seeds (seed_problems) against the trace.
+    Returns the verified outcomes in order."""
     data = parse_trace(text)
     side, n, steps = data["side"], data["components"], data["run_steps"]
     if n < 1:
@@ -298,7 +295,8 @@ def verify_trace(text: str) -> tuple:
         if data["masks"].get(idx) != on_coordinates(state):
             raise TraceError(f"{where}: mask does not match its input")
         kind, shape = data["kinds"][idx], data["shapes"][idx]
-        _check_lengths(f"{where} input", (state,), kind, side, shape)
+        if problems := seed_problems(where, state, kind, side, *shape):
+            raise TraceError("; ".join(problems))
         if kind == CM and shape[0] != shape[1]:
             raise TraceError(f"{where}: a CM component must be square, got "
                              f"{shape[0]}x{shape[1]}")
@@ -308,9 +306,10 @@ def verify_trace(text: str) -> tuple:
             if entry["side"] != landing_side(kind, side, entry["step"]):
                 raise TraceError(f"{where}: step {entry['step']} lands on "
                                  f"the wrong side")
-            _check_lengths(f"{where} step {entry['step']}",
-                           (entry["raw"], entry["thresholded"],
-                            entry["updated"]), kind, entry["side"], shape)
+            for part in (entry["raw"], entry["thresholded"], entry["updated"]):
+                if problem := part_problem(part, kind, entry["side"], *shape):
+                    raise TraceError(
+                        f"{where} step {entry['step']}: {problem}")
             cycle = recurrence.add(entry["step"], entry["updated"])
             if cycle is not None:
                 closed = entry["step"]

@@ -585,9 +585,15 @@ SFCM_2 = build_model("SFCM", [(tri([[0, 1], [1, 0]]), ComponentTag())])
     pytest.param(lambda x: run(SFCM_2, x, max_steps="5"), id="cap-text"),
     pytest.param(lambda x: run(SFCM_2, x, max_steps=2.5), id="cap-float"),
     pytest.param(lambda x: ThresholdMode("fuzzy", "x"), id="mode-k-text"),
+    pytest.param(lambda x: render_trace(run(SFCM_2, x), SFCM_2.matrix,
+                                        threshold_k="0"), id="trace-k-text"),
+    pytest.param(lambda x: render_trace(run(SFCM_2, x), SFCM_2.matrix,
+                                        threshold_k=math.nan),
+                 id="trace-k-nan"),
 ])
 def test_run_option_of_a_wrong_type_is_invalid_input(probe):
-    # a finite real k (not a bool) and an int cap, else exit code 3
+    # a finite real k (not a bool) and an int cap, else exit code 3; a
+    # trace records k under the same rule
     with pytest.raises(InvalidInput):
         probe(seed([1, 0]))
 

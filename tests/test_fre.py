@@ -12,6 +12,7 @@ from fuzzymaps import (
     ComponentTag,
     DomainError,
     FreSolution,
+    InvalidInput,
     Matrix,
     ModeMismatch,
     RM,
@@ -185,6 +186,12 @@ def test_minimal_solutions_budget():
         minimal_solutions_bruteforce(small, [0.5] * 3, budget=26)
     assert len(minimal_solutions_bruteforce(small, [0.5] * 3,
                                             budget=27)) == 3
+
+
+@pytest.mark.parametrize("budget", ["5", True, 2.5, None])
+def test_minimal_solutions_budget_must_be_an_int(budget):
+    with pytest.raises(InvalidInput, match="budget must be an int"):
+        minimal_solutions_bruteforce(unit([[1.0]]), [0.5], budget=budget)
 
 
 def test_minimal_solutions_reject_indeterminate_target():

@@ -82,6 +82,12 @@ ENTRY_POINTS = {
     "render_trace policy": (
         lambda n: render_trace(PATTERN, MODEL.matrix, policy=n),
         "order policy", ["bogus"], POLICIES),
+    "render_trace model_class": (
+        lambda n: render_trace(PATTERN, MODEL.matrix, model_class=n),
+        "model class", ["SXYZ", 5], [ModelClass.SFCM, "SFCM", " sfcm "]),
+    "Matrix domain": (lambda n: Matrix(1, 2, [0, 1], domain=n),
+                      "value domain", ["bogus", None],
+                      [ValueDomain.UNIT, "unit"]),
 }
 
 BAD = [(entry, bad) for entry, (_, _, bads, _) in ENTRY_POINTS.items()

@@ -1,6 +1,7 @@
 """Trace serialization, parsing, and independent verification."""
 
 import pathlib
+import re
 from collections import Counter
 
 import pytest
@@ -17,6 +18,7 @@ from fuzzymaps import (
     FixedPoint,
     LimitCycle,
     Matrix,
+    ShapeMismatch,
     TraceError,
     SpecialMatrix,
     SpecialStateVector,
@@ -35,6 +37,8 @@ from fuzzymaps import (
 from fuzzymaps.special import apply_part
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+# `fuzzymaps run --trace` of the six-model mixture, as the CLI writes it
+GOLDEN = (FIXTURES / "six_model_mixture.trace").read_text()
 
 
 def run_fixture(model_name, vec_name, **kwargs):
@@ -121,6 +125,16 @@ def test_verify_level_trace_with_cycles():
     assert verify_trace(text) == pattern.outcomes
 
 
+def test_render_trace_rejects_a_union_or_experts_of_another_size():
+    mf, pattern = run_fixture(*SQUARE)
+    (component,) = mf.model.matrix
+    with pytest.raises(ShapeMismatch, match="union has 2 components, run "
+                                            "has 1"):
+        render_trace(pattern, SpecialMatrix([component, component]))
+    with pytest.raises(ShapeMismatch, match="2 experts for 1 components"):
+        render_trace(pattern, mf.model.matrix, experts=["a", "b"])
+
+
 def test_metadata_is_optional():
     mf, pattern = run_fixture(*SQUARE)
     bare = render_trace(pattern, mf.model.matrix)
@@ -196,17 +210,19 @@ def test_square_component_seeded_on_the_range_is_rejected():
 
 
 _LENGTH = "component 1 {}: length"
+# a seed is held to the run's own rule, so it is rejected in its words
+_SEED_LENGTH = "component 1: input length"
 _MISMATCH = "recorded final .* does not match"
 
 
 @pytest.mark.parametrize("pair, line, old, new, message", [
     pytest.param(SQUARE, "component 1 ", "rows=5 cols=5", "rows=7 cols=2",
-                 _LENGTH.format("input"), id="component-shape"),
+                 _SEED_LENGTH, id="component-shape"),
     pytest.param(SQUARE, "component 1 ", "rows=5 cols=5", "rows=5 cols=7",
                  "component 1: a CM component must be square, got 5x7",
                  id="cm-not-square"),
     pytest.param(SQUARE, "input 1 ", "[0 1 0 0 1]", "[0 1 0 0 1 0]",
-                 _LENGTH.format("input"), id="input"),
+                 _SEED_LENGTH, id="input"),
     pytest.param(SQUARE, "step 1 ", "raw=[0", "raw=[0 0",
                  _LENGTH.format("step 1"), id="raw"),
     pytest.param(SQUARE, "step 1 ", "thresholded=[0", "thresholded=[0 0",
@@ -219,10 +235,14 @@ _MISMATCH = "recorded final .* does not match"
                  _LENGTH.format("step 3"), id="range-raw"),
     pytest.param(RECT, "final 1 ", "range=[1", "range=[1 1", _MISMATCH,
                  id="final-range"),
+    pytest.param(MIXED, "input 1 ", "[1 0 0 0", "[1 0 0.5 0",
+                 "component 1, coordinate 3: non-crisp input 0.5; entries "
+                 "must be 0 or 1", id="input-not-crisp"),
 ])
 def test_part_of_the_wrong_length_is_rejected(pair, line, old, new, message):
-    # every part is as long as its component's space on its side; a final
-    # state is held to the checked step parts it must equal
+    # every part is as long as its component's space on its side, and a
+    # seed is crisp, as a run requires; a final state is held to the
+    # checked step parts it must equal
     text = trace_of(*pair)
     target = next(l for l in text.splitlines() if l.startswith(line))
     doctored = text.replace(target, target.replace(old, new, 1))
@@ -438,13 +458,32 @@ def test_parse_rejects_malformed_lines():
                  id="final-no-period"),
     pytest.param("input 1 ", lambda l: "input 1", id="input-no-state"),
     pytest.param("mask 1 ", lambda l: "mask 1 [a]", id="mask-coordinate"),
+    # each name and the run's k are read with the engine's own rule
+    pytest.param("component 1 ",
+                 lambda l: l.replace("algebra=fuzzy", "algebra=bogus"),
+                 id="algebra"),
+    pytest.param("component 1 ",
+                 lambda l: l.replace("op=circle", "op=convolve"), id="op"),
+    pytest.param("run ", lambda l: l.replace("policy=book", "policy=bogus"),
+                 id="policy"),
+    pytest.param("run ", lambda l: l.replace("class=SMFCRNCRM", "class=NOPE"),
+                 id="class"),
+    pytest.param("run ",
+                 lambda l: l.replace("threshold-k=0", "threshold-k=banana"),
+                 id="threshold-k"),
+    pytest.param("run ", lambda l: l.replace("threshold-k=0", "threshold-k=I"),
+                 id="threshold-k-indeterminate"),
+    pytest.param("step 1 ", lambda l: l.replace("frozen=no", "frozen=maybe"),
+                 id="frozen"),
 ])
 def test_malformed_line_raises_trace_error_naming_it(prefix, edit):
-    lines = trace_of(*SQUARE).splitlines()
+    lines = GOLDEN.splitlines()
     at = next(i for i, l in enumerate(lines) if l.startswith(prefix))
-    lines[at] = edit(lines[at])
+    edited = edit(lines[at])
+    assert edited != lines[at]
+    lines[at] = edited
     with pytest.raises(TraceError, match=rf"^line {at + 1}: "):
-        parse_trace("\n".join(lines) + "\n")
+        verify_trace("\n".join(lines) + "\n")
 
 
 def test_bad_state_on_many_lines_names_the_first():
@@ -457,6 +496,43 @@ def test_bad_state_on_many_lines_names_the_first():
     bad = "\n".join(lines).replace(state, state[:-1] + " 1+]") + "\n"
     with pytest.raises(TraceError, match=rf"^line {first + 1}: "):
         parse_trace(bad)
+
+
+# field values and state tokens a tampered trace may hold
+_TOKENS = ["bogus", "nan", "1e400", "I", "[", "|", "]", "-1", "0", "0.5",
+           "2", "yes", "no", "CM", "RM", "range", "domain", "99", "-3", ""]
+
+
+@st.composite
+def tampered_golden(draw):
+    """The golden trace with one line dropped, duplicated or swapped with
+    another, or one field value or state token replaced."""
+    lines = GOLDEN.splitlines()
+    at = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(["drop", "duplicate", "swap", "replace"]))
+    if how == "drop":
+        del lines[at]
+    elif how == "duplicate":
+        lines.insert(at, lines[at])
+    elif how == "swap":
+        other = draw(st.integers(0, len(lines) - 1))
+        lines[at], lines[other] = lines[other], lines[at]
+    else:
+        # separators are kept, so only the token between them changes
+        pieces = re.split(r"([\s=\[\]|])", lines[at])
+        spots = [i for i, piece in enumerate(pieces) if i % 2 == 0 and piece]
+        pieces[draw(st.sampled_from(spots))] = draw(st.sampled_from(_TOKENS))
+        lines[at] = "".join(pieces)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(tampered_golden())
+def test_tampered_golden_trace_verifies_or_raises_trace_error(text):
+    try:
+        verify_trace(text)
+    except TraceError:
+        pass
 
 
 def test_trace_round_trip_preserves_step_data():
