@@ -3,10 +3,13 @@ fixed point, a limit cycle, or a fixed binary pair.
 
 Each rule below is written once, and every entry point goes through it:
 run_mixed runs, and run_cm, run_rm and models.run forward their options
-to it. Each component is applied with the operator its tag declares.
+to it. Each component runs on the kernel its tag names, which applies
+the operator its tag declares.
 
-* Input: validate_input. A seed has one crisp {0,1} part per component,
-  all on one side. Square (CM) components have a single node space, their
+* Input: validate_input. Every component's values sit inside the
+  carrier of its tag (special._carrier_problems, the rule build_model
+  applies too), and a seed has one crisp {0,1} part per component, all
+  on one side. Square (CM) components have a single node space, their
   domain, so they take domain-side seeds only; rectangular (RM)
   components take either side. part_problem checks a part's side and
   length, seed_problems adds the crisp check, and trace verification
@@ -29,37 +32,39 @@ to it. Each component is applied with the operator its tag declares.
   one a LimitCycle. Recurrence holds this rule, and trace verification
   drives it too.
 
-Each component's step is compiled once at the start of a run into a
-kernel that only applies and cuts per side (the matrix from the domain,
-its transpose from the range), and the run calls only that one step. A
-test (tests/test_trace.py) steps every reported cycle again through the
-public Scalar operations, which the kernels do not use.
-_compile_step takes the first kernel in _KERNELS that accepts the
-component, else the Scalar reference:
+Each component's step is compiled once at the start of a run into the
+kernel its tag names, which only applies and cuts per side (the matrix
+from the domain, its transpose from the range), and the run calls only
+that one step. The carrier rule fixes what a kernel's entries can be,
+so each kernel takes every component of its tag:
 
-* bitmask: fuzzy circle components whose entries are all real and in
-  {-1, 0, 1}; int states, popcounts via int.bit_count (so Python 3.10+),
-  column masks built once per matrix and kept on it;
-* trit: neutrosophic circle components whose entries are all in
-  {-1, 0, 1, I}; states are pairs of int bitmasks (the 1 and the I
-  coordinates), raw values t + sI have exact integer parts, popcounts
-  over the bitmask kernel's per-matrix masks plus a mask of the I
-  entries, and the cut is threshold_scalar, once per distinct raw value
-  in a run;
-* float level: fuzzy maxmin/minmax components whose entries are all
-  finite reals; float-tuple states, one C-level max/min call per entry;
-* Scalar reference (_ScalarStep): every other component, on Scalar
-  tuples through apply_part. Neutrosophic maxmin/minmax stay here, where
-  the order policy applies.
+  algebra       operator       kernel
+  fuzzy         circle         bitmask
+  neutrosophic  circle         trit
+  fuzzy         maxmin/minmax  float level
+  neutrosophic  maxmin/minmax  Scalar (_ScalarStep)
 
-Differential tests hold each kernel to the reference, which they select
-by emptying _KERNELS: all produce the same Scalar records, outcomes and
-trace bytes.
+* bitmask: weights in {-1, 0, 1}; int states, popcounts via
+  int.bit_count (so Python 3.10+), column masks built once per matrix
+  and kept on it;
+* trit: weights in {-1, 0, 1, I}; states are pairs of int bitmasks (the
+  1 and the I coordinates), raw values t + sI have exact integer parts,
+  popcounts over the bitmask kernel's per-matrix masks plus a mask of
+  the I entries, and the cut is threshold_scalar, once per distinct raw
+  value in a run;
+* float level: memberships in [0, 1]; float-tuple states, one C-level
+  max/min call per entry;
+* Scalar: Scalar tuples through apply_part, where the order policy
+  applies.
+
+Tests replay every run record by record through the public Scalar
+operations (apply_part, threshold_scalar, landing_side and the pin),
+which the kernels do not use, and step every reported cycle again
+through them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -76,6 +81,7 @@ from .special import (
     RM,
     SpecialMatrix,
     SpecialStateVector,
+    _carrier_problems,
     apply_part,
     other_side,
     render_part,
@@ -282,12 +288,14 @@ def describe_outcome(outcome) -> str:
 
 
 def validate_input(m: SpecialMatrix, x: SpecialStateVector) -> list:
-    """Every way `x` is not a valid seed for a run of `m`, as messages
-    naming the component: the part count, else each part's
-    seed_problems on the seeded side. Empty means valid."""
+    """Every way a run of `m` from `x` cannot start, as messages naming
+    the component: each component off the carrier of its tag, then the
+    part count, else each part's seed_problems on the seeded side. Empty
+    means valid."""
+    out = _carrier_problems(m)
     if len(x) != len(m):
-        return [f"input has {len(x)} parts, union has {len(m)} components"]
-    out = []
+        return out + [
+            f"input has {len(x)} parts, union has {len(m)} components"]
     for idx, ((mat, tag), part) in enumerate(zip(m, x.parts)):
         out += seed_problems(f"component {idx + 1}", part, tag.kind, x.side,
                              mat.rows, mat.cols)
@@ -296,39 +304,30 @@ def validate_input(m: SpecialMatrix, x: SpecialStateVector) -> list:
 
 # -- compiled steps ----------------------------------------------------------
 #
-# A kernel is one component's step (apply, cut, pin), built once per run.
-# It keeps its operand per side: the matrix, applied from the domain, and
-# for an RM component its transpose, applied from the range.
-# `step(state, side, pin)` applies the operand of the side `state`
-# addresses, cuts, pins when told, and returns (raw, thresholded,
-# updated); landing_side decides `pin`. States are native to the kernel:
-# `seed` makes one from the crisp seed part, `decode` turns a state on a
-# side back into the Scalar tuple that records and outcomes carry, and
-# `scalars` does the same for a raw part.
+# A kernel is one component's step (apply, cut, pin), built once per run
+# from (matrix, tag, k, pin_on, policy). It keeps its operand per side:
+# the matrix, applied from the domain, and for an RM component its
+# transpose, applied from the range. `step(state, side, pin)` applies
+# the operand of the side `state` addresses, cuts, pins when told, and
+# returns (raw, thresholded, updated); landing_side decides `pin`. States
+# are native to the kernel: `seed` makes one from the crisp seed part,
+# `decode` turns a state on a side back into the Scalar tuple that
+# records and outcomes carry, and `scalars` does the same for a raw part.
 
 class _ScalarStep:
-    """The reference semantics: Scalar tuples through apply_part."""
+    """Neutrosophic max-min or min-max step on Scalar tuples through
+    apply_part, under the run's order policy. Parts flow raw: no cut, no
+    pin."""
 
     def __init__(self, matrix, tag, k, pin_on, policy):
         self.operands = {DOMAIN_SIDE: matrix, RANGE_SIDE:
                          transpose(matrix) if tag.kind == RM else None}
         self.op = tag.op
         self.policy = policy
-        self.mode = ThresholdMode(tag.algebra, k) if tag.op == "circle" \
-            else None
-        self.pin_on = pin_on
 
     def step(self, state, side, pin):
         raw = apply_part(state, self.operands[side], self.op, self.policy)
-        if self.mode is None:  # maxmin/minmax parts flow raw
-            return raw, raw, raw
-        thresholded = tuple([threshold_scalar(v, self.mode) for v in raw])
-        if not (pin and self.pin_on):
-            return raw, thresholded, thresholded
-        updated = list(thresholded)
-        for i in self.pin_on:
-            updated[i] = ONE
-        return raw, thresholded, tuple(updated)
+        return raw, raw, raw
 
     @staticmethod
     def seed(part):
@@ -361,17 +360,21 @@ class _BitmaskStep:
     """Fuzzy circle step over {-1, 0, 1} weights on int bitmasks.
 
     Bit i of a state is coordinate i. The applied operand holds the mask
-    tuples (P, N, Im) of _sign_masks: P[j] and N[j] hold the +1 and -1 rows
-    of column j, so raw_j = |x & P[j]| - |x & N[j]|; the cut sets bit j
-    when raw_j > k and pinning ORs in the seed mask. Im is all 0 here.
+    tuples (P, N, Im) of _sign_masks, the matrix's columns for the domain
+    and, on an RM component, its rows for the range, built once per
+    matrix and kept on it. P[j] and N[j] hold the +1 and -1 rows of
+    column j, so raw_j = |x & P[j]| - |x & N[j]|; the cut sets bit j when
+    raw_j > k and pinning ORs in the seed mask. Im is all 0 here.
     """
 
-    def __init__(self, operands, sizes, k, pin_on):
-        self.operands = operands
-        self.sizes = sizes  # side -> state length
+    def __init__(self, matrix, tag, k, pin_on, policy):
+        self.operands = {DOMAIN_SIDE: matrix._memo(_column_masks),
+                         RANGE_SIDE: matrix._memo(_row_masks)
+                         if tag.kind == RM else None}
+        self.sizes = {DOMAIN_SIDE: matrix.rows, RANGE_SIDE: matrix.cols}
         self.k = k
         self.pin = sum(1 << i for i in pin_on)
-        self.bits = tuple(1 << j for j in range(max(sizes.values())))
+        self.bits = tuple(1 << j for j in range(max(matrix.shape)))
 
     def step(self, x, side, pin):
         pos, neg, _ = self.operands[side]
@@ -394,9 +397,10 @@ class _BitmaskStep:
 
 
 def _sign_masks(matrix, by_rows):
-    """(P, N, Im) of `matrix`: per column (per row when `by_rows`), the
-    bitmask of its +1 entries, that of its -1 entries and that of its I
-    entries. None unless every entry is in {-1, 0, 1, I}."""
+    """(P, N, Im) of a circle component's `matrix`, whose entries the
+    carrier rule keeps in {-1, 0, 1, I}: per column (per row when
+    `by_rows`), the bitmask of its +1 entries, that of its -1 entries and
+    that of its I entries."""
     rows, cols = matrix.rows, matrix.cols
     pos = [0] * (rows if by_rows else cols)
     neg = pos[:]
@@ -404,13 +408,9 @@ def _sign_masks(matrix, by_rows):
     for idx, entry in enumerate(matrix.entries):
         a, b = entry.real_part, entry.indet_coeff
         if b:
-            if a or b != 1.0:
-                return None
             masks = ind
-        elif a in (-1.0, 1.0):
-            masks = pos if a > 0 else neg
         elif a:
-            return None
+            masks = pos if a > 0 else neg
         else:
             continue
         i, j = divmod(idx, cols)
@@ -426,31 +426,6 @@ def _column_masks(matrix):
 
 def _row_masks(matrix):
     return _sign_masks(matrix, True)
-
-
-def _circle_masks(matrix, tag, algebra):
-    """The (P, N, Im) masks of an `algebra` circle component per side, the
-    matrix's columns for the domain and, on an RM component, its rows for
-    the range; None for any other component or an entry outside
-    {-1, 0, 1, I}. The masks are built once per matrix and kept on it."""
-    if tag.op != "circle" or tag.algebra != algebra:
-        return None
-    forward = matrix._memo(_column_masks)
-    if forward is None:
-        return None
-    backward = matrix._memo(_row_masks) if tag.kind == RM else None
-    return {DOMAIN_SIDE: forward, RANGE_SIDE: backward}
-
-
-def _bitmask_step(matrix, tag, k, pin_on):
-    """The bitmask kernel of a fuzzy circle component whose entries are all
-    real and in {-1, 0, 1}; None for any other component."""
-    masks = _circle_masks(matrix, tag, "fuzzy")
-    if masks is None or any(masks[DOMAIN_SIDE][2]):
-        return None
-    return _BitmaskStep(masks,
-                        {DOMAIN_SIDE: matrix.rows, RANGE_SIDE: matrix.cols},
-                        k, pin_on)
 
 
 _TRIT_SCALARS = (ZERO, ONE, I)  # by code: x1 bit + 2 * xI bit
@@ -485,9 +460,9 @@ class _TritStep(_BitmaskStep):
     pinning sets the seed's bits to 1.
     """
 
-    def __init__(self, operands, sizes, mode, pin_on):
-        super().__init__(operands, sizes, mode.k, pin_on)
-        self.cut = _CutCodes(mode)
+    def __init__(self, matrix, tag, k, pin_on, policy):
+        super().__init__(matrix, tag, k, pin_on, policy)
+        self.cut = _CutCodes(ThresholdMode(tag.algebra, k))
 
     def step(self, x, side, pin):
         x1, xi = x
@@ -512,19 +487,9 @@ class _TritStep(_BitmaskStep):
                       for i in range(self.sizes[side])])
 
 
-def _trit_step(matrix, tag, k, pin_on):
-    """The bitmask-pair kernel of a neutrosophic circle component whose
-    entries are all in {-1, 0, 1, I}; None for any other component."""
-    masks = _circle_masks(matrix, tag, "neutrosophic")
-    if masks is None:
-        return None
-    return _TritStep(masks,
-                     {DOMAIN_SIDE: matrix.rows, RANGE_SIDE: matrix.cols},
-                     ThresholdMode(tag.algebra, k), pin_on)
-
-
 class _LevelStep:
-    """Fuzzy max-min or min-max step over real entries on float tuples.
+    """Fuzzy max-min or min-max step over [0, 1] memberships on float
+    tuples.
 
     A state is the tuple of its coordinates' real parts, and the applied
     operand is a tuple of columns as float tuples, so raw_j is one C-level
@@ -533,10 +498,21 @@ class _LevelStep:
     `values` maps each float back to its Scalar.
     """
 
-    def __init__(self, operands, op, values):
-        self.operands = operands
-        self.inner, self.outer = (min, max) if op == "maxmin" else (max, min)
-        self.values = values  # float -> Scalar
+    def __init__(self, matrix, tag, k, pin_on, policy):
+        entries = matrix.entries
+        reals = tuple([e.real_part for e in entries])
+        cols = matrix.cols
+        rows = None
+        if tag.kind == RM:  # the columns of the transpose
+            rows = tuple(reals[i:i + cols]
+                         for i in range(0, len(reals), cols))
+        self.operands = {DOMAIN_SIDE: tuple(reals[j::cols]
+                                            for j in range(cols)),
+                         RANGE_SIDE: rows}
+        self.inner, self.outer = (min, max) if tag.op == "maxmin" \
+            else (max, min)
+        self.values = {0.0: ZERO, 1.0: ONE}  # float -> Scalar
+        self.values.update(zip(reals, entries))
 
     def step(self, x, side, pin):
         inner, outer = self.inner, self.outer
@@ -555,39 +531,17 @@ class _LevelStep:
         return tuple(map(self.values.__getitem__, raw))
 
 
-def _level_step(matrix, tag, k, pin_on):
-    """The float kernel of a fuzzy maxmin/minmax component whose entries are
-    all finite reals; None for any other component. Neutrosophic level
-    components stay on the Scalar path, where the order policy applies."""
-    if tag.op == "circle" or tag.algebra != "fuzzy":
-        return None
-    entries = matrix.entries
-    reals = tuple([e.real_part for e in entries])
-    if any(e.indet_coeff for e in entries) \
-            or not all(map(math.isfinite, reals)):
-        return None
-    cols = matrix.cols
-    columns = tuple(reals[j::cols] for j in range(cols))
-    rows = None
-    if tag.kind == RM:  # the columns of the transpose
-        rows = tuple(reals[i:i + cols] for i in range(0, len(reals), cols))
-    values = {0.0: ZERO, 1.0: ONE}
-    values.update(zip(reals, entries))
-    return _LevelStep({DOMAIN_SIDE: columns, RANGE_SIDE: rows}, tag.op,
-                      values)
-
-
-# The specialized kernels, tried in order before the Scalar reference.
-# Emptying this tuple runs every component on the reference.
-_KERNELS = (_bitmask_step, _trit_step, _level_step)
-
-
-def _compile_step(matrix, tag, k, pin_on, policy):
-    for build in _KERNELS:
-        step = build(matrix, tag, k, pin_on)
-        if step is not None:
-            return step
-    return _ScalarStep(matrix, tag, k, pin_on, policy)
+# The kernel each (algebra, op) names. The carrier rule fixes what a
+# component's entries can be, so each kernel takes every component of its
+# tag.
+_KERNEL_BY_TAG = {
+    ("fuzzy", "circle"): _BitmaskStep,
+    ("neutrosophic", "circle"): _TritStep,
+    ("fuzzy", "maxmin"): _LevelStep,
+    ("fuzzy", "minmax"): _LevelStep,
+    ("neutrosophic", "maxmin"): _ScalarStep,
+    ("neutrosophic", "minmax"): _ScalarStep,
+}
 
 
 class _ComponentRun:
@@ -635,9 +589,10 @@ def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *,
               max_steps=DEFAULT_MAX_STEPS) -> HiddenPattern:
     """Run an arbitrary CM/RM mixture: square components advance against
     their own matrix every step while rectangular ones alternate sides,
-    each with the operator its tag declares. The run options `policy`
-    (an OrderPolicy or its text), `threshold_k` (the cut) and `max_steps`
-    (the cap) are declared and checked here."""
+    each on the kernel its tag names. The run options `policy` (an
+    OrderPolicy or its text), `threshold_k` (the cut) and `max_steps` (the
+    cap) are declared and checked here, and validate_input's problems
+    raise InvalidInput before step 1."""
     _check_threshold_k(threshold_k)
     if isinstance(max_steps, bool) or not isinstance(max_steps, int):
         raise InvalidInput(f"max steps must be an int, got {max_steps!r}")
@@ -649,8 +604,8 @@ def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *,
         raise InvalidInput("; ".join(problems))
     runs = []
     for (mat, tag), part in zip(m, x0.parts):
-        pin_on = on_coordinates(part) if tag.op == "circle" else ()
-        rule = _compile_step(mat, tag, threshold_k, pin_on, policy)
+        rule = _KERNEL_BY_TAG[tag.algebra, tag.op](
+            mat, tag, threshold_k, on_coordinates(part), policy)
         runs.append(_ComponentRun(tag.kind, rule, part, x0.side))
     records = []
     for step in range(1, max_steps + 1):

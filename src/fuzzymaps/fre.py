@@ -39,8 +39,6 @@ from .values import (
     scalar_min,
 )
 
-RESIDUAL_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class FreSolution:
@@ -89,11 +87,6 @@ def _target_row(q: Matrix, r) -> Matrix:
     return r
 
 
-def _close(a: Scalar, b: Scalar) -> bool:
-    return (abs(a.real_part - b.real_part) <= RESIDUAL_TOL
-            and abs(a.indet_coeff - b.indet_coeff) <= RESIDUAL_TOL)
-
-
 def _max_candidate(q: Matrix, r: Matrix, neutrosophic: bool):
     """The checked entries of q (as rows) and of the target row r, and
     p-hat, the maximum candidate, as a list of Scalars."""
@@ -109,14 +102,15 @@ def solve_max(q: Matrix, r, *, neutrosophic: bool = False) -> FreSolution:
     """Closed-form maximum candidate plus a verification pass.
 
     solvable is decided by substituting the candidate back in: when even
-    the maximum candidate misses r, no solution exists at all.
+    the maximum candidate misses r, no solution exists at all. Max-min
+    composition only selects operands, so the residual is compared with r
+    exactly.
     """
     r = _target_row(q, r)
     _, r_vals, p_hat = _max_candidate(q, r, neutrosophic)
     p_row = row_vector(p_hat, domain=ValueDomain.ANY)
     residual = maxmin_compose(p_row, q)
-    solvable = all(
-        _close(residual.at(0, k), r_vals[k]) for k in range(q.cols))
+    solvable = list(residual.row(0)) == r_vals
     return FreSolution(max_solution=p_row, solvable=solvable,
                        residual=residual)
 
@@ -171,7 +165,7 @@ def minimal_solutions_bruteforce(q: Matrix, r, *,
             targets.append(rk)
             options.append([
                 j for j, pj in enumerate(p_hat)
-                if abs(min(pj, q_vals[j][k].real_part) - rk) <= RESIDUAL_TOL])
+                if min(pj, q_vals[j][k].real_part) == rk])
     covers = prod(len(js) for js in options)
     if covers > budget:
         raise BudgetExceeded(

@@ -18,8 +18,9 @@ from .special import (
     RM,
     SpecialMatrix,
     SpecialStateVector,
+    _carrier_problems,
 )
-from .values import ValueDomain, ZERO, _ancestors, parse_name
+from .values import ZERO, parse_name
 
 
 class ModelClass(enum.Enum):
@@ -103,23 +104,6 @@ _RULES = {
     ModelClass.SMNRE: _ClassRule(_RM_ONLY, _N, _MAXMIN),
 }
 
-# A component's declared value domain must sit inside the carrier its
-# algebra/operator combination works over: signed tags for the circle
-# operator, memberships for maxmin/minmax.
-_REQUIRED_DOMAIN = {
-    ("circle", "fuzzy"): ValueDomain.TRI,
-    ("circle", "neutrosophic"): ValueDomain.NEUTRO_TRI,
-    ("maxmin", "fuzzy"): ValueDomain.UNIT,
-    ("maxmin", "neutrosophic"): ValueDomain.NEUTRO_UNIT,
-    ("minmax", "fuzzy"): ValueDomain.UNIT,
-    ("minmax", "neutrosophic"): ValueDomain.NEUTRO_UNIT,
-}
-
-
-def _domain_fits(declared: ValueDomain, required: ValueDomain) -> bool:
-    return required in _ancestors(declared)
-
-
 @dataclass(frozen=True)
 class Model:
     """A validated union with class, labels, and expert provenance."""
@@ -143,18 +127,23 @@ class Model:
 def class_diagnostics(model_class: ModelClass,
                       special: SpecialMatrix) -> list:
     """Every way `special` violates the class predicate, as messages
-    naming the component and the broken rule. Empty means valid."""
+    naming the component and the broken rule: each component whose values
+    are off the carrier of its tag (the rule a run applies too), then the
+    class's tag-and-shape rule. Empty means valid."""
+    return _carrier_problems(special) + _tag_diagnostics(
+        model_class, [(tag, mat.shape) for mat, tag in special])
+
+
+def _tag_diagnostics(model_class: ModelClass, components) -> list:
+    """Every way a union whose components have these (tag, shape) pairs
+    breaks the class's rule on kinds, algebras, operators and shapes, as
+    messages naming the component. Trace verification applies it to a
+    trace's component lines."""
     rule = _RULES[model_class]
     name = model_class.value
     out = []
-    shapes = set()
-    seen_kinds = set()
-    seen_algebras = set()
-    for idx, (mat, tag) in enumerate(special):
+    for idx, (tag, _) in enumerate(components):
         where = f"component {idx + 1}"
-        seen_kinds.add(tag.kind)
-        seen_algebras.add(tag.algebra)
-        shapes.add(mat.shape)
         if tag.kind not in rule.kinds:
             out.append(f"{where}: kind {tag.kind} not allowed in {name}")
         if tag.algebra not in rule.algebras:
@@ -163,17 +152,15 @@ def class_diagnostics(model_class: ModelClass,
         if rule.ops and tag.op not in rule.ops:
             out.append(
                 f"{where}: operator {tag.op} not allowed in {name}")
-        required = _REQUIRED_DOMAIN[(tag.op, tag.algebra)]
-        if not _domain_fits(mat.domain, required):
-            out.append(
-                f"{where}: values declared {mat.domain.value}, but a "
-                f"{tag.algebra} {tag.op} component needs {required.value}")
+    shapes = {shape for _, shape in components}
     if rule.uniform_shape and len(shapes) > 1:
         out.append(f"{name} components must share one shape; "
                    f"got {sorted(shapes)}")
+    seen_kinds = {tag.kind for tag, _ in components}
     for kind in sorted(rule.require_kinds):
         if kind not in seen_kinds:
             out.append(f"{name} needs at least one {kind} component")
+    seen_algebras = {tag.algebra for tag, _ in components}
     for algebra in sorted(rule.require_algebras):
         if algebra not in seen_algebras:
             out.append(f"{name} needs at least one {algebra} component")

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 from .errors import EmptyUnion, NonSquareCM, ShapeMismatch
 from .matrices import OPS, Matrix, fold_row, operators
-from .values import ALGEBRAS, OrderPolicy, coerce, parse_name, render_scalar
+from .values import (
+    ALGEBRAS,
+    OrderPolicy,
+    ValueDomain,
+    _ancestors,
+    coerce,
+    parse_name,
+    render_scalar,
+)
 
 CM = "CM"    # square component iterated against itself
 RM = "RM"    # rectangular component alternated with its transpose
@@ -43,6 +51,39 @@ class ComponentTag:
         parse_name(self.kind, KINDS, "component kind")
         parse_name(self.algebra, ALGEBRAS, "algebra")
         parse_name(self.op, OPS, "operator")
+
+
+# The carrier of each (algebra, op): the domain a component's values must
+# sit inside. The circle operator sums signed weights; maxmin and minmax
+# order memberships.
+_CARRIERS = {
+    ("fuzzy", "circle"): ValueDomain.TRI,
+    ("neutrosophic", "circle"): ValueDomain.NEUTRO_TRI,
+    ("fuzzy", "maxmin"): ValueDomain.UNIT,
+    ("neutrosophic", "maxmin"): ValueDomain.NEUTRO_UNIT,
+    ("fuzzy", "minmax"): ValueDomain.UNIT,
+    ("neutrosophic", "minmax"): ValueDomain.NEUTRO_UNIT,
+}
+# per carrier, the declared domains that sit inside it
+_INSIDE = {carrier: frozenset(d for d in ValueDomain
+                              if carrier in _ancestors(d))
+           for carrier in _CARRIERS.values()}
+
+
+def _carrier_problems(components) -> list:
+    """Every component of `components`, (Matrix, ComponentTag) pairs,
+    whose values are off the carrier of its tag, as messages naming it:
+    its declared domain must sit inside the carrier of the tag's algebra
+    and operator. Matrix checked every entry against that domain, so the
+    domain alone decides."""
+    out = []
+    for idx, (matrix, tag) in enumerate(components):
+        carrier = _CARRIERS[tag.algebra, tag.op]
+        if matrix.domain not in _INSIDE[carrier]:
+            out.append(f"component {idx + 1}: values declared "
+                       f"{matrix.domain.value}, but a {tag.algebra} "
+                       f"{tag.op} component needs {carrier.value}")
+    return out
 
 
 class SpecialMatrix:

@@ -27,7 +27,7 @@ from .dynamics import (
     seed_problems,
 )
 from .errors import FuzzymapsError, ShapeMismatch, TraceError
-from .models import ModelClass
+from .models import ModelClass, _tag_diagnostics
 from .special import CM, SIDES, ComponentTag, SpecialMatrix, render_part
 from .values import (
     OrderPolicy,
@@ -156,11 +156,13 @@ def _parse_states(text: str, states: dict):
 
 def parse_trace(text: str) -> dict:
     """Structural parse into a dict: side, the run line's step and
-    component counts, kinds, (rows, cols) shapes, inputs, masks, steps,
-    finals. Each name, and the run's k, is read with the engine's own
-    rule. Raises TraceError, naming the line, on malformed input."""
+    component counts and model class (None when absent), component tags,
+    (rows, cols) shapes, inputs, masks, steps, finals. Each name, and the
+    run's k, is read with the engine's own rule. Raises TraceError, naming
+    the line, on malformed input."""
     side = None
-    kinds = {}
+    model_class = None
+    tags = {}
     shapes = {}
     inputs = {}
     masks = {}
@@ -183,7 +185,7 @@ def parse_trace(text: str) -> dict:
                 side = parse_name(fields["side"], SIDES, "side")
                 counts = int(fields["steps"]), int(fields["components"])
                 if "class" in fields:
-                    ModelClass.parse(fields["class"])
+                    model_class = ModelClass.parse(fields["class"])
                 if "policy" in fields:
                     OrderPolicy.parse(fields["policy"])
                 if "threshold-k" in fields:
@@ -193,8 +195,8 @@ def parse_trace(text: str) -> dict:
                 tokens = rest.split(None, 1)
                 idx = int(tokens[0]) - 1
                 fields = _engine_fields(tokens[1])
-                kinds[idx] = ComponentTag(fields["kind"], fields["algebra"],
-                                          fields["op"]).kind
+                tags[idx] = ComponentTag(fields["kind"], fields["algebra"],
+                                         fields["op"])
                 shapes[idx] = int(fields["rows"]), int(fields["cols"])
             elif head == "input":
                 tokens = rest.split(None, 1)
@@ -257,18 +259,20 @@ def parse_trace(text: str) -> dict:
         raise TraceError("trace has no run line")
     if not saw_end:
         raise TraceError("trace has no end line")
-    if set(kinds) != set(inputs) or set(kinds) != set(finals):
+    if set(tags) != set(inputs) or set(tags) != set(finals):
         raise TraceError("component, input, and final lines disagree")
     return {"side": side, "run_steps": counts[0], "components": counts[1],
-            "kinds": kinds, "shapes": shapes, "inputs": inputs,
-            "masks": masks, "steps": steps, "finals": finals}
+            "class": model_class, "tags": tags, "shapes": shapes,
+            "inputs": inputs, "masks": masks, "steps": steps,
+            "finals": finals}
 
 
 def verify_trace(text: str) -> tuple:
     """Re-derive every component's final pattern from the recorded step
     states with the engine's recurrence rule, and check it, its settle
     step, the frozen steps after it, the run line's counts (one component
-    or more), the masks, square CM shapes, every part's side and length
+    or more) and model class (the tag-and-shape rule build_model applies),
+    the masks, square CM shapes, every part's side and length
     (part_problem) and crisp seeds (seed_problems) against the trace.
     Returns the verified outcomes in order."""
     data = parse_trace(text)
@@ -277,10 +281,15 @@ def verify_trace(text: str) -> tuple:
         raise TraceError(f"run line says components={n}, but a union has "
                          f"at least one component")
     # sizes are compared first, so no list is built from an untrusted count
-    kinds = sorted(data["kinds"])
-    if len(kinds) != n or kinds != list(range(n)):
+    tags, shapes = data["tags"], data["shapes"]
+    if len(tags) != n or sorted(tags) != list(range(n)):
         raise TraceError(f"run line says components={n}, but the trace "
-                         f"has {len(data['kinds'])} component lines")
+                         f"has {len(tags)} component lines")
+    if data["class"] is not None:
+        problems = _tag_diagnostics(data["class"],
+                                    [(tags[i], shapes[i]) for i in range(n)])
+        if problems:
+            raise TraceError("; ".join(problems))
     entries = sorted(data["steps"], key=lambda e: (e["component"], e["step"]))
     keys = [(e["component"], e["step"]) for e in entries]
     if len(keys) != n * steps or keys != [
@@ -294,7 +303,7 @@ def verify_trace(text: str) -> tuple:
         state = data["inputs"][idx]
         if data["masks"].get(idx) != on_coordinates(state):
             raise TraceError(f"{where}: mask does not match its input")
-        kind, shape = data["kinds"][idx], data["shapes"][idx]
+        kind, shape = tags[idx].kind, shapes[idx]
         if problems := seed_problems(where, state, kind, side, *shape):
             raise TraceError("; ".join(problems))
         if kind == CM and shape[0] != shape[1]:

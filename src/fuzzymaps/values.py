@@ -146,7 +146,7 @@ class ValueDomain(Enum):
     UNIT = "unit"                # [0, 1]
     BIPOLAR = "bipolar"          # [-1, 1]
     NEUTRO_TRI = "neutro-tri"    # {-1, 0, 1, I}
-    NEUTRO_UNIT = "neutro-unit"  # a + bI with a, b in [0, 1]
+    NEUTRO_UNIT = "neutro-unit"  # a in [0, 1] or bI with b in [0, 1]
     STATE_TRI = "state-tri"      # {0, 1, I}
     ANY = "any"                  # unconstrained (products, sums)
 
@@ -161,7 +161,9 @@ class ValueDomain(Enum):
         if self is ValueDomain.NEUTRO_TRI:
             return (b == 0 and a in (-1.0, 0.0, 1.0)) or (a == 0 and b == 1.0)
         if self is ValueDomain.NEUTRO_UNIT:
-            return 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0
+            # a mixed a + bI has no order for max and min
+            return ((b == 0 and 0.0 <= a <= 1.0)
+                    or (a == 0 and 0.0 <= b <= 1.0))
         if self is ValueDomain.STATE_TRI:
             return (b == 0 and a in (0.0, 1.0)) or (a == 0 and b == 1.0)
         return True  # ANY

@@ -69,6 +69,21 @@ def test_validate_entry_outside_domain_is_a_validation_error(tmp_path):
     assert proc.stderr == ""
 
 
+def test_mixed_neutro_unit_value_is_invalid_for_validate_and_run(tmp_path):
+    # a mixed a + bI has no order for max-min, so validate and run agree
+    model = FIXTURES / "neutro_unit_mixed_bad.model"
+    proc = cli("validate", "--model", model)
+    assert proc.returncode == 3
+    assert proc.stdout == ("problem: line 6: component 1: entry (1,2) = "
+                           "0.5+0.3I is outside domain neutro-unit\n"
+                           "invalid\n")
+    seed = tmp_path / "seed.vec"
+    seed.write_text("domain 1 0\n")
+    proc = cli("run", "--model", model, "--input", seed)
+    assert proc.returncode == 3
+    assert "outside domain neutro-unit" in proc.stderr
+
+
 def test_validate_unknown_operator_is_a_parse_error_at_its_line():
     proc = cli("validate", "--model",
                FIXTURES / "unknown_operator_bad.model")
@@ -283,6 +298,20 @@ def test_fre_minimal_off_the_grid(tmp_path):
                            "solvable: yes\n"
                            "residual: 0.35 0.3\n"
                            "minimal: 0 0.35\n")
+
+
+def test_fre_compares_the_residual_exactly(tmp_path):
+    q = tmp_path / "q.txt"
+    q.write_text("0.3\n")
+    r = tmp_path / "r.txt"
+    r.write_text("0.3000000000001\n")
+    proc = cli("fre", "--matrix", q, "--target", r, "--minimal")
+    assert proc.returncode == 0
+    assert proc.stdout == ("max-solution: 1\n"
+                           "solvable: no\n"
+                           "residual: 0.3\n"
+                           "necessary-condition: fails at column(s) 1\n"
+                           "minimal: none\n")
 
 
 def test_fre_budget_exceeded(tmp_path):

@@ -22,7 +22,6 @@ from fuzzymaps import (
     IterationCapExceeded,
     LimitCycle,
     Matrix,
-    ModeMismatch,
     NonCMComponent,
     NonRMComponent,
     Scalar,
@@ -39,8 +38,8 @@ from fuzzymaps import (
     run_mixed,
     run_rm,
 )
-from fuzzymaps import dynamics
 from fuzzymaps.dynamics import Recurrence, landing_side
+from replay import assert_capped_run_replays
 
 TRI = ValueDomain.TRI
 UNIT = ValueDomain.UNIT
@@ -608,51 +607,7 @@ def test_step_cap_below_one_rejected(engine, cap):
     assert engine(m, seed([0, 1, 0, 0, 1]), max_steps=1).steps == 1
 
 
-# --------------------------------------- step kernels vs the Scalar reference
-
-def _reference(fn):
-    """Call fn with every specialized kernel switched off, so that every
-    component steps on the Scalar path."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_KERNELS", ())
-        return fn()
-
-
-def _kernel_used(fn, kernel=dynamics._bitmask_step):
-    """Call fn and return its result with whether `kernel` compiled every
-    component's step."""
-    picked = []
-
-    def spy(*args):
-        step = kernel(*args)
-        picked.append(step is not None)
-        return step
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_KERNELS", (spy,))
-        result = fn()
-    return result, bool(picked) and all(picked)
-
-
-def _outcome(fn):
-    try:
-        return fn()
-    except IterationCapExceeded as exc:
-        return exc
-
-
-def _assert_same_run(fast, ref, special, k):
-    if isinstance(ref, IterationCapExceeded):
-        assert isinstance(fast, IterationCapExceeded)
-        assert str(fast) == str(ref)
-        return
-    assert fast.outcomes == ref.outcomes
-    assert fast.steps == ref.steps
-    assert fast.settled_steps == ref.settled_steps
-    assert fast.trace == ref.trace
-    assert (render_trace(fast, special, threshold_k=k).encode()
-            == render_trace(ref, special, threshold_k=k).encode())
-
+# ---------------------------------- step kernels vs the public Scalar operations
 
 @st.composite
 def circle_runs(draw, weights, domain, algebra, nodes):
@@ -689,52 +644,26 @@ def trit_runs():
     return circle_runs([-1, 0, 0, 1, INDET], NTRI, "neutrosophic", 10)
 
 
-def _assert_circle_kernel_matches(case, kernel):
-    special, x0, k, max_steps = case
-
-    def go():
-        return _outcome(lambda: run_mixed(special, x0, threshold_k=k,
-                                          max_steps=max_steps))
-
-    fast, used = _kernel_used(go, kernel)
-    assert used
-    _assert_same_run(fast, _reference(go), special, k)
-
-
 @settings(max_examples=300, deadline=None)
 @given(tri_runs())
 def test_bitmask_kernel_matches_scalar_reference(case):
-    _assert_circle_kernel_matches(case, dynamics._bitmask_step)
+    assert_capped_run_replays(*case)
 
 
 @settings(max_examples=300, deadline=None)
 @given(trit_runs())
 def test_trit_kernel_matches_scalar_reference(case):
-    _assert_circle_kernel_matches(case, dynamics._trit_step)
+    assert_capped_run_replays(*case)
 
 
-def test_neutrosophic_circle_off_the_trits_takes_the_scalar_path():
-    # a bare union checks no class rule, so any entry may be circle
-    for odd in ("2I", "0.5"):
-        weights = Matrix.from_rows([[0, parse_scalar(odd)], [INDET, 1]])
-        m = SpecialMatrix([(weights, ComponentTag(algebra="neutrosophic"))])
-
-        def go():
-            return run_cm(m, seed([1, 0]))
-
-        fast, used = _kernel_used(go, dynamics._trit_step)
-        assert not used
-        _assert_same_run(fast, _reference(go), m, 0.0)
-
-
-_LEVELS = {UNIT: [0, 0.2, 0.5, 0.7, 1], BIPOLAR: [-1, -0.4, 0, 0.3, 1]}
+_LEVELS = [0, 0.2, 0.5, 0.7, 1]
 
 
 @st.composite
 def level_runs(draw):
     """A fuzzy union of 1-3 maxmin/minmax components of 1-6 nodes over
-    UNIT or BIPOLAR entries (CM or RM on the domain side, RM on the range
-    side), a crisp seed and a small step cap."""
+    UNIT entries (CM or RM on the domain side, RM on the range side), a
+    crisp seed and a small step cap."""
     side = draw(st.sampled_from([DOMAIN_SIDE, RANGE_SIDE]))
     comps, parts = [], []
     for _ in range(draw(st.integers(1, 3))):
@@ -742,14 +671,11 @@ def level_runs(draw):
                                     else [RM]))
         rows = draw(st.integers(1, 6))
         cols = rows if kind == CM else draw(st.integers(1, 6))
-        domain = draw(st.sampled_from([UNIT, BIPOLAR]))
-        low = -1.0 if domain is BIPOLAR else 0.0
-        entry = st.one_of(st.sampled_from(_LEVELS[domain]),
-                          st.floats(low, 1.0))
+        entry = st.one_of(st.sampled_from(_LEVELS), st.floats(0.0, 1.0))
         entries = draw(st.lists(entry, min_size=rows * cols,
                                 max_size=rows * cols))
         op = draw(st.sampled_from(["maxmin", "minmax"]))
-        comps.append((Matrix(rows, cols, entries, domain),
+        comps.append((Matrix(rows, cols, entries, UNIT),
                       ComponentTag(kind=kind, op=op)))
         size = cols if kind == RM and side == RANGE_SIDE else rows
         parts.append(draw(st.lists(st.sampled_from([0, 1]), min_size=size,
@@ -762,65 +688,45 @@ def level_runs(draw):
 @given(level_runs())
 def test_level_kernel_matches_scalar_reference(case):
     special, x0, max_steps = case
-
-    def go():
-        return _outcome(lambda: run_mixed(special, x0, max_steps=max_steps))
-
-    fast, used = _kernel_used(go, dynamics._level_step)
-    assert used
-    _assert_same_run(fast, _reference(go), special, 0.0)
+    assert_capped_run_replays(special, x0, 0.0, max_steps)
 
 
-def test_neutrosophic_and_indeterminate_levels_take_the_scalar_path():
-    levels = ntri([[0, "I"], [1, 0]])
-    real_levels = unitm([[0, 0.4], [0.9, 0]])
-    for matrix, algebra in ((levels, "fuzzy"), (real_levels, "neutrosophic")):
-        m = SpecialMatrix([(matrix, ComponentTag(algebra=algebra,
-                                                 op="maxmin"))])
-
-        def go():
-            return run_cm(m, seed([1, 0]))
-
-        fast, used = _kernel_used(go, dynamics._level_step)
-        assert not used
-        _assert_same_run(fast, _reference(go), m, 0.0)
-
-
-def test_real_weights_take_the_scalar_path():
-    weights = Matrix.from_rows([[0, 0.5, -1], [2, 0, 1], [1, -1, 0]])
-    assert weights.domain is ValueDomain.ANY
-    m = SpecialMatrix([(weights, ComponentTag())])
-    x0 = seed([1, 0, 0])
-    for k in (0, 0.5, 1):
-        def go():
-            return run_cm(m, x0, threshold_k=k)
-        fast, used = _kernel_used(go)
-        assert not used
-        _assert_same_run(fast, _reference(go), m, k)
-    # the entries pick the kernel, not the declared domain
-    crisp_any = Matrix.from_rows([[0, 1, -1], [1, 0, 1], [1, -1, 0]])
-    _, used = _kernel_used(lambda: run_cm(
-        SpecialMatrix([(crisp_any, ComponentTag())]), x0))
-    assert used
+# each off-carrier component of a bare union, with the carrier its tag
+# needs
+OFF_CARRIER = [
+    pytest.param(Matrix.from_rows([[0, 0.5, -1], [2, 0, 1], [1, -1, 0]]),
+                 ComponentTag(), "tri", id="real-weights"),
+    # the declared domain decides, not the entries
+    pytest.param(Matrix.from_rows([[0, 1, -1], [1, 0, 1], [1, -1, 0]]),
+                 ComponentTag(), "tri", id="crisp-any"),
+    pytest.param(unitm([[0, 0.9, 0.3], [0.4, 0, 1], [0.7, 0.2, 0]]),
+                 ComponentTag(), "tri", id="unit-circle"),
+    pytest.param(Matrix.from_rows([[0, parse_scalar("2I")], [INDET, 1]]),
+                 ComponentTag(algebra="neutrosophic"), "neutro-tri",
+                 id="neutrosophic-circle-2I"),
+    pytest.param(Matrix.from_rows([[0, 0.5], [INDET, 1]]),
+                 ComponentTag(algebra="neutrosophic"), "neutro-tri",
+                 id="neutrosophic-circle-half"),
+    pytest.param(Matrix.from_rows([[0, -0.4], [0.3, 0]], BIPOLAR),
+                 ComponentTag(op="maxmin"), "unit", id="bipolar-maxmin"),
+    pytest.param(ntri([[0, "I"], [1, 0]]), ComponentTag(op="maxmin"),
+                 "unit", id="fuzzy-maxmin-over-I"),
+    pytest.param(ntri([[0, "I"], [1, 0]]), ComponentTag(), "tri",
+                 id="fuzzy-circle-over-I"),
+]
 
 
-def test_circle_on_unit_levels_takes_the_scalar_path():
-    # a bare union checks no class rule, so a unit square may be circle
-    levels = unitm([[0, 0.9, 0.3], [0.4, 0, 1], [0.7, 0.2, 0]])
-    m = SpecialMatrix([(levels, ComponentTag(op="circle"))])
-    x0 = seed([1, 0, 0])
-
-    def go():
-        return run_cm(m, x0)
-
-    fast, used = _kernel_used(go)
-    assert not used
-    _assert_same_run(fast, _reference(go), m, 0.0)
-    # raw circle sums keep their membership levels before the cut
-    assert fast.trace[0].raw[0] == crisp([0, 0.9, 0.3])
-
-
-def test_fuzzy_tagged_indeterminate_entry_still_raises():
-    m = SpecialMatrix([(ntri([[0, "I"], [1, 0]]), ComponentTag())])
-    with pytest.raises(ModeMismatch):
-        run_cm(m, seed([1, 0]))
+@pytest.mark.parametrize("matrix, tag, carrier", OFF_CARRIER)
+@pytest.mark.parametrize("engine", [run_cm, run_mixed])
+def test_off_carrier_component_is_invalid_input(engine, matrix, tag,
+                                                carrier):
+    # a bare union must declare a domain inside its tag's carrier, the
+    # rule build_model applies too; the run raises before step 1
+    m = SpecialMatrix([(unitm([[0, 1], [1, 0]]), ComponentTag(op="maxmin")),
+                       (matrix, tag)])
+    x0 = seed([1, 0], [1] + [0] * (matrix.rows - 1))
+    with pytest.raises(InvalidInput) as err:
+        engine(m, x0)
+    assert str(err.value) == (
+        f"component 2: values declared {matrix.domain.value}, but a "
+        f"{tag.algebra} {tag.op} component needs {carrier}")

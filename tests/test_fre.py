@@ -31,8 +31,6 @@ from fuzzymaps import (
     solve_max,
     solve_special,
 )
-from fuzzymaps.fre import RESIDUAL_TOL
-
 UNIT = ValueDomain.UNIT
 
 
@@ -262,13 +260,34 @@ def test_minimal_solutions_off_grid_are_minimal_solutions(system):
     assert bool(found) == sol.solvable
     p_hat = vals(sol.max_solution)
     for p in found:
-        assert all(abs(a - b) <= RESIDUAL_TOL
-                   for a, b in zip(_maxmin(p, q_rows), r))
-        assert all(a <= b + RESIDUAL_TOL for a, b in zip(p, p_hat))
+        # max-min only selects operands, so a solution solves exactly
+        assert _maxmin(p, q_rows) == r
+        assert all(a <= b for a, b in zip(p, p_hat))
     for i, a in enumerate(found):
         for b in found[i + 1:]:
             assert not all(x <= y for x, y in zip(a, b))
             assert not all(x >= y for x, y in zip(a, b))
+
+
+def test_residual_is_compared_exactly():
+    # a target a hair above the only entry: p-hat = 1 gives 0.3, which
+    # misses r, and no j attains r, so no minimal solution exists
+    q, r = unit([[0.3]]), [0.3000000000001]
+    sol = solve_max(q, r)
+    assert not sol.solvable
+    assert vals(sol.residual) == [0.3]
+    assert failing_columns(q, r) == (0,)
+    assert minimal_solutions_bruteforce(q, r) == ()
+
+
+@settings(max_examples=300, deadline=None)
+@given(fre_systems(st.one_of(st.floats(0, 1),
+                             st.integers(0, 10).map(lambda t: t / 10))))
+def test_a_system_failing_the_necessary_condition_is_unsolvable(system):
+    q_rows, r = system
+    q = unit(q_rows)
+    if not check_necessary(q, r):
+        assert not solve_max(q, r).solvable
 
 
 # ------------------------------------------------------ neutrosophic extension
@@ -290,10 +309,12 @@ def test_extension_magnitude_tie_gives_freedom_but_misses():
 
 
 def test_extension_rejects_mixed_values():
-    from fuzzymaps import OrderUndefined
-    q = Matrix.from_rows([[parse_scalar("0.5+0.5I")]],
-                         domain=ValueDomain.NEUTRO_UNIT)
-    with pytest.raises(OrderUndefined):
+    # a mixed a + bI has no order, so it is outside the unit carrier
+    mixed = [[parse_scalar("0.5+0.5I")]]
+    with pytest.raises(DomainError):
+        Matrix.from_rows(mixed, domain=ValueDomain.NEUTRO_UNIT)
+    q = Matrix.from_rows(mixed, domain=ValueDomain.ANY)
+    with pytest.raises(DomainError, match="outside the unit carrier"):
         solve_max(q, [parse_scalar("0.5")], neutrosophic=True)
 
 

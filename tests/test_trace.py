@@ -11,18 +11,17 @@ from fuzzymaps import (
     CM,
     DOMAIN_SIDE,
     I,
-    ONE,
     RANGE_SIDE,
     RM,
     ComponentTag,
     FixedPoint,
     LimitCycle,
     Matrix,
+    ModelClass,
     ShapeMismatch,
     TraceError,
     SpecialMatrix,
     SpecialStateVector,
-    ThresholdMode,
     parse_model_text,
     parse_trace,
     parse_vector_text,
@@ -30,11 +29,10 @@ from fuzzymaps import (
     run,
     outcome_shape,
     run_mixed,
-    threshold_scalar,
     transpose,
     verify_trace,
 )
-from fuzzymaps.special import apply_part
+from replay import assert_replays, public_step, seed_pin
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 # `fuzzymaps run --trace` of the six-model mixture, as the CLI writes it
@@ -87,7 +85,8 @@ def test_trace_is_deterministic():
 def test_parse_trace_structure():
     data = parse_trace(trace_of(*SQUARE))
     assert data["side"] == "domain"
-    assert data["kinds"] == {0: "CM"}
+    assert data["class"] is ModelClass.SFCM
+    assert data["tags"] == {0: ComponentTag(kind=CM)}
     assert data["shapes"] == {0: (5, 5)}
     assert data["masks"] == {0: (1, 4)}
     assert data["inputs"][0] == tuple(
@@ -157,8 +156,8 @@ def test_free_text_cannot_restate_engine_fields(name, expert):
     assert f"[{name}]" in text and f"expert=[{expert}]" in text
     assert verify_trace(text) == pattern.outcomes
     data = parse_trace(text)
-    assert (data["side"], data["run_steps"], data["kinds"]) == (
-        DOMAIN_SIDE, pattern.steps, {0: CM})
+    assert (data["side"], data["run_steps"], data["tags"]) == (
+        DOMAIN_SIDE, pattern.steps, {0: ComponentTag(kind=CM)})
 
 
 def test_tampered_final_is_rejected():
@@ -341,7 +340,9 @@ def test_settled_field_is_checked():
 
 
 def _one_component(kind, rows, algebra="fuzzy"):
-    matrix = Matrix(len(rows), len(rows[0]), [v for row in rows for v in row])
+    domain = "tri" if algebra == "fuzzy" else "neutro-tri"
+    matrix = Matrix(len(rows), len(rows[0]), [v for row in rows for v in row],
+                    domain)
     return SpecialMatrix([(matrix, ComponentTag(kind=kind, algebra=algebra))])
 
 
@@ -498,6 +499,24 @@ def test_bad_state_on_many_lines_names_the_first():
         parse_trace(bad)
 
 
+@pytest.mark.parametrize("model_class, problem", [
+    ("SFCM", "component 3: neutrosophic components not allowed in SFCM; "
+             "component 4: kind RM not allowed in SFCM"),
+    ("SMNCNRM", "component 1: fuzzy components not allowed in SMNCNRM"),
+    ("SMFRE", "component 1: kind CM not allowed in SMFRE"),
+], ids=["SFCM", "SMNCNRM", "SMFRE"])
+def test_run_class_is_held_to_the_component_lines(model_class, problem):
+    # the golden mixture's components break these classes' tag-and-shape
+    # rule, the one build_model applies to a union
+    tampered = GOLDEN.replace("class=SMFCRNCRM", f"class={model_class}", 1)
+    assert tampered != GOLDEN
+    with pytest.raises(TraceError, match=f"^{problem}"):
+        verify_trace(tampered)
+    # SSHM admits every tag and shape
+    assert verify_trace(GOLDEN.replace("class=SMFCRNCRM", "class=SSHM", 1)) \
+        == verify_trace(GOLDEN)
+
+
 # field values and state tokens a tampered trace may hold
 _TOKENS = ["bogus", "nan", "1e400", "I", "[", "|", "]", "-1", "0", "0.5",
            "2", "yes", "no", "CM", "RM", "range", "domain", "99", "-3", ""]
@@ -546,18 +565,20 @@ def test_trace_round_trip_preserves_step_data():
     assert not first["frozen"]
 
 
-# (algebra, operator) -> the entries a component of that kind draws from
+# (algebra, operator) -> the domain a component of that kind declares, its
+# tag's carrier, and the entries it draws from
 _ENTRIES = {
-    ("fuzzy", "circle"): [-1, 0, 0, 1],
-    ("neutrosophic", "circle"): [-1, 0, 0, 1, I],
-    ("fuzzy", "maxmin"): [0, 0.3, 0.6, 1],
-    ("fuzzy", "minmax"): [0, 0.3, 0.6, 1],
-    ("neutrosophic", "maxmin"): [0, 0.5, 1, I],
+    ("fuzzy", "circle"): ("tri", [-1, 0, 0, 1]),
+    ("neutrosophic", "circle"): ("neutro-tri", [-1, 0, 0, 1, I]),
+    ("fuzzy", "maxmin"): ("unit", [0, 0.3, 0.6, 1]),
+    ("fuzzy", "minmax"): ("unit", [0, 0.3, 0.6, 1]),
+    ("neutrosophic", "maxmin"): ("neutro-unit", [0, 0.5, 1, I]),
+    ("neutrosophic", "minmax"): ("neutro-unit", [0, 0.5, 1, I]),
 }
 # Only neutrosophic circle RM components were seen to close pair cycles:
 # about 1 in 6 random ones of 2-5 nodes a side over these entries, 1 in
 # 16 over the pool above. Half of all RM draws are of this kind.
-_RM_CYCLING = ("neutrosophic", "circle"), [-1, 1, I]
+_RM_CYCLING = ("neutrosophic", "circle"), ("neutro-tri", [-1, 1, I])
 
 
 @st.composite
@@ -572,16 +593,16 @@ def seeded_unions(draw):
                                     else [RM]))
         low = 1
         if kind == RM and draw(st.booleans()):
-            (algebra, op), pool = _RM_CYCLING
+            (algebra, op), (domain, pool) = _RM_CYCLING
             low = 2
         else:
             algebra, op = draw(st.sampled_from(sorted(_ENTRIES)))
-            pool = _ENTRIES[algebra, op]
+            domain, pool = _ENTRIES[algebra, op]
         rows = draw(st.integers(low, 5))
         cols = rows if kind == CM else draw(st.integers(low, 5))
         entries = draw(st.lists(st.sampled_from(pool), min_size=rows * cols,
                                 max_size=rows * cols))
-        comps.append((Matrix(rows, cols, entries),
+        comps.append((Matrix(rows, cols, entries, domain),
                       ComponentTag(kind=kind, algebra=algebra, op=op)))
         size = cols if kind == RM and side == RANGE_SIDE else rows
         parts.append(draw(st.lists(st.sampled_from([0, 1]), min_size=size,
@@ -594,21 +615,9 @@ def seeded_unions(draw):
 @given(seeded_unions())
 def test_verify_trace_rederives_every_run(case):
     special, x0, k = case
-    pattern = run_mixed(special, x0, threshold_k=k)
-    text = render_trace(pattern, special, threshold_k=k)
-    assert verify_trace(text) == pattern.outcomes
-
-
-def _public_step(state, matrix, tag, k, pin):
-    """One apply -> cut -> pin step through the public Scalar operations,
-    not the engine's compiled step; `pin` lists the coordinates set to 1."""
-    out = list(apply_part(state, matrix, tag.op))
-    if tag.op == "circle":
-        mode = ThresholdMode(tag.algebra, k)
-        out = [threshold_scalar(v, mode) for v in out]
-        for i in pin:
-            out[i] = ONE
-    return tuple(out)
+    # every record replays through the public Scalar operations, and
+    # verify_trace re-derives the outcomes from the rendered trace
+    assert_replays(special, x0, run_mixed(special, x0, threshold_k=k), k)
 
 
 def _assert_cycles_step(special, x0, k, pattern):
@@ -618,12 +627,12 @@ def _assert_cycles_step(special, x0, k, pattern):
                                             pattern.outcomes):
         cycle = outcome.states if isinstance(outcome, LimitCycle) \
             else (outcome.state,)
-        pin = [i for i, v in enumerate(seed) if v == ONE]
+        pin = seed_pin(seed)
         if tag.kind == CM:
             seeded = list(cycle)
 
             def advance(state):
-                return _public_step(state, matrix, tag, k, pin)
+                return public_step(state, matrix, tag, k, pin)[2]
         else:
             # seeded-side state -> unpinned far-side partner -> next
             # seeded-side state, pinned
@@ -633,11 +642,11 @@ def _assert_cycles_step(special, x0, k, pattern):
                 cycle = [pair[::-1] for pair in cycle]
             seeded = [s for s, _ in cycle]
             for s, far in cycle:
-                assert _public_step(s, there, tag, k, ()) == far
+                assert public_step(s, there, tag, k, ())[2] == far
 
             def advance(state):
-                far = _public_step(state, there, tag, k, ())
-                return _public_step(far, back, tag, k, pin)
+                far = public_step(state, there, tag, k, ())[2]
+                return public_step(far, back, tag, k, pin)[2]
         for t, state in enumerate(seeded):
             assert advance(state) == seeded[(t + 1) % len(seeded)]
         state = seed
