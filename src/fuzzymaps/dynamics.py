@@ -39,23 +39,32 @@ that one step. The carrier rule fixes what a kernel's entries can be,
 so each kernel takes every component of its tag:
 
   algebra       operator       kernel
-  fuzzy         circle         bitmask
+  fuzzy         circle         packed
   neutrosophic  circle         trit
   fuzzy         maxmin/minmax  float level
   neutrosophic  maxmin/minmax  Scalar (_ScalarStep)
 
-* bitmask: weights in {-1, 0, 1}; int states, popcounts via
-  int.bit_count (so Python 3.10+), column masks built once per matrix
-  and kept on it;
+* packed: weights in {-1, 0, 1}; a state is one int holding a field of
+  F bits per coordinate, and a step adds, to a bias, one packed int of
+  weights per ON coordinate, built once per matrix and side and kept on
+  the matrix. Field j of the sum is raw_j + B - c, where the cut
+  c = floor(k) + 1 is clamped to [-m, m + 1] for m = max(rows, cols) and
+  the guard bit B is a power of two above 2m + 1. As |raw_j| <= m, no
+  field borrows or carries, and the cut is each field's guard bit;
 * trit: weights in {-1, 0, 1, I}; states are pairs of int bitmasks (the
   1 and the I coordinates), raw values t + sI have exact integer parts,
-  popcounts over the bitmask kernel's per-matrix masks plus a mask of
-  the I entries, and the cut is threshold_scalar, once per distinct raw
-  value in a run;
+  popcounts via int.bit_count (so Python 3.10+) over per-matrix masks of
+  the +1, -1 and I entries, and the cut is threshold_scalar, once per
+  distinct raw value in a run;
 * float level: memberships in [0, 1]; float-tuple states, one C-level
   max/min call per entry;
 * Scalar: Scalar tuples through apply_part, where the order policy
   applies.
+
+A run keeps every record's parts in the kernel's own form and decodes
+them to Scalar tuples only when a record's field is read; within a run,
+each distinct state on a side decodes once, so equal states share one
+tuple. Outcomes are decoded when their component settles.
 
 Tests replay every run record by record through the public Scalar
 operations (apply_part, threshold_scalar, landing_side and the pin),
@@ -65,7 +74,9 @@ through them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
+from dataclasses import FrozenInstanceError, dataclass
 
 from .errors import (
     InvalidInput,
@@ -103,7 +114,8 @@ DEFAULT_MAX_STEPS = 10_000
 def on_coordinates(part) -> tuple:
     """The 0-based coordinates that are ON (equal to 1) in a crisp seed
     part: the coordinates a circle step pins."""
-    return tuple(i for i, v in enumerate(part) if v == ONE)
+    return tuple([i for i, v in enumerate(part)
+                  if v.real_part == 1.0 and not v.indet_coeff])
 
 
 @dataclass(frozen=True)
@@ -209,19 +221,87 @@ class Recurrence:
         return LimitCycle(cycle, len(cycle))
 
 
-@dataclass(frozen=True)
 class IterationRecord:
     """One engine step: the raw union, its thresholded form, and the form
     after pinning, each a tuple of Scalar parts, one per component.
     `frozen` marks components that had already settled and were carried
     unchanged through this step. A record's step is its position in the
     trace, from 1; landing_side gives where each unfrozen part sits, and
-    a frozen part sits on the seeded side."""
+    a frozen part sits on the seeded side.
 
-    raw: tuple
-    thresholded: tuple
-    updated: tuple
-    frozen: tuple
+    A run keeps each component's parts in its kernel's own form; `raw`,
+    `thresholded` and `updated` decode them on first read and keep the
+    result. A record is immutable, and compares, hashes, prints, copies
+    and pickles by its four fields, read or not."""
+
+    __slots__ = ("frozen", "_entries", "_parts")
+
+    def __init__(self, raw, thresholded, updated, frozen):
+        object.__setattr__(self, "frozen", frozen)
+        object.__setattr__(self, "_entries", None)
+        object.__setattr__(self, "_parts", [raw, thresholded, updated])
+
+    @classmethod
+    def _encoded(cls, entries, frozen):
+        """A record of kernel-form entries, one (rule, side, raw,
+        thresholded, updated) per component, raw None where it is the
+        thresholded part."""
+        record = object.__new__(cls)
+        object.__setattr__(record, "frozen", frozen)
+        object.__setattr__(record, "_entries", entries)
+        object.__setattr__(record, "_parts", [None, None, None])
+        return record
+
+    def _field(self, index):
+        """Field `index` of (raw, thresholded, updated), decoded from the
+        kernel-form entries on first read."""
+        parts = self._parts
+        if parts[index] is None:
+            if index:
+                parts[index] = tuple([entry[0].part(entry[1], entry[index + 2])
+                                      for entry in self._entries])
+            else:
+                parts[0] = tuple([
+                    rule.part(side, cut) if raw is None
+                    else rule.raw_part(side, raw)
+                    for rule, side, raw, cut, _ in self._entries])
+        return parts[index]
+
+    @property
+    def raw(self):
+        return self._field(0)
+
+    @property
+    def thresholded(self):
+        return self._field(1)
+
+    @property
+    def updated(self):
+        return self._field(2)
+
+    def _fields(self):
+        return self.raw, self.thresholded, self.updated, self.frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return ("IterationRecord(raw={!r}, thresholded={!r}, updated={!r}, "
+                "frozen={!r})".format(*self._fields()))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return IterationRecord, self._fields()
 
 
 @dataclass(frozen=True)
@@ -311,15 +391,41 @@ def validate_input(m: SpecialMatrix, x: SpecialStateVector) -> list:
 # the operand of the side `state` addresses, cuts, pins when told, and
 # returns (raw, thresholded, updated); landing_side decides `pin`. States
 # are native to the kernel: `seed` makes one from the crisp seed part,
-# `decode` turns a state on a side back into the Scalar tuple that
-# records and outcomes carry, and `scalars` does the same for a raw part.
+# and `part` turns a state on a side back into the Scalar tuple that
+# records and outcomes carry, as `raw_part` does a raw part whose form
+# differs from a state's.
 
-class _ScalarStep:
+class _Kernel:
+    """One run's decoded parts of one component: each distinct state and
+    raw part on a side is decoded to a Scalar tuple once, by the kernel's
+    `decode` and `decode_raw`, and equal parts share that tuple."""
+
+    def __init__(self):
+        self.parts = {}  # (side, state) -> Scalar tuple
+        self.raws = {}  # (side, raw) -> Scalar tuple
+
+    def part(self, side, state):
+        key = side, state
+        part = self.parts.get(key)
+        if part is None:
+            part = self.parts[key] = self.decode(state, side)
+        return part
+
+    def raw_part(self, side, raw):
+        key = side, raw
+        part = self.raws.get(key)
+        if part is None:
+            part = self.raws[key] = self.decode_raw(raw, side)
+        return part
+
+
+class _ScalarStep(_Kernel):
     """Neutrosophic max-min or min-max step on Scalar tuples through
     apply_part, under the run's order policy. Parts flow raw: no cut, no
-    pin."""
+    pin, and a state is its own Scalar tuple."""
 
     def __init__(self, matrix, tag, k, pin_on, policy):
+        super().__init__()
         self.operands = {DOMAIN_SIDE: matrix, RANGE_SIDE:
                          transpose(matrix) if tag.kind == RM else None}
         self.op = tag.op
@@ -337,10 +443,6 @@ class _ScalarStep:
     def decode(state, side):
         return state
 
-    @staticmethod
-    def scalars(raw):
-        return raw
-
 
 class _IntScalars(dict):
     """The shared Scalar of each raw circle value t + sI with integer t and
@@ -356,51 +458,108 @@ _INT_SCALARS = _IntScalars()
 _BIT_SCALARS = (ZERO, ONE)
 
 
-class _BitmaskStep:
-    """Fuzzy circle step over {-1, 0, 1} weights on int bitmasks.
+class _PackedStep(_Kernel):
+    """Fuzzy circle step over {-1, 0, 1} weights on packed fields, one
+    field of F bits per coordinate of one int: multiple byte processing
+    with full-word instructions (Lamport, CACM 18(8), 1975).
 
-    Bit i of a state is coordinate i. The applied operand holds the mask
-    tuples (P, N, Im) of _sign_masks, the matrix's columns for the domain
-    and, on an RM component, its rows for the range, built once per
-    matrix and kept on it. P[j] and N[j] hold the +1 and -1 rows of
-    column j, so raw_j = |x & P[j]| - |x & N[j]|; the cut sets bit j when
-    raw_j > k and pinning ORs in the seed mask. Im is all 0 here.
+    Coordinate i of a state sits at bit F*i. The applied operand maps the
+    bit of each input coordinate i to W_i = sum_j m_ij << F*j, the
+    matrix's row i packed over its columns for the domain and, on an RM
+    component, its column i packed over its rows for the range, built once
+    per matrix and kept on it. A step starts from bias = (B - c) * ONES,
+    ONES holding a 1 in the field of each output coordinate, and adds W_i
+    for each ON coordinate, so field j of the raw record y is
+    B - c + raw_j. As |raw_j| <= m = max(rows, cols), the clamped cut
+    c = floor(k) + 1 lies in [-m, m + 1] and the guard bit B = 1 <<
+    (2m + 1).bit_length() exceeds 2m + 1, each field stays in [1, 2B): it
+    never borrows from or carries into its neighbour. Raws are ints, so
+    raw_j > k exactly when field j reaches B, its top bit: the cut is
+    (y >> (F - 1)) & ONES, and pinning ORs in the seed's bits.
     """
 
     def __init__(self, matrix, tag, k, pin_on, policy):
-        self.operands = {DOMAIN_SIDE: matrix._memo(_column_masks),
-                         RANGE_SIDE: matrix._memo(_row_masks)
-                         if tag.kind == RM else None}
-        self.sizes = {DOMAIN_SIDE: matrix.rows, RANGE_SIDE: matrix.cols}
-        self.k = k
-        self.pin = sum(1 << i for i in pin_on)
-        self.bits = tuple(1 << j for j in range(max(matrix.shape)))
+        super().__init__()
+        width = _field_width(matrix)
+        reach = max(matrix.shape)
+        cut = min(max(math.floor(k) + 1, -reach), reach + 1)
+        self.offset = (1 << width - 1) - cut  # field j of y is offset + raw_j
+        operands = {DOMAIN_SIDE: matrix._memo(_packed_rows)}
+        if tag.kind == RM:
+            operands[RANGE_SIDE] = matrix._memo(_packed_columns)
+        self.operands = {side: (weights, self.offset * ones, ones)
+                         for side, (weights, ones) in operands.items()}
+        # the bit position of each field of a part on each side
+        self.fields = {DOMAIN_SIDE: range(0, width * matrix.rows, width),
+                       RANGE_SIDE: range(0, width * matrix.cols, width)}
+        self.shift = width - 1
+        self.mask = (1 << width) - 1
+        self.pin = sum(1 << width * i for i in pin_on)
 
     def step(self, x, side, pin):
-        pos, neg, _ = self.operands[side]
-        raw = [(x & p).bit_count() - (x & n).bit_count()
-               for p, n in zip(pos, neg)]
-        k = self.k
-        cut = sum([bit for r, bit in zip(raw, self.bits) if r > k])
-        return raw, cut, (cut | self.pin) if pin else cut
+        weights, y, ones = self.operands[side]
+        while x:
+            low = x & -x
+            y += weights[low]
+            x ^= low
+        cut = (y >> self.shift) & ones
+        return y, cut, (cut | self.pin) if pin else cut
 
     def seed(self, part):
         return self.pin  # a crisp seed's ON bits are exactly its pin mask
 
     def decode(self, x, side):
-        return tuple([_BIT_SCALARS[x >> i & 1]
-                      for i in range(self.sizes[side])])
+        return tuple([_BIT_SCALARS[x >> s & 1] for s in self.fields[side]])
 
-    @staticmethod
-    def scalars(raw):
-        return tuple(map(_INT_SCALARS.__getitem__, raw))
+    def decode_raw(self, y, side):
+        mask, offset = self.mask, self.offset
+        return tuple([_INT_SCALARS[(y >> s & mask) - offset]
+                      for s in self.fields[side]])
+
+
+def _field_width(matrix):
+    """F, the field width of a packed circle step over `matrix`: one guard
+    bit above 2m + 1, for m = max(rows, cols)."""
+    return (2 * max(matrix.shape) + 1).bit_length() + 1
+
+
+def _packed(matrix, by_columns):
+    """({1 << F*i: W_i}, ONES) of a fuzzy circle `matrix` applied from the
+    domain, or from the range when `by_columns`: W_i packs input i's
+    weights, one F-bit field per output, and ONES has a 1 in each output
+    field."""
+    width = _field_width(matrix)
+    rows, cols = matrix.rows, matrix.cols
+    reals = [int(e.real_part) for e in matrix.entries]
+    lines = [reals[j::cols] for j in range(cols)] if by_columns \
+        else [reals[i:i + cols] for i in range(0, rows * cols, cols)]
+    outputs = _field_bits(width, len(lines[0]))
+    weights = dict(zip(_field_bits(width, len(lines)),
+                       [sum([bit * w for bit, w in zip(outputs, line) if w])
+                        for line in lines]))
+    return weights, sum(outputs)
+
+
+@functools.lru_cache(maxsize=64)
+def _field_bits(width, count):
+    """The low bit of each of `count` fields of `width` bits: the keys of
+    a packed matrix's weights, held once for every matrix of that size."""
+    return tuple([1 << width * i for i in range(count)])
+
+
+def _packed_rows(matrix):
+    return _packed(matrix, False)
+
+
+def _packed_columns(matrix):
+    return _packed(matrix, True)
 
 
 def _sign_masks(matrix, by_rows):
-    """(P, N, Im) of a circle component's `matrix`, whose entries the
-    carrier rule keeps in {-1, 0, 1, I}: per column (per row when
-    `by_rows`), the bitmask of its +1 entries, that of its -1 entries and
-    that of its I entries."""
+    """(P, N, Im) of a neutrosophic circle component's `matrix`, whose
+    entries the carrier rule keeps in {-1, 0, 1, I}: per column (per row
+    when `by_rows`), the bitmask of its +1 entries, that of its -1 entries
+    and that of its I entries."""
     rows, cols = matrix.rows, matrix.cols
     pos = [0] * (rows if by_rows else cols)
     neg = pos[:]
@@ -445,31 +604,39 @@ class _CutCodes(dict):
         return value
 
 
-class _TritStep(_BitmaskStep):
+class _TritStep(_Kernel):
     """Neutrosophic circle step over {-1, 0, 1, I} weights on pairs of int
     bitmasks.
 
-    A {0, 1, I} state is the pair (x1, xI): the bitmask of its 1
-    coordinates and that of its I coordinates. The applied operand holds
-    the mask tuples (P, N, Im) of _sign_masks, the +1, -1 and I rows of
-    each column. As I * I = I, raw_j = t + sI with
+    Bit i of a bitmask is coordinate i, and a {0, 1, I} state is the pair
+    (x1, xI): the bitmask of its 1 coordinates and that of its I
+    coordinates. The applied operand holds the mask tuples (P, N, Im) of
+    _sign_masks, the +1, -1 and I rows of each column of the matrix for
+    the domain and, on an RM component, of each row for the range, built
+    once per matrix and kept on it. As I * I = I, raw_j = t + sI with
     t = |x1 & P[j]| - |x1 & N[j]| and
     s = |x1 & Im[j]| + |xI & P[j]| - |xI & N[j]| + |xI & Im[j]|, both
-    exact integers.
+    exact integers (popcounts via int.bit_count, so Python 3.10+).
     The cut is values.threshold_scalar, once per distinct raw value, and
     pinning sets the seed's bits to 1.
     """
 
     def __init__(self, matrix, tag, k, pin_on, policy):
-        super().__init__(matrix, tag, k, pin_on, policy)
+        super().__init__()
+        self.operands = {DOMAIN_SIDE: matrix._memo(_column_masks),
+                         RANGE_SIDE: matrix._memo(_row_masks)
+                         if tag.kind == RM else None}
+        self.sizes = {DOMAIN_SIDE: matrix.rows, RANGE_SIDE: matrix.cols}
+        self.pin = sum(1 << i for i in pin_on)
+        self.bits = tuple(1 << j for j in range(max(matrix.shape)))
         self.cut = _CutCodes(ThresholdMode(tag.algebra, k))
 
     def step(self, x, side, pin):
         x1, xi = x
-        raw = [complex((x1 & p).bit_count() - (x1 & n).bit_count(),
-                       (x1 & m).bit_count() + (xi & p).bit_count()
-                       - (xi & n).bit_count() + (xi & m).bit_count())
-               for p, n, m in zip(*self.operands[side])]
+        raw = tuple([complex((x1 & p).bit_count() - (x1 & n).bit_count(),
+                             (x1 & m).bit_count() + (xi & p).bit_count()
+                             - (xi & n).bit_count() + (xi & m).bit_count())
+                     for p, n, m in zip(*self.operands[side])])
         codes = list(map(self.cut.__getitem__, raw))
         bits = self.bits
         cut = (sum([bit for c, bit in zip(codes, bits) if c == 1]),
@@ -486,8 +653,12 @@ class _TritStep(_BitmaskStep):
         return tuple([_TRIT_SCALARS[(x1 >> i & 1) | (xi >> i & 1) << 1]
                       for i in range(self.sizes[side])])
 
+    @staticmethod
+    def decode_raw(raw, side):
+        return tuple(map(_INT_SCALARS.__getitem__, raw))
 
-class _LevelStep:
+
+class _LevelStep(_Kernel):
     """Fuzzy max-min or min-max step over [0, 1] memberships on float
     tuples.
 
@@ -499,6 +670,7 @@ class _LevelStep:
     """
 
     def __init__(self, matrix, tag, k, pin_on, policy):
+        super().__init__()
         entries = matrix.entries
         reals = tuple([e.real_part for e in entries])
         cols = matrix.cols
@@ -525,17 +697,14 @@ class _LevelStep:
         return tuple([v.real_part for v in part])
 
     def decode(self, x, side):
-        return self.scalars(x)
-
-    def scalars(self, raw):
-        return tuple(map(self.values.__getitem__, raw))
+        return tuple(map(self.values.__getitem__, x))
 
 
 # The kernel each (algebra, op) names. The carrier rule fixes what a
 # component's entries can be, so each kernel takes every component of its
 # tag.
 _KERNEL_BY_TAG = {
-    ("fuzzy", "circle"): _BitmaskStep,
+    ("fuzzy", "circle"): _PackedStep,
     ("neutrosophic", "circle"): _TritStep,
     ("fuzzy", "maxmin"): _LevelStep,
     ("fuzzy", "minmax"): _LevelStep,
@@ -552,36 +721,36 @@ class _ComponentRun:
         self.rule = rule
         self.seeded_side = seeded_side
         self.cur = rule.seed(start)  # native to the rule
-        self.part = start  # the Scalar form of cur
         self.side = seeded_side  # space the current state addresses
         self.outcome = None  # set when the component settles
+        self.carried = None  # the record entry of each step once settled
         self.recurrence = Recurrence(kind, seeded_side, self.cur)
 
     def step(self, step):
         """Take step number `step`, landing and pinning as landing_side
         says, and settle on the cycle the new state closes; returns the
-        Scalar forms of (raw, thresholded, updated)."""
+        step's record entry (rule, side, raw, thresholded, updated) in the
+        rule's own form, raw None where it is the thresholded part."""
         rule, seeded = self.rule, self.seeded_side
         land = landing_side(self.kind, seeded, step)
         raw, thresholded, updated = rule.step(self.cur, self.side,
                                               land == seeded)
-        thr_part = rule.decode(thresholded, land)
-        self.part = thr_part if updated is thresholded \
-            else rule.decode(updated, land)
         self.cur = updated
         self.side = land
         cycle = self.recurrence.add(step, updated)
         if cycle is not None:
-            decode = rule.decode
+            part = rule.part
             if self.kind == RM:
-                cycle = [(decode(d, DOMAIN_SIDE), decode(r, RANGE_SIDE))
+                cycle = [(part(DOMAIN_SIDE, d), part(RANGE_SIDE, r))
                          for d, r in cycle]
             else:
-                cycle = [decode(s, seeded) for s in cycle]
+                cycle = [part(seeded, s) for s in cycle]
             self.outcome = Recurrence.outcome(cycle)
+            # a frozen part is carried unchanged on the seeded side
+            self.carried = rule, land, None, updated, updated
         # a part that flows raw is its own thresholded form
-        raw_part = thr_part if raw is thresholded else rule.scalars(raw)
-        return raw_part, thr_part, self.part
+        return (rule, land, None if raw is thresholded else raw,
+                thresholded, updated)
 
 
 def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *,
@@ -609,12 +778,12 @@ def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *,
         runs.append(_ComponentRun(tag.kind, rule, part, x0.side))
     records = []
     for step in range(1, max_steps + 1):
-        frozen = tuple(r.outcome is not None for r in runs)
+        frozen = tuple([r.outcome is not None for r in runs])
         if all(frozen):
             break
-        raw, thresholded, updated = zip(*[
-            (r.part,) * 3 if f else r.step(step) for r, f in zip(runs, frozen)])
-        records.append(IterationRecord(raw, thresholded, updated, frozen))
+        records.append(IterationRecord._encoded(tuple([
+            r.carried if f else r.step(step) for r, f in zip(runs, frozen)]),
+            frozen))
     pending = [str(idx + 1) for idx, r in enumerate(runs)
                if r.outcome is None]
     if pending:

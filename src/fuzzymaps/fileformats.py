@@ -185,7 +185,7 @@ def parse_model_structure(text: str) -> ParsedStructure:
                 break
             pos += 1
 
-        grid = []
+        grid, row_linenos = [], []
         for _ in range(rows):
             if pos >= len(lines):
                 raise ParseError(
@@ -194,10 +194,15 @@ def parse_model_structure(text: str) -> ParsedStructure:
             lineno, line = lines[pos]
             grid.append(_scalar_row(line, lineno, cols,
                                     f"component {index}"))
+            row_linenos.append(lineno)
             pos += 1
         try:
             matrix = Matrix.from_rows(grid, domain=domain)
         except DomainError as exc:
+            # the line of the first row holding an entry outside the
+            # domain, the entry the error names
+            lineno = next(n for n, row in zip(row_linenos, grid)
+                          if not all(map(domain.contains, row)))
             raise DomainError(
                 f"line {lineno}: component {index}: {exc}") from None
         components.append((matrix, tag))

@@ -260,13 +260,21 @@ def build_model(model_class, components, labels=None,
                  labels=_normalize_labels(special, labels), experts=experts)
 
 
+def _dynamical_class(model_class) -> ModelClass:
+    """`model_class`, a member or its text, if it describes a dynamical
+    system: an equation class (FRE_CLASSES) has no run, and raises
+    WrongEntryPoint. run, render_trace and verify_trace all apply it."""
+    model_class = ModelClass.parse(model_class)
+    if model_class in FRE_CLASSES:
+        raise WrongEntryPoint(
+            f"{model_class.value} describes relational equations; solve it "
+            f"with the fre module, not a dynamical run")
+    return model_class
+
+
 def run(model: Model, x0: SpecialStateVector, **options):
     """Dispatch a validated model to the matching engine, which validates
     the seed (dynamics.validate_input), with the options of run_mixed."""
-    if model.model_class in FRE_CLASSES:
-        raise WrongEntryPoint(
-            f"{model.model_class.value} describes relational equations; "
-            f"solve it with the fre module, not a dynamical run")
-    kinds = _RULES[model.model_class].kinds
+    kinds = _RULES[_dynamical_class(model.model_class)].kinds
     engine = {_CM_ONLY: run_cm, _RM_ONLY: run_rm}.get(kinds, run_mixed)
     return engine(model.matrix, x0, **options)

@@ -7,9 +7,10 @@ by `|`. The format is deterministic: the same run options yield the same
 bytes, and a trace alone is enough to re-derive (and thus audit) the
 final hidden pattern.
 
-A run repeats a few states many times, so each call renders each
-distinct state once (render_trace) and parses each distinct bracketed
-state text once (parse_trace).
+A run repeats a few states many times and decodes equal states of a
+component to one tuple, so each call renders each such tuple once
+(render_trace) and parses each distinct bracketed state text once
+(parse_trace).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .dynamics import (
     part_problem,
     seed_problems,
 )
-from .errors import FuzzymapsError, ShapeMismatch, TraceError
-from .models import ModelClass, _tag_diagnostics
+from .errors import FuzzymapsError, ShapeMismatch, TraceError, WrongEntryPoint
+from .models import ModelClass, _dynamical_class, _tag_diagnostics
 from .special import CM, SIDES, ComponentTag, SpecialMatrix, render_part
 from .values import (
     OrderPolicy,
@@ -50,11 +51,16 @@ _FINAL_FIELDS = {
 
 
 class _PartTexts(dict):
-    """One render's text of each distinct part, rendered on first use."""
+    """One render's text of each part, rendered on first use. A run decodes
+    equal parts of a component to one tuple, so parts are told apart by
+    identity, which needs no hash of their values; each text is kept with
+    its part, so that no id is reused while the render lasts."""
 
-    def __missing__(self, part):
-        text = self[part] = render_part(part)
-        return text
+    def text(self, part):
+        entry = self.get(id(part))
+        if entry is None:
+            entry = self[id(part)] = part, render_part(part)
+        return entry[1]
 
 
 def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
@@ -63,7 +69,8 @@ def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
     """Serialize a run result. `special` supplies the component tags,
     whose operators the run applied, and `experts` their names, one per
     component; `policy` and `model_class`, each a member or its text, are
-    recorded when given. The run line ends at `threshold-k=`; its model
+    recorded when given, and an equation class, which has no run, raises
+    WrongEntryPoint. The run line ends at `threshold-k=`; its model
     metadata is embedded for audit but not needed for verification."""
     _check_threshold_k(threshold_k)
     count = len(pattern.outcomes)
@@ -72,12 +79,12 @@ def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
                             f"{count}")
     if experts is not None and len(experts) != count:
         raise ShapeMismatch(f"{len(experts)} experts for {count} components")
-    text = _PartTexts().__getitem__
+    text = _PartTexts().text
     out = [f"trace {TRACE_VERSION}"]
     run_fields = [f"side={pattern.side}", f"steps={pattern.steps}",
                   f"components={len(special)}"]
     if model_class is not None:
-        run_fields.append(f"class={ModelClass.parse(model_class).value}")
+        run_fields.append(f"class={_dynamical_class(model_class).value}")
     if name:
         run_fields.append(f"name=[{name}]")
     if policy is not None:
@@ -95,23 +102,18 @@ def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
         out.append(f"mask {idx + 1} [{body}]")
     for idx, part in enumerate(pattern.input.parts):
         out.append(f"input {idx + 1} {text(part)}")
+    kinds = [tag.kind for _, tag in special]
     for step, record in enumerate(pattern.trace, 1):
-        for idx, (mat, tag) in enumerate(special):
+        parts = zip(kinds, record.frozen, record.raw, record.thresholded,
+                    record.updated)
+        for idx, (kind, frozen, raw, cut, new) in enumerate(parts, 1):
             # a frozen part is carried on the seeded side
-            frozen = record.frozen[idx]
             side = pattern.side if frozen \
-                else landing_side(tag.kind, pattern.side, step)
-            # the three parts are often one object: a frozen or level
-            # part, or a cut that pinning left alone
-            raw, cut, new = (record.raw[idx], record.thresholded[idx],
-                             record.updated[idx])
-            raw_text = text(raw)
-            cut_text = raw_text if cut is raw else text(cut)
-            new_text = cut_text if new is cut else text(new)
+                else landing_side(kind, pattern.side, step)
             out.append(
-                f"step {step} component={idx + 1} side={side} "
-                f"frozen={'yes' if frozen else 'no'} raw={raw_text} "
-                f"thresholded={cut_text} updated={new_text}")
+                f"step {step} component={idx} side={side} "
+                f"frozen={'yes' if frozen else 'no'} raw={text(raw)} "
+                f"thresholded={text(cut)} updated={text(new)}")
     settled = pattern.settled_steps
     for idx, outcome in enumerate(pattern.outcomes):
         shape, cycle = outcome_shape(outcome)
@@ -271,10 +273,10 @@ def verify_trace(text: str) -> tuple:
     """Re-derive every component's final pattern from the recorded step
     states with the engine's recurrence rule, and check it, its settle
     step, the frozen steps after it, the run line's counts (one component
-    or more) and model class (the tag-and-shape rule build_model applies),
-    the masks, square CM shapes, every part's side and length
-    (part_problem) and crisp seeds (seed_problems) against the trace.
-    Returns the verified outcomes in order."""
+    or more) and model class (the tag-and-shape rule build_model applies,
+    and one that has a dynamical run), the masks, square CM shapes, every
+    part's side and length (part_problem) and crisp seeds (seed_problems)
+    against the trace. Returns the verified outcomes in order."""
     data = parse_trace(text)
     side, n, steps = data["side"], data["components"], data["run_steps"]
     if n < 1:
@@ -288,6 +290,10 @@ def verify_trace(text: str) -> tuple:
     if data["class"] is not None:
         problems = _tag_diagnostics(data["class"],
                                     [(tags[i], shapes[i]) for i in range(n)])
+        try:
+            _dynamical_class(data["class"])
+        except WrongEntryPoint as exc:
+            problems.append(str(exc))
         if problems:
             raise TraceError("; ".join(problems))
     entries = sorted(data["steps"], key=lambda e: (e["component"], e["step"]))

@@ -20,7 +20,7 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 OUT_OF_DOMAIN_MODEL = ("model SFCM\n"
                        "component 1 CM fuzzy circle tri 2x2\n"
                        "0 0.5\n1 0\nend\n")
-OUT_OF_DOMAIN_ERROR = ("error: line 4: component 1: entry (1,2) = 0.5 is "
+OUT_OF_DOMAIN_ERROR = ("error: line 3: component 1: entry (1,2) = 0.5 is "
                        "outside domain tri\n")
 
 
@@ -64,7 +64,7 @@ def test_validate_entry_outside_domain_is_a_validation_error(tmp_path):
     model.write_text(OUT_OF_DOMAIN_MODEL)
     proc = cli("validate", "--model", model)
     assert proc.returncode == 3
-    assert proc.stdout == ("problem: line 4: component 1: entry (1,2) = 0.5 "
+    assert proc.stdout == ("problem: line 3: component 1: entry (1,2) = 0.5 "
                            "is outside domain tri\ninvalid\n")
     assert proc.stderr == ""
 
@@ -74,7 +74,7 @@ def test_mixed_neutro_unit_value_is_invalid_for_validate_and_run(tmp_path):
     model = FIXTURES / "neutro_unit_mixed_bad.model"
     proc = cli("validate", "--model", model)
     assert proc.returncode == 3
-    assert proc.stdout == ("problem: line 6: component 1: entry (1,2) = "
+    assert proc.stdout == ("problem: line 5: component 1: entry (1,2) = "
                            "0.5+0.3I is outside domain neutro-unit\n"
                            "invalid\n")
     seed = tmp_path / "seed.vec"

@@ -5,7 +5,10 @@ rules before being frozen into assertions. Comments give the raw activation
 sums the thresholds are cutting.
 """
 
+import copy
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +23,7 @@ from fuzzymaps import (
     HiddenPattern,
     InvalidInput,
     IterationCapExceeded,
+    IterationRecord,
     LimitCycle,
     Matrix,
     NonCMComponent,
@@ -567,6 +571,84 @@ def test_replay_is_deterministic():
     assert a == b
 
 
+# ------------------------------------------------------- records read lazily
+
+def every_kernel_run():
+    """A run of a union with components on every kernel, CM and RM, that
+    has a limit cycle and frozen steps; its records are not yet read."""
+    neutro_maxmin = (Matrix.from_rows([[Scalar(0), INDET],
+                                       [Scalar(0.5), Scalar(0)]],
+                                      domain=ValueDomain.NEUTRO_UNIT),
+                     ComponentTag(algebra="neutrosophic", op="maxmin"))
+    m = SpecialMatrix(MIX_COMPONENTS + OPMIX_COMPONENTS + [neutro_maxmin])
+    x = seed([1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0],
+             [0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1],
+             [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0])
+    x = SpecialStateVector(x.parts + opmix_seed().parts + (crisp([1, 0]),))
+    return m, x, run_mixed(m, x)
+
+
+def read_all(pattern):
+    for record in pattern.trace:
+        record.raw, record.thresholded, record.updated
+    return pattern
+
+
+@pytest.mark.parametrize("view", [
+    repr, hash, copy.copy, copy.deepcopy,
+    lambda r: pickle.loads(pickle.dumps(r)),
+    lambda r: r.frozen,
+], ids=["repr", "hash", "copy", "deepcopy", "pickle", "frozen"])
+def test_a_record_is_the_same_value_read_or_unread(view):
+    # a run keeps its parts in kernel form until a field is read
+    read = read_all(every_kernel_run()[2]).trace
+    unread = every_kernel_run()[2].trace
+    assert [view(r) for r in unread] == [view(r) for r in read]
+
+
+def test_a_record_is_immutable_read_or_unread():
+    pattern = every_kernel_run()[2]
+    for record in (pattern.trace[0], read_all(pattern).trace[0]):
+        for field in ("raw", "thresholded", "updated", "frozen"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, field, ())
+            with pytest.raises(FrozenInstanceError):
+                delattr(record, field)
+
+
+def test_runs_compare_equal_whether_or_not_their_records_were_read():
+    m, x, unread = every_kernel_run()
+    read = read_all(run_mixed(m, x))
+    assert unread == read and read == unread
+    assert every_kernel_run()[2] == every_kernel_run()[2]
+    assert read.trace[0] == IterationRecord(
+        read.trace[0].raw, read.trace[0].thresholded, read.trace[0].updated,
+        read.trace[0].frozen)
+
+
+def test_equal_states_of_one_run_decode_to_one_tuple():
+    # per component and side, so that a rendered trace finds each state's
+    # text by identity
+    m, x, pattern = every_kernel_run()
+    assert any(isinstance(o, LimitCycle) for o in pattern.outcomes)
+    assert any(any(r.frozen) for r in pattern.trace)
+    for idx, (_, tag) in enumerate(m):
+        shared = {}
+        for step, record in enumerate(pattern.trace, 1):
+            side = x.side if record.frozen[idx] \
+                else landing_side(tag.kind, x.side, step)
+            for part in (record.thresholded[idx], record.updated[idx]):
+                assert shared.setdefault((side, part), part) is part
+        outcome = pattern.outcomes[idx]
+        states = (outcome.state,) if isinstance(outcome, FixedPoint) \
+            else outcome.states
+        for state in states:
+            pairs = zip((DOMAIN_SIDE, RANGE_SIDE), state) if tag.kind == RM \
+                else [(x.side, state)]
+            for side, part in pairs:
+                assert shared.setdefault((side, part), part) is part
+
+
 @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
 def test_non_finite_threshold_rejected(k):
     m = SpecialMatrix([(A_SQ, ComponentTag())])
@@ -610,43 +692,71 @@ def test_step_cap_below_one_rejected(engine, cap):
 # ---------------------------------- step kernels vs the public Scalar operations
 
 @st.composite
-def circle_runs(draw, weights, domain, algebra, nodes):
-    """A circle union of 1-3 components of 1-`nodes` nodes over `weights`
-    (CM or RM on the domain side, RM on the range side), a crisp seed, a
-    cut constant and a small step cap."""
+def circle_runs(draw, row, domain, algebra, nodes, sizes=None):
+    """A circle union of 1-3 components of 1-`nodes` nodes (sizes from
+    `sizes` when given), each matrix row drawn by `row(cols)` (CM or RM on
+    the domain side, RM on the range side, rows and cols drawn apart), a
+    crisp seed, a small step cap and a cut constant k: one of a few small
+    values, or a half-integer from -(2 nodes + 3) to 2 nodes + 3, mostly
+    beyond every raw value a step can reach."""
+    sizes = st.integers(1, nodes) if sizes is None else sizes
     side = draw(st.sampled_from([DOMAIN_SIDE, RANGE_SIDE]))
     comps, parts = [], []
     for _ in range(draw(st.integers(1, 3))):
         # square components take domain-side seeds only
         kind = draw(st.sampled_from([CM, RM] if side == DOMAIN_SIDE
                                     else [RM]))
-        rows = draw(st.integers(1, nodes))
-        cols = rows if kind == CM else draw(st.integers(1, nodes))
-        entries = draw(st.lists(st.sampled_from(weights),
-                                min_size=rows * cols, max_size=rows * cols))
+        rows = draw(sizes)
+        cols = rows if kind == CM else draw(sizes)
+        entries = [w for _ in range(rows) for w in draw(row(cols))]
         comps.append((Matrix(rows, cols, entries, domain),
                       ComponentTag(kind=kind, algebra=algebra)))
         size = cols if kind == RM and side == RANGE_SIDE else rows
         parts.append(draw(st.lists(st.sampled_from([0, 1]), min_size=size,
                                    max_size=size)))
-    k = draw(st.sampled_from([-1, 0, 0.5, 1, 2]))
+    bound = 2 * (2 * nodes + 3)
+    k = draw(st.one_of(st.sampled_from([-1, 0, 0.5, 1, 2]),
+                       st.integers(-bound, bound).map(lambda h: h / 2)))
     max_steps = draw(st.integers(1, 12))
     return SpecialMatrix(comps), seed(*parts, side=side), k, max_steps
 
 
+def weight_rows(weights):
+    """A matrix row of entries drawn from `weights`."""
+    return lambda cols: st.lists(st.sampled_from(weights), min_size=cols,
+                                 max_size=cols)
+
+
 def tri_runs():
     """Fuzzy circle unions over {-1, 0, 1}, of 1-12 nodes."""
-    return circle_runs([-1, 0, 0, 1], TRI, "fuzzy", 12)
+    return circle_runs(weight_rows([-1, 0, 0, 1]), TRI, "fuzzy", 12)
+
+
+def saturated_runs():
+    """Fuzzy circle unions of 1-40 nodes whose rows are each all +1 or all
+    -1, so that a raw value reaches the number of ON inputs; sizes around
+    31-32 nodes, where the packed kernel's field widens, come often."""
+    def row(cols):
+        return st.sampled_from([[-1] * cols, [1] * cols])
+    sizes = st.one_of(st.integers(1, 40), st.sampled_from([31, 32]))
+    return circle_runs(row, TRI, "fuzzy", 40, sizes)
 
 
 def trit_runs():
     """Neutrosophic circle unions over {-1, 0, 1, I}, of 1-10 nodes."""
-    return circle_runs([-1, 0, 0, 1, INDET], NTRI, "neutrosophic", 10)
+    return circle_runs(weight_rows([-1, 0, 0, 1, INDET]), NTRI,
+                       "neutrosophic", 10)
 
 
 @settings(max_examples=300, deadline=None)
 @given(tri_runs())
-def test_bitmask_kernel_matches_scalar_reference(case):
+def test_packed_kernel_matches_scalar_reference(case):
+    assert_capped_run_replays(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(saturated_runs())
+def test_packed_kernel_matches_scalar_reference_on_saturated_maps(case):
     assert_capped_run_replays(*case)
 
 

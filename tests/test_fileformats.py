@@ -176,6 +176,22 @@ def test_entry_outside_declared_domain_is_a_domain_error():
                                   "is outside domain tri")
 
 
+@pytest.mark.parametrize("text, message", [
+    # an entry on a component's first row is reported at that row, not at
+    # the component's last row
+    pytest.param(GOOD_MODEL.replace("0 1\n-1 0\n", "0 0.5\n-1 0\n"),
+                 "line 5: component 1: entry (1,2) = 0.5 is outside domain "
+                 "tri", id="first-row"),
+    pytest.param((FIXTURES / "neutro_unit_mixed_bad.model").read_text(),
+                 "line 5: component 1: entry (1,2) = 0.5+0.3I is outside "
+                 "domain neutro-unit", id="neutro-unit-fixture"),
+])
+def test_entry_outside_domain_names_the_line_that_holds_it(text, message):
+    with pytest.raises(DomainError) as err:
+        parse_model_structure(text)
+    assert str(err.value) == message
+
+
 def test_empty_file():
     with pytest.raises(ParseError):
         parse_model_text("")

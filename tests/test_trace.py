@@ -18,10 +18,13 @@ from fuzzymaps import (
     LimitCycle,
     Matrix,
     ModelClass,
+    Scalar,
     ShapeMismatch,
     TraceError,
     SpecialMatrix,
+    WrongEntryPoint,
     SpecialStateVector,
+    build_model,
     parse_model_text,
     parse_trace,
     parse_vector_text,
@@ -515,6 +518,28 @@ def test_run_class_is_held_to_the_component_lines(model_class, problem):
     # SSHM admits every tag and shape
     assert verify_trace(GOLDEN.replace("class=SMFCRNCRM", "class=SSHM", 1)) \
         == verify_trace(GOLDEN)
+
+
+@pytest.mark.parametrize("model_class", ["SFRE", "SMFRE"])
+def test_an_equation_class_has_no_run_to_trace(model_class):
+    # a fuzzy RM max-min union keeps the equation classes' tag-and-shape
+    # rule, but an equation class has no dynamical run: run refuses it, and
+    # a trace can neither be rendered for it nor verify with it
+    special = SpecialMatrix([(Matrix.from_rows([[0.9, 0.6], [0.4, 0.3]],
+                                               "unit"),
+                              ComponentTag(kind=RM, op="maxmin"))])
+    x0 = SpecialStateVector([(Scalar(1), Scalar(0))])
+    with pytest.raises(WrongEntryPoint):
+        run(build_model(model_class, special), x0)
+    pattern = run_mixed(special, x0)
+    with pytest.raises(WrongEntryPoint):
+        render_trace(pattern, special, model_class=model_class)
+    text = render_trace(pattern, special, model_class="SSHM")
+    tampered = text.replace("class=SSHM", f"class={model_class}", 1)
+    assert tampered != text
+    with pytest.raises(TraceError, match=f"^{model_class} describes "
+                                         f"relational equations"):
+        verify_trace(tampered)
 
 
 # field values and state tokens a tampered trace may hold
