@@ -26,7 +26,7 @@ from .errors import (
     ModeMismatch,
     ShapeMismatch,
 )
-from .matrices import Matrix, maxmin_compose, row_vector
+from .matrices import Matrix, maxmin_compose, operators, row_vector
 from .special import SpecialMatrix
 from .values import (
     ONE,
@@ -35,9 +35,10 @@ from .values import (
     ValueDomain,
     _order_pair,
     coerce,
-    scalar_max,
-    scalar_min,
 )
+
+# min and max of Scalars under the coefficient ordering
+_min, _max = operators("maxmin", OrderPolicy.BOOK_DEFAULT)
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,11 @@ def _checked(value, neutrosophic: bool) -> Scalar:
 
 
 def _gt(a: Scalar, b: Scalar) -> bool:
-    # strict domination under the coefficient ordering
-    return a != b and _order_pair(a, b, OrderPolicy.BOOK_DEFAULT) == (b, a)
+    # strict domination under the coefficient ordering: the order gives
+    # (b, a), which equal operands (a, a) and a magnitude tie (the pure
+    # I multiple twice) never are
+    low, high = _order_pair(a, b, OrderPolicy.BOOK_DEFAULT)
+    return low is b and high is not b
 
 
 def _sigma(q: Scalar, r: Scalar) -> Scalar:
@@ -93,7 +97,7 @@ def _max_candidate(q: Matrix, r: Matrix, neutrosophic: bool):
     r_vals = [_checked(v, neutrosophic) for v in r.row(0)]
     q_vals = [[_checked(q.at(j, k), neutrosophic) for k in range(q.cols)]
               for j in range(q.rows)]
-    p_hat = [reduce(scalar_min, map(_sigma, row, r_vals), ONE)
+    p_hat = [reduce(_min, map(_sigma, row, r_vals), ONE)
              for row in q_vals]
     return q_vals, r_vals, p_hat
 
@@ -121,7 +125,7 @@ def failing_columns(q: Matrix, r) -> tuple:
     r = _target_row(q, r)
     out = []
     for k in range(q.cols):
-        col_max = reduce(scalar_max, (q.at(j, k) for j in range(q.rows)))
+        col_max = reduce(_max, (q.at(j, k) for j in range(q.rows)))
         target = coerce(r.at(0, k))
         if not (col_max == target or _gt(col_max, target)):
             out.append(k)

@@ -178,21 +178,30 @@ def elementwise_min(a: Matrix, b: Matrix,
     return _entrywise(a, b, "Min", 0, policy)
 
 
+def _ends(policy):
+    """The (min, max) scalar operators under `policy`, on Scalar operands."""
+
+    def low(a, b):
+        return _order_pair(a, b, policy)[0]
+
+    def high(a, b):
+        return _order_pair(a, b, policy)[1]
+
+    return low, high
+
+
+# built once per policy: every max-min and min-max step shares them
+_ENDS = {policy: _ends(policy) for policy in OrderPolicy}
+
+
 def operators(op, policy) -> tuple:
     """The (inner, outer) scalar operators of a product: `circle` sums
     products, `maxmin` takes the max of mins and `minmax` the min of
-    maxes, with min and max ordered under `policy`, which is parsed here
-    once."""
+    maxes, with min and max ordered under `policy`. The order's operands
+    must be Scalars."""
     if parse_name(op, OPS, "operator") == "circle":
         return operator.mul, operator.add
-    policy = OrderPolicy.parse(policy)
-
-    def low(a, b):
-        return _order_pair(coerce(a), coerce(b), policy)[0]
-
-    def high(a, b):
-        return _order_pair(coerce(a), coerce(b), policy)[1]
-
+    low, high = _ENDS[OrderPolicy.parse(policy)]
     return (low, high) if op == "maxmin" else (high, low)
 
 

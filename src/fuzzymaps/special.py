@@ -203,15 +203,15 @@ class SpecialStateVector:
 
 
 def render_part(part) -> str:
-    return "[" + " ".join(render_scalar(v) for v in part) + "]"
+    return "[" + " ".join(map(render_scalar, part)) + "]"
 
 
 def apply_part(part, mat: Matrix, op: str,
                policy=OrderPolicy.BOOK_DEFAULT):
     """Apply one state part against one matrix with the given operator.
     The part length must equal the matrix row count; the result length is
-    the column count."""
+    the column count. The part's values may be Scalars, ints or floats."""
     if len(part) != mat.rows:
         raise ShapeMismatch(
             f"state length {len(part)} does not match {mat.rows}x{mat.cols}")
-    return fold_row(part, mat, *operators(op, policy))
+    return fold_row(tuple(map(coerce, part)), mat, *operators(op, policy))

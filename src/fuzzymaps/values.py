@@ -229,10 +229,16 @@ class OrderPolicy(Enum):
 
 def _check_threshold_k(k):
     """Raise InvalidInput unless the cut constant `k` is a finite real
-    number: an int or a float, but not a bool."""
-    if isinstance(k, bool) or not isinstance(k, (int, float)) \
-            or not math.isfinite(k):
-        raise InvalidInput(f"threshold k must be finite and real, got {k!r}")
+    number that a float holds: an int or a float, but not a bool. A trace
+    renders k as a Scalar, whose coefficients are floats, so an int too
+    large for a float is rejected too."""
+    if not isinstance(k, bool) and isinstance(k, (int, float)):
+        try:
+            if math.isfinite(k):
+                return
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise InvalidInput(f"threshold k must be finite and real, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -249,23 +255,36 @@ class ThresholdMode:
 
 
 def _order_pair(a: Scalar, b: Scalar, policy: OrderPolicy):
-    """Return (min, max) under the policy. Raises on mixed operands."""
-    if a.is_mixed or b.is_mixed:
-        bad = a if a.is_mixed else b
-        raise OrderUndefined(f"{render_scalar(bad)} has no defined order")
-    if a == b:
-        return a, a
-    if a.is_real and b.is_real:
-        return (a, b) if a.real_part < b.real_part else (b, a)
-    if a.is_pure_indet and b.is_pure_indet:
+    """Return (min, max) under the policy, as the operands themselves
+    (equal operands give (a, a)). Raises on mixed operands, naming `a`
+    when both are mixed.
+
+    Each coefficient is read once: the order only selects operands, and
+    it is the innermost call of every max-min and min-max step."""
+    ar, ai = a.real_part, a.indet_coeff
+    br, bi = b.real_part, b.indet_coeff
+    if not ai and not bi:  # two reals
+        if ar < br:
+            return a, b
+        return (a, a) if ar == br else (b, a)
+    if ar and ai:
+        raise OrderUndefined(f"{render_scalar(a)} has no defined order")
+    if br and bi:
+        raise OrderUndefined(f"{render_scalar(b)} has no defined order")
+    if ai and bi:
         # both pure multiples of I: compare coefficients under either policy
-        return (a, b) if a.indet_coeff < b.indet_coeff else (b, a)
-    real, indet = (a, b) if a.is_real else (b, a)
+        if ai < bi:
+            return a, b
+        return (a, a) if ai == bi else (b, a)
+    # one real, one pure multiple of I
+    if ai:
+        real, indet, mr, mi = b, a, abs(br), abs(ai)
+    else:
+        real, indet, mr, mi = a, b, abs(ar), abs(bi)
     if policy is OrderPolicy.INDETERMINACY_DOMINANT:
         return indet, indet
     # BookDefault: compare magnitudes; an exact tie collapses to the
     # indeterminate value on both ends (min(n, nI) = max(n, nI) = nI).
-    mr, mi = abs(real.real_part), abs(indet.indet_coeff)
     if mr == mi:
         return indet, indet
     return (real, indet) if mr < mi else (indet, real)
@@ -449,12 +468,32 @@ def _render_real(x: float) -> str:
     return repr(x)
 
 
+# render_scalar's memo: the (real_part, indet_coeff) float pair -> its
+# text. A run's values come from a few literals, so a trace renders the
+# same few pairs again and again. Keyed by the float pair (a C-level tuple
+# hash, not Scalar.__hash__); equal floats render alike, and signed zeros
+# never reach it. Bounded like _LITERALS: once full it only reads.
+_TEXT_LIMIT = 4096
+_TEXTS = {}
+
+
 def render_scalar(x) -> str:
     """Canonical text form: integral values without a decimal point, pure
     multiples of I as `nI` (coefficient 1 rendered bare), mixed values as
-    `a+bI` / `a-bI`. An infinite or NaN coefficient raises DomainError."""
+    `a+bI` / `a-bI`. An infinite or NaN coefficient raises DomainError.
+    Each coefficient pair is rendered once while the memo (_TEXTS) has
+    room."""
     x = coerce(x)
-    a, b = x.real_part, x.indet_coeff
+    key = (x.real_part, x.indet_coeff)
+    text = _TEXTS.get(key)
+    if text is None:
+        text = _render_pair(*key)  # a DomainError is never memoized
+        if len(_TEXTS) < _TEXT_LIMIT:
+            _TEXTS[key] = text
+    return text
+
+
+def _render_pair(a, b):
     if b == 0.0:
         return _render_real(a)
     mag = abs(b)

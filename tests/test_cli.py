@@ -219,6 +219,23 @@ def test_compose_maxmin_preference():
                            "0.4 0.2 0.3 0.4\n")
 
 
+@pytest.mark.parametrize("args, out", [
+    (["--op", "maxmin"], "I 0.8 0.4I 0.6\n"
+                         "1 0.7 0.4I 1\n"
+                         "0.8I 0.2I 0.4I 0.8I\n"),
+    (["--op", "minmax", "--order-policy", "indeterminacy"],
+     "I 0.2I 0.4I I\n"
+     "0.5I 0.5I 0.4I 0.5I\n"
+     "0.8I 0.2I 0.8I 0.5I\n"),
+], ids=["maxmin-book", "minmax-indeterminacy"])
+def test_compose_neutrosophic_under_each_policy(args, out):
+    # reals in [0, 1] and pure multiples of I under the two orders
+    proc = cli("compose", *args, FIXTURES / "compose_neutro_left.txt",
+               FIXTURES / "compose_neutro_right.txt")
+    assert proc.returncode == 0
+    assert proc.stdout == out
+
+
 def test_compose_mul_identity(tmp_path):
     ident = tmp_path / "i.txt"
     ident.write_text("1 0\n0 1\n")

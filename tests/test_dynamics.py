@@ -679,6 +679,19 @@ def test_run_option_of_a_wrong_type_is_invalid_input(probe):
         probe(seed([1, 0]))
 
 
+@pytest.mark.parametrize("k", [10 ** 400, -10 ** 400])
+@pytest.mark.parametrize("probe", [
+    pytest.param(lambda x, k: run(SFCM_2, x, threshold_k=k), id="run"),
+    pytest.param(lambda x, k: ThresholdMode("fuzzy", k), id="mode"),
+    pytest.param(lambda x, k: render_trace(run(SFCM_2, x), SFCM_2.matrix,
+                                           threshold_k=k), id="trace"),
+])
+def test_threshold_k_beyond_the_float_range_is_invalid_input(probe, k):
+    # an int k must fit a float: a trace records k as a Scalar
+    with pytest.raises(InvalidInput, match="threshold k must be finite"):
+        probe(seed([1, 0]), k)
+
+
 @pytest.mark.parametrize("engine", [run_cm, run_mixed])
 @pytest.mark.parametrize("cap", [0, -3])
 def test_step_cap_below_one_rejected(engine, cap):

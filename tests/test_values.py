@@ -314,10 +314,31 @@ def test_parse_scalar_rejects_overflowing_literals():
 
 
 def test_render_scalar_rejects_non_finite_coefficients():
-    for bad in (Scalar(math.inf), Scalar(-math.inf), Scalar(math.nan),
-                Scalar(0, math.inf), Scalar(2, math.nan)):
-        with pytest.raises(DomainError, match="not a finite scalar"):
-            render_scalar(bad)
+    # on every call: a DomainError is never memoized
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(values, "_TEXTS", {})
+        for bad in (Scalar(math.inf), Scalar(-math.inf), Scalar(math.nan),
+                    Scalar(0, math.inf), Scalar(2, math.nan)):
+            for _ in range(2):
+                with pytest.raises(DomainError, match="not a finite scalar"):
+                    render_scalar(bad)
+        assert values._TEXTS == {}
+
+
+def test_render_scalar_of_negative_zero_is_zero():
+    assert render_scalar(Scalar(-0.0)) == "0"
+    assert render_scalar(-0.0) == "0"
+    assert render_scalar(Scalar(-0.0, 1)) == "I"
+    assert render_scalar(Scalar(2, -0.0)) == "2"
+
+
+def test_render_scalar_memo_is_bounded():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(values, "_TEXTS", {})
+        for n in range(5000):
+            assert render_scalar(Scalar(n / 8)) == values._render_pair(n / 8,
+                                                                       0.0)
+        assert len(values._TEXTS) == 4096  # full: it only reads now
 
 
 def test_render_scalar_canonical():
@@ -394,3 +415,20 @@ def test_parse_scalar_memo_matches_a_fresh_parse():
         mp.setattr(values, "_LITERAL_LIMIT", 16)
         check()
         assert len(values._LITERALS) == 16
+
+
+def test_render_scalar_memo_matches_a_fresh_rendering():
+    @settings(max_examples=400, deadline=None)
+    @given(scalars)
+    def check(s):
+        fresh = values._render_pair(s.real_part, s.indet_coeff)
+        for _ in range(2):  # the first call may fill the memo
+            assert render_scalar(s) == fresh
+        assert len(values._TEXTS) <= values._TEXT_LIMIT
+
+    # a small bound, so that the memo fills up during the run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(values, "_TEXTS", {})
+        mp.setattr(values, "_TEXT_LIMIT", 16)
+        check()
+        assert len(values._TEXTS) == 16
