@@ -23,18 +23,33 @@ Vector file, one line per component, every line on the same side:
     domain 1 0 0 0 1
 
 Matrix file: rows of scalar tokens, nothing else.
+
+Numbers are ASCII digits: sizes and component indices are digits only,
+and scalar tokens follow values.parse_scalar. A line of scalars is split
+with str.split() and read by values.parse_scalars, one memo pass per
+line; only a line holding a bad token is walked again to report that
+token's column. Errors are ParseError with the line (and, for a bad
+scalar, the column), or DomainError for an entry outside its declared
+domain.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import DomainError, ParseError
 from .matrices import Matrix
 from .models import Model, ModelClass, build_model
 from .special import CM, ComponentTag, RM, SIDES, SpecialStateVector
-from .values import ValueDomain, parse_scalar, render_scalar
+from .values import (
+    ValueDomain,
+    _ascii_int,
+    parse_scalar,
+    parse_scalars,
+    render_scalar,
+)
 
 
 @dataclass(frozen=True)
@@ -51,8 +66,8 @@ def _lines(text):
     start of the line."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0].rstrip()
-        if body.strip():
+        body = raw.partition("#")[0].rstrip()
+        if body:
             out.append((lineno, body))
     return out
 
@@ -61,19 +76,23 @@ def _scalar_row(line, lineno, expected=None, where="", skip=0):
     """The scalars of `line` after its first `skip` tokens. A count other
     than `expected` (when given) or a bad token raises ParseError; a bad
     token is reported at its column in the line."""
-    tokens = list(re.finditer(r"\S+", line))[skip:]
+    tokens = line.split()[skip:]
     if expected is not None and len(tokens) != expected:
         raise ParseError(
             f"{where}: expected {expected} entries, got {len(tokens)}",
             line=lineno)
-    out = []
-    for token in tokens:
+    try:
+        return parse_scalars(tokens)
+    except ParseError:
+        pass
+    # only a bad row pays for the columns: `\S+` splits where str.split()
+    # does, so this walk meets the same tokens and the same first bad one
+    for token in islice(re.finditer(r"\S+", line), skip, None):
         try:
-            out.append(parse_scalar(token.group()))
+            parse_scalar(token.group())
         except ParseError as exc:
             raise ParseError(exc.message, line=lineno,
                              col=token.start() + 1) from None
-    return out
 
 
 def _parse_size(token, lineno):
@@ -81,7 +100,7 @@ def _parse_size(token, lineno):
     if len(parts) != 2:
         raise ParseError(f"bad size {token!r}, expected RxC", line=lineno)
     try:
-        rows, cols = int(parts[0]), int(parts[1])
+        rows, cols = _ascii_int(parts[0]), _ascii_int(parts[1])
     except ValueError:
         raise ParseError(f"bad size {token!r}, expected RxC",
                          line=lineno) from None
@@ -138,7 +157,7 @@ def parse_model_structure(text: str) -> ParsedStructure:
                 "expected `component <index> <kind> <algebra> <op> "
                 "<domain> <RxC>`", line=lineno)
         try:
-            index = int(tokens[1])
+            index = _ascii_int(tokens[1])
         except ValueError:
             raise ParseError(f"bad component index {tokens[1]!r}",
                              line=lineno) from None
@@ -186,14 +205,14 @@ def parse_model_structure(text: str) -> ParsedStructure:
             pos += 1
 
         grid, row_linenos = [], []
+        where = f"component {index}"
         for _ in range(rows):
             if pos >= len(lines):
                 raise ParseError(
                     f"component {index}: matrix truncated, expected "
                     f"{rows} rows", line=lines[-1][0])
             lineno, line = lines[pos]
-            grid.append(_scalar_row(line, lineno, cols,
-                                    f"component {index}"))
+            grid.append(_scalar_row(line, lineno, cols, where))
             row_linenos.append(lineno)
             pos += 1
         try:

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import operator
 from functools import reduce
+from itertools import chain
 
 from .errors import DomainError, ShapeMismatch
 from .values import (
     OrderPolicy,
     Scalar,
     ValueDomain,
+    _coerce_each,
     _order_pair,
-    coerce,
     domain_join,
     parse_name,
     render_scalar,
@@ -26,32 +27,49 @@ from .values import (
 OPS = ("circle", "maxmin", "minmax")
 
 
+def _is_size(value) -> bool:
+    """Whether `value` is an int, and not a bool, as a dimension must be."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Matrix:
     """Immutable rows x cols matrix of Scalars declared over a ValueDomain
     (a member or its text, such as `unit`).
 
-    Entries are checked against the domain's membership predicate at
-    construction. Indexing is 0-based.
+    The shape is two ints and the entries are Scalars, ints or floats;
+    anything else raises ShapeMismatch or DomainError, and so does an
+    entry outside the domain's membership predicate. Indexing is 0-based.
     """
 
     __slots__ = ("rows", "cols", "domain", "entries", "_memos")
 
     def __init__(self, rows, cols, entries, domain=ValueDomain.ANY):
         domain = ValueDomain.parse(domain)
-        rows = int(rows)
-        cols = int(cols)
+        if not (_is_size(rows) and _is_size(cols)):
+            raise ShapeMismatch(
+                f"matrix shape ({rows!r}, {cols!r}) is not two ints")
         if rows < 1 or cols < 1:
             raise ShapeMismatch(f"matrix shape {rows}x{cols} is empty")
-        cells = tuple(coerce(e) for e in entries)
+
+        def entry(idx):
+            return f"entry ({idx // cols + 1},{idx % cols + 1})"
+
+        cells = _coerce_each(entries, entry)
         if len(cells) != rows * cols:
             raise ShapeMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, "
                 f"got {len(cells)}")
-        for idx, cell in enumerate(cells):
-            if not domain.contains(cell):
-                raise DomainError(
-                    f"entry ({idx // cols + 1},{idx % cols + 1}) = "
-                    f"{render_scalar(cell)} is outside domain {domain.value}")
+        # each distinct entry object is checked once (a few literals fill
+        # most matrices); `cells` keeps the objects alive, so no id is
+        # reused. A failure is found again in row-major order, so the
+        # error names the first entry outside the domain.
+        if not all(map(domain.contains,
+                       dict(zip(map(id, cells), cells)).values())):
+            for idx, cell in enumerate(cells):
+                if not domain.contains(cell):
+                    raise DomainError(
+                        f"{entry(idx)} = {render_scalar(cell)} is outside "
+                        f"domain {domain.value}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "domain", domain)
@@ -88,8 +106,7 @@ class Matrix:
             if len(r) != width:
                 raise ShapeMismatch(
                     f"row {i + 1} has {len(r)} entries, expected {width}")
-        flat = [cell for r in rows for cell in r]
-        return cls(len(rows), width, flat, domain)
+        return cls(len(rows), width, chain.from_iterable(rows), domain)
 
     def at(self, i, j) -> Scalar:
         return self.entries[i * self.cols + j]

@@ -19,6 +19,7 @@ from .values import (
     OrderPolicy,
     ValueDomain,
     _ancestors,
+    _coerce_each,
     coerce,
     parse_name,
     render_scalar,
@@ -171,7 +172,10 @@ class SpecialStateVector:
 
     def __init__(self, parts, side=DOMAIN_SIDE):
         parse_name(side, SIDES, "side")
-        packed = tuple(tuple(map(coerce, part)) for part in parts)
+        packed = tuple(
+            _coerce_each(part, lambda c, p=p: f"state part {p + 1}, "
+                                              f"coordinate {c + 1}")
+            for p, part in enumerate(parts))
         if not packed:
             raise EmptyUnion("a state union needs at least one part")
         for idx, part in enumerate(packed):

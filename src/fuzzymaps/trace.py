@@ -9,8 +9,9 @@ final hidden pattern.
 
 A run repeats a few states many times and decodes equal states of a
 component to one tuple, so each call renders each such tuple once
-(render_trace) and parses each distinct bracketed state text once
-(parse_trace).
+(render_trace) and parses each distinct bracketed state text, and each
+distinct step line after its step number, once (parse_trace). Every
+number in a trace is written in ASCII digits, and read only so.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ from .models import ModelClass, _dynamical_class, _tag_diagnostics
 from .special import CM, SIDES, ComponentTag, SpecialMatrix, render_part
 from .values import (
     OrderPolicy,
+    _ascii_int,
     _check_threshold_k,
     parse_name,
     parse_scalar,
+    parse_scalars,
     render_scalar,
 )
 
@@ -148,12 +151,26 @@ def _parse_state(text: str, states: dict):
     if state is None:
         if not (text.startswith("[") and text.endswith("]")):
             raise TraceError(f"bad state {text!r}")
-        state = states[text] = tuple(map(parse_scalar, text[1:-1].split()))
+        state = states[text] = parse_scalars(text[1:-1].split())
     return state
 
 
 def _parse_states(text: str, states: dict):
     return tuple(_parse_state(chunk, states) for chunk in text.split("|"))
+
+
+def _parse_step_body(body: str, states: dict) -> dict:
+    """The fields of a step line after its step number."""
+    fields = dict(_FIELD_RE.findall(body))
+    return {
+        "component": _ascii_int(fields["component"]) - 1,
+        "side": fields["side"],
+        "frozen": parse_name(fields["frozen"], ("yes", "no"),
+                             "frozen flag") == "yes",
+        "raw": _parse_state(fields["raw"], states),
+        "thresholded": _parse_state(fields["thresholded"], states),
+        "updated": _parse_state(fields["updated"], states),
+    }
 
 
 def parse_trace(text: str) -> dict:
@@ -171,6 +188,7 @@ def parse_trace(text: str) -> dict:
     steps = []
     finals = {}
     states = {}  # bracketed state text -> its parsed tuple
+    bodies = {}  # step line text after the step number -> its fields
     saw_end = False
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -185,7 +203,8 @@ def parse_trace(text: str) -> dict:
             elif head == "run":
                 fields = _engine_fields(rest)
                 side = parse_name(fields["side"], SIDES, "side")
-                counts = int(fields["steps"]), int(fields["components"])
+                counts = (_ascii_int(fields["steps"]),
+                          _ascii_int(fields["components"]))
                 if "class" in fields:
                     model_class = ModelClass.parse(fields["class"])
                 if "policy" in fields:
@@ -195,39 +214,34 @@ def parse_trace(text: str) -> dict:
                     _check_threshold_k(k.real_part if k.is_real else k)
             elif head == "component":
                 tokens = rest.split(None, 1)
-                idx = int(tokens[0]) - 1
+                idx = _ascii_int(tokens[0]) - 1
                 fields = _engine_fields(tokens[1])
                 tags[idx] = ComponentTag(fields["kind"], fields["algebra"],
                                          fields["op"])
-                shapes[idx] = int(fields["rows"]), int(fields["cols"])
+                shapes[idx] = (_ascii_int(fields["rows"]),
+                               _ascii_int(fields["cols"]))
             elif head == "input":
                 tokens = rest.split(None, 1)
-                inputs[int(tokens[0]) - 1] = _parse_state(tokens[1].strip(),
-                                                          states)
+                inputs[_ascii_int(tokens[0]) - 1] = _parse_state(
+                    tokens[1].strip(), states)
             elif head == "mask":
                 tokens = rest.split(None, 1)
                 body = tokens[1].strip()
                 if not (body.startswith("[") and body.endswith("]")):
                     raise TraceError("bad mask")
                 coords = body[1:-1].split()
-                masks[int(tokens[0]) - 1] = tuple(int(c) - 1 for c in coords)
+                masks[_ascii_int(tokens[0]) - 1] = tuple(
+                    _ascii_int(c) - 1 for c in coords)
             elif head == "step":
-                tokens = rest.split(None, 1)
-                fields = dict(_FIELD_RE.findall(tokens[1]))
-                steps.append({
-                    "step": int(tokens[0]),
-                    "component": int(fields["component"]) - 1,
-                    "side": fields["side"],
-                    "frozen": parse_name(fields["frozen"], ("yes", "no"),
-                                         "frozen flag") == "yes",
-                    "raw": _parse_state(fields["raw"], states),
-                    "thresholded": _parse_state(fields["thresholded"],
-                                                states),
-                    "updated": _parse_state(fields["updated"], states),
-                })
+                number, body = rest.split(None, 1)
+                step = _ascii_int(number)
+                entry = bodies.get(body)
+                if entry is None:
+                    entry = bodies[body] = _parse_step_body(body, states)
+                steps.append({"step": step, **entry})
             elif head == "final":
                 tokens = rest.split(None, 1)
-                idx = int(tokens[0]) - 1
+                idx = _ascii_int(tokens[0]) - 1
                 fields = dict(_FIELD_RE.findall(tokens[1]))
                 shape = tokens[1].split()[0]
                 if shape not in _FINAL_FIELDS:
@@ -237,14 +251,14 @@ def parse_trace(text: str) -> dict:
                 cycle = tuple(zip(*columns)) if "pair" in shape \
                     else columns[0]
                 outcome = Recurrence.outcome(cycle)
-                period = int(fields["period"])
+                period = _ascii_int(fields["period"])
                 if outcome_shape(outcome)[0] != shape \
                         or outcome.period != period \
                         or len({len(c) for c in columns}) != 1:
                     raise TraceError(f"{shape} period={period} does not "
                                      f"fit its recorded states")
                 finals[idx] = {"shape": shape, "period": period,
-                               "settled": int(fields["settled"]),
+                               "settled": _ascii_int(fields["settled"]),
                                "outcome": outcome}
             elif head == "end":
                 saw_end = True

@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 from .errors import (
     DomainError,
@@ -114,6 +115,26 @@ def coerce(value) -> Scalar:
     if isinstance(value, (int, float)):
         return Scalar(value)
     raise TypeError(f"cannot interpret {value!r} as a scalar")
+
+
+def _coerce_each(values, name) -> tuple:
+    """`values` as a tuple of Scalars, each as coerce gives it. A value
+    that is not a Scalar, an int or a float, or is an int too large for a
+    float, raises DomainError; `name(i)` names the i-th value (0-based)."""
+    values = tuple(values)
+    if all(map(isinstance, values, repeat(Scalar))):
+        return values
+    out = []
+    for idx, value in enumerate(values):
+        try:
+            out.append(coerce(value))
+        except TypeError:
+            raise DomainError(
+                f"{name(idx)} = {value!r} is not a scalar") from None
+        except OverflowError:
+            raise DomainError(
+                f"{name(idx)} is an int too large for a float") from None
+    return tuple(out)
 
 
 ZERO = Scalar(0)
@@ -390,7 +411,19 @@ def tconorm(kind, a, b) -> Scalar:
     return ONE
 
 
-_NUMBER_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+# ASCII digits only: `\d` and float() also take other scripts' digits
+_NUMBER_RE = re.compile(
+    r"^[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?$")
+
+
+def _ascii_int(text: str) -> int:
+    """The natural number `text` spells in ASCII decimal digits. Raises
+    ValueError, as int() does, on anything else: a sign, an underscore,
+    surrounding whitespace or another script's digits, all of which int()
+    takes."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a natural number in ASCII digits: {text!r}")
+    return int(text)
 
 
 def _parse_number(text, original):
@@ -420,15 +453,27 @@ _LITERALS = {}
 def parse_scalar(text: str) -> Scalar:
     """Parse the scalar text syntax: `0.3`, `-1`, `I`, `2I`, `0.3+0.5I`,
     `7-I`, and the I-term-first form `7I-1`. Whitespace inside the token
-    is ignored. A coefficient that overflows a float raises ParseError.
-    Equal tokens share one Scalar object while the memo (_LITERALS) has
-    room."""
+    is ignored. Numerals are ASCII digits only. A coefficient that
+    overflows a float raises ParseError. Equal tokens share one Scalar
+    object while the memo (_LITERALS) has room."""
     value = _LITERALS.get(text)
     if value is None:
         value = _parse_scalar(text)  # a ParseError is never memoized
         if len(_LITERALS) < _LITERAL_LIMIT:
             _LITERALS[text] = value
     return value
+
+
+def parse_scalars(tokens) -> tuple:
+    """The scalars a sequence of tokens spells, in order: the objects
+    `[parse_scalar(t) for t in tokens]` gives, and on a bad token the
+    same ParseError. A line of tokens the memo holds, the common case, is
+    one C-level pass of lookups; only a line with a token the memo lacks
+    goes through parse_scalar token by token."""
+    try:
+        return tuple(map(_LITERALS.__getitem__, tokens))
+    except KeyError:  # a token not memoized (yet): parse each in turn
+        return tuple(map(parse_scalar, tokens))
 
 
 def _parse_scalar(text):

@@ -92,6 +92,13 @@ def test_validate_unknown_operator_is_a_parse_error_at_its_line():
     assert proc.stdout == ""
 
 
+def test_validate_bad_token_is_a_parse_error_at_its_line_and_column():
+    proc = cli("validate", "--model", FIXTURES / "bad_token.model")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: line 7, col 8: bad scalar 'one'\n"
+    assert proc.stdout == ""
+
+
 def test_validate_missing_file(tmp_path):
     proc = cli("validate", "--model", tmp_path / "nope.model")
     assert proc.returncode == 2
@@ -253,6 +260,15 @@ def test_compose_overflowing_entry_is_a_parse_error(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == ("error: line 1, col 1: scalar '1e400' is out "
                            "of range\n")
+
+
+def test_compose_non_ascii_digit_is_a_parse_error(capsys):
+    bad = FIXTURES / "fullwidth_digit_bad.txt"
+    assert cli_module.main(["compose", "--op", "maxmin", str(bad),
+                            str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 1, col 5: bad scalar '１'\n"
+    assert captured.out == ""
 
 
 def test_compose_non_finite_result_is_a_validation_error(tmp_path):

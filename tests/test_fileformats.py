@@ -1,9 +1,12 @@
 """Model, vector, and matrix text formats: round trips and diagnostics."""
 
 import pathlib
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fuzzymaps import fileformats
 from fuzzymaps import (
     DOMAIN_SIDE,
     DomainError,
@@ -244,6 +247,79 @@ def test_bad_scalar_column_counts_in_the_raw_line(parse, text, col):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert (err.value.line, err.value.col) == (1, col)
+
+
+# separators str.split() and `\s` both take: ASCII, a file separator,
+# a no-break space and an ideographic space
+_SEPARATORS = [" ", "\t", "\x0b", "\x1c", "\xa0", "\u3000"]
+# good tokens, and bad ones that also occur inside good ones
+_ROW_TOKENS = ["0", "1", "-1", "I", "0.5", "2+3I", "7I-1", "1e0", "e0",
+               "x", "1_0", "１", "+", "I+I"]
+
+
+def _first_bad_column(line, skip):
+    """The 1-based column of the first token after `skip` that
+    parse_scalar rejects, walking the line's runs of non-space; None if
+    all parse."""
+    for token in list(re.finditer(r"\S+", line))[skip:]:
+        try:
+            parse_scalar(token.group())
+        except ParseError:
+            return token.start() + 1
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_SEPARATORS),
+                          st.sampled_from(_ROW_TOKENS)), min_size=1,
+                max_size=8),
+       st.sampled_from(_SEPARATORS), st.integers(0, 1))
+def test_scalar_row_error_column_is_the_finditer_column(pairs, tail, skip):
+    line = "".join(sep + token for sep, token in pairs) + tail
+    tokens = [token for _, token in pairs][skip:]
+    col = _first_bad_column(line, skip)
+    if col is None:
+        assert fileformats._scalar_row(line, 4, skip=skip) == tuple(
+            map(parse_scalar, tokens))
+        return
+    with pytest.raises(ParseError) as err:
+        fileformats._scalar_row(line, 4, skip=skip)
+    assert (err.value.line, err.value.col) == (4, col)
+    bad = line[col - 1:].split()[0]
+    assert err.value.message.endswith(repr(bad))
+
+
+@pytest.mark.parametrize("size", ["0_2x2", "2x0_2", "２x2", "2x٢", "+2x2"])
+def test_size_is_ascii_digits_only(size):
+    bad = GOOD_MODEL.replace("tri 2x2", f"tri {size}")
+    with pytest.raises(ParseError, match="^line 2: bad size"):
+        parse_model_text(bad)
+
+
+@pytest.mark.parametrize("index", ["+1", "1_0", "١", "01_"])
+def test_component_index_is_ascii_digits_only(index):
+    bad = GOOD_MODEL.replace("component 1 CM", f"component {index} CM")
+    with pytest.raises(ParseError, match="^line 2: bad component index"):
+        parse_model_text(bad)
+
+
+def test_bad_token_fixture_names_its_line_and_column():
+    with pytest.raises(ParseError) as err:
+        parse_model_text((FIXTURES / "bad_token.model").read_text())
+    assert str(err.value) == "line 7, col 8: bad scalar 'one'"
+
+
+@pytest.mark.parametrize("text, where", [
+    ("0.3 １\n0 0.7\n", "line 1, col 5: bad scalar '１'"),
+    ("0 1\n٣ 0\n", "line 2, col 1: bad scalar '٣'"),
+])
+def test_non_ascii_numerals_are_bad_scalars(text, where):
+    with pytest.raises(ParseError) as err:
+        parse_matrix_text(text)
+    assert str(err.value) == where
+    bad_line = next(l for l in text.splitlines() if not l.isascii())
+    with pytest.raises(ParseError, match="bad scalar"):
+        parse_vector_text("domain " + bad_line)
 
 
 # ------------------------------------------------------------ matrix format

@@ -6,9 +6,10 @@ here.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fuzzymaps import (
+    I,
     DomainError,
     Matrix,
     Scalar,
@@ -21,7 +22,9 @@ from fuzzymaps import (
     mat_mul,
     maxmin_compose,
     minmax_compose,
+    coerce,
     parse_scalar,
+    render_scalar,
     row_vector,
     transpose,
     zeros,
@@ -73,6 +76,82 @@ def test_with_domain_revalidates():
     with pytest.raises(DomainError):
         m.with_domain(UNIT)
     assert m.with_domain(TRI if False else ANY).domain is ANY
+
+
+@pytest.mark.parametrize("entry, message", [
+    (True, "entry (1,1) = True is not a scalar"),
+    ("1", "entry (1,1) = '1' is not a scalar"),
+    (None, "entry (1,1) = None is not a scalar"),
+    pytest.param(10**400, "entry (1,1) is an int too large for a float",
+                 id="int-beyond-float"),
+    pytest.param(-10**400, "entry (1,1) is an int too large for a float",
+                 id="negative-int-beyond-float"),
+])
+def test_entry_that_is_not_a_scalar_is_a_domain_error(entry, message):
+    with pytest.raises(DomainError) as err:
+        Matrix(1, 1, [entry])
+    assert str(err.value) == message
+    # named at its own cell, after entries that are fine
+    with pytest.raises(DomainError, match=r"^entry \(2,1\) "):
+        Matrix(2, 2, [0, Scalar(1), entry, 0.5])
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ("x", 1), (1, "2"), (1.5, 1), (1, 2.0), (True, 1), (1, False), (None, 1)])
+def test_shape_that_is_not_two_ints_is_a_shape_mismatch(rows, cols):
+    with pytest.raises(ShapeMismatch, match="is not two ints"):
+        Matrix(rows, cols, [1])
+
+
+# an entry pool whose objects repeat: shared Scalars, ints, floats, some
+# inside [0, 1] and some outside it
+_SHARED = [Scalar(0), Scalar(1), Scalar(0.5), Scalar(2), Scalar(-1), I,
+           Scalar(0.5, 0.5)]
+_POOL = _SHARED + [0, 1, 0.5, 2, -1, 1.5, 0.0, -0.5]
+
+
+def _reference_domain_error(cols, entries, domain):
+    """The first entry, in row-major order, outside `domain`, as Matrix
+    names it, each entry checked in turn; None if all are inside."""
+    for idx, entry in enumerate(entries):
+        cell = coerce(entry)
+        if not domain.contains(cell):
+            return (f"entry ({idx // cols + 1},{idx % cols + 1}) = "
+                    f"{render_scalar(cell)} is outside domain {domain.value}")
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data(),
+       st.sampled_from(list(ValueDomain)))
+def test_domain_error_names_the_entry_an_entry_by_entry_check_names(
+        rows, cols, data, domain):
+    entries = data.draw(st.lists(st.sampled_from(_POOL),
+                                 min_size=rows * cols, max_size=rows * cols))
+    expected = _reference_domain_error(cols, entries, domain)
+    if expected is None:
+        m = Matrix(rows, cols, entries, domain)
+        assert m.entries == tuple(map(coerce, entries))
+        # Scalar entries are kept as the objects given
+        assert all(a is b for a, b in zip(m.entries, entries)
+                   if isinstance(b, Scalar))
+    else:
+        with pytest.raises(DomainError) as err:
+            Matrix(rows, cols, entries, domain)
+        assert str(err.value) == expected
+
+
+def test_domain_error_names_the_first_of_a_repeated_bad_entry():
+    bad = Scalar(2)
+    entries = [Scalar(0), bad, Scalar(1), bad, Scalar(3), bad]
+    with pytest.raises(DomainError) as err:
+        Matrix(2, 3, entries, UNIT)
+    assert str(err.value) == "entry (1,2) = 2 is outside domain unit"
+    # the first distinct entry is fine; a later, repeated one is not
+    entries = [Scalar(0)] * 4 + [bad] * 2
+    with pytest.raises(DomainError) as err:
+        Matrix(3, 2, entries, UNIT)
+    assert str(err.value) == "entry (3,1) = 2 is outside domain unit"
 
 
 def test_builders():

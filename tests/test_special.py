@@ -13,6 +13,7 @@ from fuzzymaps import (
     RANGE_SIDE,
     RM,
     ComponentTag,
+    DomainError,
     EmptyUnion,
     InvalidInput,
     Matrix,
@@ -196,6 +197,20 @@ def test_make_state_and_render():
     assert x.side == DOMAIN_SIDE
     assert render_part(x.parts[0]) == "[0 1]"
     assert render_part((parse_scalar("I"), Scalar(0.5))) == "[I 0.5]"
+
+
+@pytest.mark.parametrize("value, message", [
+    pytest.param(10**400, "state part 2, coordinate 3 is an int too large "
+                          "for a float", id="int-beyond-float"),
+    (True, "state part 2, coordinate 3 = True is not a scalar"),
+    ("1", "state part 2, coordinate 3 = '1' is not a scalar"),
+    (None, "state part 2, coordinate 3 = None is not a scalar"),
+])
+def test_seed_coordinate_that_is_not_a_scalar_is_a_domain_error(value,
+                                                                 message):
+    with pytest.raises(DomainError) as err:
+        SpecialStateVector([[1, 0], [0, Scalar(1), value]])
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------- apply

@@ -479,6 +479,28 @@ def test_parse_rejects_malformed_lines():
                  id="threshold-k-indeterminate"),
     pytest.param("step 1 ", lambda l: l.replace("frozen=no", "frozen=maybe"),
                  id="frozen"),
+    # every number is ASCII decimal digits, which int() does not insist on
+    pytest.param("run ", lambda l: l.replace("steps=7", "steps=0_7"),
+                 id="steps-underscore"),
+    pytest.param("run ", lambda l: l.replace("components=6", "components=６"),
+                 id="components-fullwidth"),
+    pytest.param("component 1 ", lambda l: l.replace("rows=8", "rows=+8"),
+                 id="rows-sign"),
+    pytest.param("component 1 ",
+                 lambda l: l.replace("component 1", "component ١"),
+                 id="component-index-arabic-indic"),
+    pytest.param("mask 1 ", lambda l: "mask 1 [0_1]", id="mask-underscore"),
+    pytest.param("step 1 ", lambda l: l.replace("step 1", "step +1"),
+                 id="step-sign"),
+    pytest.param("step 1 ",
+                 lambda l: l.replace("component=1", "component=1_0"),
+                 id="step-component-underscore"),
+    pytest.param("final 1 ", lambda l: l.replace("period=1", "period=１"),
+                 id="period-fullwidth"),
+    pytest.param("final 1 ", lambda l: l.replace("settled=3", "settled=٣"),
+                 id="settled-arabic-indic"),
+    pytest.param("input 1 ", lambda l: l.replace("[1 ", "[１ "),
+                 id="input-fullwidth-digit"),
 ])
 def test_malformed_line_raises_trace_error_naming_it(prefix, edit):
     lines = GOLDEN.splitlines()
@@ -500,6 +522,32 @@ def test_bad_state_on_many_lines_names_the_first():
     bad = "\n".join(lines).replace(state, state[:-1] + " 1+]") + "\n"
     with pytest.raises(TraceError, match=rf"^line {first + 1}: "):
         parse_trace(bad)
+
+
+def test_bad_step_body_on_many_lines_names_the_first():
+    # a step body that fails to parse is never kept for the lines after it
+    lines = GOLDEN.splitlines()
+    body = "component=6 side=domain frozen=yes "
+    at = [i for i, l in enumerate(lines)
+          if l.startswith("step ") and body in l]
+    repeated = lines[at[0]].split(None, 2)[2]
+    assert sum(l.split(None, 2)[2] == repeated for l in lines
+               if l.startswith("step ")) > 1
+    bad = [l.replace("frozen=yes", "frozen=maybe") if i in at else l
+           for i, l in enumerate(lines)]
+    with pytest.raises(TraceError, match=rf"^line {at[0] + 1}: unknown "
+                                         rf"frozen flag 'maybe'"):
+        parse_trace("\n".join(bad) + "\n")
+
+
+def test_repeated_step_bodies_parse_to_their_own_step_numbers():
+    data = parse_trace(GOLDEN)
+    lines = [l.split(None, 2) for l in GOLDEN.splitlines()
+             if l.startswith("step ")]
+    assert [e["step"] for e in data["steps"]] == [int(l[1]) for l in lines]
+    for entry, (_, _, body) in zip(data["steps"], lines):
+        assert f"component={entry['component'] + 1} " in body
+        assert f"frozen={'yes' if entry['frozen'] else 'no'} " in body
 
 
 @pytest.mark.parametrize("model_class, problem", [

@@ -432,3 +432,56 @@ def test_render_scalar_memo_matches_a_fresh_rendering():
         mp.setattr(values, "_TEXT_LIMIT", 16)
         check()
         assert len(values._TEXTS) == 16
+
+
+def test_parse_scalars_gives_the_objects_parse_scalar_gives():
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(tokens, max_size=12))
+    def check(line):
+        try:
+            expected = [parse_scalar(t) for t in line]
+        except ParseError as exc:
+            with pytest.raises(ParseError) as again:
+                values.parse_scalars(line)
+            assert again.value.message == exc.message
+            return
+        got = values.parse_scalars(line)
+        assert len(got) == len(expected)
+        for token, a, b in zip(line, got, expected):
+            if token in values._LITERALS:  # memoized: one shared object
+                assert a is b
+            else:  # beyond a full memo every call parses afresh
+                assert type(a) is Scalar
+                assert (a.real_part, a.indet_coeff) == (b.real_part,
+                                                        b.indet_coeff)
+
+    # a small bound, so that the memo fills up and lines hold tokens
+    # beyond it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(values, "_LITERALS", {})
+        mp.setattr(values, "_LITERAL_LIMIT", 16)
+        check()
+        assert len(values._LITERALS) == 16
+
+
+def test_parse_scalars_parses_the_tokens_a_line_adds_to_the_memo():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(values, "_LITERALS", {})
+        got = values.parse_scalars(["0.25", "I", "0.25", "-7I"])
+        assert got == (Scalar(0.25), I, Scalar(0.25), Scalar(0, -7))
+        assert got[0] is got[2] is values._LITERALS["0.25"]
+        # the second reading is all memo hits, to the same objects
+        again = values.parse_scalars(["-7I", "0.25"])
+        assert again[0] is got[3] and again[1] is got[0]
+
+
+@pytest.mark.parametrize("token", [
+    "１", "٣", "0.٥", "1e٣", "²", "1_0", "1_0I", "0.5+１I", "٣I-1"])
+def test_numerals_are_ascii_digits_only(token):
+    # `\d` and float() take other scripts' digits, and float() takes
+    # underscores; the scalar syntax takes neither
+    with pytest.raises(ParseError, match="bad scalar"):
+        parse_scalar(token)
+    with pytest.raises(ParseError, match="bad scalar"):
+        values.parse_scalars(["0", token])
+
