@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from .dynamics import DEFAULT_MAX_STEPS
@@ -39,7 +40,7 @@ from .matrices import (
 from .models import class_diagnostics, diagonal_diagnostics, run
 from .special import SpecialMatrix
 from .trace import render_trace
-from .values import OrderPolicy, render_scalar
+from .values import _NUMBER_RE, OrderPolicy, _ascii_int, render_scalar
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -160,6 +161,34 @@ def cmd_fre(args) -> int:
     return EXIT_OK
 
 
+def _step_cap(text: str) -> int:
+    """--max-steps: an int in ASCII decimal digits (values._ascii_int),
+    with an optional minus sign, so that the run, not the parser, rejects
+    a cap below 1 (exit 3)."""
+    try:
+        return -_ascii_int(text[1:]) if text[:1] == "-" else _ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an int in ASCII digits: {text!r}") from None
+
+
+def _cut_constant(text: str) -> float:
+    """--threshold-k: a decimal number as the file grammars spell one
+    (values._NUMBER_RE, ASCII digits only). A spelling of an infinity or
+    a NaN passes as its float, for the run to reject as not finite
+    (exit 3)."""
+    if _NUMBER_RE.match(text):
+        return float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"not a decimal number in ASCII digits: {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every
@@ -184,9 +213,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--order-policy", default=_DEFAULT_POLICY,
                        choices=_POLICIES,
                        help="how min/max treat indeterminate values")
-    p_run.add_argument("--threshold-k", type=float, default=0.0,
+    p_run.add_argument("--threshold-k", type=_cut_constant, default=0.0,
                        help="cut constant (strictly greater passes)")
-    p_run.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS,
+    p_run.add_argument("--max-steps", type=_step_cap,
+                       default=DEFAULT_MAX_STEPS,
                        help="iteration safety cap")
 
     p_compose = sub.add_parser(

@@ -32,10 +32,11 @@ the operator its tag declares.
   one a LimitCycle. Recurrence holds this rule, and trace verification
   drives it too.
 
-Each component's step is compiled once at the start of a run into the
-kernel its tag names, which only applies and cuts per side (the matrix
-from the domain, its transpose from the range), and the run calls only
-that one step. The carrier rule fixes what a kernel's entries can be,
+Each component's step is set up at the start of a run on the kernel its
+tag names, which only applies and cuts per side (the matrix from the
+domain, its transpose from the range), and the run calls only that one
+step. What a kernel derives from the matrix alone is kept on the matrix
+(Matrix._memo). The carrier rule fixes what a kernel's entries can be,
 so each kernel takes every component of its tag:
 
   algebra       operator       kernel
@@ -46,11 +47,13 @@ so each kernel takes every component of its tag:
 
 * packed: weights in {-1, 0, 1}; a state is one int holding a field of
   F bits per coordinate, and a step adds, to a bias, one packed int of
-  weights per ON coordinate, built once per matrix and side and kept on
-  the matrix. Field j of the sum is raw_j + B - c, where the cut
-  c = floor(k) + 1 is clamped to [-m, m + 1] for m = max(rows, cols) and
-  the guard bit B is a power of two above 2m + 1. As |raw_j| <= m, no
-  field borrows or carries, and the cut is each field's guard bit;
+  weights per ON coordinate. Field j of the sum is raw_j + B - c, where
+  the cut c = floor(k) + 1 is clamped to [-m, m + 1] for
+  m = max(rows, cols) and the guard bit B = 1 << (F - 1) is above
+  2m + 1. As |raw_j| <= m, no field borrows or carries, and the cut is
+  each field's guard bit. F is a multiple of 8, so a state decodes from
+  its bytes. The operands depend only on the matrix, the clamped cut and
+  the kind, and are compiled once and kept on the matrix;
 * trit: weights in {-1, 0, 1, I}; states are pairs of int bitmasks (the
   1 and the I coordinates), raw values t + sI have exact integer parts,
   popcounts via int.bit_count (so Python 3.10+) over per-matrix masks of
@@ -77,6 +80,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import FrozenInstanceError, dataclass
+from operator import itemgetter
 
 from .errors import (
     InvalidInput,
@@ -332,7 +336,7 @@ class HiddenPattern:
     @property
     def mask(self) -> tuple:
         """Per component, the 0-based coordinates ON in the seed."""
-        return tuple(map(on_coordinates, self.input.parts))
+        return self.input._memo(_seed_masks)
 
     def describe(self) -> str:
         lines = []
@@ -371,15 +375,31 @@ def validate_input(m: SpecialMatrix, x: SpecialStateVector) -> list:
     """Every way a run of `m` from `x` cannot start, as messages naming
     the component: each component off the carrier of its tag, then the
     part count, else each part's seed_problems on the seeded side. Empty
-    means valid."""
-    out = _carrier_problems(m)
+    means valid.
+
+    Each input is read once: the union keeps its carrier problems and the
+    seed keeps each part's problems per component index, kind and shape,
+    so a sweep of seeds over one union, or of unions under one seed,
+    checks each part once."""
+    out = [*m._memo(_carrier_problems)]
     if len(x) != len(m):
         return out + [
             f"input has {len(x)} parts, union has {len(m)} components"]
-    for idx, ((mat, tag), part) in enumerate(zip(m, x.parts)):
-        out += seed_problems(f"component {idx + 1}", part, tag.kind, x.side,
-                             mat.rows, mat.cols)
+    for idx, (mat, tag) in enumerate(m):
+        out += x._memo(_part_problems, idx, tag.kind, mat.rows, mat.cols)
     return out
+
+
+def _part_problems(x, idx, kind, rows, cols) -> tuple:
+    """The seed_problems of part `idx` of the seed `x` as the seed part of
+    component idx + 1, a rows x cols component of `kind`."""
+    return tuple(seed_problems(f"component {idx + 1}", x.parts[idx], kind,
+                               x.side, rows, cols))
+
+
+def _seed_masks(x) -> tuple:
+    """Per part of the seed `x`, its on_coordinates."""
+    return tuple(map(on_coordinates, x.parts))
 
 
 # -- compiled steps ----------------------------------------------------------
@@ -466,35 +486,32 @@ class _PackedStep(_Kernel):
     Coordinate i of a state sits at bit F*i. The applied operand maps the
     bit of each input coordinate i to W_i = sum_j m_ij << F*j, the
     matrix's row i packed over its columns for the domain and, on an RM
-    component, its column i packed over its rows for the range, built once
-    per matrix and kept on it. A step starts from bias = (B - c) * ONES,
-    ONES holding a 1 in the field of each output coordinate, and adds W_i
-    for each ON coordinate, so field j of the raw record y is
-    B - c + raw_j. As |raw_j| <= m = max(rows, cols), the clamped cut
-    c = floor(k) + 1 lies in [-m, m + 1] and the guard bit B = 1 <<
-    (2m + 1).bit_length() exceeds 2m + 1, each field stays in [1, 2B): it
-    never borrows from or carries into its neighbour. Raws are ints, so
-    raw_j > k exactly when field j reaches B, its top bit: the cut is
-    (y >> (F - 1)) & ONES, and pinning ORs in the seed's bits.
+    component, its column i packed over its rows for the range. A step
+    starts from bias = (B - c) * ONES, ONES holding a 1 in the field of
+    each output coordinate, and adds W_i for each ON coordinate, so field
+    j of the raw record y is B - c + raw_j. As |raw_j| <= m = max(rows,
+    cols), the clamped cut c = floor(k) + 1 lies in [-m, m + 1] and the
+    guard bit B = 1 << (F - 1) exceeds 2m + 1, each field stays in
+    [1, 2B): it never borrows from or carries into its neighbour. Raws are
+    ints, so raw_j > k exactly when field j reaches B, its top bit: the
+    cut is (y >> (F - 1)) & ONES, and pinning ORs in the seed's bits.
+
+    F is a multiple of 8 (_field_width), so each field starts on a byte
+    and the cut bit of coordinate i is the low bit of byte (F/8)*i: a
+    state decodes from every (F/8)-th byte of its little-endian bytes.
+    The operands depend only on the matrix, the clamped cut and the kind,
+    so they are compiled once (_PackedCode) and kept on the matrix; a run
+    adds only its pin mask and its decode memo.
     """
 
     def __init__(self, matrix, tag, k, pin_on, policy):
         super().__init__()
-        width = _field_width(matrix)
         reach = max(matrix.shape)
         cut = min(max(math.floor(k) + 1, -reach), reach + 1)
-        self.offset = (1 << width - 1) - cut  # field j of y is offset + raw_j
-        operands = {DOMAIN_SIDE: matrix._memo(_packed_rows)}
-        if tag.kind == RM:
-            operands[RANGE_SIDE] = matrix._memo(_packed_columns)
-        self.operands = {side: (weights, self.offset * ones, ones)
-                         for side, (weights, ones) in operands.items()}
-        # the bit position of each field of a part on each side
-        self.fields = {DOMAIN_SIDE: range(0, width * matrix.rows, width),
-                       RANGE_SIDE: range(0, width * matrix.cols, width)}
-        self.shift = width - 1
-        self.mask = (1 << width) - 1
-        self.pin = sum(1 << width * i for i in pin_on)
+        self.code = code = matrix._memo(_PackedCode, cut, tag.kind)
+        self.operands = code.operands
+        self.shift = code.shift
+        self.pin = sum(map(code.bits.__getitem__, pin_on))
 
     def step(self, x, side, pin):
         weights, y, ones = self.operands[side]
@@ -509,25 +526,61 @@ class _PackedStep(_Kernel):
         return self.pin  # a crisp seed's ON bits are exactly its pin mask
 
     def decode(self, x, side):
-        return tuple([_BIT_SCALARS[x >> s & 1] for s in self.fields[side]])
+        code = self.code
+        cuts = x.to_bytes(code.lengths[side], "little")[::code.stride]
+        part = itemgetter(*cuts)(_BIT_SCALARS)
+        return part if len(cuts) > 1 else (part,)  # one index: a bare item
 
     def decode_raw(self, y, side):
-        mask, offset = self.mask, self.offset
+        code = self.code
+        mask, offset = code.mask, code.offset
         return tuple([_INT_SCALARS[(y >> s & mask) - offset]
-                      for s in self.fields[side]])
+                      for s in code.fields[side]])
+
+
+class _PackedCode:
+    """A packed circle step compiled for one matrix, clamped cut and kind:
+    the applied operand (weights, bias, ONES) of each side the kind steps
+    from, the shift that takes each field's guard bit to its low bit, and
+    the layout a part on each side decodes by. Built through Matrix._memo,
+    so each is built once and kept on the matrix."""
+
+    __slots__ = ("operands", "offset", "shift", "mask", "stride", "bits",
+                 "fields", "lengths")
+
+    def __init__(self, matrix, cut, kind):
+        width = _field_width(matrix)
+        # field j of a raw record y is offset + raw_j
+        self.offset = offset = (1 << width - 1) - cut
+        sides = {DOMAIN_SIDE: matrix._memo(_packed, False)}
+        if kind == RM:
+            sides[RANGE_SIDE] = matrix._memo(_packed, True)
+        self.operands = {side: (weights, offset * ones, ones)
+                         for side, (weights, ones) in sides.items()}
+        self.shift = width - 1
+        self.mask = (1 << width) - 1
+        self.stride = width // 8  # bytes per field
+        self.bits = _field_bits(width, max(matrix.shape))  # a pin's bits
+        sizes = {DOMAIN_SIDE: matrix.rows, RANGE_SIDE: matrix.cols}
+        # the bit position of each field, and the bytes, of a part per side
+        self.fields = {side: range(0, width * n, width)
+                       for side, n in sizes.items()}
+        self.lengths = {side: self.stride * n for side, n in sizes.items()}
 
 
 def _field_width(matrix):
-    """F, the field width of a packed circle step over `matrix`: one guard
-    bit above 2m + 1, for m = max(rows, cols)."""
-    return (2 * max(matrix.shape) + 1).bit_length() + 1
+    """F, the field width of a packed circle step over `matrix`: the least
+    multiple of 8 whose guard bit 1 << (F - 1) exceeds 2m + 1, for
+    m = max(rows, cols). F is 8 up to m = 63 and 16 from m = 64."""
+    return ((2 * max(matrix.shape) + 1).bit_length() + 8) // 8 * 8
 
 
 def _packed(matrix, by_columns):
     """({1 << F*i: W_i}, ONES) of a fuzzy circle `matrix` applied from the
     domain, or from the range when `by_columns`: W_i packs input i's
     weights, one F-bit field per output, and ONES has a 1 in each output
-    field."""
+    field. Kept on the matrix for every cut, as matrix._memo(_packed,
+    by_columns)."""
     width = _field_width(matrix)
     rows, cols = matrix.rows, matrix.cols
     reals = [int(e.real_part) for e in matrix.entries]
@@ -547,19 +600,12 @@ def _field_bits(width, count):
     return tuple([1 << width * i for i in range(count)])
 
 
-def _packed_rows(matrix):
-    return _packed(matrix, False)
-
-
-def _packed_columns(matrix):
-    return _packed(matrix, True)
-
-
 def _sign_masks(matrix, by_rows):
     """(P, N, Im) of a neutrosophic circle component's `matrix`, whose
     entries the carrier rule keeps in {-1, 0, 1, I}: per column (per row
     when `by_rows`), the bitmask of its +1 entries, that of its -1 entries
-    and that of its I entries."""
+    and that of its I entries. Kept on the matrix, as
+    matrix._memo(_sign_masks, by_rows)."""
     rows, cols = matrix.rows, matrix.cols
     pos = [0] * (rows if by_rows else cols)
     neg = pos[:]
@@ -577,14 +623,6 @@ def _sign_masks(matrix, by_rows):
             i, j = j, i
         masks[j] |= 1 << i
     return tuple(pos), tuple(neg), tuple(ind)
-
-
-def _column_masks(matrix):
-    return _sign_masks(matrix, False)
-
-
-def _row_masks(matrix):
-    return _sign_masks(matrix, True)
 
 
 _TRIT_SCALARS = (ZERO, ONE, I)  # by code: x1 bit + 2 * xI bit
@@ -623,12 +661,12 @@ class _TritStep(_Kernel):
 
     def __init__(self, matrix, tag, k, pin_on, policy):
         super().__init__()
-        self.operands = {DOMAIN_SIDE: matrix._memo(_column_masks),
-                         RANGE_SIDE: matrix._memo(_row_masks)
+        self.operands = {DOMAIN_SIDE: matrix._memo(_sign_masks, False),
+                         RANGE_SIDE: matrix._memo(_sign_masks, True)
                          if tag.kind == RM else None}
         self.sizes = {DOMAIN_SIDE: matrix.rows, RANGE_SIDE: matrix.cols}
         self.pin = sum(1 << i for i in pin_on)
-        self.bits = tuple(1 << j for j in range(max(matrix.shape)))
+        self.bits = _field_bits(1, max(matrix.shape))
         self.cut = _CutCodes(ThresholdMode(tag.algebra, k))
 
     def step(self, x, side, pin):
@@ -772,9 +810,9 @@ def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *,
     if problems:
         raise InvalidInput("; ".join(problems))
     runs = []
-    for (mat, tag), part in zip(m, x0.parts):
+    for (mat, tag), part, pin_on in zip(m, x0.parts, x0._memo(_seed_masks)):
         rule = _KERNEL_BY_TAG[tag.algebra, tag.op](
-            mat, tag, threshold_k, on_coordinates(part), policy)
+            mat, tag, threshold_k, pin_on, policy)
         runs.append(_ComponentRun(tag.kind, rule, part, x0.side))
     records = []
     for step in range(1, max_steps + 1):

@@ -19,6 +19,7 @@ from .values import (
     ValueDomain,
     _coerce_each,
     _order_pair,
+    _require_iterable,
     domain_join,
     parse_name,
     render_scalar,
@@ -32,7 +33,31 @@ def _is_size(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-class Matrix:
+class _Memoized:
+    """An immutable value that keeps data derived from it, computed once:
+    a step kernel's operands, a union's carrier problems, a seed's ON
+    coordinates. The memos are not part of the value: a subclass leaves
+    `_memos` out of equality, hashing and __reduce__, and sets it to None
+    on construction."""
+
+    __slots__ = ("_memos",)
+
+    def _memo(self, build, *key):
+        """`build(self, *key)`, computed on the first call with `build` and
+        `key` and kept on the object. `key` holds what else the derived
+        data depends on; it must be hashable."""
+        memos = self._memos
+        if memos is None:
+            memos = {}
+            object.__setattr__(self, "_memos", memos)
+        try:
+            return memos[build, key]
+        except KeyError:
+            value = memos[build, key] = build(self, *key)
+            return value
+
+
+class Matrix(_Memoized):
     """Immutable rows x cols matrix of Scalars declared over a ValueDomain
     (a member or its text, such as `unit`).
 
@@ -41,7 +66,7 @@ class Matrix:
     entry outside the domain's membership predicate. Indexing is 0-based.
     """
 
-    __slots__ = ("rows", "cols", "domain", "entries", "_memos")
+    __slots__ = ("rows", "cols", "domain", "entries")
 
     def __init__(self, rows, cols, entries, domain=ValueDomain.ANY):
         domain = ValueDomain.parse(domain)
@@ -54,7 +79,7 @@ class Matrix:
         def entry(idx):
             return f"entry ({idx // cols + 1},{idx % cols + 1})"
 
-        cells = _coerce_each(entries, entry)
+        cells = _coerce_each(entries, "matrix entries", entry)
         if len(cells) != rows * cols:
             raise ShapeMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, "
@@ -82,23 +107,16 @@ class Matrix:
     def __reduce__(self):  # the memos are not part of the value
         return Matrix, (self.rows, self.cols, self.entries, self.domain)
 
-    def _memo(self, build):
-        """`build(self)`, computed on the first call with `build` and kept
-        on the matrix: derived data, such as a step kernel's column masks,
-        that depends only on the entries. Not part of the value."""
-        memos = self._memos
-        if memos is None:
-            memos = {}
-            object.__setattr__(self, "_memos", memos)
-        try:
-            return memos[build]
-        except KeyError:
-            value = memos[build] = build(self)
-            return value
-
     @classmethod
     def from_rows(cls, rows, domain=ValueDomain.ANY) -> "Matrix":
-        rows = [list(r) for r in rows]
+        _require_iterable(rows, "matrix rows")
+        rows = list(rows)
+        try:
+            rows = [list(r) for r in rows]
+        except TypeError:
+            for r in rows:
+                _require_iterable(r, "a matrix row")
+            raise
         if not rows or not rows[0]:
             raise ShapeMismatch("matrix needs at least one row and column")
         width = len(rows[0])
@@ -148,7 +166,11 @@ class Matrix:
 
 
 def row_vector(values, domain=ValueDomain.ANY) -> Matrix:
-    values = list(values)
+    try:
+        values = list(values)
+    except TypeError:
+        _require_iterable(values, "row vector values")
+        raise
     return Matrix(1, len(values), values, domain)
 
 

@@ -20,7 +20,7 @@ from .special import (
     SpecialStateVector,
     _carrier_problems,
 )
-from .values import ZERO, parse_name
+from .values import parse_name
 
 
 class ModelClass(enum.Enum):
@@ -130,8 +130,8 @@ def class_diagnostics(model_class: ModelClass,
     naming the component and the broken rule: each component whose values
     are off the carrier of its tag (the rule a run applies too), then the
     class's tag-and-shape rule. Empty means valid."""
-    return _carrier_problems(special) + _tag_diagnostics(
-        model_class, [(tag, mat.shape) for mat, tag in special])
+    return [*special._memo(_carrier_problems), *_tag_diagnostics(
+        model_class, [(tag, mat.shape) for mat, tag in special])]
 
 
 def _tag_diagnostics(model_class: ModelClass, components) -> list:
@@ -172,17 +172,17 @@ def diagonal_diagnostics(special: SpecialMatrix) -> list:
 
     Only circle-operator squares are signed connection matrices with the
     no-self-influence rule; maxmin/minmax squares are membership relations
-    whose diagonal is meaningful data.
+    whose diagonal is meaningful data. A cell is zero when both its
+    coefficients are.
     """
     out = []
     for idx, (mat, tag) in enumerate(special):
         if tag.kind != CM or tag.op != "circle":
             continue
-        for i in range(mat.rows):
-            if mat.at(i, i) != ZERO:
+        for i, cell in enumerate(mat.entries[::mat.cols + 1]):
+            if cell.real_part or cell.indet_coeff:
                 out.append(f"component {idx + 1}: diagonal cell "
-                           f"({i + 1},{i + 1}) is {mat.at(i, i)}, "
-                           f"must be 0")
+                           f"({i + 1},{i + 1}) is {cell}, must be 0")
     return out
 
 

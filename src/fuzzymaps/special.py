@@ -13,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyUnion, NonSquareCM, ShapeMismatch
-from .matrices import OPS, Matrix, fold_row, operators
+from .matrices import OPS, Matrix, _Memoized, fold_row, operators
 from .values import (
     ALGEBRAS,
     OrderPolicy,
     ValueDomain,
     _ancestors,
     _coerce_each,
+    _require_iterable,
     coerce,
     parse_name,
     render_scalar,
@@ -71,12 +72,13 @@ _INSIDE = {carrier: frozenset(d for d in ValueDomain
            for carrier in _CARRIERS.values()}
 
 
-def _carrier_problems(components) -> list:
+def _carrier_problems(components) -> tuple:
     """Every component of `components`, (Matrix, ComponentTag) pairs,
     whose values are off the carrier of its tag, as messages naming it:
     its declared domain must sit inside the carrier of the tag's algebra
     and operator. Matrix checked every entry against that domain, so the
-    domain alone decides."""
+    domain alone decides. A union keeps its own, as
+    `union._memo(_carrier_problems)`."""
     out = []
     for idx, (matrix, tag) in enumerate(components):
         carrier = _CARRIERS[tag.algebra, tag.op]
@@ -84,11 +86,12 @@ def _carrier_problems(components) -> list:
             out.append(f"component {idx + 1}: values declared "
                        f"{matrix.domain.value}, but a {tag.algebra} "
                        f"{tag.op} component needs {carrier.value}")
-    return out
+    return tuple(out)
 
 
-class SpecialMatrix:
-    """Nonempty ordered union of (Matrix, ComponentTag) components."""
+class SpecialMatrix(_Memoized):
+    """Nonempty ordered union of (Matrix, ComponentTag) components. It
+    keeps data derived from it through `_memo`, outside its value."""
 
     __slots__ = ("components", "classification")
 
@@ -107,6 +110,7 @@ class SpecialMatrix:
                     f"{matrix.rows}x{matrix.cols}")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "classification", _classify(comps))
+        object.__setattr__(self, "_memos", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SpecialMatrix is immutable")
@@ -162,19 +166,22 @@ def _classify(components) -> str:
     return f"special {alg} {shape}"
 
 
-class SpecialStateVector:
+class SpecialStateVector(_Memoized):
     """A run's seed: one state part per component, plus the side (domain
     or range) every part is seeded on. Only RM components have both
     spaces; a CM component has a single node space, which is its domain,
-    so a run seeds it on the domain side only."""
+    so a run seeds it on the domain side only. It keeps data derived from
+    its parts through `_memo`, outside its value."""
 
     __slots__ = ("parts", "side")
 
     def __init__(self, parts, side=DOMAIN_SIDE):
         parse_name(side, SIDES, "side")
+        _require_iterable(parts, "state parts")
         packed = tuple(
-            _coerce_each(part, lambda c, p=p: f"state part {p + 1}, "
-                                              f"coordinate {c + 1}")
+            _coerce_each(part, f"state part {p + 1}",
+                         lambda c, p=p: f"state part {p + 1}, "
+                                        f"coordinate {c + 1}")
             for p, part in enumerate(parts))
         if not packed:
             raise EmptyUnion("a state union needs at least one part")
@@ -183,6 +190,7 @@ class SpecialStateVector:
                 raise ShapeMismatch(f"state part {idx + 1} is empty")
         object.__setattr__(self, "parts", packed)
         object.__setattr__(self, "side", side)
+        object.__setattr__(self, "_memos", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SpecialStateVector is immutable")

@@ -20,6 +20,7 @@ from .errors import (
     ModeMismatch,
     OrderUndefined,
     ParseError,
+    ShapeMismatch,
 )
 
 # Absolute tolerance for the t = s tie rule in neutrosophic thresholding.
@@ -117,11 +118,17 @@ def coerce(value) -> Scalar:
     raise TypeError(f"cannot interpret {value!r} as a scalar")
 
 
-def _coerce_each(values, name) -> tuple:
-    """`values` as a tuple of Scalars, each as coerce gives it. A value
-    that is not a Scalar, an int or a float, or is an int too large for a
-    float, raises DomainError; `name(i)` names the i-th value (0-based)."""
-    values = tuple(values)
+def _coerce_each(values, what, name) -> tuple:
+    """`values` as a tuple of Scalars, each as coerce gives it. `values`
+    that are not iterable raise ShapeMismatch naming them as `what`; a
+    value that is not a Scalar, an int or a float, or is an int too large
+    for a float, raises DomainError, and `name(i)` names the i-th value
+    (0-based)."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        _require_iterable(values, what)
+        raise
     if all(map(isinstance, values, repeat(Scalar))):
         return values
     out = []
@@ -137,11 +144,26 @@ def _coerce_each(values, name) -> tuple:
     return tuple(out)
 
 
+def _require_iterable(values, what):
+    """Raise ShapeMismatch naming `values` as `what` unless they are
+    iterable: a bare number where a sequence belongs is a shape error, not
+    a leaked TypeError."""
+    try:
+        iter(values)
+    except TypeError:
+        raise ShapeMismatch(
+            f"{what} must be a sequence, got {values!r}") from None
+
+
 ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
 
 ALGEBRAS = ("fuzzy", "neutrosophic")
+
+
+# Enum -> {text value: member}, built on the first parse_name of the Enum
+_MEMBERS = {}
 
 
 def parse_name(value, names, what):
@@ -152,9 +174,13 @@ def parse_name(value, names, what):
     if isinstance(names, type):
         if isinstance(value, names):
             return value
-        for member in names:
-            if member.value == value:
-                return member
+        members = _MEMBERS.get(names)
+        if members is None:
+            members = _MEMBERS[names] = {m.value: m for m in names}
+        try:
+            return members[value]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            pass
     elif value in names:
         return value
     raise ParseError(f"unknown {what} {value!r}")

@@ -171,6 +171,27 @@ def test_run_rejects_a_step_cap_below_one(cap):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--max-steps", "\u0661"),  # ARABIC-INDIC DIGIT ONE
+    ("--max-steps", "1_0"),
+    ("--max-steps", "+3"),
+    ("--max-steps", " 5"),
+    ("--threshold-k", "1_0"),
+    ("--threshold-k", "\uff11"),  # FULLWIDTH DIGIT ONE
+    ("--threshold-k", "0x1"),
+])
+def test_run_options_take_ascii_numerals_only(capsys, option, value):
+    # the numerals of the file grammars: int() and float() would also
+    # take other scripts' digits and underscores
+    with pytest.raises(SystemExit) as err:
+        cli_module.main(["run", "--model",
+                         str(FIXTURES / "single_square_signed.model"),
+                         "--input", str(FIXTURES / "single_square_seed_b.vec"),
+                         option, value])
+    assert err.value.code == 2
+    assert f"argument {option}: not " in capsys.readouterr().err
+
+
 def test_run_rejects_non_finite_threshold():
     for k in ("nan", "inf"):
         proc = cli("run", "--model",

@@ -42,7 +42,12 @@ from fuzzymaps import (
     run_mixed,
     run_rm,
 )
-from fuzzymaps.dynamics import Recurrence, landing_side
+from fuzzymaps.dynamics import (
+    Recurrence,
+    _field_width,
+    landing_side,
+    validate_input,
+)
 from replay import assert_capped_run_replays
 
 TRI = ValueDomain.TRI
@@ -779,6 +784,51 @@ def test_trit_kernel_matches_scalar_reference(case):
     assert_capped_run_replays(*case)
 
 
+@st.composite
+def field_boundary_runs(draw):
+    """Fuzzy circle unions of 1-3 RM components of shape 1 x m or m x 1,
+    for m = 63 or 64: the max(rows, cols) at which the packed field widens
+    from 8 to 16 bits. Every part on one side is a single field. A row of
+    weights is drawn over {-1, 0, 1}, or all +1 or all -1, and a seed part
+    is crisp or all 1, on either side, so that a raw value reaches +-m;
+    k is often at or beyond +-m, where the cut is clamped."""
+    side = draw(st.sampled_from([DOMAIN_SIDE, RANGE_SIDE]))
+    comps, parts = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.sampled_from([63, 64]))
+        rows, cols = draw(st.sampled_from([(1, m), (m, 1)]))
+        entries = draw(st.one_of(
+            st.lists(st.sampled_from([-1, 0, 0, 1]), min_size=m,
+                     max_size=m),
+            st.sampled_from([[-1] * m, [1] * m])))
+        comps.append((Matrix(rows, cols, entries, TRI),
+                      ComponentTag(kind=RM)))
+        size = rows if side == DOMAIN_SIDE else cols
+        parts.append(draw(st.one_of(
+            st.lists(st.sampled_from([0, 1]), min_size=size, max_size=size),
+            st.just([1] * size))))
+    k = draw(st.one_of(st.sampled_from([-1, 0, 0.5, 1]),
+                       st.sampled_from([-66, -65, -64.5, -64, -63.5, 62.5,
+                                        63, 64, 64.5, 65]),
+                       st.integers(-134, 134).map(lambda h: h / 2)))
+    max_steps = draw(st.integers(1, 12))
+    return SpecialMatrix(comps), seed(*parts, side=side), k, max_steps
+
+
+def test_packed_fields_are_whole_bytes():
+    # F is 8 bits up to max(rows, cols) = 63 and 16 from 64
+    widths = [_field_width(Matrix(1, m, [0] * m)) for m in (1, 63, 64, 127)]
+    assert widths == [8, 8, 16, 16]
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_boundary_runs())
+def test_packed_kernel_matches_scalar_reference_across_the_byte_boundary(
+        case):
+    # the replay reads every record's raw, cut and pinned parts back
+    assert_capped_run_replays(*case)
+
+
 _LEVELS = [0, 0.2, 0.5, 0.7, 1]
 
 
@@ -812,6 +862,46 @@ def level_runs(draw):
 def test_level_kernel_matches_scalar_reference(case):
     special, x0, max_steps = case
     assert_capped_run_replays(special, x0, 0.0, max_steps)
+
+
+def fresh(value):
+    """`value` rebuilt from its value alone, without its memos."""
+    return pickle.loads(pickle.dumps(value))
+
+
+def test_one_seed_against_other_unions_gets_the_unmemoized_problems():
+    # a seed keeps each part's problems per component index, kind and
+    # shape, and a union its carrier problems: a check against one union
+    # never answers for another
+    sq3, sq2 = tri([[0] * 3] * 3), tri([[0, 1], [1, 0]])
+    rm32, rm23 = tri([[1, 0]] * 3), tri([[1, 0, 1]] * 2)
+    off = unitm([[0, 1, 0]] * 3)  # a unit matrix under a circle tag
+    unions = [SpecialMatrix(c) for c in (
+        [(sq3, ComponentTag()), (sq2, ComponentTag())],
+        [(rm32, ComponentTag(kind=RM)), (sq2, ComponentTag())],
+        [(sq2, ComponentTag()), (sq3, ComponentTag())],
+        [(rm23, ComponentTag(kind=RM)), (rm32, ComponentTag(kind=RM))],
+        [(sq3, ComponentTag())],
+        [(off, ComponentTag()), (sq2, ComponentTag())],
+        [(sq2, ComponentTag(op="maxmin")), (sq3, ComponentTag())],
+    )]
+    seeds = [SpecialStateVector([[1, 0, 0.5], [1, 0]]),
+             SpecialStateVector([[1, 0, 0], [0, 1]]),
+             SpecialStateVector([[1, 0, 0], [0, 1]], side=RANGE_SIDE)]
+    for x in seeds:
+        for union in unions + unions[::-1]:
+            expected = validate_input(fresh(union), fresh(x))
+            problems = validate_input(union, x)
+            assert problems == expected
+            problems.append("not kept")  # a caller's list, not the memo
+            assert validate_input(union, x) == expected
+            if expected:
+                with pytest.raises(InvalidInput) as err:
+                    run_mixed(union, x)
+                assert str(err.value) == "; ".join(expected)
+            else:
+                assert run_mixed(union, x) == run_mixed(fresh(union),
+                                                        fresh(x))
 
 
 # each off-carrier component of a bare union, with the carrier its tag

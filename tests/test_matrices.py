@@ -96,6 +96,28 @@ def test_entry_that_is_not_a_scalar_is_a_domain_error(entry, message):
         Matrix(2, 2, [0, Scalar(1), entry, 0.5])
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Matrix(1, 1, 5),
+                 "matrix entries must be a sequence, got 5", id="entries"),
+    pytest.param(lambda: Matrix.from_rows(5),
+                 "matrix rows must be a sequence, got 5", id="rows"),
+    pytest.param(lambda: Matrix.from_rows([[0, 1], 2]),
+                 "a matrix row must be a sequence, got 2", id="row"),
+    pytest.param(lambda: Matrix.from_rows(iter([[0, 1], 2])),
+                 "a matrix row must be a sequence, got 2",
+                 id="row-of-iterator"),
+    pytest.param(lambda: row_vector(0.5),
+                 "row vector values must be a sequence, got 0.5",
+                 id="row-vector"),
+])
+def test_entries_that_are_not_a_sequence_are_a_shape_mismatch(build,
+                                                              message):
+    # a bare number where a sequence belongs, not a leaked TypeError
+    with pytest.raises(ShapeMismatch) as err:
+        build()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("rows, cols", [
     ("x", 1), (1, "2"), (1.5, 1), (1, 2.0), (True, 1), (1, False), (None, 1)])
 def test_shape_that_is_not_two_ints_is_a_shape_mismatch(rows, cols):

@@ -186,6 +186,17 @@ def test_diagonal_rule_applies_to_circle_squares_only():
     assert diagonal_diagnostics(SpecialMatrix([(F_RECT, CIRCLE_RM)])) == []
 
 
+def test_diagonal_cells_are_named_as_they_render():
+    # a diagonal cell is zero only when both its coefficients are
+    special = SpecialMatrix([
+        (m([["I", "0"], ["1", "0"]], NTRI), CIRCLE_NCM),
+        (m([[0, 1, 0], [1, 0, 0], [0, 1, -1]], TRI), CIRCLE_CM),
+        (m([["0", "1"], ["1", "0"]], NTRI), CIRCLE_NCM)])
+    assert diagonal_diagnostics(special) == [
+        "component 1: diagonal cell (1,1) is I, must be 0",
+        "component 2: diagonal cell (3,3) is -1, must be 0"]
+
+
 def test_diagonal_reported_before_class_problems():
     loop = m([[1, 1], [0, 0]], TRI)
     with pytest.raises(NonzeroDiagonal):

@@ -130,3 +130,10 @@ def test_indeterminacy_text_is_honoured_not_run_as_the_book_policy():
     dominant_run = run(model, SEED, policy=dominant)
     assert run(model, SEED, policy="indeterminacy") == dominant_run
     assert run(model, SEED, policy="book") != dominant_run
+
+
+@pytest.mark.parametrize("parse", [ValueDomain.parse, OrderPolicy.parse,
+                                   ModelClass.parse])
+def test_an_unhashable_name_is_unknown(parse):
+    with pytest.raises(ParseError, match=r"^unknown .* \['book'\]$"):
+        parse(["book"])

@@ -89,6 +89,37 @@ def test_matrix_clone_leaves_its_memos_behind():
         assert got._memos is None
 
 
+def _used_and_fresh():
+    """Two equal (union, seed) pairs, built apart: a run fills the memos of
+    the first one, its matrices, union and seed, and the second is
+    untouched."""
+    def build():
+        union = SpecialMatrix([
+            (Matrix(2, 2, [0, 1, -1, 0], TRI), ComponentTag()),
+            (Matrix(2, 3, [1, 0, -1, 0, 1, I], ValueDomain.NEUTRO_TRI),
+             ComponentTag(kind=RM, algebra="neutrosophic"))])
+        return union, SpecialStateVector([[1, 0], [0, 1]])
+    used, seed = build()
+    for k in (0.0, 0.5):
+        run_mixed(used, seed, threshold_k=k)
+    return (used, seed, *used.matrices), (*build(), *build()[0].matrices)
+
+
+def test_memos_leave_equality_hashing_and_pickling_unchanged():
+    # the matrices, the union and the seed keep what a run derived from
+    # them, outside their values
+    for used, fresh in zip(*_used_and_fresh()):
+        assert used._memos and fresh._memos is None
+        assert used == fresh and fresh == used
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        for clone in (copy.copy(used), copy.deepcopy(used),
+                      pickle.loads(pickle.dumps(used))):
+            assert clone == used and hash(clone) == hash(used)
+            assert clone._memos is None
+
+
 def test_tag_defaults():
     t = ComponentTag()
     assert t.kind == CM
@@ -210,6 +241,20 @@ def test_seed_coordinate_that_is_not_a_scalar_is_a_domain_error(value,
                                                                  message):
     with pytest.raises(DomainError) as err:
         SpecialStateVector([[1, 0], [0, Scalar(1), value]])
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("parts, message", [
+    pytest.param([1, 0], "state part 1 must be a sequence, got 1",
+                 id="bare-part"),
+    pytest.param([[1, 0], 1], "state part 2 must be a sequence, got 1",
+                 id="second-part"),
+    pytest.param(5, "state parts must be a sequence, got 5", id="no-parts"),
+])
+def test_seed_part_that_is_not_a_sequence_is_a_shape_mismatch(parts,
+                                                               message):
+    with pytest.raises(ShapeMismatch) as err:
+        SpecialStateVector(parts)
     assert str(err.value) == message
 
 
