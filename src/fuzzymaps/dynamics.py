@@ -26,11 +26,16 @@ the operator its tag declares.
   values stay inside the finite set of stored inputs, so runs still
   terminate.
 * Recurrence: a component settles at its first recurring state on the
-  seeded side, and is then frozen and carried unchanged while the others
-  keep iterating. An RM state is paired with its unpinned far-side
-  landing one step later. A one-state cycle is a FixedPoint, a longer
-  one a LimitCycle. Recurrence holds this rule, and trace verification
-  drives it too.
+  seeded side. An RM state is paired with its unpinned far-side landing
+  one step later. A one-state cycle is a FixedPoint, a longer one a
+  LimitCycle. Recurrence holds this rule, and trace verification drives
+  it too.
+* Orbits: the components of a union never read each other, so each
+  runs alone from its seed part until it settles (_orbit), and a run is
+  one orbit per component. The union trace is derived from the orbits:
+  step s holds each component's own step s, and a component that has
+  settled is frozen and carried unchanged on the seeded side until the
+  last one settles.
 
 Each component's step is set up at the start of a run on the kernel its
 tag names, which only applies and cuts per side (the matrix from the
@@ -64,10 +69,12 @@ so each kernel takes every component of its tag:
 * Scalar: Scalar tuples through apply_part, where the order policy
   applies.
 
-A run keeps every record's parts in the kernel's own form and decodes
-them to Scalar tuples only when a record's field is read; within a run,
+A run keeps each orbit's steps in the kernel's own form. The union
+trace is assembled from them on its first read, and a record's parts
+are decoded to Scalar tuples only when its field is read; within a run,
 each distinct state on a side decodes once, so equal states share one
-tuple. Outcomes are decoded when their component settles.
+tuple. Outcomes are decoded when their component settles, so a run whose
+trace nobody reads builds no record.
 
 Tests replay every run record by record through the public Scalar
 operations (apply_part, threshold_scalar, landing_side and the pin),
@@ -192,18 +199,21 @@ class Recurrence:
     step earlier, and an RM cycle closes as (domain, range) pairs.
     """
 
-    __slots__ = ("kind", "side", "seen", "partners")
+    __slots__ = ("kind", "side", "sides", "seen", "partners")
 
     def __init__(self, kind, side, first):
         self.kind = kind
         self.side = side
+        # landing_side read once per parity: sides[step & 1] is the side
+        # of the state reached at `step`
+        self.sides = (landing_side(kind, side, 0), landing_side(kind, side, 1))
         self.seen = {first: 0}  # seeded-side state -> step, in step order
         self.partners = {}  # step -> far-side landing
 
     def add(self, step, state):
         """Record `state`, reached at `step`; return the cycle it closes,
         or None while every seeded-side state is new."""
-        if landing_side(self.kind, self.side, step) != self.side:
+        if self.sides[step & 1] != self.side:
             self.partners[step] = state
             return None
         start = self.seen.setdefault(state, step)
@@ -312,11 +322,39 @@ class IterationRecord:
 class HiddenPattern:
     """Run result: one outcome per component plus the full trace. The
     seeded side, step count, settle steps and input mask derive from
-    `input` and `trace`."""
+    `input` and `trace`.
+
+    A run keeps each component's orbit, its kernel's (raw, thresholded,
+    updated) of every step up to its first recurrence, and `trace` is
+    assembled from the orbits on first read (_union_trace). A pattern
+    compares, hashes, prints, copies and pickles by its three fields,
+    read or not."""
 
     outcomes: tuple
     trace: tuple
     input: SpecialStateVector
+
+    @classmethod
+    def _from_orbits(cls, outcomes, orbits, input):
+        """A pattern whose trace is assembled from `orbits`, one (rule,
+        kind, steps) per component, on first read."""
+        pattern = object.__new__(cls)
+        pattern.__dict__.update(outcomes=outcomes, input=input,
+                                _orbits=orbits)
+        return pattern
+
+    def __getattr__(self, name):
+        # reached only for an unset attribute: `trace`, on a run's pattern
+        # until its first read
+        if name != "trace" or "_orbits" not in self.__dict__:
+            raise AttributeError(
+                f"'HiddenPattern' object has no attribute {name!r}")
+        trace = self.__dict__["trace"] = _union_trace(self._orbits,
+                                                      self.input.side)
+        return trace
+
+    def __reduce__(self):
+        return HiddenPattern, (self.outcomes, self.trace, self.input)
 
     @property
     def side(self) -> str:
@@ -343,6 +381,27 @@ class HiddenPattern:
         for idx, outcome in enumerate(self.outcomes):
             lines.append(f"component {idx + 1}: {describe_outcome(outcome)}")
         return "\n".join(lines)
+
+
+def _union_trace(orbits, seeded) -> tuple:
+    """The union's records, one per step up to the last component's settle
+    step, each of kernel-form entries (IterationRecord._encoded): a
+    component's step sits where landing_side lands it, and once its orbit
+    has ended it is frozen and carried unchanged on the seeded side."""
+    total = max(len(steps) for _, _, steps in orbits)
+    columns = []
+    for rule, kind, steps in orbits:
+        # a part that flows raw is its own thresholded form
+        column = [(rule, landing_side(kind, seeded, step),
+                   None if raw is cut else raw, cut, new)
+                  for step, (raw, cut, new) in enumerate(steps, 1)]
+        settled = steps[-1][2]
+        column += [(rule, seeded, None, settled, settled)] * (
+            total - len(steps))
+        columns.append(column)
+    frozen = [tuple([step > len(steps) for _, _, steps in orbits])
+              for step in range(1, total + 1)]
+    return tuple(map(IterationRecord._encoded, zip(*columns), frozen))
 
 
 def outcome_shape(outcome):
@@ -751,44 +810,33 @@ _KERNEL_BY_TAG = {
 }
 
 
-class _ComponentRun:
-    """Mutable per-component iteration state over its compiled step."""
-
-    def __init__(self, kind, rule, start, seeded_side):
-        self.kind = kind
-        self.rule = rule
-        self.seeded_side = seeded_side
-        self.cur = rule.seed(start)  # native to the rule
-        self.side = seeded_side  # space the current state addresses
-        self.outcome = None  # set when the component settles
-        self.carried = None  # the record entry of each step once settled
-        self.recurrence = Recurrence(kind, seeded_side, self.cur)
-
-    def step(self, step):
-        """Take step number `step`, landing and pinning as landing_side
-        says, and settle on the cycle the new state closes; returns the
-        step's record entry (rule, side, raw, thresholded, updated) in the
-        rule's own form, raw None where it is the thresholded part."""
-        rule, seeded = self.rule, self.seeded_side
-        land = landing_side(self.kind, seeded, step)
-        raw, thresholded, updated = rule.step(self.cur, self.side,
-                                              land == seeded)
-        self.cur = updated
-        self.side = land
-        cycle = self.recurrence.add(step, updated)
+def _orbit(rule, kind, part, seeded, max_steps):
+    """Step `rule` from the seed `part` on `seeded` until Recurrence
+    closes its first cycle, landing and pinning as landing_side says.
+    Returns the kernel's (raw, thresholded, updated) of each step and the
+    outcome of the cycle, or None when none closes within `max_steps`."""
+    state = rule.seed(part)
+    recurrence = Recurrence(kind, seeded, state)
+    sides, add, step_rule = recurrence.sides, recurrence.add, rule.step
+    side = seeded  # the side `state` addresses
+    steps = []
+    for step in range(1, max_steps + 1):
+        land = sides[step & 1]
+        taken = step_rule(state, side, land == seeded)
+        steps.append(taken)
+        state, side = taken[2], land
+        cycle = add(step, state)
         if cycle is not None:
-            part = rule.part
-            if self.kind == RM:
-                cycle = [(part(DOMAIN_SIDE, d), part(RANGE_SIDE, r))
-                         for d, r in cycle]
-            else:
-                cycle = [part(seeded, s) for s in cycle]
-            self.outcome = Recurrence.outcome(cycle)
-            # a frozen part is carried unchanged on the seeded side
-            self.carried = rule, land, None, updated, updated
-        # a part that flows raw is its own thresholded form
-        return (rule, land, None if raw is thresholded else raw,
-                thresholded, updated)
+            break
+    else:
+        return steps, None
+    decode = rule.part
+    if kind == RM:
+        cycle = [(decode(DOMAIN_SIDE, d), decode(RANGE_SIDE, r))
+                 for d, r in cycle]
+    else:
+        cycle = [decode(seeded, s) for s in cycle]
+    return steps, Recurrence.outcome(cycle)
 
 
 def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *,
@@ -796,10 +844,12 @@ def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *,
               max_steps=DEFAULT_MAX_STEPS) -> HiddenPattern:
     """Run an arbitrary CM/RM mixture: square components advance against
     their own matrix every step while rectangular ones alternate sides,
-    each on the kernel its tag names. The run options `policy` (an
-    OrderPolicy or its text), `threshold_k` (the cut) and `max_steps` (the
-    cap) are declared and checked here, and validate_input's problems
-    raise InvalidInput before step 1."""
+    each on the kernel its tag names and each as its own orbit (_orbit).
+    The run options `policy` (an OrderPolicy or its text), `threshold_k`
+    (the cut) and `max_steps` (the cap) are declared and checked here,
+    and validate_input's problems raise InvalidInput before step 1. Every
+    component still unsettled after `max_steps` steps is named in one
+    IterationCapExceeded."""
     _check_threshold_k(threshold_k)
     if isinstance(max_steps, bool) or not isinstance(max_steps, int):
         raise InvalidInput(f"max steps must be an int, got {max_steps!r}")
@@ -809,30 +859,21 @@ def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *,
     problems = validate_input(m, x0)
     if problems:
         raise InvalidInput("; ".join(problems))
-    runs = []
+    outcomes, orbits = [], []
     for (mat, tag), part, pin_on in zip(m, x0.parts, x0._memo(_seed_masks)):
         rule = _KERNEL_BY_TAG[tag.algebra, tag.op](
             mat, tag, threshold_k, pin_on, policy)
-        runs.append(_ComponentRun(tag.kind, rule, part, x0.side))
-    records = []
-    for step in range(1, max_steps + 1):
-        frozen = tuple([r.outcome is not None for r in runs])
-        if all(frozen):
-            break
-        records.append(IterationRecord._encoded(tuple([
-            r.carried if f else r.step(step) for r, f in zip(runs, frozen)]),
-            frozen))
-    pending = [str(idx + 1) for idx, r in enumerate(runs)
-               if r.outcome is None]
+        steps, outcome = _orbit(rule, tag.kind, part, x0.side, max_steps)
+        outcomes.append(outcome)
+        orbits.append((rule, tag.kind, steps))
+    pending = [str(idx + 1) for idx, o in enumerate(outcomes) if o is None]
     if pending:
+        which = (f"component {pending[0]} is" if len(pending) == 1
+                 else f"components {', '.join(pending)} are")
         raise IterationCapExceeded(
-            f"components {', '.join(pending)} still unsettled after "
-            f"{max_steps} steps")
-    return HiddenPattern(
-        outcomes=tuple(r.outcome for r in runs),
-        trace=tuple(records),
-        input=x0,
-    )
+            f"{which} still unsettled after {max_steps} "
+            f"step{'s' if max_steps > 1 else ''}")
+    return HiddenPattern._from_orbits(tuple(outcomes), tuple(orbits), x0)
 
 
 def run_cm(m: SpecialMatrix, x0: SpecialStateVector,

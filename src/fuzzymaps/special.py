@@ -96,7 +96,12 @@ class SpecialMatrix(_Memoized):
     __slots__ = ("components", "classification")
 
     def __init__(self, components):
-        comps = tuple((m, t) for m, t in components)
+        try:
+            comps = tuple((m, t) for m, t in components)
+        except (TypeError, ValueError):
+            _require_iterable(components, "union components")
+            raise ShapeMismatch("each union component must be a (Matrix, "
+                                "ComponentTag) pair") from None
         if not comps:
             raise EmptyUnion("a union needs at least one component")
         for idx, (matrix, tag) in enumerate(comps):

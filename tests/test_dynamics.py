@@ -7,6 +7,7 @@ sums the thresholds are cutting.
 
 import copy
 import math
+import pathlib
 import pickle
 from dataclasses import FrozenInstanceError
 
@@ -34,8 +35,10 @@ from fuzzymaps import (
     SpecialStateVector,
     ThresholdMode,
     build_model,
+    parse_model_text,
     parse_scalar,
     parse_trace,
+    parse_vector_text,
     render_trace,
     run_cm,
     run,
@@ -55,6 +58,7 @@ UNIT = ValueDomain.UNIT
 BIPOLAR = ValueDomain.BIPOLAR
 NTRI = ValueDomain.NEUTRO_TRI
 INDET = parse_scalar("I")
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def tri(rows):
@@ -131,6 +135,15 @@ def test_landing_side(kind, seeded, step, side):
     # an RM part is on the far side after an odd number of steps; a CM
     # part never leaves the seeded side
     assert landing_side(kind, seeded, step) == side
+
+
+@pytest.mark.parametrize("kind", [CM, RM])
+@pytest.mark.parametrize("seeded", [DOMAIN_SIDE, RANGE_SIDE])
+def test_recurrence_reads_landing_side_once_per_parity(kind, seeded):
+    # a run and Recurrence land the state of step s on sides[s & 1]
+    sides = Recurrence(kind, seeded, ()).sides
+    assert [sides[step & 1] for step in range(9)] == [
+        landing_side(kind, seeded, step) for step in range(9)]
 
 
 def first_pattern(history):
@@ -569,6 +582,26 @@ def test_iteration_cap():
         run_mixed(m, opmix_seed(), max_steps=2)
 
 
+@pytest.mark.parametrize("cap, message", [
+    (6, "component 3 is still unsettled after 6 steps"),
+    (3, "components 3, 5 are still unsettled after 3 steps"),
+    (1, "components 1, 2, 3, 4, 5, 6 are still unsettled after 1 step"),
+])
+def test_iteration_cap_names_each_unsettled_component(cap, message):
+    # the six-model mixture settles its components at steps 3, 3, 7, 2,
+    # 4 and 2, so 7 is the least cap it runs under
+    model = parse_model_text(
+        (FIXTURES / "six_model_mixture.model").read_text()).model
+    x = parse_vector_text(
+        (FIXTURES / "six_model_mixture_seed.vec").read_text())
+    pattern = run_mixed(model.matrix, x, max_steps=7)
+    assert pattern.settled_steps == (3, 3, 7, 2, 4, 2)
+    assert pattern == run_mixed(model.matrix, x)
+    with pytest.raises(IterationCapExceeded) as err:
+        run_mixed(model.matrix, x, max_steps=cap)
+    assert str(err.value) == message
+
+
 def test_replay_is_deterministic():
     m = SpecialMatrix(OPMIX_COMPONENTS)
     a = run_mixed(m, opmix_seed())
@@ -599,16 +632,45 @@ def read_all(pattern):
     return pattern
 
 
-@pytest.mark.parametrize("view", [
-    repr, hash, copy.copy, copy.deepcopy,
-    lambda r: pickle.loads(pickle.dumps(r)),
-    lambda r: r.frozen,
-], ids=["repr", "hash", "copy", "deepcopy", "pickle", "frozen"])
+VALUE_VIEWS = [repr, hash, copy.copy, copy.deepcopy,
+               lambda v: pickle.loads(pickle.dumps(v))]
+VALUE_VIEW_IDS = ["repr", "hash", "copy", "deepcopy", "pickle"]
+
+
+@pytest.mark.parametrize("view", VALUE_VIEWS + [lambda r: r.frozen],
+                         ids=VALUE_VIEW_IDS + ["frozen"])
 def test_a_record_is_the_same_value_read_or_unread(view):
     # a run keeps its parts in kernel form until a field is read
     read = read_all(every_kernel_run()[2]).trace
     unread = every_kernel_run()[2].trace
     assert [view(r) for r in unread] == [view(r) for r in read]
+
+
+@pytest.mark.parametrize("view", VALUE_VIEWS, ids=VALUE_VIEW_IDS)
+def test_a_pattern_is_the_same_value_read_or_unread(view):
+    # a run keeps its orbits until its trace is read, and the pattern
+    # built from its public fields is the same value
+    m, x, unread = every_kernel_run()
+    assembled = run_mixed(m, x)
+    assembled.trace
+    read = read_all(run_mixed(m, x))
+    public = HiddenPattern(read.outcomes, read.trace, read.input)
+    assert view(unread) == view(assembled) == view(read) == view(public)
+
+
+def test_an_unread_pattern_pickles_to_the_bytes_of_a_read_one():
+    m, x, unread = every_kernel_run()
+    read = read_all(run_mixed(m, x))
+    assert pickle.dumps(unread) == pickle.dumps(read)
+
+
+def test_a_pattern_is_immutable_read_or_unread():
+    for pattern in (every_kernel_run()[2], read_all(every_kernel_run()[2])):
+        for field in ("outcomes", "trace", "input"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(pattern, field, ())
+            with pytest.raises(FrozenInstanceError):
+                delattr(pattern, field)
 
 
 def test_a_record_is_immutable_read_or_unread():

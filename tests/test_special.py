@@ -258,6 +258,27 @@ def test_seed_part_that_is_not_a_sequence_is_a_shape_mismatch(parts,
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("components, message", [
+    pytest.param(5, "union components must be a sequence, got 5",
+                 id="no-components"),
+    pytest.param([(sq(2),)], "each union component must be a (Matrix, "
+                 "ComponentTag) pair", id="one-item"),
+    pytest.param([5], "each union component must be a (Matrix, "
+                 "ComponentTag) pair", id="bare-component"),
+])
+def test_union_component_that_is_not_a_pair_is_a_shape_mismatch(components,
+                                                                 message):
+    with pytest.raises(ShapeMismatch) as err:
+        SpecialMatrix(components)
+    assert str(err.value) == message
+
+
+def test_union_pair_of_the_wrong_types_is_a_type_error():
+    # a well-shaped pair of other types is a wrongly typed argument
+    with pytest.raises(TypeError, match="component 2 must be"):
+        SpecialMatrix([(sq(2), ComponentTag()), (ComponentTag(), sq(2))])
+
+
 # ---------------------------------------------------------------------- apply
 
 def test_cm_part_steps_on_its_own_side():
