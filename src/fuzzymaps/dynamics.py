@@ -70,11 +70,11 @@ so each kernel takes every component of its tag:
   applies.
 
 A run keeps each orbit's steps in the kernel's own form. The union
-trace is assembled from them on its first read, and a record's parts
-are decoded to Scalar tuples only when its field is read; within a run,
-each distinct state on a side decodes once, so equal states share one
-tuple. Outcomes are decoded when their component settles, so a run whose
-trace nobody reads builds no record.
+trace is assembled from them on its first read, which decodes every
+part to a Scalar tuple; within a run, each distinct state on a side
+decodes once, so equal states share one tuple. Outcomes are decoded
+when their component settles, so a run whose trace nobody reads builds
+no record.
 
 Tests replay every run record by record through the public Scalar
 operations (apply_part, threshold_scalar, landing_side and the pin),
@@ -86,7 +86,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import (
@@ -235,87 +235,19 @@ class Recurrence:
         return LimitCycle(cycle, len(cycle))
 
 
+@dataclass(frozen=True)
 class IterationRecord:
     """One engine step: the raw union, its thresholded form, and the form
     after pinning, each a tuple of Scalar parts, one per component.
     `frozen` marks components that had already settled and were carried
     unchanged through this step. A record's step is its position in the
     trace, from 1; landing_side gives where each unfrozen part sits, and
-    a frozen part sits on the seeded side.
+    a frozen part sits on the seeded side."""
 
-    A run keeps each component's parts in its kernel's own form; `raw`,
-    `thresholded` and `updated` decode them on first read and keep the
-    result. A record is immutable, and compares, hashes, prints, copies
-    and pickles by its four fields, read or not."""
-
-    __slots__ = ("frozen", "_entries", "_parts")
-
-    def __init__(self, raw, thresholded, updated, frozen):
-        object.__setattr__(self, "frozen", frozen)
-        object.__setattr__(self, "_entries", None)
-        object.__setattr__(self, "_parts", [raw, thresholded, updated])
-
-    @classmethod
-    def _encoded(cls, entries, frozen):
-        """A record of kernel-form entries, one (rule, side, raw,
-        thresholded, updated) per component, raw None where it is the
-        thresholded part."""
-        record = object.__new__(cls)
-        object.__setattr__(record, "frozen", frozen)
-        object.__setattr__(record, "_entries", entries)
-        object.__setattr__(record, "_parts", [None, None, None])
-        return record
-
-    def _field(self, index):
-        """Field `index` of (raw, thresholded, updated), decoded from the
-        kernel-form entries on first read."""
-        parts = self._parts
-        if parts[index] is None:
-            if index:
-                parts[index] = tuple([entry[0].part(entry[1], entry[index + 2])
-                                      for entry in self._entries])
-            else:
-                parts[0] = tuple([
-                    rule.part(side, cut) if raw is None
-                    else rule.raw_part(side, raw)
-                    for rule, side, raw, cut, _ in self._entries])
-        return parts[index]
-
-    @property
-    def raw(self):
-        return self._field(0)
-
-    @property
-    def thresholded(self):
-        return self._field(1)
-
-    @property
-    def updated(self):
-        return self._field(2)
-
-    def _fields(self):
-        return self.raw, self.thresholded, self.updated, self.frozen
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return ("IterationRecord(raw={!r}, thresholded={!r}, updated={!r}, "
-                "frozen={!r})".format(*self._fields()))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return IterationRecord, self._fields()
+    raw: tuple
+    thresholded: tuple
+    updated: tuple
+    frozen: tuple
 
 
 @dataclass(frozen=True)
@@ -326,9 +258,9 @@ class HiddenPattern:
 
     A run keeps each component's orbit, its kernel's (raw, thresholded,
     updated) of every step up to its first recurrence, and `trace` is
-    assembled from the orbits on first read (_union_trace). A pattern
-    compares, hashes, prints, copies and pickles by its three fields,
-    read or not."""
+    assembled and decoded from the orbits on first read (_union_trace). A
+    pattern compares, hashes, prints, copies and pickles by its three
+    fields, read or not."""
 
     outcomes: tuple
     trace: tuple
@@ -385,23 +317,28 @@ class HiddenPattern:
 
 def _union_trace(orbits, seeded) -> tuple:
     """The union's records, one per step up to the last component's settle
-    step, each of kernel-form entries (IterationRecord._encoded): a
-    component's step sits where landing_side lands it, and once its orbit
-    has ended it is frozen and carried unchanged on the seeded side."""
+    step: a component's step sits where landing_side lands it, and once
+    its orbit has ended it is frozen and carried unchanged on the seeded
+    side. Parts decode through their kernel's memos (_Kernel.part and
+    raw_part), so equal states on a side share one tuple."""
     total = max(len(steps) for _, _, steps in orbits)
-    columns = []
+    columns = []  # per component, its (raw, thresholded, updated) per step
     for rule, kind, steps in orbits:
-        # a part that flows raw is its own thresholded form
-        column = [(rule, landing_side(kind, seeded, step),
-                   None if raw is cut else raw, cut, new)
-                  for step, (raw, cut, new) in enumerate(steps, 1)]
-        settled = steps[-1][2]
-        column += [(rule, seeded, None, settled, settled)] * (
-            total - len(steps))
+        column = []
+        for step, (raw, cut, new) in enumerate(steps, 1):
+            side = landing_side(kind, seeded, step)
+            thresholded = rule.part(side, cut)
+            # a part that flows raw is its own thresholded form
+            column.append((thresholded if raw is cut
+                           else rule.raw_part(side, raw),
+                           thresholded, rule.part(side, new)))
+        # a component settles on a step that lands on the seeded side
+        column += [(column[-1][2],) * 3] * (total - len(steps))
         columns.append(column)
     frozen = [tuple([step > len(steps) for _, _, steps in orbits])
               for step in range(1, total + 1)]
-    return tuple(map(IterationRecord._encoded, zip(*columns), frozen))
+    return tuple([IterationRecord(*zip(*parts), flags)
+                  for parts, flags in zip(zip(*columns), frozen)])
 
 
 def outcome_shape(outcome):

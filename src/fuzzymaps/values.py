@@ -351,8 +351,12 @@ def threshold_scalar(x, mode: ThresholdMode) -> Scalar:
     Fuzzy(k) accepts reals only: 1 if x > k else 0. Neutrosophic(k) adds:
     a pure mI goes to I when m > k, else 0; a mixed t + sI follows its
     dominant coefficient (threshold t if t > s, threshold s if s > t, ties
-    within TIE_TOL give I).
+    within TIE_TOL give I). A `mode` that is not a ThresholdMode raises
+    TypeError.
     """
+    if not isinstance(mode, ThresholdMode):
+        raise TypeError(f"threshold mode must be a ThresholdMode, got "
+                        f"{mode!r}")
     x = coerce(x)
     k = mode.k
     if mode.kind == "fuzzy":

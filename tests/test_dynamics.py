@@ -9,7 +9,7 @@ import copy
 import math
 import pathlib
 import pickle
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -609,11 +609,11 @@ def test_replay_is_deterministic():
     assert a == b
 
 
-# ------------------------------------------------------- records read lazily
+# ------------------------------------------------------ patterns read lazily
 
 def every_kernel_run():
     """A run of a union with components on every kernel, CM and RM, that
-    has a limit cycle and frozen steps; its records are not yet read."""
+    has a limit cycle and frozen steps; its trace is not yet read."""
     neutro_maxmin = (Matrix.from_rows([[Scalar(0), INDET],
                                        [Scalar(0.5), Scalar(0)]],
                                       domain=ValueDomain.NEUTRO_UNIT),
@@ -640,7 +640,7 @@ VALUE_VIEW_IDS = ["repr", "hash", "copy", "deepcopy", "pickle"]
 @pytest.mark.parametrize("view", VALUE_VIEWS + [lambda r: r.frozen],
                          ids=VALUE_VIEW_IDS + ["frozen"])
 def test_a_record_is_the_same_value_read_or_unread(view):
-    # a run keeps its parts in kernel form until a field is read
+    # a run keeps its orbits in kernel form until its trace is read
     read = read_all(every_kernel_run()[2]).trace
     unread = every_kernel_run()[2].trace
     assert [view(r) for r in unread] == [view(r) for r in read]
@@ -688,9 +688,18 @@ def test_runs_compare_equal_whether_or_not_their_records_were_read():
     read = read_all(run_mixed(m, x))
     assert unread == read and read == unread
     assert every_kernel_run()[2] == every_kernel_run()[2]
-    assert read.trace[0] == IterationRecord(
-        read.trace[0].raw, read.trace[0].thresholded, read.trace[0].updated,
-        read.trace[0].frozen)
+    # a record is a plain dataclass: the public constructor builds each of
+    # a run's records from its fields, and replace applies to it
+    assert [f.name for f in fields(IterationRecord)] == [
+        "raw", "thresholded", "updated", "frozen"]
+    assert list(unread.trace) == [
+        IterationRecord(r.raw, r.thresholded, r.updated, r.frozen)
+        for r in read.trace]
+    record = unread.trace[0]
+    thawed = replace(record, frozen=(True,) * len(record.frozen))
+    assert thawed != record and thawed.frozen == (True,) * len(record.frozen)
+    assert (thawed.raw, thawed.thresholded, thawed.updated) == (
+        record.raw, record.thresholded, record.updated)
 
 
 def test_equal_states_of_one_run_decode_to_one_tuple():

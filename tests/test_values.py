@@ -196,6 +196,13 @@ def test_threshold_level_shifts_cut():
     assert threshold_scalar(Scalar(0, 0.6), ThresholdMode("neutrosophic", 0.5)) == I
 
 
+@pytest.mark.parametrize("mode", [0, 0.5, "fuzzy", None])
+def test_threshold_mode_of_another_type_is_a_type_error(mode):
+    # a bare cut constant is not a mode: the error names what was given
+    with pytest.raises(TypeError, match=f"got {mode!r}"):
+        threshold_scalar(ONE, mode)
+
+
 # ------------------------------------------------------------- domain lattice
 
 def test_domain_membership():
