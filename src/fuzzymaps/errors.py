@@ -100,8 +100,9 @@ class WrongEntryPoint(FuzzymapsError):
 
 
 class BudgetExceeded(FuzzymapsError):
-    """An enumeration (the covers behind the minimal solutions of a
-    relational equation) would exceed the configured budget."""
+    """An enumeration would exceed its budget: the minimal-solution
+    search of a relational equation needs more search nodes (choices of
+    a row for a column) than its `budget` allows."""
 
     exit_code = 6
 

@@ -51,6 +51,12 @@ class ModelClass(enum.Enum):
             value = value.strip().upper()
         return parse_name(value, cls, "model class")
 
+    @classmethod
+    def _missing_(cls, value):
+        """A value lookup that finds no member raises ParseError, as
+        parse_name does, not ValueError; it accepts no more values."""
+        return parse_name(value, cls, "model class")
+
 
 # Classes whose components describe relational equations rather than
 # dynamical systems; they are built here but solved by the fre module.

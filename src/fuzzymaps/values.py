@@ -225,6 +225,12 @@ class ValueDomain(Enum):
         """The domain `value` is or spells (`tri`, `unit`, ...)."""
         return parse_name(value, cls, "value domain")
 
+    @classmethod
+    def _missing_(cls, value):
+        """A value lookup that finds no member raises ParseError, as
+        parse_name does, not ValueError; it accepts no more values."""
+        return parse_name(value, cls, "value domain")
+
 
 # Containment lattice used to type operation results. ANY is the top.
 _DOMAIN_PARENTS = {
@@ -271,6 +277,12 @@ class OrderPolicy(Enum):
     @classmethod
     def parse(cls, value) -> "OrderPolicy":
         """The policy `value` is or spells (`book`, `indeterminacy`)."""
+        return parse_name(value, cls, "order policy")
+
+    @classmethod
+    def _missing_(cls, value):
+        """A value lookup that finds no member raises ParseError, as
+        parse_name does, not ValueError; it accepts no more values."""
         return parse_name(value, cls, "order policy")
 
 

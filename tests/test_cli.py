@@ -369,14 +369,35 @@ def test_fre_compares_the_residual_exactly(tmp_path):
 
 
 def test_fre_budget_exceeded(tmp_path):
-    # every row reaches every column: 8**8 covers
+    # 17 columns, each reached by its own two rows: 2**17 minimal
+    # solutions, and a search of 2**18 - 2 nodes, above the default budget
     q = tmp_path / "q.txt"
-    q.write_text("1 1 1 1 1 1 1 1\n" * 8)
+    q.write_text("".join(
+        " ".join("1" if c == j // 2 else "0" for c in range(17)) + "\n"
+        for j in range(34)))
     r = tmp_path / "r.txt"
-    r.write_text("0.5 0.5 0.5 0.5 0.5 0.5 0.5 0.5\n")
-    proc = cli("fre", "--matrix", q, "--target", r, "--minimal")
+    r.write_text(" ".join(["0.5"] * 17) + "\n")
+    proc = cli("fre", "--matrix", q, "--target", r, "--minimal", timeout=60)
     assert proc.returncode == 6
-    assert "budget" in proc.stderr
+    assert "budget of 250000 nodes" in proc.stderr
+
+
+def test_fre_minimal_of_the_12x12_all_one_system(tmp_path):
+    # every row reaches every column: 12**12 covers, but each single
+    # entry 0.5 is a minimal solution, found in 12 search nodes
+    q = tmp_path / "q.txt"
+    q.write_text("1 1 1 1 1 1 1 1 1 1 1 1\n" * 12)
+    r = tmp_path / "r.txt"
+    r.write_text(" ".join(["0.5"] * 12) + "\n")
+    proc = cli("fre", "--matrix", q, "--target", r, "--minimal", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    half = " ".join(["0.5"] * 12)
+    assert proc.stdout == "".join(
+        [f"max-solution: {half}\n", "solvable: yes\n",
+         f"residual: {half}\n"]
+        + ["minimal: " + " ".join("0.5" if j == i else "0"
+                                  for j in range(12)) + "\n"
+           for i in reversed(range(12))])
 
 
 def test_fre_grid_step_is_not_an_option(tmp_path):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,16 +175,48 @@ def test_minimal_solutions_zero_target_is_the_zero_vector():
     assert [vals(p) for p in mins] == [[0, 0]]
 
 
+def _disjoint_pairs(k):
+    """Q for k columns, each reached by its own two rows, with r = 0.5
+    everywhere: 2**k minimal solutions, and a search of 2 + 4 + ... +
+    2**k nodes."""
+    return unit([[1.0 if c == j // 2 else 0.0 for c in range(k)]
+                 for j in range(2 * k)])
+
+
 def test_minimal_solutions_budget():
-    # every j reaches every column: 8**8 covers, above the default budget
-    q = unit([[1.0] * 8] * 8)
-    with pytest.raises(BudgetExceeded, match="covers"):
-        minimal_solutions_bruteforce(q, [0.5] * 8)
-    small = unit([[1.0] * 3] * 3)  # 27 covers
+    q = _disjoint_pairs(3)  # 14 nodes
+    with pytest.raises(BudgetExceeded, match="budget of 13 nodes"):
+        minimal_solutions_bruteforce(q, [0.5] * 3, budget=13)
+    assert len(minimal_solutions_bruteforce(q, [0.5] * 3, budget=14)) == 8
+    # 2**18 - 2 nodes, above the default budget
+    with pytest.raises(BudgetExceeded, match="nodes"):
+        minimal_solutions_bruteforce(_disjoint_pairs(17), [0.5] * 17)
+    # every j reaches every column: the first column's 8 choices reach
+    # all the others, so 8 nodes give the 8 single-entry solutions
+    full = unit([[1.0] * 8] * 8)
     with pytest.raises(BudgetExceeded):
-        minimal_solutions_bruteforce(small, [0.5] * 3, budget=26)
-    assert len(minimal_solutions_bruteforce(small, [0.5] * 3,
-                                            budget=27)) == 3
+        minimal_solutions_bruteforce(full, [0.5] * 8, budget=7)
+    assert len(minimal_solutions_bruteforce(full, [0.5] * 8, budget=8)) == 8
+
+
+def _frame_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_minimal_solutions_walk_does_not_recurse():
+    # 200 columns, each reached only by its own row: a search 200 choices
+    # deep, under a recursion limit far below that
+    n = 200
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 60)
+    try:
+        found = minimal_solutions_bruteforce(identity(n), [0.5] * n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [vals(p) for p in found] == [[0.5] * n]
 
 
 @pytest.mark.parametrize("budget", ["5", True, 2.5, None])
@@ -217,10 +250,10 @@ def _maxmin(p, q_rows):
 
 
 @st.composite
-def fre_systems(draw, value):
-    """A system p o Q = r with m, s <= 4; half of them take r = p o Q for
-    a drawn p, so that they are solvable."""
-    m, s = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+def fre_systems(draw, value, size=4):
+    """A system p o Q = r with m, s <= size; half of them take r = p o Q
+    for a drawn p, so that they are solvable."""
+    m, s = draw(st.integers(1, size)), draw(st.integers(1, size))
     q_rows = [[draw(value) for _ in range(s)] for _ in range(m)]
     if draw(st.booleans()):
         r = _maxmin([draw(value) for _ in range(m)], q_rows)
@@ -267,6 +300,94 @@ def test_minimal_solutions_off_grid_are_minimal_solutions(system):
         for b in found[i + 1:]:
             assert not all(x <= y for x, y in zip(a, b))
             assert not all(x >= y for x, y in zip(a, b))
+
+
+def _cover_walk(q_rows, r):
+    """Plain-float reference: the minimal solutions as the entrywise-
+    minimal candidates over every cover, one j in J_k per column k with
+    r_k > 0 (Sanchez 1976), as the library enumerated them before its
+    search."""
+    p_hat = [min([rk if qk > rk else 1.0 for qk, rk in zip(row, r)])
+             for row in q_rows]
+    targets, options = [], []
+    for k, rk in enumerate(r):
+        if rk > 0.0:
+            targets.append(rk)
+            options.append([j for j, pj in enumerate(p_hat)
+                            if min(pj, q_rows[j][k]) == rk])
+    candidates = set()
+    for cover in itertools.product(*options):
+        p = [0.0] * len(p_hat)
+        for j, rk in zip(cover, targets):
+            p[j] = max(p[j], rk)
+        candidates.add(tuple(p))
+    minimal = []
+    for p in sorted(candidates, key=lambda p: (sum(p), p)):
+        if not any(all(a <= b for a, b in zip(small, p))
+                   for small in minimal):
+            minimal.append(p)
+    return sorted(minimal)
+
+
+GRID = st.integers(0, 10).map(lambda t: t / 10)
+OFF_GRID = st.sampled_from([0.0, 0.25, 0.35, 0.5, 0.65, 0.75, 1.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(fre_systems(st.one_of(GRID, OFF_GRID), size=6))
+def test_minimal_solutions_match_the_cover_walk(system):
+    q_rows, r = system
+    found = minimal_solutions_bruteforce(unit(q_rows), r)
+    assert [tuple(vals(p)) for p in found] == _cover_walk(q_rows, r)
+
+
+def test_one_system_computes_p_hat_once(monkeypatch):
+    from fuzzymaps import fre
+    calls = []
+    sigma_kernel = fre._sigma
+    monkeypatch.setattr(fre, "_sigma",
+                        lambda q, r: calls.append(1) or sigma_kernel(q, r))
+    q = unit([[0.9, 0.6, 0.2], [0.4, 0.3, 0.7]])
+    r = row_vector([Scalar(0.5), Scalar(0.5), Scalar(0.3)], domain=UNIT)
+    assert solve_max(q, r).solvable
+    assert [vals(p) for p in minimal_solutions_bruteforce(q, r)] \
+        == [[0.5, 0.3]]
+    assert len(calls) == 6  # one per entry of Q
+    # an equal target in another row vector is another target
+    minimal_solutions_bruteforce(q, [0.5, 0.5, 0.3])
+    assert len(calls) == 12
+
+
+def test_the_candidate_memo_keeps_one_target_per_q():
+    from fuzzymaps.fre import _Candidate
+    q = unit([[0.9, 0.6], [0.4, 0.3]])
+    for t in range(50):
+        target = [t / 50, 0.3]
+        solve_max(q, target)
+        minimal_solutions_bruteforce(q, target)
+    kept = [memo for (build, _), memo in q._memos.items()
+            if build is _Candidate]
+    assert len(kept) == 1
+    assert [x.real_part for x in kept[0].last[0]] == [49 / 50, 0.3]
+
+
+def test_the_candidate_memo_keeps_every_check():
+    # a Q checked under the extension still fails the real-valued check,
+    # and a bad target after a good one still fails its own
+    q = Matrix.from_rows([[parse_scalar("I")], [Scalar(0.1)]],
+                         domain=ValueDomain.NEUTRO_UNIT)
+    r = row_vector([parse_scalar("0.1")], domain=ValueDomain.ANY)
+    solve_max(q, r, neutrosophic=True)
+    with pytest.raises(ModeMismatch):
+        solve_max(q, r)
+    with pytest.raises(ModeMismatch, match="real-valued"):
+        minimal_solutions_bruteforce(q, r)
+    real = unit([[0.9, 0.6], [0.4, 0.3]])
+    solve_max(real, [0.4, 0.3])
+    with pytest.raises(DomainError):
+        solve_max(real, [0.4, 2.0])
+    with pytest.raises(ModeMismatch):
+        solve_max(real, [0.4, parse_scalar("0.3I")])
 
 
 def test_residual_is_compared_exactly():

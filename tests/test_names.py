@@ -51,6 +51,14 @@ ENTRY_POINTS = {
                           ["alphabetical", 1], POLICIES),
     "ModelClass.parse": (ModelClass.parse, "model class", ["SXYZ", 5],
                          [ModelClass.SSHM, "SSHM", " sshm "]),
+    # a value lookup fails as parse does, and takes no spelling parse
+    # adds to the member values
+    "ValueDomain()": (ValueDomain, "value domain", ["tri-state", "UNIT"],
+                      list(ValueDomain) + [d.value for d in ValueDomain]),
+    "OrderPolicy()": (OrderPolicy, "order policy",
+                      ["alphabetical", "BOOK_DEFAULT", 1], POLICIES),
+    "ModelClass()": (ModelClass, "model class", ["SXYZ", " sshm ", "sshm"],
+                     [ModelClass.SSHM, "SSHM"]),
     "ComponentTag.kind": (lambda n: ComponentTag(kind=n), "component kind",
                           ["XY", "cm"], [CM, RM]),
     "ComponentTag.algebra": (lambda n: ComponentTag(algebra=n), "algebra",
@@ -133,7 +141,8 @@ def test_indeterminacy_text_is_honoured_not_run_as_the_book_policy():
 
 
 @pytest.mark.parametrize("parse", [ValueDomain.parse, OrderPolicy.parse,
-                                   ModelClass.parse])
+                                   ModelClass.parse, ValueDomain,
+                                   OrderPolicy, ModelClass])
 def test_an_unhashable_name_is_unknown(parse):
     with pytest.raises(ParseError, match=r"^unknown .* \['book'\]$"):
         parse(["book"])
