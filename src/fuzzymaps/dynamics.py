@@ -50,15 +50,10 @@ so each kernel takes every component of its tag:
   fuzzy         maxmin/minmax  float level
   neutrosophic  maxmin/minmax  Scalar (_ScalarStep)
 
-* packed: weights in {-1, 0, 1}; a state is one int holding a field of
-  F bits per coordinate, and a step adds, to a bias, one packed int of
-  weights per ON coordinate. Field j of the sum is raw_j + B - c, where
-  the cut c = floor(k) + 1 is clamped to [-m, m + 1] for
-  m = max(rows, cols) and the guard bit B = 1 << (F - 1) is above
-  2m + 1. As |raw_j| <= m, no field borrows or carries, and the cut is
-  each field's guard bit. F is a multiple of 8, so a state decodes from
-  its bytes. The operands depend only on the matrix, the clamped cut and
-  the kind, and are compiled once and kept on the matrix;
+* packed: weights in {-1, 0, 1}; a state is one int holding a
+  byte-aligned field per coordinate, and a step is one C-level sum of the
+  packed weights that the state's cut bytes select, compiled once per
+  matrix, cut and kind and kept on the matrix;
 * trit: weights in {-1, 0, 1, I}; states are pairs of int bitmasks (the
   1 and the I coordinates), raw values t + sI have exact integer parts,
   popcounts via int.bit_count (so Python 3.10+) over per-matrix masks of
@@ -87,6 +82,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 
 from .errors import (
@@ -253,8 +249,8 @@ class IterationRecord:
 @dataclass(frozen=True)
 class HiddenPattern:
     """Run result: one outcome per component plus the full trace. The
-    seeded side, step count, settle steps and input mask derive from
-    `input` and `trace`.
+    seeded side and input mask derive from `input`, the step count and
+    settle steps from `trace`, or on a run's pattern from its orbits.
 
     A run keeps each component's orbit, its kernel's (raw, thresholded,
     updated) of every step up to its first recurrence, and `trace` is
@@ -294,12 +290,18 @@ class HiddenPattern:
 
     @property
     def steps(self) -> int:
+        """The number of records: a run's longest orbit."""
+        if "_orbits" in self.__dict__:
+            return max(self.settled_steps)
         return len(self.trace)
 
     @property
     def settled_steps(self) -> tuple:
-        """Per component, the step it settled at: the number of records
-        in which it is not frozen."""
+        """Per component, the step it settled at: the length of its orbit
+        on a run's pattern (not assembling `trace`), else the number of
+        records in which it is not frozen."""
+        if "_orbits" in self.__dict__:
+            return tuple([len(steps) for _, _, steps in self._orbits])
         return tuple(column.count(False)
                      for column in zip(*(r.frozen for r in self.trace)))
 
@@ -414,13 +416,14 @@ def _seed_masks(x) -> tuple:
 class _Kernel:
     """One run's decoded parts of one component: each distinct state and
     raw part on a side is decoded to a Scalar tuple once, by the kernel's
-    `decode` and `decode_raw`, and equal parts share that tuple."""
+    `decode` and `decode_raw`, and equal parts share that tuple. The memos
+    are made on first use, so a run whose trace nobody reads makes none."""
 
-    def __init__(self):
-        self.parts = {}  # (side, state) -> Scalar tuple
-        self.raws = {}  # (side, raw) -> Scalar tuple
+    parts = raws = None  # (side, state or raw) -> Scalar tuple
 
     def part(self, side, state):
+        if self.parts is None:
+            self.parts = {}
         key = side, state
         part = self.parts.get(key)
         if part is None:
@@ -428,6 +431,8 @@ class _Kernel:
         return part
 
     def raw_part(self, side, raw):
+        if self.raws is None:
+            self.raws = {}
         key = side, raw
         part = self.raws.get(key)
         if part is None:
@@ -479,51 +484,41 @@ class _PackedStep(_Kernel):
     field of F bits per coordinate of one int: multiple byte processing
     with full-word instructions (Lamport, CACM 18(8), 1975).
 
-    Coordinate i of a state sits at bit F*i. The applied operand maps the
-    bit of each input coordinate i to W_i = sum_j m_ij << F*j, the
-    matrix's row i packed over its columns for the domain and, on an RM
-    component, its column i packed over its rows for the range. A step
-    starts from bias = (B - c) * ONES, ONES holding a 1 in the field of
-    each output coordinate, and adds W_i for each ON coordinate, so field
-    j of the raw record y is B - c + raw_j. As |raw_j| <= m = max(rows,
-    cols), the clamped cut c = floor(k) + 1 lies in [-m, m + 1] and the
-    guard bit B = 1 << (F - 1) exceeds 2m + 1, each field stays in
-    [1, 2B): it never borrows from or carries into its neighbour. Raws are
-    ints, so raw_j > k exactly when field j reaches B, its top bit: the
-    cut is (y >> (F - 1)) & ONES, and pinning ORs in the seed's bits.
-
-    F is a multiple of 8 (_field_width), so each field starts on a byte
-    and the cut bit of coordinate i is the low bit of byte (F/8)*i: a
-    state decodes from every (F/8)-th byte of its little-endian bytes.
-    The operands depend only on the matrix, the clamped cut and the kind,
-    so they are compiled once (_PackedCode) and kept on the matrix; a run
-    adds only its pin mask and its decode memo.
+    Coordinate i of a state sits at bit F*i. The operand W holds, in
+    input coordinate order, W_i = sum_j m_ij << F*j: the matrix's row i
+    for the domain and, on an RM component, its column i for the range.
+    F is a multiple of 8 (_field_width), so a state, whose bits sit only
+    at field starts, has one cut byte per coordinate, exactly 0 or 1
+    (_PackedCode.cut_bytes). A step is one C-level sum over the weights
+    those bytes select, y = sum(compress(W, cut bytes), (B - c) * ONES),
+    with no Python-level work per ON coordinate, and field j of y is
+    B - c + raw_j. As |raw_j| <= m = max(rows, cols), the clamped cut
+    c = floor(k) + 1 lies in [-m, m + 1] and the guard bit B = 1 << (F - 1)
+    exceeds 2m + 1, no field borrows or carries. Raws are ints, so
+    raw_j > k exactly when field j reaches B: the cut is
+    (y >> (F - 1)) & ONES, and pinning ORs in the seed's bits. The code is
+    compiled once per matrix, clamped cut and kind (_PackedCode) and kept
+    on the matrix; a run binds only its pin mask.
     """
 
     def __init__(self, matrix, tag, k, pin_on, policy):
-        super().__init__()
         reach = max(matrix.shape)
         cut = min(max(math.floor(k) + 1, -reach), reach + 1)
         self.code = code = matrix._memo(_PackedCode, cut, tag.kind)
-        self.operands = code.operands
-        self.shift = code.shift
         self.pin = sum(map(code.bits.__getitem__, pin_on))
 
     def step(self, x, side, pin):
-        weights, y, ones = self.operands[side]
-        while x:
-            low = x & -x
-            y += weights[low]
-            x ^= low
-        cut = (y >> self.shift) & ones
+        code = self.code
+        weights, bias, ones = code.operands[side]
+        y = sum(compress(weights, code.cut_bytes(x, side)), bias)
+        cut = (y >> code.shift) & ones
         return y, cut, (cut | self.pin) if pin else cut
 
     def seed(self, part):
         return self.pin  # a crisp seed's ON bits are exactly its pin mask
 
     def decode(self, x, side):
-        code = self.code
-        cuts = x.to_bytes(code.lengths[side], "little")[::code.stride]
+        cuts = self.code.cut_bytes(x, side)
         part = itemgetter(*cuts)(_BIT_SCALARS)
         return part if len(cuts) > 1 else (part,)  # one index: a bare item
 
@@ -535,11 +530,11 @@ class _PackedStep(_Kernel):
 
 
 class _PackedCode:
-    """A packed circle step compiled for one matrix, clamped cut and kind:
-    the applied operand (weights, bias, ONES) of each side the kind steps
-    from, the shift that takes each field's guard bit to its low bit, and
-    the layout a part on each side decodes by. Built through Matrix._memo,
-    so each is built once and kept on the matrix."""
+    """A packed circle step compiled once per matrix, clamped cut and kind
+    and kept on the matrix (Matrix._memo): the operand (W, bias, ONES) of
+    each side the kind steps from, the shift that takes each field's guard
+    bit to its low bit, the stride (bytes per field), the byte length and
+    the raw fields of a part per side, and the pin bits."""
 
     __slots__ = ("operands", "offset", "shift", "mask", "stride", "bits",
                  "fields", "lengths")
@@ -555,13 +550,19 @@ class _PackedCode:
                          for side, (weights, ones) in sides.items()}
         self.shift = width - 1
         self.mask = (1 << width) - 1
-        self.stride = width // 8  # bytes per field
-        self.bits = _field_bits(width, max(matrix.shape))  # a pin's bits
+        self.stride = width // 8
+        self.bits = _field_bits(width, max(matrix.shape))
         sizes = {DOMAIN_SIDE: matrix.rows, RANGE_SIDE: matrix.cols}
         # the bit position of each field, and the bytes, of a part per side
         self.fields = {side: range(0, width * n, width)
                        for side, n in sizes.items()}
         self.lengths = {side: self.stride * n for side, n in sizes.items()}
+
+    def cut_bytes(self, x, side):
+        """The cut byte of each coordinate of the state `x` on `side`, the
+        byte its field starts on: every stride-th byte of x's little-endian
+        bytes, 0 or 1, as a state has bits only at field starts."""
+        return x.to_bytes(self.lengths[side], "little")[::self.stride]
 
 
 def _field_width(matrix):
@@ -572,27 +573,26 @@ def _field_width(matrix):
 
 
 def _packed(matrix, by_columns):
-    """({1 << F*i: W_i}, ONES) of a fuzzy circle `matrix` applied from the
-    domain, or from the range when `by_columns`: W_i packs input i's
-    weights, one F-bit field per output, and ONES has a 1 in each output
-    field. Kept on the matrix for every cut, as matrix._memo(_packed,
-    by_columns)."""
+    """((W_0, ..., W_n-1), ONES) of a fuzzy circle `matrix` applied from
+    the domain, or from the range when `by_columns`: W_i packs input i's
+    weights, one F-bit field per output, in input coordinate order, and
+    ONES has a 1 in each output field. Kept on the matrix for every cut,
+    as matrix._memo(_packed, by_columns)."""
     width = _field_width(matrix)
     rows, cols = matrix.rows, matrix.cols
     reals = [int(e.real_part) for e in matrix.entries]
     lines = [reals[j::cols] for j in range(cols)] if by_columns \
         else [reals[i:i + cols] for i in range(0, rows * cols, cols)]
     outputs = _field_bits(width, len(lines[0]))
-    weights = dict(zip(_field_bits(width, len(lines)),
-                       [sum([bit * w for bit, w in zip(outputs, line) if w])
-                        for line in lines]))
+    weights = tuple([sum([bit * w for bit, w in zip(outputs, line) if w])
+                     for line in lines])
     return weights, sum(outputs)
 
 
 @functools.lru_cache(maxsize=64)
 def _field_bits(width, count):
-    """The low bit of each of `count` fields of `width` bits: the keys of
-    a packed matrix's weights, held once for every matrix of that size."""
+    """The low bit of each of `count` fields of `width` bits, held once
+    for every matrix of that size."""
     return tuple([1 << width * i for i in range(count)])
 
 

@@ -9,6 +9,7 @@ import copy
 import math
 import pathlib
 import pickle
+import random
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -900,6 +901,45 @@ def test_packed_kernel_matches_scalar_reference_across_the_byte_boundary(
     assert_capped_run_replays(*case)
 
 
+@st.composite
+def square_boundary_runs(draw):
+    """A fuzzy circle union of one CM component of m = 63 or 64 nodes, on
+    either side of the packed field's widening from 8 to 16 bits, where a
+    state holds one cut byte per coordinate in every byte (m = 63) or in
+    every other byte (m = 64). A row is all +1 or all -1, so that a raw
+    value reaches +-m, in none, a fifth or all of the rows; the others
+    hold 3 % or 10 % nonzero weights over {-1, 0, 1}, sparse enough that
+    an orbit stays short to replay through Scalars. The seed is sparse (at
+    most 3 ON), dense (at most 3 OFF) or all ON, and k is often at or
+    beyond either clamp end, -m - 1 and m, or just inside."""
+    m = draw(st.sampled_from([63, 64]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    nonzero = draw(st.sampled_from([0.03, 0.1]))
+    saturated = draw(st.sampled_from([0, 0.2, 1]))  # share of rows
+    entries = []
+    for _ in range(m):
+        if rng.random() < saturated:
+            entries += [rng.choice([-1, 1])] * m
+        else:
+            entries += [rng.choice([-1, 1]) if rng.random() < nonzero else 0
+                        for _ in range(m)]
+    picked = draw(st.sets(st.integers(0, m - 1), max_size=3))
+    on = draw(st.sampled_from([picked, set(range(m)) - picked,
+                               set(range(m))]))
+    k = draw(st.one_of(st.sampled_from([-1, 0, 0.5]),
+                       st.sampled_from([-66, -65, -64.5, -64, -63.5, -63,
+                                        62.5, 63, 63.5, 64, 64.5, 65])))
+    max_steps = draw(st.integers(1, 12))
+    return (SpecialMatrix([(Matrix(m, m, entries, TRI), ComponentTag())]),
+            seed([int(i in on) for i in range(m)]), k, max_steps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_boundary_runs())
+def test_packed_kernel_matches_scalar_reference_on_wide_square_maps(case):
+    assert_capped_run_replays(*case)
+
+
 _LEVELS = [0, 0.2, 0.5, 0.7, 1]
 
 
@@ -933,6 +973,21 @@ def level_runs(draw):
 def test_level_kernel_matches_scalar_reference(case):
     special, x0, max_steps = case
     assert_capped_run_replays(special, x0, 0.0, max_steps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(tri_runs(), trit_runs(), level_runs().map(
+    lambda case: (case[0], case[1], 0.0, case[2]))))
+def test_steps_and_settle_steps_read_the_orbits(case):
+    # CM, RM and mixed unions whose components settle at different steps,
+    # so that settled ones are frozen: the two counts read the orbits and
+    # leave the trace unassembled, and equal what the trace gives
+    special, x0, k, _ = case
+    pattern = run_mixed(special, x0, threshold_k=k)
+    steps, settled = pattern.steps, pattern.settled_steps
+    assert "trace" not in pattern.__dict__
+    from_trace = HiddenPattern(pattern.outcomes, pattern.trace, x0)
+    assert (steps, settled) == (from_trace.steps, from_trace.settled_steps)
 
 
 def fresh(value):
