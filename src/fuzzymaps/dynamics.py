@@ -16,8 +16,9 @@ the operator its tag declares.
   asks both too.
 * Schedule: landing_side. A CM component lands on the seeded side every
   step; an RM component alternates its matrix with its transpose, so it
-  lands on the far side after an odd number of steps. The run,
-  Recurrence, render_trace and verify_trace all take sides from it.
+  lands on the far side after an odd number of steps. A run reads it
+  once per component, to build the component's kernels (_kernels);
+  Recurrence, render_trace and verify_trace take sides from it too.
 * Step: apply, cut, pin. Circle-operator components are cut onto {0,1}
   (fuzzy) or {0,1,I} (neutrosophic) after every application, and the
   coordinates that were ON in the seed (on_coordinates) are pinned back
@@ -37,12 +38,15 @@ the operator its tag declares.
   settled is frozen and carried unchanged on the seeded side until the
   last one settles.
 
-Each component's step is set up at the start of a run on the kernel its
-tag names, which only applies and cuts per side (the matrix from the
-domain, its transpose from the range), and the run calls only that one
-step. What a kernel derives from the matrix alone is kept on the matrix
-(Matrix._memo). The carrier rule fixes what a kernel's entries can be,
-so each kernel takes every component of its tag:
+Each kernel is one-way: it applies one operand from its rows to its
+columns, cuts, and ORs in a pin mask fixed when it is built, empty unless
+its steps land on the seeded side. A CM component runs one kernel over
+its matrix; an RM component runs one over its matrix and one over its
+transpose, and the run takes kernels[step & 1] at each step. What a
+kernel derives from its matrix alone is kept on the matrix
+(Matrix._memo), and so is an RM matrix's transpose. The carrier rule
+fixes what a kernel's entries can be, so each kernel takes every
+component of its tag:
 
   algebra       operator       kernel
   fuzzy         circle         packed
@@ -53,23 +57,23 @@ so each kernel takes every component of its tag:
 * packed: weights in {-1, 0, 1}; a state is one int holding a
   byte-aligned field per coordinate, and a step is one C-level sum of the
   packed weights that the state's cut bytes select, compiled once per
-  matrix, cut and kind and kept on the matrix;
+  matrix and cut and kept on the matrix;
 * trit: weights in {-1, 0, 1, I}; states are pairs of int bitmasks (the
   1 and the I coordinates), raw values t + sI have exact integer parts,
   popcounts via int.bit_count (so Python 3.10+) over per-matrix masks of
   the +1, -1 and I entries, and the cut is threshold_scalar, once per
-  distinct raw value in a run;
+  distinct raw value per kernel in a run;
 * float level: memberships in [0, 1]; float-tuple states, one C-level
   max/min call per entry;
 * Scalar: Scalar tuples through apply_part, where the order policy
   applies.
 
-A run keeps each orbit's steps in the kernel's own form. The union
+A run keeps each orbit's steps in the kernels' own form. The union
 trace is assembled from them on its first read, which decodes every
-part to a Scalar tuple; within a run, each distinct state on a side
-decodes once, so equal states share one tuple. Outcomes are decoded
-when their component settles, so a run whose trace nobody reads builds
-no record.
+part to a Scalar tuple through the kernel that took its step; within a
+run, each distinct state of a kernel decodes once, so equal states share
+one tuple. Outcomes are decoded when their component settles, so a run
+whose trace nobody reads builds no record.
 
 Tests replay every run record by record through the public Scalar
 operations (apply_part, threshold_scalar, landing_side and the pin),
@@ -95,7 +99,6 @@ from .matrices import transpose
 from .special import (
     CM,
     DOMAIN_SIDE,
-    RANGE_SIDE,
     RM,
     SpecialMatrix,
     SpecialStateVector,
@@ -218,8 +221,11 @@ class Recurrence:
         cycle = [(s, t) for s, t in self.seen.items() if t >= start]
         if self.kind == CM:
             return [s for s, _ in cycle]
-        pairs = [(s, self.partners[t + 1]) for s, t in cycle]
-        return pairs if self.side == DOMAIN_SIDE else [p[::-1] for p in pairs]
+        return [self.orient((s, self.partners[t + 1])) for s, t in cycle]
+
+    def orient(self, pair):
+        """A (seeded-side, far-side) pair in (domain, range) order."""
+        return pair if self.side == DOMAIN_SIDE else pair[::-1]
 
     @staticmethod
     def outcome(cycle):
@@ -252,7 +258,7 @@ class HiddenPattern:
     seeded side and input mask derive from `input`, the step count and
     settle steps from `trace`, or on a run's pattern from its orbits.
 
-    A run keeps each component's orbit, its kernel's (raw, thresholded,
+    A run keeps each component's orbit, its kernels' (raw, thresholded,
     updated) of every step up to its first recurrence, and `trace` is
     assembled and decoded from the orbits on first read (_union_trace). A
     pattern compares, hashes, prints, copies and pickles by its three
@@ -264,8 +270,8 @@ class HiddenPattern:
 
     @classmethod
     def _from_orbits(cls, outcomes, orbits, input):
-        """A pattern whose trace is assembled from `orbits`, one (rule,
-        kind, steps) per component, on first read."""
+        """A pattern whose trace is assembled from `orbits`, one (kernels,
+        steps) per component, on first read."""
         pattern = object.__new__(cls)
         pattern.__dict__.update(outcomes=outcomes, input=input,
                                 _orbits=orbits)
@@ -277,8 +283,7 @@ class HiddenPattern:
         if name != "trace" or "_orbits" not in self.__dict__:
             raise AttributeError(
                 f"'HiddenPattern' object has no attribute {name!r}")
-        trace = self.__dict__["trace"] = _union_trace(self._orbits,
-                                                      self.input.side)
+        trace = self.__dict__["trace"] = _union_trace(self._orbits)
         return trace
 
     def __reduce__(self):
@@ -301,7 +306,7 @@ class HiddenPattern:
         on a run's pattern (not assembling `trace`), else the number of
         records in which it is not frozen."""
         if "_orbits" in self.__dict__:
-            return tuple([len(steps) for _, _, steps in self._orbits])
+            return tuple([len(steps) for _, steps in self._orbits])
         return tuple(column.count(False)
                      for column in zip(*(r.frozen for r in self.trace)))
 
@@ -317,27 +322,27 @@ class HiddenPattern:
         return "\n".join(lines)
 
 
-def _union_trace(orbits, seeded) -> tuple:
+def _union_trace(orbits) -> tuple:
     """The union's records, one per step up to the last component's settle
-    step: a component's step sits where landing_side lands it, and once
-    its orbit has ended it is frozen and carried unchanged on the seeded
-    side. Parts decode through their kernel's memos (_Kernel.part and
-    raw_part), so equal states on a side share one tuple."""
-    total = max(len(steps) for _, _, steps in orbits)
+    step: a component's step s is decoded by kernels[s & 1], the kernel
+    that took it, through its memos (_Kernel.part and raw_part), so equal
+    states share one tuple. Once its orbit has ended the component is
+    frozen and carried unchanged on the seeded side."""
+    total = max(len(steps) for _, steps in orbits)
     columns = []  # per component, its (raw, thresholded, updated) per step
-    for rule, kind, steps in orbits:
+    for kernels, steps in orbits:
         column = []
         for step, (raw, cut, new) in enumerate(steps, 1):
-            side = landing_side(kind, seeded, step)
-            thresholded = rule.part(side, cut)
+            kernel = kernels[step & 1]
+            thresholded = kernel.part(cut)
             # a part that flows raw is its own thresholded form
             column.append((thresholded if raw is cut
-                           else rule.raw_part(side, raw),
-                           thresholded, rule.part(side, new)))
+                           else kernel.raw_part(raw),
+                           thresholded, kernel.part(new)))
         # a component settles on a step that lands on the seeded side
         column += [(column[-1][2],) * 3] * (total - len(steps))
         columns.append(column)
-    frozen = [tuple([step > len(steps) for _, _, steps in orbits])
+    frozen = [tuple([step > len(steps) for _, steps in orbits])
               for step in range(1, total + 1)]
     return tuple([IterationRecord(*zip(*parts), flags)
                   for parts, flags in zip(zip(*columns), frozen)])
@@ -402,41 +407,38 @@ def _seed_masks(x) -> tuple:
 
 # -- compiled steps ----------------------------------------------------------
 #
-# A kernel is one component's step (apply, cut, pin), built once per run
-# from (matrix, tag, k, pin_on, policy). It keeps its operand per side:
-# the matrix, applied from the domain, and for an RM component its
-# transpose, applied from the range. `step(state, side, pin)` applies
-# the operand of the side `state` addresses, cuts, pins when told, and
-# returns (raw, thresholded, updated); landing_side decides `pin`. States
-# are native to the kernel: `seed` makes one from the crisp seed part,
-# and `part` turns a state on a side back into the Scalar tuple that
-# records and outcomes carry, as `raw_part` does a raw part whose form
-# differs from a state's.
+# A kernel steps one operand from its rows to its columns: `step(state)`
+# applies, cuts and ORs in the pin mask fixed when the kernel was built,
+# and returns (raw, thresholded, updated). States are native to the
+# kernel: `seed` makes the seeded-side state from the crisp seed part,
+# `decode` turns a state of its output space back into the Scalar tuple
+# that records and outcomes carry, and `decode_raw` does that for a raw
+# part whose form differs from a state's. _kernels builds a component's
+# kernels, one per step parity.
 
 class _Kernel:
-    """One run's decoded parts of one component: each distinct state and
-    raw part on a side is decoded to a Scalar tuple once, by the kernel's
-    `decode` and `decode_raw`, and equal parts share that tuple. The memos
-    are made on first use, so a run whose trace nobody reads makes none."""
+    """One run's decoded parts of one kernel: each distinct state and raw
+    part in its output space is decoded to a Scalar tuple once, by the
+    kernel's `decode` and `decode_raw`, and equal parts share that tuple.
+    The memos are made on first use, so a run whose trace nobody reads
+    makes none."""
 
-    parts = raws = None  # (side, state or raw) -> Scalar tuple
+    parts = raws = None  # state or raw -> Scalar tuple
 
-    def part(self, side, state):
+    def part(self, state):
         if self.parts is None:
             self.parts = {}
-        key = side, state
-        part = self.parts.get(key)
+        part = self.parts.get(state)
         if part is None:
-            part = self.parts[key] = self.decode(state, side)
+            part = self.parts[state] = self.decode(state)
         return part
 
-    def raw_part(self, side, raw):
+    def raw_part(self, raw):
         if self.raws is None:
             self.raws = {}
-        key = side, raw
-        part = self.raws.get(key)
+        part = self.raws.get(raw)
         if part is None:
-            part = self.raws[key] = self.decode_raw(raw, side)
+            part = self.raws[raw] = self.decode_raw(raw)
         return part
 
 
@@ -446,14 +448,12 @@ class _ScalarStep(_Kernel):
     pin, and a state is its own Scalar tuple."""
 
     def __init__(self, matrix, tag, k, pin_on, policy):
-        super().__init__()
-        self.operands = {DOMAIN_SIDE: matrix, RANGE_SIDE:
-                         transpose(matrix) if tag.kind == RM else None}
+        self.matrix = matrix
         self.op = tag.op
         self.policy = policy
 
-    def step(self, state, side, pin):
-        raw = apply_part(state, self.operands[side], self.op, self.policy)
+    def step(self, state):
+        raw = apply_part(state, self.matrix, self.op, self.policy)
         return raw, raw, raw
 
     @staticmethod
@@ -461,7 +461,7 @@ class _ScalarStep(_Kernel):
         return part
 
     @staticmethod
-    def decode(state, side):
+    def decode(state):
         return state
 
 
@@ -484,85 +484,80 @@ class _PackedStep(_Kernel):
     field of F bits per coordinate of one int: multiple byte processing
     with full-word instructions (Lamport, CACM 18(8), 1975).
 
-    Coordinate i of a state sits at bit F*i. The operand W holds, in
-    input coordinate order, W_i = sum_j m_ij << F*j: the matrix's row i
-    for the domain and, on an RM component, its column i for the range.
-    F is a multiple of 8 (_field_width), so a state, whose bits sit only
-    at field starts, has one cut byte per coordinate, exactly 0 or 1
-    (_PackedCode.cut_bytes). A step is one C-level sum over the weights
-    those bytes select, y = sum(compress(W, cut bytes), (B - c) * ONES),
-    with no Python-level work per ON coordinate, and field j of y is
-    B - c + raw_j. As |raw_j| <= m = max(rows, cols), the clamped cut
-    c = floor(k) + 1 lies in [-m, m + 1] and the guard bit B = 1 << (F - 1)
-    exceeds 2m + 1, no field borrows or carries. Raws are ints, so
-    raw_j > k exactly when field j reaches B: the cut is
-    (y >> (F - 1)) & ONES, and pinning ORs in the seed's bits. The code is
-    compiled once per matrix, clamped cut and kind (_PackedCode) and kept
-    on the matrix; a run binds only its pin mask.
+    Coordinate i of a state sits at bit F*i. The operand W holds, in row
+    order, W_i = sum_j m_ij << F*j. F is a multiple of 8 (_field_width),
+    so a state, whose bits sit only at field starts, has one cut byte per
+    coordinate, exactly 0 or 1 (_PackedCode.cut_bytes). A step is one
+    C-level sum over the weights those bytes select,
+    y = sum(compress(W, cut bytes), (B - c) * ONES), with no Python-level
+    work per ON coordinate, and field j of y is B - c + raw_j. As
+    |raw_j| <= m = max(rows, cols), the clamped cut c = floor(k) + 1 lies
+    in [-m, m + 1] and the guard bit B = 1 << (F - 1) exceeds 2m + 1, no
+    field borrows or carries. Raws are ints, so raw_j > k exactly when
+    field j reaches B: the cut is (y >> (F - 1)) & ONES, and the pin ORs
+    in its mask. The code is compiled once per matrix and clamped cut
+    (_PackedCode) and kept on the matrix; a run binds only the pin mask.
     """
 
     def __init__(self, matrix, tag, k, pin_on, policy):
         reach = max(matrix.shape)
         cut = min(max(math.floor(k) + 1, -reach), reach + 1)
-        self.code = code = matrix._memo(_PackedCode, cut, tag.kind)
+        self.code = code = matrix._memo(_PackedCode, cut)
         self.pin = sum(map(code.bits.__getitem__, pin_on))
 
-    def step(self, x, side, pin):
+    def step(self, x):
         code = self.code
-        weights, bias, ones = code.operands[side]
-        y = sum(compress(weights, code.cut_bytes(x, side)), bias)
-        cut = (y >> code.shift) & ones
-        return y, cut, (cut | self.pin) if pin else cut
+        y = sum(compress(code.weights, code.cut_bytes(x, code.inputs)),
+                code.bias)
+        cut = (y >> code.shift) & code.ones
+        return y, cut, cut | self.pin
 
     def seed(self, part):
         return self.pin  # a crisp seed's ON bits are exactly its pin mask
 
-    def decode(self, x, side):
-        cuts = self.code.cut_bytes(x, side)
+    def decode(self, x):
+        cuts = self.code.cut_bytes(x, self.code.outputs)
         part = itemgetter(*cuts)(_BIT_SCALARS)
         return part if len(cuts) > 1 else (part,)  # one index: a bare item
 
-    def decode_raw(self, y, side):
+    def decode_raw(self, y):
         code = self.code
         mask, offset = code.mask, code.offset
         return tuple([_INT_SCALARS[(y >> s & mask) - offset]
-                      for s in code.fields[side]])
+                      for s in code.fields])
 
 
 class _PackedCode:
-    """A packed circle step compiled once per matrix, clamped cut and kind
-    and kept on the matrix (Matrix._memo): the operand (W, bias, ONES) of
-    each side the kind steps from, the shift that takes each field's guard
-    bit to its low bit, the stride (bytes per field), the byte length and
-    the raw fields of a part per side, and the pin bits."""
+    """A packed circle step over a matrix, compiled once per matrix and
+    clamped cut and kept on the matrix (Matrix._memo): the operand
+    (W, bias, ONES), the shift that takes each field's guard bit to its
+    low bit, the stride (bytes per field), the byte lengths of an input
+    and of an output state, and the low bit and bit position of each
+    output field."""
 
-    __slots__ = ("operands", "offset", "shift", "mask", "stride", "bits",
-                 "fields", "lengths")
+    __slots__ = ("weights", "bias", "ones", "offset", "shift", "mask",
+                 "stride", "inputs", "outputs", "bits", "fields")
 
-    def __init__(self, matrix, cut, kind):
+    def __init__(self, matrix, cut):
         width = _field_width(matrix)
+        self.weights, self.ones = matrix._memo(_packed)
         # field j of a raw record y is offset + raw_j
         self.offset = offset = (1 << width - 1) - cut
-        sides = {DOMAIN_SIDE: matrix._memo(_packed, False)}
-        if kind == RM:
-            sides[RANGE_SIDE] = matrix._memo(_packed, True)
-        self.operands = {side: (weights, offset * ones, ones)
-                         for side, (weights, ones) in sides.items()}
+        self.bias = offset * self.ones
         self.shift = width - 1
         self.mask = (1 << width) - 1
         self.stride = width // 8
-        self.bits = _field_bits(width, max(matrix.shape))
-        sizes = {DOMAIN_SIDE: matrix.rows, RANGE_SIDE: matrix.cols}
-        # the bit position of each field, and the bytes, of a part per side
-        self.fields = {side: range(0, width * n, width)
-                       for side, n in sizes.items()}
-        self.lengths = {side: self.stride * n for side, n in sizes.items()}
+        self.inputs = self.stride * matrix.rows
+        self.outputs = self.stride * matrix.cols
+        self.bits = _field_bits(width, matrix.cols)
+        self.fields = range(0, width * matrix.cols, width)
 
-    def cut_bytes(self, x, side):
-        """The cut byte of each coordinate of the state `x` on `side`, the
-        byte its field starts on: every stride-th byte of x's little-endian
-        bytes, 0 or 1, as a state has bits only at field starts."""
-        return x.to_bytes(self.lengths[side], "little")[::self.stride]
+    def cut_bytes(self, x, length):
+        """The cut byte of each coordinate of the state `x`, `length` bytes
+        long, the byte its field starts on: every stride-th byte of x's
+        little-endian bytes, 0 or 1, as a state has bits only at field
+        starts."""
+        return x.to_bytes(length, "little")[::self.stride]
 
 
 def _field_width(matrix):
@@ -572,20 +567,17 @@ def _field_width(matrix):
     return ((2 * max(matrix.shape) + 1).bit_length() + 8) // 8 * 8
 
 
-def _packed(matrix, by_columns):
-    """((W_0, ..., W_n-1), ONES) of a fuzzy circle `matrix` applied from
-    the domain, or from the range when `by_columns`: W_i packs input i's
-    weights, one F-bit field per output, in input coordinate order, and
-    ONES has a 1 in each output field. Kept on the matrix for every cut,
-    as matrix._memo(_packed, by_columns)."""
-    width = _field_width(matrix)
-    rows, cols = matrix.rows, matrix.cols
-    reals = [int(e.real_part) for e in matrix.entries]
-    lines = [reals[j::cols] for j in range(cols)] if by_columns \
-        else [reals[i:i + cols] for i in range(0, rows * cols, cols)]
-    outputs = _field_bits(width, len(lines[0]))
-    weights = tuple([sum([bit * w for bit, w in zip(outputs, line) if w])
-                     for line in lines])
+def _packed(matrix):
+    """((W_0, ..., W_rows-1), ONES) of a fuzzy circle `matrix`: W_i packs
+    row i's weights, one F-bit field per column, each +-(the field's low
+    bit) by its sign, and ONES has a 1 in each column's field. Kept on the
+    matrix for every cut, as matrix._memo(_packed)."""
+    cols = matrix.cols
+    outputs = _field_bits(_field_width(matrix), cols)
+    reals = [e.real_part for e in matrix.entries]
+    weights = tuple([sum([bit if w > 0 else -bit
+                          for bit, w in zip(outputs, reals[i:i + cols]) if w])
+                     for i in range(0, len(reals), cols)])
     return weights, sum(outputs)
 
 
@@ -596,14 +588,14 @@ def _field_bits(width, count):
     return tuple([1 << width * i for i in range(count)])
 
 
-def _sign_masks(matrix, by_rows):
+def _sign_masks(matrix):
     """(P, N, Im) of a neutrosophic circle component's `matrix`, whose
-    entries the carrier rule keeps in {-1, 0, 1, I}: per column (per row
-    when `by_rows`), the bitmask of its +1 entries, that of its -1 entries
-    and that of its I entries. Kept on the matrix, as
-    matrix._memo(_sign_masks, by_rows)."""
-    rows, cols = matrix.rows, matrix.cols
-    pos = [0] * (rows if by_rows else cols)
+    entries the carrier rule keeps in {-1, 0, 1, I}: per column, the
+    bitmask of the rows of its +1 entries, that of its -1 entries and
+    that of its I entries. Kept on the matrix, as
+    matrix._memo(_sign_masks)."""
+    cols = matrix.cols
+    pos = [0] * cols
     neg = pos[:]
     ind = pos[:]
     for idx, entry in enumerate(matrix.entries):
@@ -615,8 +607,6 @@ def _sign_masks(matrix, by_rows):
         else:
             continue
         i, j = divmod(idx, cols)
-        if by_rows:
-            i, j = j, i
         masks[j] |= 1 << i
     return tuple(pos), tuple(neg), tuple(ind)
 
@@ -625,8 +615,9 @@ _TRIT_SCALARS = (ZERO, ONE, I)  # by code: x1 bit + 2 * xI bit
 
 
 class _CutCodes(dict):
-    """One run's cut of each raw value t + sj, by values.threshold_scalar,
-    as a code: 0 for 0, 1 for 1, 2 for I. Made on first use."""
+    """One kernel's cut of each raw value t + sj, by
+    values.threshold_scalar, as a code: 0 for 0, 1 for 1, 2 for I. Made
+    on first use."""
 
     def __init__(self, mode):
         super().__init__()
@@ -644,51 +635,45 @@ class _TritStep(_Kernel):
 
     Bit i of a bitmask is coordinate i, and a {0, 1, I} state is the pair
     (x1, xI): the bitmask of its 1 coordinates and that of its I
-    coordinates. The applied operand holds the mask tuples (P, N, Im) of
-    _sign_masks, the +1, -1 and I rows of each column of the matrix for
-    the domain and, on an RM component, of each row for the range, built
-    once per matrix and kept on it. As I * I = I, raw_j = t + sI with
-    t = |x1 & P[j]| - |x1 & N[j]| and
+    coordinates. The operand holds the mask tuples (P, N, Im) of
+    _sign_masks, the +1, -1 and I rows of each column of the matrix,
+    built once per matrix and kept on it. As I * I = I, raw_j = t + sI
+    with t = |x1 & P[j]| - |x1 & N[j]| and
     s = |x1 & Im[j]| + |xI & P[j]| - |xI & N[j]| + |xI & Im[j]|, both
     exact integers (popcounts via int.bit_count, so Python 3.10+).
     The cut is values.threshold_scalar, once per distinct raw value, and
-    pinning sets the seed's bits to 1.
+    the pin sets its mask's bits to 1.
     """
 
     def __init__(self, matrix, tag, k, pin_on, policy):
-        super().__init__()
-        self.operands = {DOMAIN_SIDE: matrix._memo(_sign_masks, False),
-                         RANGE_SIDE: matrix._memo(_sign_masks, True)
-                         if tag.kind == RM else None}
-        self.sizes = {DOMAIN_SIDE: matrix.rows, RANGE_SIDE: matrix.cols}
+        self.operand = matrix._memo(_sign_masks)
+        self.size = matrix.cols
         self.pin = sum(1 << i for i in pin_on)
-        self.bits = _field_bits(1, max(matrix.shape))
+        self.bits = _field_bits(1, matrix.cols)
         self.cut = _CutCodes(ThresholdMode(tag.algebra, k))
 
-    def step(self, x, side, pin):
+    def step(self, x):
         x1, xi = x
         raw = tuple([complex((x1 & p).bit_count() - (x1 & n).bit_count(),
                              (x1 & m).bit_count() + (xi & p).bit_count()
                              - (xi & n).bit_count() + (xi & m).bit_count())
-                     for p, n, m in zip(*self.operands[side])])
+                     for p, n, m in zip(*self.operand)])
         codes = list(map(self.cut.__getitem__, raw))
-        bits = self.bits
-        cut = (sum([bit for c, bit in zip(codes, bits) if c == 1]),
-               sum([bit for c, bit in zip(codes, bits) if c == 2]))
-        if not pin:
-            return raw, cut, cut
-        return raw, cut, (cut[0] | self.pin, cut[1] & ~self.pin)
+        bits, pin = self.bits, self.pin
+        ones = sum([bit for c, bit in zip(codes, bits) if c == 1])
+        inds = sum([bit for c, bit in zip(codes, bits) if c == 2])
+        return raw, (ones, inds), (ones | pin, inds & ~pin)
 
     def seed(self, part):
         return self.pin, 0  # a crisp seed's ON bits are exactly its pin mask
 
-    def decode(self, x, side):
+    def decode(self, x):
         x1, xi = x
         return tuple([_TRIT_SCALARS[(x1 >> i & 1) | (xi >> i & 1) << 1]
-                      for i in range(self.sizes[side])])
+                      for i in range(self.size)])
 
     @staticmethod
-    def decode_raw(raw, side):
+    def decode_raw(raw):
         return tuple(map(_INT_SCALARS.__getitem__, raw))
 
 
@@ -696,41 +681,33 @@ class _LevelStep(_Kernel):
     """Fuzzy max-min or min-max step over [0, 1] memberships on float
     tuples.
 
-    A state is the tuple of its coordinates' real parts, and the applied
-    operand is a tuple of columns as float tuples, so raw_j is one C-level
-    call, max(map(min, x, column_j)) for max-min. Parts flow raw: no cut,
-    no pin. Every raw value is a seed value (0 or 1) or a matrix entry, so
-    `values` maps each float back to its Scalar.
+    A state is the tuple of its coordinates' real parts, and the operand
+    is a tuple of the matrix's columns as float tuples, so raw_j is one
+    C-level call, max(map(min, x, column_j)) for max-min. Parts flow raw:
+    no cut, no pin. Every raw value is a seed value (0 or 1) or a matrix
+    entry, so `values` maps each float back to its Scalar.
     """
 
     def __init__(self, matrix, tag, k, pin_on, policy):
-        super().__init__()
         entries = matrix.entries
         reals = tuple([e.real_part for e in entries])
         cols = matrix.cols
-        rows = None
-        if tag.kind == RM:  # the columns of the transpose
-            rows = tuple(reals[i:i + cols]
-                         for i in range(0, len(reals), cols))
-        self.operands = {DOMAIN_SIDE: tuple(reals[j::cols]
-                                            for j in range(cols)),
-                         RANGE_SIDE: rows}
+        self.operand = tuple(reals[j::cols] for j in range(cols))
         self.inner, self.outer = (min, max) if tag.op == "maxmin" \
             else (max, min)
         self.values = {0.0: ZERO, 1.0: ONE}  # float -> Scalar
         self.values.update(zip(reals, entries))
 
-    def step(self, x, side, pin):
+    def step(self, x):
         inner, outer = self.inner, self.outer
-        raw = tuple([outer(map(inner, x, col))
-                     for col in self.operands[side]])
+        raw = tuple([outer(map(inner, x, col)) for col in self.operand])
         return raw, raw, raw
 
     @staticmethod
     def seed(part):
         return tuple([v.real_part for v in part])
 
-    def decode(self, x, side):
+    def decode(self, x):
         return tuple(map(self.values.__getitem__, x))
 
 
@@ -747,33 +724,48 @@ _KERNEL_BY_TAG = {
 }
 
 
-def _orbit(rule, kind, part, seeded, max_steps):
-    """Step `rule` from the seed `part` on `seeded` until Recurrence
-    closes its first cycle, landing and pinning as landing_side says.
-    Returns the kernel's (raw, thresholded, updated) of each step and the
-    outcome of the cycle, or None when none closes within `max_steps`."""
-    state = rule.seed(part)
+def _kernels(mat, tag, k, pin_on, policy, seeded):
+    """The kernels of a component seeded on `seeded`, by step parity: the
+    even steps' kernel lands on the seeded side and pins `pin_on`; the
+    odd steps' kernel lands where landing_side puts step 1, pinning only
+    when that is the seeded side too. A kernel from the domain applies
+    the matrix, one from the range its transpose (kept on the matrix)."""
+    far = landing_side(tag.kind, seeded, 1)
+    make = _KERNEL_BY_TAG[tag.algebra, tag.op]
+
+    def operand(side):  # the matrix that steps from `side`
+        return mat if side == DOMAIN_SIDE else mat._memo(transpose)
+
+    home = make(operand(far), tag, k, pin_on, policy)
+    if far == seeded:
+        return home, home
+    return home, make(operand(seeded), tag, k, (), policy)
+
+
+def _orbit(kernels, kind, part, seeded, max_steps):
+    """Step the seed `part` through `kernels`, kernels[step & 1] at each
+    step, until Recurrence closes its first cycle. Returns the kernels'
+    (raw, thresholded, updated) of each step and the outcome of the
+    cycle, or None when none closes within `max_steps`."""
+    home, away = kernels
+    state = home.seed(part)
     recurrence = Recurrence(kind, seeded, state)
-    sides, add, step_rule = recurrence.sides, recurrence.add, rule.step
-    side = seeded  # the side `state` addresses
+    add, steppers = recurrence.add, (home.step, away.step)
     steps = []
     for step in range(1, max_steps + 1):
-        land = sides[step & 1]
-        taken = step_rule(state, side, land == seeded)
+        taken = steppers[step & 1](state)
         steps.append(taken)
-        state, side = taken[2], land
+        state = taken[2]
         cycle = add(step, state)
         if cycle is not None:
             break
     else:
         return steps, None
-    decode = rule.part
-    if kind == RM:
-        cycle = [(decode(DOMAIN_SIDE, d), decode(RANGE_SIDE, r))
-                 for d, r in cycle]
-    else:
-        cycle = [decode(seeded, s) for s in cycle]
-    return steps, Recurrence.outcome(cycle)
+    if kind == CM:
+        return steps, Recurrence.outcome(map(home.part, cycle))
+    domain, range_ = recurrence.orient(kernels)
+    return steps, Recurrence.outcome(
+        [(domain.part(d), range_.part(r)) for d, r in cycle])
 
 
 def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *,
@@ -798,11 +790,10 @@ def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *,
         raise InvalidInput("; ".join(problems))
     outcomes, orbits = [], []
     for (mat, tag), part, pin_on in zip(m, x0.parts, x0._memo(_seed_masks)):
-        rule = _KERNEL_BY_TAG[tag.algebra, tag.op](
-            mat, tag, threshold_k, pin_on, policy)
-        steps, outcome = _orbit(rule, tag.kind, part, x0.side, max_steps)
+        kernels = _kernels(mat, tag, threshold_k, pin_on, policy, x0.side)
+        steps, outcome = _orbit(kernels, tag.kind, part, x0.side, max_steps)
         outcomes.append(outcome)
-        orbits.append((rule, tag.kind, steps))
+        orbits.append((kernels, steps))
     pending = [str(idx + 1) for idx, o in enumerate(outcomes) if o is None]
     if pending:
         which = (f"component {pending[0]} is" if len(pending) == 1

@@ -291,6 +291,7 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 
 
 def transpose(a: Matrix) -> Matrix:
-    cells = [a.at(i, j) for j in range(a.cols) for i in range(a.rows)]
-    return Matrix(a.cols, a.rows, cells, a.domain)
+    cells, cols = a.entries, a.cols
+    return Matrix(cols, a.rows, chain.from_iterable(
+        cells[j::cols] for j in range(cols)), a.domain)
 

@@ -30,6 +30,7 @@ from fuzzymaps import (
     Matrix,
     NonCMComponent,
     NonRMComponent,
+    OrderPolicy,
     Scalar,
     ValueDomain,
     SpecialMatrix,
@@ -45,6 +46,7 @@ from fuzzymaps import (
     run,
     run_mixed,
     run_rm,
+    transpose,
 )
 from fuzzymaps.dynamics import (
     Recurrence,
@@ -988,6 +990,66 @@ def test_steps_and_settle_steps_read_the_orbits(case):
     assert "trace" not in pattern.__dict__
     from_trace = HiddenPattern(pattern.outcomes, pattern.trace, x0)
     assert (steps, settled) == (from_trace.steps, from_trace.settled_steps)
+
+
+# entries drawn for each (algebra, op) on its carrier
+_RM_ENTRIES = {
+    ("fuzzy", "circle"): ([-1, 0, 0, 1], TRI),
+    ("neutrosophic", "circle"): ([-1, 0, 0, 1, INDET], NTRI),
+    ("fuzzy", "maxmin"): (_LEVELS, UNIT),
+    ("fuzzy", "minmax"): (_LEVELS, UNIT),
+    ("neutrosophic", "maxmin"): (_LEVELS + [INDET, Scalar(0, 0.5)],
+                                 ValueDomain.NEUTRO_UNIT),
+    ("neutrosophic", "minmax"): (_LEVELS + [INDET, Scalar(0, 0.5)],
+                                 ValueDomain.NEUTRO_UNIT),
+}
+
+
+@st.composite
+def range_seeded_rm_unions(draw):
+    """A union of 1-3 RM components of 1-6 x 1-6 nodes, each of a drawn
+    algebra and operator over entries of its carrier, with one crisp
+    range-side seed part per component, an order policy and a cut
+    constant k in {-1, 0, 1}."""
+    comps, parts = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        algebra, op = draw(st.sampled_from(sorted(_RM_ENTRIES)))
+        values, domain = _RM_ENTRIES[algebra, op]
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        entries = draw(st.lists(st.sampled_from(values),
+                                min_size=rows * cols, max_size=rows * cols))
+        comps.append((Matrix(rows, cols, entries, domain),
+                      ComponentTag(kind=RM, algebra=algebra, op=op)))
+        parts.append(draw(st.lists(st.sampled_from([0, 1]), min_size=cols,
+                                   max_size=cols)))
+    return (comps, parts, draw(st.sampled_from(list(OrderPolicy))),
+            draw(st.sampled_from([-1, 0, 1])))
+
+
+def reversed_pairs(outcome):
+    """An RM outcome with each (domain, range) pair reversed."""
+    if isinstance(outcome, FixedPoint):
+        return FixedPoint(outcome.state[::-1])
+    return LimitCycle(tuple(s[::-1] for s in outcome.states), outcome.period)
+
+
+@settings(max_examples=200, deadline=None)
+@given(range_seeded_rm_unions())
+def test_range_seeded_run_is_the_transposed_run_seeded_on_the_domain(case):
+    # seeded on the range, an RM component steps its transpose first and
+    # pins on the range: the run of the transposed matrices seeded on the
+    # domain takes the same steps, so the records and settle steps agree
+    # and each outcome pair comes back reversed. A kernel built on the
+    # wrong operand, or a pin on the wrong landing, breaks the symmetry
+    comps, parts, policy, k = case
+    options = {"policy": policy, "threshold_k": k}
+    ranged = run_rm(SpecialMatrix(comps), seed(*parts, side=RANGE_SIDE),
+                    **options)
+    flipped = run_rm(SpecialMatrix([(transpose(m), tag) for m, tag in comps]),
+                     seed(*parts), **options)
+    assert ranged.trace == flipped.trace
+    assert ranged.settled_steps == flipped.settled_steps
+    assert tuple(map(reversed_pairs, ranged.outcomes)) == flipped.outcomes
 
 
 def fresh(value):
