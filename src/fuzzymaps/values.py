@@ -23,10 +23,6 @@ from .errors import (
     ShapeMismatch,
 )
 
-# Absolute tolerance for the t = s tie rule in neutrosophic thresholding.
-# Stored values are short decimals, so exact ties are intended ties.
-TIE_TOL = 1e-9
-
 
 class Scalar:
     """Immutable a + bI value."""
@@ -361,10 +357,10 @@ def threshold_scalar(x, mode: ThresholdMode) -> Scalar:
     """Map a raw activation value onto {0, 1, I} via the cut rules.
 
     Fuzzy(k) accepts reals only: 1 if x > k else 0. Neutrosophic(k) adds:
-    a pure mI goes to I when m > k, else 0; a mixed t + sI follows its
-    dominant coefficient (threshold t if t > s, threshold s if s > t, ties
-    within TIE_TOL give I). A `mode` that is not a ThresholdMode raises
-    TypeError.
+    a pure mI goes to I when m > k, else 0; a mixed t + sI is cut on its
+    coefficient of larger magnitude as if real (t if |t| > |s|, s if
+    |s| > |t|), and only an exact tie |t| = |s| gives I. A `mode` that is
+    not a ThresholdMode raises TypeError.
     """
     if not isinstance(mode, ThresholdMode):
         raise TypeError(f"threshold mode must be a ThresholdMode, got "
@@ -381,9 +377,9 @@ def threshold_scalar(x, mode: ThresholdMode) -> Scalar:
     if x.real_part == 0.0:
         return I if x.indet_coeff > k else ZERO
     t, s = x.real_part, x.indet_coeff
-    if abs(t - s) <= TIE_TOL:
+    if abs(t) == abs(s):
         return I
-    dominant = t if t > s else s
+    dominant = t if abs(t) > abs(s) else s
     return ONE if dominant > k else ZERO
 
 

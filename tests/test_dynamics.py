@@ -993,15 +993,14 @@ def test_steps_and_settle_steps_read_the_orbits(case):
 
 
 # entries drawn for each (algebra, op) on its carrier
+_NEUTRO_LEVELS = (_LEVELS + [INDET, Scalar(0, 0.5)], ValueDomain.NEUTRO_UNIT)
 _RM_ENTRIES = {
     ("fuzzy", "circle"): ([-1, 0, 0, 1], TRI),
     ("neutrosophic", "circle"): ([-1, 0, 0, 1, INDET], NTRI),
     ("fuzzy", "maxmin"): (_LEVELS, UNIT),
     ("fuzzy", "minmax"): (_LEVELS, UNIT),
-    ("neutrosophic", "maxmin"): (_LEVELS + [INDET, Scalar(0, 0.5)],
-                                 ValueDomain.NEUTRO_UNIT),
-    ("neutrosophic", "minmax"): (_LEVELS + [INDET, Scalar(0, 0.5)],
-                                 ValueDomain.NEUTRO_UNIT),
+    ("neutrosophic", "maxmin"): _NEUTRO_LEVELS,
+    ("neutrosophic", "minmax"): _NEUTRO_LEVELS,
 }
 
 

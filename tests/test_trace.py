@@ -369,16 +369,16 @@ OUTCOME_SHAPES = [
         "states=[1 0 0]|[1 0 1]|[1 1 1]|[1 1 0]",
         id="limit-cycle"),
     pytest.param(
-        _one_component(RM, [[0, 0, 0, 0, 1, -1],
+        _one_component(RM, [[0, 0, 0, 0, I, -1],
                             [0, I, -1, 1, -1, I],
                             [0, -1, 0, 1, I, I],
                             [1, -1, I, 1, -1, 0],
                             [1, 0, 1, 1, 1, -1]], algebra="neutrosophic"),
         [0, 1, 0, 1, 1],
-        "pair cycle (period 2): domain=[0 1 I 1 1] range=[1 0 I 1 1 1] "
-        "-> domain=[0 1 1 1 1] range=[1 1 I 1 1 1]",
+        "pair cycle (period 2): domain=[0 1 1 1 1] range=[1 0 I 1 I 1] "
+        "-> domain=[I 1 1 1 1] range=[1 0 I 1 1 I]",
         "final 1 pair-cycle period=2 settled=6 "
-        "domains=[0 1 I 1 1]|[0 1 1 1 1] ranges=[1 0 I 1 1 1]|[1 1 I 1 1 1]",
+        "domains=[0 1 1 1 1]|[I 1 1 1 1] ranges=[1 0 I 1 I 1]|[1 0 I 1 1 I]",
         id="pair-cycle"),
 ]
 

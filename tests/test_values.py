@@ -173,20 +173,24 @@ def test_neutrosophic_threshold_pure_parts():
 
 
 def test_neutrosophic_threshold_mixed_dominant_part_wins():
-    # the larger coefficient is cut like a real; only an exact tie keeps
-    # the indeterminacy
+    # the coefficient of larger magnitude is cut like a real; only an
+    # exact tie of magnitudes keeps the indeterminacy
     mode = ThresholdMode("neutrosophic", 0.0)
     assert threshold_scalar(Scalar(2, 1), mode) == ONE
-    assert threshold_scalar(Scalar(-2, 1), mode) == ONE
+    assert threshold_scalar(Scalar(-2, 1), mode) == ZERO
     assert threshold_scalar(Scalar(1, 3), mode) == ONE
     assert threshold_scalar(Scalar(-1, -3), mode) == ZERO
     assert threshold_scalar(Scalar(-3, -1), mode) == ZERO
+    assert threshold_scalar(Scalar(1, -3), mode) == ZERO
+    assert threshold_scalar(Scalar(-3, 1), mode) == ZERO
 
 
 def test_neutrosophic_threshold_tied_parts_give_indeterminate():
+    # the tie is exact and on magnitudes: 2 - 2I ties, a near-tie does not
     mode = ThresholdMode("neutrosophic", 0.0)
     assert threshold_scalar(Scalar(1, 1), mode) == I
-    assert threshold_scalar(Scalar(2, 2 + 1e-12), mode) == I
+    assert threshold_scalar(Scalar(2, -2), mode) == I
+    assert threshold_scalar(Scalar(2, 2 + 1e-12), mode) == ONE
 
 
 def test_threshold_level_shifts_cut():
