@@ -19,7 +19,7 @@ import math
 import sys
 
 from .dynamics import DEFAULT_MAX_STEPS
-from .errors import DomainError, FuzzymapsError
+from .errors import DomainError, FuzzymapsError, ParseError
 from .fileformats import (
     parse_matrix_text,
     parse_model_structure,
@@ -51,8 +51,14 @@ _DEFAULT_POLICY = OrderPolicy.BOOK_DEFAULT.value
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:  # exc.object holds the whole file
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path!r} is not UTF-8 text: byte "
+                         f"0x{exc.object[exc.start]:02x} on line {line}"
+                         ) from None
 
 
 def _report_invalid(problems) -> int:

@@ -1,7 +1,7 @@
 """Fuzzed text entry points: mutated copies of the fixture model, vector
 and matrix files. The readers may raise only a FuzzymapsError, and the
 CLI must exit with a documented code (see fuzzymaps.cli), never with a
-traceback."""
+traceback, also for a file that is not UTF-8."""
 
 import contextlib
 import io
@@ -75,6 +75,22 @@ def mutated(draw, name):
     return text
 
 
+# byte sequences that are not UTF-8: a lone continuation byte, a byte
+# UTF-8 never uses, and the first two of a character's three bytes
+_NOT_UTF8 = [b"\x80", b"\xff", "１".encode("utf-8")[:2]]
+
+
+@st.composite
+def mutated_bytes(draw, name):
+    """`mutated(name)` as UTF-8 bytes, with one time in four a sequence
+    that is not UTF-8 spliced in."""
+    data = draw(mutated(name)).encode("utf-8")
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(_NOT_UTF8)) + data[at:]
+    return data
+
+
 def _reads_or_raises_fuzzymaps_error(parse, text):
     try:
         parse(text)
@@ -106,12 +122,12 @@ def workdir(tmp_path_factory):
 
 
 def _exit_code(workdir, command, files, *flags):
-    """`cli.main` on `command`, each (flag, text) of `files` passed as a
-    file holding the text, and `flags`; its output is discarded."""
+    """`cli.main` on `command`, each (flag, data) of `files` passed as a
+    file holding the bytes `data`, and `flags`; its output is discarded."""
     argv = [command, *flags]
-    for idx, (flag, text) in enumerate(files):
+    for idx, (flag, data) in enumerate(files):
         path = workdir / f"input{idx}"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(data)
         argv += [flag, str(path)]
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -119,14 +135,15 @@ def _exit_code(workdir, command, files, *flags):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(MODELS).flatmap(mutated))
+@given(st.sampled_from(MODELS).flatmap(mutated_bytes))
 def test_validate_on_a_mutated_model_exits_with_a_documented_code(
-        workdir, text):
-    assert _exit_code(workdir, "validate", [("--model", text)]) in EXIT_CODES
+        workdir, data):
+    assert _exit_code(workdir, "validate", [("--model", data)]) in EXIT_CODES
 
 
 def mutated_or_not(name):
-    return st.one_of(mutated(name), st.just(TEXTS[name]))
+    return st.one_of(mutated_bytes(name),
+                     st.just(TEXTS[name].encode("utf-8")))
 
 
 @settings(max_examples=150, deadline=None)
