@@ -9,9 +9,20 @@ of search nodes (real-valued inputs only). Q keeps its checked entries and
 p-hat for the last target solved against it, so solving one system and
 enumerating its minimal solutions compute p-hat once.
 
+A real-valued system, each entry of Q and r a real in [0, 1], is solved
+on floats: Q is checked once and kept as float rows and columns, and
+p-hat, the residual and the sets J_k of the minimal search are folds of
+the builtin min and max over them. This is exact: sigma and max-min
+composition only compare and select operands, so each float found is the
+value of an input entry (or 1), and it maps back to that entry's own
+Scalar. The results, and the text printed from them, are the ones the
+Scalar order gives.
+
 Indeterminate entries are an opt-in extension (`neutrosophic=True`):
 comparisons lift through the coefficient ordering on reals and pure
-multiples of I. With the flag off, any indeterminate input is rejected.
+multiples of I, and a system holding a multiple of I is solved in that
+Scalar order (`_sigma` and `maxmin_compose`). With the flag off, any
+indeterminate input is rejected.
 """
 
 from __future__ import annotations
@@ -19,6 +30,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
+from math import isnan
 
 from .errors import (
     BudgetExceeded,
@@ -65,6 +78,29 @@ def _checked(value, neutrosophic: bool) -> Scalar:
     return x
 
 
+_REAL = operator.attrgetter("real_part")
+_INDET = operator.attrgetter("indet_coeff")
+
+
+def _checked_all(values, neutrosophic: bool, domain) -> list | None:
+    """Check the Scalars `values`, the entries of a matrix over `domain`,
+    as `_checked` does, and return their real parts when each is a real
+    in [0, 1], else None. Entries of a UNIT matrix were checked when it
+    was built. The fast check is C-level: min and max may pass over a
+    NaN, but the sum is NaN exactly when a value is. When it fails,
+    `_checked` runs on each value in order, so the first one that fails
+    raises its error."""
+    if domain is ValueDomain.UNIT:
+        return list(map(_REAL, values))
+    if not any(map(_INDET, values)):
+        reals = list(map(_REAL, values))
+        if 0.0 <= min(reals) and max(reals) <= 1.0 and not isnan(sum(reals)):
+            return reals
+    for value in values:
+        _checked(value, neutrosophic)
+    return None
+
+
 def _gt(a: Scalar, b: Scalar) -> bool:
     # strict domination under the coefficient ordering: the order gives
     # (b, a), which equal operands (a, a) and a magnitude tie (the pure
@@ -94,40 +130,68 @@ def _target_row(q: Matrix, r) -> Matrix:
     return r
 
 
-class _Candidate:
-    """The checked rows of one Q under one mode, and p-hat against the
-    last target row solved for, kept on Q (`q._memo(_Candidate,
-    neutrosophic)`). `solve_max` and the minimal solutions of one system
-    then compute p-hat once, and solving one Q against many targets keeps
-    only the last. Building it checks every entry of Q, so a Q that
-    fails the check leaves no memo behind."""
+def _fold_reals(rows, r: list) -> list:
+    """p-hat on floats: p-hat_j is the least r_k with q_jk > r_k, else 1."""
+    return [min(compress(r, map(operator.gt, row, r)), default=1.0)
+            for row in rows]
 
-    __slots__ = ("rows", "last")
+
+def _fold_scalars(rows, r_vals) -> list:
+    """p-hat in the Scalar order: each row's `_sigma` values folded with
+    min from 1."""
+    return [reduce(_min, map(_sigma, row, r_vals), ONE) for row in rows]
+
+
+def _row(cells, domain=ValueDomain.ANY) -> Matrix:
+    """The 1 x n matrix of `cells`, Scalars already checked."""
+    cells = tuple(cells)
+    return Matrix._of_checked(1, len(cells), cells, domain)
+
+
+class _Candidate:
+    """One Q checked under one mode, kept on Q (`q._memo(_Candidate,
+    neutrosophic)`), and p-hat against the last target row solved for.
+    `solve_max` and the minimal solutions of one system then fold p-hat
+    once, and solving one Q against many targets keeps only the last.
+    Building it checks every entry of Q, so a Q that fails the check
+    leaves no memo behind. A real-valued Q keeps the real parts of its
+    entries as float rows and columns."""
+
+    __slots__ = ("rows", "cols", "last")
 
     def __init__(self, q: Matrix, neutrosophic: bool):
-        self.rows = [[_checked(q.at(j, k), neutrosophic)
-                      for k in range(q.cols)] for j in range(q.rows)]
-        self.last = None  # (checked target row, p-hat), read and set whole
+        width = q.cols
+        reals = _checked_all(q.entries, neutrosophic, q.domain)
+        self.rows = self.cols = None  # the floats of a real-valued Q
+        if reals is not None:
+            self.rows = [reals[i:i + width]
+                         for i in range(0, len(reals), width)]
+            self.cols = [reals[k::width] for k in range(width)]
+        self.last = None  # (target row, p-hat), read and set whole
 
-    def p_hat(self, r_vals: list) -> list:
-        """p-hat for the checked target `r_vals`, one entry per column of
-        Q. The last target is matched by identity, entry by entry, so the
-        p-hat returned holds this target's own entries."""
+    def p_hat(self, q: Matrix, r_vals: tuple, r_reals) -> list:
+        """p-hat for the checked entries `r_vals` of a target row of `q`:
+        floats when `r_reals`, their real parts, and Q are real-valued,
+        else Scalars. The last target is matched by identity, entry by
+        entry, so a new row of equal entries folds again."""
         last = self.last
         if last is None or not all(map(operator.is_, last[0], r_vals)):
-            last = self.last = r_vals, [
-                reduce(_min, map(_sigma, row, r_vals), ONE)
-                for row in self.rows]
+            if self.rows is None or r_reals is None:
+                p_hat = _fold_scalars(map(q.row, range(q.rows)), r_vals)
+            else:
+                p_hat = _fold_reals(self.rows, r_reals)
+            last = self.last = r_vals, p_hat
         return last[1]
 
 
 def _max_candidate(q: Matrix, r: Matrix, neutrosophic: bool):
-    """The checked entries of q (as rows) and of the target row r, and
-    p-hat, the maximum candidate, as a list of Scalars. The target is
-    checked first, on every call; q's check and p-hat are kept on q."""
-    r_vals = [_checked(v, neutrosophic) for v in r.row(0)]
+    """Q's `_Candidate`, the entries of the target row r and their real
+    parts (None unless real-valued), and p-hat. The target is checked
+    first, on every call; Q's check and p-hat are kept on Q."""
+    r_vals = r.row(0)
+    r_reals = _checked_all(r_vals, neutrosophic, r.domain)
     candidate = q._memo(_Candidate, neutrosophic)
-    return candidate.rows, r_vals, candidate.p_hat(r_vals)
+    return candidate, r_vals, r_reals, candidate.p_hat(q, r_vals, r_reals)
 
 
 def solve_max(q: Matrix, r, *, neutrosophic: bool = False) -> FreSolution:
@@ -139,12 +203,27 @@ def solve_max(q: Matrix, r, *, neutrosophic: bool = False) -> FreSolution:
     exactly.
     """
     r = _target_row(q, r)
-    _, r_vals, p_hat = _max_candidate(q, r, neutrosophic)
-    p_row = row_vector(p_hat, domain=ValueDomain.ANY)
-    residual = maxmin_compose(p_row, q)
-    solvable = list(residual.row(0)) == r_vals
-    return FreSolution(max_solution=p_row, solvable=solvable,
-                       residual=residual)
+    candidate, r_vals, r_reals, p_hat = _max_candidate(q, r, neutrosophic)
+    if candidate.cols is None or r_reals is None:  # a multiple of I
+        p_row = _row(p_hat)
+        residual = maxmin_compose(p_row, q)
+        return FreSolution(max_solution=p_row,
+                           solvable=residual.row(0) == r_vals,
+                           residual=residual)
+    # p-hat holds target values and 1; a residual entry that is neither
+    # is the entry of Q it took in its column
+    scalars = dict(zip(r_reals, r_vals))
+    scalars[1.0] = ONE
+    residual = [max(map(min, p_hat, col)) for col in candidate.cols]
+    solvable = residual == r_reals
+    if solvable:
+        residual = r_vals
+    else:
+        residual = [scalars[x] if x in scalars
+                    else q.at(candidate.cols[k].index(x), k)
+                    for k, x in enumerate(residual)]
+    return FreSolution(max_solution=_row(map(scalars.__getitem__, p_hat)),
+                       solvable=solvable, residual=_row(residual))
 
 
 def failing_columns(q: Matrix, r) -> tuple:
@@ -195,20 +274,20 @@ def minimal_solutions_bruteforce(q: Matrix, r, *,
         raise InvalidInput(f"budget must be an int, got {budget!r}")
     r = _target_row(q, r)
     try:
-        q_vals, r_vals, p_hat = _max_candidate(q, r, False)
+        candidate, r_vals, r_reals, p_hat = _max_candidate(q, r, False)
     except ModeMismatch:
         raise ModeMismatch(
             "minimal-solution enumeration is real-valued; Q and r must "
             "hold no indeterminate value") from None
-    p_hat = [v.real_part for v in p_hat]
+    # with the flag off, every checked entry is a real in [0, 1], so p-hat
+    # and Q's columns are floats
+    every_j = range(q.rows)
     levels = {}  # r_k -> (J_k as a bit mask, J_k) of each column at r_k
     entries = {0.0: ZERO}  # r_k -> its Scalar, shared by the solutions
-    for k, target in enumerate(r_vals):
-        rk = target.real_part
+    for rk, target, col in zip(r_reals, r_vals, candidate.cols):
         if rk > 0.0:
             entries[rk] = target
-            js = tuple(j for j, pj in enumerate(p_hat)
-                       if min(pj, q_vals[j][k].real_part) == rk)
+            js = tuple(compress(every_j, map(rk.__eq__, map(min, p_hat, col))))
             if not js:
                 return ()
             levels.setdefault(rk, []).append(
@@ -252,8 +331,7 @@ def minimal_solutions_bruteforce(q: Matrix, r, *,
                 break
         else:
             found.add(p)
-    return tuple(row_vector(map(entries.__getitem__, p),
-                            domain=ValueDomain.UNIT)
+    return tuple(_row(map(entries.__getitem__, p), ValueDomain.UNIT)
                  for p in sorted(found))
 
 

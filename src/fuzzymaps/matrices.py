@@ -84,22 +84,35 @@ class Matrix(_Memoized):
             raise ShapeMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, "
                 f"got {len(cells)}")
-        # each distinct entry object is checked once (a few literals fill
-        # most matrices); `cells` keeps the objects alive, so no id is
-        # reused. A failure is found again in row-major order, so the
-        # error names the first entry outside the domain.
-        if not all(map(domain.contains,
-                       dict(zip(map(id, cells), cells)).values())):
+        # ANY holds every Scalar. Under another domain each distinct entry
+        # object is checked once (a few literals fill most matrices);
+        # `cells` keeps the objects alive, so no id is reused. A failure
+        # is found again in row-major order, so the error names the first
+        # entry outside the domain.
+        if domain is not ValueDomain.ANY and not all(map(
+                domain.contains, dict(zip(map(id, cells), cells)).values())):
             for idx, cell in enumerate(cells):
                 if not domain.contains(cell):
                     raise DomainError(
                         f"{entry(idx)} = {render_scalar(cell)} is outside "
                         f"domain {domain.value}")
+        self._fill(rows, cols, domain, cells)
+
+    def _fill(self, rows, cols, domain, cells):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "entries", cells)
         object.__setattr__(self, "_memos", None)
+
+    @classmethod
+    def _of_checked(cls, rows, cols, cells, domain) -> "Matrix":
+        """The rows x cols matrix of `cells`, a tuple of Scalars already
+        known to lie in the ValueDomain member `domain`, built without
+        checking the shape or the entries again."""
+        mat = object.__new__(cls)
+        mat._fill(rows, cols, domain, cells)
+        return mat
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -291,7 +304,9 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 
 
 def transpose(a: Matrix) -> Matrix:
+    """The transpose of `a`: the same entry objects over the same domain,
+    which are not checked again."""
     cells, cols = a.entries, a.cols
-    return Matrix(cols, a.rows, chain.from_iterable(
-        cells[j::cols] for j in range(cols)), a.domain)
+    return Matrix._of_checked(cols, a.rows, tuple(chain.from_iterable(
+        cells[j::cols] for j in range(cols))), a.domain)
 

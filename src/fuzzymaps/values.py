@@ -182,8 +182,30 @@ def parse_name(value, names, what):
     raise ParseError(f"unknown {what} {value!r}")
 
 
+# The membership predicate of each value domain, by its text value, on a
+# Scalar a + bI. A NEUTRO_UNIT value is never mixed: a mixed a + bI has no
+# order for max and min.
+_MEMBERSHIP = {
+    "tri": lambda v: (v.indet_coeff == 0
+                      and v.real_part in (-1.0, 0.0, 1.0)),
+    "unit": lambda v: v.indet_coeff == 0 and 0.0 <= v.real_part <= 1.0,
+    "bipolar": lambda v: v.indet_coeff == 0 and -1.0 <= v.real_part <= 1.0,
+    "neutro-tri": lambda v: (
+        (v.indet_coeff == 0 and v.real_part in (-1.0, 0.0, 1.0))
+        or (v.real_part == 0 and v.indet_coeff == 1.0)),
+    "neutro-unit": lambda v: (
+        (v.indet_coeff == 0 and 0.0 <= v.real_part <= 1.0)
+        or (v.real_part == 0 and 0.0 <= v.indet_coeff <= 1.0)),
+    "state-tri": lambda v: (
+        (v.indet_coeff == 0 and v.real_part in (0.0, 1.0))
+        or (v.real_part == 0 and v.indet_coeff == 1.0)),
+    "any": lambda v: True,
+}
+
+
 class ValueDomain(Enum):
-    """Entry domains a matrix can be declared over."""
+    """Entry domains a matrix can be declared over. `domain.contains(v)`
+    tells whether the Scalar `v` lies in the domain."""
 
     TRI = "tri"                  # {-1, 0, 1}
     UNIT = "unit"                # [0, 1]
@@ -193,23 +215,10 @@ class ValueDomain(Enum):
     STATE_TRI = "state-tri"      # {0, 1, I}
     ANY = "any"                  # unconstrained (products, sums)
 
-    def contains(self, value: Scalar) -> bool:
-        a, b = value.real_part, value.indet_coeff
-        if self is ValueDomain.TRI:
-            return b == 0 and a in (-1.0, 0.0, 1.0)
-        if self is ValueDomain.UNIT:
-            return b == 0 and 0.0 <= a <= 1.0
-        if self is ValueDomain.BIPOLAR:
-            return b == 0 and -1.0 <= a <= 1.0
-        if self is ValueDomain.NEUTRO_TRI:
-            return (b == 0 and a in (-1.0, 0.0, 1.0)) or (a == 0 and b == 1.0)
-        if self is ValueDomain.NEUTRO_UNIT:
-            # a mixed a + bI has no order for max and min
-            return ((b == 0 and 0.0 <= a <= 1.0)
-                    or (a == 0 and 0.0 <= b <= 1.0))
-        if self is ValueDomain.STATE_TRI:
-            return (b == 0 and a in (0.0, 1.0)) or (a == 0 and b == 1.0)
-        return True  # ANY
+    def __init__(self, text):
+        # each member binds its own predicate once, so a call to
+        # `contains` reads no Enum attribute and takes no branch
+        self.contains = _MEMBERSHIP[text]
 
     @property
     def neutrosophic(self) -> bool:

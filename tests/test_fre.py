@@ -1,13 +1,17 @@
 """Relational equations under max-min composition."""
 
 import itertools
+import operator
 import random
 import sys
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzymaps import (
+    ONE,
+    ZERO,
     BudgetExceeded,
     ComponentCountMismatch,
     ComponentTag,
@@ -341,21 +345,146 @@ def test_minimal_solutions_match_the_cover_walk(system):
     assert [tuple(vals(p)) for p in found] == _cover_walk(q_rows, r)
 
 
+def _scalar_order_reference(q, r):
+    """solve_max and the minimal solutions of p o Q = r, from the Scalar
+    order alone: p-hat folds `_sigma` with min, the residual is
+    `maxmin_compose`, and the minimal solutions are the entrywise-minimal
+    candidates over every cover, with J_k = {j : min(p-hat_j, q_jk) =
+    r_k} decided by that order."""
+    from fuzzymaps import fre
+    r_vals = r.row(0)
+    p_hat = [reduce(fre._min, map(fre._sigma, q.row(j), r_vals), ONE)
+             for j in range(q.rows)]
+    residual = maxmin_compose(row_vector(p_hat), q)
+    targets, options = [], []
+    for k, rk in enumerate(r_vals):
+        if rk != ZERO:
+            targets.append(rk.real_part)
+            options.append([j for j in range(q.rows)
+                            if fre._min(p_hat[j], q.at(j, k)) == rk])
+    candidates = set()
+    for cover in itertools.product(*options):
+        p = [0.0] * q.rows
+        for j, rk in zip(cover, targets):
+            p[j] = max(p[j], rk)
+        candidates.add(tuple(p))
+    minimal = [p for p in candidates
+               if not any(o != p and all(map(operator.le, o, p))
+                          for o in candidates)]
+    return ([v.real_part for v in p_hat], residual.row(0) == r_vals,
+            list(residual.row(0)), sorted(minimal))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fre_systems(st.one_of(GRID, OFF_GRID), size=6), st.booleans(),
+       st.sampled_from([UNIT, ValueDomain.ANY]))
+def test_real_systems_solve_as_in_the_scalar_order(system, neutrosophic,
+                                                   domain):
+    # Q and r over UNIT were checked when built; over ANY, fre checks them
+    q_rows, r = system
+    q = Matrix.from_rows([[Scalar(v) for v in row] for row in q_rows],
+                         domain=domain)
+    r = row_vector([Scalar(v) for v in r], domain=domain)
+    p_hat, solvable, residual, minimal = _scalar_order_reference(q, r)
+    sol = solve_max(q, r, neutrosophic=neutrosophic)
+    assert vals(sol.max_solution) == p_hat
+    assert sol.solvable is solvable
+    assert list(sol.residual.row(0)) == residual
+    assert sol.max_solution.domain is sol.residual.domain is ValueDomain.ANY
+    found = minimal_solutions_bruteforce(q, r)
+    assert [tuple(vals(p)) for p in found] == minimal
+    assert all(p.domain is UNIT for p in found)
+    # every entry printed is one of the input's own Scalars, or 0 or 1
+    inputs = {id(v) for v in q.entries + r.entries}
+    for row in (sol.max_solution, sol.residual, *found):
+        assert all(id(v) in inputs or v in (ZERO, ONE) for v in row.row(0))
+
+
+@pytest.mark.parametrize("q, r, neutrosophic, error, message", [
+    # Q: the first bad entry in row-major order names the error
+    ([["0.5", "1.5"], ["I", "0.2"]], ["0.5", "0.5"], False, DomainError,
+     "membership 1.5 outside [0, 1]"),
+    ([["0.5", "I"], ["1.5", "0.2"]], ["0.5", "0.5"], False, ModeMismatch,
+     "indeterminate value I needs neutrosophic=True"),
+    ([["0.5", "1.5"], ["0.5I", "0.2"]], ["0.5", "0.5"], True, DomainError,
+     "membership 1.5 outside the unit carrier"),
+    ([["0.5", "0.5I"], ["1.5", "0.2"]], ["0.5", "0.5"], True, DomainError,
+     "membership 1.5 outside the unit carrier"),
+    ([["0.5", "0.5+0.5I"], ["1.5", "0.2"]], ["0.5", "0.5"], True,
+     DomainError, "membership 0.5+0.5I outside the unit carrier"),
+    # a real outside [0, 1] in a system with no I
+    ([["0.5", "-0.2"]], ["0.5", "0.5"], False, DomainError,
+     "membership -0.2 outside [0, 1]"),
+    ([["0.5", "0.2"]], ["0.5", "1.5"], True, DomainError,
+     "membership 1.5 outside the unit carrier"),
+    # r is checked before Q, in its own order
+    ([["1.5"], ["I"]], ["I"], False, ModeMismatch,
+     "indeterminate value I needs neutrosophic=True"),
+    ([["I", "0.5"]], ["-0.5", "I"], False, DomainError,
+     "membership -0.5 outside [0, 1]"),
+    ([["0.5", "0.5"]], ["2I", "-1"], True, DomainError,
+     "membership 2I outside the unit carrier"),
+])
+def test_the_first_bad_entry_raises_its_error(q, r, neutrosophic, error,
+                                              message):
+    q = Matrix.from_rows([[parse_scalar(v) for v in row] for row in q])
+    r = [parse_scalar(v) for v in r]
+    with pytest.raises(error) as exc:
+        solve_max(q, r, neutrosophic=neutrosophic)
+    assert str(exc.value) == message
+    assert not q._memos  # a Q that fails leaves no memo
+
+
+def test_a_nan_entry_is_not_a_real_valued_system():
+    # min and max may pass over a NaN; the entry check still fails it
+    for q, r in [([[0.5, float("nan")]], [0.5, 0.5]),
+                 ([[float("nan"), 0.5]], [0.5, 0.5]),
+                 ([[0.5]], [float("nan")])]:
+        with pytest.raises(DomainError, match="nan is not a finite"):
+            solve_max(Matrix.from_rows(q), r)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call appends its arguments to the
+    returned list."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
 def test_one_system_computes_p_hat_once(monkeypatch):
     from fuzzymaps import fre
-    calls = []
-    sigma_kernel = fre._sigma
-    monkeypatch.setattr(fre, "_sigma",
-                        lambda q, r: calls.append(1) or sigma_kernel(q, r))
+    folds = _count_calls(monkeypatch, fre, "_fold_reals")
+    sigmas = _count_calls(monkeypatch, fre, "_sigma")
     q = unit([[0.9, 0.6, 0.2], [0.4, 0.3, 0.7]])
     r = row_vector([Scalar(0.5), Scalar(0.5), Scalar(0.3)], domain=UNIT)
     assert solve_max(q, r).solvable
     assert [vals(p) for p in minimal_solutions_bruteforce(q, r)] \
         == [[0.5, 0.3]]
-    assert len(calls) == 6  # one per entry of Q
+    assert len(folds) == 1  # one p-hat fold, on floats
+    assert sigmas == []
     # an equal target in another row vector is another target
     minimal_solutions_bruteforce(q, [0.5, 0.5, 0.3])
-    assert len(calls) == 12
+    assert len(folds) == 2
+
+
+def test_one_indeterminate_system_computes_p_hat_once(monkeypatch):
+    # a system holding a multiple of I folds p-hat in the Scalar order:
+    # one _sigma per entry of Q, and none on floats
+    from fuzzymaps import fre
+    folds = _count_calls(monkeypatch, fre, "_fold_reals")
+    sigmas = _count_calls(monkeypatch, fre, "_sigma")
+    q = Matrix.from_rows([[parse_scalar(v) for v in row] for row in
+                          [["0.9", "I", "0.2"], ["0.4", "0.3", "0.7"]]],
+                         domain=ValueDomain.NEUTRO_UNIT)
+    r = row_vector([Scalar(0.5), Scalar(0.5), Scalar(0.3)], domain=UNIT)
+    first = solve_max(q, r, neutrosophic=True)
+    assert solve_max(q, r, neutrosophic=True) == first
+    assert len(sigmas) == 6
+    assert folds == []
+    solve_max(q, [0.5, 0.5, 0.3], neutrosophic=True)
+    assert len(sigmas) == 12
 
 
 def test_the_candidate_memo_keeps_one_target_per_q():

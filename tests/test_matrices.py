@@ -5,6 +5,8 @@ cross-checked against an independent recomputation before being frozen
 here.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -283,6 +285,25 @@ def test_transpose_swaps_shape():
 def test_transpose_preserves_domain():
     m = neutro([["I", "2+3I"], ["0", "-1"]])
     assert transpose(m).domain is m.domain
+
+
+def test_transpose_keeps_the_entries_and_starts_with_no_memos():
+    m = Matrix.from_rows([[Scalar(0.1), Scalar(0.2), Scalar(0.3)],
+                          [Scalar(0.4), I, Scalar(0.6)]],
+                         domain=ValueDomain.NEUTRO_UNIT)
+    m._memo(lambda mat: "kept")
+    t = transpose(m)
+    assert all(t.at(j, i) is m.at(i, j)
+               for i in range(m.rows) for j in range(m.cols))
+    assert t.domain is ValueDomain.NEUTRO_UNIT and t.shape == (3, 2)
+    assert t._memos is None
+    # it is the matrix that checking the same entries builds
+    same = Matrix(3, 2, t.entries, ValueDomain.NEUTRO_UNIT)
+    assert t == same and hash(t) == hash(same) and t != m
+    back = pickle.loads(pickle.dumps(t))
+    assert back == t and back.domain is t.domain and back._memos is None
+    with pytest.raises(AttributeError):
+        t.rows = 4
 
 
 # --------------------------------------------------------- ring-style algebra

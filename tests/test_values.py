@@ -221,6 +221,34 @@ def test_domain_membership():
     assert ValueDomain.ANY.contains(Scalar(3, -7))
 
 
+# each domain against -1, 0, 0.5, 1, 1.5, I, 0.5I, 1.5I and 0.5+0.5I
+DOMAIN_VALUES = ("-1", "0", "0.5", "1", "1.5", "I", "0.5I", "1.5I",
+                 "0.5+0.5I")
+DOMAIN_TABLE = {
+    ValueDomain.TRI: (True, True, False, True, False, False, False, False,
+                      False),
+    ValueDomain.UNIT: (False, True, True, True, False, False, False, False,
+                       False),
+    ValueDomain.BIPOLAR: (True, True, True, True, False, False, False,
+                          False, False),
+    ValueDomain.NEUTRO_TRI: (True, True, False, True, False, True, False,
+                             False, False),
+    ValueDomain.NEUTRO_UNIT: (False, True, True, True, False, True, True,
+                              False, False),
+    ValueDomain.STATE_TRI: (False, True, False, True, False, True, False,
+                            False, False),
+    ValueDomain.ANY: (True, True, True, True, True, True, True, True,
+                      True),
+}
+
+
+@pytest.mark.parametrize("domain", list(ValueDomain), ids=lambda d: d.value)
+def test_domain_membership_table(domain):
+    got = tuple(domain.contains(parse_scalar(v)) for v in DOMAIN_VALUES)
+    assert got == DOMAIN_TABLE[domain]
+    assert all(type(x) is bool for x in got)
+
+
 def test_domain_parse_round_trip():
     for d in ValueDomain:
         assert ValueDomain.parse(d.value) is d
