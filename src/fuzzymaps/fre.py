@@ -10,13 +10,13 @@ p-hat for the last target solved against it, so solving one system and
 enumerating its minimal solutions compute p-hat once.
 
 A real-valued system, each entry of Q and r a real in [0, 1], is solved
-on floats: Q is checked once and kept as float rows and columns, and
+on floats: Q is checked once and kept as one list of its floats, and
 p-hat, the residual and the sets J_k of the minimal search are folds of
-the builtin min and max over them. This is exact: sigma and max-min
-composition only compare and select operands, so each float found is the
-value of an input entry (or 1), and it maps back to that entry's own
-Scalar. The results, and the text printed from them, are the ones the
-Scalar order gives.
+the builtin min and max over its rows and columns. This is exact: sigma
+and max-min composition only compare and select operands, so each float
+found is the value of an input entry (or 1), and it maps back to that
+entry's own Scalar. The results, and the text printed from them, are the
+ones the Scalar order gives.
 
 Indeterminate entries are an opt-in extension (`neutrosophic=True`):
 comparisons lift through the coefficient ordering on reals and pure
@@ -82,16 +82,12 @@ _REAL = operator.attrgetter("real_part")
 _INDET = operator.attrgetter("indet_coeff")
 
 
-def _checked_all(values, neutrosophic: bool, domain) -> list | None:
-    """Check the Scalars `values`, the entries of a matrix over `domain`,
-    as `_checked` does, and return their real parts when each is a real
-    in [0, 1], else None. Entries of a UNIT matrix were checked when it
-    was built. The fast check is C-level: min and max may pass over a
-    NaN, but the sum is NaN exactly when a value is. When it fails,
-    `_checked` runs on each value in order, so the first one that fails
-    raises its error."""
-    if domain is ValueDomain.UNIT:
-        return list(map(_REAL, values))
+def _checked_all(values, neutrosophic: bool) -> list | None:
+    """Check the Scalars `values` as `_checked` does, and return their
+    real parts when each is a real in [0, 1], else None. The fast check
+    is C-level: min and max may pass over a NaN, but the sum is NaN
+    exactly when a value is. When it fails, `_checked` runs on each
+    value in order, so the first one that fails raises its error."""
     if not any(map(_INDET, values)):
         reals = list(map(_REAL, values))
         if 0.0 <= min(reals) and max(reals) <= 1.0 and not isnan(sum(reals)):
@@ -130,10 +126,13 @@ def _target_row(q: Matrix, r) -> Matrix:
     return r
 
 
-def _fold_reals(rows, r: list) -> list:
-    """p-hat on floats: p-hat_j is the least r_k with q_jk > r_k, else 1."""
-    return [min(compress(r, map(operator.gt, row, r)), default=1.0)
-            for row in rows]
+def _fold_reals(reals: list, r: list) -> list:
+    """p-hat on floats, for Q's floats `reals` in row-major order: p-hat_j
+    is the least r_k with q_jk > r_k, else 1."""
+    width = len(r)
+    return [min(compress(r, map(operator.gt, reals[i:i + width], r)),
+                default=1.0)
+            for i in range(0, len(reals), width)]
 
 
 def _fold_scalars(rows, r_vals) -> list:
@@ -155,19 +154,19 @@ class _Candidate:
     once, and solving one Q against many targets keeps only the last.
     Building it checks every entry of Q, so a Q that fails the check
     leaves no memo behind. A real-valued Q keeps the real parts of its
-    entries as float rows and columns."""
+    entries as one list of floats in row-major order; a row or a column
+    is sliced from it when a fold reads it."""
 
-    __slots__ = ("rows", "cols", "last")
+    __slots__ = ("reals", "width", "last")
 
     def __init__(self, q: Matrix, neutrosophic: bool):
-        width = q.cols
-        reals = _checked_all(q.entries, neutrosophic, q.domain)
-        self.rows = self.cols = None  # the floats of a real-valued Q
-        if reals is not None:
-            self.rows = [reals[i:i + width]
-                         for i in range(0, len(reals), width)]
-            self.cols = [reals[k::width] for k in range(width)]
+        self.reals = _checked_all(q.entries, neutrosophic)  # None: I in Q
+        self.width = q.cols
         self.last = None  # (target row, p-hat), read and set whole
+
+    def column(self, k: int) -> list:
+        """The floats of column k of a real-valued Q."""
+        return self.reals[k::self.width]
 
     def p_hat(self, q: Matrix, r_vals: tuple, r_reals) -> list:
         """p-hat for the checked entries `r_vals` of a target row of `q`:
@@ -176,10 +175,10 @@ class _Candidate:
         entry, so a new row of equal entries folds again."""
         last = self.last
         if last is None or not all(map(operator.is_, last[0], r_vals)):
-            if self.rows is None or r_reals is None:
+            if self.reals is None or r_reals is None:
                 p_hat = _fold_scalars(map(q.row, range(q.rows)), r_vals)
             else:
-                p_hat = _fold_reals(self.rows, r_reals)
+                p_hat = _fold_reals(self.reals, r_reals)
             last = self.last = r_vals, p_hat
         return last[1]
 
@@ -189,7 +188,7 @@ def _max_candidate(q: Matrix, r: Matrix, neutrosophic: bool):
     parts (None unless real-valued), and p-hat. The target is checked
     first, on every call; Q's check and p-hat are kept on Q."""
     r_vals = r.row(0)
-    r_reals = _checked_all(r_vals, neutrosophic, r.domain)
+    r_reals = _checked_all(r_vals, neutrosophic)
     candidate = q._memo(_Candidate, neutrosophic)
     return candidate, r_vals, r_reals, candidate.p_hat(q, r_vals, r_reals)
 
@@ -204,7 +203,7 @@ def solve_max(q: Matrix, r, *, neutrosophic: bool = False) -> FreSolution:
     """
     r = _target_row(q, r)
     candidate, r_vals, r_reals, p_hat = _max_candidate(q, r, neutrosophic)
-    if candidate.cols is None or r_reals is None:  # a multiple of I
+    if candidate.reals is None or r_reals is None:  # a multiple of I
         p_row = _row(p_hat)
         residual = maxmin_compose(p_row, q)
         return FreSolution(max_solution=p_row,
@@ -214,16 +213,14 @@ def solve_max(q: Matrix, r, *, neutrosophic: bool = False) -> FreSolution:
     # is the entry of Q it took in its column
     scalars = dict(zip(r_reals, r_vals))
     scalars[1.0] = ONE
-    residual = [max(map(min, p_hat, col)) for col in candidate.cols]
-    solvable = residual == r_reals
-    if solvable:
-        residual = r_vals
-    else:
-        residual = [scalars[x] if x in scalars
-                    else q.at(candidate.cols[k].index(x), k)
-                    for k, x in enumerate(residual)]
-    return FreSolution(max_solution=_row(map(scalars.__getitem__, p_hat)),
-                       solvable=solvable, residual=_row(residual))
+    residual = [max(map(min, p_hat, col))
+                for col in map(candidate.column, range(q.cols))]
+    return FreSolution(
+        max_solution=_row(map(scalars.__getitem__, p_hat)),
+        solvable=residual == r_reals,
+        residual=_row(scalars[x] if x in scalars
+                      else q.at(candidate.column(k).index(x), k)
+                      for k, x in enumerate(residual)))
 
 
 def failing_columns(q: Matrix, r) -> tuple:
@@ -284,10 +281,11 @@ def minimal_solutions_bruteforce(q: Matrix, r, *,
     every_j = range(q.rows)
     levels = {}  # r_k -> (J_k as a bit mask, J_k) of each column at r_k
     entries = {0.0: ZERO}  # r_k -> its Scalar, shared by the solutions
-    for rk, target, col in zip(r_reals, r_vals, candidate.cols):
+    for k, (rk, target) in enumerate(zip(r_reals, r_vals)):
         if rk > 0.0:
             entries[rk] = target
-            js = tuple(compress(every_j, map(rk.__eq__, map(min, p_hat, col))))
+            js = tuple(compress(every_j, map(rk.__eq__, map(
+                min, p_hat, candidate.column(k)))))
             if not js:
                 return ()
             levels.setdefault(rk, []).append(

@@ -380,7 +380,7 @@ def _scalar_order_reference(q, r):
        st.sampled_from([UNIT, ValueDomain.ANY]))
 def test_real_systems_solve_as_in_the_scalar_order(system, neutrosophic,
                                                    domain):
-    # Q and r over UNIT were checked when built; over ANY, fre checks them
+    # fre checks Q and r alike, whether declared over UNIT or over ANY
     q_rows, r = system
     q = Matrix.from_rows([[Scalar(v) for v in row] for row in q_rows],
                          domain=domain)
