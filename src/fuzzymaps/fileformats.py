@@ -46,6 +46,7 @@ from .special import CM, ComponentTag, RM, SIDES, SpecialStateVector
 from .values import (
     ValueDomain,
     _ascii_int,
+    _check_one_line,
     parse_scalar,
     parse_scalars,
     render_scalar,
@@ -249,10 +250,13 @@ def parse_model_text(text: str) -> ModelFile:
 
 
 def serialize_model(model, name: str = "") -> str:
-    """Canonical text form; labels and expert lines are always written."""
+    """Canonical text form; labels and expert lines are always written.
+    A model or expert name holding a line break raises InvalidInput."""
     if isinstance(model, ModelFile):
         name = model.name
         model = model.model
+    _check_one_line("model name", name)
+    _check_one_line("expert name", *model.experts)
     out = [f"model {model.model_class.value}" + (f" {name}" if name else "")]
     for idx, (mat, tag) in enumerate(model.matrix):
         out.append(f"component {idx + 1} {tag.kind} {tag.algebra} "

@@ -225,8 +225,17 @@ def solve_max(q: Matrix, r, *, neutrosophic: bool = False) -> FreSolution:
 
 def failing_columns(q: Matrix, r) -> tuple:
     """0-based columns where even the column maximum falls short of r -
-    each one certifies unsolvability on its own."""
+    each one certifies unsolvability on its own. A system holding no
+    multiple of I is folded on floats: of two reals the Scalar max takes
+    the second exactly when the first is less, as the builtin max does,
+    and a maximum that neither equals its target nor dominates it is
+    less than it, NaN included, as no comparison with NaN holds."""
     r = _target_row(q, r)
+    r_vals = r.row(0)
+    if not any(map(_INDET, q.entries)) and not any(map(_INDET, r_vals)):
+        reals = list(map(_REAL, q.entries))
+        return tuple(k for k, rk in enumerate(map(_REAL, r_vals))
+                     if max(reals[k::q.cols]) < rk)
     out = []
     for k in range(q.cols):
         col_max = reduce(_max, (q.at(j, k) for j in range(q.rows)))

@@ -17,6 +17,8 @@ number in a trace is written in ASCII digits, and read only so.
 from __future__ import annotations
 
 import re
+from functools import cache
+from operator import itemgetter
 
 from .dynamics import (
     HiddenPattern,
@@ -34,6 +36,7 @@ from .special import CM, SIDES, ComponentTag, SpecialMatrix, render_part
 from .values import (
     OrderPolicy,
     _ascii_int,
+    _check_one_line,
     _check_threshold_k,
     parse_name,
     parse_scalar,
@@ -42,13 +45,15 @@ from .values import (
 )
 
 TRACE_VERSION = "1"
+_STEP = itemgetter("step")
+_SIDE_AND_PARTS = itemgetter("side", "raw", "thresholded", "updated")
 
 
-# the state fields of a final line, by outcome shape
+# the state fields of a final line, by outcome shape (None: no second)
 _FINAL_FIELDS = {
-    "fixed-point": ("state",),
+    "fixed-point": ("state", None),
     "fixed-pair": ("domain", "range"),
-    "limit-cycle": ("states",),
+    "limit-cycle": ("states", None),
     "pair-cycle": ("domains", "ranges"),
 }
 
@@ -73,7 +78,8 @@ def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
     whose operators the run applied, and `experts` their names, one per
     component; `policy` and `model_class`, each a member or its text, are
     recorded when given, and an equation class, which has no run, raises
-    WrongEntryPoint. The run line ends at `threshold-k=`; its model
+    WrongEntryPoint. A model or expert name holding a line break raises
+    InvalidInput. The run line ends at `threshold-k=`; its model
     metadata is embedded for audit but not needed for verification."""
     _check_threshold_k(threshold_k)
     count = len(pattern.outcomes)
@@ -82,6 +88,8 @@ def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
                             f"{count}")
     if experts is not None and len(experts) != count:
         raise ShapeMismatch(f"{len(experts)} experts for {count} components")
+    _check_one_line("model name", name)
+    _check_one_line("expert name", *(experts or ()))
     text = _PartTexts().text
     out = [f"trace {TRACE_VERSION}"]
     run_fields = [f"side={pattern.side}", f"steps={pattern.steps}",
@@ -105,18 +113,19 @@ def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
         out.append(f"mask {idx + 1} [{body}]")
     for idx, part in enumerate(pattern.input.parts):
         out.append(f"input {idx + 1} {text(part)}")
-    kinds = [tag.kind for _, tag in special]
+    # each component's step line head by step parity, and once frozen
+    heads = [(*(f"component={idx} side="
+                f"{landing_side(tag.kind, pattern.side, parity)} frozen=no"
+                for parity in (0, 1)),
+              f"component={idx} side={pattern.side} frozen=yes")
+             for idx, (_, tag) in enumerate(special, 1)]
     for step, record in enumerate(pattern.trace, 1):
-        parts = zip(kinds, record.frozen, record.raw, record.thresholded,
-                    record.updated)
-        for idx, (kind, frozen, raw, cut, new) in enumerate(parts, 1):
-            # a frozen part is carried on the seeded side
-            side = pattern.side if frozen \
-                else landing_side(kind, pattern.side, step)
-            out.append(
-                f"step {step} component={idx} side={side} "
-                f"frozen={'yes' if frozen else 'no'} raw={text(raw)} "
-                f"thresholded={text(cut)} updated={text(new)}")
+        for head, frozen, raw, cut, new in zip(
+                heads, record.frozen, record.raw, record.thresholded,
+                record.updated):
+            out.append(f"step {step} {head[2 if frozen else step & 1]} "
+                       f"raw={text(raw)} thresholded={text(cut)} "
+                       f"updated={text(new)}")
     settled = pattern.settled_steps
     for idx, outcome in enumerate(pattern.outcomes):
         shape, cycle = outcome_shape(outcome)
@@ -130,17 +139,36 @@ def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
     return "\n".join(out) + "\n"
 
 
-_FIELD_RE = re.compile(
-    r"([\w-]+)=((?:\[[^\]]*\])(?:\|\[[^\]]*\])*|\S+)")
-# the one bracketed field of a run or component line, a model or expert
-# name: free text, which may hold brackets and `key=` of its own. No other
-# field there has a bracket, so it runs from the first `[` to the last `]`.
-_FREE_TEXT_RE = re.compile(r"[\w-]+=\[.*\]")
+# Each record's fields in the order render_trace writes them: a step
+# line's after its step number, a run, component and final line's after
+# their head. A model or expert name is free text, which may hold `]` and
+# `key=`, so it runs to the last `]` of its line; a run line may end in
+# fields of other names (older ones end in `op=tagged`). No field after
+# a name holds `]`, so a line is read in time linear in its length.
+_STATE = r"\[[^\]]*\]"
+_STATES = rf"{_STATE}(?:\|{_STATE})*"
+_LINE_PATTERNS = (
+    rf"component=([0-9]+) side=(\S+) frozen=(\S+) raw=({_STATE}) "
+    rf"thresholded=({_STATE}) updated=({_STATE})",
+    r"side=(\S+) steps=([0-9]+) components=([0-9]+)(?: class=(\S+))?"
+    r"(?: name=\[.*\])?(?: policy=([^\s\]]+))?(?: threshold-k=([^\s\]]+))?"
+    r"(?: (?!(?:side|steps|components|class|name|policy|threshold-k)=)"
+    r"[\w-]+=[^\s\]]+)*",
+    r"([0-9]+) kind=(\S+) algebra=(\S+) op=(\S+) rows=([0-9]+) cols=([0-9]+)"
+    r"(?: expert=\[.*\])?",
+    rf"([0-9]+) (\S+) period=([0-9]+) settled=([0-9]+) (\w+)=({_STATES})"
+    rf"(?: (\w+)=({_STATES}))?",
+)
+# compiled on the first parse, so that an import compiles none of them
+_line_patterns = cache(lambda: tuple(map(re.compile, _LINE_PATTERNS)))
 
 
-def _engine_fields(text: str) -> dict:
-    """The engine-written fields of a run or component line."""
-    return dict(_FIELD_RE.findall(_FREE_TEXT_RE.sub("", text, count=1)))
+def _fields(pattern, text: str) -> tuple:
+    """The fields of `text`, which `pattern` must match whole."""
+    match = pattern.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a record of its kind: {text!r}")
+    return match.groups()
 
 
 def _parse_state(text: str, states: dict):
@@ -155,38 +183,17 @@ def _parse_state(text: str, states: dict):
     return state
 
 
-def _parse_states(text: str, states: dict):
-    return tuple(_parse_state(chunk, states) for chunk in text.split("|"))
-
-
-def _parse_step_body(body: str, states: dict) -> dict:
-    """The fields of a step line after its step number."""
-    fields = dict(_FIELD_RE.findall(body))
-    return {
-        "component": _ascii_int(fields["component"]) - 1,
-        "side": fields["side"],
-        "frozen": parse_name(fields["frozen"], ("yes", "no"),
-                             "frozen flag") == "yes",
-        "raw": _parse_state(fields["raw"], states),
-        "thresholded": _parse_state(fields["thresholded"], states),
-        "updated": _parse_state(fields["updated"], states),
-    }
-
-
 def parse_trace(text: str) -> dict:
     """Structural parse into a dict: side, the run line's step and
     component counts and model class (None when absent), component tags,
     (rows, cols) shapes, inputs, masks, steps, finals. Each name, and the
-    run's k, is read with the engine's own rule. Raises TraceError, naming
-    the line, on malformed input."""
-    side = None
-    model_class = None
-    tags = {}
-    shapes = {}
-    inputs = {}
-    masks = {}
-    steps = []
-    finals = {}
+    run's k, is read with the engine's own rule, and each run, component,
+    step and final line holds its fields once, one space apart, in the
+    order render_trace writes them; a run line may end in other fields.
+    Raises TraceError, naming the line, on malformed input."""
+    step_re, run_re, component_re, final_re = _line_patterns()
+    side = model_class = None
+    tags, shapes, inputs, masks, finals, steps = {}, {}, {}, {}, {}, []
     states = {}  # bracketed state text -> its parsed tuple
     bodies = {}  # step line text after the step number -> its fields
     saw_end = False
@@ -196,30 +203,40 @@ def parse_trace(text: str) -> dict:
             continue
         head, _, rest = line.partition(" ")
         try:
-            if head == "trace":
+            if head == "step":  # most lines of a trace
+                number, body = rest.split(None, 1)
+                step = _ascii_int(number)
+                entry = bodies.get(body)
+                if entry is None:
+                    comp, at, frozen, raw, cut, new = _fields(step_re, body)
+                    entry = bodies[body] = {
+                        "component": int(comp) - 1, "side": at,
+                        "frozen": parse_name(frozen, ("yes", "no"),
+                                             "frozen flag") == "yes",
+                        "raw": _parse_state(raw, states),
+                        "thresholded": _parse_state(cut, states),
+                        "updated": _parse_state(new, states)}
+                steps.append({"step": step, **entry})
+            elif head == "trace":
                 if rest.strip() != TRACE_VERSION:
                     raise TraceError(
                         f"unsupported trace version {rest.strip()!r}")
             elif head == "run":
-                fields = _engine_fields(rest)
-                side = parse_name(fields["side"], SIDES, "side")
-                counts = (_ascii_int(fields["steps"]),
-                          _ascii_int(fields["components"]))
-                if "class" in fields:
-                    model_class = ModelClass.parse(fields["class"])
-                if "policy" in fields:
-                    OrderPolicy.parse(fields["policy"])
-                if "threshold-k" in fields:
-                    k = parse_scalar(fields["threshold-k"])
+                side_text, *counts, cls, policy, k = _fields(run_re, rest)
+                side = parse_name(side_text, SIDES, "side")
+                counts = tuple(map(int, counts))
+                if cls is not None:
+                    model_class = ModelClass.parse(cls)
+                if policy is not None:
+                    OrderPolicy.parse(policy)
+                if k is not None:
+                    k = parse_scalar(k)
                     _check_threshold_k(k.real_part if k.is_real else k)
             elif head == "component":
-                tokens = rest.split(None, 1)
-                idx = _ascii_int(tokens[0]) - 1
-                fields = _engine_fields(tokens[1])
-                tags[idx] = ComponentTag(fields["kind"], fields["algebra"],
-                                         fields["op"])
-                shapes[idx] = (_ascii_int(fields["rows"]),
-                               _ascii_int(fields["cols"]))
+                idx, kind, algebra, op, *shape = _fields(component_re, rest)
+                idx = int(idx) - 1
+                tags[idx] = ComponentTag(kind, algebra, op)
+                shapes[idx] = tuple(map(int, shape))
             elif head == "input":
                 tokens = rest.split(None, 1)
                 inputs[_ascii_int(tokens[0]) - 1] = _parse_state(
@@ -229,36 +246,29 @@ def parse_trace(text: str) -> dict:
                 body = tokens[1].strip()
                 if not (body.startswith("[") and body.endswith("]")):
                     raise TraceError("bad mask")
-                coords = body[1:-1].split()
                 masks[_ascii_int(tokens[0]) - 1] = tuple(
-                    _ascii_int(c) - 1 for c in coords)
-            elif head == "step":
-                number, body = rest.split(None, 1)
-                step = _ascii_int(number)
-                entry = bodies.get(body)
-                if entry is None:
-                    entry = bodies[body] = _parse_step_body(body, states)
-                steps.append({"step": step, **entry})
+                    _ascii_int(c) - 1 for c in body[1:-1].split())
             elif head == "final":
-                tokens = rest.split(None, 1)
-                idx = _ascii_int(tokens[0]) - 1
-                fields = dict(_FIELD_RE.findall(tokens[1]))
-                shape = tokens[1].split()[0]
+                idx, shape, period, settled, *named = _fields(final_re, rest)
+                idx = int(idx) - 1
                 if shape not in _FINAL_FIELDS:
                     raise TraceError(f"unknown final shape {shape!r}")
-                columns = [_parse_states(fields[field], states)
-                           for field in _FINAL_FIELDS[shape]]
+                if tuple(named[::2]) != _FINAL_FIELDS[shape]:
+                    raise ValueError(f"{shape} with fields {named[::2]}")
+                columns = [tuple(_parse_state(chunk, states)
+                                 for chunk in column.split("|"))
+                           for column in named[1::2] if column]
                 cycle = tuple(zip(*columns)) if "pair" in shape \
                     else columns[0]
                 outcome = Recurrence.outcome(cycle)
-                period = _ascii_int(fields["period"])
+                period = int(period)
                 if outcome_shape(outcome)[0] != shape \
                         or outcome.period != period \
                         or len({len(c) for c in columns}) != 1:
                     raise TraceError(f"{shape} period={period} does not "
                                      f"fit its recorded states")
                 finals[idx] = {"shape": shape, "period": period,
-                               "settled": _ascii_int(fields["settled"]),
+                               "settled": int(settled),
                                "outcome": outcome}
             elif head == "end":
                 saw_end = True
@@ -310,10 +320,13 @@ def verify_trace(text: str) -> tuple:
             problems.append(str(exc))
         if problems:
             raise TraceError("; ".join(problems))
-    entries = sorted(data["steps"], key=lambda e: (e["component"], e["step"]))
-    keys = [(e["component"], e["step"]) for e in entries]
-    if len(keys) != n * steps or keys != [
-            (c, t) for c in range(n) for t in range(1, steps + 1)]:
+    # each component's step entries, in step order whatever the line order
+    entries, grouped = data["steps"], {idx: [] for idx in range(n)}
+    for entry in sorted(entries, key=_STEP):
+        grouped.setdefault(entry["component"], []).append(entry)
+    order = list(range(1, steps + 1)) if len(entries) == n * steps else None
+    if len(grouped) != n or any(list(map(_STEP, comp_steps)) != order
+                                for comp_steps in grouped.values()):
         raise TraceError(f"run line says steps={steps}, but the step lines "
                          f"are not one per component per step 1..{steps}")
     outcomes = []
@@ -330,16 +343,20 @@ def verify_trace(text: str) -> tuple:
             raise TraceError(f"{where}: a CM component must be square, got "
                              f"{shape[0]}x{shape[1]}")
         recurrence = Recurrence(kind, side, state)
-        comp_steps = entries[idx * steps:(idx + 1) * steps]
+        comp_steps = grouped[idx]
+        fits = set()  # the (side, part lengths) that part_problem passed
         for entry in comp_steps:
-            if entry["side"] != landing_side(kind, side, entry["step"]):
+            at, raw, cut, new = _SIDE_AND_PARTS(entry)
+            if at != recurrence.sides[entry["step"] & 1]:
                 raise TraceError(f"{where}: step {entry['step']} lands on "
                                  f"the wrong side")
-            for part in (entry["raw"], entry["thresholded"], entry["updated"]):
-                if problem := part_problem(part, kind, entry["side"], *shape):
-                    raise TraceError(
-                        f"{where} step {entry['step']}: {problem}")
-            cycle = recurrence.add(entry["step"], entry["updated"])
+            if (lengths := (at, len(raw), len(cut), len(new))) not in fits:
+                for part in (raw, cut, new):
+                    if problem := part_problem(part, kind, at, *shape):
+                        raise TraceError(
+                            f"{where} step {entry['step']}: {problem}")
+                fits.add(lengths)
+            cycle = recurrence.add(entry["step"], new)
             if cycle is not None:
                 closed = entry["step"]
                 break
@@ -355,11 +372,9 @@ def verify_trace(text: str) -> tuple:
                 f"unfrozen step lines, but its states first recur at step "
                 f"{closed}")
         # a frozen part is carried unchanged on the seeded side
-        settled_state = comp_steps[closed - 1]["updated"]
+        carried = (side, *(comp_steps[closed - 1]["updated"],) * 3)
         for entry in comp_steps[closed:]:
-            if entry["side"] != side or any(
-                    entry[f] != settled_state
-                    for f in ("raw", "thresholded", "updated")):
+            if _SIDE_AND_PARTS(entry) != carried:
                 raise TraceError(
                     f"{where}: frozen step {entry['step']} does not carry "
                     f"the state settled at step {closed} on the {side} side")

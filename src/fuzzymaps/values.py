@@ -463,6 +463,15 @@ _NUMBER_RE = re.compile(
     r"^[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?$")
 
 
+def _check_one_line(what: str, *names) -> None:
+    """Raise InvalidInput, naming `what`, for a name that holds a line
+    break (any character str.splitlines breaks on): a file writes each
+    name into one line, which its reader would read as several."""
+    for name in map(str, names):
+        if "".join(name.splitlines()) != name:
+            raise InvalidInput(f"{what} {name!r} holds a line break")
+
+
 def _ascii_int(text: str) -> int:
     """The natural number `text` spells in ASCII decimal digits. Raises
     ValueError, as int() does, on anything else: a sign, an underscore,

@@ -540,6 +540,55 @@ def test_a_system_failing_the_necessary_condition_is_unsolvable(system):
         assert not solve_max(q, r).solvable
 
 
+def _failing_columns_in_the_scalar_order(q, r):
+    """failing_columns from the Scalar order alone: each column's maximum
+    folded with max, then compared with its target."""
+    from fuzzymaps import fre
+    out = []
+    for k, rk in enumerate(row_vector(list(r), domain=ValueDomain.ANY).row(0)):
+        top = reduce(fre._max, (q.at(j, k) for j in range(q.rows)))
+        if not (top == rk or fre._gt(top, rk)):
+            out.append(k)
+    return tuple(out)
+
+
+def _result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # both sides must fail alike
+        return type(exc), str(exc)
+
+
+# entries of one system: reals in [0, 1] with ties, any floats (NaN, the
+# infinities, out of range), or reals mixed with multiples of I
+_FAILING_POOLS = [
+    st.one_of(GRID, st.floats(0, 1)),
+    st.one_of(GRID, st.sampled_from([float("nan"), float("inf"),
+                                     -float("inf"), -0.5, 1.5]),
+              st.floats(allow_nan=True, allow_infinity=True)),
+    st.one_of(GRID, st.sampled_from(["I", "0.5I", "-I", "0.5+I"]).map(
+        parse_scalar)),
+]
+
+
+@st.composite
+def _any_systems(draw):
+    pool = draw(st.sampled_from(_FAILING_POOLS))
+    m, s = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    q = Matrix(m, s, [draw(pool) for _ in range(m * s)], ValueDomain.ANY)
+    return q, [draw(pool) for _ in range(s)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_any_systems())
+def test_failing_columns_match_the_scalar_order(system):
+    # folded on floats for reals, NaN and the infinities included, and in
+    # the Scalar order for a multiple of I
+    q, r = system
+    assert _result_or_error(failing_columns, q, r) == _result_or_error(
+        _failing_columns_in_the_scalar_order, q, r)
+
+
 # ------------------------------------------------------ neutrosophic extension
 
 def test_extension_solves_pure_indeterminate_target():

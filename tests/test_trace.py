@@ -2,6 +2,7 @@
 
 import pathlib
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from fuzzymaps import (
     CM,
     DOMAIN_SIDE,
     I,
+    InvalidInput,
     RANGE_SIDE,
     RM,
     ComponentTag,
@@ -32,9 +34,11 @@ from fuzzymaps import (
     run,
     outcome_shape,
     run_mixed,
+    serialize_model,
     transpose,
     verify_trace,
 )
+from fuzzymaps.dynamics import landing_side
 from replay import assert_replays, public_step, seed_pin
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -161,6 +165,32 @@ def test_free_text_cannot_restate_engine_fields(name, expert):
     data = parse_trace(text)
     assert (data["side"], data["run_steps"], data["tags"]) == (
         DOMAIN_SIDE, pattern.steps, {0: ComponentTag(kind=CM)})
+
+
+# every character str.splitlines breaks a line on
+LINE_BREAKS = ["\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+def test_line_breaks_are_every_character_splitlines_breaks_on():
+    assert LINE_BREAKS == [chr(c) for c in range(0x110000)
+                           if len(f"a{chr(c)}b".splitlines()) > 1]
+
+
+@pytest.mark.parametrize("char", LINE_BREAKS, ids=ascii)
+def test_writers_refuse_a_name_holding_a_line_break(char):
+    # a name is written into one line, which its reader would read as two
+    mf, pattern = run_fixture(*SQUARE)
+    model, bad = mf.model, f"demo{char}component 9"
+    with pytest.raises(InvalidInput, match="^model name "):
+        render_trace(pattern, model.matrix, name=bad)
+    with pytest.raises(InvalidInput, match="^expert name "):
+        render_trace(pattern, model.matrix, experts=[bad])
+    with pytest.raises(InvalidInput, match="^model name "):
+        serialize_model(model, name=bad)
+    with pytest.raises(InvalidInput, match="^expert name "):
+        serialize_model(build_model(model.model_class, model.matrix,
+                                    experts=[bad]))
 
 
 def test_tampered_final_is_rejected():
@@ -501,6 +531,44 @@ def test_parse_rejects_malformed_lines():
                  id="settled-arabic-indic"),
     pytest.param("input 1 ", lambda l: l.replace("[1 ", "[１ "),
                  id="input-fullwidth-digit"),
+    # each record holds its fields in the order the engine writes them,
+    # once each and one space apart
+    pytest.param("run ", lambda l: l.replace("steps=7 components=6",
+                                             "components=6 steps=7"),
+                 id="run-reordered"),
+    pytest.param("run ", lambda l: l.replace("policy=book threshold-k=0",
+                                             "threshold-k=0 policy=book"),
+                 id="run-reordered-tail"),
+    pytest.param("run ", lambda l: l.replace(" threshold-k=0",
+                                             " steps=7 threshold-k=0"),
+                 id="run-repeated"),
+    pytest.param("run ", lambda l: l.replace(" policy=", " junk policy="),
+                 id="run-stray"),
+    pytest.param("step 1 ", lambda l: l.replace("side=domain frozen=no",
+                                                "frozen=no side=domain"),
+                 id="step-reordered"),
+    pytest.param("step 1 ", lambda l: l.replace(" frozen=no",
+                                                " frozen=no frozen=no"),
+                 id="step-repeated"),
+    pytest.param("step 1 ", lambda l: l.replace(" raw=", " junk raw="),
+                 id="step-stray"),
+    pytest.param("component 1 ",
+                 lambda l: l.replace("algebra=fuzzy op=circle",
+                                     "op=circle algebra=fuzzy"),
+                 id="component-reordered"),
+    pytest.param("component 1 ",
+                 lambda l: l.replace(" rows=8", " rows=8 rows=8"),
+                 id="component-repeated"),
+    pytest.param("component 1 ", lambda l: l.replace(" kind=", " junk kind="),
+                 id="component-stray"),
+    pytest.param("final 1 ", lambda l: l.replace("period=1 settled=3",
+                                                 "settled=3 period=1"),
+                 id="final-reordered"),
+    pytest.param("final 1 ", lambda l: l.replace(" period=1",
+                                                 " period=1 period=1"),
+                 id="final-repeated"),
+    pytest.param("final 1 ", lambda l: l.replace(" state=", " junk state="),
+                 id="final-stray"),
 ])
 def test_malformed_line_raises_trace_error_naming_it(prefix, edit):
     lines = GOLDEN.splitlines()
@@ -510,6 +578,32 @@ def test_malformed_line_raises_trace_error_naming_it(prefix, edit):
     lines[at] = edited
     with pytest.raises(TraceError, match=rf"^line {at + 1}: "):
         verify_trace("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("old, new", [
+    pytest.param(" threshold-k=0", " threshold-k=0 op=tagged", id="op-tagged"),
+    pytest.param(" threshold-k=0", "", id="no-threshold-k"),
+    pytest.param(" threshold-k=0", " op=tagged",
+                 id="op-tagged-no-threshold-k"),
+])
+def test_older_run_lines_still_verify(old, new):
+    # run lines of older traces: ending in `op=tagged`, or with no k
+    older = GOLDEN.replace(old, new, 1)
+    assert older != GOLDEN
+    assert verify_trace(older) == verify_trace(GOLDEN)
+
+
+def test_a_long_run_line_is_read_in_linear_time():
+    # each `]` is a place where a model name may end; no field after the
+    # name holds one, so trying them all reads the line once. Were the
+    # fields after it free to hold `]`, this line would take ~20 s.
+    lines = GOLDEN.splitlines()
+    lines[1] = "run side=domain steps=7 components=6 name=[" + \
+        "] a=b" * 20000 + " x"
+    start = time.perf_counter()
+    with pytest.raises(TraceError, match="^line 2: malformed run record$"):
+        parse_trace("\n".join(lines) + "\n")
+    assert time.perf_counter() - start < 2
 
 
 def test_bad_state_on_many_lines_names_the_first():
@@ -627,17 +721,6 @@ def test_tampered_golden_trace_verifies_or_raises_trace_error(text):
         pass
 
 
-def test_trace_round_trip_preserves_step_data():
-    mf, pattern = run_fixture(*LEVELS)
-    text = render_trace(pattern, mf.model.matrix)
-    data = parse_trace(text)
-    first = data["steps"][0]
-    assert first["raw"] == pattern.trace[0].raw[0]
-    assert first["thresholded"] == pattern.trace[0].thresholded[0]
-    assert first["updated"] == pattern.trace[0].updated[0]
-    assert not first["frozen"]
-
-
 # (algebra, operator) -> the domain a component of that kind declares, its
 # tag's carrier, and the entries it draws from
 _ENTRIES = {
@@ -691,6 +774,31 @@ def test_verify_trace_rederives_every_run(case):
     # every record replays through the public Scalar operations, and
     # verify_trace re-derives the outcomes from the rendered trace
     assert_replays(special, x0, run_mixed(special, x0, threshold_k=k), k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeded_unions())
+def test_trace_round_trip_preserves_step_data(case):
+    # each step line reads back as its record's component, side, frozen
+    # flag and parts, and each final line as its outcome
+    special, x0, k = case
+    pattern = run_mixed(special, x0, threshold_k=k)
+    data = parse_trace(render_trace(pattern, special, threshold_k=k))
+    kinds = [tag.kind for _, tag in special]
+    assert [(e["step"], e["component"]) for e in data["steps"]] == [
+        (t, c) for t in range(1, pattern.steps + 1) for c in range(len(kinds))]
+    for entry in data["steps"]:
+        step, c = entry["step"], entry["component"]
+        record = pattern.trace[step - 1]
+        frozen = record.frozen[c]
+        assert entry["frozen"] == frozen
+        # a frozen part is carried on the seeded side
+        assert entry["side"] == (x0.side if frozen
+                                 else landing_side(kinds[c], x0.side, step))
+        assert (entry["raw"], entry["thresholded"], entry["updated"]) == (
+            record.raw[c], record.thresholded[c], record.updated[c])
+    assert [data["finals"][c]["outcome"] for c in range(len(kinds))] == list(
+        pattern.outcomes)
 
 
 def _assert_cycles_step(special, x0, k, pattern):
