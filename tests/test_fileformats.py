@@ -10,10 +10,12 @@ from fuzzymaps import fileformats
 from fuzzymaps import (
     DOMAIN_SIDE,
     DomainError,
+    Matrix,
     ModelFile,
     ParseError,
     RANGE_SIDE,
     Scalar,
+    ValueDomain,
     parse_matrix_text,
     parse_model_structure,
     parse_model_text,
@@ -342,3 +344,163 @@ def test_matrix_text_ragged():
         parse_matrix_text("0 1\n0\n")
     with pytest.raises(ParseError):
         parse_matrix_text("")
+
+
+# ------------------------------------- block reads against a row-by-row read
+
+def _read_block_by_rows(lines, pos, rows, cols, where, domain):
+    """A block read one row at a time: `_scalar_row` per row, then
+    `Matrix.from_rows`, with the truncation and domain errors the readers
+    give."""
+    grid, linenos = [], []
+    for lineno, line in lines[pos:pos + rows]:
+        grid.append(fileformats._scalar_row(line, lineno, cols, where))
+        linenos.append(lineno)
+    if len(grid) < rows:
+        raise ParseError(f"{where}: matrix truncated, expected {rows} rows",
+                         line=lines[-1][0])
+    try:
+        return Matrix.from_rows(grid, domain=domain)
+    except DomainError as exc:
+        lineno = next(n for n, row in zip(linenos, grid)
+                      if not all(map(domain.contains, row)))
+        raise DomainError(f"line {lineno}: {where}: {exc}") from None
+
+
+def _model_matrices_by_rows(text):
+    """The matrices of a model file whose headers are well formed, each
+    block read by `_read_block_by_rows`."""
+    lines, pos, out = fileformats._lines(text), 1, []
+    while pos < len(lines) and lines[pos][1].split()[0] != "end":
+        tokens = lines[pos][1].split()
+        rows, cols = map(int, tokens[6].split("x"))
+        pos += 1
+        while pos < len(lines) and lines[pos][1].split()[0] in ("rows",
+                                                                 "expert"):
+            pos += 1
+        out.append(_read_block_by_rows(
+            lines, pos, rows, cols, f"component {tokens[1]}",
+            ValueDomain.parse(tokens[5])))
+        pos += rows
+    return tuple(out)
+
+
+def _matrix_by_rows(text):
+    lines = fileformats._lines(text)
+    if not lines:
+        raise ParseError("empty matrix file", line=1)
+    return _read_block_by_rows(lines, 0, len(lines), len(lines[0][1].split()),
+                               "matrix", ValueDomain.ANY)
+
+
+def _outcome(read, text):
+    """What `read(text)` returns, or its error's class, text, line and
+    column."""
+    try:
+        return read(text)
+    except (ParseError, DomainError) as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "col", None))
+
+
+# tokens inside each domain, a few spelling one value twice
+_INSIDE = {
+    "tri": ["0", "1", "-1", "1e0", "-0"],
+    "unit": ["0", "1", "0.5", "0.25", "1e-1"],
+    "neutro-tri": ["0", "1", "-1", "I"],
+    "neutro-unit": ["0", "0.5", "I", "0.3I"],
+    "any": ["0", "2", "-7.5", "I", "7+I", "2I-1"],
+}
+_OUTSIDE = ["2", "-2", "0.5", "-0.5", "I", "0.5+0.3I", "2I"]
+_BAD = ["x", "1_0", "１", "+", "I+I", "e0"]
+_FAULTS = ["none", "bad", "short", "long", "truncate", "domain"]
+
+
+def _dress(draw, lines):
+    """`lines` as file text, with blank and comment lines between them and
+    trailing comments, some of which hold scalar tokens."""
+    out = []
+    for line in lines:
+        out += draw(st.lists(st.sampled_from(["", "   ", "# 0 1 x", "#"]),
+                             max_size=2))
+        out.append(line + draw(st.sampled_from(["", "", " # 1 x", "#0"])))
+    return "\n".join(out) + draw(st.sampled_from(["\n", ""]))
+
+
+def _inject(draw, blocks, domains):
+    """Apply at most one fault to one row of `blocks` (lists of token
+    lists, edited in place); returns (block, row) to cut the file before
+    when the fault is a truncation, else None."""
+    fault = draw(st.sampled_from(_FAULTS))
+    b = draw(st.integers(0, len(blocks) - 1))
+    r = draw(st.integers(0, len(blocks[b]) - 1))
+    row = blocks[b][r]
+    c = draw(st.integers(0, len(row) - 1))
+    outside = [t for t in _OUTSIDE
+               if not domains[b].contains(parse_scalar(t))]
+    if fault == "bad":
+        row[c] = draw(st.sampled_from(_BAD))
+    elif fault == "short":
+        del row[c]
+    elif fault == "long":
+        row.insert(c, draw(st.sampled_from(_INSIDE["any"])))
+    elif fault == "domain" and outside:
+        row[c] = draw(st.sampled_from(outside))
+    elif fault == "truncate":
+        return b, r
+    return None
+
+
+@st.composite
+def _model_texts(draw):
+    names = draw(st.lists(st.sampled_from(sorted(_INSIDE)), min_size=1,
+                          max_size=3))
+    domains = [ValueDomain.parse(n) for n in names]
+    shapes = [(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+              for _ in names]
+    blocks = [[draw(st.lists(st.sampled_from(_INSIDE[n]), min_size=cols,
+                             max_size=cols)) for _ in range(rows)]
+              for n, (rows, cols) in zip(names, shapes)]
+    cut = _inject(draw, blocks, domains)
+    lines = [draw(st.sampled_from(["model SMFCFRM", "model SMFCFRM a name"]))]
+    for idx, (name, (rows, cols), block) in enumerate(
+            zip(names, shapes, blocks)):
+        lines.append(f"component {idx + 1} RM fuzzy circle {name} "
+                     f"{rows}x{cols}")
+        if draw(st.booleans()):
+            lines.append("rows " + " ".join(f"r{i}" for i in range(rows)))
+        if draw(st.booleans()):
+            lines.append("expert an expert")
+        for r, row in enumerate(block):
+            if cut == (idx, r):
+                return _dress(draw, lines)
+            sep = draw(st.sampled_from([" ", "  ", "\t", " \xa0"]))
+            lines.append(draw(st.sampled_from(["", " "])) + sep.join(row))
+    return _dress(draw, lines + ["end"])
+
+
+@st.composite
+def _matrix_texts(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    block = [draw(st.lists(st.sampled_from(_INSIDE["any"]), min_size=cols,
+                           max_size=cols)) for _ in range(rows)]
+    cut = _inject(draw, [block], [ValueDomain.ANY])
+    if cut is not None:
+        block = block[:cut[1]]
+    return _dress(draw, [draw(st.sampled_from(["", " "])) + " ".join(row)
+                         for row in block])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_model_texts())
+def test_model_blocks_read_as_row_by_row(text):
+    def matrices(text):
+        return tuple(m for m, _ in parse_model_structure(text).components)
+
+    assert _outcome(matrices, text) == _outcome(_model_matrices_by_rows, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_texts())
+def test_matrix_text_reads_as_row_by_row(text):
+    assert _outcome(parse_matrix_text, text) == _outcome(_matrix_by_rows, text)
