@@ -25,21 +25,24 @@ Vector file, one line per component, every line on the same side:
 Matrix file: rows of scalar tokens, nothing else.
 
 Numbers are ASCII digits: sizes and component indices are digits only,
-and scalar tokens follow values.parse_scalar. A line of scalars is split
-with str.split() and read by values.parse_scalars, one memo pass per
-line; only a line holding a bad token is walked again to report that
-token's column. Errors are ParseError with the line (and, for a bad
-scalar, the column), or DomainError for an entry outside its declared
-domain.
+and scalar tokens follow values.parse_scalar. A matrix block is read in
+one pass: its rows are split with str.split(), their token counts
+checked at once, all its tokens read by one values.parse_scalars call
+and its declared domain checked once per distinct token text. Only a
+block that fails a check is read again row by row, and only a line
+holding a bad token is walked again to report that token's column.
+Errors are ParseError with the line (and, for a bad scalar, the column),
+or DomainError for an entry outside its declared domain.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from operator import itemgetter
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, InvalidInput, ParseError
 from .matrices import Matrix
 from .models import Model, ModelClass, build_model
 from .special import CM, ComponentTag, RM, SIDES, SpecialStateVector
@@ -94,6 +97,38 @@ def _scalar_row(line, lineno, expected=None, where="", skip=0):
         except ParseError as exc:
             raise ParseError(exc.message, line=lineno,
                              col=token.start() + 1) from None
+
+
+def _grid(lines, pos, rows, cols, where, domain):
+    """The rows x cols Matrix over `domain` that the `rows` lines from
+    lines[pos] spell, read in one pass. A block that fails a check is
+    read again row by row, so the error is the first in file order: a
+    wrong count or bad token, a truncation, then an entry outside
+    `domain` (a DomainError naming `where` and the entry's line)."""
+    block = lines[pos:pos + rows]
+    split = list(map(str.split, map(itemgetter(1), block)))
+    # the length test first: a truncated block may declare any size
+    if len(block) == rows and list(map(len, split)) == [cols] * rows:
+        tokens = list(chain.from_iterable(split))
+        try:
+            cells = parse_scalars(tokens)
+            if domain is ValueDomain.ANY or all(map(
+                    domain.contains, map(parse_scalar, set(tokens)))):
+                return Matrix._of_checked(rows, cols, cells, domain)
+        except ParseError:
+            pass
+    grid = [_scalar_row(line, lineno, cols, where) for lineno, line in block]
+    if len(grid) < rows:
+        raise ParseError(f"{where}: matrix truncated, expected {rows} rows",
+                         line=lines[-1][0])
+    try:
+        return Matrix.from_rows(grid, domain=domain)
+    except DomainError as exc:
+        # the line of the first row holding an entry outside the domain,
+        # the entry the error names
+        lineno = next(n for (n, _), row in zip(block, grid)
+                      if not all(map(domain.contains, row)))
+        raise DomainError(f"line {lineno}: {where}: {exc}") from None
 
 
 def _parse_size(token, lineno):
@@ -205,26 +240,8 @@ def parse_model_structure(text: str) -> ParsedStructure:
                 break
             pos += 1
 
-        grid, row_linenos = [], []
-        where = f"component {index}"
-        for _ in range(rows):
-            if pos >= len(lines):
-                raise ParseError(
-                    f"component {index}: matrix truncated, expected "
-                    f"{rows} rows", line=lines[-1][0])
-            lineno, line = lines[pos]
-            grid.append(_scalar_row(line, lineno, cols, where))
-            row_linenos.append(lineno)
-            pos += 1
-        try:
-            matrix = Matrix.from_rows(grid, domain=domain)
-        except DomainError as exc:
-            # the line of the first row holding an entry outside the
-            # domain, the entry the error names
-            lineno = next(n for n, row in zip(row_linenos, grid)
-                          if not all(map(domain.contains, row)))
-            raise DomainError(
-                f"line {lineno}: component {index}: {exc}") from None
+        matrix = _grid(lines, pos, rows, cols, f"component {index}", domain)
+        pos += rows
         components.append((matrix, tag))
         if tag.kind == CM:
             labels.append((row_labels,) if row_labels else None)
@@ -251,12 +268,26 @@ def parse_model_text(text: str) -> ModelFile:
 
 def serialize_model(model, name: str = "") -> str:
     """Canonical text form; labels and expert lines are always written.
-    A model or expert name holding a line break raises InvalidInput."""
+    A name or label that parse_model_text would not read back as itself
+    (one holding a line break or `#`, a label that is not one token, a
+    name with outer or repeated whitespace) raises InvalidInput."""
     if isinstance(model, ModelFile):
         name = model.name
         model = model.model
     _check_one_line("model name", name)
     _check_one_line("expert name", *model.experts)
+    for what, text, back in [
+            ("model name", name, " ".join(name.partition("#")[0].split())),
+            *(("expert name", e, e.partition("#")[0].strip())
+              for e in model.experts)]:
+        if back != text:
+            raise InvalidInput(f"{what} {text!r} reads back as {back!r}")
+    for group in model.labels:
+        for what, names in zip(("row label", "column label"), group):
+            for label in names:
+                if label.partition("#")[0].split() != [label]:
+                    raise InvalidInput(
+                        f"{what} {label!r} is not one token without '#'")
     out = [f"model {model.model_class.value}" + (f" {name}" if name else "")]
     for idx, (mat, tag) in enumerate(model.matrix):
         out.append(f"component {idx + 1} {tag.kind} {tag.algebra} "
@@ -309,11 +340,8 @@ def parse_matrix_text(text: str) -> Matrix:
     lines = _lines(text)
     if not lines:
         raise ParseError("empty matrix file", line=1)
-    width = len(lines[0][1].split())
-    grid = []
-    for lineno, line in lines:
-        grid.append(_scalar_row(line, lineno, width, "matrix"))
-    return Matrix.from_rows(grid, domain=ValueDomain.ANY)
+    return _grid(lines, 0, len(lines), len(lines[0][1].split()), "matrix",
+                 ValueDomain.ANY)
 
 
 def serialize_matrix(matrix: Matrix) -> str:

@@ -8,14 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzymaps import fileformats
 from fuzzymaps import (
+    ComponentTag,
     DOMAIN_SIDE,
     DomainError,
+    InvalidInput,
     Matrix,
     ModelFile,
     ParseError,
     RANGE_SIDE,
     Scalar,
     ValueDomain,
+    build_model,
     parse_matrix_text,
     parse_model_structure,
     parse_model_text,
@@ -88,6 +91,55 @@ def test_vector_fixtures_round_trip(name):
     assert parse_vector_text(serialize_vector(state)) == state
 
 
+def _square_model(name="", experts=None, labels=None):
+    square = Matrix.from_rows([[0, 1], [-1, 0]], domain="tri")
+    return ModelFile(name=name, model=build_model(
+        "SFCM", [(square, ComponentTag())] * 2, labels=labels,
+        experts=experts))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("name", "my#model", "model name 'my#model' reads back as 'my'"),
+    ("name", "my  model", "model name 'my  model' reads back as 'my model'"),
+    ("name", " lead", "model name ' lead' reads back as 'lead'"),
+    ("expert", "e#1", "expert name 'e#1' reads back as 'e'"),
+    ("expert", "chief ", "expert name 'chief ' reads back as 'chief'"),
+    ("label", "a b", "row label 'a b' is not one token without '#'"),
+    ("label", "a#", "row label 'a#' is not one token without '#'"),
+    ("label", "", "row label '' is not one token without '#'"),
+])
+def test_serialize_refuses_what_would_read_back_otherwise(field, value,
+                                                          message):
+    model = _square_model(**{"name": {"name": value},
+                             "expert": {"experts": [value, "b"]},
+                             "label": {"labels": [((value, "x"),), None]},
+                             }[field])
+    with pytest.raises(InvalidInput) as err:
+        serialize_model(model)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name, expert, label", [
+    ("my model", "chief  planner", "x_1"),
+    ("", "", "I"),
+    ("a-b", "a\xa0b", "\u00e9t\u00e9"),
+])
+def test_serialize_keeps_what_reads_back_as_itself(name, expert, label):
+    model = _square_model(name, [expert, "b"], [((label, "x"),), None])
+    assert parse_model_text(serialize_model(model)) == model
+
+
+@settings(max_examples=300, deadline=None)
+@given(*[st.text("ab0 \t\xa0#\n\x85", max_size=5)] * 3)
+def test_serialized_model_reads_back_or_is_refused(name, expert, label):
+    model = _square_model(name, [expert, "b"], [((label, "x"),), None])
+    try:
+        text = serialize_model(model)
+    except InvalidInput:
+        return
+    assert parse_model_text(text) == model
+
+
 # ------------------------------------------------------------- model errors
 
 def clip(marker):
@@ -107,6 +159,16 @@ def test_truncated_matrix():
     with pytest.raises(ParseError) as err:
         parse_model_text(clip("1 0 0"))
     assert "truncated" in str(err.value)
+
+
+def test_a_huge_declared_size_is_a_truncation():
+    # the block reader must not size anything by the declared row count
+    huge = 10 ** 30
+    text = f"model SMFCFRM\ncomponent 1 RM fuzzy circle tri {huge}x2\n0 1\n"
+    with pytest.raises(ParseError) as err:
+        parse_model_structure(text)
+    assert str(err.value) == (f"line 3: component 1: matrix truncated, "
+                              f"expected {huge} rows")
 
 
 def test_content_after_end():
