@@ -5,12 +5,15 @@ come in plain and component-union flavors, and the dynamics engine
 iterates expert opinions to their hidden patterns: fixed points, limit
 cycles, and domain/range binary pairs. A relational-equation solver
 handles the maximum solution of `p o Q = r` under max-min composition.
+
+`__all__` is the public API, and README.md's "Library API" lists it by
+module. Other names are reached through their module
+(`fuzzymaps.dynamics.describe_outcome`).
 """
 
 from .errors import (
     BudgetExceeded,
     ClassViolation,
-    ComponentCountMismatch,
     DomainError,
     EmptyUnion,
     FuzzymapsError,
@@ -37,8 +40,6 @@ from .values import (
     ThresholdMode,
     ValueDomain,
     ZERO,
-    coerce,
-    domain_join,
     parse_scalar,
     render_scalar,
     scalar_max,
@@ -51,14 +52,11 @@ from .matrices import (
     Matrix,
     elementwise_max,
     elementwise_min,
-    identity,
     mat_add,
     mat_mul,
     maxmin_compose,
     minmax_compose,
-    row_vector,
     transpose,
-    zeros,
 )
 from .special import (
     CM,
@@ -68,29 +66,19 @@ from .special import (
     RM,
     SpecialMatrix,
     SpecialStateVector,
-    other_side,
-    render_part,
 )
 from .dynamics import (
     FixedPoint,
     HiddenPattern,
     IterationRecord,
     LimitCycle,
-    describe_outcome,
     outcome_shape,
     run_cm,
     run_mixed,
     run_rm,
     validate_input,
 )
-from .models import (
-    Model,
-    ModelClass,
-    build_model,
-    class_diagnostics,
-    diagonal_diagnostics,
-    run,
-)
+from .models import Model, ModelClass, build_model, run
 from .fre import (
     FreSolution,
     check_necessary,
@@ -98,18 +86,47 @@ from .fre import (
     minimal_solutions_bruteforce,
     sigma,
     solve_max,
-    solve_special,
 )
 from .fileformats import (
     ModelFile,
     parse_matrix_text,
-    parse_model_structure,
     parse_model_text,
     parse_vector_text,
     serialize_matrix,
     serialize_model,
-    serialize_vector,
 )
 from .trace import parse_trace, render_trace, verify_trace
+
+__all__ = [
+    # errors
+    "BudgetExceeded", "ClassViolation", "DomainError", "EmptyUnion",
+    "FuzzymapsError", "InvalidInput", "IterationCapExceeded",
+    "ModeMismatch", "NonCMComponent", "NonRMComponent", "NonSquareCM",
+    "NonzeroDiagonal", "OrderUndefined", "ParseError", "ShapeMismatch",
+    "TraceError", "WrongEntryPoint",
+    # values
+    "I", "ONE", "OrderPolicy", "Scalar", "TCONORM_KINDS", "TNORM_KINDS",
+    "ThresholdMode", "ValueDomain", "ZERO", "parse_scalar", "render_scalar",
+    "scalar_max", "scalar_min", "tconorm", "threshold_scalar", "tnorm",
+    # matrices
+    "Matrix", "elementwise_max", "elementwise_min", "mat_add", "mat_mul",
+    "maxmin_compose", "minmax_compose", "transpose",
+    # special
+    "CM", "ComponentTag", "DOMAIN_SIDE", "RANGE_SIDE", "RM",
+    "SpecialMatrix", "SpecialStateVector",
+    # dynamics
+    "FixedPoint", "HiddenPattern", "IterationRecord", "LimitCycle",
+    "outcome_shape", "run_cm", "run_mixed", "run_rm", "validate_input",
+    # models
+    "Model", "ModelClass", "build_model", "run",
+    # fre
+    "FreSolution", "check_necessary", "failing_columns",
+    "minimal_solutions_bruteforce", "sigma", "solve_max",
+    # fileformats
+    "ModelFile", "parse_matrix_text", "parse_model_text",
+    "parse_vector_text", "serialize_matrix", "serialize_model",
+    # trace
+    "parse_trace", "render_trace", "verify_trace",
+]
 
 __version__ = "1.0.0"

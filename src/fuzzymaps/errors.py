@@ -49,13 +49,6 @@ class NonSquareCM(FuzzymapsError):
     exit_code = 3
 
 
-class ComponentCountMismatch(FuzzymapsError):
-    """solve_special got a different number of targets than the union has
-    components."""
-
-    exit_code = 4
-
-
 class NonCMComponent(FuzzymapsError):
     """run_cm requires every component to be tagged CM."""
 

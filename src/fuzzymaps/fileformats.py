@@ -328,14 +328,6 @@ def parse_vector_text(text: str) -> SpecialStateVector:
     return SpecialStateVector(parts, side)
 
 
-def serialize_vector(state: SpecialStateVector) -> str:
-    out = []
-    for part in state.parts:
-        out.append(state.side + " " +
-                   " ".join(render_scalar(v) for v in part))
-    return "\n".join(out) + "\n"
-
-
 def parse_matrix_text(text: str) -> Matrix:
     lines = _lines(text)
     if not lines:

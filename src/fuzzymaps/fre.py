@@ -35,14 +35,12 @@ from math import isnan
 
 from .errors import (
     BudgetExceeded,
-    ComponentCountMismatch,
     DomainError,
     InvalidInput,
     ModeMismatch,
     ShapeMismatch,
 )
 from .matrices import Matrix, maxmin_compose, operators, row_vector
-from .special import SpecialMatrix
 from .values import (
     ONE,
     ZERO,
@@ -70,7 +68,7 @@ def _checked(value, neutrosophic: bool) -> Scalar:
         if x.indet_coeff != 0.0:
             raise ModeMismatch(
                 f"indeterminate value {x} needs neutrosophic=True")
-        if not 0.0 <= x.real_part <= 1.0:
+        if not ValueDomain.UNIT.contains(x):
             raise DomainError(f"membership {x} outside [0, 1]")
         return x
     if not ValueDomain.NEUTRO_UNIT.contains(x):
@@ -340,23 +338,3 @@ def minimal_solutions_bruteforce(q: Matrix, r, *,
             found.add(p)
     return tuple(_row(map(entries.__getitem__, p), ValueDomain.UNIT)
                  for p in sorted(found))
-
-
-def solve_special(special: SpecialMatrix, r_parts, *,
-                  neutrosophic=None) -> tuple:
-    """Slot-by-slot solve of a union of equation components. `r_parts`
-    carries one target row per component; the indeterminacy extension
-    defaults to each component's algebra tag."""
-    r_parts = list(r_parts)
-    if len(r_parts) != len(special):
-        raise ComponentCountMismatch(
-            f"{len(r_parts)} target vectors for {len(special)} components")
-    out = []
-    for idx, ((mat, tag), part) in enumerate(zip(special, r_parts)):
-        flag = (tag.algebra == "neutrosophic") if neutrosophic is None \
-            else neutrosophic
-        try:
-            out.append(solve_max(mat, part, neutrosophic=flag))
-        except ShapeMismatch as exc:
-            raise ShapeMismatch(f"component {idx + 1}: {exc}") from None
-    return tuple(out)

@@ -145,12 +145,6 @@ class Matrix(_Memoized):
     def row(self, i):
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def col(self, j):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
     @property
     def is_square(self):
         return self.rows == self.cols
@@ -185,16 +179,6 @@ def row_vector(values, domain=ValueDomain.ANY) -> Matrix:
         _require_iterable(values, "row vector values")
         raise
     return Matrix(1, len(values), values, domain)
-
-
-def zeros(rows, cols, domain=ValueDomain.ANY) -> Matrix:
-    return Matrix(rows, cols, [Scalar(0)] * (rows * cols), domain)
-
-
-def identity(n, domain=ValueDomain.UNIT) -> Matrix:
-    cells = [Scalar(1) if i == j else Scalar(0)
-             for i in range(n) for j in range(n)]
-    return Matrix(n, n, cells, domain)
 
 
 def _require_same_shape(a: Matrix, b: Matrix, what):

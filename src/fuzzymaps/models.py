@@ -9,6 +9,7 @@ the arithmetic of the run itself.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from .errors import ClassViolation, NonzeroDiagonal, WrongEntryPoint
@@ -192,28 +193,28 @@ def diagonal_diagnostics(special: SpecialMatrix) -> list:
     return out
 
 
-def _default_labels(special: SpecialMatrix) -> tuple:
-    groups = []
-    for mat, tag in special:
-        if tag.kind == CM:
-            groups.append((tuple(f"c{i + 1}" for i in range(mat.rows)),))
-        else:
-            groups.append((tuple(f"d{i + 1}" for i in range(mat.rows)),
-                           tuple(f"r{j + 1}" for j in range(mat.cols))))
-    return tuple(groups)
+@functools.cache
+def _default_group(kind: str, rows: int, cols: int) -> tuple:
+    """The labels of a component that is given none: `c1`... for a CM
+    component's nodes, `d1`... and `r1`... for an RM component's rows
+    and columns."""
+    if kind == CM:
+        return (tuple(f"c{i + 1}" for i in range(rows)),)
+    return (tuple(f"d{i + 1}" for i in range(rows)),
+            tuple(f"r{j + 1}" for j in range(cols)))
 
 
 def _normalize_labels(special: SpecialMatrix, labels) -> tuple:
-    defaults = _default_labels(special)
     if labels is None:
-        return defaults
+        return tuple(_default_group(tag.kind, *mat.shape)
+                     for mat, tag in special)
     if len(labels) != len(special):
         raise ClassViolation(
             f"{len(labels)} label groups for {len(special)} components")
     groups = []
     for idx, ((mat, tag), group) in enumerate(zip(special, labels)):
         if group is None:
-            groups.append(defaults[idx])
+            groups.append(_default_group(tag.kind, *mat.shape))
             continue
         where = f"component {idx + 1}"
         if tag.kind == CM:
@@ -230,8 +231,9 @@ def _normalize_labels(special: SpecialMatrix, labels) -> tuple:
                     f"{where}: rectangular components take "
                     f"(row labels, column labels)")
             # a missing half takes its default names
-            rows, cols = (default if names is None else tuple(map(str, names))
-                          for names, default in zip(group, defaults[idx]))
+            rows, cols = (tuple(map(str, names)) if names is not None
+                          else _default_group(RM, *mat.shape)[half]
+                          for half, names in enumerate(group))
             if len(rows) != mat.rows or len(cols) != mat.cols:
                 raise ClassViolation(
                     f"{where}: {len(rows)}x{len(cols)} labels for a "

@@ -137,14 +137,6 @@ class SpecialMatrix(_Memoized):
     def __hash__(self):
         return hash(self.components)
 
-    @property
-    def matrices(self):
-        return tuple(m for m, _ in self.components)
-
-    @property
-    def tags(self):
-        return tuple(t for _, t in self.components)
-
     def __repr__(self):
         parts = ", ".join(f"{m.rows}x{m.cols}/{t.kind}"
                           for m, t in self.components)

@@ -405,14 +405,9 @@ def _norm_operand(x, what):
     if x.is_mixed:
         raise OrderUndefined(
             f"{render_scalar(x)} has no defined order for {what}")
-    if x.is_pure_indet:
-        if not 0.0 < x.indet_coeff <= 1.0:
-            raise DomainError(
-                f"{render_scalar(x)} is outside the {what} domain")
-        return None
-    if not 0.0 <= x.real_part <= 1.0:
+    if not ValueDomain.NEUTRO_UNIT.contains(x):
         raise DomainError(f"{render_scalar(x)} is outside the {what} domain")
-    return x.real_part
+    return x.real_part if x.is_real else None
 
 
 def tnorm(kind, a, b) -> Scalar:

@@ -141,7 +141,6 @@ EXIT_CODES = {
     fuzzymaps.ModeMismatch: 3,
     fuzzymaps.EmptyUnion: 3,
     fuzzymaps.ShapeMismatch: 4,
-    fuzzymaps.ComponentCountMismatch: 4,
     fuzzymaps.IterationCapExceeded: 5,
     fuzzymaps.BudgetExceeded: 6,
     fuzzymaps.OrderUndefined: 7,

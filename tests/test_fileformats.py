@@ -20,14 +20,14 @@ from fuzzymaps import (
     ValueDomain,
     build_model,
     parse_matrix_text,
-    parse_model_structure,
     parse_model_text,
     parse_scalar,
     parse_vector_text,
+    render_scalar,
     serialize_matrix,
     serialize_model,
-    serialize_vector,
 )
+from fuzzymaps.fileformats import parse_model_structure
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -56,7 +56,7 @@ def test_parse_good_model():
     assert mf.model.model_class.value == "SMFCFRM"
     assert mf.model.labels[0] == (("on", "off"),)
     assert mf.model.experts == ("chief planner", "expert 2")
-    assert mf.model.matrix.matrices[1].shape == (2, 3)
+    assert mf.model.matrix.components[1][0].shape == (2, 3)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -87,8 +87,10 @@ def test_fixtures_are_already_canonical(name):
 def test_vector_fixtures_round_trip(name):
     text = (FIXTURES / name).read_text()
     state = parse_vector_text(text)
-    assert serialize_vector(state) == text
-    assert parse_vector_text(serialize_vector(state)) == state
+    # each line is its part's side and rendered entries
+    assert text.splitlines() == [
+        " ".join((state.side, *map(render_scalar, part)))
+        for part in state.parts]
 
 
 def _square_model(name="", experts=None, labels=None):

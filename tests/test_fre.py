@@ -13,29 +13,23 @@ from fuzzymaps import (
     ONE,
     ZERO,
     BudgetExceeded,
-    ComponentCountMismatch,
-    ComponentTag,
     DomainError,
     FreSolution,
     InvalidInput,
     Matrix,
     ModeMismatch,
-    RM,
     Scalar,
     ShapeMismatch,
-    SpecialMatrix,
     ValueDomain,
     check_necessary,
     failing_columns,
-    identity,
     maxmin_compose,
     minimal_solutions_bruteforce,
     parse_scalar,
-    row_vector,
     sigma,
     solve_max,
-    solve_special,
 )
+from fuzzymaps.matrices import row_vector
 UNIT = ValueDomain.UNIT
 
 
@@ -79,7 +73,7 @@ def test_sigma_monotone(a, b, r):
 
 def test_identity_system_solves_to_target():
     r = [0.2, 0.7, 0.5]
-    sol = solve_max(identity(3), r)
+    sol = solve_max(unit([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), r)
     assert isinstance(sol, FreSolution)
     assert sol.solvable
     assert vals(sol.max_solution) == r
@@ -214,10 +208,11 @@ def test_minimal_solutions_walk_does_not_recurse():
     # 200 columns, each reached only by its own row: a search 200 choices
     # deep, under a recursion limit far below that
     n = 200
+    q = unit([[int(i == j) for j in range(n)] for i in range(n)])
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 60)
     try:
-        found = minimal_solutions_bruteforce(identity(n), [0.5] * n)
+        found = minimal_solutions_bruteforce(q, [0.5] * n)
     finally:
         sys.setrecursionlimit(limit)
     assert [vals(p) for p in found] == [[0.5] * n]
@@ -615,35 +610,3 @@ def test_extension_rejects_mixed_values():
     q = Matrix.from_rows(mixed, domain=ValueDomain.ANY)
     with pytest.raises(DomainError, match="outside the unit carrier"):
         solve_max(q, [parse_scalar("0.5")], neutrosophic=True)
-
-
-# --------------------------------------------------------------- solve_special
-
-def test_solve_special_slot_by_slot():
-    fuzzy_q = unit([[0.9, 0.6], [0.4, 0.3]])
-    neutro_q = Matrix.from_rows([[Scalar(1)]],
-                                domain=ValueDomain.NEUTRO_UNIT)
-    special = SpecialMatrix([
-        (fuzzy_q, ComponentTag(kind=RM, op="maxmin")),
-        (neutro_q, ComponentTag(kind=RM, algebra="neutrosophic",
-                                op="maxmin")),
-    ])
-    first, second = solve_special(
-        special, [[0.4, 0.3], [parse_scalar("0.5I")]])
-    assert first.solvable and vals(first.max_solution) == [0.3, 1]
-    assert second.solvable  # the neutro slot used the extension by default
-
-
-def test_solve_special_count_check():
-    special = SpecialMatrix(
-        [(unit([[0.5]]), ComponentTag(kind=RM, op="maxmin"))])
-    with pytest.raises(ComponentCountMismatch):
-        solve_special(special, [[0.5], [0.5]])
-
-
-def test_solve_special_names_failing_component():
-    special = SpecialMatrix(
-        [(unit([[0.5]]), ComponentTag(kind=RM, op="maxmin"))])
-    with pytest.raises(ShapeMismatch) as err:
-        solve_special(special, [[0.5, 0.5]])
-    assert "component 1" in str(err.value)

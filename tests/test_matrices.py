@@ -19,18 +19,16 @@ from fuzzymaps import (
     ValueDomain,
     elementwise_max,
     elementwise_min,
-    identity,
     mat_add,
     mat_mul,
     maxmin_compose,
     minmax_compose,
-    coerce,
     parse_scalar,
     render_scalar,
-    row_vector,
     transpose,
-    zeros,
 )
+from fuzzymaps.matrices import row_vector
+from fuzzymaps.values import coerce
 
 UNIT = ValueDomain.UNIT
 TRI = ValueDomain.TRI
@@ -48,7 +46,7 @@ def neutro(rows):
 
 
 def grid(m):
-    return [[cell.real_part for cell in row] for row in m.to_rows()]
+    return [[cell.real_part for cell in m.row(i)] for i in range(m.rows)]
 
 
 # -------------------------------------------------------------- construction
@@ -59,7 +57,6 @@ def test_shape_and_access():
     assert not m.is_square
     assert m.at(1, 2) == Scalar(0.6)
     assert [c.real_part for c in m.row(0)] == [0.1, 0.2, 0.3]
-    assert [c.real_part for c in m.col(2)] == [0.3, 0.6]
 
 
 def test_ragged_rows_rejected():
@@ -179,9 +176,6 @@ def test_domain_error_names_the_first_of_a_repeated_bad_entry():
 
 
 def test_builders():
-    assert zeros(2, 3).shape == (2, 3)
-    assert identity(3).at(1, 1) == Scalar(1)
-    assert identity(3).at(0, 1) == Scalar(0)
     v = row_vector([Scalar(0.3), Scalar(0.4)], domain=UNIT)
     assert v.shape == (1, 2)
 
@@ -372,7 +366,7 @@ def test_mat_mul_inner_dimension_check():
 
 def test_identity_is_mat_mul_neutral():
     a = neutro([["7+I", "I"], ["I", "-6I"]])
-    e = identity(2, domain=ANY)
+    e = Matrix.from_rows([[1, 0], [0, 1]], domain=ANY)
     assert mat_mul(a, e) == mat_mul(e, a)
     assert mat_mul(a, e).at(0, 0) == a.at(0, 0)
 
@@ -409,5 +403,5 @@ def test_compose_transpose_antihomomorphism(a, b):
 @given(square(3))
 def test_maxmin_identity_under_crisp_unit(a):
     # identity is only neutral on the max-min side when entries stay <= 1
-    e = identity(3)
+    e = unit([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert maxmin_compose(a, e) == maxmin_compose(e, a)

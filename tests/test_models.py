@@ -19,8 +19,6 @@ from fuzzymaps import (
     ValueDomain,
     WrongEntryPoint,
     build_model,
-    class_diagnostics,
-    diagonal_diagnostics,
     SpecialMatrix,
     SpecialStateVector,
     parse_scalar,
@@ -28,6 +26,7 @@ from fuzzymaps import (
     run_cm,
     validate_input,
 )
+from fuzzymaps.models import class_diagnostics, diagonal_diagnostics
 
 TRI = ValueDomain.TRI
 UNIT = ValueDomain.UNIT

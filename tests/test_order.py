@@ -189,7 +189,7 @@ def test_entrywise_min_and_max_match_the_spec(data, rows, cols, policy):
 def spec_compose(p, q, inner, outer):
     """Entry (i, j) folds inner(p_ik, q_kj) over k with outer, from k = 0
     up, in the order the entries are stored."""
-    return tuple(reduce(outer, map(inner, p.row(i), q.col(j)))
+    return tuple(reduce(outer, map(inner, p.row(i), q.entries[j::q.cols]))
                  for i in range(p.rows) for j in range(q.cols))
 
 

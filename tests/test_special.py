@@ -27,15 +27,13 @@ from fuzzymaps import (
     mat_mul,
     maxmin_compose,
     minmax_compose,
-    other_side,
     parse_scalar,
-    render_part,
-    row_vector,
     run_mixed,
     transpose,
 )
 from fuzzymaps.dynamics import landing_side
-from fuzzymaps.special import apply_part
+from fuzzymaps.matrices import row_vector
+from fuzzymaps.special import apply_part, other_side, render_part
 
 TRI = ValueDomain.TRI
 UNIT = ValueDomain.UNIT
@@ -102,7 +100,8 @@ def _used_and_fresh():
     used, seed = build()
     for k in (0.0, 0.5):
         run_mixed(used, seed, threshold_k=k)
-    return (used, seed, *used.matrices), (*build(), *build()[0].matrices)
+    return ((used, seed, *(m for m, _ in used)),
+            (*build(), *(m for m, _ in build()[0])))
 
 
 def test_memos_leave_equality_hashing_and_pickling_unchanged():
@@ -190,14 +189,14 @@ def test_special_transpose_matches_plain_for_shapes():
     # each RM component's transpose flips its shape
     s = SpecialMatrix([(rect(2, 3), ComponentTag(kind=RM)),
                        (rect(4, 1), ComponentTag(kind=RM))])
-    assert [transpose(m).shape for m in s.matrices] == [(3, 2), (1, 4)]
+    assert [transpose(m).shape for m, _ in s] == [(3, 2), (1, 4)]
 
 
 def test_transpose_involution_on_union():
     # transposing twice gives every component's matrix back
     s = SpecialMatrix([(tri([[0, 1], [-1, 0]]), ComponentTag()),
                        (tri([[1, 0, -1]]), ComponentTag(kind=RM))])
-    assert tuple(transpose(transpose(m)) for m in s.matrices) == s.matrices
+    assert [transpose(transpose(m)) for m, _ in s] == [m for m, _ in s]
 
 
 def test_each_part_returns_through_its_own_sides_operand():
@@ -210,7 +209,7 @@ def test_each_part_returns_through_its_own_sides_operand():
     x = SpecialStateVector([[Scalar(1), Scalar(0), Scalar(0)],
                             [Scalar(1), Scalar(0)]])
     first, second = run_mixed(s, x).trace[:2]
-    sides = [landing_side(tag.kind, DOMAIN_SIDE, 1) for tag in s.tags]
+    sides = [landing_side(tag.kind, DOMAIN_SIDE, 1) for _, tag in s]
     assert sides == [RANGE_SIDE, DOMAIN_SIDE]
     for (mat, tag), side, part, raw in zip(s, sides, first.updated,
                                            second.raw):

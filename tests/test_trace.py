@@ -649,10 +649,13 @@ def test_repeated_step_bodies_parse_to_their_own_step_numbers():
              "component 4: kind RM not allowed in SFCM"),
     ("SMNCNRM", "component 1: fuzzy components not allowed in SMNCNRM"),
     ("SMFRE", "component 1: kind CM not allowed in SMFRE"),
-], ids=["SFCM", "SMNCNRM", "SMFRE"])
+    ("SFRE", "component 1: kind CM not allowed in SFRE; .*; SFRE describes "
+             "relational equations; solve it with the fre module"),
+], ids=["SFCM", "SMNCNRM", "SMFRE", "SFRE"])
 def test_run_class_is_held_to_the_component_lines(model_class, problem):
     # the golden mixture's components break these classes' tag-and-shape
-    # rule, the one build_model applies to a union
+    # rule, the one build_model applies to a union; an equation class is
+    # refused as one too
     tampered = GOLDEN.replace("class=SMFCRNCRM", f"class={model_class}", 1)
     assert tampered != GOLDEN
     with pytest.raises(TraceError, match=f"^{problem}"):

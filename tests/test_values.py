@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from fuzzymaps import values
 from fuzzymaps import (
     I,
-    coerce,
     ONE,
     ZERO,
     DomainError,
@@ -27,6 +26,7 @@ from fuzzymaps import (
     threshold_scalar,
     tnorm,
 )
+from fuzzymaps.values import coerce
 
 TOL = 1e-12
 
