@@ -17,8 +17,8 @@ the operator its tag declares.
 * Schedule: landing_side. A CM component lands on the seeded side every
   step; an RM component alternates its matrix with its transpose, so it
   lands on the far side after an odd number of steps. A run reads it
-  once per component, to build the component's kernels (_kernels);
-  Recurrence, render_trace and verify_trace take sides from it too.
+  once per component, to build the kernels of one round (_kernels);
+  render_trace and verify_trace take sides from it too.
 * Step: apply, cut, pin. Circle-operator components are cut onto {0,1}
   (fuzzy) or {0,1,I} (neutrosophic) after every application, and the
   coordinates that were ON in the seed (on_coordinates) are pinned back
@@ -27,10 +27,10 @@ the operator its tag declares.
   values stay inside the finite set of stored inputs, so runs still
   terminate.
 * Recurrence: a component settles at its first recurring state on the
-  seeded side. An RM state is paired with its unpinned far-side landing
+  seeded side, compared once per round (the steps that bring it back
+  there). An RM state is paired with the unpinned far-side state recorded
   one step later. A one-state cycle is a FixedPoint, a longer one a
-  LimitCycle. Recurrence holds this rule, and trace verification drives
-  it too.
+  LimitCycle; Recurrence holds this rule, and verify_trace drives it too.
 * Orbits: the components of a union never read each other, so each
   runs alone from its seed part until it settles (_orbit), and a run is
   one orbit per component. The union trace is derived from the orbits:
@@ -42,11 +42,11 @@ Each kernel is one-way: it applies one operand from its rows to its
 columns, cuts, and ORs in a pin mask fixed when it is built, empty unless
 its steps land on the seeded side. A CM component runs one kernel over
 its matrix; an RM component runs one over its matrix and one over its
-transpose, and the run takes kernels[step & 1] at each step. What a
-kernel derives from its matrix alone is kept on the matrix
-(Matrix._memo), and so is an RM matrix's transpose. The carrier rule
-fixes what a kernel's entries can be, so each kernel takes every
-component of its tag:
+transpose, and each round takes the one that lands on the far side, then
+the one that lands home. What a kernel derives from its matrix alone is
+kept on the matrix (Matrix._memo), and so is an RM matrix's transpose.
+The carrier rule fixes what a kernel's entries can be, so each kernel
+takes every component of its tag:
 
   algebra       operator       kernel
   fuzzy         circle         packed
@@ -115,6 +115,7 @@ from .values import (
     ThresholdMode,
     ZERO,
     _check_threshold_k,
+    _require_type,
     threshold_scalar,
 )
 
@@ -189,39 +190,35 @@ class Recurrence:
     """First-recurrence detection and pairing, the rule that settles a
     component.
 
-    Every state a component of `kind` reaches is added in step order from
-    the seed on, and landing_side tells where it lands. Only seeded-side
-    states are compared: the first one equal to an earlier one closes the
-    cycle that starts at that earlier state and runs up to the state
-    before the recurrence. A far-side landing (RM components only) is
-    never pinned; it is kept as the partner of the seeded-side state one
-    step earlier, and an RM cycle closes as (domain, range) pairs.
+    A component of `kind` is compared once per round, the steps that
+    bring it back to the seeded side: closes takes the state that ends
+    each round, from the seed on, and the first one equal to an earlier
+    one closes the cycle from that earlier state up to the state before
+    it. An RM cycle closes as (domain, range) pairs, each seeded-side
+    state of step t with the unpinned far-side state recorded at t + 1.
     """
 
-    __slots__ = ("kind", "side", "sides", "seen", "partners")
+    __slots__ = ("kind", "side", "seen")
 
     def __init__(self, kind, side, first):
         self.kind = kind
         self.side = side
-        # landing_side read once per parity: sides[step & 1] is the side
-        # of the state reached at `step`
-        self.sides = (landing_side(kind, side, 0), landing_side(kind, side, 1))
         self.seen = {first: 0}  # seeded-side state -> step, in step order
-        self.partners = {}  # step -> far-side landing
 
-    def add(self, step, state):
-        """Record `state`, reached at `step`; return the cycle it closes,
-        or None while every seeded-side state is new."""
-        if self.sides[step & 1] != self.side:
-            self.partners[step] = state
-            return None
-        start = self.seen.setdefault(state, step)
-        if start == step:
-            return None
+    def closes(self, step, state):
+        """Record `state`, the seeded-side state that ends the round at
+        `step`; true when it equals an earlier one."""
+        return self.seen.setdefault(state, step) != step
+
+    def cycle(self, state, far=None):
+        """The cycle the recurring `state` closed, in step order: its
+        seeded-side states, on an RM component each paired with far(t),
+        the far-side state recorded at step t + 1."""
+        start = self.seen[state]
         cycle = [(s, t) for s, t in self.seen.items() if t >= start]
         if self.kind == CM:
             return [s for s, _ in cycle]
-        return [self.orient((s, self.partners[t + 1])) for s, t in cycle]
+        return [self.orient((s, far(t))) for s, t in cycle]
 
     def orient(self, pair):
         """A (seeded-side, far-side) pair in (domain, range) order."""
@@ -324,16 +321,16 @@ class HiddenPattern:
 
 def _union_trace(orbits) -> tuple:
     """The union's records, one per step up to the last component's settle
-    step: a component's step s is decoded by kernels[s & 1], the kernel
-    that took it, through its memos (_Kernel.part and raw_part), so equal
+    step: a component's step s is decoded by the kernel of its round that
+    took it, through its memos (_Kernel.part and raw_part), so equal
     states share one tuple. Once its orbit has ended the component is
     frozen and carried unchanged on the seeded side."""
     total = max(len(steps) for _, steps in orbits)
     columns = []  # per component, its (raw, thresholded, updated) per step
     for kernels, steps in orbits:
         column = []
-        for step, (raw, cut, new) in enumerate(steps, 1):
-            kernel = kernels[step & 1]
+        for step, (raw, cut, new) in enumerate(steps):
+            kernel = kernels[step % len(kernels)]
             thresholded = kernel.part(cut)
             # a part that flows raw is its own thresholded form
             column.append((thresholded if raw is cut
@@ -414,7 +411,7 @@ def _seed_masks(x) -> tuple:
 # `decode` turns a state of its output space back into the Scalar tuple
 # that records and outcomes carry, and `decode_raw` does that for a raw
 # part whose form differs from a state's. _kernels builds a component's
-# kernels, one per step parity.
+# kernels, one round's in step order.
 
 class _Kernel:
     """One run's decoded parts of one kernel: each distinct state and raw
@@ -428,18 +425,14 @@ class _Kernel:
     def part(self, state):
         if self.parts is None:
             self.parts = {}
-        part = self.parts.get(state)
-        if part is None:
-            part = self.parts[state] = self.decode(state)
-        return part
+        return self.parts.get(state) or self.parts.setdefault(
+            state, self.decode(state))
 
     def raw_part(self, raw):
         if self.raws is None:
             self.raws = {}
-        part = self.raws.get(raw)
-        if part is None:
-            part = self.raws[raw] = self.decode_raw(raw)
-        return part
+        return self.raws.get(raw) or self.raws.setdefault(
+            raw, self.decode_raw(raw))
 
 
 class _ScalarStep(_Kernel):
@@ -487,7 +480,7 @@ class _PackedStep(_Kernel):
     Coordinate i of a state sits at bit F*i. The operand W holds, in row
     order, W_i = sum_j m_ij << F*j. F is a multiple of 8 (_field_width),
     so a state, whose bits sit only at field starts, has one cut byte per
-    coordinate, exactly 0 or 1 (_PackedCode.cut_bytes). A step is one
+    coordinate, exactly 0 or 1 (_PackedCode.cuts). A step is one
     C-level sum over the weights those bytes select,
     y = sum(compress(W, cut bytes), (B - c) * ONES), with no Python-level
     work per ON coordinate, and field j of y is B - c + raw_j. As
@@ -500,14 +493,16 @@ class _PackedStep(_Kernel):
     """
 
     def __init__(self, matrix, tag, k, pin_on, policy):
-        reach = max(matrix.shape)
-        cut = min(max(math.floor(k) + 1, -reach), reach + 1)
+        reach = matrix.rows if matrix.rows > matrix.cols else matrix.cols
+        cut = math.floor(k) + 1
+        cut = -reach if cut < -reach else reach + 1 if cut > reach else cut
         self.code = code = matrix._memo(_PackedCode, cut)
-        self.pin = sum(map(code.bits.__getitem__, pin_on))
+        self.pin = sum([code.bits[i] for i in pin_on])
 
     def step(self, x):
         code = self.code
-        y = sum(compress(code.weights, code.cut_bytes(x, code.inputs)),
+        y = sum(compress(code.weights,
+                         x.to_bytes(code.inputs, "little")[code.cuts]),
                 code.bias)
         cut = (y >> code.shift) & code.ones
         return y, cut, cut | self.pin
@@ -516,7 +511,7 @@ class _PackedStep(_Kernel):
         return self.pin  # a crisp seed's ON bits are exactly its pin mask
 
     def decode(self, x):
-        cuts = self.code.cut_bytes(x, self.code.outputs)
+        cuts = x.to_bytes(self.code.outputs, "little")[self.code.cuts]
         part = itemgetter(*cuts)(_BIT_SCALARS)
         return part if len(cuts) > 1 else (part,)  # one index: a bare item
 
@@ -531,12 +526,12 @@ class _PackedCode:
     """A packed circle step over a matrix, compiled once per matrix and
     clamped cut and kept on the matrix (Matrix._memo): the operand
     (W, bias, ONES), the shift that takes each field's guard bit to its
-    low bit, the stride (bytes per field), the byte lengths of an input
-    and of an output state, and the low bit and bit position of each
-    output field."""
+    low bit, the slice that picks each coordinate's cut byte, the byte
+    lengths of an input and of an output state, and the low bit and bit
+    position of each output field."""
 
     __slots__ = ("weights", "bias", "ones", "offset", "shift", "mask",
-                 "stride", "inputs", "outputs", "bits", "fields")
+                 "cuts", "inputs", "outputs", "bits", "fields")
 
     def __init__(self, matrix, cut):
         width = _field_width(matrix)
@@ -546,18 +541,12 @@ class _PackedCode:
         self.bias = offset * self.ones
         self.shift = width - 1
         self.mask = (1 << width) - 1
-        self.stride = width // 8
-        self.inputs = self.stride * matrix.rows
-        self.outputs = self.stride * matrix.cols
+        stride = width // 8  # bytes per field
+        self.cuts = slice(None, None, stride)
+        self.inputs = stride * matrix.rows
+        self.outputs = stride * matrix.cols
         self.bits = _field_bits(width, matrix.cols)
         self.fields = range(0, width * matrix.cols, width)
-
-    def cut_bytes(self, x, length):
-        """The cut byte of each coordinate of the state `x`, `length` bytes
-        long, the byte its field starts on: every stride-th byte of x's
-        little-endian bytes, 0 or 1, as a state has bits only at field
-        starts."""
-        return x.to_bytes(length, "little")[::self.stride]
 
 
 def _field_width(matrix):
@@ -725,45 +714,47 @@ _KERNEL_BY_TAG = {
 
 
 def _kernels(mat, tag, k, pin_on, policy, seeded):
-    """The kernels of a component seeded on `seeded`, by step parity: the
-    even steps' kernel lands on the seeded side and pins `pin_on`; the
-    odd steps' kernel lands where landing_side puts step 1, pinning only
-    when that is the seeded side too. A kernel from the domain applies
-    the matrix, one from the range its transpose (kept on the matrix)."""
+    """The kernels of one round of a component seeded on `seeded`, in step
+    order: the last lands on the seeded side and pins `pin_on`; an RM
+    round first steps to where landing_side puts step 1, without a pin.
+    A kernel from the domain applies the matrix, one from the range its
+    transpose (kept on the matrix)."""
     far = landing_side(tag.kind, seeded, 1)
     make = _KERNEL_BY_TAG[tag.algebra, tag.op]
-
-    def operand(side):  # the matrix that steps from `side`
-        return mat if side == DOMAIN_SIDE else mat._memo(transpose)
-
-    home = make(operand(far), tag, k, pin_on, policy)
+    home = make(mat if far == DOMAIN_SIDE else mat._memo(transpose), tag, k,
+                pin_on, policy)
     if far == seeded:
-        return home, home
-    return home, make(operand(seeded), tag, k, (), policy)
+        return (home,)
+    return make(mat if seeded == DOMAIN_SIDE else mat._memo(transpose), tag,
+                k, (), policy), home
 
 
 def _orbit(kernels, kind, part, seeded, max_steps):
-    """Step the seed `part` through `kernels`, kernels[step & 1] at each
-    step, until Recurrence closes its first cycle. Returns the kernels'
-    (raw, thresholded, updated) of each step and the outcome of the
-    cycle, or None when none closes within `max_steps`."""
-    home, away = kernels
+    """Step the seed `part` one round at a time, each round through
+    `kernels` in order, until Recurrence closes its first cycle on the
+    state that ends a round. Returns the kernels' (raw, thresholded,
+    updated) of each step and the outcome of the cycle, or None when none
+    closes within `max_steps`; an RM cycle closes on an even step only,
+    so no round steps past the cap."""
+    home = kernels[-1]
     state = home.seed(part)
     recurrence = Recurrence(kind, seeded, state)
-    add, steppers = recurrence.add, (home.step, away.step)
+    closes, rounds = recurrence.closes, [kernel.step for kernel in kernels]
     steps = []
-    for step in range(1, max_steps + 1):
-        taken = steppers[step & 1](state)
-        steps.append(taken)
-        state = taken[2]
-        cycle = add(step, state)
-        if cycle is not None:
+    append = steps.append
+    for step in range(len(rounds), max_steps + 1, len(rounds)):
+        for stepper in rounds:
+            taken = stepper(state)
+            append(taken)
+            state = taken[2]
+        if closes(step, state):
             break
     else:
         return steps, None
+    cycle = recurrence.cycle(state, lambda t: steps[t][2])
     if kind == CM:
         return steps, Recurrence.outcome(map(home.part, cycle))
-    domain, range_ = recurrence.orient(kernels)
+    domain, range_ = recurrence.orient(kernels[::-1])
     return steps, Recurrence.outcome(
         [(domain.part(d), range_.part(r)) for d, r in cycle])
 
@@ -778,7 +769,10 @@ def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *,
     (the cut) and `max_steps` (the cap) are declared and checked here,
     and validate_input's problems raise InvalidInput before step 1. Every
     component still unsettled after `max_steps` steps is named in one
-    IterationCapExceeded."""
+    IterationCapExceeded. A union or seed of the wrong type raises
+    TypeError first."""
+    _require_type(m, SpecialMatrix, "union")
+    _require_type(x0, SpecialStateVector, "seed")
     _check_threshold_k(threshold_k)
     if isinstance(max_steps, bool) or not isinstance(max_steps, int):
         raise InvalidInput(f"max steps must be an int, got {max_steps!r}")
@@ -804,20 +798,25 @@ def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *,
     return HiddenPattern._from_orbits(tuple(outcomes), tuple(orbits), x0)
 
 
+def _run_only(kind, error, m, x0, options) -> HiddenPattern:
+    """run_mixed of a union whose components are all of `kind`: the first
+    that is not raises `error`, once the argument types pass."""
+    _require_type(m, SpecialMatrix, "union")
+    _require_type(x0, SpecialStateVector, "seed")
+    for idx, (_, tag) in enumerate(m):
+        if tag.kind != kind:
+            raise error(f"component {idx + 1} is tagged {tag.kind}")
+    return run_mixed(m, x0, **options)
+
+
 def run_cm(m: SpecialMatrix, x0: SpecialStateVector,
            **options) -> HiddenPattern:
     """Iterate a union of square components to its hidden pattern."""
-    for idx, (_, tag) in enumerate(m):
-        if tag.kind != CM:
-            raise NonCMComponent(f"component {idx + 1} is tagged {tag.kind}")
-    return run_mixed(m, x0, **options)
+    return _run_only(CM, NonCMComponent, m, x0, options)
 
 
 def run_rm(m: SpecialMatrix, x0: SpecialStateVector,
            **options) -> HiddenPattern:
     """Alternate rectangular components with their transposes until each
     settles into a fixed binary pair (or a cycle of pairs)."""
-    for idx, (_, tag) in enumerate(m):
-        if tag.kind != RM:
-            raise NonRMComponent(f"component {idx + 1} is tagged {tag.kind}")
-    return run_mixed(m, x0, **options)
+    return _run_only(RM, NonRMComponent, m, x0, options)

@@ -21,7 +21,7 @@ from .special import (
     SpecialStateVector,
     _carrier_problems,
 )
-from .values import parse_name
+from .values import _require_type, parse_name
 
 
 class ModelClass(enum.Enum):
@@ -282,7 +282,10 @@ def _dynamical_class(model_class) -> ModelClass:
 
 def run(model: Model, x0: SpecialStateVector, **options):
     """Dispatch a validated model to the matching engine, which validates
-    the seed (dynamics.validate_input), with the options of run_mixed."""
+    the seed (dynamics.validate_input), with the options of run_mixed. A
+    model or seed of the wrong type raises TypeError first."""
+    _require_type(model, Model, "model")
+    _require_type(x0, SpecialStateVector, "seed")
     kinds = _RULES[_dynamical_class(model.model_class)].kinds
     engine = {_CM_ONLY: run_cm, _RM_ONLY: run_rm}.get(kinds, run_mixed)
     return engine(model.matrix, x0, **options)

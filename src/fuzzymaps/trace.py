@@ -343,11 +343,13 @@ def verify_trace(text: str) -> tuple:
             raise TraceError(f"{where}: a CM component must be square, got "
                              f"{shape[0]}x{shape[1]}")
         recurrence = Recurrence(kind, side, state)
+        # landing_side read once per parity: step s lands on sides[s & 1]
+        sides = (landing_side(kind, side, 0), landing_side(kind, side, 1))
         comp_steps = grouped[idx]
         fits = set()  # the (side, part lengths) that part_problem passed
         for entry in comp_steps:
             at, raw, cut, new = _SIDE_AND_PARTS(entry)
-            if at != recurrence.sides[entry["step"] & 1]:
+            if at != sides[entry["step"] & 1]:
                 raise TraceError(f"{where}: step {entry['step']} lands on "
                                  f"the wrong side")
             if (lengths := (at, len(raw), len(cut), len(new))) not in fits:
@@ -356,8 +358,8 @@ def verify_trace(text: str) -> tuple:
                         raise TraceError(
                             f"{where} step {entry['step']}: {problem}")
                 fits.add(lengths)
-            cycle = recurrence.add(entry["step"], new)
-            if cycle is not None:
+            # a step that lands on the seeded side ends a round
+            if at == side and recurrence.closes(entry["step"], new):
                 closed = entry["step"]
                 break
         else:
@@ -381,7 +383,8 @@ def verify_trace(text: str) -> tuple:
         last = max(last, closed)
         # built from the length-checked input and step parts, so a final
         # state of any other length does not match it
-        rebuilt = Recurrence.outcome(cycle)
+        rebuilt = Recurrence.outcome(recurrence.cycle(
+            new, lambda t: comp_steps[t]["updated"]))
         if rebuilt != final["outcome"]:
             raise TraceError(
                 f"{where}: recorded final "

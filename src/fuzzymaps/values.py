@@ -151,6 +151,14 @@ def _require_iterable(values, what):
             f"{what} must be a sequence, got {values!r}") from None
 
 
+def _require_type(value, cls, name):
+    """Raise TypeError naming the argument `name` unless `value` is a
+    `cls`: a wrongly typed argument fails before any check of its value."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be a {cls.__name__}, got "
+                        f"{type(value).__name__}")
+
+
 ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)

@@ -51,6 +51,7 @@ from fuzzymaps import (
 from fuzzymaps.dynamics import (
     Recurrence,
     _field_width,
+    _kernels,
     landing_side,
     validate_input,
 )
@@ -142,22 +143,28 @@ def test_landing_side(kind, seeded, step, side):
 
 @pytest.mark.parametrize("kind", [CM, RM])
 @pytest.mark.parametrize("seeded", [DOMAIN_SIDE, RANGE_SIDE])
-def test_recurrence_reads_landing_side_once_per_parity(kind, seeded):
-    # a run and Recurrence land the state of step s on sides[s & 1]
-    sides = Recurrence(kind, seeded, ()).sides
-    assert [sides[step & 1] for step in range(9)] == [
-        landing_side(kind, seeded, step) for step in range(9)]
+def test_a_round_ends_on_each_seeded_side_landing(kind, seeded):
+    # a run steps one round of its kernels at a time and compares the state
+    # that ends it: the round ends are exactly the steps that land on the
+    # seeded side
+    rounds = len(_kernels(tri([[0, 1], [1, 0]]), ComponentTag(kind=kind), 0.0,
+                          (), OrderPolicy.BOOK_DEFAULT, seeded))
+    assert [step % rounds == 0 for step in range(9)] == [
+        landing_side(kind, seeded, step) == seeded for step in range(9)]
 
 
-def first_pattern(history):
-    """Feed `history` (a CM component's states, one per step) to the
-    recurrence rule in order; the pattern of the first recurrence, or None
-    while every state is new."""
-    recurrence = Recurrence(CM, DOMAIN_SIDE, history[0])
-    for step, state in enumerate(history[1:], 1):
-        cycle = recurrence.add(step, state)
-        if cycle is not None:
-            return Recurrence.outcome(cycle)
+def first_pattern(history, kind=CM):
+    """Feed `history` (a domain-seeded component's states, one per step
+    from the seed) to the recurrence rule once per round, the state that
+    ends it: every step of a CM component, every second of an RM one,
+    whose partners are read from the recorded next step. The pattern of
+    the first recurrence, or None while every compared state is new."""
+    recurrence = Recurrence(kind, DOMAIN_SIDE, history[0])
+    width = 1 if kind == CM else 2
+    for step in range(width, len(history), width):
+        if recurrence.closes(step, history[step]):
+            return Recurrence.outcome(recurrence.cycle(
+                history[step], lambda t: history[t + 1]))
     return None
 
 
@@ -181,6 +188,17 @@ def test_detect_cycle_with_transient_prefix():
     got = first_pattern([c, a, b, a])
     assert got.period == 2
     assert got.states == (a, b)
+
+
+def test_detect_cycle_pairs_each_rm_state_with_the_next_step():
+    # only the domain states of even steps are compared; each is paired
+    # with the range state recorded one step later, which is never compared
+    d0, d1 = (Scalar(0),), (Scalar(1),)
+    r0, r1 = (Scalar(0), Scalar(0)), (Scalar(1), Scalar(0))
+    assert first_pattern([d0, r0, d0], RM) == FixedPoint((d0, r0))
+    assert first_pattern([d0, r0, d1, r0], RM) is None
+    got = first_pattern([d0, r0, d1, r1, d0, r0], RM)
+    assert got == LimitCycle(((d0, r0), (d1, r1)), 2)
 
 
 # --------------------------------------------------- single square signed map
@@ -605,6 +623,28 @@ def test_iteration_cap_names_each_unsettled_component(cap, message):
     assert str(err.value) == message
 
 
+def test_an_rm_cap_below_a_settle_step_names_the_component():
+    # an RM round is two steps, and its cycle closes on the even step that
+    # ends one: components settling at step 4 run under a cap of 4, not 3,
+    # and no RM component settles under a cap of 1
+    m = SpecialMatrix([(r, ComponentTag(kind=RM)) for r in R_UNION])
+    part = [1, 0, 0, 0, 0, 0, 0, 0]
+    x = seed(part, part, part)
+    assert run_rm(m, x, max_steps=4) == run_rm(m, x)
+    assert run_rm(m, x).settled_steps == (4, 4, 2)
+    for cap, message in [
+            (3, "components 1, 2 are still unsettled after 3 steps"),
+            (1, "components 1, 2, 3 are still unsettled after 1 step")]:
+        with pytest.raises(IterationCapExceeded) as err:
+            run_rm(m, x, max_steps=cap)
+        assert str(err.value) == message
+    last = SpecialMatrix([(R_UNION[2], ComponentTag(kind=RM))])
+    assert run_rm(last, seed(part), max_steps=2).settled_steps == (2,)
+    with pytest.raises(IterationCapExceeded,
+                       match="^component 1 is still unsettled after 1 step$"):
+        run_rm(last, seed(part), max_steps=1)
+
+
 def test_replay_is_deterministic():
     m = SpecialMatrix(OPMIX_COMPONENTS)
     a = run_mixed(m, opmix_seed())
@@ -755,6 +795,28 @@ def test_run_option_of_a_wrong_type_is_invalid_input(probe):
     # a finite real k (not a bool) and an int cap, else exit code 3; a
     # trace records k under the same rule
     with pytest.raises(InvalidInput):
+        probe(seed([1, 0]))
+
+
+@pytest.mark.parametrize("probe, name", [
+    pytest.param(lambda x: run_cm("x", x), "union", id="run_cm-text"),
+    pytest.param(lambda x: run_rm(None, x), "union", id="run_rm-none"),
+    pytest.param(lambda x: run_mixed("x", x), "union", id="run_mixed-text"),
+    pytest.param(lambda x: run_mixed(SFCM_2.matrix, x.parts), "seed",
+                 id="run_mixed-parts"),
+    pytest.param(lambda x: run_cm(SFCM_2.matrix, [1, 0]), "seed",
+                 id="run_cm-list"),
+    pytest.param(lambda x: run(None, x), "model", id="run-none"),
+    pytest.param(lambda x: run(SFCM_2.matrix, x), "model", id="run-union"),
+    pytest.param(lambda x: run(SFCM_2, None), "seed", id="run-seed-none"),
+    # the type comes before every check of a value
+    pytest.param(lambda x: run_mixed("x", x, max_steps=0), "union",
+                 id="run_mixed-before-cap"),
+    pytest.param(lambda x: run(SFCM_2, None, threshold_k=math.nan), "seed",
+                 id="run-before-k"),
+])
+def test_a_wrongly_typed_run_argument_is_a_type_error_naming_it(probe, name):
+    with pytest.raises(TypeError, match=f"^{name} must be a "):
         probe(seed([1, 0]))
 
 
