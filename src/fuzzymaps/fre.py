@@ -1,37 +1,37 @@
 """Relational equations p composed-with Q = r under max-min.
 
-The maximum candidate is closed-form: sigma(q, r) = r when q > r else 1,
-and p-hat_j = min over k of sigma(q_jk, r_k). The system is solvable
-exactly when p-hat itself satisfies it, and then every solution sits below
-p-hat entrywise. The minimal solutions are derived exactly from p-hat by
-a search over the irredundant covers of the columns, bounded by a budget
-of search nodes (real-valued inputs only). Q keeps its checked entries and
-p-hat for the last target solved against it, so solving one system and
-enumerating its minimal solutions compute p-hat once.
+The maximum candidate is closed-form (Sanchez 1976): sigma(q, r) = r when
+q > r else 1, and p-hat_j = min over k of sigma(q_jk, r_k). The system is
+solvable exactly when p-hat itself satisfies it, and then every solution
+sits below p-hat entrywise. The minimal solutions are derived exactly from
+p-hat by a search over the irredundant covers of the columns, bounded by a
+budget of search nodes (real-valued inputs only).
 
-A real-valued system, each entry of Q and r a real in [0, 1], is solved
-on floats: Q is checked once and kept as one list of its floats, and
-p-hat, the residual and the sets J_k of the minimal search are folds of
-the builtin min and max over its rows and columns. This is exact: sigma
-and max-min composition only compare and select operands, so each float
-found is the value of an input entry (or 1), and it maps back to that
-entry's own Scalar. The results, and the text printed from them, are the
-ones the Scalar order gives.
+Every answer is read from one record per Q and target row, after Peeva &
+Kyosev (2004), who solve from the system's characteristic matrix. Each
+value is checked and coded once as an int that ranks its magnitude, with
+a low bit that sets a real n above nI in a system holding both: on the
+unit carrier the Scalar order differs from the order of magnitudes only
+there, where min(n, nI) = max(n, nI) = nI. One row pass gives p-hat; one
+column pass gives, for each k, the residual and J_k = {j : min(p-hat_j,
+q_jk) = r_k}. failing_columns folds each column's maximum from the same
+codes. min and max only select operands, so each code maps back to an
+input Scalar, 0 or 1, as in the Scalar order. Q keeps the record of its
+last target, so the calls on one system build it once.
 
-Indeterminate entries are an opt-in extension (`neutrosophic=True`):
-comparisons lift through the coefficient ordering on reals and pure
-multiples of I, and a system holding a multiple of I is solved in that
-Scalar order (`_sigma` and `maxmin_compose`). With the flag off, any
-indeterminate input is rejected.
+Indeterminate entries are an opt-in extension (`neutrosophic=True`): each
+entry must then lie on the unit carrier, a real in [0, 1] or a pure
+multiple bI with b in [0, 1]. With the flag off, any indeterminate input
+is rejected. failing_columns and check_necessary check on the carrier.
 """
 
 from __future__ import annotations
 
 import operator
+import struct
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import reduce
 from itertools import compress
-from math import isnan
 
 from .errors import (
     BudgetExceeded,
@@ -40,19 +40,9 @@ from .errors import (
     ModeMismatch,
     ShapeMismatch,
 )
-from .matrices import Matrix, maxmin_compose, operators, row_vector
-from .values import (
-    ONE,
-    ZERO,
-    OrderPolicy,
-    Scalar,
-    ValueDomain,
-    _order_pair,
-    coerce,
-)
-
-# min and max of Scalars under the coefficient ordering
-_min, _max = operators("maxmin", OrderPolicy.BOOK_DEFAULT)
+# maxmin_compose stays bound: bench/tracing.py wraps it by this name
+from .matrices import Matrix, maxmin_compose, row_vector  # noqa: F401
+from .values import ONE, ZERO, Scalar, ValueDomain, coerce
 
 
 @dataclass(frozen=True)
@@ -80,36 +70,50 @@ _REAL = operator.attrgetter("real_part")
 _INDET = operator.attrgetter("indet_coeff")
 
 
-def _checked_all(values, neutrosophic: bool) -> list | None:
-    """Check the Scalars `values` as `_checked` does, and return their
-    real parts when each is a real in [0, 1], else None. The fast check
-    is C-level: min and max may pass over a NaN, but the sum is NaN
-    exactly when a value is. When it fails, `_checked` runs on each
-    value in order, so the first one that fails raises its error."""
+def _ranks(magnitudes: list) -> list:
+    """The bit pattern of each double read as an int: it orders doubles
+    >= 0 as their values, is negative below 0 and exceeds the rank of 1
+    above 1 (NaN is one or the other)."""
+    n = len(magnitudes)
+    return list(struct.unpack(f"{n}q", struct.pack(f"{n}d", *magnitudes)))
+
+
+_ONE_RANK = _ranks([1.0])[0]
+
+
+def _coded(values, neutrosophic: bool) -> tuple:
+    """The codes of the Scalars `values` and their shift, each value
+    checked as `_checked` checks it, in one C-level pass. With no multiple
+    of I among them a code is its value's rank, at shift 0. Otherwise it
+    is rank << 1 | b, at shift 1, where b is 1 for a real n and 0 for nI,
+    so that min takes nI at a tie. When the check fails, `_checked` runs
+    on each value in order, and the first one that fails raises."""
+    reals = list(map(_REAL, values))
     if not any(map(_INDET, values)):
-        reals = list(map(_REAL, values))
-        if 0.0 <= min(reals) and max(reals) <= 1.0 and not isnan(sum(reals)):
-            return reals
-    for value in values:
-        _checked(value, neutrosophic)
-    return None
-
-
-def _gt(a: Scalar, b: Scalar) -> bool:
-    # strict domination under the coefficient ordering: the order gives
-    # (b, a), which equal operands (a, a) and a magnitude tie (the pure
-    # I multiple twice) never are
-    low, high = _order_pair(a, b, OrderPolicy.BOOK_DEFAULT)
-    return low is b and high is not b
-
-
-def _sigma(q: Scalar, r: Scalar) -> Scalar:
-    return r if _gt(q, r) else ONE
+        codes, shift, ok = _ranks(reals), 0, True
+    else:
+        indets = list(map(_INDET, values))
+        ranks = _ranks(list(map(operator.add, reals, indets)))
+        codes = list(map(operator.add, map(operator.add, ranks, ranks),
+                         map(operator.not_, indets)))
+        shift = 1
+        # on the carrier no coefficient is negative and every value has a
+        # zero one: zero reals plus zero I parts, less both (code 1), is n
+        ok = (neutrosophic and min(reals) >= 0.0 and min(indets) >= 0.0
+              and reals.count(0.0) + indets.count(0.0) - codes.count(1)
+              == len(codes))
+    if not (ok and min(codes) >= 0 and max(codes) >> shift <= _ONE_RANK):
+        for value in values:
+            _checked(value, neutrosophic)
+    return codes, shift
 
 
 def sigma(q, r, *, neutrosophic: bool = False) -> Scalar:
-    """The residuation kernel: r when q exceeds r, else 1."""
-    return _sigma(_checked(q, neutrosophic), _checked(r, neutrosophic))
+    """The residuation kernel: r when q exceeds r, else 1; p-hat of the
+    one-entry system q p = r."""
+    q, r = _checked(q, neutrosophic), _checked(r, neutrosophic)
+    return solve_max(_row([q]), [r], neutrosophic=neutrosophic) \
+        .max_solution.at(0, 0)
 
 
 def _target_row(q: Matrix, r) -> Matrix:
@@ -124,71 +128,95 @@ def _target_row(q: Matrix, r) -> Matrix:
     return r
 
 
-def _fold_reals(reals: list, r: list) -> list:
-    """p-hat on floats, for Q's floats `reals` in row-major order: p-hat_j
-    is the least r_k with q_jk > r_k, else 1."""
-    width = len(r)
-    return [min(compress(r, map(operator.gt, reals[i:i + width], r)),
-                default=1.0)
-            for i in range(0, len(reals), width)]
-
-
-def _fold_scalars(rows, r_vals) -> list:
-    """p-hat in the Scalar order: each row's `_sigma` values folded with
-    min from 1."""
-    return [reduce(_min, map(_sigma, row, r_vals), ONE) for row in rows]
-
-
 def _row(cells, domain=ValueDomain.ANY) -> Matrix:
     """The 1 x n matrix of `cells`, Scalars already checked."""
     cells = tuple(cells)
     return Matrix._of_checked(1, len(cells), cells, domain)
 
 
+# one system as codes: Q's in row-major order, the target, the shift of
+# the codes, and the Scalar of each code; p-hat, the residual and J_k by
+# column (of a real-valued system: the minimal search reads no other)
+_Record = namedtuple("_Record", "codes target shift scalars p_hat residual "
+                     "covers")
+
+
+def _join(codes: list, shift: int) -> int:
+    """The max of `codes` in the Scalar order: at a tie of n and nI, nI,
+    whose code is one below n's."""
+    top = max(codes)
+    return top - 1 if top & shift and top - 1 in codes else top
+
+
+def _fold(candidate: "_Candidate", r_vals: tuple, r_codes: list,
+          r_shift: int) -> _Record:
+    """The record of Q's `candidate` against the target row `r_vals`."""
+    # a system holding a multiple of I codes its reals n as rank << 1 | 1
+    shift = candidate.shift | r_shift
+    codes = candidate.codes if candidate.shift == shift \
+        else [c << 1 | 1 for c in candidate.codes]
+    target = r_codes if r_shift == shift else [c << 1 | 1 for c in r_codes]
+    zero, one = shift, _ONE_RANK << shift | shift
+    width = candidate.width
+    # q_jk dominates r_k, so sigma gives r_k, exactly when q_jk's rank is
+    # higher: when its code exceeds r_k's with b set
+    above = [rk | shift for rk in target]
+    p_hat = [min(compress(target, map(operator.gt, codes[i:i + width],
+                                      above)), default=one)
+             for i in range(0, len(codes), width)]
+    residual, covers = [], []
+    for k, rk in enumerate(target):
+        column = codes[k::width]
+        # min written out: on two ints it runs faster than the builtin
+        meets = [pj if pj < qjk else qjk for pj, qjk in zip(p_hat, column)]
+        residual.append(_join(meets, shift))
+        # no j reaches r_k in a column the residual misses: p-hat o Q <= r
+        covers.append(tuple([j for j, mj in enumerate(meets) if mj == rk])
+                      if residual[-1] == rk else ())
+    scalars = dict(zip(target, r_vals))
+    scalars[zero], scalars[one] = ZERO, ONE
+    if not all(map(scalars.__contains__, residual)):
+        # the residual takes an entry of Q: map Q's codes to its Scalars
+        scalars = {**dict(zip(codes, candidate.entries)), **scalars}
+    return _Record(codes, target, shift, scalars, p_hat, residual, covers)
+
+
 class _Candidate:
-    """One Q checked under one mode, kept on Q (`q._memo(_Candidate,
-    neutrosophic)`), and p-hat against the last target row solved for.
-    `solve_max` and the minimal solutions of one system then fold p-hat
-    once, and solving one Q against many targets keeps only the last.
-    Building it checks every entry of Q, so a Q that fails the check
-    leaves no memo behind. A real-valued Q keeps the real parts of its
-    entries as one list of floats in row-major order; a row or a column
-    is sliced from it when a fold reads it."""
+    """One Q checked on the unit carrier and coded, kept on Q as
+    `q._memo(_Candidate)` with the record of the last target row solved
+    against it: solving one Q against many targets keeps only the last.
+    A Q off the carrier fails to build and leaves no memo."""
 
-    __slots__ = ("reals", "width", "last")
+    __slots__ = ("entries", "codes", "shift", "width", "last")
 
-    def __init__(self, q: Matrix, neutrosophic: bool):
-        self.reals = _checked_all(q.entries, neutrosophic)  # None: I in Q
-        self.width = q.cols
-        self.last = None  # (target row, p-hat), read and set whole
+    def __init__(self, q: Matrix):
+        self.codes, self.shift = _coded(q.entries, True)
+        self.entries, self.width = q.entries, q.cols
+        self.last = None  # (target row, record), read and set whole
 
-    def column(self, k: int) -> list:
-        """The floats of column k of a real-valued Q."""
-        return self.reals[k::self.width]
 
-    def p_hat(self, q: Matrix, r_vals: tuple, r_reals) -> list:
-        """p-hat for the checked entries `r_vals` of a target row of `q`:
-        floats when `r_reals`, their real parts, and Q are real-valued,
-        else Scalars. The last target is matched by identity, entry by
-        entry, so a new row of equal entries folds again."""
-        last = self.last
-        if last is None or not all(map(operator.is_, last[0], r_vals)):
-            if self.reals is None or r_reals is None:
-                p_hat = _fold_scalars(map(q.row, range(q.rows)), r_vals)
-            else:
-                p_hat = _fold_reals(self.reals, r_reals)
-            last = self.last = r_vals, p_hat
+def _record(q: Matrix, r, neutrosophic: bool) -> _Record:
+    """The record of q p = r, r checked before Q under the mode. The last
+    target is matched entry by entry by identity (a new row of equal
+    entries folds again) and read again if the mode admits it. A Q failing
+    the carrier check, or holding I under the real-valued check, is
+    checked again entry by entry, so that its first bad entry raises."""
+    r_vals = _target_row(q, r).row(0)
+    kept = q._memo_kept(_Candidate)
+    last = kept and kept.last
+    if last and all(map(operator.is_, last[0], r_vals)) \
+            and (neutrosophic or not last[1].shift):
         return last[1]
-
-
-def _max_candidate(q: Matrix, r: Matrix, neutrosophic: bool):
-    """Q's `_Candidate`, the entries of the target row r and their real
-    parts (None unless real-valued), and p-hat. The target is checked
-    first, on every call; Q's check and p-hat are kept on Q."""
-    r_vals = r.row(0)
-    r_reals = _checked_all(r_vals, neutrosophic)
-    candidate = q._memo(_Candidate, neutrosophic)
-    return candidate, r_vals, r_reals, candidate.p_hat(q, r_vals, r_reals)
+    r_codes, r_shift = _coded(r_vals, neutrosophic)
+    try:
+        candidate = q._memo(_Candidate)
+    except DomainError:
+        candidate = None
+    if candidate is None or candidate.shift and not neutrosophic:
+        for value in q.entries:
+            _checked(value, neutrosophic)
+    candidate.last = r_vals, _fold(candidate, r_vals, r_codes, r_shift)
+    return candidate.last[1]
 
 
 def solve_max(q: Matrix, r, *, neutrosophic: bool = False) -> FreSolution:
@@ -199,48 +227,22 @@ def solve_max(q: Matrix, r, *, neutrosophic: bool = False) -> FreSolution:
     composition only selects operands, so the residual is compared with r
     exactly.
     """
-    r = _target_row(q, r)
-    candidate, r_vals, r_reals, p_hat = _max_candidate(q, r, neutrosophic)
-    if candidate.reals is None or r_reals is None:  # a multiple of I
-        p_row = _row(p_hat)
-        residual = maxmin_compose(p_row, q)
-        return FreSolution(max_solution=p_row,
-                           solvable=residual.row(0) == r_vals,
-                           residual=residual)
-    # p-hat holds target values and 1; a residual entry that is neither
-    # is the entry of Q it took in its column
-    scalars = dict(zip(r_reals, r_vals))
-    scalars[1.0] = ONE
-    residual = [max(map(min, p_hat, col))
-                for col in map(candidate.column, range(q.cols))]
-    return FreSolution(
-        max_solution=_row(map(scalars.__getitem__, p_hat)),
-        solvable=residual == r_reals,
-        residual=_row(scalars[x] if x in scalars
-                      else q.at(candidate.column(k).index(x), k)
-                      for k, x in enumerate(residual)))
+    record = _record(q, r, neutrosophic)
+    scalar = record.scalars.__getitem__
+    return FreSolution(max_solution=_row(map(scalar, record.p_hat)),
+                       solvable=record.residual == record.target,
+                       residual=_row(map(scalar, record.residual)))
 
 
 def failing_columns(q: Matrix, r) -> tuple:
     """0-based columns where even the column maximum falls short of r -
-    each one certifies unsolvability on its own. A system holding no
-    multiple of I is folded on floats: of two reals the Scalar max takes
-    the second exactly when the first is less, as the builtin max does,
-    and a maximum that neither equals its target nor dominates it is
-    less than it, NaN included, as no comparison with NaN holds."""
-    r = _target_row(q, r)
-    r_vals = r.row(0)
-    if not any(map(_INDET, q.entries)) and not any(map(_INDET, r_vals)):
-        reals = list(map(_REAL, q.entries))
-        return tuple(k for k, rk in enumerate(map(_REAL, r_vals))
-                     if max(reals[k::q.cols]) < rk)
-    out = []
-    for k in range(q.cols):
-        col_max = reduce(_max, (q.at(j, k) for j in range(q.rows)))
-        target = coerce(r.at(0, k))
-        if not (col_max == target or _gt(col_max, target)):
-            out.append(k)
-    return tuple(out)
+    each one certifies unsolvability on its own. Q and r are checked on
+    the unit carrier, as solve_max(..., neutrosophic=True) checks them."""
+    record = _record(q, r, True)
+    width, shift = len(record.target), record.shift
+    tops = [_join(record.codes[k::width], shift) for k in range(width)]
+    return tuple(k for k, (top, rk) in enumerate(zip(tops, record.target))
+                 if top != rk and top >> shift <= rk >> shift)
 
 
 def check_necessary(q: Matrix, r) -> bool:
@@ -276,27 +278,19 @@ def minimal_solutions_bruteforce(q: Matrix, r, *,
     """
     if isinstance(budget, bool) or not isinstance(budget, int):
         raise InvalidInput(f"budget must be an int, got {budget!r}")
-    r = _target_row(q, r)
     try:
-        candidate, r_vals, r_reals, p_hat = _max_candidate(q, r, False)
+        record = _record(q, r, False)
     except ModeMismatch:
         raise ModeMismatch(
             "minimal-solution enumeration is real-valued; Q and r must "
             "hold no indeterminate value") from None
-    # with the flag off, every checked entry is a real in [0, 1], so p-hat
-    # and Q's columns are floats
-    every_j = range(q.rows)
+    # real-valued: the walk runs on the ranks of the values, 0's being 0
     levels = {}  # r_k -> (J_k as a bit mask, J_k) of each column at r_k
-    entries = {0.0: ZERO}  # r_k -> its Scalar, shared by the solutions
-    for k, (rk, target) in enumerate(zip(r_reals, r_vals)):
-        if rk > 0.0:
-            entries[rk] = target
-            js = tuple(compress(every_j, map(rk.__eq__, map(
-                min, p_hat, candidate.column(k)))))
+    for rk, js in zip(record.target, record.covers):
+        if rk:
             if not js:
                 return ()
-            levels.setdefault(rk, []).append(
-                (sum(1 << j for j in js), js))
+            levels.setdefault(rk, []).append((sum(1 << j for j in js), js))
     # the walk's script: each column in decreasing r_k as (r_k, mask,
     # J_k), and after the last column of a level, (r_k, None, the level's
     # masks), where the level closes
@@ -309,7 +303,7 @@ def minimal_solutions_bruteforce(q: Matrix, r, *,
     nodes = 0  # the choices made so far; the empty root is not one
     # a node: the next script step, the chosen j as a bit mask, those
     # chosen before the open level, and p so far
-    stack = [(0, 0, 0, (0.0,) * q.rows)]
+    stack = [(0, 0, 0, (0,) * q.rows)]
     while stack:
         i, chosen, before, p = stack.pop()
         while i < end:
@@ -336,5 +330,5 @@ def minimal_solutions_bruteforce(q: Matrix, r, *,
                 break
         else:
             found.add(p)
-    return tuple(_row(map(entries.__getitem__, p), ValueDomain.UNIT)
+    return tuple(_row(map(record.scalars.__getitem__, p), ValueDomain.UNIT)
                  for p in sorted(found))

@@ -56,6 +56,11 @@ class _Memoized:
             value = memos[build, key] = build(self, *key)
             return value
 
+    def _memo_kept(self, build, *key):
+        """What `_memo(build, *key)` has kept, or None: nothing is built."""
+        memos = self._memos
+        return None if memos is None else memos.get((build, key))
+
 
 class Matrix(_Memoized):
     """Immutable rows x cols matrix of Scalars declared over a ValueDomain

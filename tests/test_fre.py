@@ -18,6 +18,7 @@ from fuzzymaps import (
     InvalidInput,
     Matrix,
     ModeMismatch,
+    OrderPolicy,
     Scalar,
     ShapeMismatch,
     ValueDomain,
@@ -26,10 +27,13 @@ from fuzzymaps import (
     maxmin_compose,
     minimal_solutions_bruteforce,
     parse_scalar,
+    scalar_max,
+    scalar_min,
     sigma,
     solve_max,
 )
 from fuzzymaps.matrices import row_vector
+from fuzzymaps.values import _order_pair
 UNIT = ValueDomain.UNIT
 
 
@@ -340,55 +344,105 @@ def test_minimal_solutions_match_the_cover_walk(system):
     assert [tuple(vals(p)) for p in found] == _cover_walk(q_rows, r)
 
 
+def _dominates(a, b):
+    """a strictly above b in the Scalar order: the order gives (b, a),
+    which equal operands and a magnitude tie (the multiple of I at both
+    ends) never are."""
+    low, high = _order_pair(a, b, OrderPolicy.BOOK_DEFAULT)
+    return low is b and high is not b
+
+
 def _scalar_order_reference(q, r):
     """solve_max and the minimal solutions of p o Q = r, from the Scalar
-    order alone: p-hat folds `_sigma` with min, the residual is
-    `maxmin_compose`, and the minimal solutions are the entrywise-minimal
+    order alone (scalar_min, scalar_max and _order_pair): p-hat_j folds
+    sigma(q_jk, r_k), r_k when q_jk dominates r_k and else 1, with
+    scalar_min; residual_k folds min(p-hat_j, q_jk) with scalar_max. For
+    a real-valued system the minimal solutions are the entrywise-minimal
     candidates over every cover, with J_k = {j : min(p-hat_j, q_jk) =
-    r_k} decided by that order."""
-    from fuzzymaps import fre
-    r_vals = r.row(0)
-    p_hat = [reduce(fre._min, map(fre._sigma, q.row(j), r_vals), ONE)
+    r_k}; for any other they are None."""
+    r_vals = list(r.row(0))
+    p_hat = [reduce(scalar_min, [rk if _dominates(qk, rk) else ONE
+                                 for qk, rk in zip(q.row(j), r_vals)], ONE)
              for j in range(q.rows)]
-    residual = maxmin_compose(row_vector(p_hat), q)
-    targets, options = [], []
-    for k, rk in enumerate(r_vals):
-        if rk != ZERO:
-            targets.append(rk.real_part)
-            options.append([j for j in range(q.rows)
-                            if fre._min(p_hat[j], q.at(j, k)) == rk])
-    candidates = set()
-    for cover in itertools.product(*options):
-        p = [0.0] * q.rows
-        for j, rk in zip(cover, targets):
-            p[j] = max(p[j], rk)
-        candidates.add(tuple(p))
-    minimal = [p for p in candidates
-               if not any(o != p and all(map(operator.le, o, p))
-                          for o in candidates)]
-    return ([v.real_part for v in p_hat], residual.row(0) == r_vals,
-            list(residual.row(0)), sorted(minimal))
+    meets = [[scalar_min(p_hat[j], q.at(j, k)) for j in range(q.rows)]
+             for k in range(q.cols)]
+    residual = [reduce(scalar_max, col) for col in meets]
+    minimal = None
+    if all(v.is_real for v in q.entries + r.entries):
+        targets, options = [], []
+        for rk, col in zip(r_vals, meets):
+            if rk != ZERO:
+                targets.append(rk.real_part)
+                options.append([j for j, v in enumerate(col) if v == rk])
+        candidates = set()
+        for cover in itertools.product(*options):
+            p = [0.0] * q.rows
+            for j, rk in zip(cover, targets):
+                p[j] = max(p[j], rk)
+            candidates.add(tuple(p))
+        minimal = sorted(p for p in candidates
+                         if not any(o != p and all(map(operator.le, o, p))
+                                    for o in candidates))
+    return p_hat, residual == r_vals, residual, minimal
 
 
-@settings(max_examples=300, deadline=None)
-@given(fre_systems(st.one_of(GRID, OFF_GRID), size=6), st.booleans(),
-       st.sampled_from([UNIT, ValueDomain.ANY]))
-def test_real_systems_solve_as_in_the_scalar_order(system, neutrosophic,
-                                                   domain):
-    # fre checks Q and r alike, whether declared over UNIT or over ANY
+# the unit carrier: reals in [0, 1] and multiples bI with b in (0, 1], on
+# one grid, so that a real and a multiple of I often tie in magnitude
+CARRIER_REALS = st.one_of(GRID, OFF_GRID).map(Scalar)
+CARRIER_INDETS = st.one_of(GRID, OFF_GRID).filter(bool).map(
+    lambda t: Scalar(0, t))
+
+
+@st.composite
+def carrier_systems(draw, size=6):
+    """A system p o Q = r over the unit carrier, as lists of Scalars, with
+    m, s <= size: real-valued, or holding multiples of I as well. Half of
+    them take r = p o Q in the Scalar order for a drawn p."""
+    value = draw(st.sampled_from(
+        [CARRIER_REALS, st.one_of(CARRIER_REALS, CARRIER_INDETS)]))
+    m, s = draw(st.integers(1, size)), draw(st.integers(1, size))
+    q_rows = [[draw(value) for _ in range(s)] for _ in range(m)]
+    if draw(st.booleans()):
+        p = [draw(value) for _ in range(m)]
+        r = [reduce(scalar_max, [scalar_min(pj, row[k])
+                                 for pj, row in zip(p, q_rows)])
+             for k in range(s)]
+    else:
+        r = [draw(value) for _ in range(s)]
+    return q_rows, r
+
+
+@settings(max_examples=400, deadline=None)
+@given(carrier_systems(), st.booleans(), st.data())
+def test_carrier_systems_solve_as_in_the_scalar_order(system, neutrosophic,
+                                                      data):
+    # fre checks Q and r alike, whether declared over the least domain
+    # that holds them or over ANY; a system holding a multiple of I needs
+    # the extension, and has no minimal solutions to enumerate
     q_rows, r = system
-    q = Matrix.from_rows([[Scalar(v) for v in row] for row in q_rows],
-                         domain=domain)
-    r = row_vector([Scalar(v) for v in r], domain=domain)
+    real = all(v.is_real for row in q_rows + [r] for v in row)
+    domain = data.draw(st.sampled_from(
+        [UNIT if real else ValueDomain.NEUTRO_UNIT, ValueDomain.ANY]))
+    q = Matrix.from_rows(q_rows, domain=domain)
+    r = row_vector(r, domain=domain)
     p_hat, solvable, residual, minimal = _scalar_order_reference(q, r)
+    if not real:
+        with pytest.raises(ModeMismatch):
+            solve_max(q, r)
+        neutrosophic = True
     sol = solve_max(q, r, neutrosophic=neutrosophic)
-    assert vals(sol.max_solution) == p_hat
+    assert list(sol.max_solution.row(0)) == p_hat
     assert sol.solvable is solvable
     assert list(sol.residual.row(0)) == residual
     assert sol.max_solution.domain is sol.residual.domain is ValueDomain.ANY
-    found = minimal_solutions_bruteforce(q, r)
-    assert [tuple(vals(p)) for p in found] == minimal
-    assert all(p.domain is UNIT for p in found)
+    if real:
+        found = minimal_solutions_bruteforce(q, r)
+        assert [tuple(vals(p)) for p in found] == minimal
+        assert all(p.domain is UNIT for p in found)
+    else:
+        found = ()
+        with pytest.raises(ModeMismatch, match="real-valued"):
+            minimal_solutions_bruteforce(q, r)
     # every entry printed is one of the input's own Scalars, or 0 or 1
     inputs = {id(v) for v in q.entries + r.entries}
     for row in (sol.max_solution, sol.residual, *found):
@@ -450,36 +504,33 @@ def _count_calls(monkeypatch, module, name):
 
 def test_one_system_computes_p_hat_once(monkeypatch):
     from fuzzymaps import fre
-    folds = _count_calls(monkeypatch, fre, "_fold_reals")
-    sigmas = _count_calls(monkeypatch, fre, "_sigma")
+    folds = _count_calls(monkeypatch, fre, "_fold")
     q = unit([[0.9, 0.6, 0.2], [0.4, 0.3, 0.7]])
     r = row_vector([Scalar(0.5), Scalar(0.5), Scalar(0.3)], domain=UNIT)
     assert solve_max(q, r).solvable
+    assert failing_columns(q, r) == ()
     assert [vals(p) for p in minimal_solutions_bruteforce(q, r)] \
         == [[0.5, 0.3]]
-    assert len(folds) == 1  # one p-hat fold, on floats
-    assert sigmas == []
+    assert len(folds) == 1  # one fold of p-hat, the residual and J_k
     # an equal target in another row vector is another target
     minimal_solutions_bruteforce(q, [0.5, 0.5, 0.3])
     assert len(folds) == 2
 
 
 def test_one_indeterminate_system_computes_p_hat_once(monkeypatch):
-    # a system holding a multiple of I folds p-hat in the Scalar order:
-    # one _sigma per entry of Q, and none on floats
+    # a system holding a multiple of I takes the same one fold
     from fuzzymaps import fre
-    folds = _count_calls(monkeypatch, fre, "_fold_reals")
-    sigmas = _count_calls(monkeypatch, fre, "_sigma")
+    folds = _count_calls(monkeypatch, fre, "_fold")
     q = Matrix.from_rows([[parse_scalar(v) for v in row] for row in
                           [["0.9", "I", "0.2"], ["0.4", "0.3", "0.7"]]],
                          domain=ValueDomain.NEUTRO_UNIT)
     r = row_vector([Scalar(0.5), Scalar(0.5), Scalar(0.3)], domain=UNIT)
     first = solve_max(q, r, neutrosophic=True)
     assert solve_max(q, r, neutrosophic=True) == first
-    assert len(sigmas) == 6
-    assert folds == []
+    assert failing_columns(q, r) == ()
+    assert len(folds) == 1
     solve_max(q, [0.5, 0.5, 0.3], neutrosophic=True)
-    assert len(sigmas) == 12
+    assert len(folds) == 2
 
 
 def test_the_candidate_memo_keeps_one_target_per_q():
@@ -536,13 +587,17 @@ def test_a_system_failing_the_necessary_condition_is_unsolvable(system):
 
 
 def _failing_columns_in_the_scalar_order(q, r):
-    """failing_columns from the Scalar order alone: each column's maximum
-    folded with max, then compared with its target."""
-    from fuzzymaps import fre
+    """failing_columns from the Scalar order alone: r, then Q in row-major
+    order, checked on the unit carrier, then each column's maximum folded
+    with scalar_max and compared with its target."""
+    r = row_vector(list(r), domain=ValueDomain.ANY).row(0)
+    for x in r + q.entries:
+        if not ValueDomain.NEUTRO_UNIT.contains(x):
+            raise DomainError(f"membership {x} outside the unit carrier")
     out = []
-    for k, rk in enumerate(row_vector(list(r), domain=ValueDomain.ANY).row(0)):
-        top = reduce(fre._max, (q.at(j, k) for j in range(q.rows)))
-        if not (top == rk or fre._gt(top, rk)):
+    for k, rk in enumerate(r):
+        top = reduce(scalar_max, (q.at(j, k) for j in range(q.rows)))
+        if not (top == rk or _dominates(top, rk)):
             out.append(k)
     return tuple(out)
 
@@ -577,8 +632,9 @@ def _any_systems(draw):
 @settings(max_examples=400, deadline=None)
 @given(_any_systems())
 def test_failing_columns_match_the_scalar_order(system):
-    # folded on floats for reals, NaN and the infinities included, and in
-    # the Scalar order for a multiple of I
+    # on the unit carrier the column maxima are those of the Scalar order;
+    # off it, NaN, the infinities and mixed values included, the first bad
+    # entry raises its error
     q, r = system
     assert _result_or_error(failing_columns, q, r) == _result_or_error(
         _failing_columns_in_the_scalar_order, q, r)

@@ -30,8 +30,8 @@ from fuzzymaps import (
     render_scalar,
     scalar_max,
     scalar_min,
+    sigma,
 )
-from fuzzymaps.fre import _gt
 from fuzzymaps.special import apply_part
 from fuzzymaps.values import _order_pair
 
@@ -133,12 +133,23 @@ def test_order_pair_matches_the_spec(a, b, policy):
                     outcome(lambda: spec_pair(x, y, policy)))
 
 
+# the unit carrier, where fre's entries lie
+unit_coeffs = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+                        st.floats(0, 1))
+carrier = st.one_of(unit_coeffs.map(Scalar),
+                    unit_coeffs.filter(bool).map(lambda c: Scalar(0, c)))
+
+
 @settings(max_examples=200, deadline=None)
-@given(ordered, ordered)
+@given(carrier, carrier)
 def test_fre_strict_domination_matches_the_spec(a, b):
-    # p-hat's sigma(q, r) is r exactly when q strictly dominates r
+    # p-hat's sigma(q, r) is r exactly when q strictly dominates r, and
+    # else 1, which nothing on the carrier dominates
     for x, y in ((a, b), (b, a), (a, a), (a, copy_of(a))):
-        assert _gt(x, y) == (x != y and spec_pair(x, y, BOOK) == (y, x))
+        got = sigma(x, y, neutrosophic=True)
+        assert (got == y and y != 1) \
+            == (x != y and spec_pair(x, y, BOOK) == (y, x))
+        assert got in (y, 1)
 
 
 @settings(max_examples=200, deadline=None)
