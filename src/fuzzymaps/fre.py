@@ -94,8 +94,8 @@ def _coded(values, neutrosophic: bool) -> tuple:
     else:
         indets = list(map(_INDET, values))
         ranks = _ranks(list(map(operator.add, reals, indets)))
-        codes = list(map(operator.add, map(operator.add, ranks, ranks),
-                         map(operator.not_, indets)))
+        codes = [(rank << 1) + (not indet)
+                 for rank, indet in zip(ranks, indets)]
         shift = 1
         # on the carrier no coefficient is negative and every value has a
         # zero one: zero reals plus zero I parts, less both (code 1), is n
