@@ -83,11 +83,11 @@ _ONE_RANK = _ranks([1.0])[0]
 
 def _coded(values, neutrosophic: bool) -> tuple:
     """The codes of the Scalars `values` and their shift, each value
-    checked as `_checked` checks it, in one C-level pass. With no multiple
-    of I among them a code is its value's rank, at shift 0. Otherwise it
-    is rank << 1 | b, at shift 1, where b is 1 for a real n and 0 for nI,
-    so that min takes nI at a tie. When the check fails, `_checked` runs
-    on each value in order, and the first one that fails raises."""
+    checked as `_checked` checks it by passes over the whole list. With no
+    multiple of I among them a code is its value's rank, at shift 0.
+    Otherwise it is rank << 1 | b, at shift 1, where b is 1 for a real n
+    and 0 for nI, so that min takes nI at a tie. When the check fails,
+    `_checked` runs on each value in order, and the first bad one raises."""
     reals = list(map(_REAL, values))
     if not any(map(_INDET, values)):
         codes, shift, ok = _ranks(reals), 0, True
