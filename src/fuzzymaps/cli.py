@@ -99,15 +99,11 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     model_file = parse_model_text(_read(args.model))
     x0 = parse_vector_text(_read(args.input))
-    policy = OrderPolicy.parse(args.order_policy)
     model = model_file.model
-    pattern = run(model, x0, policy=policy,
+    pattern = run(model, x0, policy=args.order_policy,
                   threshold_k=args.threshold_k, max_steps=args.max_steps)
     if args.trace:
-        text = render_trace(
-            pattern, model.matrix, experts=model.experts, policy=policy,
-            threshold_k=args.threshold_k, model_class=model.model_class,
-            name=model_file.name)
+        text = render_trace(pattern, model, name=model_file.name)
         with open(args.trace, "w", encoding="utf-8") as handle:
             handle.write(text)
     print(f"classification: {model.matrix.classification}")

@@ -251,27 +251,33 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class HiddenPattern:
-    """Run result: one outcome per component plus the full trace. The
-    seeded side and input mask derive from `input`, the step count and
+    """Run result: one outcome per component plus the full trace, and the
+    union (`special`), OrderPolicy and cut constant the run was made with.
+    The seeded side and input mask derive from `input`, the step count and
     settle steps from `trace`, or on a run's pattern from its orbits.
 
     A run keeps each component's orbit, its kernels' (raw, thresholded,
     updated) of every step up to its first recurrence, and `trace` is
     assembled and decoded from the orbits on first read (_union_trace). A
-    pattern compares, hashes, prints, copies and pickles by its three
+    pattern compares, hashes, prints, copies and pickles by its six
     fields, read or not."""
 
     outcomes: tuple
     trace: tuple
     input: SpecialStateVector
+    special: SpecialMatrix
+    policy: OrderPolicy
+    threshold_k: float
 
     @classmethod
-    def _from_orbits(cls, outcomes, orbits, input):
+    def _from_orbits(cls, outcomes, orbits, input, special, policy,
+                     threshold_k):
         """A pattern whose trace is assembled from `orbits`, one (kernels,
         steps) per component, on first read."""
         pattern = object.__new__(cls)
         pattern.__dict__.update(outcomes=outcomes, input=input,
-                                _orbits=orbits)
+                                special=special, policy=policy,
+                                threshold_k=threshold_k, _orbits=orbits)
         return pattern
 
     def __getattr__(self, name):
@@ -284,7 +290,8 @@ class HiddenPattern:
         return trace
 
     def __reduce__(self):
-        return HiddenPattern, (self.outcomes, self.trace, self.input)
+        return HiddenPattern, (self.outcomes, self.trace, self.input,
+                               self.special, self.policy, self.threshold_k)
 
     @property
     def side(self) -> str:
@@ -795,7 +802,8 @@ def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *,
         raise IterationCapExceeded(
             f"{which} still unsettled after {max_steps} "
             f"step{'s' if max_steps > 1 else ''}")
-    return HiddenPattern._from_orbits(tuple(outcomes), tuple(orbits), x0)
+    return HiddenPattern._from_orbits(tuple(outcomes), tuple(orbits), x0,
+                                      m, policy, threshold_k)
 
 
 def _run_only(kind, error, m, x0, options) -> HiddenPattern:

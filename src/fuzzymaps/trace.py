@@ -30,14 +30,16 @@ from .dynamics import (
     part_problem,
     seed_problems,
 )
-from .errors import FuzzymapsError, ShapeMismatch, TraceError, WrongEntryPoint
-from .models import ModelClass, _dynamical_class, _tag_diagnostics
+from .errors import (FuzzymapsError, InvalidInput, ShapeMismatch, TraceError,
+                     WrongEntryPoint)
+from .models import Model, ModelClass, _dynamical_class, _tag_diagnostics
 from .special import CM, SIDES, ComponentTag, SpecialMatrix, render_part
 from .values import (
     OrderPolicy,
     _ascii_int,
     _check_one_line,
     _check_threshold_k,
+    _require_type,
     parse_name,
     parse_scalar,
     parse_scalars,
@@ -71,21 +73,27 @@ class _PartTexts(dict):
         return entry[1]
 
 
-def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
-                 experts=None, policy=None, threshold_k=0.0,
-                 model_class=None, name="") -> str:
-    """Serialize a run result. `special` supplies the component tags,
-    whose operators the run applied, and `experts` their names, one per
-    component; `policy` and `model_class`, each a member or its text, are
-    recorded when given, and an equation class, which has no run, raises
-    WrongEntryPoint. A model or expert name holding a line break raises
-    InvalidInput. The run line ends at `threshold-k=`; its model
-    metadata is embedded for audit but not needed for verification."""
-    _check_threshold_k(threshold_k)
-    count = len(pattern.outcomes)
-    if len(special) != count:
-        raise ShapeMismatch(f"union has {len(special)} components, run has "
-                            f"{count}")
+def render_trace(pattern: HiddenPattern, model=None, *, name="",
+                 experts=None, model_class=None, policy=None,
+                 threshold_k=None) -> str:
+    """Serialize a run result: its tags, shapes, policy and k as the run
+    recorded them, and the class and expert names of `model`, a Model of
+    the very union the run ran (else InvalidInput), named `name`. Kept only
+    for bench/workloads.py until ROADMAP item 2b: a bare union labelled by
+    `experts` and `model_class`, and `policy` and `threshold_k` as claims,
+    never written, each raising InvalidInput unless it is the run's own."""
+    _require_type(pattern, HiddenPattern, "pattern")
+    special, count = pattern.special, len(pattern.outcomes)
+    if model is not None and not isinstance(model, SpecialMatrix):
+        _require_type(model, Model, "model")
+        experts, model_class = model.experts, model.model_class
+        model = model.matrix
+    if model is not None and model is not special:
+        raise InvalidInput("the model's union is not the one the run ran")
+    if policy is not None and OrderPolicy.parse(policy) is not pattern.policy \
+            or threshold_k is not None and threshold_k != pattern.threshold_k:
+        raise InvalidInput(f"the run's policy is {pattern.policy.value} and "
+                           f"its threshold k {pattern.threshold_k!r}")
     if experts is not None and len(experts) != count:
         raise ShapeMismatch(f"{len(experts)} experts for {count} components")
     _check_one_line("model name", name)
@@ -93,14 +101,13 @@ def render_trace(pattern: HiddenPattern, special: SpecialMatrix, *,
     text = _PartTexts().text
     out = [f"trace {TRACE_VERSION}"]
     run_fields = [f"side={pattern.side}", f"steps={pattern.steps}",
-                  f"components={len(special)}"]
+                  f"components={count}"]
     if model_class is not None:
         run_fields.append(f"class={_dynamical_class(model_class).value}")
     if name:
         run_fields.append(f"name=[{name}]")
-    if policy is not None:
-        run_fields.append(f"policy={OrderPolicy.parse(policy).value}")
-    run_fields.append(f"threshold-k={render_scalar(threshold_k)}")
+    run_fields += [f"policy={pattern.policy.value}",
+                   f"threshold-k={render_scalar(pattern.threshold_k)}"]
     out.append("run " + " ".join(run_fields))
     for idx, (mat, tag) in enumerate(special):
         fields = [f"kind={tag.kind}", f"algebra={tag.algebra}",
@@ -185,12 +192,13 @@ def _parse_state(text: str, states: dict):
 
 def parse_trace(text: str) -> dict:
     """Structural parse into a dict: side, the run line's step and
-    component counts and model class (None when absent), component tags,
-    (rows, cols) shapes, inputs, masks, steps, finals. Each name, and the
-    run's k, is read with the engine's own rule, and each run, component,
-    step and final line holds its fields once, one space apart, in the
-    order render_trace writes them; a run line may end in other fields.
-    Raises TraceError, naming the line, on malformed input."""
+    component counts, model class, OrderPolicy and threshold k (a float),
+    each None when absent, component tags, (rows, cols) shapes, inputs,
+    masks, steps, finals. Each name, and k, is read with the engine's own
+    rule, and each run, component, step and final line holds its fields
+    once, one space apart, in render_trace's order; a run line may end in
+    other fields. Raises TraceError, naming the line, on malformed input."""
+    _require_type(text, str, "text")
     step_re, run_re, component_re, final_re = _line_patterns()
     side = model_class = None
     tags, shapes, inputs, masks, finals, steps = {}, {}, {}, {}, {}, []
@@ -228,10 +236,11 @@ def parse_trace(text: str) -> dict:
                 if cls is not None:
                     model_class = ModelClass.parse(cls)
                 if policy is not None:
-                    OrderPolicy.parse(policy)
+                    policy = OrderPolicy.parse(policy)
                 if k is not None:
                     k = parse_scalar(k)
-                    _check_threshold_k(k.real_part if k.is_real else k)
+                    k = k.real_part if k.is_real else k
+                    _check_threshold_k(k)
             elif head == "component":
                 idx, kind, algebra, op, *shape = _fields(component_re, rest)
                 idx = int(idx) - 1
@@ -288,9 +297,9 @@ def parse_trace(text: str) -> dict:
     if set(tags) != set(inputs) or set(tags) != set(finals):
         raise TraceError("component, input, and final lines disagree")
     return {"side": side, "run_steps": counts[0], "components": counts[1],
-            "class": model_class, "tags": tags, "shapes": shapes,
-            "inputs": inputs, "masks": masks, "steps": steps,
-            "finals": finals}
+            "class": model_class, "policy": policy, "threshold_k": k,
+            "tags": tags, "shapes": shapes, "inputs": inputs,
+            "masks": masks, "steps": steps, "finals": finals}
 
 
 def verify_trace(text: str) -> tuple:

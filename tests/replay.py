@@ -42,14 +42,16 @@ def seed_pin(part):
     return [i for i, v in enumerate(part) if v == ONE]
 
 
-def assert_replays(special, x0, pattern, k=0.0,
-                   policy=OrderPolicy.BOOK_DEFAULT):
-    """Every record of `pattern`, a run of `special` from `x0`, is one
-    public_step of each unfrozen part from its last updated form: the
-    matrix applied from the domain and its transpose from the range, as
-    landing_side places the part, pinned when it lands on the seeded
-    side. A frozen part is carried unchanged. verify_trace re-derives the
-    outcomes from the rendered records."""
+def assert_replays(pattern):
+    """Every record of `pattern`, a run of its union from its seed, is one
+    public_step of each unfrozen part from its last updated form, under
+    the run's own cut constant and policy: the matrix applied from the
+    domain and its transpose from the range, as landing_side places the
+    part, pinned when it lands on the seeded side. A frozen part is
+    carried unchanged. verify_trace re-derives the outcomes from the
+    rendered records."""
+    special, x0 = pattern.special, pattern.input
+    k, policy = pattern.threshold_k, pattern.policy
     parts = list(x0.parts)
     for step, record in enumerate(pattern.trace, 1):
         for idx, (matrix, tag) in enumerate(special):
@@ -65,8 +67,7 @@ def assert_replays(special, x0, pattern, k=0.0,
             assert got == public_step(parts[idx], operand, tag, k, pin,
                                       policy), (step, idx)
             parts[idx] = record.updated[idx]
-    text = render_trace(pattern, special, threshold_k=k)
-    assert verify_trace(text) == pattern.outcomes
+    assert verify_trace(render_trace(pattern)) == pattern.outcomes
 
 
 def assert_capped_run_replays(special, x0, k, max_steps):
@@ -74,7 +75,7 @@ def assert_capped_run_replays(special, x0, k, max_steps):
     `max_steps` raises IterationCapExceeded exactly when the uncapped one
     settles after the cap, else equals it."""
     pattern = run_mixed(special, x0, threshold_k=k)
-    assert_replays(special, x0, pattern, k)
+    assert_replays(pattern)
     if pattern.steps > max_steps:
         with pytest.raises(IterationCapExceeded):
             run_mixed(special, x0, threshold_k=k, max_steps=max_steps)

@@ -272,9 +272,7 @@ def test_criterion_12_determinism_and_round_trip():
         traces = []
         for _ in range(2):
             mf, pattern = run_fixture(model_name, vec_name)
-            traces.append(render_trace(
-                pattern, mf.model.matrix, experts=mf.model.experts,
-                model_class=mf.model.model_class, name=mf.name))
+            traces.append(render_trace(pattern, mf.model, name=mf.name))
         assert traces[0] == traces[1]
     # the deliberately broken diagnostics file cannot build a model and is
     # covered by the validation tests instead

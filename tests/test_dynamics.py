@@ -47,6 +47,7 @@ from fuzzymaps import (
     run_mixed,
     run_rm,
     transpose,
+    verify_trace,
 )
 from fuzzymaps.dynamics import (
     Recurrence,
@@ -113,7 +114,7 @@ def test_threshold_update_skips_other_side():
     m = SpecialMatrix([(tri([[-1, -1, 0], [0, 1, 1]]), ComponentTag(kind=RM))])
     got = run_rm(m, seed([1, 0]))
     to_range, to_domain = got.trace[0], got.trace[1]
-    assert "step 1 component=1 side=range " in render_trace(got, m)
+    assert "step 1 component=1 side=range " in render_trace(got)
     assert to_range.thresholded[0] == crisp([0, 0, 0])
     assert to_range.updated[0] == crisp([0, 0, 0])
     assert to_domain.thresholded[0] == crisp([0, 0])
@@ -271,7 +272,7 @@ def test_rect_map_range_seed_settles_to_pair():
 def test_rm_alternates_sides_in_trace():
     m = SpecialMatrix([(B_RECT, ComponentTag(kind=RM))])
     got = run_rm(m, seed([1, 0, 1, 0, 1, 1]))
-    sides = [s["side"] for s in parse_trace(render_trace(got, m))["steps"]]
+    sides = [s["side"] for s in parse_trace(render_trace(got))["steps"]]
     assert sides[:2] == [RANGE_SIDE, DOMAIN_SIDE]
     # the part lengths alternate with them: range 4, domain 6
     assert [len(rec.updated[0]) for rec in got.trace[:2]] == [4, 6]
@@ -697,7 +698,8 @@ def test_a_pattern_is_the_same_value_read_or_unread(view):
     assembled = run_mixed(m, x)
     assembled.trace
     read = read_all(run_mixed(m, x))
-    public = HiddenPattern(read.outcomes, read.trace, read.input)
+    public = HiddenPattern(read.outcomes, read.trace, read.input, read.special,
+                           read.policy, read.threshold_k)
     assert view(unread) == view(assembled) == view(read) == view(public)
 
 
@@ -785,6 +787,8 @@ SFCM_2 = build_model("SFCM", [(tri([[0, 1], [1, 0]]), ComponentTag())])
     pytest.param(lambda x: run(SFCM_2, x, max_steps="5"), id="cap-text"),
     pytest.param(lambda x: run(SFCM_2, x, max_steps=2.5), id="cap-float"),
     pytest.param(lambda x: ThresholdMode("fuzzy", "x"), id="mode-k-text"),
+    # the benchmark's call may claim the run's k, which no other value
+    # equals: a trace records the k the run checked
     pytest.param(lambda x: render_trace(run(SFCM_2, x), SFCM_2.matrix,
                                         threshold_k="0"), id="trace-k-text"),
     pytest.param(lambda x: render_trace(run(SFCM_2, x), SFCM_2.matrix,
@@ -792,8 +796,7 @@ SFCM_2 = build_model("SFCM", [(tri([[0, 1], [1, 0]]), ComponentTag())])
                  id="trace-k-nan"),
 ])
 def test_run_option_of_a_wrong_type_is_invalid_input(probe):
-    # a finite real k (not a bool) and an int cap, else exit code 3; a
-    # trace records k under the same rule
+    # a finite real k (not a bool) and an int cap, else exit code 3
     with pytest.raises(InvalidInput):
         probe(seed([1, 0]))
 
@@ -814,6 +817,13 @@ def test_run_option_of_a_wrong_type_is_invalid_input(probe):
                  id="run_mixed-before-cap"),
     pytest.param(lambda x: run(SFCM_2, None, threshold_k=math.nan), "seed",
                  id="run-before-k"),
+    # the trace entry points follow the same rule
+    pytest.param(lambda x: parse_trace(5), "text", id="parse_trace-int"),
+    pytest.param(lambda x: verify_trace(5), "text", id="verify_trace-int"),
+    pytest.param(lambda x: render_trace(5, SFCM_2.matrix), "pattern",
+                 id="render_trace-int"),
+    pytest.param(lambda x: render_trace(run(SFCM_2, x), 5), "model",
+                 id="render_trace-model-int"),
 ])
 def test_a_wrongly_typed_run_argument_is_a_type_error_naming_it(probe, name):
     with pytest.raises(TypeError, match=f"^{name} must be a "):
@@ -824,11 +834,9 @@ def test_a_wrongly_typed_run_argument_is_a_type_error_naming_it(probe, name):
 @pytest.mark.parametrize("probe", [
     pytest.param(lambda x, k: run(SFCM_2, x, threshold_k=k), id="run"),
     pytest.param(lambda x, k: ThresholdMode("fuzzy", k), id="mode"),
-    pytest.param(lambda x, k: render_trace(run(SFCM_2, x), SFCM_2.matrix,
-                                           threshold_k=k), id="trace"),
 ])
 def test_threshold_k_beyond_the_float_range_is_invalid_input(probe, k):
-    # an int k must fit a float: a trace records k as a Scalar
+    # an int k must fit a float: a trace records the run's k as a Scalar
     with pytest.raises(InvalidInput, match="threshold k must be finite"):
         probe(seed([1, 0]), k)
 
@@ -1050,7 +1058,8 @@ def test_steps_and_settle_steps_read_the_orbits(case):
     pattern = run_mixed(special, x0, threshold_k=k)
     steps, settled = pattern.steps, pattern.settled_steps
     assert "trace" not in pattern.__dict__
-    from_trace = HiddenPattern(pattern.outcomes, pattern.trace, x0)
+    from_trace = HiddenPattern(pattern.outcomes, pattern.trace, x0, special,
+                               pattern.policy, k)
     assert (steps, settled) == (from_trace.steps, from_trace.settled_steps)
 
 

@@ -20,6 +20,7 @@ from fuzzymaps import (
     LimitCycle,
     Matrix,
     ModelClass,
+    OrderPolicy,
     Scalar,
     ShapeMismatch,
     TraceError,
@@ -55,8 +56,7 @@ def run_fixture(model_name, vec_name, **kwargs):
 
 def trace_of(model_name, vec_name, **kwargs):
     mf, pattern = run_fixture(model_name, vec_name, **kwargs)
-    return render_trace(pattern, mf.model.matrix, experts=mf.model.experts,
-                        model_class=mf.model.model_class, name=mf.name)
+    return render_trace(pattern, mf.model, name=mf.name)
 
 
 SQUARE = ("single_square_signed.model", "single_square_seed_a.vec")
@@ -119,7 +119,7 @@ def test_verify_rect_trace_both_seed_sides():
 
 def test_verify_mixed_trace():
     mf, pattern = run_fixture(*MIXED)
-    text = render_trace(pattern, mf.model.matrix)
+    text = render_trace(pattern)
     outcomes = verify_trace(text)
     assert outcomes == pattern.outcomes
 
@@ -127,23 +127,62 @@ def test_verify_mixed_trace():
 def test_verify_level_trace_with_cycles():
     mf, pattern = run_fixture(*LEVELS)
     assert any(isinstance(o, LimitCycle) for o in pattern.outcomes)
-    text = render_trace(pattern, mf.model.matrix)
+    text = render_trace(pattern)
     assert verify_trace(text) == pattern.outcomes
 
 
 def test_render_trace_rejects_a_union_or_experts_of_another_size():
     mf, pattern = run_fixture(*SQUARE)
     (component,) = mf.model.matrix
-    with pytest.raises(ShapeMismatch, match="union has 2 components, run "
-                                            "has 1"):
+    with pytest.raises(InvalidInput, match="union is not the one the run"):
         render_trace(pattern, SpecialMatrix([component, component]))
+    # the bare union and `experts`, kept for the benchmark's one call
     with pytest.raises(ShapeMismatch, match="2 experts for 1 components"):
         render_trace(pattern, mf.model.matrix, experts=["a", "b"])
 
 
+# an all-zero 5x5 fuzzy max-min union, of the shape of SQUARE's union
+ZERO_MAXMIN = SpecialMatrix([(Matrix(5, 5, [0] * 25, "unit"),
+                              ComponentTag(kind=CM, op="maxmin"))])
+
+
+@pytest.mark.parametrize("other, claims", [
+    pytest.param(lambda own: ZERO_MAXMIN, {}, id="another-union-bare"),
+    pytest.param(lambda own: build_model("SSHM", ZERO_MAXMIN), {},
+                 id="another-union-model"),
+    pytest.param(lambda own: SpecialMatrix(list(own)), {},
+                 id="an-equal-union"),
+    pytest.param(lambda own: None, {"threshold_k": 0.0}, id="another-k"),
+    pytest.param(lambda own: None,
+                 {"policy": OrderPolicy.INDETERMINACY_DOMINANT},
+                 id="another-policy"),
+])
+def test_render_trace_refuses_what_its_run_did_not_run(other, claims):
+    # SQUARE run at k=-1 reaches other outcomes than at k=0: rendered
+    # against another union, or claiming another k or policy, its trace
+    # would say op=maxmin or threshold-k=0 and still verify
+    mf, pattern = run_fixture(*SQUARE, threshold_k=-1.0)
+    assert pattern.outcomes != run_fixture(*SQUARE)[1].outcomes
+    with pytest.raises(InvalidInput):
+        render_trace(pattern, other(mf.model.matrix), **claims)
+
+
+def test_render_trace_writes_the_settings_of_its_run():
+    mf, pattern = run_fixture(*SQUARE, threshold_k=-1.0)
+    text = render_trace(pattern, mf.model, name=mf.name)
+    assert text.splitlines()[1].endswith(" policy=book threshold-k=-1")
+    assert verify_trace(text) == pattern.outcomes
+    # the bare union, labelled and claiming the run's own settings, as the
+    # benchmark's call passes them
+    assert render_trace(pattern, mf.model.matrix, experts=mf.model.experts,
+                        policy=OrderPolicy.BOOK_DEFAULT, threshold_k=-1.0,
+                        model_class=mf.model.model_class,
+                        name=mf.name) == text
+
+
 def test_metadata_is_optional():
     mf, pattern = run_fixture(*SQUARE)
-    bare = render_trace(pattern, mf.model.matrix)
+    bare = render_trace(pattern)
     assert "class=" not in bare
     assert "expert=" not in bare
     assert verify_trace(bare) == pattern.outcomes
@@ -158,8 +197,9 @@ def test_free_text_cannot_restate_engine_fields(name, expert):
     # a model or expert name is free text: whatever it holds, the run and
     # component fields come from the engine's own text
     mf, pattern = run_fixture(*SQUARE)
-    text = render_trace(pattern, mf.model.matrix, experts=[expert],
-                        name=name)
+    model = build_model(mf.model.model_class, mf.model.matrix,
+                        experts=[expert])
+    text = render_trace(pattern, model, name=name)
     assert f"[{name}]" in text and f"expert=[{expert}]" in text
     assert verify_trace(text) == pattern.outcomes
     data = parse_trace(text)
@@ -182,15 +222,15 @@ def test_writers_refuse_a_name_holding_a_line_break(char):
     # a name is written into one line, which its reader would read as two
     mf, pattern = run_fixture(*SQUARE)
     model, bad = mf.model, f"demo{char}component 9"
+    badly_named = build_model(model.model_class, model.matrix, experts=[bad])
     with pytest.raises(InvalidInput, match="^model name "):
-        render_trace(pattern, model.matrix, name=bad)
+        render_trace(pattern, model, name=bad)
     with pytest.raises(InvalidInput, match="^expert name "):
-        render_trace(pattern, model.matrix, experts=[bad])
+        render_trace(pattern, badly_named)
     with pytest.raises(InvalidInput, match="^model name "):
         serialize_model(model, name=bad)
     with pytest.raises(InvalidInput, match="^expert name "):
-        serialize_model(build_model(model.model_class, model.matrix,
-                                    experts=[bad]))
+        serialize_model(badly_named)
 
 
 def test_tampered_final_is_rejected():
@@ -292,7 +332,7 @@ def test_run_without_components_is_rejected():
 
 def test_unfrozen_step_after_settling_is_rejected():
     mf, pattern = run_fixture(*MIXED)
-    text = render_trace(pattern, mf.model.matrix)
+    text = render_trace(pattern)
     idx = pattern.settled_steps.index(min(pattern.settled_steps))
     target = next(l for l in text.splitlines()
                   if l.startswith(f"step {min(pattern.settled_steps) + 1} "
@@ -312,7 +352,7 @@ def test_frozen_rm_part_sits_on_the_seeded_side():
     # component 4 (RM 8x5) settled at step 2 and is carried on the domain
     # side, though step 3 lands the unfrozen RM parts on the range side
     mf, pattern = run_fixture(*MIXED)
-    text = render_trace(pattern, mf.model.matrix)
+    text = render_trace(pattern)
     assert _mixed_step_line(text, 3, 4) == (
         "step 3 component=4 side=domain frozen=yes "
         "raw=[0 0 0 0 0 0 0 1] thresholded=[0 0 0 0 0 0 0 1] "
@@ -332,7 +372,7 @@ def test_frozen_rm_part_sits_on_the_seeded_side():
 ])
 def test_frozen_line_that_changes_its_part_is_rejected(step, old, new):
     mf, pattern = run_fixture(*MIXED)
-    text = render_trace(pattern, mf.model.matrix)
+    text = render_trace(pattern)
     target = _mixed_step_line(text, step, 4)
     doctored = text.replace(target, target.replace(old, new))
     assert doctored != text
@@ -344,7 +384,7 @@ def test_step_after_every_component_settled_is_rejected():
     # the engine stops at the first step where every component is frozen,
     # so an extra, well-formed all-frozen step must not verify
     mf, pattern = run_fixture(*MIXED)
-    text = render_trace(pattern, mf.model.matrix)
+    text = render_trace(pattern)
     steps = pattern.steps
     lines = [_mixed_step_line(text, steps, idx + 1)
              for idx in range(len(pattern.outcomes))]
@@ -418,7 +458,7 @@ def test_each_outcome_shape_describes_renders_and_verifies(
         special, seed, described, final):
     pattern = run_mixed(special, SpecialStateVector([seed]))
     assert pattern.describe() == f"component 1: {described}"
-    text = render_trace(pattern, special)
+    text = render_trace(pattern)
     assert final in text.splitlines()
     assert parse_trace(text)["finals"][0]["outcome"] == pattern.outcomes[0]
     assert verify_trace(text) == pattern.outcomes
@@ -427,7 +467,7 @@ def test_each_outcome_shape_describes_renders_and_verifies(
 @pytest.mark.parametrize("special, seed, described, final", OUTCOME_SHAPES)
 def test_changed_final_period_is_rejected(special, seed, described, final):
     x = SpecialStateVector([seed])
-    text = render_trace(run_mixed(special, x), special)
+    text = render_trace(run_mixed(special, x))
     period = final.split()[3]  # period=1, 2 or 4
     for wrong in ("period=0", "period=3", "period=5"):
         with pytest.raises(TraceError, match="does not fit"):
@@ -440,7 +480,7 @@ def test_fixed_final_relabelled_as_cycle_is_rejected(
         special, seed, described, final):
     # one state recorded as a period-1 cycle is a fixed point, not a cycle
     x = SpecialStateVector([seed])
-    text = render_trace(run_mixed(special, x), special)
+    text = render_trace(run_mixed(special, x))
     relabelled = final
     for fixed, cycle in (("fixed-point", "limit-cycle"), ("state=", "states="),
                          ("fixed-pair", "pair-cycle"), ("domain=", "domains="),
@@ -453,7 +493,7 @@ def test_fixed_final_relabelled_as_cycle_is_rejected(
 def test_pair_cycle_with_an_unpaired_state_is_rejected():
     special, seed, _, final = OUTCOME_SHAPES[3].values
     x = SpecialStateVector([seed])
-    text = render_trace(run_mixed(special, x), special)
+    text = render_trace(run_mixed(special, x))
     unpaired = final.replace(" ranges=", "|[0 1 I 1 1] ranges=")
     with pytest.raises(TraceError, match="does not fit"):
         verify_trace(text.replace(final, unpaired))
@@ -678,8 +718,8 @@ def test_an_equation_class_has_no_run_to_trace(model_class):
         run(build_model(model_class, special), x0)
     pattern = run_mixed(special, x0)
     with pytest.raises(WrongEntryPoint):
-        render_trace(pattern, special, model_class=model_class)
-    text = render_trace(pattern, special, model_class="SSHM")
+        render_trace(pattern, build_model(model_class, special))
+    text = render_trace(pattern, build_model("SSHM", special))
     tampered = text.replace("class=SSHM", f"class={model_class}", 1)
     assert tampered != text
     with pytest.raises(TraceError, match=f"^{model_class} describes "
@@ -771,22 +811,25 @@ def seeded_unions(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(seeded_unions())
-def test_verify_trace_rederives_every_run(case):
+@given(seeded_unions(), st.sampled_from(list(OrderPolicy)))
+def test_verify_trace_rederives_every_run(case, policy):
     special, x0, k = case
     # every record replays through the public Scalar operations, and
     # verify_trace re-derives the outcomes from the rendered trace
-    assert_replays(special, x0, run_mixed(special, x0, threshold_k=k), k)
+    assert_replays(run_mixed(special, x0, threshold_k=k, policy=policy))
 
 
 @settings(max_examples=200, deadline=None)
-@given(seeded_unions())
-def test_trace_round_trip_preserves_step_data(case):
-    # each step line reads back as its record's component, side, frozen
-    # flag and parts, and each final line as its outcome
+@given(seeded_unions(), st.sampled_from(list(OrderPolicy)))
+def test_trace_round_trip_preserves_step_data(case, policy):
+    # the run line reads back as the run's settings, each step line as its
+    # record's component, side, frozen flag and parts, and each final
+    # line as its outcome
     special, x0, k = case
-    pattern = run_mixed(special, x0, threshold_k=k)
-    data = parse_trace(render_trace(pattern, special, threshold_k=k))
+    pattern = run_mixed(special, x0, threshold_k=k, policy=policy)
+    data = parse_trace(render_trace(pattern))
+    assert (data["policy"], data["threshold_k"]) == (policy, k)
+    assert isinstance(data["threshold_k"], float)
     kinds = [tag.kind for _, tag in special]
     assert [(e["step"], e["component"]) for e in data["steps"]] == [
         (t, c) for t in range(1, pattern.steps + 1) for c in range(len(kinds))]
