@@ -114,6 +114,7 @@ from .values import (
     Scalar,
     ThresholdMode,
     ZERO,
+    _FrozenRecord,
     _check_threshold_k,
     _require_type,
     threshold_scalar,
@@ -129,25 +130,29 @@ def on_coordinates(part) -> tuple:
                   if v.real_part == 1.0 and not v.indet_coeff])
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(_FrozenRecord):
     """Period-1 hidden pattern. For RM components the state is a
     (domain_state, range_state) pair of tuples."""
 
-    state: tuple
+    __slots__ = ("state",)
+
+    def __init__(self, state: tuple):
+        object.__setattr__(self, "state", state)
 
     @property
     def period(self):
         return 1
 
 
-@dataclass(frozen=True)
-class LimitCycle:
+class LimitCycle(_FrozenRecord):
     """Recurrent hidden pattern of period >= 2; states lists one full
     cycle in iteration order."""
 
-    states: tuple
-    period: int
+    __slots__ = ("states", "period")
+
+    def __init__(self, states: tuple, period: int):
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "period", period)
 
 
 def landing_side(kind, seeded_side, step) -> str:
@@ -268,6 +273,13 @@ class HiddenPattern:
     special: SpecialMatrix
     policy: OrderPolicy
     threshold_k: float
+
+    def __post_init__(self):
+        # a run builds its pattern through _from_orbits, which skips this
+        _require_type(self.input, SpecialStateVector, "input")
+        _require_type(self.special, SpecialMatrix, "special")
+        _require_type(self.policy, OrderPolicy, "policy")
+        _check_threshold_k(self.threshold_k)
 
     @classmethod
     def _from_orbits(cls, outcomes, orbits, input, special, policy,

@@ -38,7 +38,6 @@ or DomainError for an entry outside its declared domain.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
 
@@ -48,6 +47,7 @@ from .models import Model, ModelClass, build_model
 from .special import CM, ComponentTag, RM, SIDES, SpecialStateVector
 from .values import (
     ValueDomain,
+    _FrozenRecord,
     _ascii_int,
     _check_one_line,
     parse_scalar,
@@ -56,12 +56,14 @@ from .values import (
 )
 
 
-@dataclass(frozen=True)
-class ModelFile:
+class ModelFile(_FrozenRecord):
     """A parsed model file: the model plus its file-level name."""
 
-    name: str
-    model: Model
+    __slots__ = ("name", "model")
+
+    def __init__(self, name: str, model: Model):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "model", model)
 
 
 def _lines(text):
@@ -145,16 +147,21 @@ def _parse_size(token, lineno):
     return rows, cols
 
 
-@dataclass(frozen=True)
-class ParsedStructure:
+class ParsedStructure(_FrozenRecord):
     """Model file contents before class validation, so callers can report
-    every diagnostic instead of stopping at the first."""
+    every diagnostic instead of stopping at the first. Components are
+    (Matrix, ComponentTag) pairs; labels hold, per component, (rows,) or
+    (rows, cols), and experts a name, each None if absent."""
 
-    model_class: ModelClass
-    name: str
-    components: tuple  # of (Matrix, ComponentTag)
-    labels: tuple  # per component: (rows,) or (rows, cols), None if absent
-    experts: tuple  # per component, None if absent
+    __slots__ = ("model_class", "name", "components", "labels", "experts")
+
+    def __init__(self, model_class: ModelClass, name: str,
+                 components: tuple, labels: tuple, experts: tuple):
+        object.__setattr__(self, "model_class", model_class)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "experts", experts)
 
 
 def parse_model_structure(text: str) -> ParsedStructure:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import operator
 import struct
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import compress
 
 from .errors import (
@@ -42,14 +41,20 @@ from .errors import (
 )
 # maxmin_compose stays bound: bench/tracing.py wraps it by this name
 from .matrices import Matrix, maxmin_compose, row_vector  # noqa: F401
-from .values import ONE, ZERO, Scalar, ValueDomain, coerce
+from .values import ONE, ZERO, Scalar, ValueDomain, _FrozenRecord, coerce
 
 
-@dataclass(frozen=True)
-class FreSolution:
-    max_solution: Matrix
-    solvable: bool
-    residual: Matrix
+class FreSolution(_FrozenRecord):
+    """What solve_max finds for X o Q = R: the greatest candidate X
+    (p-hat), whether it solves the system, and its residual X o Q."""
+
+    __slots__ = ("max_solution", "solvable", "residual")
+
+    def __init__(self, max_solution: Matrix, solvable: bool,
+                 residual: Matrix):
+        object.__setattr__(self, "max_solution", max_solution)
+        object.__setattr__(self, "solvable", solvable)
+        object.__setattr__(self, "residual", residual)
 
 
 def _checked(value, neutrosophic: bool) -> Scalar:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 
 from .errors import ClassViolation, NonzeroDiagonal, WrongEntryPoint
 from .dynamics import run_cm, run_mixed, run_rm
@@ -21,7 +20,7 @@ from .special import (
     SpecialStateVector,
     _carrier_problems,
 )
-from .values import _require_type, parse_name
+from .values import _FrozenRecord, _require_type, parse_name
 
 
 class ModelClass(enum.Enum):
@@ -65,16 +64,25 @@ FRE_CLASSES = frozenset(
     {ModelClass.SFRE, ModelClass.SMFRE, ModelClass.SNRE, ModelClass.SMNRE})
 
 
-@dataclass(frozen=True)
-class _ClassRule:
-    """Decidable structural constraints for one model class."""
+class _ClassRule(_FrozenRecord):
+    """Decidable structural constraints for one model class: the allowed
+    component kinds, algebras and operators (no operators = any), whether
+    all components share one shape, and the kinds and algebras that must
+    each appear at least once."""
 
-    kinds: frozenset  # allowed component kinds
-    algebras: frozenset  # allowed component algebras
-    ops: frozenset  # allowed component operators; empty = any
-    uniform_shape: bool = False  # all components share one shape
-    require_kinds: frozenset = frozenset()  # each must appear at least once
-    require_algebras: frozenset = frozenset()
+    __slots__ = ("kinds", "algebras", "ops", "uniform_shape",
+                 "require_kinds", "require_algebras")
+
+    def __init__(self, kinds: frozenset, algebras: frozenset,
+                 ops: frozenset, uniform_shape: bool = False,
+                 require_kinds: frozenset = frozenset(),
+                 require_algebras: frozenset = frozenset()):
+        object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "algebras", algebras)
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "uniform_shape", uniform_shape)
+        object.__setattr__(self, "require_kinds", require_kinds)
+        object.__setattr__(self, "require_algebras", require_algebras)
 
 
 _F = frozenset({"fuzzy"})
@@ -111,24 +119,25 @@ _RULES = {
     ModelClass.SMNRE: _ClassRule(_RM_ONLY, _N, _MAXMIN),
 }
 
-@dataclass(frozen=True)
-class Model:
-    """A validated union with class, labels, and expert provenance."""
+class Model(_FrozenRecord):
+    """A validated union with class, labels, and expert provenance. The
+    labels hold, per component, (row_labels,) for CM and (rows, cols) for
+    RM."""
 
-    model_class: ModelClass
-    matrix: SpecialMatrix
-    labels: tuple  # per component: (row_labels,) for CM, (rows, cols) for RM
-    experts: tuple
+    __slots__ = ("model_class", "matrix", "labels", "experts")
 
-    def __post_init__(self):
-        if len(self.labels) != len(self.matrix):
+    def __init__(self, model_class: ModelClass, matrix: SpecialMatrix,
+                 labels: tuple, experts: tuple):
+        if len(labels) != len(matrix):
             raise ClassViolation(
-                f"{len(self.labels)} label groups for "
-                f"{len(self.matrix)} components")
-        if len(self.experts) != len(self.matrix):
+                f"{len(labels)} label groups for {len(matrix)} components")
+        if len(experts) != len(matrix):
             raise ClassViolation(
-                f"{len(self.experts)} expert names for "
-                f"{len(self.matrix)} components")
+                f"{len(experts)} expert names for {len(matrix)} components")
+        object.__setattr__(self, "model_class", model_class)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "experts", experts)
 
 
 def class_diagnostics(model_class: ModelClass,

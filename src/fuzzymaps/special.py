@@ -10,14 +10,13 @@ records are the only view of a union step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import EmptyUnion, NonSquareCM, ShapeMismatch
 from .matrices import OPS, Matrix, _Memoized, fold_row, operators
 from .values import (
     ALGEBRAS,
     OrderPolicy,
     ValueDomain,
+    _FrozenRecord,
     _ancestors,
     _coerce_each,
     _require_iterable,
@@ -40,19 +39,20 @@ def other_side(side: str) -> str:
     return RANGE_SIDE if side == DOMAIN_SIDE else DOMAIN_SIDE
 
 
-@dataclass(frozen=True)
-class ComponentTag:
+class ComponentTag(_FrozenRecord):
     """How one component participates in a run: its iteration kind,
     its value algebra, and the operator used to apply it."""
 
-    kind: str = CM
-    algebra: str = "fuzzy"
-    op: str = "circle"
+    __slots__ = ("kind", "algebra", "op")
 
-    def __post_init__(self):
-        parse_name(self.kind, KINDS, "component kind")
-        parse_name(self.algebra, ALGEBRAS, "algebra")
-        parse_name(self.op, OPS, "operator")
+    def __init__(self, kind: str = CM, algebra: str = "fuzzy",
+                 op: str = "circle"):
+        parse_name(kind, KINDS, "component kind")
+        parse_name(algebra, ALGEBRAS, "algebra")
+        parse_name(op, OPS, "operator")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "op", op)
 
 
 # The carrier of each (algebra, op): the domain a component's values must

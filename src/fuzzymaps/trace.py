@@ -196,8 +196,9 @@ def parse_trace(text: str) -> dict:
     each None when absent, component tags, (rows, cols) shapes, inputs,
     masks, steps, finals. Each name, and k, is read with the engine's own
     rule, and each run, component, step and final line holds its fields
-    once, one space apart, in render_trace's order; a run line may end in
-    other fields. Raises TraceError, naming the line, on malformed input."""
+    once, one space apart, in render_trace's order; a trace has one run
+    line, which may end in other fields. Raises TraceError, naming the
+    line, on malformed input."""
     _require_type(text, str, "text")
     step_re, run_re, component_re, final_re = _line_patterns()
     side = model_class = None
@@ -230,6 +231,8 @@ def parse_trace(text: str) -> dict:
                     raise TraceError(
                         f"unsupported trace version {rest.strip()!r}")
             elif head == "run":
+                if side is not None:
+                    raise TraceError("a second run line")
                 side_text, *counts, cls, policy, k = _fields(run_re, rest)
                 side = parse_name(side_text, SIDES, "side")
                 counts = tuple(map(int, counts))

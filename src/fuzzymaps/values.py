@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
+from operator import attrgetter
 
 from .errors import (
     DomainError,
@@ -149,6 +149,52 @@ def _require_iterable(values, what):
     except TypeError:
         raise ShapeMismatch(
             f"{what} must be a sequence, got {values!r}") from None
+
+
+class _FrozenRecord:
+    """A frozen value record. A subclass lists the fields it adds as
+    `__slots__` and sets each in its own `__init__` through
+    object.__setattr__; its fields, its bases' first, are its
+    `__match_args__`. A record compares, hashes, prints, copies and
+    pickles by its fields in that order, and raises AttributeError on
+    assignment or deletion. Equal fields make no two records of different
+    classes equal."""
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls.__match_args__ += cls.__slots__
+        # `_values`, the fields as a tuple, read in C as a dataclass's
+        # generated methods read them inline; attrgetter of one name gives
+        # the bare value
+        get = attrgetter(*cls.__match_args__)
+        cls._values = property(get if len(cls.__match_args__) > 1
+                               else lambda record: (get(record),))
+
+    def __repr__(self):
+        body = ", ".join([f"{name}={value!r}" for name, value
+                          in zip(self.__match_args__, self._values)])
+        return f"{type(self).__qualname__}({body})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __reduce__(self):
+        # rebuilt through __init__, so an unpickled record is checked too
+        return type(self), self._values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _require_type(value, cls, name):
@@ -313,17 +359,17 @@ def _check_threshold_k(k):
     raise InvalidInput(f"threshold k must be finite and real, got {k!r}")
 
 
-@dataclass(frozen=True)
-class ThresholdMode:
+class ThresholdMode(_FrozenRecord):
     """Cut rule for raw activation values. kind is 'fuzzy' or 'neutrosophic';
     k is the cut constant (strict inequality, default 0), a finite real."""
 
-    kind: str
-    k: float = 0.0
+    __slots__ = ("kind", "k")
 
-    def __post_init__(self):
-        parse_name(self.kind, ALGEBRAS, "threshold kind")
-        _check_threshold_k(self.k)
+    def __init__(self, kind: str, k: float = 0.0):
+        parse_name(kind, ALGEBRAS, "threshold kind")
+        _check_threshold_k(k)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "k", k)
 
 
 def _order_pair(a: Scalar, b: Scalar, policy: OrderPolicy):

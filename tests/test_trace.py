@@ -1,5 +1,7 @@
 """Trace serialization, parsing, and independent verification."""
 
+import dataclasses
+import math
 import pathlib
 import re
 import time
@@ -17,6 +19,7 @@ from fuzzymaps import (
     RM,
     ComponentTag,
     FixedPoint,
+    HiddenPattern,
     LimitCycle,
     Matrix,
     ModelClass,
@@ -178,6 +181,36 @@ def test_render_trace_writes_the_settings_of_its_run():
                         policy=OrderPolicy.BOOK_DEFAULT, threshold_k=-1.0,
                         model_class=mf.model.model_class,
                         name=mf.name) == text
+
+
+@pytest.mark.parametrize("field, value, error, message", [
+    pytest.param("input", (), TypeError, "input must be a SpecialStateVector",
+                 id="input"),
+    pytest.param("special", None, TypeError, "special must be a SpecialMatrix",
+                 id="special"),
+    pytest.param("policy", "book", TypeError, "policy must be a OrderPolicy",
+                 id="policy-text"),
+    pytest.param("threshold_k", "0", InvalidInput, "threshold k must be",
+                 id="threshold-k-text"),
+    pytest.param("threshold_k", math.inf, InvalidInput, "threshold k must be",
+                 id="threshold-k-inf"),
+])
+def test_a_hand_built_pattern_is_checked_before_it_renders(
+        field, value, error, message):
+    # render_trace would read `.value` of a text policy, and coerce a text
+    # k, leaking AttributeError or TypeError
+    mf, pattern = run_fixture(*SQUARE)
+    fields = {"outcomes": pattern.outcomes, "trace": pattern.trace,
+              "input": pattern.input, "special": pattern.special,
+              "policy": pattern.policy, "threshold_k": pattern.threshold_k}
+    assert render_trace(HiddenPattern(**fields)) == render_trace(pattern)
+    with pytest.raises(error, match=message):
+        HiddenPattern(**{**fields, field: value})
+    # replace rebuilds through the same checks
+    flipped = dataclasses.replace(pattern, outcomes=pattern.outcomes[::-1])
+    assert flipped.outcomes == pattern.outcomes[::-1]
+    with pytest.raises(error, match=message):
+        dataclasses.replace(pattern, **{field: value})
 
 
 def test_metadata_is_optional():
@@ -618,6 +651,22 @@ def test_malformed_line_raises_trace_error_naming_it(prefix, edit):
     lines[at] = edited
     with pytest.raises(TraceError, match=rf"^line {at + 1}: "):
         verify_trace("\n".join(lines) + "\n")
+
+
+def test_a_second_run_line_is_rejected():
+    # a copy of the run line at other settings, inserted after it, would
+    # otherwise verify, and parse_trace would report the copy's settings
+    lines = GOLDEN.splitlines()
+    at = next(i for i, l in enumerate(lines) if l.startswith("run "))
+    copy = lines[at].replace(" policy=book threshold-k=0",
+                             " policy=indeterminacy threshold-k=0.5")
+    assert copy != lines[at]
+    lines.insert(at + 1, copy)
+    text = "\n".join(lines) + "\n"
+    for read in (parse_trace, verify_trace):
+        with pytest.raises(TraceError,
+                           match=rf"^line {at + 2}: a second run line$"):
+            read(text)
 
 
 @pytest.mark.parametrize("old, new", [
