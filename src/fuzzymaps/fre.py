@@ -28,7 +28,6 @@ is rejected. failing_columns and check_necessary check on the carrier.
 from __future__ import annotations
 
 import operator
-import struct
 from collections import namedtuple
 from itertools import compress
 
@@ -41,7 +40,15 @@ from .errors import (
 )
 # maxmin_compose stays bound: bench/tracing.py wraps it by this name
 from .matrices import Matrix, maxmin_compose, row_vector  # noqa: F401
-from .values import ONE, ZERO, Scalar, ValueDomain, _FrozenRecord, coerce
+from .values import (
+    ONE,
+    ZERO,
+    Scalar,
+    ValueDomain,
+    _FrozenRecord,
+    _ranks,
+    coerce,
+)
 
 
 class FreSolution(_FrozenRecord):
@@ -73,16 +80,6 @@ def _checked(value, neutrosophic: bool) -> Scalar:
 
 _REAL = operator.attrgetter("real_part")
 _INDET = operator.attrgetter("indet_coeff")
-
-
-def _ranks(magnitudes: list) -> list:
-    """The bit pattern of each double read as an int: it orders doubles
-    >= 0 as their values, is negative below 0 and exceeds the rank of 1
-    above 1 (NaN is one or the other)."""
-    n = len(magnitudes)
-    return list(struct.unpack(f"{n}q", struct.pack(f"{n}d", *magnitudes)))
-
-
 _ONE_RANK = _ranks([1.0])[0]
 
 

@@ -3,7 +3,10 @@ entrywise Max/Min, the max-min and min-max compositions, ordinary product
 and sum, and transpose.
 
 Everything here is tiny (instances in practice are at most 9x9), so storage
-is a flat tuple and the operations are straightforward loops.
+is a flat tuple and most operations are straightforward loops. Max-min and
+min-max fold each row on int order codes (values._order_code) when every
+value has one, and fall back to the Scalar fold, their reference, when one
+has none.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from .values import (
     OrderPolicy,
     Scalar,
     ValueDomain,
+    _ORDER_FLIP,
     _coerce_each,
+    _order_codes,
     _order_pair,
     _require_iterable,
     domain_join,
@@ -255,12 +260,69 @@ def fold_row(row, b: Matrix, inner, outer) -> tuple:
                  for j in range(cols))
 
 
+def _coded_columns(b: Matrix, op, policy):
+    """The codes of `b`'s entries in the inner order of `op` (the min
+    order for maxmin, the max order for minmax) under `policy`, column
+    after column; None when an entry has no code. A matrix keeps its own,
+    as `b._memo(_coded_columns, op, policy)`."""
+    codes = _order_codes(b.entries, policy)
+    if codes is None:
+        return None
+    if op == "minmax":
+        codes = list(map(_ORDER_FLIP[policy].__xor__, codes))
+    cols = b.cols
+    return list(chain.from_iterable(codes[j::cols] for j in range(cols)))
+
+
+def _coded_row(row: tuple, b: Matrix, op, policy):
+    """fold_row(row, b, *operators(op, policy)) for `op` maxmin or minmax
+    and an OrderPolicy member `policy`, folded on order codes: the same
+    operand objects, or None when a value of `row` or `b` has no code.
+
+    For column j, `met` holds the code of each inner result. The outer
+    fold keeps the first operand that no later one beats, so its result
+    is inner result k for the first k whose code wins in the outer order:
+    x_k, unless q_kj lies strictly beyond it in the inner order."""
+    by_column = b._memo(_coded_columns, op, policy)
+    codes = None if by_column is None else _order_codes(row, policy)
+    if codes is None:
+        return None
+    flip = _ORDER_FLIP[policy]
+    if op == "maxmin":
+        inner, outer = min, max
+    else:
+        inner, outer = max, min
+        codes = list(map(flip.__xor__, codes))
+    cells, cols = b.entries, b.cols
+    # every inner result in one C-level pass, cut into one tuple per column
+    mets = zip(*[map(inner, codes * cols, by_column)] * len(codes))
+    out = []
+    for j, met in enumerate(mets):
+        if flip == 1:
+            # BOOK_DEFAULT's two orders differ only in n against nI, whose
+            # codes differ in bit 0: the outer order picks nI
+            best = outer(met)
+            if best ^ 1 in met:
+                best ^= 1
+        else:
+            best = outer(met, key=flip.__xor__)
+        k = met.index(best)
+        out.append(row[k] if best == codes[k] else cells[k * cols + j])
+    return tuple(out)
+
+
 def _product(a: Matrix, b: Matrix, what, op, policy, domain) -> Matrix:
     _require_inner(a, b, what)
     inner, outer = operators(op, policy)
+    level = op != "circle"
+    if level:
+        policy = OrderPolicy.parse(policy)
     cells = []
     for i in range(a.rows):
-        cells.extend(fold_row(a.row(i), b, inner, outer))
+        row = a.row(i)
+        coded = _coded_row(row, b, op, policy) if level else None
+        cells.extend(fold_row(row, b, inner, outer) if coded is None
+                     else coded)
     return Matrix(a.rows, b.cols, cells, domain)
 
 

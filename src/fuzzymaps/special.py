@@ -10,11 +10,21 @@ records are the only view of a union step.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .errors import EmptyUnion, NonSquareCM, ShapeMismatch
-from .matrices import OPS, Matrix, _Memoized, fold_row, operators
+from .matrices import (
+    OPS,
+    Matrix,
+    _coded_row,
+    _Memoized,
+    fold_row,
+    operators,
+)
 from .values import (
     ALGEBRAS,
     OrderPolicy,
+    Scalar,
     ValueDomain,
     _FrozenRecord,
     _ancestors,
@@ -219,8 +229,20 @@ def apply_part(part, mat: Matrix, op: str,
                policy=OrderPolicy.BOOK_DEFAULT):
     """Apply one state part against one matrix with the given operator.
     The part length must equal the matrix row count; the result length is
-    the column count. The part's values may be Scalars, ints or floats."""
+    the column count. The part's values may be Scalars, ints or floats.
+
+    The result is fold_row's under operators(op, policy), the reference
+    semantics. Max-min and min-max fold on int order codes instead when
+    every value of the part and the matrix has one (matrices._coded_row),
+    with the same operand objects as the result."""
     if len(part) != mat.rows:
         raise ShapeMismatch(
             f"state length {len(part)} does not match {mat.rows}x{mat.cols}")
-    return fold_row(tuple(map(coerce, part)), mat, *operators(op, policy))
+    if not all(map(isinstance, part, repeat(Scalar))):
+        part = map(coerce, part)
+    part = tuple(part)  # a tuple of Scalars is kept as it is
+    if op == "maxmin" or op == "minmax":
+        coded = _coded_row(part, mat, op, OrderPolicy.parse(policy))
+        if coded is not None:
+            return coded
+    return fold_row(part, mat, *operators(op, policy))

@@ -190,6 +190,14 @@ def _parse_state(text: str, states: dict):
     return state
 
 
+def _first(records: dict, idx: int, head: str) -> int:
+    """`idx`, unless `records` already holds a `head` line for that
+    component, which raises TraceError."""
+    if idx in records:
+        raise TraceError(f"a second {head} line for component {idx + 1}")
+    return idx
+
+
 def parse_trace(text: str) -> dict:
     """Structural parse into a dict: side, the run line's step and
     component counts, model class, OrderPolicy and threshold k (a float),
@@ -197,8 +205,9 @@ def parse_trace(text: str) -> dict:
     masks, steps, finals. Each name, and k, is read with the engine's own
     rule, and each run, component, step and final line holds its fields
     once, one space apart, in render_trace's order; a trace has one run
-    line, which may end in other fields. Raises TraceError, naming the
-    line, on malformed input."""
+    line, which may end in other fields, and one component, input, mask
+    and final line per component. Raises TraceError, naming the line, on
+    malformed input."""
     _require_type(text, str, "text")
     step_re, run_re, component_re, final_re = _line_patterns()
     side = model_class = None
@@ -246,23 +255,24 @@ def parse_trace(text: str) -> dict:
                     _check_threshold_k(k)
             elif head == "component":
                 idx, kind, algebra, op, *shape = _fields(component_re, rest)
-                idx = int(idx) - 1
+                idx = _first(tags, int(idx) - 1, head)
                 tags[idx] = ComponentTag(kind, algebra, op)
                 shapes[idx] = tuple(map(int, shape))
             elif head == "input":
                 tokens = rest.split(None, 1)
-                inputs[_ascii_int(tokens[0]) - 1] = _parse_state(
-                    tokens[1].strip(), states)
+                idx = _first(inputs, _ascii_int(tokens[0]) - 1, head)
+                inputs[idx] = _parse_state(tokens[1].strip(), states)
             elif head == "mask":
                 tokens = rest.split(None, 1)
                 body = tokens[1].strip()
                 if not (body.startswith("[") and body.endswith("]")):
                     raise TraceError("bad mask")
-                masks[_ascii_int(tokens[0]) - 1] = tuple(
+                idx = _first(masks, _ascii_int(tokens[0]) - 1, head)
+                masks[idx] = tuple(
                     _ascii_int(c) - 1 for c in body[1:-1].split())
             elif head == "final":
                 idx, shape, period, settled, *named = _fields(final_re, rest)
-                idx = int(idx) - 1
+                idx = _first(finals, int(idx) - 1, head)
                 if shape not in _FINAL_FIELDS:
                     raise TraceError(f"unknown final shape {shape!r}")
                 if tuple(named[::2]) != _FINAL_FIELDS[shape]:

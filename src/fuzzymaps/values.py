@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from enum import Enum
 from itertools import repeat
 from operator import attrgetter
@@ -377,8 +378,11 @@ def _order_pair(a: Scalar, b: Scalar, policy: OrderPolicy):
     (equal operands give (a, a)). Raises on mixed operands, naming `a`
     when both are mixed.
 
-    Each coefficient is read once: the order only selects operands, and
-    it is the innermost call of every max-min and min-max step."""
+    This is the order's reference rule. Each coefficient is read once: it
+    is the innermost call of the Scalar fold (matrices.fold_row). The
+    coded fold of max-min and min-max steps (matrices._coded_row) orders
+    values by `_order_code` instead, which agrees with this rule on every
+    value that has a code."""
     ar, ai = a.real_part, a.indet_coeff
     br, bi = b.real_part, b.indet_coeff
     if not ai and not bi:  # two reals
@@ -406,6 +410,71 @@ def _order_pair(a: Scalar, b: Scalar, policy: OrderPolicy):
     if mr == mi:
         return indet, indet
     return (real, indet) if mr < mi else (indet, real)
+
+
+def _ranks(magnitudes: list) -> list:
+    """The bit pattern of each double read as an int: it orders doubles
+    >= 0 as their values, is negative below 0 and exceeds the rank of 1
+    above 1 (NaN is one or the other)."""
+    n = len(magnitudes)
+    return list(struct.unpack(f"{n}q", struct.pack(f"{n}d", *magnitudes)))
+
+
+# The min order's code XOR this constant is the max order's code.
+_ORDER_FLIP = {OrderPolicy.BOOK_DEFAULT: 1,
+               OrderPolicy.INDETERMINACY_DOMINANT: 1 << 64}
+
+
+def _order_code(real: float, indet: float, policy: OrderPolicy):
+    """The int that orders the value real + indet*I as `_order_pair`'s
+    min does under `policy`, or None when the value has no code: a
+    negative or NaN coefficient, or a mixed value. Off the coded values
+    that order is not total (-2 < 1 < 1.5I < -2 under BOOK_DEFAULT).
+
+    A code is the bit pattern of the magnitude (`_ranks`) plus a flag bit
+    for a real. Under BOOK_DEFAULT it is bits << 1 | is_real, so nI sits
+    just below n; under INDETERMINACY_DOMINANT it is is_real << 64 | bits,
+    so every multiple of I sits below every real. The code XOR
+    `_ORDER_FLIP[policy]` orders values as `_order_pair`'s max does: nI
+    just above n, or every multiple of I above every real. Equal codes
+    are equal values."""
+    if not (real >= 0.0 and indet >= 0.0) or (real and indet):
+        return None
+    bits = _ranks([real + indet])[0]
+    is_real = not indet
+    if policy is OrderPolicy.BOOK_DEFAULT:
+        return bits << 1 | is_real
+    return is_real << 64 | bits
+
+
+# _order_codes' memo, one per policy: the (real_part, indet_coeff) float
+# pair -> its code. Keyed by the float pair, as _TEXTS is; values without
+# a code are never kept. Bounded like _TEXTS: once full it only reads.
+_CODE_LIMIT = 4096
+_CODES = {policy: {} for policy in OrderPolicy}
+_PAIR = attrgetter("real_part", "indet_coeff")
+
+
+def _order_codes(values, policy: OrderPolicy):
+    """The `_order_code` of each Scalar of `values` under `policy`, as a
+    list, or None when one has no code. A sequence of values the memo
+    holds, the common case, is one C-level pass of lookups."""
+    table = _CODES[policy]
+    try:
+        return list(map(table.__getitem__, map(_PAIR, values)))
+    except KeyError:
+        pass
+    codes = []
+    for pair in map(_PAIR, values):
+        code = table.get(pair)
+        if code is None:
+            code = _order_code(*pair, policy)
+            if code is None:
+                return None
+            if len(table) < _CODE_LIMIT:
+                table[pair] = code
+        codes.append(code)
+    return codes
 
 
 def scalar_min(a, b, policy=OrderPolicy.BOOK_DEFAULT) -> Scalar:

@@ -57,6 +57,20 @@ def test_run_writes_verifiable_trace(tmp_path):
                                   ).read_bytes()
 
 
+@pytest.mark.parametrize("policy", ["book", "indeterminacy"])
+def test_neutrosophic_level_run_writes_its_golden_trace(tmp_path, policy):
+    # a union of neutrosophic max-min and min-max components, CM and RM,
+    # whose values hold n against nI ties; byte for byte its golden trace
+    # at each order policy
+    trace = tmp_path / "run.trace"
+    proc = cli("run", "--model", FIXTURES / "neutro_level_union.model",
+               "--input", FIXTURES / "neutro_level_union_seed.vec",
+               "--order-policy", policy, "--trace", trace)
+    assert proc.returncode == 0, proc.stderr
+    assert trace.read_bytes() == (
+        FIXTURES / f"neutro_level_union_{policy}.trace").read_bytes()
+
+
 def test_run_trace_is_reproducible(tmp_path):
     out = []
     for name in ("a.trace", "b.trace"):

@@ -12,6 +12,8 @@ must return the very operand objects the spec picks, since memos and
 trace rendering share tuples by identity.
 """
 
+import contextlib
+import math
 from functools import reduce
 
 import pytest
@@ -32,8 +34,10 @@ from fuzzymaps import (
     scalar_min,
     sigma,
 )
+from fuzzymaps import matrices as matrices_module, special
+from fuzzymaps.matrices import fold_row, operators
 from fuzzymaps.special import apply_part
-from fuzzymaps.values import _order_pair
+from fuzzymaps.values import _ORDER_FLIP, _order_code, _order_pair
 
 BOOK = OrderPolicy.BOOK_DEFAULT
 INDET = OrderPolicy.INDETERMINACY_DOMINANT
@@ -248,3 +252,120 @@ def test_apply_part_matches_the_spec(data, rows, cols, policy):
     assert apply_part(plain, mat, "circle") == apply_part(
         [Scalar(v) for v in plain], mat, "circle")
 
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_order_codes_order_values_as_min_and_max_do(policy):
+    magnitudes = [0.0, 0.3, 1.0, 1.5, math.inf]
+    values = [Scalar(m) for m in magnitudes] \
+        + [Scalar(0, m) for m in magnitudes if m] \
+        + [Scalar(m) for m in magnitudes]  # equal values, other objects
+    code = {id(x): _order_code(x.real_part, x.indet_coeff, policy)
+            for x in values}
+    flip = _ORDER_FLIP[policy]
+    for a in values:
+        for b in values:
+            low, high = _order_pair(a, b, policy)
+            assert (low is a) == (code[id(a)] <= code[id(b)])
+            assert (high is a) == (code[id(a)] ^ flip >= code[id(b)] ^ flip)
+    # a negative or NaN coefficient, or a mixed value, has no code
+    for real, indet in ((-0.5, 0.0), (0.0, -1.0), (math.nan, 0.0),
+                        (0.0, math.nan), (0.5, 0.5)):
+        assert _order_code(real, indet, policy) is None
+
+
+def reals_and_indets(coeffs):
+    """Reals and multiples of I of the coefficients `coeffs`, each drawn
+    as a new object."""
+    return st.one_of(st.builds(Scalar, coeffs),
+                     st.builds(lambda b: Scalar(0, b), coeffs))
+
+
+# Values with an order code (values._order_code) and values without one.
+# Few magnitudes, so that equal values in distinct objects and n against
+# nI ties come up often; values above 1 have codes too.
+coded = reals_and_indets(st.sampled_from([0.0, 0.3, 0.5, 1.0, 1.5]))
+negatives = reals_and_indets(st.sampled_from([-0.5, -1.0]))
+nans = reals_and_indets(st.just(math.nan))
+mixed = st.builds(Scalar, st.sampled_from([0.5, -0.3]),
+                  st.sampled_from([0.5, 1.0]))
+# coded values alone, or with values of one kind without a code, or of
+# every kind
+cell_kinds = st.sampled_from([
+    coded, *(st.one_of(coded, kind) for kind in (negatives, nans, mixed)),
+    st.one_of(coded, negatives, nans, mixed)])
+
+
+def has_code(x):
+    return (x.real_part >= 0 and x.indet_coeff >= 0
+            and not (x.real_part and x.indet_coeff))
+
+
+def scalar_fold(rows, q, op, policy):
+    """The reference: each row folded in the Scalar order, as outcome()
+    reports it."""
+    return outcome(lambda: tuple(
+        cell for row in rows
+        for cell in fold_row(tuple(row), q, *operators(op, policy))))
+
+
+@contextlib.contextmanager
+def coded_path_spy():
+    """Record (row, served) for each call of matrices._coded_row within
+    the block, where served tells whether it returned a result rather
+    than None."""
+    calls = []
+    real = matrices_module._coded_row
+
+    def spy(row, b, op, policy):
+        out = real(row, b, op, policy)
+        calls.append((row, out is not None))
+        return out
+
+    for module in (matrices_module, special):
+        module._coded_row = spy
+    try:
+        yield calls
+    finally:
+        for module in (matrices_module, special):
+            module._coded_row = real
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 9), st.integers(1, 9), st.integers(1, 9),
+       st.sampled_from(POLICIES))
+def test_coded_fold_matches_the_scalar_fold(data, m, n, s, policy):
+    cells = data.draw(cell_kinds)
+    p = data.draw(matrices(m, n, cells))
+    q = data.draw(matrices(n, s, cells))
+    for op, compose in (("maxmin", maxmin_compose),
+                        ("minmax", minmax_compose)):
+        for call, rows in ((lambda: apply_part(p.row(0), q, op, policy),
+                            [p.row(0)]),
+                           (lambda: compose(p, q, policy).entries,
+                            [p.row(i) for i in range(m)])):
+            want = scalar_fold(rows, q, op, policy)
+            with coded_path_spy() as served:
+                assert_same(outcome(call), want)
+            # the coded path serves each row whose values and q's all
+            # have codes, and no other row
+            for row, ok in served:
+                assert ok == all(map(has_code, row + q.entries))
+            if want[0] == "ok":
+                assert [row for row, _ in served] == rows
+
+
+def test_a_negative_value_never_takes_the_coded_path():
+    """ROADMAP item 1's probe, as the order stands. Under BOOK_DEFAULT a
+    negative real against a multiple of I is ordered by magnitude, which
+    is not transitive (-0.9 < 0.5 < 0.7I < -0.9), so the Scalar fold's
+    answer depends on the order of the column. A negative value has no
+    order code, so these folds stay on the Scalar path. Item 1's spec
+    decision (raise OrderUndefined, or order nI as the signed n) will
+    change both answers."""
+    row = Matrix.from_rows([[1, 1, 1]])
+    for column, want in (([-0.9, 0.5, Scalar(0, 0.7)], "0.7I"),
+                         ([0.5, Scalar(0, 0.7), -0.9], "-0.9")):
+        with coded_path_spy() as served:
+            got = maxmin_compose(row, Matrix.from_rows([[v] for v in column]))
+        assert render_scalar(got.at(0, 0)) == want
+        assert served == [(row.row(0), False)]

@@ -669,6 +669,29 @@ def test_a_second_run_line_is_rejected():
             read(text)
 
 
+@pytest.mark.parametrize("head, false", [
+    pytest.param("component", lambda l: l.replace("op=circle", "op=maxmin"),
+                 id="component"),
+    pytest.param("input", lambda l: "input 1 [0 1 0 0 0 0 0 0]", id="input"),
+    pytest.param("mask", lambda l: "mask 1 [2]", id="mask"),
+    pytest.param("final", lambda l: "final 1 fixed-point period=1 settled=3 "
+                                    "state=[1 1 1 1 1 1 1 1]", id="final"),
+])
+def test_a_second_line_for_one_component_is_rejected(head, false):
+    # a false line inserted before the true one would otherwise verify,
+    # and parse_trace would report the true line's record only
+    lines = GOLDEN.splitlines()
+    at = next(i for i, l in enumerate(lines) if l.startswith(f"{head} 1 "))
+    line = false(lines[at])
+    assert line != lines[at]
+    lines.insert(at, line)
+    text = "\n".join(lines) + "\n"
+    for read in (parse_trace, verify_trace):
+        with pytest.raises(TraceError, match=rf"^line {at + 2}: a second "
+                                             rf"{head} line for component 1$"):
+            read(text)
+
+
 @pytest.mark.parametrize("old, new", [
     pytest.param(" threshold-k=0", " threshold-k=0 op=tagged", id="op-tagged"),
     pytest.param(" threshold-k=0", "", id="no-threshold-k"),
