@@ -13,7 +13,7 @@ the operator its tag declares.
   domain, so they take domain-side seeds only; rectangular (RM)
   components take either side. part_problem checks a part's side and
   length, seed_problems adds the crisp check, and trace verification
-  asks both too.
+  asks both too; a run reads them from one memo on the seed.
 * Schedule: landing_side. A CM component lands on the seeded side every
   step; an RM component alternates its matrix with its transpose, so it
   lands on the far side after an odd number of steps. A run reads it
@@ -30,7 +30,8 @@ the operator its tag declares.
   seeded side, compared once per round (the steps that bring it back
   there). An RM state is paired with the unpinned far-side state recorded
   one step later. A one-state cycle is a FixedPoint, a longer one a
-  LimitCycle; Recurrence holds this rule, and verify_trace drives it too.
+  LimitCycle; Recurrence holds this rule (a cycle is one slice of the
+  states it keeps in round order), and verify_trace drives it too.
 * Orbits: the components of a union never read each other, so each
   runs alone from its seed part until it settles (_orbit), and a run is
   one orbit per component. The union trace is derived from the orbits:
@@ -201,14 +202,14 @@ class Recurrence:
     one closes the cycle from that earlier state up to the state before
     it. An RM cycle closes as (domain, range) pairs, each seeded-side
     state of step t with the unpinned far-side state recorded at t + 1.
-    """
+    The states are kept in round order, so a cycle is one slice of them."""
 
     __slots__ = ("kind", "side", "seen")
 
     def __init__(self, kind, side, first):
         self.kind = kind
         self.side = side
-        self.seen = {first: 0}  # seeded-side state -> step, in step order
+        self.seen = {first: 0}  # seeded-side state -> step, in round order
 
     def closes(self, step, state):
         """Record `state`, the seeded-side state that ends the round at
@@ -219,11 +220,13 @@ class Recurrence:
         """The cycle the recurring `state` closed, in step order: its
         seeded-side states, on an RM component each paired with far(t),
         the far-side state recorded at step t + 1."""
-        start = self.seen[state]
-        cycle = [(s, t) for s, t in self.seen.items() if t >= start]
+        steps = list(self.seen.values())
+        start = steps.index(self.seen[state])  # its round
+        states = list(self.seen)[start:]
         if self.kind == CM:
-            return [s for s, _ in cycle]
-        return [self.orient((s, far(t))) for s, t in cycle]
+            return states
+        return [self.orient((s, far(t)))
+                for s, t in zip(states, steps[start:])]
 
     def orient(self, pair):
         """A (seeded-side, far-side) pair in (domain, range) order."""
@@ -394,26 +397,31 @@ def validate_input(m: SpecialMatrix, x: SpecialStateVector) -> list:
     """Every way a run of `m` from `x` cannot start, as messages naming
     the component: each component off the carrier of its tag, then the
     part count, else each part's seed_problems on the seeded side. Empty
-    means valid.
+    means valid. A union or seed of the wrong type raises TypeError.
 
-    Each input is read once: the union keeps its carrier problems and the
-    seed keeps each part's problems per component index, kind and shape,
-    so a sweep of seeds over one union, or of unions under one seed,
-    checks each part once."""
-    out = [*m._memo(_carrier_problems)]
-    if len(x) != len(m):
-        return out + [
-            f"input has {len(x)} parts, union has {len(m)} components"]
-    for idx, (mat, tag) in enumerate(m):
-        out += x._memo(_part_problems, idx, tag.kind, mat.rows, mat.cols)
-    return out
+    Each input is read once: the union keeps its carrier problems and its
+    components' (kind, rows, cols), and the seed its problems per those."""
+    _require_type(m, SpecialMatrix, "union")
+    _require_type(x, SpecialStateVector, "seed")
+    return [*m._memo(_carrier_problems),
+            *x._memo(_seed_problems, m._memo(_component_shapes))]
 
 
-def _part_problems(x, idx, kind, rows, cols) -> tuple:
-    """The seed_problems of part `idx` of the seed `x` as the seed part of
-    component idx + 1, a rows x cols component of `kind`."""
-    return tuple(seed_problems(f"component {idx + 1}", x.parts[idx], kind,
-                               x.side, rows, cols))
+def _component_shapes(m) -> tuple:
+    """The (kind, rows, cols) of each component of the union `m`."""
+    return tuple([(tag.kind, mat.rows, mat.cols) for mat, tag in m])
+
+
+def _seed_problems(x, shapes) -> tuple:
+    """The part count of the seed `x` against a union of components of
+    these (kind, rows, cols), else each part's seed_problems."""
+    if len(x) != len(shapes):
+        return (f"input has {len(x)} parts, union has {len(shapes)} "
+                f"components",)
+    return tuple([problem for idx, (part, (kind, rows, cols))
+                  in enumerate(zip(x.parts, shapes))
+                  for problem in seed_problems(f"component {idx + 1}", part,
+                                               kind, x.side, rows, cols)])
 
 
 def _seed_masks(x) -> tuple:
@@ -516,7 +524,7 @@ class _PackedStep(_Kernel):
         cut = math.floor(k) + 1
         cut = -reach if cut < -reach else reach + 1 if cut > reach else cut
         self.code = code = matrix._memo(_PackedCode, cut)
-        self.pin = sum([code.bits[i] for i in pin_on])
+        self.pin = sum(map(code.bits.__getitem__, pin_on))
 
     def step(self, x):
         code = self.code
@@ -770,12 +778,13 @@ def _orbit(kernels, kind, part, seeded, max_steps):
             break
     else:
         return steps, None
-    cycle = recurrence.cycle(state, lambda t: steps[t][2])
     if kind == CM:
-        return steps, Recurrence.outcome(map(home.part, cycle))
+        return steps, Recurrence.outcome(
+            map(home.part, recurrence.cycle(state)))
     domain, range_ = recurrence.orient(kernels[::-1])
     return steps, Recurrence.outcome(
-        [(domain.part(d), range_.part(r)) for d, r in cycle])
+        [(domain.part(d), range_.part(r))
+         for d, r in recurrence.cycle(state, lambda t: steps[t][2])])
 
 
 def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *,
@@ -790,15 +799,13 @@ def run_mixed(m: SpecialMatrix, x0: SpecialStateVector, *,
     component still unsettled after `max_steps` steps is named in one
     IterationCapExceeded. A union or seed of the wrong type raises
     TypeError first."""
-    _require_type(m, SpecialMatrix, "union")
-    _require_type(x0, SpecialStateVector, "seed")
+    problems = validate_input(m, x0)  # a wrong type raises TypeError here
     _check_threshold_k(threshold_k)
     if isinstance(max_steps, bool) or not isinstance(max_steps, int):
         raise InvalidInput(f"max steps must be an int, got {max_steps!r}")
     if max_steps < 1:
         raise InvalidInput(f"max steps must be at least 1, got {max_steps}")
     policy = OrderPolicy.parse(policy)
-    problems = validate_input(m, x0)
     if problems:
         raise InvalidInput("; ".join(problems))
     outcomes, orbits = [], []
@@ -823,9 +830,9 @@ def _run_only(kind, error, m, x0, options) -> HiddenPattern:
     that is not raises `error`, once the argument types pass."""
     _require_type(m, SpecialMatrix, "union")
     _require_type(x0, SpecialStateVector, "seed")
-    for idx, (_, tag) in enumerate(m):
-        if tag.kind != kind:
-            raise error(f"component {idx + 1} is tagged {tag.kind}")
+    for idx, (tagged, _, _) in enumerate(m._memo(_component_shapes)):
+        if tagged != kind:
+            raise error(f"component {idx + 1} is tagged {tagged}")
     return run_mixed(m, x0, **options)
 
 

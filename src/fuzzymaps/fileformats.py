@@ -50,6 +50,7 @@ from .values import (
     _FrozenRecord,
     _ascii_int,
     _check_one_line,
+    _require_type,
     parse_scalar,
     parse_scalars,
     render_scalar,
@@ -70,6 +71,7 @@ def _lines(text):
     """Significant (lineno, content) pairs; comments and blanks dropped.
     The content keeps its leading whitespace, so columns count from the
     start of the line."""
+    _require_type(text, str, "text")
     out = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         body = raw.partition("#")[0].rstrip()

@@ -119,6 +119,11 @@ _RULES = {
     ModelClass.SMNRE: _ClassRule(_RM_ONLY, _N, _MAXMIN),
 }
 
+# the component kinds each dynamical class allows, which pick its engine
+_ENGINE_KINDS = {member: rule.kinds for member, rule in _RULES.items()
+                 if member not in FRE_CLASSES}
+
+
 class Model(_FrozenRecord):
     """A validated union with class, labels, and expert provenance. The
     labels hold, per component, (row_labels,) for CM and (rows, cols) for
@@ -295,6 +300,10 @@ def run(model: Model, x0: SpecialStateVector, **options):
     model or seed of the wrong type raises TypeError first."""
     _require_type(model, Model, "model")
     _require_type(x0, SpecialStateVector, "seed")
-    kinds = _RULES[_dynamical_class(model.model_class)].kinds
-    engine = {_CM_ONLY: run_cm, _RM_ONLY: run_rm}.get(kinds, run_mixed)
+    kinds = _ENGINE_KINDS.get(model.model_class) \
+        if isinstance(model.model_class, ModelClass) else None
+    if kinds is None:  # an equation class, or a class given as its text
+        kinds = _RULES[_dynamical_class(model.model_class)].kinds
+    engine = run_cm if kinds == _CM_ONLY else run_rm if kinds == _RM_ONLY \
+        else run_mixed
     return engine(model.matrix, x0, **options)

@@ -37,6 +37,7 @@ from fuzzymaps import (
     SpecialStateVector,
     ThresholdMode,
     build_model,
+    parse_matrix_text,
     parse_model_text,
     parse_scalar,
     parse_trace,
@@ -200,6 +201,62 @@ def test_detect_cycle_pairs_each_rm_state_with_the_next_step():
     assert first_pattern([d0, r0, d1, r0], RM) is None
     got = first_pattern([d0, r0, d1, r1, d0, r0], RM)
     assert got == LimitCycle(((d0, r0), (d1, r1)), 2)
+
+
+class ScanRecurrence:
+    """The reference for Recurrence: each compared state keyed by the step
+    that recorded it, and a cycle read by a scan over every (state, step)
+    pair for those from the recurring state's step on."""
+
+    def __init__(self, kind, side, first):
+        self.kind, self.side, self.seen = kind, side, {first: 0}
+
+    def closes(self, step, state):
+        return self.seen.setdefault(state, step) != step
+
+    def cycle(self, state, far=None):
+        start = self.seen[state]
+        cycle = [(s, t) for s, t in self.seen.items() if t >= start]
+        if self.kind == CM:
+            return [s for s, _ in cycle]
+        pairs = [(s, far(t)) for s, t in cycle]
+        return pairs if self.side == DOMAIN_SIDE else [p[::-1] for p in pairs]
+
+
+def reference_outcome(cycle):
+    return (FixedPoint(cycle[0]) if len(cycle) == 1
+            else LimitCycle(tuple(cycle), len(cycle)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from([CM, RM]),
+       side=st.sampled_from([DOMAIN_SIDE, RANGE_SIDE]),
+       lead=st.integers(0, 4), period=st.integers(1, 5), data=st.data())
+def test_recurrence_matches_a_scan_over_its_rounds(kind, side, lead, period,
+                                                   data):
+    # a history of `lead` rounds before a cycle of `period` rounds, whose
+    # last round recurs on the cycle's first state: with lead 0 the cycle
+    # closes on the seed itself. States are hashable and each round's is
+    # new until the last; an RM round is two steps, and the far-side state
+    # of each step is its own value, so a pairing at any other step differs
+    states = data.draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), unique=True,
+        min_size=lead + period, max_size=lead + period))
+    rounds = states + [states[lead]]
+    width = 1 if kind == CM else 2
+    far_states = {t: ("far", t) for t in range(width * len(rounds))}
+    far = far_states.__getitem__
+    got, want = Recurrence(kind, side, rounds[0]), ScanRecurrence(
+        kind, side, rounds[0])
+    for r, state in enumerate(rounds[1:], 1):
+        closed = got.closes(width * r, state)
+        assert closed == want.closes(width * r, state)
+        assert closed == (r == len(rounds) - 1)
+    cycle = got.cycle(rounds[-1], far)
+    assert list(cycle) == want.cycle(rounds[-1], far)
+    assert len(cycle) == period
+    assert Recurrence.outcome(cycle) == reference_outcome(
+        want.cycle(rounds[-1], far))
 
 
 # --------------------------------------------------- single square signed map
@@ -598,6 +655,20 @@ def test_run_rm_rejects_cm_components():
         run_rm(m, seed([0, 1, 0, 0, 1]))
 
 
+def test_a_run_of_one_kind_names_the_first_component_of_the_other():
+    rm32 = tri([[1, 0], [0, 1], [1, 1]])
+    union = SpecialMatrix([
+        (tri([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), ComponentTag()),
+        (rm32, ComponentTag(kind=RM)), (tri([[0, 1], [1, 0]]), ComponentTag()),
+        (rm32, ComponentTag(kind=RM))])
+    x = seed([1, 0, 0], [1, 0, 0], [1, 0], [1, 0, 0])
+    for _ in range(2):  # the second reads the union's kept kinds
+        with pytest.raises(NonCMComponent, match="^component 2 is tagged RM$"):
+            run_cm(union, x)
+        with pytest.raises(NonRMComponent, match="^component 1 is tagged CM$"):
+            run_rm(union, x)
+
+
 def test_iteration_cap():
     m = SpecialMatrix(OPMIX_COMPONENTS)
     with pytest.raises(IterationCapExceeded):
@@ -824,6 +895,17 @@ def test_run_option_of_a_wrong_type_is_invalid_input(probe):
                  id="render_trace-int"),
     pytest.param(lambda x: render_trace(run(SFCM_2, x), 5), "model",
                  id="render_trace-model-int"),
+    # and so do the readers and the seed check a run goes through
+    pytest.param(lambda x: parse_model_text(5), "text",
+                 id="parse_model_text-int"),
+    pytest.param(lambda x: parse_vector_text(5), "text",
+                 id="parse_vector_text-int"),
+    pytest.param(lambda x: parse_matrix_text(5), "text",
+                 id="parse_matrix_text-int"),
+    pytest.param(lambda x: validate_input(5, 5), "union",
+                 id="validate_input-int"),
+    pytest.param(lambda x: validate_input(SFCM_2.matrix, 5), "seed",
+                 id="validate_input-seed-int"),
 ])
 def test_a_wrongly_typed_run_argument_is_a_type_error_naming_it(probe, name):
     with pytest.raises(TypeError, match=f"^{name} must be a "):
@@ -1160,6 +1242,31 @@ def test_one_seed_against_other_unions_gets_the_unmemoized_problems():
             else:
                 assert run_mixed(union, x) == run_mixed(fresh(union),
                                                         fresh(x))
+
+
+def test_a_seed_checked_against_two_unions_keeps_each_message():
+    # the seed keeps its problems per tuple of its union's component
+    # shapes: a seed bad in components 2 and 4 reads the same messages
+    # however often it is checked, and a union of other shapes gets its
+    # own, not the first union's
+    sq3, sq2 = tri([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), tri([[0, 1], [1, 0]])
+    first = SpecialMatrix([(sq3, ComponentTag()), (sq2, ComponentTag()),
+                           (sq3, ComponentTag()), (sq3, ComponentTag())])
+    other = SpecialMatrix([(sq3, ComponentTag()), (sq3, ComponentTag()),
+                           (sq3, ComponentTag()), (sq2, ComponentTag())])
+    x = SpecialStateVector([[1, 0, 0], [1, 0.5], [0, 0, 1], [0, 1]])
+    messages = {
+        first: "component 2, coordinate 2: non-crisp input 0.5; entries "
+               "must be 0 or 1; component 4: input length 2 does not match "
+               "the domain space of 3x3",
+        other: "component 2: input length 2 does not match the domain "
+               "space of 3x3",
+    }
+    for union in (first, other, first, other):
+        with pytest.raises(InvalidInput) as err:
+            run_mixed(union, x)
+        assert str(err.value) == messages[union]
+
 
 
 # each off-carrier component of a bare union, with the carrier its tag
