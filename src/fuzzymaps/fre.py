@@ -9,15 +9,15 @@ budget of search nodes (real-valued inputs only).
 
 Every answer is read from one record per Q and target row, after Peeva &
 Kyosev (2004), who solve from the system's characteristic matrix. Each
-value is checked and coded once as an int that ranks its magnitude, with
-a low bit that sets a real n above nI in a system holding both: on the
-unit carrier the Scalar order differs from the order of magnitudes only
-there, where min(n, nI) = max(n, nI) = nI. One row pass gives p-hat; one
-column pass gives, for each k, the residual and J_k = {j : min(p-hat_j,
-q_jk) = r_k}. failing_columns folds each column's maximum from the same
-codes. min and max only select operands, so each code maps back to an
-input Scalar, 0 or 1, as in the Scalar order. Q keeps the record of its
-last target, so the calls on one system build it once.
+value is checked and coded once by the book order code of min
+(values._order_code), where nI sits just below n; the max fold takes nI
+at a tie with n (values._book_pick), as min(n, nI) = max(n, nI) = nI.
+A real system keeps bare keys. One row pass gives p-hat; one column
+pass gives, for each k, the residual and J_k = {j : min(p-hat_j, q_jk) =
+r_k}. failing_columns folds each column's maximum from the same codes.
+min and max only select operands, so each code maps back to an input
+Scalar, 0 or 1, as in the Scalar order. Q keeps the record of its last
+target, so the calls on one system build it once.
 
 Indeterminate entries are an opt-in extension (`neutrosophic=True`): each
 entry must then lie on the unit carrier, a real in [0, 1] or a pure
@@ -43,10 +43,16 @@ from .matrices import Matrix, maxmin_compose, row_vector  # noqa: F401
 from .values import (
     ONE,
     ZERO,
+    OrderPolicy,
     Scalar,
     ValueDomain,
+    _INDET,
+    _REAL,
     _FrozenRecord,
-    _ranks,
+    _book_pick,
+    _order_code,
+    _order_codes,
+    _require_type,
     coerce,
 )
 
@@ -78,33 +84,25 @@ def _checked(value, neutrosophic: bool) -> Scalar:
     return x
 
 
-_REAL = operator.attrgetter("real_part")
-_INDET = operator.attrgetter("indet_coeff")
-_ONE_RANK = _ranks([1.0])[0]
+_BOOK = OrderPolicy.BOOK_DEFAULT
+# the codes of 0 and 1 at each shift: the unit carrier codes between them
+_ENDS = [_order_code([0.0, 1.0], [0.0, 0.0], _BOOK, bare=not shift)
+         for shift in (0, 1)]
 
 
 def _coded(values, neutrosophic: bool) -> tuple:
-    """The codes of the Scalars `values` and their shift, each value
-    checked as `_checked` checks it by passes over the whole list. With no
-    multiple of I among them a code is its value's rank, at shift 0.
-    Otherwise it is rank << 1 | b, at shift 1, where b is 1 for a real n
-    and 0 for nI, so that min takes nI at a tie. When the check fails,
-    `_checked` runs on each value in order, and the first bad one raises."""
-    reals = list(map(_REAL, values))
-    if not any(map(_INDET, values)):
-        codes, shift, ok = _ranks(reals), 0, True
-    else:
-        indets = list(map(_INDET, values))
-        ranks = _ranks(list(map(operator.add, reals, indets)))
-        codes = [(rank << 1) + (not indet)
-                 for rank, indet in zip(ranks, indets)]
-        shift = 1
-        # on the carrier no coefficient is negative and every value has a
-        # zero one: zero reals plus zero I parts, less both (code 1), is n
-        ok = (neutrosophic and min(reals) >= 0.0 and min(indets) >= 0.0
-              and reals.count(0.0) + indets.count(0.0) - codes.count(1)
-              == len(codes))
-    if not (ok and min(codes) >= 0 and max(codes) >> shift <= _ONE_RANK):
+    """The book codes of the Scalars `values` (values._order_code) and
+    their shift: 1, or 0 for bare keys when no value holds I. The check
+    is that of `_checked` by passes over the list: codes between 0's and
+    1's, and no I in the real-valued mode. When it fails, `_checked` runs
+    on each value in order, and the first bad one raises."""
+    indets = list(map(_INDET, values))
+    shift = 1 if any(indets) else 0
+    codes = _order_code(list(map(_REAL, values)), indets, _BOOK,
+                        bare=not shift)
+    zero, one = _ENDS[shift]
+    if codes is None or min(codes) < zero or max(codes) > one \
+            or shift and not neutrosophic:
         for value in values:
             _checked(value, neutrosophic)
     return codes, shift
@@ -120,6 +118,7 @@ def sigma(q, r, *, neutrosophic: bool = False) -> Scalar:
 
 def _target_row(q: Matrix, r) -> Matrix:
     """r as a 1 x s row matrix, for q of shape m x s (p is then 1 x m)."""
+    _require_type(q, Matrix, "q")
     if not isinstance(r, Matrix):
         r = row_vector(list(r), domain=ValueDomain.ANY)
     if r.rows != 1:
@@ -144,24 +143,22 @@ _Record = namedtuple("_Record", "codes target shift scalars p_hat residual "
 
 
 def _join(codes: list, shift: int) -> int:
-    """The max of `codes` in the Scalar order: at a tie of n and nI, nI,
-    whose code is one below n's."""
-    top = max(codes)
-    return top - 1 if top & shift and top - 1 in codes else top
+    """The max of `codes` in the Scalar order (at shift 1, _book_pick)."""
+    return _book_pick(max, codes) if shift else max(codes)
 
 
 def _fold(candidate: "_Candidate", r_vals: tuple, r_codes: list,
           r_shift: int) -> _Record:
     """The record of Q's `candidate` against the target row `r_vals`."""
-    # a system holding a multiple of I codes its reals n as rank << 1 | 1
+    # a system holding a multiple of I codes every value in full
     shift = candidate.shift | r_shift
     codes = candidate.codes if candidate.shift == shift \
-        else [c << 1 | 1 for c in candidate.codes]
-    target = r_codes if r_shift == shift else [c << 1 | 1 for c in r_codes]
-    zero, one = shift, _ONE_RANK << shift | shift
+        else _order_codes(candidate.entries, _BOOK)
+    target = r_codes if r_shift == shift else _order_codes(r_vals, _BOOK)
+    zero, one = _ENDS[shift]
     width = candidate.width
-    # q_jk dominates r_k, so sigma gives r_k, exactly when q_jk's rank is
-    # higher: when its code exceeds r_k's with b set
+    # q_jk dominates r_k, so sigma gives r_k, exactly when q_jk's key is
+    # higher: when its code exceeds the code of the real of r_k's key
     above = [rk | shift for rk in target]
     p_hat = [min(compress(target, map(operator.gt, codes[i:i + width],
                                       above)), default=one)
@@ -286,7 +283,7 @@ def minimal_solutions_bruteforce(q: Matrix, r, *,
         raise ModeMismatch(
             "minimal-solution enumeration is real-valued; Q and r must "
             "hold no indeterminate value") from None
-    # real-valued: the walk runs on the ranks of the values, 0's being 0
+    # real-valued: the walk runs on the bare keys of the values, 0's being 0
     levels = {}  # r_k -> (J_k as a bit mask, J_k) of each column at r_k
     for rk, js in zip(record.target, record.covers):
         if rk:

@@ -4,9 +4,9 @@ and sum, and transpose.
 
 Everything here is tiny (instances in practice are at most 9x9), so storage
 is a flat tuple and most operations are straightforward loops. Max-min and
-min-max fold each row on int order codes (values._order_code) when every
-value has one, and fall back to the Scalar fold, their reference, when one
-has none.
+min-max fold each row on int order codes (values._order_code), or raise
+OrderUndefined before folding a row whose values have no order. A matrix
+argument that is not a Matrix raises TypeError naming it.
 """
 
 from __future__ import annotations
@@ -21,12 +21,14 @@ from .values import (
     Scalar,
     ValueDomain,
     _ORDER_FLIP,
+    _book_pick,
+    _check_order,
     _coerce_each,
     _order_codes,
     _order_pair,
     _require_iterable,
+    _require_type,
     domain_join,
-    parse_name,
     render_scalar,
 )
 
@@ -192,13 +194,17 @@ def row_vector(values, domain=ValueDomain.ANY) -> Matrix:
 
 
 def _require_same_shape(a: Matrix, b: Matrix, what):
+    _require_type(a, Matrix, "a")
+    _require_type(b, Matrix, "b")
     if a.shape != b.shape:
         raise ShapeMismatch(
             f"{what} needs equal shapes, got {a.rows}x{a.cols} "
             f"and {b.rows}x{b.cols}")
 
 
-def _require_inner(a: Matrix, b: Matrix, what):
+def _require_inner(a: Matrix, b: Matrix, what, names):
+    _require_type(a, Matrix, names[0])
+    _require_type(b, Matrix, names[1])
     if a.cols != b.rows:
         raise ShapeMismatch(
             f"{what} needs cols(A) = rows(B), got {a.rows}x{a.cols} "
@@ -224,70 +230,47 @@ def elementwise_min(a: Matrix, b: Matrix,
     return _entrywise(a, b, "Min", 0, policy)
 
 
-def _ends(policy):
-    """The (min, max) scalar operators under `policy`, on Scalar operands."""
-
-    def low(a, b):
-        return _order_pair(a, b, policy)[0]
-
-    def high(a, b):
-        return _order_pair(a, b, policy)[1]
-
-    return low, high
-
-
-# built once per policy: every max-min and min-max step shares them
-_ENDS = {policy: _ends(policy) for policy in OrderPolicy}
-
-
-def operators(op, policy) -> tuple:
-    """The (inner, outer) scalar operators of a product: `circle` sums
-    products, `maxmin` takes the max of mins and `minmax` the min of
-    maxes, with min and max ordered under `policy`. The order's operands
-    must be Scalars."""
-    if parse_name(op, OPS, "operator") == "circle":
-        return operator.mul, operator.add
-    low, high = _ENDS[OrderPolicy.parse(policy)]
-    return (low, high) if op == "maxmin" else (high, low)
-
-
-def fold_row(row, b: Matrix, inner, outer) -> tuple:
-    """One row against every column of `b`: entry j folds
-    inner(row[k], b[k, j]) over k with `outer`, from k = 0 up. The row
-    length must equal the row count of `b`."""
+def fold_row(row, b: Matrix) -> tuple:
+    """The circle product of one row with every column of `b`: entry j
+    sums row[k] * b[k, j] over k, from k = 0 up. The row length must equal
+    the row count of `b`."""
     cells, cols = b.entries, b.cols
-    return tuple(reduce(outer, map(inner, row, cells[j::cols]))
+    return tuple(reduce(operator.add, map(operator.mul, row, cells[j::cols]))
                  for j in range(cols))
 
 
 def _coded_columns(b: Matrix, op, policy):
     """The codes of `b`'s entries in the inner order of `op` (the min
     order for maxmin, the max order for minmax) under `policy`, column
-    after column; None when an entry has no code. A matrix keeps its own,
-    as `b._memo(_coded_columns, op, policy)`."""
+    after column, and the lowest of them; None when an entry has no code.
+    A matrix keeps its own, as `b._memo(_coded_columns, op, policy)`."""
     codes = _order_codes(b.entries, policy)
     if codes is None:
         return None
     if op == "minmax":
         codes = list(map(_ORDER_FLIP[policy].__xor__, codes))
     cols = b.cols
-    return list(chain.from_iterable(codes[j::cols] for j in range(cols)))
+    return (list(chain.from_iterable(codes[j::cols] for j in range(cols))),
+            min(codes))
 
 
-def _coded_row(row: tuple, b: Matrix, op, policy):
-    """fold_row(row, b, *operators(op, policy)) for `op` maxmin or minmax
-    and an OrderPolicy member `policy`, folded on order codes: the same
-    operand objects, or None when a value of `row` or `b` has no code.
-
-    For column j, `met` holds the code of each inner result. The outer
-    fold keeps the first operand that no later one beats, so its result
-    is inner result k for the first k whose code wins in the outer order:
-    x_k, unless q_kj lies strictly beyond it in the inner order."""
-    by_column = b._memo(_coded_columns, op, policy)
-    codes = None if by_column is None else _order_codes(row, policy)
-    if codes is None:
-        return None
+def _coded_row(row: tuple, b: Matrix, op, policy) -> tuple:
+    """One row of Scalars against every column of `b` under `op` (maxmin
+    or minmax) and an OrderPolicy member: entry j folds the inner end of
+    row[k] and b[k, j] over k with the outer end, from k = 0 up, and is
+    one of those operands. Before it folds on order codes, it raises
+    OrderUndefined (values._check_order) when two values of `row` and `b`
+    have no order; a BOOK_DEFAULT code is negative only for a negative
+    value. For column j, `met` holds the code of each inner result; the
+    outer fold keeps the first operand no later one beats: inner result k
+    for the first k whose code wins, x_k unless q_kj lies beyond it."""
+    coded = b._memo(_coded_columns, op, policy)
+    codes = _order_codes(row, policy)
     flip = _ORDER_FLIP[policy]
+    if coded is None or codes is None \
+            or flip == 1 and (coded[1] < 0 or min(codes) < 0):
+        _check_order((*row, *b.entries), policy)
+    by_column = coded[0]
     if op == "maxmin":
         inner, outer = min, max
     else:
@@ -298,52 +281,42 @@ def _coded_row(row: tuple, b: Matrix, op, policy):
     mets = zip(*[map(inner, codes * cols, by_column)] * len(codes))
     out = []
     for j, met in enumerate(mets):
-        if flip == 1:
-            # BOOK_DEFAULT's two orders differ only in n against nI, whose
-            # codes differ in bit 0: the outer order picks nI
-            best = outer(met)
-            if best ^ 1 in met:
-                best ^= 1
-        else:
-            best = outer(met, key=flip.__xor__)
+        best = _book_pick(outer, met) if flip == 1 \
+            else outer(met, key=flip.__xor__)
         k = met.index(best)
         out.append(row[k] if best == codes[k] else cells[k * cols + j])
     return tuple(out)
 
 
-def _product(a: Matrix, b: Matrix, what, op, policy, domain) -> Matrix:
-    _require_inner(a, b, what)
-    inner, outer = operators(op, policy)
-    level = op != "circle"
-    if level:
+def _product(a: Matrix, b: Matrix, what, op, policy=None) -> Matrix:
+    """`a` times `b` under `op`; a composition keeps the domains' join."""
+    _require_inner(a, b, what, "ab" if op == "circle" else "pq")
+    if op == "circle":
+        rows = (fold_row(a.row(i), b) for i in range(a.rows))
+        domain = ValueDomain.ANY
+    else:
         policy = OrderPolicy.parse(policy)
-    cells = []
-    for i in range(a.rows):
-        row = a.row(i)
-        coded = _coded_row(row, b, op, policy) if level else None
-        cells.extend(fold_row(row, b, inner, outer) if coded is None
-                     else coded)
-    return Matrix(a.rows, b.cols, cells, domain)
+        rows = (_coded_row(a.row(i), b, op, policy) for i in range(a.rows))
+        domain = domain_join(a.domain, b.domain)
+    return Matrix(a.rows, b.cols, chain.from_iterable(rows), domain)
 
 
 def maxmin_compose(p: Matrix, q: Matrix,
                    policy=OrderPolicy.BOOK_DEFAULT) -> Matrix:
     """r_ij = max over k of min(p_ik, q_kj)."""
-    return _product(p, q, "max-min composition", "maxmin", policy,
-                    domain_join(p.domain, q.domain))
+    return _product(p, q, "max-min composition", "maxmin", policy)
 
 
 def minmax_compose(p: Matrix, q: Matrix,
                    policy=OrderPolicy.BOOK_DEFAULT) -> Matrix:
     """c_ij = min over k of max(p_ik, q_kj)."""
-    return _product(p, q, "min-max composition", "minmax", policy,
-                    domain_join(p.domain, q.domain))
+    return _product(p, q, "min-max composition", "minmax", policy)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Ordinary row-by-column product. The output carries no domain
     constraint: products routinely escape the input domains."""
-    return _product(a, b, "product", "circle", None, ValueDomain.ANY)
+    return _product(a, b, "product", "circle")
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -357,6 +330,7 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 def transpose(a: Matrix) -> Matrix:
     """The transpose of `a`: the same entry objects over the same domain,
     which are not checked again."""
+    _require_type(a, Matrix, "a")
     cells, cols = a.entries, a.cols
     return Matrix._of_checked(cols, a.rows, tuple(chain.from_iterable(
         cells[j::cols] for j in range(cols))), a.domain)

@@ -126,13 +126,14 @@ _ENGINE_KINDS = {member: rule.kinds for member, rule in _RULES.items()
 
 class Model(_FrozenRecord):
     """A validated union with class, labels, and expert provenance. The
-    labels hold, per component, (row_labels,) for CM and (rows, cols) for
-    RM."""
+    class is a ModelClass or its code (ModelClass.parse). The labels hold,
+    per component, (row_labels,) for CM and (rows, cols) for RM."""
 
     __slots__ = ("model_class", "matrix", "labels", "experts")
 
     def __init__(self, model_class: ModelClass, matrix: SpecialMatrix,
                  labels: tuple, experts: tuple):
+        model_class = ModelClass.parse(model_class)
         if len(labels) != len(matrix):
             raise ClassViolation(
                 f"{len(labels)} label groups for {len(matrix)} components")
@@ -300,10 +301,9 @@ def run(model: Model, x0: SpecialStateVector, **options):
     model or seed of the wrong type raises TypeError first."""
     _require_type(model, Model, "model")
     _require_type(x0, SpecialStateVector, "seed")
-    kinds = _ENGINE_KINDS.get(model.model_class) \
-        if isinstance(model.model_class, ModelClass) else None
-    if kinds is None:  # an equation class, or a class given as its text
-        kinds = _RULES[_dynamical_class(model.model_class)].kinds
+    kinds = _ENGINE_KINDS.get(model.model_class)
+    if kinds is None:  # an equation class raises WrongEntryPoint
+        _dynamical_class(model.model_class)
     engine = run_cm if kinds == _CM_ONLY else run_rm if kinds == _RM_ONLY \
         else run_mixed
     return engine(model.matrix, x0, **options)

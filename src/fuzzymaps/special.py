@@ -13,14 +13,7 @@ from __future__ import annotations
 from itertools import repeat
 
 from .errors import EmptyUnion, NonSquareCM, ShapeMismatch
-from .matrices import (
-    OPS,
-    Matrix,
-    _coded_row,
-    _Memoized,
-    fold_row,
-    operators,
-)
+from .matrices import OPS, Matrix, _coded_row, _Memoized, fold_row
 from .values import (
     ALGEBRAS,
     OrderPolicy,
@@ -231,10 +224,10 @@ def apply_part(part, mat: Matrix, op: str,
     The part length must equal the matrix row count; the result length is
     the column count. The part's values may be Scalars, ints or floats.
 
-    The result is fold_row's under operators(op, policy), the reference
-    semantics. Max-min and min-max fold on int order codes instead when
-    every value of the part and the matrix has one (matrices._coded_row),
-    with the same operand objects as the result."""
+    The circle product sums Scalar products (matrices.fold_row); max-min
+    and min-max are one fold under `policy` (matrices._coded_row), which
+    raises OrderUndefined before it folds when two of the values of the
+    part and the matrix have no order, and returns operand objects."""
     if len(part) != mat.rows:
         raise ShapeMismatch(
             f"state length {len(part)} does not match {mat.rows}x{mat.cols}")
@@ -242,7 +235,6 @@ def apply_part(part, mat: Matrix, op: str,
         part = map(coerce, part)
     part = tuple(part)  # a tuple of Scalars is kept as it is
     if op == "maxmin" or op == "minmax":
-        coded = _coded_row(part, mat, op, OrderPolicy.parse(policy))
-        if coded is not None:
-            return coded
-    return fold_row(part, mat, *operators(op, policy))
+        return _coded_row(part, mat, op, OrderPolicy.parse(policy))
+    parse_name(op, OPS, "operator")  # circle, or a ParseError
+    return fold_row(part, mat)

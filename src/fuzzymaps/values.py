@@ -12,8 +12,8 @@ import math
 import re
 import struct
 from enum import Enum
-from itertools import repeat
-from operator import attrgetter
+from itertools import islice, repeat
+from operator import add, attrgetter
 
 from .errors import (
     DomainError,
@@ -373,78 +373,117 @@ class ThresholdMode(_FrozenRecord):
         object.__setattr__(self, "k", k)
 
 
+def _named(x) -> str:
+    """`x` as an order message names it: render_scalar's text, or for a
+    coefficient that is not finite, which it rejects, the float's."""
+    try:
+        return render_scalar(x)
+    except DomainError:
+        a, b = x.real_part, x.indet_coeff
+        return " + ".join([repr(a)] * (a != 0) + [f"{b!r}I"] * (b != 0))
+
+
+def _check_order(values, policy: OrderPolicy) -> None:
+    """Raise OrderUndefined unless every two of the Scalars `values` have
+    an order under `policy`, naming (PAPER.md, Ordering) the first mixed or
+    NaN value, or the first negative value and the first of its other kind."""
+    for x in values:
+        a, b = x.real_part, x.indet_coeff
+        if a and b or a != a or b != b:
+            raise OrderUndefined(f"{_named(x)} has no defined order")
+    if policy is OrderPolicy.BOOK_DEFAULT:
+        low = [x for x in values if x.real_part < 0 or x.indet_coeff < 0]
+        kind = low and not low[0].indet_coeff  # True: the other is I
+        other = [x for x in values if low and bool(x.indet_coeff) is kind]
+        if other:
+            raise OrderUndefined(f"{_named(low[0])} and {_named(other[0])} "
+                                 f"have no defined order")
+
+
 def _order_pair(a: Scalar, b: Scalar, policy: OrderPolicy):
     """Return (min, max) under the policy, as the operands themselves
-    (equal operands give (a, a)). Raises on mixed operands, naming `a`
-    when both are mixed.
-
-    This is the order's reference rule. Each coefficient is read once: it
-    is the innermost call of the Scalar fold (matrices.fold_row). The
-    coded fold of max-min and min-max steps (matrices._coded_row) orders
-    values by `_order_code` instead, which agrees with this rule on every
-    value that has a code."""
+    (equal operands give (a, a)); a pair without an order raises as
+    _check_order((a, b), policy) does. This is PAPER.md's pairwise rule,
+    behind scalar_min, scalar_max and elementwise_*. The max-min and
+    min-max folds order values by their codes (_order_code) instead,
+    which agree with it on every pair it orders."""
     ar, ai = a.real_part, a.indet_coeff
     br, bi = b.real_part, b.indet_coeff
-    if not ai and not bi:  # two reals
-        if ar < br:
-            return a, b
-        return (a, a) if ar == br else (b, a)
-    if ar and ai:
-        raise OrderUndefined(f"{render_scalar(a)} has no defined order")
-    if br and bi:
-        raise OrderUndefined(f"{render_scalar(b)} has no defined order")
-    if ai and bi:
-        # both pure multiples of I: compare coefficients under either policy
-        if ai < bi:
-            return a, b
-        return (a, a) if ai == bi else (b, a)
-    # one real, one pure multiple of I
-    if ai:
-        real, indet, mr, mi = b, a, abs(br), abs(ai)
-    else:
-        real, indet, mr, mi = a, b, abs(ar), abs(bi)
-    if policy is OrderPolicy.INDETERMINACY_DOMINANT:
-        return indet, indet
-    # BookDefault: compare magnitudes; an exact tie collapses to the
-    # indeterminate value on both ends (min(n, nI) = max(n, nI) = nI).
-    if mr == mi:
-        return indet, indet
-    return (real, indet) if mr < mi else (indet, real)
+    if not (ar and ai or br and bi):  # neither is mixed
+        if (not ai) is (not bi):  # two reals, or two pure multiples of I
+            x, y = ar + ai, br + bi
+            if x < y:
+                return a, b
+            if x > y:
+                return b, a
+            if x == y:
+                return a, a
+        else:  # the real's coefficient x against the multiple's y
+            real, indet = (b, a) if ai else (a, b)
+            x, y = ar + br, ai + bi
+            dominant = policy is OrderPolicy.INDETERMINACY_DOMINANT
+            if x >= 0 and y >= 0 or dominant and x == x and y == y:
+                if dominant or x == y:  # the multiple at both ends
+                    return indet, indet
+                return (real, indet) if x < y else (indet, real)
+    _check_order((a, b), policy)  # raises: a NaN, a mixed or a negative
 
 
-def _ranks(magnitudes: list) -> list:
-    """The bit pattern of each double read as an int: it orders doubles
-    >= 0 as their values, is negative below 0 and exceeds the rank of 1
-    above 1 (NaN is one or the other)."""
-    n = len(magnitudes)
-    return list(struct.unpack(f"{n}q", struct.pack(f"{n}d", *magnitudes)))
-
-
+# A negative double's bit pattern XOR this constant is its key
+_NEGATIVE_KEY = 2**63 - 1
 # The min order's code XOR this constant is the max order's code.
 _ORDER_FLIP = {OrderPolicy.BOOK_DEFAULT: 1,
                OrderPolicy.INDETERMINACY_DOMINANT: 1 << 64}
 
 
-def _order_code(real: float, indet: float, policy: OrderPolicy):
-    """The int that orders the value real + indet*I as `_order_pair`'s
-    min does under `policy`, or None when the value has no code: a
-    negative or NaN coefficient, or a mixed value. Off the coded values
-    that order is not total (-2 < 1 < 1.5I < -2 under BOOK_DEFAULT).
+def _order_code(reals: list, indets: list, policy: OrderPolicy,
+                bare: bool = False):
+    """The layout of the order codes, written once: the code of each value
+    reals[i] + indets[i]*I under `policy`, as a list, or None when one has
+    no order at all (a mixed value, or a NaN coefficient).
 
-    A code is the bit pattern of the magnitude (`_ranks`) plus a flag bit
-    for a real. Under BOOK_DEFAULT it is bits << 1 | is_real, so nI sits
-    just below n; under INDETERMINACY_DOMINANT it is is_real << 64 | bits,
-    so every multiple of I sits below every real. The code XOR
-    `_ORDER_FLIP[policy]` orders values as `_order_pair`'s max does: nI
-    just above n, or every multiple of I above every real. Equal codes
-    are equal values."""
-    if not (real >= 0.0 and indet >= 0.0) or (real and indet):
+    A value's key is the bit pattern s of its coefficient (the nonzero
+    one, or 0) as a double, read as a signed int, or s ^ (2**63 - 1) for
+    s < 0: it orders every double but NaN. Under BOOK_DEFAULT the code is
+    key << 1 | is_real, so nI sits just below n; under
+    INDETERMINACY_DOMINANT it is is_real << 64 | key + 2**63, so every
+    multiple of I sits below every real. That is the order of min; the
+    code XOR `_ORDER_FLIP[policy]` is the order of max (`_book_pick` takes
+    nI at a tie of n and nI). Equal codes are equal values, and the codes
+    order two values as _order_pair does wherever it orders them.
+
+    One specialization: with `bare`, a BOOK_DEFAULT list with no multiple
+    of I is coded by the bit patterns alone, unchecked: they order reals
+    >= 0 alike, and put a negative value or NaN below 0's or above inf's.
+    fre codes a real system so and bounds the codes; no memo holds them."""
+    if any(indets):
+        sums = list(map(add, reals, indets))
+        # a value that is not mixed counts once: its zero coefficients,
+        # less one when its sum is 0; a mixed value counts 0 or -1
+        if reals.count(0.0) + indets.count(0.0) - sums.count(0.0) \
+                != len(sums):
+            return None
+        reals = sums
+    n = len(reals)
+    keys = list(struct.unpack(f"{n}q", struct.pack(f"{n}d", *reals)))
+    if bare:
+        return keys
+    total = sum(reals)  # NaN when one is, or when inf meets -inf
+    if total != total and any(map(math.isnan, reals)):
         return None
-    bits = _ranks([real + indet])[0]
-    is_real = not indet
-    if policy is OrderPolicy.BOOK_DEFAULT:
-        return bits << 1 | is_real
-    return is_real << 64 | bits
+    if min(keys) < 0:
+        keys = [k if k >= 0 else k ^ _NEGATIVE_KEY for k in keys]
+    if policy is OrderPolicy.INDETERMINACY_DOMINANT:
+        return [(not b) << 64 | k + 2**63 for k, b in zip(keys, indets)]
+    return [k << 1 | (not b) for k, b in zip(keys, indets)]
+
+
+def _book_pick(outer, codes) -> int:
+    """`outer(codes)`, for `outer` max or min of BOOK_DEFAULT codes of one
+    order, but nI where it picks n and `codes` hold nI: the two codes
+    differ in bit 0 alone."""
+    best = outer(codes)
+    return best ^ 1 if best ^ 1 in codes else best
 
 
 # _order_codes' memo, one per policy: the (real_part, indet_coeff) float
@@ -453,27 +492,24 @@ def _order_code(real: float, indet: float, policy: OrderPolicy):
 _CODE_LIMIT = 4096
 _CODES = {policy: {} for policy in OrderPolicy}
 _PAIR = attrgetter("real_part", "indet_coeff")
+_REAL = attrgetter("real_part")
+_INDET = attrgetter("indet_coeff")
 
 
 def _order_codes(values, policy: OrderPolicy):
-    """The `_order_code` of each Scalar of `values` under `policy`, as a
-    list, or None when one has no code. A sequence of values the memo
-    holds, the common case, is one C-level pass of lookups."""
+    """The `_order_code` of each Scalar of the sequence `values` under
+    `policy`, as a list, or None when one has none: one C-level pass of
+    memo lookups, or one bulk pass for a list the memo lacks."""
     table = _CODES[policy]
     try:
         return list(map(table.__getitem__, map(_PAIR, values)))
     except KeyError:
         pass
-    codes = []
-    for pair in map(_PAIR, values):
-        code = table.get(pair)
-        if code is None:
-            code = _order_code(*pair, policy)
-            if code is None:
-                return None
-            if len(table) < _CODE_LIMIT:
-                table[pair] = code
-        codes.append(code)
+    codes = _order_code(list(map(_REAL, values)), list(map(_INDET, values)),
+                        policy)
+    room = _CODE_LIMIT - len(table)
+    if codes is not None and room > 0:
+        table.update(islice(zip(map(_PAIR, values), codes), room))
     return codes
 
 

@@ -17,14 +17,18 @@ from fuzzymaps import (
     Scalar,
     ShapeMismatch,
     ValueDomain,
+    check_necessary,
     elementwise_max,
     elementwise_min,
+    failing_columns,
     mat_add,
     mat_mul,
     maxmin_compose,
+    minimal_solutions_bruteforce,
     minmax_compose,
     parse_scalar,
     render_scalar,
+    solve_max,
     transpose,
 )
 from fuzzymaps.matrices import row_vector
@@ -405,3 +409,29 @@ def test_maxmin_identity_under_crisp_unit(a):
     # identity is only neutral on the max-min side when entries stay <= 1
     e = unit([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert maxmin_compose(a, e) == maxmin_compose(e, a)
+
+
+_M = Matrix.from_rows([[0.5]], domain=UNIT)
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: solve_max("x", [1]), "q", id="solve_max"),
+    pytest.param(lambda: failing_columns(5, [1]), "q",
+                 id="failing_columns"),
+    pytest.param(lambda: check_necessary(None, [1]), "q",
+                 id="check_necessary"),
+    pytest.param(lambda: minimal_solutions_bruteforce([[1]], [1]), "q",
+                 id="minimal_solutions_bruteforce"),
+    pytest.param(lambda: maxmin_compose(5, 5), "p", id="maxmin_compose"),
+    pytest.param(lambda: minmax_compose(_M, "q"), "q", id="minmax_compose"),
+    pytest.param(lambda: elementwise_max(5, _M), "a", id="elementwise_max"),
+    pytest.param(lambda: elementwise_min(_M, 5), "b", id="elementwise_min"),
+    pytest.param(lambda: mat_mul(_M, [[1]]), "b", id="mat_mul"),
+    pytest.param(lambda: mat_add((), _M), "a", id="mat_add"),
+    pytest.param(lambda: transpose([[1]]), "a", id="transpose"),
+])
+def test_a_wrongly_typed_matrix_is_a_type_error_naming_it(call, name):
+    # a wrongly typed matrix argument fails before any check of its value,
+    # not as an AttributeError from inside
+    with pytest.raises(TypeError, match=f"^{name} must be a Matrix, got "):
+        call()

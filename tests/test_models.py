@@ -208,6 +208,21 @@ def test_build_model_accepts_string_class():
     assert model.model_class is ModelClass.SFCM
 
 
+def test_a_model_parses_its_class():
+    # a class given as its code is stored as the member; anything else is
+    # a ParseError at construction, not when the model is run
+    union = SpecialMatrix([(F_SQ, CIRCLE_CM)])
+    labels, experts = (("a", "b", "c"),), ("e",)
+    assert Model(" sfcm", union, labels, experts).model_class \
+        is ModelClass.SFCM
+    with pytest.raises(ParseError, match="unknown model class 5"):
+        Model(5, union, labels, experts)
+    equation = Model("SFRE", SpecialMatrix([(F_REL, MAXMIN_RM)]),
+                     ((("d1", "d2"), ("r1", "r2", "r3")),), experts)
+    with pytest.raises(WrongEntryPoint):
+        run(equation, SpecialStateVector([(Scalar(1), Scalar(0))]))
+
+
 def test_default_labels_and_experts():
     model = build_model(ModelClass.SMFCFRM,
                         [(F_SQ, CIRCLE_CM), (F_RECT, CIRCLE_RM)])

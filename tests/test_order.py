@@ -1,24 +1,23 @@
-"""The scalar order against a spec of its rule, through every caller.
+"""The scalar order against its spec (tests/spec_oracle.py), through every
+caller.
 
-`spec_pair` restates the order rule with plain predicates on the two
-coefficients: a mixed operand has no order (the first one is named), equal
-operands give (a, a), reals and pure multiples of I compare among
-themselves, and a real against a pure multiple of I goes to the
-indeterminate under INDETERMINACY_DOMINANT and by magnitude under
-BOOK_DEFAULT, where a tie gives (indet, indet). That BOOK_DEFAULT rule is
-not transitive once a negative real meets a pure multiple of I
-(-2 < 1 < 1.5I < -2); the spec holds the rule as it stands. The engine
-must return the very operand objects the spec picks, since memos and
-trace rendering share tuples by identity.
+The oracle holds values as (a, b) pairs and states the pairwise rule and
+the fold rule of PAPER.md's Ordering paragraph under both policies. Each
+test hands it the pairs of the engine's Scalars and maps the pairs it
+picks back to those Scalars: the engine must return the very operand
+objects the oracle picks, since memos and trace rendering share tuples by
+identity, and must raise OrderUndefined naming the values it names.
 """
 
 import contextlib
 import math
 from functools import reduce
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spec_oracle as spec
 from fuzzymaps import (
     Matrix,
     OrderPolicy,
@@ -29,81 +28,72 @@ from fuzzymaps import (
     elementwise_min,
     maxmin_compose,
     minmax_compose,
-    render_scalar,
     scalar_max,
     scalar_min,
     sigma,
 )
 from fuzzymaps import matrices as matrices_module, special
-from fuzzymaps.matrices import fold_row, operators
 from fuzzymaps.special import apply_part
-from fuzzymaps.values import _ORDER_FLIP, _order_code, _order_pair
+from fuzzymaps.values import (
+    _ORDER_FLIP,
+    _named,
+    _order_codes,
+    _order_pair,
+)
 
 BOOK = OrderPolicy.BOOK_DEFAULT
 INDET = OrderPolicy.INDETERMINACY_DOMINANT
 POLICIES = (BOOK, INDET)
 
 
-class SpecUndefined(Exception):
-    def __init__(self, operand):
-        super().__init__(operand)
-        self.operand = operand
+class Oracle:
+    """The oracle over Scalars: each Scalar goes in as its own (a, b)
+    pair object, and each pair the oracle picks comes back as its
+    Scalar."""
 
+    def __init__(self):
+        self._scalars = {}  # id of a pair -> (the pair, its Scalar)
 
-def _mixed(x):
-    return x.real_part != 0.0 and x.indet_coeff != 0.0
+    def pairs(self, values):
+        out = []
+        for x in values:
+            p = (x.real_part, x.indet_coeff)
+            self._scalars[id(p)] = (p, x)
+            out.append(p)
+        return out
 
+    def scalars(self, picks):
+        return tuple(self._scalars[id(p)][1] for p in picks)
 
-def _real(x):
-    return x.indet_coeff == 0.0
+    def pair(self, a, b, policy):
+        return self.scalars(spec.pair(*self.pairs((a, b)), policy.value))
 
+    def fold(self, part, mat: Matrix, op, policy):
+        rows = [self.pairs(mat.row(i)) for i in range(mat.rows)]
+        return self.scalars(spec.fold(self.pairs(part), rows, op,
+                                      policy.value))
 
-def _pure_indet(x):
-    return x.real_part == 0.0 and x.indet_coeff != 0.0
-
-
-def spec_pair(a, b, policy):
-    """(min, max) of two Scalars under `policy`, as the operands."""
-    if _mixed(a) or _mixed(b):
-        raise SpecUndefined(a if _mixed(a) else b)
-    if a.real_part == b.real_part and a.indet_coeff == b.indet_coeff:
-        return a, a
-    if _real(a) and _real(b):
-        return (a, b) if a.real_part < b.real_part else (b, a)
-    if _pure_indet(a) and _pure_indet(b):
-        return (a, b) if a.indet_coeff < b.indet_coeff else (b, a)
-    real, indet = (a, b) if _real(a) else (b, a)
-    if policy is INDET:
-        return indet, indet
-    mr, mi = abs(real.real_part), abs(indet.indet_coeff)
-    if mr == mi:
-        return indet, indet
-    return (real, indet) if mr < mi else (indet, real)
-
-
-def spec_min(policy):
-    return lambda a, b: spec_pair(a, b, policy)[0]
-
-
-def spec_max(policy):
-    return lambda a, b: spec_pair(a, b, policy)[1]
+    def compose(self, p: Matrix, q: Matrix, op, policy):
+        return tuple(x for i in range(p.rows)
+                     for x in self.fold(p.row(i), q, op, policy))
 
 
 def outcome(fn):
-    """What `fn()` gives: ("ok", value) or ("undefined", the text naming
-    the operand without an order)."""
+    """What `fn()` gives: ("ok", value) or ("undefined", the message that
+    names the values without an order)."""
     try:
         return "ok", fn()
-    except SpecUndefined as exc:
-        return "undefined", (f"{render_scalar(exc.operand)} has no defined "
-                             f"order")
+    except spec.Undefined as exc:
+        names = [_named(Scalar(*x)) for x in exc.values]
+        if len(names) == 1:
+            return "undefined", f"{names[0]} has no defined order"
+        return "undefined", f"{names[0]} and {names[1]} have no defined order"
     except OrderUndefined as exc:
         return "undefined", str(exc)
 
 
 def assert_same(got, want, same=lambda g, w: g is w):
-    """Equal outcomes: the same objects (`same`) or the same operand
-    named."""
+    """Equal outcomes: the same objects (`same`) or the same message."""
     assert got[0] == want[0], (got, want)
     if got[0] == "ok":
         assert len(got[1]) == len(want[1])
@@ -112,16 +102,32 @@ def assert_same(got, want, same=lambda g, w: g is w):
         assert got[1] == want[1]
 
 
-# few coefficients, so that equal values and |n| = |nI| ties come up often
-coeffs = st.one_of(
-    st.sampled_from([0.0, 0.3, 0.5, 1.0, 2.0, -0.5, -1.0, -2.0]),
-    st.floats(-5, 5, allow_nan=False))
-nonzero = coeffs.filter(bool)
-reals = coeffs.map(Scalar)
-pure_indets = nonzero.map(lambda c: Scalar(0, c))
-mixeds = st.tuples(nonzero, nonzero).map(lambda t: Scalar(*t))
-ordered = st.one_of(reals, pure_indets)
-operands = st.one_of(reals, pure_indets, mixeds)
+def reals_and_indets(coeffs):
+    """Reals and pure multiples of I of the coefficients `coeffs`, each
+    drawn as a new object."""
+    return st.one_of(st.builds(Scalar, coeffs),
+                     st.builds(lambda b: Scalar(0, b), coeffs.filter(bool)))
+
+
+# Few coefficients, so that equal values in distinct objects and n
+# against nI ties come up often; the unit carrier, values above 1,
+# negative values, NaN and mixed values
+unit = reals_and_indets(st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+                                  st.floats(0, 1)))
+coded = reals_and_indets(st.sampled_from([0.0, 0.3, 0.5, 1.0, 1.5,
+                                          math.inf]))
+negatives = reals_and_indets(st.one_of(st.sampled_from([-0.5, -1.0]),
+                                       st.floats(-5, 0, allow_nan=False)))
+nans = reals_and_indets(st.just(math.nan))
+mixed = st.builds(Scalar, st.sampled_from([0.5, -0.3]),
+                  st.sampled_from([0.5, 1.0, -1.0]))
+operands = st.one_of(coded, negatives, mixed)
+# the values of one fold: on the unit carrier, coded values alone, or
+# with values of one kind that may have no order, or of every kind
+cell_kinds = st.sampled_from([
+    unit, coded, *(st.one_of(coded, kind) for kind in (negatives, nans,
+                                                       mixed)),
+    st.one_of(coded, negatives, nans, mixed)])
 
 
 def copy_of(x):
@@ -129,30 +135,29 @@ def copy_of(x):
     return Scalar(x.real_part, x.indet_coeff)
 
 
+def matrices(rows, cols, cells):
+    return st.lists(cells, min_size=rows * cols, max_size=rows * cols).map(
+        lambda xs: Matrix(rows, cols, xs, ValueDomain.ANY))
+
+
 @settings(max_examples=400, deadline=None)
-@given(operands, operands, st.sampled_from(POLICIES))
+@given(st.one_of(operands, nans), st.one_of(operands, nans),
+       st.sampled_from(POLICIES))
 def test_order_pair_matches_the_spec(a, b, policy):
     for x, y in ((a, b), (b, a), (a, a), (a, copy_of(a))):
         assert_same(outcome(lambda: _order_pair(x, y, policy)),
-                    outcome(lambda: spec_pair(x, y, policy)))
-
-
-# the unit carrier, where fre's entries lie
-unit_coeffs = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.0]),
-                        st.floats(0, 1))
-carrier = st.one_of(unit_coeffs.map(Scalar),
-                    unit_coeffs.filter(bool).map(lambda c: Scalar(0, c)))
+                    outcome(lambda: Oracle().pair(x, y, policy)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(carrier, carrier)
+@given(unit, unit)
 def test_fre_strict_domination_matches_the_spec(a, b):
     # p-hat's sigma(q, r) is r exactly when q strictly dominates r, and
     # else 1, which nothing on the carrier dominates
     for x, y in ((a, b), (b, a), (a, a), (a, copy_of(a))):
         got = sigma(x, y, neutrosophic=True)
         assert (got == y and y != 1) \
-            == (x != y and spec_pair(x, y, BOOK) == (y, x))
+            == (x != y and Oracle().pair(x, y, BOOK) == (y, x))
         assert got in (y, 1)
 
 
@@ -161,7 +166,7 @@ def test_fre_strict_domination_matches_the_spec(a, b):
 def test_scalar_min_and_max_match_the_spec(a, b, policy):
     for x, y in ((a, b), (b, a)):
         for fn, end in ((scalar_min, 0), (scalar_max, 1)):
-            want = outcome(lambda: (spec_pair(x, y, policy)[end],))
+            want = outcome(lambda: (Oracle().pair(x, y, policy)[end],))
             assert_same(outcome(lambda: (fn(x, y, policy),)), want)
             assert_same(outcome(lambda: (fn(x, y, policy.value),)), want)
 
@@ -176,50 +181,63 @@ def test_scalar_min_and_max_accept_numbers(n, f, b, policy):
         sy = y if isinstance(y, Scalar) else Scalar(y)
         for fn, end in ((scalar_min, 0), (scalar_max, 1)):
             assert_same(outcome(lambda: (fn(x, y, policy),)),
-                        outcome(lambda: (spec_pair(sx, sy, policy)[end],)),
+                        outcome(lambda: (Oracle().pair(sx, sy, policy)[end],)),
                         same=lambda g, w: g == w)
-
-
-def matrices(rows, cols, cells=operands):
-    return st.lists(cells, min_size=rows * cols, max_size=rows * cols).map(
-        lambda xs: Matrix(rows, cols, xs, ValueDomain.ANY))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data(), st.integers(1, 3), st.integers(1, 3),
        st.sampled_from(POLICIES))
 def test_entrywise_min_and_max_match_the_spec(data, rows, cols, policy):
-    # ordered values only, or now and then a mixed value among them
-    cells = data.draw(st.sampled_from([ordered, operands]))
+    cells = data.draw(cell_kinds)
     a = data.draw(matrices(rows, cols, cells))
     b = data.draw(matrices(rows, cols, cells))
     for x, y in ((a, b), (b, a)):
-        for fn, spec in ((elementwise_min, spec_min(policy)),
-                         (elementwise_max, spec_max(policy))):
+        for fn, end in ((elementwise_min, 0), (elementwise_max, 1)):
+            oracle = Oracle()
             assert_same(
                 outcome(lambda: fn(x, y, policy).entries),
-                outcome(lambda: tuple(map(spec, x.entries, y.entries))))
+                outcome(lambda: tuple(oracle.pair(v, w, policy)[end] for v, w
+                                      in zip(x.entries, y.entries))))
 
 
-def spec_compose(p, q, inner, outer):
-    """Entry (i, j) folds inner(p_ik, q_kj) over k with outer, from k = 0
-    up, in the order the entries are stored."""
-    return tuple(reduce(outer, map(inner, p.row(i), q.entries[j::q.cols]))
-                 for i in range(p.rows) for j in range(q.cols))
+@contextlib.contextmanager
+def coded_path_spy():
+    """Record each row that matrices._coded_row folds within the block
+    (a call that raises records none)."""
+    rows = []
+    real = matrices_module._coded_row
+
+    def spy(row, b, op, policy):
+        out = real(row, b, op, policy)
+        rows.append(row)
+        return out
+
+    for module in (matrices_module, special):
+        module._coded_row = spy
+    try:
+        yield rows
+    finally:
+        for module in (matrices_module, special):
+            module._coded_row = real
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+@given(st.data(), st.integers(1, 9), st.integers(1, 9), st.integers(1, 9),
        st.sampled_from(POLICIES))
 def test_compositions_match_the_spec(data, m, n, s, policy):
-    cells = data.draw(st.sampled_from([ordered, operands]))
+    cells = data.draw(cell_kinds)
     p = data.draw(matrices(m, n, cells))
     q = data.draw(matrices(n, s, cells))
-    low, high = spec_min(policy), spec_max(policy)
-    assert_same(outcome(lambda: maxmin_compose(p, q, policy).entries),
-                outcome(lambda: spec_compose(p, q, low, high)))
-    assert_same(outcome(lambda: minmax_compose(p, q, policy).entries),
-                outcome(lambda: spec_compose(p, q, high, low)))
+    for op, compose in (("maxmin", maxmin_compose),
+                        ("minmax", minmax_compose)):
+        want = outcome(lambda: Oracle().compose(p, q, op, policy))
+        with coded_path_spy() as folded:
+            assert_same(outcome(lambda: compose(p, q, policy).entries), want)
+        # the coded fold serves every row of a composition that does not
+        # raise
+        if want[0] == "ok":
+            assert folded == [p.row(i) for i in range(m)]
 
 
 numbers = st.one_of(st.integers(-2, 2), st.sampled_from([0.0, 0.5, 1.0]),
@@ -227,145 +245,142 @@ numbers = st.one_of(st.integers(-2, 2), st.sampled_from([0.0, 0.5, 1.0]),
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data(), st.integers(1, 3), st.integers(1, 3),
+@given(st.data(), st.integers(1, 9), st.integers(1, 9),
        st.sampled_from(POLICIES))
 def test_apply_part_matches_the_spec(data, rows, cols, policy):
-    mat = data.draw(matrices(rows, cols, ordered))
-    scalars = data.draw(st.lists(ordered, min_size=rows, max_size=rows))
+    cells = data.draw(cell_kinds)
+    mat = data.draw(matrices(rows, cols, cells))
+    part = data.draw(st.lists(cells, min_size=rows, max_size=rows))
     plain = data.draw(st.lists(numbers, min_size=rows, max_size=rows))
-    low, high = spec_min(policy), spec_max(policy)
-    for op, inner, outer in (("maxmin", low, high),
-                             ("minmax", high, low)):
-        col = [mat.entries[j::cols] for j in range(cols)]
-        # a Scalar part: the very operands the spec picks
-        got = apply_part(scalars, mat, op, policy)
-        want = [reduce(outer, map(inner, scalars, c)) for c in col]
-        assert len(got) == cols
-        assert all(g is w for g, w in zip(got, want))
+    coerced = [Scalar(v) for v in plain]
+    for op in ("maxmin", "minmax"):
+        want = outcome(lambda: Oracle().fold(part, mat, op, policy))
+        with coded_path_spy() as folded:
+            assert_same(outcome(lambda: apply_part(part, mat, op, policy)),
+                        want)
+        # the coded fold serves the part whenever it does not raise
+        if want[0] == "ok":
+            assert folded == [tuple(part)]
         # an int/float part: read as the real Scalars it coerces to
-        coerced = [Scalar(v) for v in plain]
-        got = apply_part(plain, mat, op, policy)
-        want = [reduce(outer, map(inner, coerced, c)) for c in col]
-        assert all(isinstance(g, Scalar) for g in got)
-        assert list(got) == want
-    # the circle product takes numbers too
-    assert apply_part(plain, mat, "circle") == apply_part(
-        [Scalar(v) for v in plain], mat, "circle")
+        assert_same(outcome(lambda: apply_part(plain, mat, op, policy)),
+                    outcome(lambda: Oracle().fold(coerced, mat, op, policy)),
+                    same=lambda g, w: g == w)
+    # the circle product takes numbers too (finite values: inf times 0 is
+    # NaN, which equals nothing)
+    finite = data.draw(matrices(rows, cols, reals_and_indets(
+        st.sampled_from([0.0, 0.3, 1.0, 1.5, -0.5]))))
+    assert apply_part(plain, finite, "circle") == apply_part(
+        coerced, finite, "circle")
+
+
+def magnitude_pair(a, b, policy):
+    """The magnitude rule with no check for a negative value: a real
+    against a pure multiple of I compares |a| with |b| under book. Where
+    the decided order is defined under INDETERMINACY_DOMINANT or on the
+    unit carrier, its answers are this rule's."""
+    (ar, ai), (br, bi) = (a.real_part, a.indet_coeff), \
+        (b.real_part, b.indet_coeff)
+    if (ar, ai) == (br, bi):
+        return a, a
+    if bool(ai) == bool(bi):
+        return (a, b) if ar + ai < br + bi else (b, a)
+    real, indet, mr, mi = (b, a, abs(br), abs(ai)) if ai \
+        else (a, b, abs(ar), abs(bi))
+    if policy is INDET or mr == mi:
+        return indet, indet
+    return (real, indet) if mr < mi else (indet, real)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 5), st.integers(1, 5),
+       st.sampled_from(POLICIES))
+def test_the_magnitude_rule_stands_where_the_order_was_total(data, n, s,
+                                                             policy):
+    # the unit carrier under either policy, and under
+    # INDETERMINACY_DOMINANT negative values too
+    cells = unit if policy is BOOK else st.one_of(coded, negatives)
+    part = data.draw(st.lists(cells, min_size=n, max_size=n))
+    q = data.draw(matrices(n, s, cells))
+    for op in ("maxmin", "minmax"):
+        low = lambda a, b: magnitude_pair(a, b, policy)[0]  # noqa: E731
+        high = lambda a, b: magnitude_pair(a, b, policy)[1]  # noqa: E731
+        inner, outer = (low, high) if op == "maxmin" else (high, low)
+        want = [reduce(outer, map(inner, part, q.entries[j::s]))
+                for j in range(s)]
+        got = apply_part(part, q, op, policy)
+        assert all(g is w for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_order_codes_order_values_as_min_and_max_do(policy):
     magnitudes = [0.0, 0.3, 1.0, 1.5, math.inf]
-    values = [Scalar(m) for m in magnitudes] \
-        + [Scalar(0, m) for m in magnitudes if m] \
-        + [Scalar(m) for m in magnitudes]  # equal values, other objects
-    code = {id(x): _order_code(x.real_part, x.indet_coeff, policy)
-            for x in values}
+    signed = magnitudes + [-m for m in magnitudes if m]
+    values = [Scalar(m) for m in signed] \
+        + [Scalar(0, m) for m in signed if m] \
+        + [Scalar(m) for m in signed]  # equal values, other objects
+    code = dict(zip(map(id, values), _order_codes(values, policy)))
     flip = _ORDER_FLIP[policy]
     for a in values:
         for b in values:
-            low, high = _order_pair(a, b, policy)
+            try:
+                low, high = _order_pair(a, b, policy)
+            except OrderUndefined:  # a negative value against the other kind
+                assert policy is BOOK
+                continue
             assert (low is a) == (code[id(a)] <= code[id(b)])
             assert (high is a) == (code[id(a)] ^ flip >= code[id(b)] ^ flip)
-    # a negative or NaN coefficient, or a mixed value, has no code
-    for real, indet in ((-0.5, 0.0), (0.0, -1.0), (math.nan, 0.0),
-                        (0.0, math.nan), (0.5, 0.5)):
-        assert _order_code(real, indet, policy) is None
+    # a NaN coefficient, or a mixed value, has no code
+    for value in (Scalar(math.nan), Scalar(0, math.nan), Scalar(0.5, 0.5),
+                  Scalar(-0.5, 1)):
+        assert _order_codes([Scalar(1), value], policy) is None
 
 
-def reals_and_indets(coeffs):
-    """Reals and multiples of I of the coefficients `coeffs`, each drawn
-    as a new object."""
-    return st.one_of(st.builds(Scalar, coeffs),
-                     st.builds(lambda b: Scalar(0, b), coeffs))
+def column(*values):
+    return Matrix.from_rows([[v] for v in values])
 
 
-# Values with an order code (values._order_code) and values without one.
-# Few magnitudes, so that equal values in distinct objects and n against
-# nI ties come up often; values above 1 have codes too.
-coded = reals_and_indets(st.sampled_from([0.0, 0.3, 0.5, 1.0, 1.5]))
-negatives = reals_and_indets(st.sampled_from([-0.5, -1.0]))
-nans = reals_and_indets(st.just(math.nan))
-mixed = st.builds(Scalar, st.sampled_from([0.5, -0.3]),
-                  st.sampled_from([0.5, 1.0]))
-# coded values alone, or with values of one kind without a code, or of
-# every kind
-cell_kinds = st.sampled_from([
-    coded, *(st.one_of(coded, kind) for kind in (negatives, nans, mixed)),
-    st.one_of(coded, negatives, nans, mixed)])
-
-
-def has_code(x):
-    return (x.real_part >= 0 and x.indet_coeff >= 0
-            and not (x.real_part and x.indet_coeff))
-
-
-def scalar_fold(rows, q, op, policy):
-    """The reference: each row folded in the Scalar order, as outcome()
-    reports it."""
-    return outcome(lambda: tuple(
-        cell for row in rows
-        for cell in fold_row(tuple(row), q, *operators(op, policy))))
-
-
-@contextlib.contextmanager
-def coded_path_spy():
-    """Record (row, served) for each call of matrices._coded_row within
-    the block, where served tells whether it returned a result rather
-    than None."""
-    calls = []
-    real = matrices_module._coded_row
-
-    def spy(row, b, op, policy):
-        out = real(row, b, op, policy)
-        calls.append((row, out is not None))
-        return out
-
-    for module in (matrices_module, special):
-        module._coded_row = spy
-    try:
-        yield calls
-    finally:
-        for module in (matrices_module, special):
-            module._coded_row = real
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data(), st.integers(1, 9), st.integers(1, 9), st.integers(1, 9),
-       st.sampled_from(POLICIES))
-def test_coded_fold_matches_the_scalar_fold(data, m, n, s, policy):
-    cells = data.draw(cell_kinds)
-    p = data.draw(matrices(m, n, cells))
-    q = data.draw(matrices(n, s, cells))
-    for op, compose in (("maxmin", maxmin_compose),
-                        ("minmax", minmax_compose)):
-        for call, rows in ((lambda: apply_part(p.row(0), q, op, policy),
-                            [p.row(0)]),
-                           (lambda: compose(p, q, policy).entries,
-                            [p.row(i) for i in range(m)])):
-            want = scalar_fold(rows, q, op, policy)
-            with coded_path_spy() as served:
-                assert_same(outcome(call), want)
-            # the coded path serves each row whose values and q's all
-            # have codes, and no other row
-            for row, ok in served:
-                assert ok == all(map(has_code, row + q.entries))
-            if want[0] == "ok":
-                assert [row for row, _ in served] == rows
-
-
-def test_a_negative_value_never_takes_the_coded_path():
-    """ROADMAP item 1's probe, as the order stands. Under BOOK_DEFAULT a
-    negative real against a multiple of I is ordered by magnitude, which
-    is not transitive (-0.9 < 0.5 < 0.7I < -0.9), so the Scalar fold's
-    answer depends on the order of the column. A negative value has no
-    order code, so these folds stay on the Scalar path. Item 1's spec
-    decision (raise OrderUndefined, or order nI as the signed n) will
-    change both answers."""
+def test_the_probes_of_the_book_cycles_raise_one_error():
+    """Under book, -0.9 < 0.5 < 0.7I < -0.9 and -0.5I < 0.4I < 0.45 <
+    -0.5I by magnitude. A negative value has no order against the other
+    kind, so each fold of the row 1 1 1 raises the same OrderUndefined in
+    every order of its column, and the pairwise order raises where the
+    cycle closes."""
     row = Matrix.from_rows([[1, 1, 1]])
-    for column, want in (([-0.9, 0.5, Scalar(0, 0.7)], "0.7I"),
-                         ([0.5, Scalar(0, 0.7), -0.9], "-0.9")):
-        with coded_path_spy() as served:
-            got = maxmin_compose(row, Matrix.from_rows([[v] for v in column]))
-        assert render_scalar(got.at(0, 0)) == want
-        assert served == [(row.row(0), False)]
+    for values, message in (
+            ((-0.9, 0.5, Scalar(0, 0.7)),
+             "-0.9 and 0.7I have no defined order"),
+            ((Scalar(0, -0.5), 0.45, Scalar(0, 0.4)),
+             "-0.5I and 1 have no defined order")):
+        for order in permutations(values):
+            for op in ("maxmin", "minmax"):
+                with pytest.raises(OrderUndefined) as exc:
+                    apply_part([1, 1, 1], column(*order), op)
+                assert str(exc.value) == message
+            with pytest.raises(OrderUndefined) as exc:
+                maxmin_compose(row, column(*order))
+            assert str(exc.value) == message
+    with pytest.raises(OrderUndefined,
+                       match=r"^-0\.5I and 0\.45 have no defined order$"):
+        scalar_max(Scalar(0, -0.5), 0.45)
+    assert scalar_max(0.45, Scalar(0, 0.4)) == 0.45
+    assert scalar_max(Scalar(0, 0.4), Scalar(0, -0.5)) == Scalar(0, 0.4)
+    # under indeterminacy the same folds are defined: I wins max and min
+    for order in permutations((-0.9, 0.5, Scalar(0, 0.7))):
+        assert apply_part([1, 1, 1], column(*order), "maxmin",
+                          "indeterminacy") == (Scalar(0, 0.7),)
+
+
+def test_a_fold_names_the_first_value_without_an_order():
+    # a mixed or NaN value of the part before one of the matrix, and the
+    # matrix by rows
+    q = Matrix.from_rows([[0.5, Scalar(0.5, 1)], [Scalar(1, -1), 0.2]])
+    for policy in POLICIES:
+        with pytest.raises(OrderUndefined, match=r"^0\.5\+I has no"):
+            apply_part([0.1, 0.2], q, "maxmin", policy)
+        with pytest.raises(OrderUndefined, match=r"^2-I has no"):
+            apply_part([Scalar(2, -1), 0.2], q, "minmax", policy)
+        with pytest.raises(OrderUndefined, match=r"^nan has no"):
+            apply_part([0.1, math.nan], q, "maxmin", policy)
+        with pytest.raises(OrderUndefined, match=r"^nanI has no"):
+            apply_part([Scalar(0, math.nan), 0.2], Matrix.from_rows(
+                [[0.5], [0.2]]), "maxmin", policy)
