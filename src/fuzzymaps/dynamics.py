@@ -127,8 +127,7 @@ DEFAULT_MAX_STEPS = 10_000
 def on_coordinates(part) -> tuple:
     """The 0-based coordinates that are ON (equal to 1) in a crisp seed
     part: the coordinates a circle step pins."""
-    return tuple([i for i, v in enumerate(part)
-                  if v.real_part == 1.0 and not v.indet_coeff])
+    return tuple([i for i, v in enumerate(part) if v == 1])
 
 
 class FixedPoint(_FrozenRecord):
@@ -189,7 +188,7 @@ def seed_problems(where, part, kind, side, rows, cols) -> list:
         return [f"{where}: {problem}"]
     return [f"{where}, coordinate {coord + 1}: non-crisp input {value}; "
             f"entries must be 0 or 1" for coord, value in enumerate(part)
-            if value.indet_coeff or value.real_part not in (0.0, 1.0)]
+            if value not in (0, 1)]
 
 
 class Recurrence:

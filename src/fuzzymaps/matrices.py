@@ -97,12 +97,11 @@ class Matrix(_Memoized):
                 f"{rows}x{cols} matrix needs {rows * cols} entries, "
                 f"got {len(cells)}")
         # ANY holds every Scalar. Under another domain each distinct entry
-        # object is checked once (a few literals fill most matrices);
-        # `cells` keeps the objects alive, so no id is reused. A failure
-        # is found again in row-major order, so the error names the first
+        # is checked once (a few literals fill most matrices). A failure is
+        # found again in row-major order, so the error names the first
         # entry outside the domain.
-        if domain is not ValueDomain.ANY and not all(map(
-                domain.contains, dict(zip(map(id, cells), cells)).values())):
+        if domain is not ValueDomain.ANY and not all(map(domain.contains,
+                                                         set(cells))):
             for idx, cell in enumerate(cells):
                 if not domain.contains(cell):
                     raise DomainError(

@@ -202,7 +202,7 @@ def diagonal_diagnostics(special: SpecialMatrix) -> list:
         if tag.kind != CM or tag.op != "circle":
             continue
         for i, cell in enumerate(mat.entries[::mat.cols + 1]):
-            if cell.real_part or cell.indet_coeff:
+            if cell != 0:
                 out.append(f"component {idx + 1}: diagonal cell "
                            f"({i + 1},{i + 1}) is {cell}, must be 0")
     return out

@@ -20,6 +20,7 @@ from .values import (
     Scalar,
     ValueDomain,
     _FrozenRecord,
+    _TEXTS,
     _ancestors,
     _coerce_each,
     _require_iterable,
@@ -215,6 +216,14 @@ class SpecialStateVector(_Memoized):
 
 
 def render_part(part) -> str:
+    """The values of a part as render_scalar renders them, bracketed: for
+    Scalars the memo holds, the common case, in one C-level pass."""
+    part = tuple(part)
+    if all(map(isinstance, part, repeat(Scalar))):
+        try:
+            return "[" + " ".join(map(_TEXTS.__getitem__, part)) + "]"
+        except KeyError:  # a value not memoized (yet)
+            pass
     return "[" + " ".join(map(render_scalar, part)) + "]"
 
 

@@ -1,9 +1,8 @@
 """Scalar values: reals extended with the indeterminate I, plus the order,
 threshold, and t-norm/t-conorm operations built on them.
 
-A scalar is a + bI with I*I = I. Values are canonicalized on construction:
-a coefficient of exactly 0 collapses to the plain real form, so
-Scalar(3, 0) == Scalar(3) and hashes identically.
+A scalar is a + bI with I*I = I, stored as the complex a + bj: a signed
+zero is stored as 0.0, and Scalar(3, -0.0) == Scalar(3) == 3.0 hash alike.
 """
 
 from __future__ import annotations
@@ -25,23 +24,33 @@ from .errors import (
 )
 
 
-class Scalar:
-    """Immutable a + bI value."""
+class Scalar(complex):
+    """Immutable a + bI value, stored as the complex a + bj, whose hash
+    and equality it keeps (in C). Division, power, abs, unary plus,
+    conjugate and a format spec raise TypeError: I has no inverse."""
 
-    __slots__ = ("real_part", "indet_coeff")
+    __slots__ = ()
 
-    def __init__(self, real_part=0.0, indet_coeff=0.0):
-        a = float(real_part)
-        b = float(indet_coeff)
-        # normalize signed zeros so rendering and hashing are stable
-        object.__setattr__(self, "real_part", a + 0.0 if a != 0 else 0.0)
-        object.__setattr__(self, "indet_coeff", b + 0.0 if b != 0 else 0.0)
+    def __new__(cls, real_part=0.0, indet_coeff=0.0):
+        # normalize signed zeros (-0.0 + 0.0 is 0.0), so rendering is stable
+        return complex.__new__(cls, float(real_part) + 0.0,
+                               float(indet_coeff) + 0.0)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+    real_part = complex.real
+    indet_coeff = complex.imag
 
     def __reduce__(self):
         return Scalar, (self.real_part, self.indet_coeff)
+
+    def __bool__(self):
+        return True  # a value, not a number: ZERO is true too
+
+    def _undefined(self, *operands):
+        raise TypeError("Scalar has no /, **, abs, unary + or conjugate")
+
+    __truediv__ = __rtruediv__ = __pow__ = __rpow__ = _undefined
+    __abs__ = __pos__ = conjugate = _undefined
+    __format__ = object.__format__
 
     # -- variant predicates -------------------------------------------------
     @property
@@ -83,22 +92,8 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if isinstance(other, (int, float)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return (self.real_part == other.real_part
-                and self.indet_coeff == other.indet_coeff)
-
-    def __hash__(self):
-        # a real scalar equals its float, so it hashes like it
-        if not self.indet_coeff:
-            return hash(self.real_part)
-        return hash((self.real_part, self.indet_coeff))
-
     def __repr__(self):
-        return f"Scalar({render_scalar(self)!r})"
+        return f"Scalar({_named(self)!r})"  # 'inf' where str raises
 
     def __str__(self):
         return render_scalar(self)
@@ -331,6 +326,8 @@ def domain_join(a: ValueDomain, b: ValueDomain) -> ValueDomain:
 class OrderPolicy(Enum):
     """How a real is ordered against a pure multiple of I."""
 
+    __hash__ = object.__hash__  # in C, by identity, as members compare
+
     BOOK_DEFAULT = "book"
     INDETERMINACY_DOMINANT = "indeterminacy"
 
@@ -374,8 +371,8 @@ class ThresholdMode(_FrozenRecord):
 
 
 def _named(x) -> str:
-    """`x` as an order message names it: render_scalar's text, or for a
-    coefficient that is not finite, which it rejects, the float's."""
+    """`x` as repr and an order message name it: render_scalar's text, or
+    for a coefficient that is not finite, which it rejects, the float's."""
     try:
         return render_scalar(x)
     except DomainError:
@@ -486,12 +483,10 @@ def _book_pick(outer, codes) -> int:
     return best ^ 1 if best ^ 1 in codes else best
 
 
-# _order_codes' memo, one per policy: the (real_part, indet_coeff) float
-# pair -> its code. Keyed by the float pair, as _TEXTS is; values without
-# a code are never kept. Bounded like _TEXTS: once full it only reads.
+# _order_codes' memo, one per policy: Scalar -> its code, for values that
+# have one. Bounded like _TEXTS: once full it only reads.
 _CODE_LIMIT = 4096
 _CODES = {policy: {} for policy in OrderPolicy}
-_PAIR = attrgetter("real_part", "indet_coeff")
 _REAL = attrgetter("real_part")
 _INDET = attrgetter("indet_coeff")
 
@@ -502,14 +497,14 @@ def _order_codes(values, policy: OrderPolicy):
     memo lookups, or one bulk pass for a list the memo lacks."""
     table = _CODES[policy]
     try:
-        return list(map(table.__getitem__, map(_PAIR, values)))
+        return list(map(table.__getitem__, values))
     except KeyError:
         pass
     codes = _order_code(list(map(_REAL, values)), list(map(_INDET, values)),
                         policy)
     room = _CODE_LIMIT - len(table)
     if codes is not None and room > 0:
-        table.update(islice(zip(map(_PAIR, values), codes), room))
+        table.update(islice(zip(values, codes), room))
     return codes
 
 
@@ -723,11 +718,10 @@ def _render_real(x: float) -> str:
     return repr(x)
 
 
-# render_scalar's memo: the (real_part, indet_coeff) float pair -> its
-# text. A run's values come from a few literals, so a trace renders the
-# same few pairs again and again. Keyed by the float pair (a C-level tuple
-# hash, not Scalar.__hash__); equal floats render alike, and signed zeros
-# never reach it. Bounded like _LITERALS: once full it only reads.
+# render_scalar's memo: Scalar -> its text, read by special.render_part
+# too. A run's values come from a few literals, so a trace renders the
+# same few again and again. Equal Scalars render alike, as no signed zero
+# is stored. Bounded like _LITERALS: once full it only reads.
 _TEXT_LIMIT = 4096
 _TEXTS = {}
 
@@ -736,15 +730,13 @@ def render_scalar(x) -> str:
     """Canonical text form: integral values without a decimal point, pure
     multiples of I as `nI` (coefficient 1 rendered bare), mixed values as
     `a+bI` / `a-bI`. An infinite or NaN coefficient raises DomainError.
-    Each coefficient pair is rendered once while the memo (_TEXTS) has
-    room."""
+    Each value is rendered once while the memo (_TEXTS) has room."""
     x = coerce(x)
-    key = (x.real_part, x.indet_coeff)
-    text = _TEXTS.get(key)
-    if text is None:
-        text = _render_pair(*key)  # a DomainError is never memoized
+    text = _TEXTS.get(x)
+    if text is None:  # a DomainError is never memoized
+        text = _render_pair(x.real_part, x.indet_coeff)
         if len(_TEXTS) < _TEXT_LIMIT:
-            _TEXTS[key] = text
+            _TEXTS[x] = text
     return text
 
 

@@ -1,11 +1,13 @@
 """Scalar arithmetic, ordering, thresholds, norms, and text forms."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzymaps import values
+from fuzzymaps import special, values
 from fuzzymaps import (
     I,
     ONE,
@@ -26,6 +28,7 @@ from fuzzymaps import (
     threshold_scalar,
     tnorm,
 )
+from fuzzymaps.special import render_part
 from fuzzymaps.values import coerce
 
 TOL = 1e-12
@@ -524,3 +527,211 @@ def test_numerals_are_ascii_digits_only(token):
     with pytest.raises(ParseError, match="bad scalar"):
         values.parse_scalars(["0", token])
 
+
+
+# ------------------------------------------------ stored as a complex a + bj
+
+def test_scalar_is_stored_as_a_complex():
+    # the deliberate surface of the storage: a Scalar is a complex, reads
+    # as one and equals (and hashes like) the complex with its coefficients
+    s = Scalar(0.5, -2)
+    assert isinstance(s, complex)
+    assert (s.real, s.imag) == (s.real_part, s.indet_coeff) == (0.5, -2.0)
+    assert type(complex(s)) is complex and complex(s) == 0.5 - 2j
+    assert s == 0.5 - 2j and hash(s) == hash(0.5 - 2j)
+    assert I == 1j and ONE == 1 == 1.0
+
+
+# an operation complex has and a + bI lacks -> a call of it
+UNDEFINED = {
+    "div": lambda s: s / 2,
+    "rdiv": lambda s: 2 / s,
+    "complex-rdiv": lambda s: 1j / s,
+    "scalar-div": lambda s: s / s,
+    "pow": lambda s: s ** 2,
+    "rpow": lambda s: 2 ** s,
+    "complex-rpow": lambda s: 1j ** s,
+    "pow-mod": lambda s: pow(s, 2, 3),
+    "abs": abs,
+    "unary-plus": lambda s: +s,
+    "conjugate": lambda s: s.conjugate(),
+    "format-spec": lambda s: format(s, ">5"),
+    "complex-add": lambda s: s + 1j,
+    "complex-radd": lambda s: 1j + s,
+    "complex-rmul": lambda s: 1j * s,
+    "complex-rsub": lambda s: 1j - s,
+    "int": int,
+    "float": float,
+    "round": round,
+    "floordiv": lambda s: s // 1,
+    "mod": lambda s: s % 1,
+    "less-than": lambda s: s < s,
+    "scalar-of-scalar": Scalar,
+}
+
+
+@pytest.mark.parametrize("op", list(UNDEFINED.values()), ids=list(UNDEFINED))
+@pytest.mark.parametrize("s", [ZERO, ONE, I, Scalar(0.5, -2)],
+                         ids=["0", "1", "I", "0.5-2I"])
+def test_scalar_has_none_of_the_other_complex_operations(op, s):
+    with pytest.raises(TypeError):
+        op(s)
+
+
+def test_scalar_surface_is_a_value_not_a_number():
+    assert bool(ZERO) and bool(Scalar(-0.0, -0.0))  # every value is true
+    assert format(I, "") == f"{I}" == str(I) == "I"
+    assert f"{Scalar(0.5, -2)}" == "0.5-2I"
+    for name in ("real_part", "indet_coeff", "other"):
+        with pytest.raises(AttributeError):
+            setattr(ONE, name, 2.0)
+        with pytest.raises(AttributeError):
+            delattr(ONE, name)
+    for value in (1j, 1 + 0j, True, "1", None):
+        with pytest.raises(TypeError):
+            coerce(value)
+    with pytest.raises(TypeError):
+        Scalar(1j)
+    with pytest.raises(TypeError):
+        Scalar(0, 1j)
+    assert Scalar(-0.0, -0.0).is_real and not Scalar(0, 1).is_real
+    # a signed zero is stored as 0.0, in both coefficients
+    zero = Scalar(-0.0, -0.0)
+    assert repr((zero.real_part, zero.indet_coeff)) == "(0.0, 0.0)"
+    assert pickle.dumps(zero) == pickle.dumps(ZERO)
+
+
+# finite coefficients, signed zeros among them
+coefficients = st.one_of(st.integers(-3, 3), st.sampled_from([0.0, -0.0]),
+                         st.floats(-1e300, 1e300, allow_nan=False))
+
+
+@given(coefficients, coefficients, coefficients, coefficients)
+def test_scalars_are_equal_exactly_when_their_coefficients_are(a, b, c, d):
+    x, y = Scalar(a, b), Scalar(c, d)
+    same = (float(a) + 0.0, float(b) + 0.0) == (float(c) + 0.0, float(d) + 0.0)
+    assert (x == y) is same and (x != y) is not same
+    if same:
+        assert hash(x) == hash(y)
+    if not float(b):  # a real equals its float and hashes like it
+        assert x == float(a) and hash(x) == hash(float(a))
+        assert {float(a): "a"}[x] == "a"
+
+
+def test_non_finite_scalars_compare_as_their_floats():
+    nan = Scalar(math.nan)
+    assert nan != nan and nan != Scalar(math.nan)
+    assert Scalar(math.inf) == math.inf and Scalar(0, -math.inf) != ZERO
+
+
+# (Scalar(0.5, -2), Scalar(3)) as the slotted Scalar of earlier releases
+# pickled it, at protocols 0, 2 and 5: its __reduce__ gave the same float
+# pair this one gives
+OLD_PICKLES = (
+    b"(cfuzzymaps.values\nScalar\np0\n(F0.5\nF-2.0\ntp1\nRp2\ng0\n"
+    b"(F3.0\nF0.0\ntp3\nRp4\ntp5\n.",
+    b"\x80\x02cfuzzymaps.values\nScalar\nq\x00G?\xe0\x00\x00\x00\x00"
+    b"\x00\x00G\xc0\x00\x00\x00\x00\x00\x00\x00\x86q\x01Rq\x02h\x00G"
+    b"@\x08\x00\x00\x00\x00\x00\x00G\x00\x00\x00\x00\x00\x00\x00\x00"
+    b"\x86q\x03Rq\x04\x86q\x05.",
+    b"\x80\x05\x95O\x00\x00\x00\x00\x00\x00\x00\x8c\x10fuzzymaps.values"
+    b"\x94\x8c\x06Scalar\x94\x93\x94G?\xe0\x00\x00\x00\x00\x00\x00G"
+    b"\xc0\x00\x00\x00\x00\x00\x00\x00\x86\x94R\x94h\x02G@\x08\x00"
+    b"\x00\x00\x00\x00\x00G\x00\x00\x00\x00\x00\x00\x00\x00\x86\x94R"
+    b"\x94\x86\x94.",
+)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_scalar_pickle_round_trip(protocol):
+    for s in (ZERO, ONE, I, Scalar(0.5, -2), Scalar(math.inf, -1)):
+        for back in (pickle.loads(pickle.dumps(s, protocol)), copy.copy(s),
+                     copy.deepcopy(s)):
+            assert type(back) is Scalar
+            assert (back.real_part, back.indet_coeff) == (s.real_part,
+                                                          s.indet_coeff)
+
+
+@pytest.mark.parametrize("protocol, data", zip((0, 2, 5), OLD_PICKLES))
+def test_scalar_pickles_of_earlier_releases_load(protocol, data):
+    got = pickle.loads(data)
+    assert got == (Scalar(0.5, -2), Scalar(3))
+    assert all(type(s) is Scalar for s in got)
+    assert pickle.dumps(got, protocol) == data  # and are written alike
+
+
+def test_scalar_repr_never_raises():
+    # a coefficient that is not finite is named as an order message names
+    # it (values._named)
+    assert repr(Scalar(0.5, -2)) == "Scalar('0.5-2I')"
+    assert repr(Scalar(math.inf)) == "Scalar('inf')"
+    assert repr(Scalar(0, -math.inf)) == "Scalar('-infI')"
+    assert repr(Scalar(1, -math.inf)) == "Scalar('1.0 + -infI')"
+    assert repr(Scalar(math.nan, 2)) == "Scalar('nan + 2.0I')"
+    with pytest.raises(DomainError):  # the text form still has no inf
+        str(Scalar(math.inf))
+
+
+@pytest.mark.parametrize("policy", list(OrderPolicy), ids=lambda p: p.value)
+def test_order_policy_hashes_by_identity(policy):
+    assert hash(policy) == object.__hash__(policy)
+    assert {policy: "p"}[OrderPolicy.parse(policy.value)] == "p"
+    assert OrderPolicy.parse(policy.value) is policy
+    assert OrderPolicy(policy.value) is policy
+    assert copy.copy(policy) is policy and copy.deepcopy(policy) is policy
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(policy, protocol)) is policy
+
+
+def _render_each(part):
+    return "[" + " ".join(map(render_scalar, part)) + "]"
+
+
+def _memo(mp, texts, limit=values._TEXT_LIMIT):
+    """Give render_scalar, and render_part which reads it directly, the
+    memo `texts` of room `limit`."""
+    mp.setattr(values, "_TEXTS", texts)
+    mp.setattr(special, "_TEXTS", texts)
+    mp.setattr(values, "_TEXT_LIMIT", limit)
+
+
+def test_render_part_is_the_join_of_render_scalar():
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(scalars, st.integers(-9, 9),
+                              st.floats(-9, 9, allow_nan=False)), max_size=6))
+    def check(values_):
+        part = tuple(values_)
+        expected = _render_each(part)
+        for _ in range(2):  # the first call may fill the memo
+            assert render_part(part) == expected
+        assert render_part(iter(part)) == expected
+
+    # a small bound, so that the memo fills up and parts hold values
+    # beyond it
+    with pytest.MonkeyPatch.context() as mp:
+        _memo(mp, {}, 16)
+        check()
+        assert len(values._TEXTS) == 16
+
+
+def test_render_part_with_a_full_memo_renders_afresh():
+    with pytest.MonkeyPatch.context() as mp:
+        _memo(mp, {}, 0)
+        assert render_part((Scalar(0.125), I, Scalar(2, -3))) == "[0.125 I 2-3I]"
+        assert values._TEXTS == {}
+
+
+@pytest.mark.parametrize("part, error", [
+    ((True,), TypeError),
+    ((ONE, False), TypeError),
+    ((1j,), TypeError),
+    ((ONE, "1"), TypeError),
+    ((None,), TypeError),
+    ((Scalar(math.inf),), DomainError),
+    ((ONE, Scalar(0, math.nan)), DomainError),
+], ids=["bool", "bool-after-scalar", "complex", "text", "none", "inf", "nan"])
+def test_render_part_raises_where_render_scalar_raises(part, error):
+    render_part((ONE, ZERO, I))  # the memo holds 1 and 0, which True equals
+    for render in (_render_each, render_part):
+        with pytest.raises(error):
+            render(part)
