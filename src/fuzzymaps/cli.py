@@ -40,7 +40,7 @@ from .matrices import (
 from .models import class_diagnostics, diagonal_diagnostics, run
 from .special import SpecialMatrix
 from .trace import render_trace
-from .values import _NUMBER_RE, OrderPolicy, _ascii_int, render_scalar
+from .values import _NUMBER_RE, OrderPolicy, _ascii_int, render_row
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -142,11 +142,9 @@ def cmd_fre(args) -> int:
         r = transpose(r)  # accept a column file for the target
     solution = solve_max(q, r, neutrosophic=args.neutrosophic)
     p = solution.max_solution
-    print("max-solution: " +
-          " ".join(render_scalar(v) for v in p.row(0)))
+    print("max-solution: " + render_row(p.row(0)))
     print(f"solvable: {'yes' if solution.solvable else 'no'}")
-    print("residual: " +
-          " ".join(render_scalar(v) for v in solution.residual.row(0)))
+    print("residual: " + render_row(solution.residual.row(0)))
     if not solution.solvable:
         bad = failing_columns(q, r)
         if bad:
@@ -156,8 +154,7 @@ def cmd_fre(args) -> int:
         minimal = minimal_solutions_bruteforce(q, r)
         if minimal:
             for vec in minimal:
-                print("minimal: " +
-                      " ".join(render_scalar(v) for v in vec.row(0)))
+                print("minimal: " + render_row(vec.row(0)))
         else:
             print("minimal: none")
     return EXIT_OK

@@ -53,7 +53,7 @@ from .values import (
     _require_type,
     parse_scalar,
     parse_scalars,
-    render_scalar,
+    render_row,
 )
 
 
@@ -307,7 +307,7 @@ def serialize_model(model, name: str = "") -> str:
             out.append("cols " + " ".join(group[1]))
         out.append(f"expert {model.experts[idx]}")
         for i in range(mat.rows):
-            out.append(" ".join(render_scalar(v) for v in mat.row(i)))
+            out.append(render_row(mat.row(i)))
     out.append("end")
     return "\n".join(out) + "\n"
 
@@ -348,5 +348,5 @@ def parse_matrix_text(text: str) -> Matrix:
 def serialize_matrix(matrix: Matrix) -> str:
     out = []
     for i in range(matrix.rows):
-        out.append(" ".join(render_scalar(v) for v in matrix.row(i)))
+        out.append(render_row(matrix.row(i)))
     return "\n".join(out) + "\n"

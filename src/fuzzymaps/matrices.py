@@ -20,10 +20,12 @@ from .values import (
     OrderPolicy,
     Scalar,
     ValueDomain,
+    _FrozenRecord,
     _ORDER_FLIP,
     _book_pick,
     _check_order,
     _coerce_each,
+    _named,
     _order_codes,
     _order_pair,
     _require_iterable,
@@ -43,9 +45,10 @@ def _is_size(value) -> bool:
 class _Memoized:
     """An immutable value that keeps data derived from it, computed once:
     a step kernel's operands, a union's carrier problems, a seed's ON
-    coordinates. The memos are not part of the value: a subclass leaves
-    `_memos` out of equality, hashing and __reduce__, and sets it to None
-    on construction."""
+    coordinates. The memos are not part of the value: `_memos` is a slot
+    of this class, not of the _FrozenRecord subclass, so it is none of the
+    subclass's fields, which alone are compared, hashed and pickled. A
+    subclass sets it to None on construction."""
 
     __slots__ = ("_memos",)
 
@@ -69,7 +72,7 @@ class _Memoized:
         return None if memos is None else memos.get((build, key))
 
 
-class Matrix(_Memoized):
+class Matrix(_FrozenRecord, _Memoized):
     """Immutable rows x cols matrix of Scalars declared over a ValueDomain
     (a member or its text, such as `unit`).
 
@@ -78,7 +81,7 @@ class Matrix(_Memoized):
     entry outside the domain's membership predicate. Indexing is 0-based.
     """
 
-    __slots__ = ("rows", "cols", "domain", "entries")
+    __slots__ = ("rows", "cols", "entries", "domain")
 
     def __init__(self, rows, cols, entries, domain=ValueDomain.ANY):
         domain = ValueDomain.parse(domain)
@@ -112,8 +115,8 @@ class Matrix(_Memoized):
     def _fill(self, rows, cols, domain, cells):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "entries", cells)
+        object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "_memos", None)
 
     @classmethod
@@ -124,12 +127,6 @@ class Matrix(_Memoized):
         mat = object.__new__(cls)
         mat._fill(rows, cols, domain, cells)
         return mat
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    def __reduce__(self):  # the memos are not part of the value
-        return Matrix, (self.rows, self.cols, self.entries, self.domain)
 
     @classmethod
     def from_rows(cls, rows, domain=ValueDomain.ANY) -> "Matrix":
@@ -167,20 +164,11 @@ class Matrix(_Memoized):
     def with_domain(self, domain: ValueDomain) -> "Matrix":
         return Matrix(self.rows, self.cols, self.entries, domain)
 
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (self.shape == other.shape and self.domain is other.domain
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.domain, self.entries))
-
     def __repr__(self):
-        body = "; ".join(
-            " ".join(render_scalar(c) for c in self.row(i))
-            for i in range(self.rows))
-        return f"Matrix({self.rows}x{self.cols} {self.domain.value}: {body})"
+        body = "; ".join(" ".join(map(_named, self.row(i)))
+                         for i in range(self.rows))
+        return (f"{type(self).__qualname__}({self.rows}x{self.cols} "
+                f"{self.domain.value}: {body})")
 
 
 def row_vector(values, domain=ValueDomain.ANY) -> Matrix:

@@ -20,13 +20,13 @@ from .values import (
     Scalar,
     ValueDomain,
     _FrozenRecord,
-    _TEXTS,
     _ancestors,
     _coerce_each,
+    _named,
     _require_iterable,
     coerce,
     parse_name,
-    render_scalar,
+    render_row,
 )
 
 CM = "CM"    # square component iterated against itself
@@ -93,11 +93,11 @@ def _carrier_problems(components) -> tuple:
     return tuple(out)
 
 
-class SpecialMatrix(_Memoized):
+class SpecialMatrix(_FrozenRecord, _Memoized):
     """Nonempty ordered union of (Matrix, ComponentTag) components. It
     keeps data derived from it through `_memo`, outside its value."""
 
-    __slots__ = ("components", "classification")
+    __slots__ = ("components",)
 
     def __init__(self, components):
         try:
@@ -118,14 +118,13 @@ class SpecialMatrix(_Memoized):
                     f"component {idx + 1} is tagged CM but has shape "
                     f"{matrix.rows}x{matrix.cols}")
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "classification", _classify(comps))
         object.__setattr__(self, "_memos", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SpecialMatrix is immutable")
-
-    def __reduce__(self):
-        return SpecialMatrix, (self.components,)
+    @property
+    def classification(self) -> str:
+        """The union's class by its algebras and shapes, such as `special
+        fuzzy square`, computed on first read."""
+        return self._memo(_classify)
 
     def __len__(self):
         return len(self.components)
@@ -133,23 +132,15 @@ class SpecialMatrix(_Memoized):
     def __iter__(self):
         return iter(self.components)
 
-    def __eq__(self, other):
-        if not isinstance(other, SpecialMatrix):
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
-
     def __repr__(self):
         parts = ", ".join(f"{m.rows}x{m.cols}/{t.kind}"
                           for m, t in self.components)
-        return f"SpecialMatrix({self.classification}: {parts})"
+        return f"{type(self).__qualname__}({self.classification}: {parts})"
 
 
-def _classify(components) -> str:
-    shapes = [m.shape for m, _ in components]
-    algebras = {t.algebra for _, t in components}
+def _classify(union: SpecialMatrix) -> str:
+    shapes = [m.shape for m, _ in union]
+    algebras = {t.algebra for _, t in union}
     if algebras == {"fuzzy"}:
         alg = "fuzzy"
     elif algebras == {"neutrosophic"}:
@@ -167,7 +158,7 @@ def _classify(components) -> str:
     return f"special {alg} {shape}"
 
 
-class SpecialStateVector(_Memoized):
+class SpecialStateVector(_FrozenRecord, _Memoized):
     """A run's seed: one state part per component, plus the side (domain
     or range) every part is seeded on. Only RM components have both
     spaces; a CM component has a single node space, which is its domain,
@@ -193,38 +184,18 @@ class SpecialStateVector(_Memoized):
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "_memos", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SpecialStateVector is immutable")
-
-    def __reduce__(self):
-        return SpecialStateVector, (self.parts, self.side)
-
     def __len__(self):
         return len(self.parts)
 
-    def __eq__(self, other):
-        if not isinstance(other, SpecialStateVector):
-            return NotImplemented
-        return self.parts == other.parts and self.side == other.side
-
-    def __hash__(self):
-        return hash((self.parts, self.side))
-
     def __repr__(self):
-        body = " U ".join(render_part(p) for p in self.parts)
-        return f"SpecialStateVector({self.side}: {body})"
+        body = " U ".join("[" + " ".join(map(_named, p)) + "]"
+                          for p in self.parts)
+        return f"{type(self).__qualname__}({self.side}: {body})"
 
 
 def render_part(part) -> str:
-    """The values of a part as render_scalar renders them, bracketed: for
-    Scalars the memo holds, the common case, in one C-level pass."""
-    part = tuple(part)
-    if all(map(isinstance, part, repeat(Scalar))):
-        try:
-            return "[" + " ".join(map(_TEXTS.__getitem__, part)) + "]"
-        except KeyError:  # a value not memoized (yet)
-            pass
-    return "[" + " ".join(map(render_scalar, part)) + "]"
+    """The values of a part as render_scalar renders them, bracketed."""
+    return "[" + render_row(part) + "]"
 
 
 def apply_part(part, mat: Matrix, op: str,

@@ -659,10 +659,12 @@ def parse_scalar(text: str) -> Scalar:
     """Parse the scalar text syntax: `0.3`, `-1`, `I`, `2I`, `0.3+0.5I`,
     `7-I`, and the I-term-first form `7I-1`. Whitespace inside the token
     is ignored. Numerals are ASCII digits only. A coefficient that
-    overflows a float raises ParseError. Equal tokens share one Scalar
-    object while the memo (_LITERALS) has room."""
+    overflows a float raises ParseError, and a `text` that is not a str
+    raises TypeError naming it. Equal tokens share one Scalar object while
+    the memo (_LITERALS) has room."""
     value = _LITERALS.get(text)
     if value is None:
+        _require_type(text, str, "text")
         value = _parse_scalar(text)  # a ParseError is never memoized
         if len(_LITERALS) < _LITERAL_LIMIT:
             _LITERALS[text] = value
@@ -718,9 +720,9 @@ def _render_real(x: float) -> str:
     return repr(x)
 
 
-# render_scalar's memo: Scalar -> its text, read by special.render_part
-# too. A run's values come from a few literals, so a trace renders the
-# same few again and again. Equal Scalars render alike, as no signed zero
+# render_scalar's memo: Scalar -> its text, read by render_row too. A
+# run's values come from a few literals, so a trace renders the same few
+# again and again. Equal Scalars render alike, as no signed zero
 # is stored. Bounded like _LITERALS: once full it only reads.
 _TEXT_LIMIT = 4096
 _TEXTS = {}
@@ -738,6 +740,18 @@ def render_scalar(x) -> str:
         if len(_TEXTS) < _TEXT_LIMIT:
             _TEXTS[x] = text
     return text
+
+
+def render_row(values) -> str:
+    """The values as render_scalar renders them, one space apart: for
+    Scalars the memo holds, the common case, in one C-level pass."""
+    values = tuple(values)
+    if all(map(isinstance, values, repeat(Scalar))):
+        try:
+            return " ".join(map(_TEXTS.__getitem__, values))
+        except KeyError:  # a value not memoized (yet)
+            pass
+    return " ".join(map(render_scalar, values))
 
 
 def _render_pair(a, b):

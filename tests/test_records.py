@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import importlib
+import math
 import pickle
 import pkgutil
 
@@ -10,10 +11,13 @@ import pytest
 
 import fuzzymaps
 from fuzzymaps import (
+    I,
     ONE,
     ZERO,
     ClassViolation,
     ComponentTag,
+    DomainError,
+    EmptyUnion,
     FixedPoint,
     InvalidInput,
     LimitCycle,
@@ -21,8 +25,13 @@ from fuzzymaps import (
     Model,
     ModelClass,
     ParseError,
+    Scalar,
+    ShapeMismatch,
     SpecialMatrix,
+    SpecialStateVector,
     ThresholdMode,
+    ValueDomain,
+    serialize_matrix,
 )
 from fuzzymaps.fileformats import ModelFile, ParsedStructure
 from fuzzymaps.fre import FreSolution
@@ -40,6 +49,24 @@ CM_ONLY, FUZZY, NONE = frozenset({"CM"}), frozenset({"fuzzy"}), frozenset()
 # a shorter argument list with the record its defaults complete; and
 # arguments that fail a check, with the error and its text
 RECORDS = [
+    pytest.param(
+        Matrix, ("rows", "cols", "entries", "domain"),
+        (1, 2, (ZERO, I), ValueDomain.STATE_TRI),
+        "Matrix(1x2 state-tri: 0 I)",
+        ((1, 2, (0, 0)), (1, 2, (0, 0), ValueDomain.ANY)),
+        [((0, 2, []), ShapeMismatch, "matrix shape 0x2 is empty")],
+        id="Matrix"),
+    pytest.param(
+        SpecialMatrix, ("components",), (((SQUARE, ComponentTag()),),),
+        "SpecialMatrix(special fuzzy square: 2x2/CM)", None,
+        [(([],), EmptyUnion, "a union needs at least one component")],
+        id="SpecialMatrix"),
+    pytest.param(
+        SpecialStateVector, ("parts", "side"), (((ONE, ZERO),), "range"),
+        "SpecialStateVector(range: [1 0])",
+        ((((1, 0),),), (((1, 0),), "domain")),
+        [(([[1]], "left"), ParseError, "unknown side 'left'")],
+        id="SpecialStateVector"),
     pytest.param(
         FixedPoint, ("state",), ((ONE, ZERO),),
         "FixedPoint(state=(Scalar('1'), Scalar('0')))", None, [],
@@ -103,6 +130,38 @@ RECORDS = [
         [], id="_ClassRule"),
 ]
 
+# per record class that was a hand-written immutable class before it
+# became a _FrozenRecord: one record of its RECORDS row, pickled at
+# protocol 2 by that class; it must still load equal
+PICKLED = {
+    Matrix: (
+        b'\x80\x02cfuzzymaps.matrices\nMatrix\nq\x00(K\x01K\x02cfuzzymaps.'
+        b'values\nScalar\nq\x01G\x00\x00\x00\x00\x00\x00\x00\x00G\x00\x00'
+        b'\x00\x00\x00\x00\x00\x00\x86q\x02Rq\x03h\x01G\x00\x00\x00\x00'
+        b'\x00\x00\x00\x00G?\xf0\x00\x00\x00\x00\x00\x00\x86q\x04Rq\x05'
+        b'\x86q\x06cfuzzymaps.values\nValueDomain\nq\x07X\t\x00\x00\x00sta'
+        b'te-triq\x08\x85q\tRq\ntq\x0bRq\x0c.'),
+    SpecialMatrix: (
+        b'\x80\x02cfuzzymaps.special\nSpecialMatrix\nq\x00cfuzzymaps.matri'
+        b'ces\nMatrix\nq\x01(K\x02K\x02(cfuzzymaps.values\nScalar\nq\x02G'
+        b'\x00\x00\x00\x00\x00\x00\x00\x00G\x00\x00\x00\x00\x00\x00\x00'
+        b'\x00\x86q\x03Rq\x04h\x02G?\xf0\x00\x00\x00\x00\x00\x00G\x00\x00'
+        b'\x00\x00\x00\x00\x00\x00\x86q\x05Rq\x06h\x02G?\xf0\x00\x00\x00'
+        b'\x00\x00\x00G\x00\x00\x00\x00\x00\x00\x00\x00\x86q\x07Rq\x08h'
+        b'\x02G\x00\x00\x00\x00\x00\x00\x00\x00G\x00\x00\x00\x00\x00\x00'
+        b'\x00\x00\x86q\tRq\ntq\x0bcfuzzymaps.values\nValueDomain\nq\x0cX'
+        b'\x03\x00\x00\x00triq\r\x85q\x0eRq\x0ftq\x10Rq\x11cfuzzymaps.spec'
+        b'ial\nComponentTag\nq\x12X\x02\x00\x00\x00CMq\x13X\x05\x00\x00'
+        b'\x00fuzzyq\x14X\x06\x00\x00\x00circleq\x15\x87q\x16Rq\x17\x86q'
+        b'\x18\x85q\x19\x85q\x1aRq\x1b.'),
+    SpecialStateVector: (
+        b'\x80\x02cfuzzymaps.special\nSpecialStateVector\nq\x00cfuzzymaps.'
+        b'values\nScalar\nq\x01G?\xf0\x00\x00\x00\x00\x00\x00G\x00\x00\x00'
+        b'\x00\x00\x00\x00\x00\x86q\x02Rq\x03h\x01G\x00\x00\x00\x00\x00'
+        b'\x00\x00\x00G\x00\x00\x00\x00\x00\x00\x00\x00\x86q\x04Rq\x05\x86'
+        b'q\x06\x85q\x07X\x05\x00\x00\x00rangeq\x08\x86q\tRq\n.'),
+}
+
 
 def positional_match(record):
     """The fields that a class pattern with one capture per field binds."""
@@ -146,6 +205,8 @@ def test_a_record_is_a_frozen_value_of_its_fields(cls, names, args, text,
                       pickle.loads(pickle.dumps(record))):
         assert type(duplicate) is cls and duplicate == record
         assert repr(duplicate) == text
+    if cls in PICKLED:
+        assert pickle.loads(PICKLED[cls]) == record
     for name in (*names, "other"):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
@@ -156,6 +217,20 @@ def test_a_record_is_a_frozen_value_of_its_fields(cls, names, args, text,
         with pytest.raises(error) as raised:
             cls(*bad)
         assert str(raised.value) == message
+
+
+def test_a_repr_names_a_value_that_has_no_text():
+    # each entry shows as Scalar's repr shows it (values._named), where a
+    # file, which cannot hold inf, refuses it
+    row = Matrix(1, 2, [math.inf, 1])
+    assert repr(row) == "Matrix(1x2 any: inf 1)"
+    assert repr(SpecialStateVector([[1, Scalar(0, -math.inf)]])) == \
+        "SpecialStateVector(domain: [1 -infI])"
+    assert repr(FreSolution(row, False, row)) == (
+        "FreSolution(max_solution=Matrix(1x2 any: inf 1), solvable=False, "
+        "residual=Matrix(1x2 any: inf 1))")
+    with pytest.raises(DomainError):
+        serialize_matrix(row)
 
 
 def test_only_the_records_of_a_run_are_dataclasses():

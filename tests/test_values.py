@@ -7,7 +7,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzymaps import special, values
+from fuzzymaps import values
 from fuzzymaps import (
     I,
     ONE,
@@ -346,6 +346,13 @@ def test_parse_scalar_rejects_garbage():
     for bad in ("", "+", "I+I", "2++3I", "xyz", "2I3"):
         with pytest.raises(ParseError):
             parse_scalar(bad)
+
+
+def test_parse_scalar_names_a_text_that_is_not_a_str():
+    for bad in (5, 1.5, None, b"1"):
+        with pytest.raises(TypeError, match="^text must be a str, got "):
+            parse_scalar(bad)
+        assert bad not in values._LITERALS
 
 
 def test_parse_scalar_rejects_overflowing_literals():
@@ -687,11 +694,15 @@ def _render_each(part):
     return "[" + " ".join(map(render_scalar, part)) + "]"
 
 
+def _bracketed_row(part):
+    """render_row's text of `part`, bracketed as render_part brackets it."""
+    return "[" + values.render_row(part) + "]"
+
+
 def _memo(mp, texts, limit=values._TEXT_LIMIT):
-    """Give render_scalar, and render_part which reads it directly, the
+    """Give render_scalar, and render_row which reads it directly, the
     memo `texts` of room `limit`."""
     mp.setattr(values, "_TEXTS", texts)
-    mp.setattr(special, "_TEXTS", texts)
     mp.setattr(values, "_TEXT_LIMIT", limit)
 
 
@@ -702,9 +713,10 @@ def test_render_part_is_the_join_of_render_scalar():
     def check(values_):
         part = tuple(values_)
         expected = _render_each(part)
-        for _ in range(2):  # the first call may fill the memo
-            assert render_part(part) == expected
-        assert render_part(iter(part)) == expected
+        for render in (render_part, _bracketed_row):
+            for _ in range(2):  # the first call may fill the memo
+                assert render(part) == expected
+            assert render(iter(part)) == expected
 
     # a small bound, so that the memo fills up and parts hold values
     # beyond it
@@ -717,7 +729,9 @@ def test_render_part_is_the_join_of_render_scalar():
 def test_render_part_with_a_full_memo_renders_afresh():
     with pytest.MonkeyPatch.context() as mp:
         _memo(mp, {}, 0)
-        assert render_part((Scalar(0.125), I, Scalar(2, -3))) == "[0.125 I 2-3I]"
+        for render in (render_part, _bracketed_row):
+            assert render((Scalar(0.125), I, Scalar(2, -3))) == \
+                "[0.125 I 2-3I]"
         assert values._TEXTS == {}
 
 
@@ -732,6 +746,6 @@ def test_render_part_with_a_full_memo_renders_afresh():
 ], ids=["bool", "bool-after-scalar", "complex", "text", "none", "inf", "nan"])
 def test_render_part_raises_where_render_scalar_raises(part, error):
     render_part((ONE, ZERO, I))  # the memo holds 1 and 0, which True equals
-    for render in (_render_each, render_part):
+    for render in (_render_each, render_part, _bracketed_row):
         with pytest.raises(error):
             render(part)
