@@ -189,9 +189,10 @@ def _cut_constant(text: str) -> float:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared by every
-    later `main` call in the process."""
+def _parsers():
+    """The top-level argument parser and its {command: subparser} map,
+    built on the first call and shared by every later `main` call in the
+    process."""
     parser = argparse.ArgumentParser(
         prog="fuzzymaps",
         description="Multi-expert fuzzy/neutrosophic map runner and "
@@ -238,14 +239,34 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(real-valued inputs only)")
     p_fre.add_argument("--neutrosophic", action="store_true",
                        help="allow indeterminate memberships")
-    return parser
+    return parser, sub.choices
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level argument parser (see _parsers)."""
+    return _parsers()[0]
+
+
+# kept apart from the shared parsers, which hold no command function
+_COMMANDS = {"validate": cmd_validate, "run": cmd_run,
+             "compose": cmd_compose, "fre": cmd_fre}
+
+
+def _parse(argv):
+    """(command function, parsed arguments) of `argv`. A command word
+    first is parsed by that command's own subparser: the parse the
+    top-level parser would hand it, without going over the words twice.
+    Anything else (no words, --help, an unknown command, `--` first) goes
+    through the top-level parser."""
+    parser, subparsers = _parsers()
+    if argv and argv[0] in _COMMANDS:
+        return _COMMANDS[argv[0]], subparsers[argv[0]].parse_args(argv[1:])
+    args = parser.parse_args(argv)
+    return _COMMANDS[args.command], args
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    # looked up per call, so the shared parser holds no command function
-    command = {"validate": cmd_validate, "run": cmd_run,
-               "compose": cmd_compose, "fre": cmd_fre}[args.command]
+    command, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return command(args)
     except (FuzzymapsError, OSError) as exc:

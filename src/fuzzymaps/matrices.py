@@ -31,7 +31,6 @@ from .values import (
     _require_iterable,
     _require_type,
     domain_join,
-    render_scalar,
 )
 
 OPS = ("circle", "maxmin", "minmax")
@@ -108,7 +107,7 @@ class Matrix(_FrozenRecord, _Memoized):
             for idx, cell in enumerate(cells):
                 if not domain.contains(cell):
                     raise DomainError(
-                        f"{entry(idx)} = {render_scalar(cell)} is outside "
+                        f"{entry(idx)} = {_named(cell)} is outside "
                         f"domain {domain.value}")
         self._fill(rows, cols, domain, cells)
 

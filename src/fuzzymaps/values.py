@@ -662,7 +662,10 @@ def parse_scalar(text: str) -> Scalar:
     overflows a float raises ParseError, and a `text` that is not a str
     raises TypeError naming it. Equal tokens share one Scalar object while
     the memo (_LITERALS) has room."""
-    value = _LITERALS.get(text)
+    try:
+        value = _LITERALS.get(text)
+    except TypeError:  # an unhashable text, so not a str
+        value = None
     if value is None:
         _require_type(text, str, "text")
         value = _parse_scalar(text)  # a ParseError is never memoized

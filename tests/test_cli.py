@@ -3,6 +3,7 @@ the trace files `run` writes, argv numerals, state across `main` calls,
 and the exit code of every error class."""
 
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -85,7 +86,7 @@ def test_run_trace_is_reproducible(tmp_path):
 
 # ------------------------------------------------------------ argv numerals
 
-@pytest.mark.parametrize("option, value", [
+RUN_NUMERALS = [
     ("--max-steps", "\u0661"),  # ARABIC-INDIC DIGIT ONE
     ("--max-steps", "1_0"),
     ("--max-steps", "+3"),
@@ -93,17 +94,66 @@ def test_run_trace_is_reproducible(tmp_path):
     ("--threshold-k", "1_0"),
     ("--threshold-k", "\uff11"),  # FULLWIDTH DIGIT ONE
     ("--threshold-k", "0x1"),
-])
+]
+
+
+def _run_argv(option, value):
+    return ["run", "--model", str(FIXTURES / "single_square_signed.model"),
+            "--input", str(FIXTURES / "single_square_seed_b.vec"),
+            option, value]
+
+
+@pytest.mark.parametrize("option, value", RUN_NUMERALS)
 def test_run_options_take_ascii_numerals_only(capsys, option, value):
     # the numerals of the file grammars: int() and float() would also
     # take other scripts' digits and underscores
     with pytest.raises(SystemExit) as err:
-        cli_module.main(["run", "--model",
-                         str(FIXTURES / "single_square_signed.model"),
-                         "--input", str(FIXTURES / "single_square_seed_b.vec"),
-                         option, value])
+        cli_module.main(_run_argv(option, value))
     assert err.value.code == 2
     assert f"argument {option}: not " in capsys.readouterr().err
+
+
+# ------------------------------------------------------------------ parsing
+
+def _parsed(parse, argv, capsys):
+    """What `parse(argv)` gives: ("args", the command function, the repr
+    of each argument but `command`, so that a NaN equals itself), or
+    ("exit", code, the last stderr line from `error:` on)."""
+    try:
+        command, args = parse(argv)
+    except SystemExit as exc:
+        err = capsys.readouterr().err.splitlines()
+        return "exit", exc.code, err[-1][err[-1].find("error: "):]
+    return "args", command, {k: repr(v) for k, v in vars(args).items()
+                             if k != "command"}
+
+
+def _top_level_parse(argv):
+    args = cli_module._build_parser().parse_args(argv)
+    return cli_module._COMMANDS[args.command], args
+
+
+@pytest.mark.parametrize("argv", [
+    *(case.argv for case in CASES.values()),
+    *(_run_argv(option, value) for option, value in RUN_NUMERALS),
+    ["compose", "--op", "nope", "a", "b"],
+    ["run"],
+    [],
+    ["--", "fre", "--matrix", "q", "--target", "r", "--minimal"],
+], ids=lambda argv: shlex.join(argv) or "no-arguments")
+def test_dispatch_parses_as_the_top_level_parser(capsys, argv):
+    # a command word first is parsed by that command's own subparser
+    # alone; the command and its arguments, or the usage error after its
+    # prog prefix, are those the top-level parser gives
+    assert _parsed(cli_module._parse, argv, capsys) == _parsed(
+        _top_level_parse, argv, capsys)
+
+
+def test_main_without_arguments_names_the_missing_command(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli_module.main([])
+    assert err.value.code == 2
+    assert "required: command" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- state
@@ -180,7 +230,7 @@ def test_main_exits_with_the_error_class_code(monkeypatch, capsys, error,
     def fail(args):
         raise error("boom")
 
-    monkeypatch.setattr(cli_module, "cmd_validate", fail)
+    monkeypatch.setitem(cli_module._COMMANDS, "validate", fail)
     assert error.exit_code == code
     assert cli_module.main(["validate", "--model", "any.model"]) == code
     assert capsys.readouterr().err == "error: boom\n"

@@ -5,6 +5,7 @@ cross-checked against an independent recomputation before being frozen
 here.
 """
 
+import math
 import pickle
 
 import pytest
@@ -177,6 +178,10 @@ def test_domain_error_names_the_first_of_a_repeated_bad_entry():
     with pytest.raises(DomainError) as err:
         Matrix(3, 2, entries, UNIT)
     assert str(err.value) == "entry (3,1) = 2 is outside domain unit"
+    # a non-finite entry, which render_scalar rejects, is named as well
+    with pytest.raises(DomainError) as err:
+        Matrix(1, 2, [1, math.inf], UNIT)
+    assert str(err.value) == "entry (1,2) = inf is outside domain unit"
 
 
 def test_builders():
