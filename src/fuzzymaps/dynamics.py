@@ -52,8 +52,7 @@ takes every component of its tag:
   algebra       operator       kernel
   fuzzy         circle         packed
   neutrosophic  circle         trit
-  fuzzy         maxmin/minmax  float level
-  neutrosophic  maxmin/minmax  Scalar (_ScalarStep)
+  either        maxmin/minmax  Scalar (_ScalarStep)
 
 * packed: weights in {-1, 0, 1}; a state is one int holding a
   byte-aligned field per coordinate, and a step is one C-level sum of the
@@ -64,10 +63,9 @@ takes every component of its tag:
   popcounts via int.bit_count (so Python 3.10+) over per-matrix masks of
   the +1, -1 and I entries, and the cut is threshold_scalar, once per
   distinct raw value per kernel in a run;
-* float level: memberships in [0, 1]; float-tuple states, one C-level
-  max/min call per entry;
-* Scalar: Scalar tuples through apply_part, where the order policy
-  applies.
+* Scalar: Scalar tuples through apply_part, which folds each row on int
+  order codes under the order policy (reals order alike under both) and
+  returns operand objects.
 
 A run keeps each orbit's steps in the kernels' own form. The union
 trace is assembled from them on its first read, which decodes every
@@ -78,8 +76,9 @@ whose trace nobody reads builds no record.
 
 Tests replay every run record by record through the public Scalar
 operations (apply_part, threshold_scalar, landing_side and the pin),
-which the kernels do not use, and step every reported cycle again
-through them.
+which the packed and trit kernels do not use, and step every reported
+cycle again through them. The Scalar kernel's step is apply_part itself,
+which the order tests hold to a spec written outside the package.
 """
 
 from __future__ import annotations
@@ -462,9 +461,9 @@ class _Kernel:
 
 
 class _ScalarStep(_Kernel):
-    """Neutrosophic max-min or min-max step on Scalar tuples through
-    apply_part, under the run's order policy. Parts flow raw: no cut, no
-    pin, and a state is its own Scalar tuple."""
+    """Max-min or min-max step, fuzzy or neutrosophic, on Scalar tuples
+    through apply_part, under the run's order policy. Parts flow raw: no
+    cut, no pin, and a state is its own Scalar tuple."""
 
     def __init__(self, matrix, tag, k, pin_on, policy):
         self.matrix = matrix
@@ -692,48 +691,14 @@ class _TritStep(_Kernel):
         return tuple(map(_INT_SCALARS.__getitem__, raw))
 
 
-class _LevelStep(_Kernel):
-    """Fuzzy max-min or min-max step over [0, 1] memberships on float
-    tuples.
-
-    A state is the tuple of its coordinates' real parts, and the operand
-    is a tuple of the matrix's columns as float tuples, so raw_j is one
-    C-level call, max(map(min, x, column_j)) for max-min. Parts flow raw:
-    no cut, no pin. Every raw value is a seed value (0 or 1) or a matrix
-    entry, so `values` maps each float back to its Scalar.
-    """
-
-    def __init__(self, matrix, tag, k, pin_on, policy):
-        entries = matrix.entries
-        reals = tuple([e.real_part for e in entries])
-        cols = matrix.cols
-        self.operand = tuple(reals[j::cols] for j in range(cols))
-        self.inner, self.outer = (min, max) if tag.op == "maxmin" \
-            else (max, min)
-        self.values = {0.0: ZERO, 1.0: ONE}  # float -> Scalar
-        self.values.update(zip(reals, entries))
-
-    def step(self, x):
-        inner, outer = self.inner, self.outer
-        raw = tuple([outer(map(inner, x, col)) for col in self.operand])
-        return raw, raw, raw
-
-    @staticmethod
-    def seed(part):
-        return tuple([v.real_part for v in part])
-
-    def decode(self, x):
-        return tuple(map(self.values.__getitem__, x))
-
-
 # The kernel each (algebra, op) names. The carrier rule fixes what a
 # component's entries can be, so each kernel takes every component of its
 # tag.
 _KERNEL_BY_TAG = {
     ("fuzzy", "circle"): _PackedStep,
     ("neutrosophic", "circle"): _TritStep,
-    ("fuzzy", "maxmin"): _LevelStep,
-    ("fuzzy", "minmax"): _LevelStep,
+    ("fuzzy", "maxmin"): _ScalarStep,
+    ("fuzzy", "minmax"): _ScalarStep,
     ("neutrosophic", "maxmin"): _ScalarStep,
     ("neutrosophic", "minmax"): _ScalarStep,
 }

@@ -1,5 +1,7 @@
 """The engine's step rule through the public Scalar operations, which the
-compiled kernels do not use: the reference every run is replayed against.
+packed and trit kernels do not use: the reference every run is replayed
+against. The max-min/min-max kernel's step is apply_part itself, so
+test_order holds that step to the order spec instead.
 
 Imported by the test modules next to it.
 """

@@ -6,7 +6,7 @@ Two runs of each drawn union are compared: the union as drawn, and the
 union with its experts reordered or duplicated, its concepts relabelled,
 its entries moved by an increasing map, or its cut constant moved within
 an integer interval. The unions are drawn by the strategies of
-test_dynamics, over every kernel: packed, trit, float level and Scalar.
+test_dynamics, over every kernel: packed, trit and Scalar.
 Compositions and equations are drawn over the unit carrier.
 """
 

@@ -110,10 +110,13 @@ def reals_and_indets(coeffs):
 
 
 # Few coefficients, so that equal values in distinct objects and n
-# against nI ties come up often; the unit carrier, values above 1,
-# negative values, NaN and mixed values
-unit = reals_and_indets(st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.0]),
-                                  st.floats(0, 1)))
+# against nI ties come up often; reals in [0, 1] (the fuzzy max-min and
+# min-max carrier), the unit carrier, values above 1, negative values,
+# NaN and mixed values
+memberships = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+                        st.floats(0, 1))
+fuzzy = st.builds(Scalar, memberships)
+unit = reals_and_indets(memberships)
 coded = reals_and_indets(st.sampled_from([0.0, 0.3, 0.5, 1.0, 1.5,
                                           math.inf]))
 negatives = reals_and_indets(st.one_of(st.sampled_from([-0.5, -1.0]),
@@ -122,11 +125,12 @@ nans = reals_and_indets(st.just(math.nan))
 mixed = st.builds(Scalar, st.sampled_from([0.5, -0.3]),
                   st.sampled_from([0.5, 1.0, -1.0]))
 operands = st.one_of(coded, negatives, mixed)
-# the values of one fold: on the unit carrier, coded values alone, or
-# with values of one kind that may have no order, or of every kind
+# the values of one fold: on the fuzzy or the unit carrier, coded values
+# alone, or with values of one kind that may have no order, or of every
+# kind
 cell_kinds = st.sampled_from([
-    unit, coded, *(st.one_of(coded, kind) for kind in (negatives, nans,
-                                                       mixed)),
+    fuzzy, unit, coded, *(st.one_of(coded, kind) for kind in (negatives,
+                                                              nans, mixed)),
     st.one_of(coded, negatives, nans, mixed)])
 
 

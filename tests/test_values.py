@@ -12,16 +12,22 @@ from fuzzymaps import (
     I,
     ONE,
     ZERO,
+    ComponentTag,
     DomainError,
+    FixedPoint,
+    Matrix,
     ModeMismatch,
     OrderPolicy,
     OrderUndefined,
     ParseError,
     Scalar,
+    SpecialMatrix,
+    SpecialStateVector,
     ThresholdMode,
     ValueDomain,
     parse_scalar,
     render_scalar,
+    run_cm,
     scalar_max,
     scalar_min,
     tconorm,
@@ -201,6 +207,22 @@ def test_threshold_level_shifts_cut():
     assert threshold_scalar(coerce(0.6), ThresholdMode("fuzzy", 0.5)) == ONE
     assert threshold_scalar(Scalar(0, 0.4), ThresholdMode("neutrosophic", 0.5)) == ZERO
     assert threshold_scalar(Scalar(0, 0.6), ThresholdMode("neutrosophic", 0.5)) == I
+    # the neutrosophic cut is strict too: at m = k a pure mI and a real
+    # are both cut to 0
+    mode = ThresholdMode("neutrosophic", 0.5)
+    assert threshold_scalar(Scalar(0, 0.5), mode) == ZERO
+    assert threshold_scalar(Scalar(0.5), mode) == ZERO
+
+
+def test_a_trit_step_cuts_a_raw_multiple_of_i_at_the_constant_to_zero():
+    # seeded at node 1, the step's raw part is [0 I]: at k = 1 its I is
+    # exactly on the cut, so node 2 stays 0 and the seed is a fixed point
+    matrix = Matrix.from_rows([[0, I], [0, 0]], ValueDomain.NEUTRO_TRI)
+    union = SpecialMatrix([(matrix, ComponentTag(algebra="neutrosophic"))])
+    pattern = run_cm(union, SpecialStateVector([(ONE, ZERO)]), threshold_k=1)
+    assert pattern.trace[0].raw == ((ZERO, I),)
+    assert pattern.trace[0].thresholded == ((ZERO, ZERO),)
+    assert pattern.outcomes == (FixedPoint((ONE, ZERO)),)
 
 
 @pytest.mark.parametrize("mode", [0, 0.5, "fuzzy", None])
