@@ -10,11 +10,11 @@ budget of search nodes (real-valued inputs only).
 Every answer is read from one record per Q and target row, after Peeva &
 Kyosev (2004), who solve from the system's characteristic matrix. Each
 value is checked and coded once by the book order code of min
-(values._order_code), where nI sits just below n; the max fold takes nI
-at a tie with n (values._book_pick), as min(n, nI) = max(n, nI) = nI.
-A real system keeps bare keys. One row pass gives p-hat; one column
-pass gives, for each k, the residual and J_k = {j : min(p-hat_j, q_jk) =
-r_k}. failing_columns folds each column's maximum from the same codes.
+(values._order_codes, memoized), where nI sits just below n; the max
+fold takes nI at a tie with n (values._book_pick), as min(n, nI) =
+max(n, nI) = nI. One row pass gives p-hat; one column pass gives, for
+each k, the residual and J_k = {j : min(p-hat_j, q_jk) = r_k}.
+failing_columns folds each column's maximum from the same codes.
 min and max only select operands, so each code maps back to an input
 Scalar, 0 or 1, as in the Scalar order. Q keeps the record of its last
 target, so the calls on one system build it once.
@@ -47,10 +47,9 @@ from .values import (
     Scalar,
     ValueDomain,
     _INDET,
-    _REAL,
     _FrozenRecord,
     _book_pick,
-    _order_code,
+    _named,
     _order_codes,
     _require_type,
     coerce,
@@ -75,37 +74,34 @@ def _checked(value, neutrosophic: bool) -> Scalar:
     if not neutrosophic:
         if x.indet_coeff != 0.0:
             raise ModeMismatch(
-                f"indeterminate value {x} needs neutrosophic=True")
+                f"indeterminate value {_named(x)} needs neutrosophic=True")
         if not ValueDomain.UNIT.contains(x):
-            raise DomainError(f"membership {x} outside [0, 1]")
+            raise DomainError(f"membership {_named(x)} outside [0, 1]")
         return x
     if not ValueDomain.NEUTRO_UNIT.contains(x):
-        raise DomainError(f"membership {x} outside the unit carrier")
+        raise DomainError(
+            f"membership {_named(x)} outside the unit carrier")
     return x
 
 
 _BOOK = OrderPolicy.BOOK_DEFAULT
-# the codes of 0 and 1 at each shift: the unit carrier codes between them
-_ENDS = [_order_code([0.0, 1.0], [0.0, 0.0], _BOOK, bare=not shift)
-         for shift in (0, 1)]
+# the codes of 0 and 1: the unit carrier codes between them
+_ZERO_CODE, _ONE_CODE = _order_codes((ZERO, ONE), _BOOK)
 
 
 def _coded(values, neutrosophic: bool) -> tuple:
-    """The book codes of the Scalars `values` (values._order_code) and
-    their shift: 1, or 0 for bare keys when no value holds I. The check
-    is that of `_checked` by passes over the list: codes between 0's and
-    1's, and no I in the real-valued mode. When it fails, `_checked` runs
-    on each value in order, and the first bad one raises."""
-    indets = list(map(_INDET, values))
-    shift = 1 if any(indets) else 0
-    codes = _order_code(list(map(_REAL, values)), indets, _BOOK,
-                        bare=not shift)
-    zero, one = _ENDS[shift]
-    if codes is None or min(codes) < zero or max(codes) > one \
-            or shift and not neutrosophic:
+    """The book codes of the Scalars `values` (values._order_codes) and
+    whether one holds I. The check is that of `_checked` by passes over
+    the list: codes between 0's and 1's, and no I in the real-valued
+    mode. When it fails, `_checked` runs on each value in order, and the
+    first bad one raises."""
+    codes = _order_codes(values, _BOOK)
+    indet = any(map(_INDET, values))
+    if codes is None or min(codes) < _ZERO_CODE or max(codes) > _ONE_CODE \
+            or indet and not neutrosophic:
         for value in values:
             _checked(value, neutrosophic)
-    return codes, shift
+    return codes, indet
 
 
 def sigma(q, r, *, neutrosophic: bool = False) -> Scalar:
@@ -135,49 +131,40 @@ def _row(cells, domain=ValueDomain.ANY) -> Matrix:
     return Matrix._of_checked(1, len(cells), cells, domain)
 
 
-# one system as codes: Q's in row-major order, the target, the shift of
-# the codes, and the Scalar of each code; p-hat, the residual and J_k by
-# column (of a real-valued system: the minimal search reads no other)
-_Record = namedtuple("_Record", "codes target shift scalars p_hat residual "
+# one system as codes: Q's in row-major order, the target, whether one
+# value holds I, and the Scalar of each code; p-hat, the residual and J_k
+# by column (of a real-valued system: the minimal search reads no other)
+_Record = namedtuple("_Record", "codes target indet scalars p_hat residual "
                      "covers")
 
 
-def _join(codes: list, shift: int) -> int:
-    """The max of `codes` in the Scalar order (at shift 1, _book_pick)."""
-    return _book_pick(max, codes) if shift else max(codes)
-
-
-def _fold(candidate: "_Candidate", r_vals: tuple, r_codes: list,
-          r_shift: int) -> _Record:
-    """The record of Q's `candidate` against the target row `r_vals`."""
-    # a system holding a multiple of I codes every value in full
-    shift = candidate.shift | r_shift
-    codes = candidate.codes if candidate.shift == shift \
-        else _order_codes(candidate.entries, _BOOK)
-    target = r_codes if r_shift == shift else _order_codes(r_vals, _BOOK)
-    zero, one = _ENDS[shift]
-    width = candidate.width
+def _fold(candidate: "_Candidate", target: list, r_vals: tuple,
+          r_indet: bool) -> _Record:
+    """The record of Q's `candidate` against the target row `r_vals`,
+    coded as `target`."""
+    codes, width = candidate.codes, candidate.width
     # q_jk dominates r_k, so sigma gives r_k, exactly when q_jk's key is
     # higher: when its code exceeds the code of the real of r_k's key
-    above = [rk | shift for rk in target]
+    above = [rk | 1 for rk in target]
     p_hat = [min(compress(target, map(operator.gt, codes[i:i + width],
-                                      above)), default=one)
+                                      above)), default=_ONE_CODE)
              for i in range(0, len(codes), width)]
     residual, covers = [], []
     for k, rk in enumerate(target):
         column = codes[k::width]
         # min written out: on two ints it runs faster than the builtin
         meets = [pj if pj < qjk else qjk for pj, qjk in zip(p_hat, column)]
-        residual.append(_join(meets, shift))
+        residual.append(_book_pick(max, meets))
         # no j reaches r_k in a column the residual misses: p-hat o Q <= r
         covers.append(tuple([j for j, mj in enumerate(meets) if mj == rk])
                       if residual[-1] == rk else ())
     scalars = dict(zip(target, r_vals))
-    scalars[zero], scalars[one] = ZERO, ONE
+    scalars[_ZERO_CODE], scalars[_ONE_CODE] = ZERO, ONE
     if not all(map(scalars.__contains__, residual)):
         # the residual takes an entry of Q: map Q's codes to its Scalars
         scalars = {**dict(zip(codes, candidate.entries)), **scalars}
-    return _Record(codes, target, shift, scalars, p_hat, residual, covers)
+    return _Record(codes, target, candidate.indet or r_indet, scalars,
+                   p_hat, residual, covers)
 
 
 class _Candidate:
@@ -186,10 +173,10 @@ class _Candidate:
     against it: solving one Q against many targets keeps only the last.
     A Q off the carrier fails to build and leaves no memo."""
 
-    __slots__ = ("entries", "codes", "shift", "width", "last")
+    __slots__ = ("entries", "codes", "indet", "width", "last")
 
     def __init__(self, q: Matrix):
-        self.codes, self.shift = _coded(q.entries, True)
+        self.codes, self.indet = _coded(q.entries, True)
         self.entries, self.width = q.entries, q.cols
         self.last = None  # (target row, record), read and set whole
 
@@ -204,17 +191,17 @@ def _record(q: Matrix, r, neutrosophic: bool) -> _Record:
     kept = q._memo_kept(_Candidate)
     last = kept and kept.last
     if last and all(map(operator.is_, last[0], r_vals)) \
-            and (neutrosophic or not last[1].shift):
+            and (neutrosophic or not last[1].indet):
         return last[1]
-    r_codes, r_shift = _coded(r_vals, neutrosophic)
+    r_codes, r_indet = _coded(r_vals, neutrosophic)
     try:
         candidate = q._memo(_Candidate)
     except DomainError:
         candidate = None
-    if candidate is None or candidate.shift and not neutrosophic:
+    if candidate is None or candidate.indet and not neutrosophic:
         for value in q.entries:
             _checked(value, neutrosophic)
-    candidate.last = r_vals, _fold(candidate, r_vals, r_codes, r_shift)
+    candidate.last = r_vals, _fold(candidate, r_codes, r_vals, r_indet)
     return candidate.last[1]
 
 
@@ -238,10 +225,10 @@ def failing_columns(q: Matrix, r) -> tuple:
     each one certifies unsolvability on its own. Q and r are checked on
     the unit carrier, as solve_max(..., neutrosophic=True) checks them."""
     record = _record(q, r, True)
-    width, shift = len(record.target), record.shift
-    tops = [_join(record.codes[k::width], shift) for k in range(width)]
+    width = len(record.target)
+    tops = [_book_pick(max, record.codes[k::width]) for k in range(width)]
     return tuple(k for k, (top, rk) in enumerate(zip(tops, record.target))
-                 if top != rk and top >> shift <= rk >> shift)
+                 if top != rk and top >> 1 <= rk >> 1)
 
 
 def check_necessary(q: Matrix, r) -> bool:
@@ -283,10 +270,10 @@ def minimal_solutions_bruteforce(q: Matrix, r, *,
         raise ModeMismatch(
             "minimal-solution enumeration is real-valued; Q and r must "
             "hold no indeterminate value") from None
-    # real-valued: the walk runs on the bare keys of the values, 0's being 0
+    # the walk runs on the codes, which order reals as their values
     levels = {}  # r_k -> (J_k as a bit mask, J_k) of each column at r_k
     for rk, js in zip(record.target, record.covers):
-        if rk:
+        if rk != _ZERO_CODE:
             if not js:
                 return ()
             levels.setdefault(rk, []).append((sum(1 << j for j in js), js))
@@ -302,7 +289,7 @@ def minimal_solutions_bruteforce(q: Matrix, r, *,
     nodes = 0  # the choices made so far; the empty root is not one
     # a node: the next script step, the chosen j as a bit mask, those
     # chosen before the open level, and p so far
-    stack = [(0, 0, 0, (0,) * q.rows)]
+    stack = [(0, 0, 0, (_ZERO_CODE,) * q.rows)]
     while stack:
         i, chosen, before, p = stack.pop()
         while i < end:

@@ -8,7 +8,6 @@ the arithmetic of the run itself.
 
 from __future__ import annotations
 
-import enum
 import functools
 
 from .errors import ClassViolation, NonzeroDiagonal, WrongEntryPoint
@@ -20,10 +19,10 @@ from .special import (
     SpecialStateVector,
     _carrier_problems,
 )
-from .values import _FrozenRecord, _require_type, parse_name
+from .values import _FrozenRecord, _Vocabulary, _require_type
 
 
-class ModelClass(enum.Enum):
+class ModelClass(_Vocabulary, what="model class"):
     SFCM = "SFCM"
     SMFCM = "SMFCM"
     SNCM = "SNCM"
@@ -49,13 +48,7 @@ class ModelClass(enum.Enum):
         case with surrounding blanks (` sfcm`)."""
         if isinstance(value, str):
             value = value.strip().upper()
-        return parse_name(value, cls, "model class")
-
-    @classmethod
-    def _missing_(cls, value):
-        """A value lookup that finds no member raises ParseError, as
-        parse_name does, not ValueError; it accepts no more values."""
-        return parse_name(value, cls, "model class")
+        return super().parse(value)
 
 
 # Classes whose components describe relational equations rather than

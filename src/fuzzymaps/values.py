@@ -232,6 +232,29 @@ def parse_name(value, names, what):
     raise ParseError(f"unknown {what} {value!r}")
 
 
+class _Vocabulary(Enum):
+    """A closed vocabulary: a member-less Enum base. A subclass names
+    itself in its class statement, as `class OrderPolicy(_Vocabulary,
+    what="order policy")`, and parse_name's ParseError names it so."""
+
+    def __init_subclass__(cls, what, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._what = what
+
+    @classmethod
+    def parse(cls, value):
+        """The member `value` is or spells by its text value."""
+        if isinstance(value, cls):  # a member passes with no more work
+            return value
+        return parse_name(value, cls, cls._what)
+
+    @classmethod
+    def _missing_(cls, value):
+        """A value lookup that finds no member raises ParseError, as
+        parse_name does, not ValueError; it accepts no more values."""
+        return parse_name(value, cls, cls._what)
+
+
 # The membership predicate of each value domain, by its text value, on a
 # Scalar a + bI. A NEUTRO_UNIT value is never mixed: a mixed a + bI has no
 # order for max and min.
@@ -253,7 +276,7 @@ _MEMBERSHIP = {
 }
 
 
-class ValueDomain(Enum):
+class ValueDomain(_Vocabulary, what="value domain"):
     """Entry domains a matrix can be declared over. `domain.contains(v)`
     tells whether the Scalar `v` lies in the domain."""
 
@@ -274,17 +297,6 @@ class ValueDomain(Enum):
     def neutrosophic(self) -> bool:
         return self in (ValueDomain.NEUTRO_TRI, ValueDomain.NEUTRO_UNIT,
                         ValueDomain.STATE_TRI)
-
-    @classmethod
-    def parse(cls, value) -> "ValueDomain":
-        """The domain `value` is or spells (`tri`, `unit`, ...)."""
-        return parse_name(value, cls, "value domain")
-
-    @classmethod
-    def _missing_(cls, value):
-        """A value lookup that finds no member raises ParseError, as
-        parse_name does, not ValueError; it accepts no more values."""
-        return parse_name(value, cls, "value domain")
 
 
 # Containment lattice used to type operation results. ANY is the top.
@@ -323,24 +335,13 @@ def domain_join(a: ValueDomain, b: ValueDomain) -> ValueDomain:
     return ValueDomain.ANY
 
 
-class OrderPolicy(Enum):
+class OrderPolicy(_Vocabulary, what="order policy"):
     """How a real is ordered against a pure multiple of I."""
 
     __hash__ = object.__hash__  # in C, by identity, as members compare
 
     BOOK_DEFAULT = "book"
     INDETERMINACY_DOMINANT = "indeterminacy"
-
-    @classmethod
-    def parse(cls, value) -> "OrderPolicy":
-        """The policy `value` is or spells (`book`, `indeterminacy`)."""
-        return parse_name(value, cls, "order policy")
-
-    @classmethod
-    def _missing_(cls, value):
-        """A value lookup that finds no member raises ParseError, as
-        parse_name does, not ValueError; it accepts no more values."""
-        return parse_name(value, cls, "order policy")
 
 
 def _check_threshold_k(k):
@@ -399,31 +400,15 @@ def _check_order(values, policy: OrderPolicy) -> None:
 
 def _order_pair(a: Scalar, b: Scalar, policy: OrderPolicy):
     """Return (min, max) under the policy, as the operands themselves
-    (equal operands give (a, a)); a pair without an order raises as
-    _check_order((a, b), policy) does. This is PAPER.md's pairwise rule,
-    behind scalar_min, scalar_max and elementwise_*. The max-min and
-    min-max folds order values by their codes (_order_code) instead,
-    which agree with it on every pair it orders."""
-    ar, ai = a.real_part, a.indet_coeff
-    br, bi = b.real_part, b.indet_coeff
-    if not (ar and ai or br and bi):  # neither is mixed
-        if (not ai) is (not bi):  # two reals, or two pure multiples of I
-            x, y = ar + ai, br + bi
-            if x < y:
-                return a, b
-            if x > y:
-                return b, a
-            if x == y:
-                return a, a
-        else:  # the real's coefficient x against the multiple's y
-            real, indet = (b, a) if ai else (a, b)
-            x, y = ar + br, ai + bi
-            dominant = policy is OrderPolicy.INDETERMINACY_DOMINANT
-            if x >= 0 and y >= 0 or dominant and x == x and y == y:
-                if dominant or x == y:  # the multiple at both ends
-                    return indet, indet
-                return (real, indet) if x < y else (indet, real)
-    _check_order((a, b), policy)  # raises: a NaN, a mixed or a negative
+    (equal operands give (a, a)), by their order codes (_order_code); a
+    pair without an order raises as _check_order((a, b), policy) does.
+    This is behind scalar_min, scalar_max and elementwise_*."""
+    codes = _order_codes((a, b), policy)
+    if codes is None or policy is OrderPolicy.BOOK_DEFAULT and min(codes) < 0:
+        _check_order((a, b), policy)  # raises unless a and b are one kind
+    x, y = codes
+    flip = _ORDER_FLIP[policy]
+    return a if x <= y else b, a if x ^ flip >= y ^ flip else b
 
 
 # A negative double's bit pattern XOR this constant is its key
@@ -433,8 +418,7 @@ _ORDER_FLIP = {OrderPolicy.BOOK_DEFAULT: 1,
                OrderPolicy.INDETERMINACY_DOMINANT: 1 << 64}
 
 
-def _order_code(reals: list, indets: list, policy: OrderPolicy,
-                bare: bool = False):
+def _order_code(reals: list, indets: list, policy: OrderPolicy):
     """The layout of the order codes, written once: the code of each value
     reals[i] + indets[i]*I under `policy`, as a list, or None when one has
     no order at all (a mixed value, or a NaN coefficient).
@@ -446,13 +430,9 @@ def _order_code(reals: list, indets: list, policy: OrderPolicy,
     INDETERMINACY_DOMINANT it is is_real << 64 | key + 2**63, so every
     multiple of I sits below every real. That is the order of min; the
     code XOR `_ORDER_FLIP[policy]` is the order of max (`_book_pick` takes
-    nI at a tie of n and nI). Equal codes are equal values, and the codes
-    order two values as _order_pair does wherever it orders them.
-
-    One specialization: with `bare`, a BOOK_DEFAULT list with no multiple
-    of I is coded by the bit patterns alone, unchecked: they order reals
-    >= 0 alike, and put a negative value or NaN below 0's or above inf's.
-    fre codes a real system so and bounds the codes; no memo holds them."""
+    nI at a tie of n and nI). Equal codes are equal values. Under
+    BOOK_DEFAULT a negative value codes below 0 and orders only against
+    values of its own kind (_check_order)."""
     if any(indets):
         sums = list(map(add, reals, indets))
         # a value that is not mixed counts once: its zero coefficients,
@@ -463,8 +443,6 @@ def _order_code(reals: list, indets: list, policy: OrderPolicy,
         reals = sums
     n = len(reals)
     keys = list(struct.unpack(f"{n}q", struct.pack(f"{n}d", *reals)))
-    if bare:
-        return keys
     total = sum(reals)  # NaN when one is, or when inf meets -inf
     if total != total and any(map(math.isnan, reals)):
         return None
@@ -533,7 +511,7 @@ def threshold_scalar(x, mode: ThresholdMode) -> Scalar:
     if mode.kind == "fuzzy":
         if not x.is_real:
             raise ModeMismatch(
-                f"fuzzy thresholding cannot accept {render_scalar(x)}")
+                f"fuzzy thresholding cannot accept {_named(x)}")
         return ONE if x.real_part > k else ZERO
     if x.is_real:
         return ONE if x.real_part > k else ZERO
@@ -558,9 +536,9 @@ def _norm_operand(x, what):
     x = coerce(x)
     if x.is_mixed:
         raise OrderUndefined(
-            f"{render_scalar(x)} has no defined order for {what}")
+            f"{_named(x)} has no defined order for {what}")
     if not ValueDomain.NEUTRO_UNIT.contains(x):
-        raise DomainError(f"{render_scalar(x)} is outside the {what} domain")
+        raise DomainError(f"{_named(x)} is outside the {what} domain")
     return x.real_part if x.is_real else None
 
 

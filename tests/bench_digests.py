@@ -9,8 +9,9 @@ every model the sweep runs is read from its text file. Seed 1 runs with
 by name, so a rename fails here. Seed 301 runs untraced: it is the seed
 and the paths the benchmark gates (fre-minimal and pipeline-paper run the
 order codes of fre and of the max-min/min-max folds). Tier-1 checks the
-pipeline-paper rows, the only ones that step max-min/min-max components
-(tests/test_bench_digests.py). To check every row:
+pipeline-paper and fre-minimal rows (tests/test_bench_digests.py), the
+runs that step max-min/min-max components and that solve through fre;
+sweep-sfcm30 runs neither. To check every row:
 
     python tests/bench_digests.py
 

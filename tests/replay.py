@@ -1,17 +1,19 @@
 """The engine's step rule through the public Scalar operations, which the
-packed and trit kernels do not use: the reference every run is replayed
-against. The max-min/min-max kernel's step is apply_part itself, so
-test_order holds that step to the order spec instead.
+packed and trit kernels do not use, and through the order spec
+(tests/spec_oracle.py), which the max-min/min-max kernel does not use:
+the reference every run is replayed against.
 
 Imported by the test modules next to it.
 """
 
 import pytest
 
+import spec_oracle as spec
 from fuzzymaps import (
     DOMAIN_SIDE,
     ONE,
     IterationCapExceeded,
+    Matrix,
     OrderPolicy,
     ThresholdMode,
     render_trace,
@@ -24,13 +26,48 @@ from fuzzymaps.dynamics import landing_side
 from fuzzymaps.special import apply_part
 
 
+class Oracle:
+    """The oracle over Scalars: each Scalar goes in as its own (a, b)
+    pair object, and each pair the oracle picks comes back as its
+    Scalar."""
+
+    def __init__(self):
+        self._scalars = {}  # id of a pair -> (the pair, its Scalar)
+
+    def pairs(self, values):
+        out = []
+        for x in values:
+            p = (x.real_part, x.indet_coeff)
+            self._scalars[id(p)] = (p, x)
+            out.append(p)
+        return out
+
+    def scalars(self, picks):
+        return tuple(self._scalars[id(p)][1] for p in picks)
+
+    def pair(self, a, b, policy):
+        return self.scalars(spec.pair(*self.pairs((a, b)), policy.value))
+
+    def fold(self, part, mat: Matrix, op, policy):
+        rows = [self.pairs(mat.row(i)) for i in range(mat.rows)]
+        return self.scalars(spec.fold(self.pairs(part), rows, op,
+                                      policy.value))
+
+    def compose(self, p: Matrix, q: Matrix, op, policy):
+        return tuple(x for i in range(p.rows)
+                     for x in self.fold(p.row(i), q, op, policy))
+
+
 def public_step(state, matrix, tag, k, pin, policy=OrderPolicy.BOOK_DEFAULT):
-    """One apply -> cut -> pin step of `state` against `matrix` through
-    apply_part and threshold_scalar; `pin` lists the coordinates set to 1.
-    Returns (raw, thresholded, updated); maxmin/minmax parts flow raw."""
-    raw = tuple(apply_part(state, matrix, tag.op, policy))
+    """One apply -> cut -> pin step of `state` against `matrix`: a circle
+    step through apply_part and threshold_scalar, `pin` listing the
+    coordinates set to 1, and a max-min/min-max step through the spec's
+    fold (Oracle), which picks the very operand Scalars. Returns (raw,
+    thresholded, updated); maxmin/minmax parts flow raw."""
     if tag.op != "circle":
+        raw = Oracle().fold(state, matrix, tag.op, policy)
         return raw, raw, raw
+    raw = tuple(apply_part(state, matrix, tag.op, policy))
     mode = ThresholdMode(tag.algebra, k)
     cut = tuple(threshold_scalar(v, mode) for v in raw)
     updated = list(cut)

@@ -1,6 +1,7 @@
 """Relational equations under max-min composition."""
 
 import itertools
+import math
 import operator
 import random
 import sys
@@ -9,6 +10,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spec_oracle as spec
 from fuzzymaps import (
     ONE,
     ZERO,
@@ -18,7 +20,6 @@ from fuzzymaps import (
     InvalidInput,
     Matrix,
     ModeMismatch,
-    OrderPolicy,
     Scalar,
     ShapeMismatch,
     ValueDomain,
@@ -33,7 +34,7 @@ from fuzzymaps import (
     solve_max,
 )
 from fuzzymaps.matrices import row_vector
-from fuzzymaps.values import _order_pair
+from fuzzymaps.values import _named
 UNIT = ValueDomain.UNIT
 
 
@@ -60,6 +61,19 @@ def test_sigma_rejects_out_of_unit():
         sigma(1.2, 0.5)
     with pytest.raises(ModeMismatch):
         sigma(parse_scalar("I"), 0.5)
+
+
+def test_sigma_names_an_infinite_multiple_of_i():
+    # the message names the value rather than failing to render it
+    with pytest.raises(ModeMismatch, match=(
+            "^indeterminate value infI needs neutrosophic=True$")):
+        sigma(Scalar(0, math.inf), 0.5)
+
+
+def test_solve_max_names_an_infinite_target():
+    with pytest.raises(DomainError,
+                       match=r"^membership inf outside \[0, 1\]$"):
+        solve_max(unit([[0.5, 1.0]]), [0.5, math.inf])
 
 
 @given(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10))
@@ -344,35 +358,47 @@ def test_minimal_solutions_match_the_cover_walk(system):
     assert [tuple(vals(p)) for p in found] == _cover_walk(q_rows, r)
 
 
+# the book order of tests/spec_oracle.py, which shares no code with the
+# engine, on the pairs (a, b) of values a + bI
+_LOW, _HIGH = spec.low(spec.BOOK), spec.high(spec.BOOK)
+_SPEC_ONE = (1.0, 0.0)
+
+
+def _spec(x):
+    """The Scalar x as the spec's pair (a, b)."""
+    return x.real_part, x.indet_coeff
+
+
 def _dominates(a, b):
-    """a strictly above b in the Scalar order: the order gives (b, a),
-    which equal operands and a magnitude tie (the multiple of I at both
-    ends) never are."""
-    low, high = _order_pair(a, b, OrderPolicy.BOOK_DEFAULT)
+    """The pair a strictly above the pair b in the spec's book order: it
+    gives (b, a), which equal values and a magnitude tie (the multiple
+    of I at both ends) never are."""
+    low, high = spec.pair(a, b, spec.BOOK)
     return low is b and high is not b
 
 
 def _scalar_order_reference(q, r):
-    """solve_max and the minimal solutions of p o Q = r, from the Scalar
-    order alone (scalar_min, scalar_max and _order_pair): p-hat_j folds
-    sigma(q_jk, r_k), r_k when q_jk dominates r_k and else 1, with
-    scalar_min; residual_k folds min(p-hat_j, q_jk) with scalar_max. For
-    a real-valued system the minimal solutions are the entrywise-minimal
-    candidates over every cover, with J_k = {j : min(p-hat_j, q_jk) =
-    r_k}; for any other they are None."""
-    r_vals = list(r.row(0))
-    p_hat = [reduce(scalar_min, [rk if _dominates(qk, rk) else ONE
-                                 for qk, rk in zip(q.row(j), r_vals)], ONE)
-             for j in range(q.rows)]
-    meets = [[scalar_min(p_hat[j], q.at(j, k)) for j in range(q.rows)]
+    """solve_max and the minimal solutions of p o Q = r, from the spec's
+    book order alone (tests/spec_oracle.py): p-hat_j folds sigma(q_jk,
+    r_k), r_k when q_jk dominates r_k and else 1, with the spec's min;
+    residual_k folds min(p-hat_j, q_jk) with its max. For a real-valued
+    system the minimal solutions are the entrywise-minimal candidates
+    over every cover, with J_k = {j : min(p-hat_j, q_jk) = r_k}; for any
+    other they are None. p-hat and the residual come back as Scalars."""
+    q_rows = [list(map(_spec, q.row(j))) for j in range(q.rows)]
+    r_vals = list(map(_spec, r.row(0)))
+    p_hat = [reduce(_LOW, [rk if _dominates(qk, rk) else _SPEC_ONE
+                           for qk, rk in zip(row, r_vals)], _SPEC_ONE)
+             for row in q_rows]
+    meets = [[_LOW(pj, row[k]) for pj, row in zip(p_hat, q_rows)]
              for k in range(q.cols)]
-    residual = [reduce(scalar_max, col) for col in meets]
+    residual = [reduce(_HIGH, col) for col in meets]
     minimal = None
     if all(v.is_real for v in q.entries + r.entries):
         targets, options = [], []
         for rk, col in zip(r_vals, meets):
-            if rk != ZERO:
-                targets.append(rk.real_part)
+            if rk != _spec(ZERO):
+                targets.append(rk[0])
                 options.append([j for j, v in enumerate(col) if v == rk])
         candidates = set()
         for cover in itertools.product(*options):
@@ -383,7 +409,8 @@ def _scalar_order_reference(q, r):
         minimal = sorted(p for p in candidates
                          if not any(o != p and all(map(operator.le, o, p))
                                     for o in candidates))
-    return p_hat, residual == r_vals, residual, minimal
+    return ([Scalar(*x) for x in p_hat], residual == r_vals,
+            [Scalar(*x) for x in residual], minimal)
 
 
 # the unit carrier: reals in [0, 1] and multiples bI with b in (0, 1], on
@@ -485,11 +512,12 @@ def test_the_first_bad_entry_raises_its_error(q, r, neutrosophic, error,
 
 
 def test_a_nan_entry_is_not_a_real_valued_system():
-    # min and max may pass over a NaN; the entry check still fails it
+    # a NaN has no order code; the entry check fails it and names it
     for q, r in [([[0.5, float("nan")]], [0.5, 0.5]),
                  ([[float("nan"), 0.5]], [0.5, 0.5]),
                  ([[0.5]], [float("nan")])]:
-        with pytest.raises(DomainError, match="nan is not a finite"):
+        with pytest.raises(DomainError,
+                           match=r"^membership nan outside \[0, 1\]$"):
             solve_max(Matrix.from_rows(q), r)
 
 
@@ -587,16 +615,17 @@ def test_a_system_failing_the_necessary_condition_is_unsolvable(system):
 
 
 def _failing_columns_in_the_scalar_order(q, r):
-    """failing_columns from the Scalar order alone: r, then Q in row-major
-    order, checked on the unit carrier, then each column's maximum folded
-    with scalar_max and compared with its target."""
+    """failing_columns from the spec's book order alone: r, then Q in
+    row-major order, checked on the unit carrier, then each column's
+    maximum folded with the spec's max and compared with its target."""
     r = row_vector(list(r), domain=ValueDomain.ANY).row(0)
     for x in r + q.entries:
         if not ValueDomain.NEUTRO_UNIT.contains(x):
-            raise DomainError(f"membership {x} outside the unit carrier")
+            raise DomainError(
+                f"membership {_named(x)} outside the unit carrier")
     out = []
-    for k, rk in enumerate(r):
-        top = reduce(scalar_max, (q.at(j, k) for j in range(q.rows)))
+    for k, rk in enumerate(map(_spec, r)):
+        top = reduce(_HIGH, (_spec(q.at(j, k)) for j in range(q.rows)))
         if not (top == rk or _dominates(top, rk)):
             out.append(k)
     return tuple(out)

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spec_oracle as spec
+from replay import Oracle
 from fuzzymaps import (
     Matrix,
     OrderPolicy,
@@ -44,38 +45,6 @@ from fuzzymaps.values import (
 BOOK = OrderPolicy.BOOK_DEFAULT
 INDET = OrderPolicy.INDETERMINACY_DOMINANT
 POLICIES = (BOOK, INDET)
-
-
-class Oracle:
-    """The oracle over Scalars: each Scalar goes in as its own (a, b)
-    pair object, and each pair the oracle picks comes back as its
-    Scalar."""
-
-    def __init__(self):
-        self._scalars = {}  # id of a pair -> (the pair, its Scalar)
-
-    def pairs(self, values):
-        out = []
-        for x in values:
-            p = (x.real_part, x.indet_coeff)
-            self._scalars[id(p)] = (p, x)
-            out.append(p)
-        return out
-
-    def scalars(self, picks):
-        return tuple(self._scalars[id(p)][1] for p in picks)
-
-    def pair(self, a, b, policy):
-        return self.scalars(spec.pair(*self.pairs((a, b)), policy.value))
-
-    def fold(self, part, mat: Matrix, op, policy):
-        rows = [self.pairs(mat.row(i)) for i in range(mat.rows)]
-        return self.scalars(spec.fold(self.pairs(part), rows, op,
-                                      policy.value))
-
-    def compose(self, p: Matrix, q: Matrix, op, policy):
-        return tuple(x for i in range(p.rows)
-                     for x in self.fold(p.row(i), q, op, policy))
 
 
 def outcome(fn):
@@ -324,11 +293,12 @@ def test_order_codes_order_values_as_min_and_max_do(policy):
         + [Scalar(m) for m in signed]  # equal values, other objects
     code = dict(zip(map(id, values), _order_codes(values, policy)))
     flip = _ORDER_FLIP[policy]
+    oracle = Oracle()
     for a in values:
         for b in values:
             try:
-                low, high = _order_pair(a, b, policy)
-            except OrderUndefined:  # a negative value against the other kind
+                low, high = oracle.pair(a, b, policy)
+            except spec.Undefined:  # a negative value against the other kind
                 assert policy is BOOK
                 continue
             assert (low is a) == (code[id(a)] <= code[id(b)])

@@ -173,6 +173,13 @@ def test_fuzzy_threshold_rejects_indeterminate_input():
         threshold_scalar(I, mode)
 
 
+def test_fuzzy_threshold_names_an_infinite_multiple_of_i():
+    # the message names the value rather than failing to render it
+    with pytest.raises(ModeMismatch,
+                       match="^fuzzy thresholding cannot accept infI$"):
+        threshold_scalar(Scalar(0, math.inf), ThresholdMode("fuzzy"))
+
+
 def test_neutrosophic_threshold_pure_parts():
     mode = ThresholdMode("neutrosophic", 0.0)
     assert threshold_scalar(coerce(2), mode) == ONE
@@ -337,6 +344,13 @@ def test_norms_reject_out_of_range_reals():
 def test_norms_reject_mixed_values():
     with pytest.raises(OrderUndefined):
         tnorm("standard", Scalar(0.5, 0.5), 0.3)
+
+
+def test_norms_name_a_mixed_value_with_a_nan_coefficient():
+    # the message names the value rather than failing to render it
+    with pytest.raises(OrderUndefined, match=(
+            r"^0\.5 \+ nanI has no defined order for t-norm$")):
+        tnorm("standard", Scalar(0.5, math.nan), 0.5)
 
 
 def test_unknown_norm_kind():
