@@ -240,6 +240,21 @@ class Recurrence:
         return LimitCycle(cycle, len(cycle))
 
 
+_OUTCOMES = (FixedPoint, LimitCycle)
+
+
+def _require_each(values, classes, name):
+    """Raise TypeError naming the argument `name` unless `values` is an
+    iterable of instances of `classes`, a tuple of classes."""
+    try:
+        if all(isinstance(value, classes) for value in values):
+            return
+    except TypeError:  # not iterable
+        pass
+    raise TypeError(f"{name} must hold only "
+                    f"{' or '.join(c.__name__ for c in classes)} values")
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     """One engine step: the raw union, its thresholded form, and the form
@@ -277,6 +292,8 @@ class HiddenPattern:
 
     def __post_init__(self):
         # a run builds its pattern through _from_orbits, which skips this
+        _require_each(self.outcomes, _OUTCOMES, "outcomes")
+        _require_each(self.trace, (IterationRecord,), "trace")
         _require_type(self.input, SpecialStateVector, "input")
         _require_type(self.special, SpecialMatrix, "special")
         _require_type(self.policy, OrderPolicy, "policy")
@@ -371,6 +388,9 @@ def outcome_shape(outcome):
     iteration order. A fixed point's cycle is its one state; an RM state
     is a (domain, range) pair of tuples, where a CM state is a flat tuple
     of scalars."""
+    if not isinstance(outcome, _OUTCOMES):
+        raise TypeError(f"outcome must be a FixedPoint or LimitCycle, got "
+                        f"{type(outcome).__name__}")
     fixed = isinstance(outcome, FixedPoint)
     cycle = (outcome.state,) if fixed else outcome.states
     if isinstance(cycle[0][0], tuple):

@@ -283,6 +283,7 @@ def serialize_model(model, name: str = "") -> str:
     if isinstance(model, ModelFile):
         name = model.name
         model = model.model
+    _require_type(name, str, "name")
     _check_one_line("model name", name)
     _check_one_line("expert name", *model.experts)
     for what, text, back in [

@@ -83,6 +83,7 @@ def render_trace(pattern: HiddenPattern, model=None, *, name="",
     `experts` and `model_class`, and `policy` and `threshold_k` as claims,
     never written, each raising InvalidInput unless it is the run's own."""
     _require_type(pattern, HiddenPattern, "pattern")
+    _require_type(name, str, "name")
     special, count = pattern.special, len(pattern.outcomes)
     if model is not None and not isinstance(model, SpecialMatrix):
         _require_type(model, Model, "model")

@@ -208,26 +208,10 @@ I = Scalar(0, 1)
 ALGEBRAS = ("fuzzy", "neutrosophic")
 
 
-# Enum -> {text value: member}, built on the first parse_name of the Enum
-_MEMBERS = {}
-
-
 def parse_name(value, names, what):
-    """The name in the closed vocabulary `names` that `value` is or
-    spells: a member of an Enum `names`, given as itself or by its text
-    value, or one of a tuple of names. Anything else raises
+    """`value` if it is one of the tuple `names`, a closed vocabulary, else
     ParseError("unknown <what> ...")."""
-    if isinstance(names, type):
-        if isinstance(value, names):
-            return value
-        members = _MEMBERS.get(names)
-        if members is None:
-            members = _MEMBERS[names] = {m.value: m for m in names}
-        try:
-            return members[value]
-        except (KeyError, TypeError):  # TypeError: an unhashable value
-            pass
-    elif value in names:
+    if value in names:
         return value
     raise ParseError(f"unknown {what} {value!r}")
 
@@ -235,7 +219,7 @@ def parse_name(value, names, what):
 class _Vocabulary(Enum):
     """A closed vocabulary: a member-less Enum base. A subclass names
     itself in its class statement, as `class OrderPolicy(_Vocabulary,
-    what="order policy")`, and parse_name's ParseError names it so."""
+    what="order policy")`, and its ParseError names it so."""
 
     def __init_subclass__(cls, what, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -244,15 +228,13 @@ class _Vocabulary(Enum):
     @classmethod
     def parse(cls, value):
         """The member `value` is or spells by its text value."""
-        if isinstance(value, cls):  # a member passes with no more work
-            return value
-        return parse_name(value, cls, cls._what)
+        return value if isinstance(value, cls) else cls(value)
 
     @classmethod
     def _missing_(cls, value):
-        """A value lookup that finds no member raises ParseError, as
-        parse_name does, not ValueError; it accepts no more values."""
-        return parse_name(value, cls, cls._what)
+        """A value lookup that finds no member raises ParseError, not
+        ValueError; it accepts no more values."""
+        raise ParseError(f"unknown {cls._what} {value!r}")
 
 
 # The membership predicate of each value domain, by its text value, on a
@@ -462,7 +444,8 @@ def _book_pick(outer, codes) -> int:
 
 
 # _order_codes' memo, one per policy: Scalar -> its code, for values that
-# have one. Bounded like _TEXTS: once full it only reads.
+# have one. Once full it is cleared before the next store, so that the
+# values coded last are memoized: a miss costs a pass over a whole list.
 _CODE_LIMIT = 4096
 _CODES = {policy: {} for policy in OrderPolicy}
 _REAL = attrgetter("real_part")
@@ -480,9 +463,10 @@ def _order_codes(values, policy: OrderPolicy):
         pass
     codes = _order_code(list(map(_REAL, values)), list(map(_INDET, values)),
                         policy)
-    room = _CODE_LIMIT - len(table)
-    if codes is not None and room > 0:
-        table.update(islice(zip(values, codes), room))
+    if codes is not None:
+        if len(table) >= _CODE_LIMIT:
+            table.clear()
+        table.update(islice(zip(values, codes), _CODE_LIMIT - len(table)))
     return codes
 
 
@@ -524,65 +508,51 @@ def threshold_scalar(x, mode: ThresholdMode) -> Scalar:
     return ONE if dominant > k else ZERO
 
 
-TNORM_KINDS = ("standard", "algebraic_product", "bounded_difference",
-               "drastic")
-TCONORM_KINDS = ("standard", "algebraic_sum", "bounded_sum", "drastic")
+# Each family's kinds, each as its operation on two reals in [0, 1]
+_TNORMS = {
+    "standard": min,
+    "algebraic_product": lambda a, b: a * b,
+    "bounded_difference": lambda a, b: max(0.0, a + b - 1.0),
+    # a when b = 1, b when a = 1, 0 otherwise
+    "drastic": lambda a, b: a if b == 1.0 else b if a == 1.0 else 0.0,
+}
+_TCONORMS = {
+    "standard": max,
+    "algebraic_sum": lambda a, b: a + b - a * b,
+    "bounded_sum": lambda a, b: min(1.0, a + b),
+    # a when b = 0, b when a = 0, 1 otherwise
+    "drastic": lambda a, b: a if b == 0.0 else b if a == 0.0 else 1.0,
+}
+TNORM_KINDS = tuple(_TNORMS)
+TCONORM_KINDS = tuple(_TCONORMS)
 
 
-def _norm_operand(x, what):
-    """Validate a t-norm/t-conorm operand: a real in [0,1] or a pure
-    multiple of I (treated as the indeterminate). Returns the float value,
-    or None for an indeterminate operand."""
-    x = coerce(x)
-    if x.is_mixed:
-        raise OrderUndefined(
-            f"{_named(x)} has no defined order for {what}")
-    if not ValueDomain.NEUTRO_UNIT.contains(x):
-        raise DomainError(f"{_named(x)} is outside the {what} domain")
-    return x.real_part if x.is_real else None
+def _norm(kinds, kind, a, b, what) -> Scalar:
+    """The `what` of the table `kinds` named `kind` on a and b, each a real
+    in [0,1] or a pure multiple of I (treated as the indeterminate), which
+    absorbs: the result is I whenever either operand is."""
+    parse_name(kind, tuple(kinds), f"{what} kind")
+    values = []
+    for x in map(coerce, (a, b)):
+        if x.is_mixed:
+            raise OrderUndefined(
+                f"{_named(x)} has no defined order for {what}")
+        if not ValueDomain.NEUTRO_UNIT.contains(x):
+            raise DomainError(f"{_named(x)} is outside the {what} domain")
+        values.append(x.real_part if x.is_real else None)
+    if None in values:
+        return I
+    return Scalar(kinds[kind](*values))
 
 
 def tnorm(kind, a, b) -> Scalar:
-    """Intersection operators on [0,1] extended with I. Every kind absorbs
-    indeterminacy: the result is I whenever either operand is."""
-    parse_name(kind, TNORM_KINDS, "t-norm kind")
-    va = _norm_operand(a, "t-norm")
-    vb = _norm_operand(b, "t-norm")
-    if va is None or vb is None:
-        return I
-    if kind == "standard":
-        return Scalar(min(va, vb))
-    if kind == "algebraic_product":
-        return Scalar(va * vb)
-    if kind == "bounded_difference":
-        return Scalar(max(0.0, va + vb - 1.0))
-    # drastic: a when b = 1, b when a = 1, 0 otherwise
-    if vb == 1.0:
-        return Scalar(va)
-    if va == 1.0:
-        return Scalar(vb)
-    return ZERO
+    """Intersection operators on [0,1] extended with I."""
+    return _norm(_TNORMS, kind, a, b, "t-norm")
 
 
 def tconorm(kind, a, b) -> Scalar:
     """Union operators dual to tnorm; I absorbs here as well."""
-    parse_name(kind, TCONORM_KINDS, "t-conorm kind")
-    va = _norm_operand(a, "t-conorm")
-    vb = _norm_operand(b, "t-conorm")
-    if va is None or vb is None:
-        return I
-    if kind == "standard":
-        return Scalar(max(va, vb))
-    if kind == "algebraic_sum":
-        return Scalar(va + vb - va * vb)
-    if kind == "bounded_sum":
-        return Scalar(min(1.0, va + vb))
-    # drastic: a when b = 0, b when a = 0, 1 otherwise
-    if vb == 0.0:
-        return Scalar(va)
-    if va == 0.0:
-        return Scalar(vb)
-    return ONE
+    return _norm(_TCONORMS, kind, a, b, "t-conorm")
 
 
 # ASCII digits only: `\d` and float() also take other scripts' digits

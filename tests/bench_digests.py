@@ -1,5 +1,4 @@
-"""The benchmark's outcome digests, one row per (workload, seed), and the
-one runner for them.
+"""The benchmark's outcome digests, one row per (workload, seed).
 
 Each row of tests/bench_digests.json names a workload, a seed, whether
 the run is traced, and the outcome digest that `bench/run.py --seconds 0`
@@ -11,15 +10,8 @@ and the paths the benchmark gates (fre-minimal and pipeline-paper run the
 order codes of fre and of the max-min/min-max folds). Tier-1 checks the
 pipeline-paper and fre-minimal rows (tests/test_bench_digests.py), the
 runs that step max-min/min-max components and that solve through fre;
-sweep-sfcm30 runs neither. To check every row:
-
-    python tests/bench_digests.py
-
-which exits 1 when any run exits nonzero, that is when an op fails its
-workload's check, or reports another digest.
+sweep-sfcm30 runs neither; tests/ci_checks.py checks every row.
 """
-
-from __future__ import annotations
 
 import json
 import pathlib
@@ -48,23 +40,3 @@ def run(row) -> tuple:
                if line.startswith('{"report"')]
     return out.returncode, out.stdout, digests
 
-
-def main() -> int:
-    bad = 0
-    for row in rows():
-        code, stdout, digests = run(row)
-        print(stdout, end="")
-        name = f"{row['workload']} seed {row['seed']}"
-        if code or digests != [row["outcome_digest"]]:
-            bad += 1
-            print(f"{name}: exit {code}, outcome_digest {digests} is not "
-                  f"{row['outcome_digest']}")
-        else:
-            print(name, "outcome_digest", row["outcome_digest"])
-    if bad:
-        print(f"{bad} benchmark smoke run(s) failed")
-    return 1 if bad else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,4 +1,4 @@
-"""The golden CLI cases of tests/cli_cases/ and the one runner for them.
+"""The golden CLI cases of tests/cli_cases/: their loader and checker.
 
 A case is a directory holding:
 
@@ -12,15 +12,10 @@ A case is a directory holding:
                      Python versions
     any other file   an input of the case, named in argv
 
-Tier-1 runs every case in-process (tests/test_cli.py). To run every case
-through a command instead, give its argv prefix:
-
-    python tests/cli_golden.py fuzzymaps
-
-which exits 1 when any case fails.
+Tier-1 runs every case in-process (tests/test_cli.py);
+tests/ci_checks.py runs every case through a command, such as the
+installed console script.
 """
-
-from __future__ import annotations
 
 import contextlib
 import difflib
@@ -29,7 +24,6 @@ import os
 import pathlib
 import shlex
 import subprocess
-import sys
 from dataclasses import dataclass
 
 from fuzzymaps import cli
@@ -114,22 +108,3 @@ def check(case: Case, command: list[str] | None = None) -> None:
         raise AssertionError(f"case {case.name}: {shlex.join(case.argv)}\n"
                              + "\n".join(problems))
 
-
-def main(command: list[str]) -> int:
-    cases = load_all()
-    failed = 0
-    for case in cases:
-        try:
-            check(case, command)
-        except AssertionError as exc:
-            failed += 1
-            print(exc)
-    print(f"{len(cases) - failed} of {len(cases)} CLI cases pass through "
-          f"{shlex.join(command)}")
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    if len(sys.argv) < 2:
-        sys.exit(f"usage: {sys.argv[0]} COMMAND...")
-    sys.exit(main(sys.argv[1:]))

@@ -1,21 +1,21 @@
 """The CLI: every golden case of tests/cli_cases/ (see cli_golden.py),
-the trace files `run` writes, argv numerals, state across `main` calls,
-and the exit code of every error class."""
+CI's help and traced-run checks (see ci_checks.py), argv numerals, state
+across `main` calls, and the exit code of every error class."""
 
 import pathlib
 import shlex
-import subprocess
 import sys
 
 import pytest
 
+import ci_checks
 import cli_golden
 import fuzzymaps
 from fuzzymaps import cli as cli_module
-from fuzzymaps import verify_trace
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 CASES = {case.name: case for case in cli_golden.load_all()}
+CHILD = [sys.executable, "-m", "fuzzymaps.cli"]
 
 
 def _in_process(case):
@@ -32,54 +32,27 @@ def _in_process(case):
     "validate_bad_token_is_a_parse_error_at_its_line_and_column",
 ])
 def test_case_in_a_child_interpreter(name):
-    cli_golden.check(CASES[name], [sys.executable, "-m", "fuzzymaps.cli"])
+    cli_golden.check(CASES[name], CHILD)
 
 
-def cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "fuzzymaps.cli", *map(str, args)],
-        capture_output=True, text=True)
+# ----------------------------------------------------------- help and traces
+
+def test_help_pages_print_their_usage_lines():
+    ci_checks.help_pages(CHILD)
 
 
-# -------------------------------------------------------------------- traces
-
-def test_run_writes_verifiable_trace(tmp_path):
-    trace = tmp_path / "run.trace"
-    proc = cli("run", "--model", FIXTURES / "six_model_mixture.model",
-               "--input", FIXTURES / "six_model_mixture_seed.vec",
-               "--trace", trace)
-    assert proc.returncode == 0
-    text = trace.read_text()
-    assert text.startswith("trace 1\n")
-    assert verify_trace(text)  # raises TraceError if inconsistent
-    # byte for byte the golden trace of this run, whose CM and RM
-    # neutrosophic circle components step on the trit kernel
-    assert trace.read_bytes() == (FIXTURES / "six_model_mixture.trace"
-                                  ).read_bytes()
-
-
-@pytest.mark.parametrize("policy", ["book", "indeterminacy"])
-def test_neutrosophic_level_run_writes_its_golden_trace(tmp_path, policy):
-    # a union of neutrosophic max-min and min-max components, CM and RM,
-    # whose values hold n against nI ties; byte for byte its golden trace
-    # at each order policy
-    trace = tmp_path / "run.trace"
-    proc = cli("run", "--model", FIXTURES / "neutro_level_union.model",
-               "--input", FIXTURES / "neutro_level_union_seed.vec",
-               "--order-policy", policy, "--trace", trace)
-    assert proc.returncode == 0, proc.stderr
-    assert trace.read_bytes() == (
-        FIXTURES / f"neutro_level_union_{policy}.trace").read_bytes()
+def test_traced_runs_write_their_golden_traces():
+    ci_checks.traced_runs(CHILD)
 
 
 def test_run_trace_is_reproducible(tmp_path):
     out = []
     for name in ("a.trace", "b.trace"):
         path = tmp_path / name
-        proc = cli("run", "--model", FIXTURES / "mixed_operator_union.model",
-                   "--input", FIXTURES / "mixed_operator_seed.vec",
-                   "--trace", path)
-        assert proc.returncode == 0
+        ci_checks.run_cli(CHILD, "run",
+                          "--model", FIXTURES / "mixed_operator_union.model",
+                          "--input", FIXTURES / "mixed_operator_seed.vec",
+                          "--trace", path)
         out.append(path.read_bytes())
     assert out[0] == out[1]
 

@@ -213,6 +213,42 @@ def test_a_hand_built_pattern_is_checked_before_it_renders(
         dataclasses.replace(pattern, **{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    pytest.param("trace", (5,), id="trace-settled-steps"),
+    pytest.param("trace", 5, id="trace-render"),
+    pytest.param("outcomes", (5,), id="outcomes-describe"),
+    pytest.param("outcomes", None, id="outcomes-render"),
+])
+def test_a_hand_built_pattern_checks_its_outcomes_and_records(field, value):
+    # a record that is not an IterationRecord made settled_steps fall into
+    # __getattr__ and render_trace read `.frozen` of an int; an outcome
+    # that is neither a FixedPoint nor a LimitCycle made render_trace and
+    # describe read `.states` of an int
+    mf, pattern = run_fixture(*SQUARE)
+    with pytest.raises(TypeError, match=f"^{field} must hold only "):
+        dataclasses.replace(pattern, **{field: value})
+
+
+def test_outcome_shape_names_an_outcome_of_another_type():
+    with pytest.raises(TypeError, match="^outcome must be a FixedPoint or "
+                                        "LimitCycle, got int"):
+        outcome_shape(5)
+
+
+def test_render_trace_names_a_name_that_is_not_text():
+    # it wrote `name=[5]` and returned
+    mf, pattern = run_fixture(*SQUARE)
+    with pytest.raises(TypeError, match="^name must be a str, got int"):
+        render_trace(pattern, mf.model, name=5)
+
+
+def test_serialize_model_names_a_name_that_is_not_text():
+    # it raised AttributeError on `.partition` of an int
+    mf, pattern = run_fixture(*SQUARE)
+    with pytest.raises(TypeError, match="^name must be a str, got int"):
+        serialize_model(mf.model, name=5)
+
+
 def test_metadata_is_optional():
     mf, pattern = run_fixture(*SQUARE)
     bare = render_trace(pattern)
