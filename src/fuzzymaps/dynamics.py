@@ -7,7 +7,7 @@ to it. Each component runs on the kernel its tag names, which applies
 the operator its tag declares.
 
 * Input: validate_input. Every component's values sit inside the
-  carrier of its tag (special._carrier_problems, the rule build_model
+  carrier of its tag (special._carrier_problems, the rule every Model
   applies too), and a seed has one crisp {0,1} part per component, all
   on one side. Square (CM) components have a single node space, their
   domain, so they take domain-side seeds only; rectangular (RM)
@@ -94,6 +94,7 @@ from .errors import (
     IterationCapExceeded,
     NonCMComponent,
     NonRMComponent,
+    ShapeMismatch,
 )
 from .matrices import transpose
 from .special import (
@@ -115,6 +116,7 @@ from .values import (
     ThresholdMode,
     ZERO,
     _FrozenRecord,
+    _Memo,
     _check_threshold_k,
     _require_type,
     threshold_scalar,
@@ -298,6 +300,18 @@ class HiddenPattern:
         _require_type(self.special, SpecialMatrix, "special")
         _require_type(self.policy, OrderPolicy, "policy")
         _check_threshold_k(self.threshold_k)
+        # every count agrees with the union's, and a run takes a step
+        n = len(self.special)
+        fields = [("outcomes", self.outcomes), ("input", self.input)]
+        fields += [(f"trace record {step} {name}", getattr(record, name))
+                   for step, record in enumerate(self.trace, 1)
+                   for name in ("raw", "thresholded", "updated", "frozen")]
+        for name, value in fields:
+            if len(value) != n:
+                raise ShapeMismatch(
+                    f"{name} holds {len(value)} entries for {n} components")
+        if not self.trace:
+            raise ShapeMismatch("trace holds no records")
 
     @classmethod
     def _from_orbits(cls, outcomes, orbits, input, special, policy,
@@ -503,17 +517,10 @@ class _ScalarStep(_Kernel):
         return state
 
 
-class _IntScalars(dict):
-    """The shared Scalar of each raw circle value t + sI with integer t and
-    s, keyed by the number t + sj: an int for the fuzzy kernel's reals, a
-    complex for the neutrosophic one. Made on first use."""
-
-    def __missing__(self, n):
-        value = self[n] = Scalar(n.real, n.imag)
-        return value
-
-
-_INT_SCALARS = _IntScalars()
+# The shared Scalar of each raw circle value t + sI with integer t and s,
+# keyed by the number t + sj: an int for the fuzzy kernel's reals, a
+# complex for the neutrosophic one.
+_INT_SCALARS = _Memo(lambda n: Scalar(n.real, n.imag))
 _BIT_SCALARS = (ZERO, ONE)
 
 
@@ -648,21 +655,6 @@ def _sign_masks(matrix):
 _TRIT_SCALARS = (ZERO, ONE, I)  # by code: x1 bit + 2 * xI bit
 
 
-class _CutCodes(dict):
-    """One kernel's cut of each raw value t + sj, by
-    values.threshold_scalar, as a code: 0 for 0, 1 for 1, 2 for I. Made
-    on first use."""
-
-    def __init__(self, mode):
-        super().__init__()
-        self.mode = mode
-
-    def __missing__(self, n):
-        value = self[n] = _TRIT_SCALARS.index(
-            threshold_scalar(_INT_SCALARS[n], self.mode))
-        return value
-
-
 class _TritStep(_Kernel):
     """Neutrosophic circle step over {-1, 0, 1, I} weights on pairs of int
     bitmasks.
@@ -684,7 +676,10 @@ class _TritStep(_Kernel):
         self.size = matrix.cols
         self.pin = sum(1 << i for i in pin_on)
         self.bits = _field_bits(1, matrix.cols)
-        self.cut = _CutCodes(ThresholdMode(tag.algebra, k))
+        # each raw value t + sj's cut, as a code: 0 for 0, 1 for 1, 2 for I
+        mode = ThresholdMode(tag.algebra, k)
+        self.cut = _Memo(lambda n: _TRIT_SCALARS.index(
+            threshold_scalar(_INT_SCALARS[n], mode)))
 
     def step(self, x):
         x1, xi = x

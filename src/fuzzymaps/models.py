@@ -11,7 +11,8 @@ from __future__ import annotations
 import functools
 
 from .errors import ClassViolation, NonzeroDiagonal, WrongEntryPoint
-from .dynamics import run_cm, run_mixed, run_rm
+# run_cm and run_rm stay bound: bench/tracing.py wraps them by these names
+from .dynamics import run_cm, run_mixed, run_rm  # noqa: F401
 from .special import (
     CM,
     RM,
@@ -112,21 +113,25 @@ _RULES = {
     ModelClass.SMNRE: _ClassRule(_RM_ONLY, _N, _MAXMIN),
 }
 
-# the component kinds each dynamical class allows, which pick its engine
-_ENGINE_KINDS = {member: rule.kinds for member, rule in _RULES.items()
-                 if member not in FRE_CLASSES}
-
 
 class Model(_FrozenRecord):
     """A validated union with class, labels, and expert provenance. The
     class is a ModelClass or its code (ModelClass.parse). The labels hold,
-    per component, (row_labels,) for CM and (rows, cols) for RM."""
+    per component, (row_labels,) for CM and (rows, cols) for RM. The union
+    is checked by diagonal_diagnostics, then by class_diagnostics."""
 
     __slots__ = ("model_class", "matrix", "labels", "experts")
 
     def __init__(self, model_class: ModelClass, matrix: SpecialMatrix,
                  labels: tuple, experts: tuple):
         model_class = ModelClass.parse(model_class)
+        _require_type(matrix, SpecialMatrix, "matrix")
+        diagonal_problems = diagonal_diagnostics(matrix)
+        if diagonal_problems:
+            raise NonzeroDiagonal("; ".join(diagonal_problems))
+        problems = class_diagnostics(model_class, matrix)
+        if problems:
+            raise ClassViolation("; ".join(problems))
         if len(labels) != len(matrix):
             raise ClassViolation(
                 f"{len(labels)} label groups for {len(matrix)} components")
@@ -252,22 +257,16 @@ def _normalize_labels(special: SpecialMatrix, labels) -> tuple:
 
 def build_model(model_class, components, labels=None,
                 experts=None) -> Model:
-    """Validate a union against a class predicate and wrap it.
+    """A Model of the union `components`, with its labels and expert
+    names normalised.
 
     `model_class` is a ModelClass or its code (ModelClass.parse).
     `components` is a SpecialMatrix or a sequence of (Matrix,
-    ComponentTag) pairs. Every square component must carry a zero
+    ComponentTag) pairs. Every square circle component must carry a zero
     diagonal.
     """
-    model_class = ModelClass.parse(model_class)
     special = components if isinstance(components, SpecialMatrix) \
         else SpecialMatrix(components)
-    diagonal_problems = diagonal_diagnostics(special)
-    if diagonal_problems:
-        raise NonzeroDiagonal("; ".join(diagonal_problems))
-    problems = class_diagnostics(model_class, special)
-    if problems:
-        raise ClassViolation("; ".join(problems))
     if experts is None:
         experts = (None,) * len(special)
     experts = tuple(f"expert {i + 1}" if e is None else str(e)
@@ -289,14 +288,10 @@ def _dynamical_class(model_class) -> ModelClass:
 
 
 def run(model: Model, x0: SpecialStateVector, **options):
-    """Dispatch a validated model to the matching engine, which validates
-    the seed (dynamics.validate_input), with the options of run_mixed. A
-    model or seed of the wrong type raises TypeError first."""
+    """Run a model, checked against its class when it was built, through
+    run_mixed, which validates the seed, with its options. A model or seed
+    of the wrong type raises TypeError first."""
     _require_type(model, Model, "model")
     _require_type(x0, SpecialStateVector, "seed")
-    kinds = _ENGINE_KINDS.get(model.model_class)
-    if kinds is None:  # an equation class raises WrongEntryPoint
-        _dynamical_class(model.model_class)
-    engine = run_cm if kinds == _CM_ONLY else run_rm if kinds == _RM_ONLY \
-        else run_mixed
-    return engine(model.matrix, x0, **options)
+    _dynamical_class(model.model_class)
+    return run_mixed(model.matrix, x0, **options)

@@ -320,7 +320,7 @@ def verify_trace(text: str) -> tuple:
     """Re-derive every component's final pattern from the recorded step
     states with the engine's recurrence rule, and check it, its settle
     step, the frozen steps after it, the run line's counts (one component
-    or more) and model class (the tag-and-shape rule build_model applies,
+    or more) and model class (the tag-and-shape rule every Model applies,
     and one that has a dynamical run), the masks, square CM shapes, every
     part's side and length (part_problem) and crisp seeds (seed_problems)
     against the trace. Returns the verified outcomes in order."""

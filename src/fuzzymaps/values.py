@@ -201,6 +201,35 @@ def _require_type(value, cls, name):
                         f"{type(value).__name__}")
 
 
+_MEMO_LIMIT = 4096  # the bound of every _Memo
+
+
+class _Memo(dict):
+    """A memo shared across calls: `memo[key]`, also in a C-level
+    `map(memo.__getitem__, keys)`, stores `build(key)` on a miss. A full
+    memo is cleared before its next store, so it keeps what it built
+    last; a build that raises stores nothing."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self.build(key)
+        if len(self) >= _MEMO_LIMIT:
+            self.clear()
+        self[key] = value
+        return value
+
+    def fill(self, items):
+        """Store the (key, value) pairs `items` while the bound has room."""
+        if len(self) >= _MEMO_LIMIT:
+            self.clear()
+        self.update(islice(items, _MEMO_LIMIT - len(self)))
+
+
 ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
@@ -444,10 +473,9 @@ def _book_pick(outer, codes) -> int:
 
 
 # _order_codes' memo, one per policy: Scalar -> its code, for values that
-# have one. Once full it is cleared before the next store, so that the
-# values coded last are memoized: a miss costs a pass over a whole list.
-_CODE_LIMIT = 4096
-_CODES = {policy: {} for policy in OrderPolicy}
+# have one. It builds nothing: a miss raises an empty dict's KeyError, and
+# _order_codes codes the whole list in one bulk pass.
+_CODES = {policy: _Memo({}.__getitem__) for policy in OrderPolicy}
 _REAL = attrgetter("real_part")
 _INDET = attrgetter("indet_coeff")
 
@@ -464,9 +492,7 @@ def _order_codes(values, policy: OrderPolicy):
     codes = _order_code(list(map(_REAL, values)), list(map(_INDET, values)),
                         policy)
     if codes is not None:
-        if len(table) >= _CODE_LIMIT:
-            table.clear()
-        table.update(islice(zip(values, codes), _CODE_LIMIT - len(table)))
+        table.fill(zip(values, codes))
     return codes
 
 
@@ -596,45 +622,29 @@ def _parse_coeff(coeff_txt, original):
     return _parse_number(coeff_txt, original)
 
 
-# parse_scalar's memo: token text -> the one shared Scalar it parses to.
-# Scalar is immutable, so equal tokens can share an object (tuple
-# comparisons then succeed on identity). Bounded: once full it only reads.
-_LITERAL_LIMIT = 4096
-_LITERALS = {}
-
-
 def parse_scalar(text: str) -> Scalar:
     """Parse the scalar text syntax: `0.3`, `-1`, `I`, `2I`, `0.3+0.5I`,
     `7-I`, and the I-term-first form `7I-1`. Whitespace inside the token
     is ignored. Numerals are ASCII digits only. A coefficient that
     overflows a float raises ParseError, and a `text` that is not a str
-    raises TypeError naming it. Equal tokens share one Scalar object while
-    the memo (_LITERALS) has room."""
+    raises TypeError naming it. Equal tokens share one Scalar object
+    while the memo (_LITERALS) keeps them."""
     try:
-        value = _LITERALS.get(text)
+        return _LITERALS[text]
     except TypeError:  # an unhashable text, so not a str
-        value = None
-    if value is None:
         _require_type(text, str, "text")
-        value = _parse_scalar(text)  # a ParseError is never memoized
-        if len(_LITERALS) < _LITERAL_LIMIT:
-            _LITERALS[text] = value
-    return value
+        raise
 
 
 def parse_scalars(tokens) -> tuple:
     """The scalars a sequence of tokens spells, in order: the objects
     `[parse_scalar(t) for t in tokens]` gives, and on a bad token the
-    same ParseError. A line of tokens the memo holds, the common case, is
-    one C-level pass of lookups; only a line with a token the memo lacks
-    goes through parse_scalar token by token."""
-    try:
-        return tuple(map(_LITERALS.__getitem__, tokens))
-    except KeyError:  # a token not memoized (yet): parse each in turn
-        return tuple(map(parse_scalar, tokens))
+    same ParseError, in one C-level pass of memo lookups."""
+    return tuple(map(_LITERALS.__getitem__, tokens))
 
 
 def _parse_scalar(text):
+    _require_type(text, str, "text")
     token = "".join(text.split())
     if not token:
         raise ParseError("empty scalar token")
@@ -661,6 +671,12 @@ def _parse_scalar(text):
     return Scalar(_parse_number(token, text))
 
 
+# parse_scalar's memo: token text -> the one shared Scalar it parses to.
+# Scalar is immutable, so equal tokens can share an object (tuple
+# comparisons then succeed on identity). A ParseError stores nothing.
+_LITERALS = _Memo(_parse_scalar)
+
+
 def _render_real(x: float) -> str:
     try:
         integral = x == int(x)
@@ -671,41 +687,25 @@ def _render_real(x: float) -> str:
     return repr(x)
 
 
-# render_scalar's memo: Scalar -> its text, read by render_row too. A
-# run's values come from a few literals, so a trace renders the same few
-# again and again. Equal Scalars render alike, as no signed zero
-# is stored. Bounded like _LITERALS: once full it only reads.
-_TEXT_LIMIT = 4096
-_TEXTS = {}
-
-
 def render_scalar(x) -> str:
     """Canonical text form: integral values without a decimal point, pure
     multiples of I as `nI` (coefficient 1 rendered bare), mixed values as
     `a+bI` / `a-bI`. An infinite or NaN coefficient raises DomainError.
-    Each value is rendered once while the memo (_TEXTS) has room."""
-    x = coerce(x)
-    text = _TEXTS.get(x)
-    if text is None:  # a DomainError is never memoized
-        text = _render_pair(x.real_part, x.indet_coeff)
-        if len(_TEXTS) < _TEXT_LIMIT:
-            _TEXTS[x] = text
-    return text
+    Each value is rendered once while the memo (_TEXTS) keeps it."""
+    return _TEXTS[coerce(x)]
 
 
 def render_row(values) -> str:
     """The values as render_scalar renders them, one space apart: for
-    Scalars the memo holds, the common case, in one C-level pass."""
+    Scalars, the common case, in one C-level pass of memo lookups."""
     values = tuple(values)
     if all(map(isinstance, values, repeat(Scalar))):
-        try:
-            return " ".join(map(_TEXTS.__getitem__, values))
-        except KeyError:  # a value not memoized (yet)
-            pass
-    return " ".join(map(render_scalar, values))
+        return " ".join(map(_TEXTS.__getitem__, values))
+    return " ".join(map(render_scalar, values))  # a bool or complex raises
 
 
-def _render_pair(a, b):
+def _render_text(x: Scalar) -> str:
+    a, b = x.real_part, x.indet_coeff
     if b == 0.0:
         return _render_real(a)
     mag = abs(b)
@@ -713,3 +713,10 @@ def _render_pair(a, b):
     if a == 0.0:
         return ipart if b > 0 else "-" + ipart
     return _render_real(a) + ("+" if b > 0 else "-") + ipart
+
+
+# render_scalar's memo: Scalar -> its text, read by render_row too. A
+# run's values come from a few literals, so a trace renders the same few
+# again and again. Equal Scalars render alike, as no signed zero is
+# stored; a DomainError stores nothing.
+_TEXTS = _Memo(_render_text)

@@ -223,6 +223,26 @@ def test_a_model_parses_its_class():
         run(equation, SpecialStateVector([(Scalar(1), Scalar(0))]))
 
 
+def test_a_hand_built_model_is_checked_against_its_class():
+    # a Model built without build_model skipped the class check: run
+    # raised NonCMComponent for an SFCM union holding an RM component
+    with pytest.raises(ClassViolation, match="^component 2: kind RM not "
+                                             "allowed in SFCM"):
+        Model(ModelClass.SFCM,
+              SpecialMatrix([(F_SQ, CIRCLE_CM), (F_RECT, CIRCLE_RM)]),
+              (("a", "b", "c"), (("p", "q"), ("x", "y", "z"))), ("e", "f"))
+
+
+def test_a_hand_built_model_is_checked_for_a_zero_diagonal():
+    # a Model built without build_model skipped the diagonal check, and
+    # its nonzero diagonal ran
+    loop = m([[1, 1, 0], [0, 0, 1], [1, 0, 0]], TRI)
+    with pytest.raises(NonzeroDiagonal, match="^component 1: diagonal cell "
+                                              r"\(1,1\) is 1, must be 0$"):
+        Model(ModelClass.SFCM, SpecialMatrix([(loop, CIRCLE_CM)]),
+              (("a", "b", "c"),), ("e",))
+
+
 def test_default_labels_and_experts():
     model = build_model(ModelClass.SMFCFRM,
                         [(F_SQ, CIRCLE_CM), (F_RECT, CIRCLE_RM)])

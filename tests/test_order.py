@@ -36,8 +36,8 @@ from fuzzymaps import (
 from fuzzymaps import matrices as matrices_module, special
 from fuzzymaps.special import apply_part
 from fuzzymaps.values import (
-    _CODE_LIMIT,
     _CODES,
+    _MEMO_LIMIT,
     _ORDER_FLIP,
     _named,
     _order_codes,
@@ -316,8 +316,8 @@ def test_a_full_order_code_memo_stores_what_it_codes_next(policy):
     # once full the memo only read, so each list holding a value outside
     # it was coded afresh on every call
     _CODES[policy].clear()
-    _order_codes([Scalar(n / 7) for n in range(_CODE_LIMIT)], policy)
-    assert len(_CODES[policy]) == _CODE_LIMIT
+    _order_codes([Scalar(n / 7) for n in range(_MEMO_LIMIT)], policy)
+    assert len(_CODES[policy]) == _MEMO_LIMIT
     pair = Scalar(0.123), Scalar(0, 0.456)
     scalar_min(*pair, policy)
     assert all(value in _CODES[policy] for value in pair)

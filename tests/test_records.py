@@ -104,7 +104,9 @@ RECORDS = [
         [((ModelClass.SFCM, UNION, ((), ()), ("x",)), ClassViolation,
           "2 label groups for 1 components"),
          ((ModelClass.SFCM, UNION, ((),), ()), ClassViolation,
-          "0 expert names for 1 components")],
+          "0 expert names for 1 components"),
+         ((ModelClass.SFCM, [], (), ()), TypeError,
+          "matrix must be a SpecialMatrix, got list")],
         id="Model"),
     pytest.param(
         ModelFile, ("name", "model"), ("demo", MODEL),

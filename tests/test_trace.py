@@ -229,6 +229,34 @@ def test_a_hand_built_pattern_checks_its_outcomes_and_records(field, value):
         dataclasses.replace(pattern, **{field: value})
 
 
+def _short_record(record):
+    """`record` with its raw parts less the last component's."""
+    return dataclasses.replace(record, raw=record.raw[:-1])
+
+
+@pytest.mark.parametrize("field, forge, message", [
+    # it rendered `components=0`, which verify_trace rejects, and
+    # render_trace(pattern, model) raised "1 experts for 0 components"
+    pytest.param("outcomes", lambda p: (), "^outcomes holds 0 entries for "
+                 "1 components$", id="no-outcomes"),
+    # render_trace leaked IndexError
+    pytest.param("outcomes", lambda p: p.outcomes * 2, "^outcomes holds 2 "
+                 "entries for 1 components$", id="two-outcomes"),
+    pytest.param("trace", lambda p: (), "^trace holds no records$",
+                 id="no-records"),
+    pytest.param("input", lambda p: SpecialStateVector(p.input.parts * 2),
+                 "^input holds 2 entries for 1 components$", id="two-parts"),
+    pytest.param("trace", lambda p: p.trace + (_short_record(
+        p.trace[-1]),), r"^trace record \d+ raw holds 0 entries for 1 "
+                        "components$", id="short-record"),
+])
+def test_a_hand_built_pattern_checks_its_counts_against_its_union(
+        field, forge, message):
+    mf, pattern = run_fixture(*SQUARE)
+    with pytest.raises(ShapeMismatch, match=message):
+        dataclasses.replace(pattern, **{field: forge(pattern)})
+
+
 def test_outcome_shape_names_an_outcome_of_another_type():
     with pytest.raises(TypeError, match="^outcome must be a FixedPoint or "
                                         "LimitCycle, got int"):

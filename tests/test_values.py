@@ -403,7 +403,7 @@ def test_parse_scalar_rejects_overflowing_literals():
 def test_render_scalar_rejects_non_finite_coefficients():
     # on every call: a DomainError is never memoized
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(values, "_TEXTS", {})
+        mp.setattr(values, "_TEXTS", values._Memo(values._render_text))
         for bad in (Scalar(math.inf), Scalar(-math.inf), Scalar(math.nan),
                     Scalar(0, math.inf), Scalar(2, math.nan)):
             for _ in range(2):
@@ -421,11 +421,31 @@ def test_render_scalar_of_negative_zero_is_zero():
 
 def test_render_scalar_memo_is_bounded():
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(values, "_TEXTS", {})
+        mp.setattr(values, "_TEXTS", values._Memo(values._render_text))
         for n in range(5000):
-            assert render_scalar(Scalar(n / 8)) == values._render_pair(n / 8,
-                                                                       0.0)
-        assert len(values._TEXTS) == 4096  # full: it only reads now
+            assert render_scalar(Scalar(n / 8)) == \
+                values._render_text(Scalar(n / 8))
+            assert len(values._TEXTS) <= values._MEMO_LIMIT == 4096
+        # cleared once full, it keeps the values rendered since
+        assert len(values._TEXTS) == 5000 - 4096
+        assert Scalar(4999 / 8) in values._TEXTS
+
+
+def test_a_full_memo_keeps_what_it_built_last():
+    # once full, the literal and text memos only read, so every row that
+    # held a token or value beyond them was parsed or rendered afresh,
+    # token by token, on every call
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(values, "_LITERALS", values._Memo(values._parse_scalar))
+        mp.setattr(values, "_TEXTS", values._Memo(values._render_text))
+        for n in range(values._MEMO_LIMIT + 1):
+            render_scalar(parse_scalar(f"{n}.5"))
+        got = values.parse_scalars(["0.125", "I", "0.125"])
+        assert got[0] is got[2] is values._LITERALS.get("0.125")
+        assert got[1] is values._LITERALS.get("I")
+        assert values.render_row(got) == "0.125 I 0.125"
+        assert values._TEXTS.get(Scalar(0.125)) == "0.125"
+        assert values._TEXTS.get(I) == "I"
 
 
 def test_render_scalar_canonical():
@@ -492,33 +512,36 @@ def test_parse_scalar_memo_matches_a_fresh_parse():
             got = parse_scalar(token)
             assert (got.real_part, got.indet_coeff) == (fresh.real_part,
                                                         fresh.indet_coeff)
-            if token in values._LITERALS:  # memoized: one shared object
-                assert parse_scalar(token) is got
-        assert len(values._LITERALS) <= values._LITERAL_LIMIT
+            # the token parsed last is kept: one shared object
+            assert values._LITERALS.get(token) is got
+            assert parse_scalar(token) is got
+        sizes.add(len(values._LITERALS))
 
     # a small bound, so that the memo fills up during the run
+    sizes = set()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(values, "_LITERALS", {})
-        mp.setattr(values, "_LITERAL_LIMIT", 16)
+        mp.setattr(values, "_LITERALS", values._Memo(values._parse_scalar))
+        mp.setattr(values, "_MEMO_LIMIT", 16)
         check()
-        assert len(values._LITERALS) == 16
+    assert max(sizes) == 16
 
 
 def test_render_scalar_memo_matches_a_fresh_rendering():
     @settings(max_examples=400, deadline=None)
     @given(scalars)
     def check(s):
-        fresh = values._render_pair(s.real_part, s.indet_coeff)
+        fresh = values._render_text(s)
         for _ in range(2):  # the first call may fill the memo
             assert render_scalar(s) == fresh
-        assert len(values._TEXTS) <= values._TEXT_LIMIT
+        assert values._TEXTS.get(s) == fresh  # rendered last, so kept
+        sizes.add(len(values._TEXTS))
 
     # a small bound, so that the memo fills up during the run
+    sizes = set()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(values, "_TEXTS", {})
-        mp.setattr(values, "_TEXT_LIMIT", 16)
+        _memo(mp, 16)
         check()
-        assert len(values._TEXTS) == 16
+    assert max(sizes) == 16
 
 
 def test_parse_scalars_gives_the_objects_parse_scalar_gives():
@@ -535,25 +558,26 @@ def test_parse_scalars_gives_the_objects_parse_scalar_gives():
         got = values.parse_scalars(line)
         assert len(got) == len(expected)
         for token, a, b in zip(line, got, expected):
-            if token in values._LITERALS:  # memoized: one shared object
+            if values._LITERALS.get(token) is b:  # kept: one shared object
                 assert a is b
-            else:  # beyond a full memo every call parses afresh
+            else:  # the memo was cleared since, and parsed it afresh
                 assert type(a) is Scalar
                 assert (a.real_part, a.indet_coeff) == (b.real_part,
                                                         b.indet_coeff)
+        sizes.add(len(values._LITERALS))
 
-    # a small bound, so that the memo fills up and lines hold tokens
-    # beyond it
+    # a small bound, so that the memo fills up and is cleared within lines
+    sizes = set()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(values, "_LITERALS", {})
-        mp.setattr(values, "_LITERAL_LIMIT", 16)
+        mp.setattr(values, "_LITERALS", values._Memo(values._parse_scalar))
+        mp.setattr(values, "_MEMO_LIMIT", 16)
         check()
-        assert len(values._LITERALS) == 16
+    assert max(sizes) == 16
 
 
 def test_parse_scalars_parses_the_tokens_a_line_adds_to_the_memo():
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(values, "_LITERALS", {})
+        mp.setattr(values, "_LITERALS", values._Memo(values._parse_scalar))
         got = values.parse_scalars(["0.25", "I", "0.25", "-7I"])
         assert got == (Scalar(0.25), I, Scalar(0.25), Scalar(0, -7))
         assert got[0] is got[2] is values._LITERALS["0.25"]
@@ -737,11 +761,11 @@ def _bracketed_row(part):
     return "[" + values.render_row(part) + "]"
 
 
-def _memo(mp, texts, limit=values._TEXT_LIMIT):
-    """Give render_scalar, and render_row which reads it directly, the
-    memo `texts` of room `limit`."""
-    mp.setattr(values, "_TEXTS", texts)
-    mp.setattr(values, "_TEXT_LIMIT", limit)
+def _memo(mp, limit):
+    """Give render_scalar, and render_row which reads it directly, a fresh
+    memo, and every memo the bound `limit`."""
+    mp.setattr(values, "_TEXTS", values._Memo(values._render_text))
+    mp.setattr(values, "_MEMO_LIMIT", limit)
 
 
 def test_render_part_is_the_join_of_render_scalar():
@@ -755,22 +779,26 @@ def test_render_part_is_the_join_of_render_scalar():
             for _ in range(2):  # the first call may fill the memo
                 assert render(part) == expected
             assert render(iter(part)) == expected
+            sizes.add(len(values._TEXTS))
 
-    # a small bound, so that the memo fills up and parts hold values
-    # beyond it
+    # a small bound, so that the memo fills up and is cleared within parts
+    sizes = set()
     with pytest.MonkeyPatch.context() as mp:
-        _memo(mp, {}, 16)
+        _memo(mp, 16)
         check()
-        assert len(values._TEXTS) == 16
+    assert max(sizes) == 16
 
 
 def test_render_part_with_a_full_memo_renders_afresh():
-    with pytest.MonkeyPatch.context() as mp:
-        _memo(mp, {}, 0)
-        for render in (render_part, _bracketed_row):
+    for render in (render_part, _bracketed_row):
+        with pytest.MonkeyPatch.context() as mp:
+            _memo(mp, 3)
+            assert render((ONE, ZERO, Scalar(7))) == "[1 0 7]"  # now full
             assert render((Scalar(0.125), I, Scalar(2, -3))) == \
                 "[0.125 I 2-3I]"
-        assert values._TEXTS == {}
+            # cleared once full, it keeps the values rendered since
+            assert values._TEXTS == {Scalar(0.125): "0.125", I: "I",
+                                     Scalar(2, -3): "2-3I"}
 
 
 @pytest.mark.parametrize("part, error", [
